@@ -1082,7 +1082,7 @@ class System:
         merges = []
         write_slabs = set()
         for b, slab in zip(spec.bindings, slabs):
-            arr = self._snapshot_binding(b)
+            arr = self._snapshot_binding(b, ex)
             arrays.append((b.name, arr, b.writable))
             if b.writable:
                 # The version bumps *now*, where the inline path's
@@ -1106,12 +1106,15 @@ class System:
                        merges=merges, deps=deps, label=spec.label)
         ex.stats.dispatch_seconds += time.perf_counter() - t0
 
-    def _snapshot_binding(self, b) -> np.ndarray:
-        """An owned, writable copy of a binding's current bytes."""
+    def _snapshot_binding(self, b, ex: Executor) -> np.ndarray:
+        """An owned, writable copy of a binding's current bytes, built
+        in a staging buffer of the executor."""
         view = self.view_array(b.handle, b.dtype, b.shape, b.offset, b.count)
-        if view is not None:
-            return np.array(view)
-        return self.fetch(b.handle, b.dtype, b.shape, b.offset, b.count)
+        if view is None:
+            return self.fetch(b.handle, b.dtype, b.shape, b.offset, b.count)
+        arr = ex.stage(view.nbytes).view(view.dtype).reshape(view.shape)
+        np.copyto(arr, view)
+        return arr
 
     def _run_kernel_inline(self, spec: KernelSpec) -> None:
         """In-place execution over buffer views -- behaviour-identical

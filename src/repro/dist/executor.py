@@ -3,9 +3,23 @@
 :class:`DistExecutor` slots behind the :class:`~repro.exec.base.Executor`
 interface like any other backend -- ``make_executor("dist")`` -- but
 models a share-nothing cluster: every operand crosses to its worker as
-a pickled message (:mod:`repro.dist.protocol`), and writable outputs
+a framed message (:mod:`repro.dist.protocol`), and writable outputs
 travel back the same way.  No shared memory, no shared file
 descriptors: the pipes *are* the network.
+
+Each worker's pipe is served by a **thread pair**.  The sender thread
+writes queued grants, so the coordinator never blocks on a full pipe;
+the receiver thread reads every frame the moment the worker writes it
+(a worker never waits on the coordinator to take an ack), stamps the
+arrival and hands the message to one inbound queue.  Neither thread
+touches executor state: ``wait`` / ``poll`` consume the inbound queue
+on the caller's thread, which alone owns tickets, telemetry and the
+dead-worker set.
+
+**Staging**: the System copies each operand snapshot into a buffer it
+gets from :meth:`DistExecutor.stage` -- a pooled array the sender
+thread hands back right after the wire write; ack outputs land in
+buffers of the same pool and go back at ``release``.
 
 Placement is **pinned**, not load-balanced: the distributed scheduler
 (:mod:`repro.dist.runner`) pins the executor to a partition before
@@ -35,12 +49,30 @@ import queue
 import threading
 import time
 import weakref
-from multiprocessing.connection import wait as conn_wait
+from functools import partial
 
+import numpy as np
+
+from repro.core.buffers import ArrayPool
 from repro.dist.protocol import SHUTDOWN, CompletionAck, Heartbeat, \
-    TaskGrant
+    TaskGrant, recv_message, send_message
 from repro.dist.worker import dist_worker_main
 from repro.exec.base import ExecError, Executor, TaskResult
+
+#: Retention of the snapshot / ack staging pool.  Bytes are the real
+#: cap: a per-size cap below the grants in flight makes the sender
+#: threads free what they give back, which is what the pool is there
+#: to avoid (DESIGN.md, staging-pool ownership).
+STAGE_POOL_BYTES = 64 * 1024 * 1024
+STAGE_POOL_PER_SIZE = 64
+
+#: Heartbeats are dropped once this many messages wait unread: acks are
+#: bounded by the tickets in flight, beats of an idle pool nobody polls
+#: are not.
+INBOUND_BEATS_MAX = 1024
+
+#: Inbound-queue marker: the worker's pipe reached end of file.
+_EOF = object()
 
 _LIVE: "weakref.WeakSet[DistExecutor]" = weakref.WeakSet()
 _ATEXIT_ARMED = False
@@ -115,17 +147,26 @@ class DistExecutor(Executor):
             child.close()           # the worker owns its end now
             self._conns.append(parent)
             self._procs.append(proc)
-        # Outbound grants go through one sender thread per worker: the
-        # coordinator never blocks on a full pipe, so a worker shipping
-        # a large ack while the coordinator ships a large grant cannot
-        # deadlock the pair (both directions drain independently).
+        self._pool = ArrayPool(max_bytes=STAGE_POOL_BYTES,
+                               max_per_size=STAGE_POOL_PER_SIZE)
+        #: id(buffer) -> buffer for every staging buffer handed out and
+        #: not yet submitted (the strong reference keeps the id unique).
+        self._lent: dict[int, np.ndarray] = {}
+        #: Per-worker operand bytes put on the wire.
+        self.shipped_bytes = [0] * self.workers
+        # One sender and one receiver thread per worker, started after
+        # the last fork: both directions of every pipe drain
+        # independently of each other and of the caller's thread.
         self._out: list[queue.Queue] = [queue.Queue()
                                         for _ in range(self.workers)]
-        self._senders = [
-            threading.Thread(target=self._sender_loop, args=(i,),
-                             name=f"repro-dist-send-{i}", daemon=True)
-            for i in range(self.workers)]
-        for t in self._senders:
+        self._inbound: queue.Queue = queue.Queue()
+        self._threads = [
+            threading.Thread(target=loop, args=(i,),
+                             name=f"repro-dist-{kind}-{i}", daemon=True)
+            for i in range(self.workers)
+            for kind, loop in (("send", self._sender_loop),
+                               ("recv", self._receiver_loop))]
+        for t in self._threads:
             t.start()
         self._dead: set[int] = set()
         self._pin: int | None = None
@@ -134,6 +175,8 @@ class DistExecutor(Executor):
         self._next = 0
         self._pending: dict[int, _Pending] = {}
         self._done: dict[int, CompletionAck] = {}
+        #: ticket -> pool buffers its ack's output arrays view.
+        self._ack_buffers: dict[int, list] = {}
         self._failed: dict[int, str] = {}
         _LIVE.add(self)
         _arm_atexit()
@@ -164,6 +207,13 @@ class DistExecutor(Executor):
 
     # -- dispatch ----------------------------------------------------------
 
+    def stage(self, nbytes):
+        """A pooled snapshot buffer; the sender thread returns it to
+        the pool once the grant that carries it is on the wire."""
+        buf = self._pool.take(nbytes, zero=False)
+        self._lent[id(buf)] = buf
+        return buf
+
     def submit(self, ref, arrays, kwargs, label=""):
         if self.closed:
             raise ExecError("executor is closed")
@@ -177,15 +227,24 @@ class DistExecutor(Executor):
             raise ExecError(
                 f"distributed worker w{worker} is dead; cannot dispatch "
                 f"{pending.describe()}")
+        # Operands built in a ``stage`` buffer go back to the pool once
+        # sent; the caller's own arrays never enter it.
+        staged = []
+        for _name, arr, _writable in arrays:
+            buf = self._lent.pop(
+                id(arr if arr.base is None else arr.base), None)
+            if buf is not None:
+                staged.append(buf)
+        shipped = sum(arr.nbytes for _name, arr, _writable in arrays)
         grant = TaskGrant(ticket=ticket, fn_ref=ref, operands=list(arrays),
                           kwargs=kwargs, label=label,
                           node_id=self._ctx_node, partition=part)
-        for _name, arr, _writable in arrays:
-            self.stats.bytes_in += arr.nbytes
+        self.stats.bytes_in += shipped
+        self.shipped_bytes[worker] += shipped
         self._pending[ticket] = pending
         if self.telemetry is not None:
             self.telemetry.note_submit(ticket)
-        self._out[worker].put(grant)
+        self._out[worker].put((grant, staged))
         self.stats.submitted += 1
         return ticket
 
@@ -193,20 +252,41 @@ class DistExecutor(Executor):
         conn = self._conns[worker]
         out = self._out[worker]
         while True:
-            msg = out.get()
-            if msg is None:
+            item = out.get()
+            if item is None:
                 return
+            msg, staged = item
             try:
                 if self.telemetry is not None and \
                         isinstance(msg, TaskGrant):
                     # Stamp as close to the wire as possible: this is
                     # the t_sent half of the ticket's NTP clock sample.
                     self.telemetry.note_grant_sent(msg.ticket)
-                conn.send(msg)
-            except (BrokenPipeError, OSError):
-                # Worker (or pipe) gone; the receive side sees the EOF
-                # and fails this worker's tickets with attribution.
+                send_message(conn, msg)
+            except OSError:
+                # Worker (or pipe) gone; the receiver sees the EOF and
+                # the caller fails this worker's tickets.
                 return
+            for buf in staged:
+                self._pool.give(buf)
+
+    def _receiver_loop(self, worker: int) -> None:
+        """Read frames as they arrive; all state stays with the caller
+        of ``wait`` / ``poll``, who consumes the inbound queue."""
+        conn = self._conns[worker]
+        take = partial(self._pool.take, zero=False)
+        while True:
+            try:
+                msg, buffers, _wire = recv_message(conn, take)
+            except (EOFError, OSError):
+                self._inbound.put((worker, _EOF, (),
+                                   time.perf_counter_ns()))
+                return
+            if isinstance(msg, Heartbeat) and \
+                    self._inbound.qsize() >= INBOUND_BEATS_MAX:
+                continue
+            self._inbound.put((worker, msg, buffers,
+                               time.perf_counter_ns()))
 
     # -- completion --------------------------------------------------------
 
@@ -214,54 +294,61 @@ class DistExecutor(Executor):
         if worker in self._dead:
             return
         self._dead.add(worker)
-        exit_code = self._procs[worker].exitcode
+        proc = self._procs[worker]
+        # EOF can beat the kernel's bookkeeping: ``exitcode`` reads
+        # None until the child has been reaped.
+        proc.join(timeout=1.0)
         for ticket, pending in list(self._pending.items()):
             if pending.worker == worker:
                 del self._pending[ticket]
                 self._failed[ticket] = (
                     f"distributed worker w{worker} died "
-                    f"(exit code {exit_code}) before completing "
+                    f"(exit code {proc.exitcode}) before completing "
                     f"{pending.describe()}")
 
-    def _live_conns(self) -> list:
-        return [c for i, c in enumerate(self._conns)
-                if i not in self._dead]
+    def _ingest(self, worker: int, msg, buffers, recv_ns: int) -> None:
+        if msg is _EOF:
+            self._mark_dead(worker)
+        elif isinstance(msg, Heartbeat):
+            if self.telemetry is not None:
+                self.telemetry.heartbeat(f"w{msg.worker}", msg.t_ns,
+                                         msg.rss)
+        else:
+            assert isinstance(msg, CompletionAck)
+            if self.telemetry is not None:
+                sent = self.telemetry.grant_sent.get(msg.ticket)
+                clock = ((sent, msg.t_recv_ns, msg.t_ack_ns, recv_ns)
+                         if sent is not None and msg.t_recv_ns else None)
+                self.telemetry.note_ack(
+                    f"w{msg.worker}", msg.ticket,
+                    records=msg.telemetry or (), clock=clock,
+                    phases=msg.phases, seconds=msg.seconds,
+                    recv_ns=recv_ns)
+            self._done[msg.ticket] = msg
+            self._ack_buffers[msg.ticket] = buffers
 
     def _pump(self, deadline: float) -> None:
-        """Collect acks until something arrives or the deadline hits."""
-        conns = self._live_conns()
-        if not conns:
+        """Ingest what the receiver threads queued, blocking until
+        something arrives or the deadline (capped at 1 s) hits.  A
+        closed executor ingests nothing (its receivers' EOFs are not
+        deaths)."""
+        if self.closed:
             return
-        timeout = max(0.0, min(1.0, deadline - time.monotonic()))
-        for conn in conn_wait(conns, timeout=timeout):
-            worker = self._conns.index(conn)
-            try:
-                ack = conn.recv()
-            except (EOFError, OSError):
-                self._mark_dead(worker)
-                continue
-            if isinstance(ack, Heartbeat):
-                if self.telemetry is not None:
-                    self.telemetry.heartbeat(f"w{ack.worker}", ack.t_ns,
-                                             ack.rss)
-                continue
-            assert isinstance(ack, CompletionAck)
-            if self.telemetry is not None:
-                now = time.perf_counter_ns()
-                sent = self.telemetry.grant_sent.get(ack.ticket)
-                clock = ((sent, ack.t_recv_ns, ack.t_ack_ns, now)
-                         if sent is not None and ack.t_recv_ns else None)
-                self.telemetry.note_ack(
-                    f"w{ack.worker}", ack.ticket,
-                    records=ack.telemetry or (), clock=clock,
-                    phases=ack.phases, seconds=ack.seconds, recv_ns=now)
-            self._done[ack.ticket] = ack
+        timeout = min(1.0, deadline - time.monotonic())
+        try:
+            item = (self._inbound.get(timeout=timeout) if timeout > 0
+                    else self._inbound.get_nowait())
+            while True:
+                self._ingest(*item)
+                item = self._inbound.get_nowait()
+        except queue.Empty:
+            pass
 
     def poll(self) -> None:
-        """Drain waiting worker messages without blocking.  Idle
-        heartbeats only arrive when someone reads the pipe; status
-        loops call this so the watchdog's liveness map stays current
-        between in-flight tickets."""
+        """Ingest waiting worker messages without blocking.  The
+        receiver threads read the pipes, but heartbeats only reach the
+        telemetry here; status loops call this so the watchdog's
+        liveness map stays current between in-flight tickets."""
         self._pump(time.monotonic())
 
     def wait(self, ticket):
@@ -284,7 +371,7 @@ class DistExecutor(Executor):
             self._pump(deadline)
         pending = self._pending.pop(ticket, None)
         if ack.error is not None:
-            self._done.pop(ticket, None)
+            self.release(ticket)
             where = pending.describe() if pending else f"ticket {ticket}"
             raise ExecError(
                 f"dist kernel failed in worker w{ack.worker} running "
@@ -297,6 +384,8 @@ class DistExecutor(Executor):
 
     def release(self, ticket):
         self._done.pop(ticket, None)
+        for buf in self._ack_buffers.pop(ticket, ()):
+            self._pool.give(buf)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -305,7 +394,7 @@ class DistExecutor(Executor):
             return
         super().close()
         for out in self._out:
-            out.put(SHUTDOWN)
+            out.put((SHUTDOWN, ()))
             out.put(None)           # sender-thread sentinel
         deadline = time.monotonic() + min(5.0, self.join_timeout)
         for p in self._procs:
@@ -314,7 +403,18 @@ class DistExecutor(Executor):
             if p.is_alive():
                 p.terminate()
                 p.join(timeout=1.0)
-        for t in self._senders:
+        # A reaped worker returns its sentinel pipe fds now, not when
+        # the Process object is collected; a straggler stays listed for
+        # ``dist_residue``.
+        stragglers = []
+        for p in self._procs:
+            if p.is_alive():
+                stragglers.append(p)
+            else:
+                p.close()
+        self._procs = stragglers
+        # Every worker is gone, so every receiver has read its EOF.
+        for t in self._threads:
             t.join(timeout=1.0)
         for conn in self._conns:
             try:
@@ -323,7 +423,10 @@ class DistExecutor(Executor):
                 pass
         self._pending.clear()
         self._done.clear()
+        self._ack_buffers.clear()
         self._failed.clear()
+        self._lent.clear()
+        self._pool.clear()
 
     def describe(self) -> str:
         dead = f", dead={sorted(self._dead)}" if self._dead else ""
@@ -332,14 +435,15 @@ class DistExecutor(Executor):
 
 
 def dist_residue() -> list[str]:
-    """Live dist worker processes plus unclosed telemetry aggregators
-    of this coordinator (empty after proper teardown -- the lifecycle
-    tests assert on it)."""
+    """Live dist worker processes, pipe threads and open pipe ends,
+    plus unclosed telemetry aggregators of this coordinator (empty
+    after proper teardown -- the lifecycle tests assert on it)."""
     out = []
     for ex in list(_LIVE):
-        for p in ex._procs:
-            if p.is_alive():
-                out.append(p.name)
+        out += [x.name for x in (*ex._procs, *ex._threads)
+                if x.is_alive()]
+        out += [f"repro-dist-pipe-{i}" for i, conn in enumerate(ex._conns)
+                if not conn.closed]
     try:
         from repro.obs.phys import telemetry_residue
     except ImportError:          # pragma: no cover - obs always ships

@@ -3,10 +3,10 @@
 Each worker owns one end of a duplex pipe and drains
 :class:`~repro.dist.protocol.TaskGrant` messages until the
 :data:`~repro.dist.protocol.SHUTDOWN` sentinel (or pipe EOF) arrives.
-Operand arrays arrive *inside* the grant (pickled slab shipments --
-message passing, not shared memory: these workers model machines that
-share nothing but the network), read-only operands are locked before
-the kernel runs, and writable outputs travel back inside the
+Operand arrays arrive with the grant (message passing, not shared
+memory: these workers model machines that share nothing but the
+network), read-only operands are locked before the kernel runs, and
+writable outputs travel back with the
 :class:`~repro.dist.protocol.CompletionAck`.
 
 A kernel exception is caught and shipped back as a formatted traceback
@@ -19,10 +19,10 @@ coordinator detects the EOF and fails that partition's tickets cleanly
 from __future__ import annotations
 
 import traceback
-from time import perf_counter, perf_counter_ns
+from time import perf_counter_ns
 
 from repro.dist.protocol import SHUTDOWN, CompletionAck, Heartbeat, \
-    TaskGrant
+    TaskGrant, recv_message, send_message
 
 
 def dist_worker_main(worker_id: int, conn, telemetry: bool = False,
@@ -34,86 +34,43 @@ def dist_worker_main(worker_id: int, conn, telemetry: bool = False,
     but kernel idle" attribution hole), stamps its local clock on
     receipt and reply (the coordinator's NTP sample), and ships its
     drained :class:`~repro.obs.phys.TelemetryBuffer` inside the ack.
-    The ack's own pickling+send time cannot ride the ack being sent, so
-    it is buffered and flushes piggybacked on the *next* ack.  With
+    ``unpickle`` runs from the grant's header frame arriving to its
+    operands being materialised and counts the grant's wire bytes,
+    out-of-band buffers included; ``send`` likewise for the ack.  The
+    ack's own send time cannot ride the ack being sent, so it is
+    buffered and flushes piggybacked on the *next* ack.  With
     ``heartbeat_s > 0`` an idle worker beats on that period so the
-    watchdog can tell idle from wedged.  Telemetry off keeps the
-    historical loop untouched.
+    watchdog can tell idle from wedged.  Telemetry off, no buffer is
+    ever allocated and acks stay bare.
     """
     from repro.exec.base import resolve_kernel
 
+    buf = None
     if telemetry:
-        _dist_worker_telemetry(worker_id, conn, resolve_kernel,
-                               heartbeat_s)
-        return
+        from repro.obs.phys import TelemetryBuffer, rss_bytes
+        buf = TelemetryBuffer(f"w{worker_id}")
+    t_recv = 0
     while True:
         try:
-            msg = conn.recv()
-        except EOFError:            # coordinator died / closed our pipe
+            if buf is not None:
+                # Idle wait: beat on the heartbeat period until traffic
+                # (period 0: just block), then stamp the arrival.
+                while not conn.poll(heartbeat_s or None):
+                    send_message(conn, Heartbeat(worker=worker_id,
+                                                 t_ns=buf.heartbeat(),
+                                                 rss=rss_bytes()))
+                t_recv = perf_counter_ns()
+            msg, _buffers, wire = recv_message(conn)
+        except (EOFError, OSError):  # coordinator died / closed our pipe
             break
-        if msg is None or msg == SHUTDOWN:
+        if msg == SHUTDOWN:
             break
         assert isinstance(msg, TaskGrant), f"unexpected message {msg!r}"
-        t0 = perf_counter()
-        try:
-            fn = resolve_kernel(msg.fn_ref)
-            args = {}
-            outputs = {}
-            for name, arr, writable in msg.operands:
-                if writable:
-                    outputs[name] = arr
-                else:
-                    arr = arr.view()
-                    arr.flags.writeable = False
-                args[name] = arr
-            fn(**args, **msg.kwargs)
-            ack = CompletionAck(ticket=msg.ticket, worker=worker_id,
-                                seconds=perf_counter() - t0,
-                                outputs=outputs)
-        except BaseException:
-            ack = CompletionAck(ticket=msg.ticket, worker=worker_id,
-                                seconds=perf_counter() - t0,
-                                error=traceback.format_exc())
-        try:
-            conn.send(ack)
-        except (BrokenPipeError, OSError):   # coordinator gone
-            break
-    try:
-        conn.close()
-    except OSError:
-        pass
-
-
-def _dist_worker_telemetry(worker_id: int, conn, resolve_kernel,
-                           heartbeat_s: float) -> None:
-    """The instrumented grant loop (see :func:`dist_worker_main`)."""
-    import pickle
-
-    from repro.obs.phys import TelemetryBuffer, rss_bytes
-
-    buf = TelemetryBuffer(f"w{worker_id}")
-    while True:
-        try:
-            # Idle wait: beat on the heartbeat period until traffic.
-            while heartbeat_s > 0 and not conn.poll(heartbeat_s):
-                conn.send(Heartbeat(worker=worker_id,
-                                    t_ns=buf.heartbeat(),
-                                    rss=rss_bytes()))
-            # recv_bytes + explicit loads instead of conn.recv(): same
-            # framing (send(obj) is send_bytes(dumps(obj))), but the
-            # unpickle -- the slab shipment's landing cost -- times
-            # separately from the pipe wait.
-            raw = conn.recv_bytes()
-        except (EOFError, BrokenPipeError, OSError):
-            break
-        t_recv = perf_counter_ns()
-        msg = pickle.loads(raw)
         u1 = perf_counter_ns()
-        if msg is None or msg == SHUTDOWN:
-            break
-        assert isinstance(msg, TaskGrant), f"unexpected message {msg!r}"
-        buf.record("unpickle", t_recv, u1, msg.ticket, len(raw))
-        phases = {"unpickle": (u1 - t_recv) / 1e9}
+        phases = None
+        if buf is not None:
+            buf.record("unpickle", t_recv, u1, msg.ticket, wire)
+            phases = {"unpickle": (u1 - t_recv) / 1e9}
         try:
             fn = resolve_kernel(msg.fn_ref)
             args = {}
@@ -128,13 +85,15 @@ def _dist_worker_telemetry(worker_id: int, conn, resolve_kernel,
                 args[name] = arr
                 nbytes += arr.nbytes
             k0 = perf_counter_ns()
-            buf.record("setup", u1, k0, msg.ticket, 0)
-            phases["setup"] = (k0 - u1) / 1e9
+            if buf is not None:
+                buf.record("setup", u1, k0, msg.ticket, 0)
+                phases["setup"] = (k0 - u1) / 1e9
             fn(**args, **msg.kwargs)
             k1 = perf_counter_ns()
-            buf.record("kernel", k0, k1, msg.ticket, nbytes)
-            buf.record_rss(msg.ticket)
-            phases["kernel"] = (k1 - k0) / 1e9
+            if buf is not None:
+                buf.record("kernel", k0, k1, msg.ticket, nbytes)
+                buf.record_rss(msg.ticket)
+                phases["kernel"] = (k1 - k0) / 1e9
             ack = CompletionAck(ticket=msg.ticket, worker=worker_id,
                                 seconds=(k1 - u1) / 1e9,
                                 outputs=outputs, phases=phases)
@@ -143,18 +102,19 @@ def _dist_worker_telemetry(worker_id: int, conn, resolve_kernel,
                                 seconds=(perf_counter_ns() - u1) / 1e9,
                                 error=traceback.format_exc(),
                                 phases=phases)
-        ack.telemetry = buf.drain()
-        ack.t_recv_ns = t_recv
+        if buf is not None:
+            ack.telemetry = buf.drain()
+            ack.t_recv_ns = t_recv
+            ack.t_ack_ns = perf_counter_ns()
         try:
-            p0 = ack.t_ack_ns = perf_counter_ns()
-            data = pickle.dumps(ack)
-            conn.send_bytes(data)
+            wire = send_message(conn, ack)
+        except OSError:             # coordinator gone
+            break
+        if buf is not None:
             # The ack's own cost flushes with the *next* ack (residual
             # records at shutdown are simply dropped).
-            buf.record("send", p0, perf_counter_ns(), msg.ticket,
-                       len(data))
-        except (BrokenPipeError, OSError):   # coordinator gone
-            break
+            buf.record("send", ack.t_ack_ns, perf_counter_ns(),
+                       msg.ticket, wire)
     try:
         conn.close()
     except OSError:

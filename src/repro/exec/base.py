@@ -160,6 +160,8 @@ class ExecStats:
     completed: int = 0
     dispatch_seconds: float = 0.0   # submit-side packing/queueing
     merge_seconds: float = 0.0      # result read-back into device buffers
+    #: Operand bytes handed to workers; on ``dist``, the array bytes
+    #: actually shipped down the pipes (framing overhead excluded).
     bytes_in: int = 0
     bytes_out: int = 0
     worker_busy: dict[str, float] = field(default_factory=dict)
@@ -178,7 +180,9 @@ class Executor(abc.ABC):
     The contract every backend honours:
 
     * ``submit`` receives *owned snapshot arrays* (the caller will not
-      mutate them) and returns an opaque ticket;
+      mutate them) and returns an opaque ticket; a snapshot built in a
+      :meth:`stage` buffer belongs to the executor from then on, which
+      alone decides when that buffer is free again;
     * ``wait(ticket)`` blocks until that task finished and returns its
       :class:`TaskResult` -- output arrays stay valid until
       ``release(ticket)``;
@@ -228,6 +232,11 @@ class Executor(abc.ABC):
             tel.current_partition = partition
             if span_id:
                 tel.current_span = span_id
+
+    def stage(self, nbytes: int) -> np.ndarray:
+        """A writable uint8 array of ``nbytes`` for the System to
+        snapshot one operand into."""
+        return np.empty(nbytes, dtype=np.uint8)
 
     @abc.abstractmethod
     def submit(self, ref: str,

@@ -320,6 +320,7 @@ def _print_dist() -> int:
     charges, and the channel presets."""
     from repro.core.system import System
     from repro.dist import DistExecutor, DistributedScheduler, dist_residue
+    from repro.dist.protocol import WIRE_FORMAT
     from repro.memory.network import NETWORK_PRESETS
     from repro.memory.units import KB, MB
 
@@ -358,6 +359,11 @@ def _print_dist() -> int:
                   f"{net['channel']['name']}")
         print(f"  makespan {system.makespan():.6f}s (virtual); per-worker "
               f"kernels: {dict(sorted(executor.stats.worker_tasks.items()))}")
+        print(f"  wire format: {WIRE_FORMAT}")
+        shipped = {f"w{i}": n for i, n in enumerate(executor.shipped_bytes)}
+        print(f"  operand bytes shipped per worker: {shipped} "
+              f"(exec.bytes_in {executor.stats.bytes_in}); "
+              f"{executor.stats.bytes_out} output bytes came back")
     except NorthupError as exc:
         print(f"dist demo failed: {exc}", file=sys.stderr)
         return 1

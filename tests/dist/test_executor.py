@@ -28,6 +28,7 @@ def test_worker_crash_surfaces_partition_and_node():
             ex.wait(ticket)
         msg = str(err.value)
         assert "w1" in msg and "died" in msg
+        assert "exit code 13" in msg     # kernels.die's os._exit(13)
         assert "node #7" in msg and "partition 1" in msg
         assert "compute c3" in msg
     assert dist_residue() == []

@@ -38,3 +38,9 @@ def snooze(x, *, seconds):
     tests)."""
     import time
     time.sleep(seconds)
+
+
+def touch(x, *, path):
+    """Create ``path`` -- proof, visible from outside, that the worker
+    got this far (the dist back-pressure test)."""
+    open(path, "w").close()
