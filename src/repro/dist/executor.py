@@ -43,12 +43,9 @@ Failure handling (the coordinator must never deadlock):
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing as mp
 import queue
 import threading
 import time
-import weakref
 from functools import partial
 
 import numpy as np
@@ -58,6 +55,7 @@ from repro.dist.protocol import SHUTDOWN, CompletionAck, Heartbeat, \
     TaskGrant, recv_message, send_message
 from repro.dist.worker import dist_worker_main
 from repro.exec.base import ExecError, Executor, TaskResult
+from repro.exec.pool import live, start_workers, track
 
 #: Retention of the snapshot / ack staging pool.  Bytes are the real
 #: cap: a per-size cap below the grants in flight makes the sender
@@ -73,24 +71,6 @@ INBOUND_BEATS_MAX = 1024
 
 #: Inbound-queue marker: the worker's pipe reached end of file.
 _EOF = object()
-
-_LIVE: "weakref.WeakSet[DistExecutor]" = weakref.WeakSet()
-_ATEXIT_ARMED = False
-
-
-def _reap_all() -> None:
-    for ex in list(_LIVE):
-        try:
-            ex.close()
-        except Exception:
-            pass
-
-
-def _arm_atexit() -> None:
-    global _ATEXIT_ARMED
-    if not _ATEXIT_ARMED:
-        atexit.register(_reap_all)
-        _ATEXIT_ARMED = True
 
 
 class _Pending:
@@ -133,20 +113,9 @@ class DistExecutor(Executor):
         #: partition.  Raise it for kernels that legitimately run
         #: longer.
         self.join_timeout = join_timeout
-        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        ctx = mp.get_context(method)
-        self._conns = []
-        self._procs = []
-        for i in range(self.workers):
-            parent, child = ctx.Pipe(duplex=True)
-            proc = ctx.Process(target=dist_worker_main,
-                               args=(i, child, self.telemetry is not None,
-                                     self.heartbeat_s),
-                               name=f"repro-dist-{i}", daemon=True)
-            proc.start()
-            child.close()           # the worker owns its end now
-            self._conns.append(parent)
-            self._procs.append(proc)
+        self._procs, self._conns = start_workers(
+            "repro-dist", self.workers, dist_worker_main,
+            (self.telemetry is not None, self.heartbeat_s), duplex=True)
         self._pool = ArrayPool(max_bytes=STAGE_POOL_BYTES,
                                max_per_size=STAGE_POOL_PER_SIZE)
         #: id(buffer) -> buffer for every staging buffer handed out and
@@ -178,8 +147,7 @@ class DistExecutor(Executor):
         #: ticket -> pool buffers its ack's output arrays view.
         self._ack_buffers: dict[int, list] = {}
         self._failed: dict[int, str] = {}
-        _LIVE.add(self)
-        _arm_atexit()
+        track(self)
 
     # -- placement ---------------------------------------------------------
 
@@ -439,7 +407,7 @@ def dist_residue() -> list[str]:
     plus unclosed telemetry aggregators of this coordinator (empty
     after proper teardown -- the lifecycle tests assert on it)."""
     out = []
-    for ex in list(_LIVE):
+    for ex in live(DistExecutor):
         out += [x.name for x in (*ex._procs, *ex._threads)
                 if x.is_alive()]
         out += [f"repro-dist-pipe-{i}" for i, conn in enumerate(ex._conns)

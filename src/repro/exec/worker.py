@@ -1,9 +1,10 @@
 """Worker-process loop of :class:`~repro.exec.shm.SharedMemExecutor`.
 
-Each worker drains a task queue of ``(task_id, fn_ref, descriptors,
-kwargs)`` tuples, maps the named ``multiprocessing.shared_memory``
-segments, wraps them as typed NumPy arrays (inputs read-only) and calls
-the kernel the reference names.  Replies carry the measured kernel
+Each worker drains the pool's shared task queue of ``(task_id, fn_ref,
+descriptors, kwargs)`` tuples, maps the named
+``multiprocessing.shared_memory`` segments, wraps them as typed NumPy
+arrays (inputs read-only) and calls the kernel the reference names.
+Replies travel on the worker's own pipe and carry the measured kernel
 seconds so the parent can account per-worker occupancy.
 
 Workers never *own* segments: the parent creates, recycles and unlinks
@@ -50,16 +51,22 @@ def _attach(cache: "OrderedDict[str, shared_memory.SharedMemory]",
     return seg
 
 
-def worker_main(worker_id: int, tasks, replies,
+def worker_main(worker_id: int, conn, tasks,
                 telemetry: bool = False) -> None:
     """Drain ``tasks`` until the ``None`` sentinel arrives.
+
+    ``conn`` is this worker's own pipe to the parent and carries two
+    messages per task: the bare ``task_id`` as a *claim* before the
+    kernel runs -- written straight to the pipe, so the parent knows
+    which ticket a worker was on even if the kernel kills the process
+    -- and the ``(task_id, worker_id, seconds, error)`` reply after it.
 
     With ``telemetry`` on the worker keeps a
     :class:`~repro.obs.phys.TelemetryBuffer`, times the
     attach/setup/kernel sub-phases, and appends the drained buffer plus
     its local recv/reply clock stamps as a 5th reply element -- the
-    piggyback payload the parent's aggregator merges.  Off, the loop
-    and the 4-tuple replies are byte-identical to the historical path.
+    piggyback payload the parent's aggregator merges.  Off, no buffer
+    exists and replies stay bare 4-tuples.
     """
     from repro.exec.base import resolve_kernel
 
@@ -73,8 +80,10 @@ def worker_main(worker_id: int, tasks, replies,
         if msg is None:
             break
         task_id, ref, descriptors, kwargs = msg
-        t_recv = perf_counter_ns() if telemetry else 0
+        t_recv = perf_counter_ns() if buf is not None else 0
         t0 = perf_counter()
+        conn.send(task_id)
+        err = None
         try:
             fn = resolve_kernel(ref)
             args = {}
@@ -87,27 +96,19 @@ def worker_main(worker_id: int, tasks, replies,
                     arr.flags.writeable = False
                 args[name] = arr
                 nbytes += arr.nbytes
-            if buf is None:
-                fn(**args, **kwargs)
-                replies.put((task_id, worker_id, perf_counter() - t0,
-                             None))
-            else:
+            if buf is not None:
                 k0 = perf_counter_ns()
                 buf.record("setup", t_recv, k0, task_id, 0)
-                fn(**args, **kwargs)
-                k1 = perf_counter_ns()
-                buf.record("kernel", k0, k1, task_id, nbytes)
+            fn(**args, **kwargs)
+            if buf is not None:
+                buf.record("kernel", k0, perf_counter_ns(), task_id, nbytes)
                 buf.record_rss(task_id)
-                replies.put((task_id, worker_id, perf_counter() - t0,
-                             None,
-                             (buf.drain(), t_recv, perf_counter_ns())))
         except BaseException:
-            if buf is None:
-                replies.put((task_id, worker_id, perf_counter() - t0,
-                             traceback.format_exc()))
-            else:
-                replies.put((task_id, worker_id, perf_counter() - t0,
-                             traceback.format_exc(),
-                             (buf.drain(), t_recv, perf_counter_ns())))
+            err = traceback.format_exc()
+        reply = (task_id, worker_id, perf_counter() - t0, err)
+        if buf is not None:
+            reply += ((buf.drain(), t_recv, perf_counter_ns()),)
+        conn.send(reply)
     for seg in cache.values():
         seg.close()
+    conn.close()

@@ -15,7 +15,7 @@ mutates its state; snapshots therefore only read GIL-atomic aggregates
 rule.  ``python -m repro top URL`` polls the endpoint and renders a
 terminal dashboard.
 
-Every live server sits in a module ``WeakSet`` behind an ``atexit``
+Every live server is tracked by the :mod:`repro.exec.pool` ``atexit``
 reaper, so a crashed serve run never leaves a bound port --
 :func:`status_residue` audits for the lifecycle tests.
 """
@@ -23,42 +23,24 @@ reaper, so a crashed serve run never leaves a bound port --
 from __future__ import annotations
 
 import argparse
-import atexit
 import json
 import sys
 import threading
 import time
 import urllib.request
-import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+from repro.exec.pool import live, track
 
 #: Version tag of the /status document; CI asserts on it.
 STATUS_SCHEMA = "repro.status/v1"
-
-_LIVE_SERVERS: "weakref.WeakSet[StatusServer]" = weakref.WeakSet()
-_ATEXIT_ARMED = False
-
-
-def _reap_all() -> None:
-    for srv in list(_LIVE_SERVERS):
-        try:
-            srv.close()
-        except Exception:
-            pass
-
-
-def _arm_atexit() -> None:
-    global _ATEXIT_ARMED
-    if not _ATEXIT_ARMED:
-        atexit.register(_reap_all)
-        _ATEXIT_ARMED = True
 
 
 def status_residue() -> list[str]:
     """Bound status-server ports still open in this process (empty
     after proper teardown -- the lifecycle tests assert on it)."""
-    return sorted(f"status-server:{srv.port}" for srv in list(_LIVE_SERVERS)
-                  if not srv.closed)
+    return sorted(f"status-server:{srv.port}"
+                  for srv in live(StatusServer) if not srv.closed)
 
 
 class StatusServer:
@@ -116,8 +98,7 @@ class StatusServer:
             target=self.httpd.serve_forever, kwargs={"poll_interval": 0.1},
             name=f"repro-status-{self.port}", daemon=True)
         self._thread.start()
-        _LIVE_SERVERS.add(self)
-        _arm_atexit()
+        track(self)
 
     def _healthy(self) -> tuple[bool, str]:
         status = self.status_fn()
