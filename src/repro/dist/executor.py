@@ -55,7 +55,8 @@ from repro.dist.protocol import SHUTDOWN, CompletionAck, Heartbeat, \
     TaskGrant, recv_message, send_message
 from repro.dist.worker import dist_worker_main
 from repro.exec.base import ExecError, Executor, TaskResult
-from repro.exec.pool import live, start_workers, track
+from repro.exec.pool import start_workers
+from repro.lifecycle import live, track
 
 #: Retention of the snapshot / ack staging pool.  Bytes are the real
 #: cap: a per-size cap below the grants in flight makes the sender

@@ -1,65 +1,13 @@
-"""What the process-pool runtimes share: how workers are started and
-how anything that owns an OS resource is reaped at interpreter exit.
+"""How the process-pool runtimes start their workers.
 
 Both :class:`~repro.exec.shm.SharedMemExecutor` and
 :class:`~repro.dist.executor.DistExecutor` fork their workers through
-:func:`start_workers`; both, and the status server of
-:mod:`repro.obs.live`, register with :func:`track` so that one
-``atexit`` hook closes whatever a crashed run left open.
+:func:`start_workers`.
 """
 
 from __future__ import annotations
 
-import atexit
-import ctypes
 import multiprocessing as mp
-import weakref
-
-_LIVE: "weakref.WeakSet" = weakref.WeakSet()
-_ATEXIT_ARMED = False
-
-
-def _reap_all() -> None:
-    for obj in list(_LIVE):
-        try:
-            obj.close()
-        except Exception:
-            pass
-
-
-def track(obj) -> None:
-    """Have ``obj.close()`` called at interpreter exit unless ``obj``
-    was collected first (``close`` must be idempotent)."""
-    global _ATEXIT_ARMED
-    _LIVE.add(obj)
-    if not _ATEXIT_ARMED:
-        atexit.register(_reap_all)
-        _ATEXIT_ARMED = True
-
-
-def live(kind: type) -> list:
-    """Tracked objects of ``kind`` that are still alive -- what the
-    ``*_residue()`` audits walk."""
-    return [obj for obj in list(_LIVE) if isinstance(obj, kind)]
-
-
-def trim_heap() -> None:
-    """Give the allocator's free pages back to the OS (glibc
-    ``malloc_trim``; a no-op on any other libc).
-
-    Called before forking: a page glibc keeps for reuse is resident, so
-    after the fork it is shared copy-on-write with every idle worker,
-    and the parent's next large allocation -- the following run's input
-    arrays -- takes a page-copy fault on each page it touches
-    (DESIGN.md, "fork from a trimmed heap").
-    """
-    try:
-        malloc_trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError):
-        return
-    malloc_trim.argtypes = [ctypes.c_size_t]
-    malloc_trim.restype = ctypes.c_int
-    malloc_trim(0)
 
 
 def pool_context():
@@ -79,7 +27,6 @@ def start_workers(name: str, workers: int, target, args: tuple = (),
     Each child end is closed here once its worker holds it, so a dead
     worker shows as end-of-file on its connection.
     """
-    trim_heap()
     ctx = pool_context()
     procs, conns = [], []
     for i in range(workers):
@@ -93,4 +40,4 @@ def start_workers(name: str, workers: int, target, args: tuple = (),
     return procs, conns
 
 
-__all__ = ["live", "pool_context", "start_workers", "track", "trim_heap"]
+__all__ = ["pool_context", "start_workers"]

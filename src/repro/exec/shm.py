@@ -23,9 +23,13 @@ Operands that did not come from ``stage`` are copied into a segment at
 Live segment bytes are bounded by :data:`SEGMENT_BUDGET_BYTES`: past
 it, taking a segment waits for acks to recycle one instead of creating
 more.  It creates past the budget only when no ack can free anything
-(the bytes are held by staged-not-yet-submitted buffers or by writable
-outputs awaiting their merge), which is what keeps it deadlock-free;
-such segments are unlinked, not pooled, when they come back.
+(the bytes are held by staged-not-yet-submitted buffers, by the ticket
+``submit`` is still building, or by writable outputs awaiting their
+merge), which is what keeps it deadlock-free; such segments are
+unlinked, not pooled, when they come back.  Every task message carries
+the pool's unlink count, and a worker that sees it move drops its
+attachments (:mod:`repro.exec.worker`), so an unlinked segment's pages
+go back to the OS when each worker that mapped it takes its next task.
 
 Completion
 ----------
@@ -52,7 +56,7 @@ Segments are pooled by exact size and reused across tasks (worker-side
 attachments are cached by name, so steady state does zero ``shm_open``
 calls).  ``close()`` is idempotent: sentinel-shutdown of the workers,
 then every segment -- pooled, in flight or staged and never submitted
--- is closed *and unlinked*.  The :mod:`repro.exec.pool` ``atexit``
+-- is closed *and unlinked*.  The :mod:`repro.lifecycle` ``atexit``
 guard closes any executor still live at interpreter exit, so no
 ``/dev/shm`` residue survives a test run even when teardown is skipped.
 """
@@ -70,8 +74,9 @@ import numpy as np
 
 from repro.exec.base import ExecError, Executor, TaskResult, \
     default_exec_workers
-from repro.exec.pool import pool_context, start_workers, track
+from repro.exec.pool import pool_context, start_workers
 from repro.exec.worker import worker_main
+from repro.lifecycle import track
 
 #: Prefix of every segment this process creates; the residue test and
 #: the atexit reaper match on it.
@@ -120,6 +125,8 @@ class _SegmentPool:
         self._seq = 0
         self.created = 0
         self.reused = 0
+        #: Segments unlinked so far; workers watch it (see ``submit``).
+        self.unlinked = 0
         #: Bytes of every segment that exists, lent out or free.
         self.live_bytes = 0
         self.peak_bytes = 0
@@ -162,6 +169,7 @@ class _SegmentPool:
     def _unlink(self, seg: SharedMemory) -> None:
         del self._all[seg.name]
         self.live_bytes -= seg.size
+        self.unlinked += 1
         seg.close()
         seg.unlink()
 
@@ -204,9 +212,6 @@ class SharedMemExecutor(Executor):
         self._inflight: dict[int, _Task] = {}
         #: Tickets submitted and neither acked nor failed.
         self._unacked: set[int] = set()
-        #: Read-only segments the un-acked tickets hold: what an ack
-        #: can still return to the pool.
-        self._recyclable = 0
         #: worker -> the ticket it claimed and has not replied to.
         self._running: dict[int, int] = {}
         #: worker -> exit code, once its pipe reached end of file.
@@ -218,12 +223,20 @@ class SharedMemExecutor(Executor):
 
     # -- segments ----------------------------------------------------------
 
+    def _recyclable(self) -> bool:
+        """Whether an ack still to come returns a segment to the pool:
+        some un-acked ticket holds a read-only one.  The ticket
+        ``submit`` is building is not un-acked yet, so its own
+        segments never count."""
+        return any(not op.writable for ticket in self._unacked
+                   for op in self._inflight[ticket].operands)
+
     def _take(self, nbytes: int) -> SharedMemory:
         """A pooled segment; past the budget, waits for acks to recycle
         one while any in-flight ticket can still return one."""
         self._pump(0)
         seg = self._pool.take(nbytes)
-        while seg is None and self._recyclable:
+        while seg is None and self._recyclable():
             self._await()
             seg = self._pool.take(nbytes)
         if seg is None:
@@ -248,10 +261,8 @@ class SharedMemExecutor(Executor):
         for op in task.operands:
             if op.writable and not writable_too:
                 kept.append(op)
-                continue
-            self._pool.give(op.seg)
-            if not op.writable:
-                self._recyclable -= 1
+            else:
+                self._pool.give(op.seg)
         task.operands = kept
 
     # -- dispatch ----------------------------------------------------------
@@ -285,8 +296,6 @@ class SharedMemExecutor(Executor):
             operands.append(_Operand(name, seg, arr.shape, arr.dtype.str,
                                      writable))
             self.stats.bytes_in += arr.nbytes
-            if not writable:
-                self._recyclable += 1
         self._inflight[ticket] = _Task(label, operands)
         self._unacked.add(ticket)
         self.stats.submitted += 1
@@ -295,7 +304,8 @@ class SharedMemExecutor(Executor):
             self.telemetry.note_grant_sent(ticket)
         descriptors = [tuple(op._replace(seg=op.seg.name))
                        for op in operands]
-        self._tasks.put((ticket, ref, descriptors, kwargs))
+        self._tasks.put((ticket, ref, descriptors, kwargs,
+                         self._pool.unlinked))
         return ticket
 
     # -- completion --------------------------------------------------------

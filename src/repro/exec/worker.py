@@ -1,7 +1,7 @@
 """Worker-process loop of :class:`~repro.exec.shm.SharedMemExecutor`.
 
 Each worker drains the pool's shared task queue of ``(task_id, fn_ref,
-descriptors, kwargs)`` tuples, maps the named
+descriptors, kwargs, unlinked)`` tuples, maps the named
 ``multiprocessing.shared_memory`` segments, wraps them as typed NumPy
 arrays (inputs read-only) and calls the kernel the reference names.
 Replies travel on the worker's own pipe and carry the measured kernel
@@ -16,6 +16,15 @@ stays with the parent, which unlinks and unregisters each segment
 exactly once at close.  Attachments are cached LRU by name -- the
 parent reuses segment names heavily, so steady state is one ``mmap``
 per pooled segment.
+
+A mapping keeps an unlinked segment's pages alive, and the parent
+unlinks segments mid-run to stay inside its byte budget.  So every task
+message carries the parent's unlink count, and a worker that sees it
+move closes all of its attachments before it maps the task's operands:
+segment names are never reused, so whatever is still pooled is simply
+attached again on its next use.  What the parent's budget does not
+count is therefore only what was unlinked since each worker last took a
+task.
 """
 
 from __future__ import annotations
@@ -75,14 +84,19 @@ def worker_main(worker_id: int, conn, tasks,
         from repro.obs.phys import TelemetryBuffer
         buf = TelemetryBuffer(f"w{worker_id}")
     cache: OrderedDict[str, shared_memory.SharedMemory] = OrderedDict()
+    seen_unlinked = 0
     while True:
         msg = tasks.get()
         if msg is None:
             break
-        task_id, ref, descriptors, kwargs = msg
+        task_id, ref, descriptors, kwargs, unlinked = msg
         t_recv = perf_counter_ns() if buf is not None else 0
         t0 = perf_counter()
         conn.send(task_id)
+        if unlinked != seen_unlinked:
+            seen_unlinked = unlinked
+            while cache:
+                cache.popitem()[1].close()
         err = None
         try:
             fn = resolve_kernel(ref)

@@ -15,7 +15,7 @@ mutates its state; snapshots therefore only read GIL-atomic aggregates
 rule.  ``python -m repro top URL`` polls the endpoint and renders a
 terminal dashboard.
 
-Every live server is tracked by the :mod:`repro.exec.pool` ``atexit``
+Every live server is tracked by the :mod:`repro.lifecycle` ``atexit``
 reaper, so a crashed serve run never leaves a bound port --
 :func:`status_residue` audits for the lifecycle tests.
 """
@@ -30,7 +30,7 @@ import time
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.exec.pool import live, track
+from repro.lifecycle import live, track
 
 #: Version tag of the /status document; CI asserts on it.
 STATUS_SCHEMA = "repro.status/v1"

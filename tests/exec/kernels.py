@@ -44,3 +44,17 @@ def touch(x, *, path):
     """Create ``path`` -- proof, visible from outside, that the worker
     got this far (the dist back-pressure test)."""
     open(path, "w").close()
+
+
+def differ(x, y, out):
+    """``out[0]`` = how many elements of ``x`` and ``y`` differ."""
+    out[0] = int((x != y).sum())
+
+
+def count_dead_maps(out, *, prefix):
+    """``out[0]`` = how many of this process's memory mappings are of
+    unlinked ``/dev/shm`` files named ``prefix``*."""
+    with open("/proc/self/maps") as maps:
+        out[0] = sum(1 for line in maps
+                     if f"/{prefix}" in line and line.rstrip().endswith(
+                         "(deleted)"))

@@ -96,9 +96,9 @@ def test_acks_are_consumed_without_anyone_calling_wait(tmp_path):
                            {"path": str(marker)})
         assert _eventually(marker.exists)
         time.sleep(0.05)                # the ack follows the kernel
-        assert ex._recyclable == 1      # ... and nobody has read it yet
+        assert ex._unacked == {ticket}  # ... and nobody has read it yet
         again = ex.stage(x.nbytes)      # any touch drains the replies
-        assert ex._recyclable == 0 and not ex._unacked
+        assert not ex._unacked
         assert np.shares_memory(again, x)        # x's segment, recycled
         assert ex._pool.created == 1 and ex._pool.reused == 1
         ex.wait(ticket)
@@ -143,6 +143,66 @@ def test_budget_held_by_unmerged_outputs_does_not_block(monkeypatch):
         # Segments made past the budget are unlinked, not pooled.
         assert pool.live_bytes <= MIB
         assert len(shm_residue()) == pool.live_bytes // (512 * 1024)
+    assert shm_residue() == []
+
+
+def test_copied_operands_of_one_submit_do_not_wait_for_each_other(
+        monkeypatch):
+    """The ticket ``submit`` is building holds segments no ack will
+    free; its second operand must not wait for its first."""
+    monkeypatch.setattr(shm, "SEGMENT_BUDGET_BYTES", MIB)
+    x = np.arange(768 * 1024, dtype=np.uint8)                # caller's own
+    y = x[::-1].copy()
+    with SharedMemExecutor(workers=1) as ex, _within(10):
+        for _ in range(2):                       # cold pool, then warm
+            ticket = ex.submit(fn_ref(kernels.differ), [
+                ("x", x, False), ("y", y, False),
+                ("out", np.zeros(1, np.int64), True)], {})
+            assert ex.wait(ticket).outputs["out"][0] == x.size
+            ex.release(ticket)
+        assert ex._pool.live_bytes <= MIB
+    assert shm_residue() == []
+
+
+def test_copied_operands_go_past_a_budget_held_by_unmerged_outputs(
+        monkeypatch):
+    monkeypatch.setattr(shm, "SEGMENT_BUDGET_BYTES", MIB)
+    with SharedMemExecutor(workers=2) as ex, _within(10):
+        held = [ex.submit(FILL, [("out", _staged(
+            ex, np.zeros(MIB // 8, np.float32)), True)], {"value": 1.0})
+            for _ in range(2)]                   # 2 x 512 KiB, un-merged
+        x = np.ones(64 * 1024, np.float32)       # 256 KiB each, copied
+        ticket = ex.submit(AXPY, [("x", x, False), ("y", x, True)],
+                           {"alpha": 2.0})
+        assert (ex.wait(ticket).outputs["y"] == 3.0).all()
+        for t in (ticket, *held):
+            ex.wait(t)
+            ex.release(t)
+    assert shm_residue() == []
+
+
+def test_workers_let_go_of_segments_the_parent_unlinked(monkeypatch):
+    """A mapping keeps an unlinked segment's pages in ``/dev/shm``; the
+    budget means nothing if the workers' attachment caches pin them."""
+    monkeypatch.setattr(shm, "SEGMENT_BUDGET_BYTES", MIB)
+    with SharedMemExecutor(workers=1) as ex, _within(30):
+        def dead_maps():
+            ticket = ex.submit(fn_ref(kernels.count_dead_maps), [
+                ("out", np.zeros(1, np.int64), True)],
+                {"prefix": shm.SHM_PREFIX})
+            count = int(ex.wait(ticket).outputs["out"][0])
+            ex.release(ticket)
+            return count
+
+        for round_ in range(6):                  # every size evicts the last
+            for size in (512 * 1024, 768 * 1024, 1024 * 1024):
+                ticket = ex.submit(SNOOZE, [("x", _staged(
+                    ex, np.zeros(size, np.uint8)), False)], {"seconds": 0.0})
+                ex.wait(ticket)
+                ex.release(ticket)
+            assert dead_maps() == 0
+        assert ex._pool.unlinked >= 17
+        assert ex._pool.peak_bytes <= MIB
     assert shm_residue() == []
 
 
@@ -299,6 +359,8 @@ def _open_fds():
 def test_no_process_thread_segment_or_fd_survives(crash):
     SharedMemExecutor(workers=1).close()     # resource tracker is up now
     gc.collect()
+    # A closed queue's feeder thread closes the pipe's write end itself.
+    assert _eventually(lambda: not _feeders())
     fds = _open_fds()
     ex = SharedMemExecutor(workers=2)
     try:
