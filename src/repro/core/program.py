@@ -96,10 +96,18 @@ class NorthupProgram(ABC):
         Return ``(child_node, FetchSpec)`` pairs in program order (build
         the specs with :class:`repro.cache.spec.FetchSpec`, describing
         regions exactly as the ``data_down`` moves will), or None (the
-        default) for no prefetching.  The plan feeds the prefetch
-        engine's lookahead fetches and the Belady oracle's
-        future-distance ranking; it only takes effect with the cache in
-        "full" mode (prefetching is a transparent-cache feature).
+        default) for no hints.  The lowering pass asks once per level,
+        whatever the cache mode, and hands the list to two consumers:
+
+        * :meth:`System.will_need`: physical read-ahead.  A file-backed
+          source reads the next windows on a side thread while this
+          chunk computes.  Wall-clock only; virtual time, traces and
+          results are unchanged.
+        * with the cache in "full" mode, the prefetch engine's
+          lookahead fetches and the Belady oracle's future-distance
+          ranking (modeled prefetching is a transparent-cache feature).
+
+        A hint that no move follows is harmless to both.
         """
         return None
 

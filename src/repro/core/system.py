@@ -34,8 +34,8 @@ from repro.compute.processor import KernelCost, Processor
 from repro.core.buffers import BufferHandle, BufferRegistry
 from repro.core.profiler import Breakdown, profile_trace
 from repro.errors import CacheError, CapacityError, TransferError
-from repro.exec.base import Executor, KernelSpec, make_executor, \
-    resolve_kernel
+from repro.exec.base import Executor, KernelSpec, effective_cpu_count, \
+    make_executor, resolve_kernel
 from repro.exec.inline import InlineExecutor
 from repro.exec.ledger import MergeTarget, PendingLedger
 from repro.memory import reference
@@ -858,6 +858,38 @@ class System:
                       label=label, cache=False)
         return self.cache.lease_plain(handle)
 
+    def will_need(self, hints) -> None:
+        """Physical read-ahead advice for a level's upcoming fetches.
+
+        ``hints`` are the ``(child_node, FetchSpec)`` pairs of
+        :meth:`NorthupProgram.prefetch_hints`, in program order; each
+        source device's backend is told the windows it is about to be
+        read from (:meth:`~repro.memory.backends.DataBackend.advise`),
+        so a file backend can read chunk k+1 while chunk k computes --
+        the paper's transfer/compute overlap in wall-clock time.
+        Nothing is charged and nothing modeled changes.
+
+        Only with a core to spare for the reader thread: an
+        asynchronous executor's workers already overlap the
+        coordinator's reads with their kernels, and on a 2-core host a
+        third busy thread made both 2-worker pools slower.
+        """
+        ex = self.executor
+        if effective_cpu_count() - 1 \
+                - (ex.workers if ex.asynchronous else 0) < 1:
+            return
+        by_node: dict[int, list[tuple]] = {}
+        for _child, spec in hints:
+            src = spec.src
+            rows, row_bytes, stride = \
+                (spec.rows, spec.row_bytes, spec.stride) if spec.is_strided \
+                else (1, spec.nbytes, spec.nbytes)
+            by_node.setdefault(src.node_id, []).append(
+                (src.alloc_id, src.base_offset + spec.offset, rows,
+                 row_bytes, stride))
+        for node_id, windows in by_node.items():
+            self.tree.node(node_id).device.advise(windows)
+
     def fetch_release(self, handle: BufferHandle) -> None:
         """End a :meth:`fetch_down` lease.  The block stays cached for
         future hits (it is merely unpinned); an uncached staging buffer
@@ -1158,9 +1190,15 @@ class System:
         """End-of-run teardown: pending executor work settles, then the
         cache drops leases and pays write-back IOUs.  Programs call this
         (via :meth:`NorthupProgram.run`'s finally); the serve layer
-        calls it per job with ``serve_scope`` set."""
-        self.drain_exec()
-        self.cache.end_run()
+        calls it per job with ``serve_scope`` set.  Read-ahead advice
+        (:meth:`will_need`) not yet used is cancelled, also when the
+        run failed."""
+        try:
+            self.drain_exec()
+            self.cache.end_run()
+        finally:
+            for node in self.tree.nodes():
+                node.device.advise(())
 
     def _exec_settle(self, handle: BufferHandle, *,
                      for_write: bool = False) -> None:
@@ -1344,6 +1382,18 @@ class System:
                 reg.gauge("fd_pool_opens", fds.opens, labels=labels)
                 reg.gauge("fd_pool_hits", fds.hits, labels=labels)
                 reg.gauge("fd_pool_evictions", fds.evictions, labels=labels)
+            ahead = getattr(backend, "readahead", None)
+            if ahead is not None:
+                for outcome, count in ahead.counts.items():
+                    reg.gauge("readahead_windows", count,
+                              labels=dict(labels, outcome=outcome),
+                              help_text="advised file windows by fate")
+                reg.gauge("readahead_bytes", ahead.bytes, labels=labels,
+                          help_text="bytes served from read-ahead buffers")
+                reg.gauge("readahead_wait_seconds", ahead.wait_seconds,
+                          labels=labels,
+                          help_text="coordinator blocked on an in-flight "
+                                    "window")
             pool = getattr(backend, "pool", None)
             if pool is not None and hasattr(pool, "reuses"):
                 reg.gauge("array_pool_reuses", pool.reuses, labels=labels)
@@ -1395,11 +1445,16 @@ class System:
     def close(self) -> None:
         """Release every device backend (tree ownership); pending
         executor work settles first and a system-owned executor pool is
-        shut down."""
-        self.drain_exec()
-        if self._own_executor:
-            self.executor.close()
-        self.tree.close()
+        shut down -- the pool and the backends also when that drain
+        raises (a failed kernel ticket)."""
+        try:
+            self.drain_exec()
+        finally:
+            try:
+                if self._own_executor:
+                    self.executor.close()
+            finally:
+                self.tree.close()
 
     def __enter__(self) -> "System":
         return self

@@ -138,6 +138,7 @@ class Device:
     def __post_init__(self) -> None:
         self.allocator = FreeListAllocator(self.spec.capacity)
         base = self.instance or self.spec.name
+        self.backend.label = base
 
         if self.spec.duplex:
             self.read_resource = f"{base}.rd"
@@ -283,6 +284,13 @@ class Device:
                               out)
             finally:
                 _scratch_pool().give(scratch)
+
+    def advise(self, windows) -> None:
+        """Tell the backend which ``(alloc_id, offset, rows, row_bytes,
+        stride)`` windows are about to be read from this device, in
+        order (:meth:`~repro.memory.backends.DataBackend.advise`).  A
+        wall-clock matter only: no virtual time, no capacity."""
+        self.backend.advise(windows)
 
     def close(self) -> None:
         self.backend.close()

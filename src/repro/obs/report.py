@@ -174,6 +174,22 @@ class RunReport:
             for (node, level), states in sorted(per_queue.items()):
                 counts = " ".join(f"{s}={c}" for s, c in states.items())
                 parts.append(f"  node {node} L{level}: {counts}")
+        fates: dict[str, int] = {}
+        for row in (self.metrics or {}).get("readahead_windows", []):
+            outcome = row.get("labels", {}).get("outcome", "?")
+            fates[outcome] = fates.get(outcome, 0) + int(row.get("value", 0))
+        if fates.get("advised"):
+            def total(name: str) -> float:
+                return sum(row.get("value", 0)
+                           for row in self.metrics.get(name, []))
+            rest = ", ".join(f"{n} {fate}" for fate, n in fates.items()
+                             if fate != "advised")
+            parts.append("")
+            parts.append(
+                f"read-ahead: {fates['advised']} windows advised: {rest}; "
+                f"{total('readahead_bytes') / 1e6:.1f} MB served, "
+                f"coordinator waited "
+                f"{total('readahead_wait_seconds') * 1e3:.3f} ms")
         if self.phys is not None:
             parts.append("")
             parts.append(f"physical workers ({self.phys['backend']}, "

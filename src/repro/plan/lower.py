@@ -3,10 +3,11 @@
 :func:`lower_level` performs the *control* half of what the eager
 driver used to do inline -- open the level's ``divide`` span, anchor
 the :class:`~repro.core.scheduler.LevelQueue`, decompose, enqueue, and
-hand the prefetch plan to the cache -- and then, instead of executing
-the per-chunk hooks, records them as :class:`~repro.plan.graph.TaskNode`
-thunks wired with explicit dependency edges.  The returned
-:class:`LevelPlan` is what a scheduler executes.
+hand the program's fetch hints to the read-ahead and the cache -- and
+then, instead of executing the per-chunk hooks, records them as
+:class:`~repro.plan.graph.TaskNode` thunks wired with explicit
+dependency edges.  The returned :class:`LevelPlan` is what a scheduler
+executes.
 
 Lowering is *lazy and hierarchical* (the HPVM shape): a ``compute``
 node for a non-leaf child does not expand the child level up front --
@@ -183,13 +184,17 @@ def lower_level(program, ctx, *, window=1) -> LevelPlan:
                                setup, WINDOW)
             _install_thunks(plan, rec, index)
 
-        # Prefetch planning rides the graph: hints (the compatibility
-        # shim) are attached to the level and handed to the engine,
-        # which cross-checks them against the move_down targets.
-        if system.cache.transparent:
-            hints = program.prefetch_hints(ctx, chunks)
-            if hints is not None:
-                graph.meta["prefetch_hints"] = list(hints)
+        # The program's hints are collected once per level, whatever the
+        # cache mode.  They feed the physical read-ahead (wall-clock
+        # only, nothing charged) and, with the cache in full mode, the
+        # prefetch engine, which cross-checks them against the
+        # move_down targets of the graph they ride on.
+        hints = program.prefetch_hints(ctx, chunks)
+        if hints is not None:
+            hints = list(hints)
+            system.will_need(hints)
+            if system.cache.transparent:
+                graph.meta["prefetch_hints"] = hints
                 planned = system.cache.engine.plan_from_graph(ctx.node,
                                                               graph)
                 if planned:

@@ -198,6 +198,15 @@ class TopologyTree:
         return "\n".join(lines)
 
     def close(self) -> None:
-        """Release every device backend (removes FileBackend files)."""
+        """Release every device backend (removes FileBackend files).
+        Every device is closed even when one of them raises; the first
+        error is re-raised afterwards."""
+        first: BaseException | None = None
         for n in self._nodes.values():
-            n.device.close()
+            try:
+                n.device.close()
+            except Exception as exc:
+                if first is None:
+                    first = exc
+        if first is not None:
+            raise first
