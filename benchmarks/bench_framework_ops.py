@@ -10,8 +10,7 @@ the real Python cost of alloc/move/launch/map on this machine -- the
 number a user pays per chunk.  Rounds are bounded and the timeline is
 reset between rounds so every round measures the same state.  (The
 indexed slot scheduler keeps gap-search cost flat as bookings
-accumulate -- `benchmarks/bench_wallclock_scaling.py` measures exactly
-that scaling -- but resetting still isolates the per-op cost from
+accumulate, but resetting still isolates the per-op cost from
 allocator and trace growth.)
 """
 

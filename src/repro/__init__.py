@@ -30,8 +30,7 @@ Quick taste::
 
 from repro.core import (BufferHandle, Breakdown, ExecutionContext,
                         NorthupProgram, System, profile_trace)
-from repro.core.scheduler import (EagerScheduler, InOrderScheduler,
-                                  PipelinedScheduler, RandomOrderScheduler,
+from repro.core.scheduler import (InOrderScheduler, PipelinedScheduler,
                                   Scheduler)
 from repro.topology import TopologyTree, build_from_spec, validate_tree
 from repro.topology.builders import (apu_two_level,
@@ -52,10 +51,8 @@ __all__ = [
     "Breakdown",
     "profile_trace",
     "Scheduler",
-    "EagerScheduler",
     "InOrderScheduler",
     "PipelinedScheduler",
-    "RandomOrderScheduler",
     "TopologyTree",
     "build_from_spec",
     "validate_tree",

@@ -313,7 +313,7 @@ def framework_op_cell(op: str, rounds: int = 200) -> dict:
 
 @register("pipeline")
 def pipeline_cell(scale: str = "full") -> dict:
-    """Pipelined vs eager scheduling (BENCH_pipeline body)."""
+    """Pipelined vs in-order scheduling (BENCH_pipeline body)."""
     from repro.bench.pipeline import run_bench
     result = run_bench(scale, write_path=None)
     record: dict[str, Any] = {"meta": result["meta"]}
@@ -321,38 +321,6 @@ def pipeline_cell(scale: str = "full") -> dict:
         entry = {k: v for k, v in case.items() if k != "case"}
         record[case["case"]] = entry
     return record
-
-
-@register("wallclock")
-def wallclock_cell(scale: str = "full", workers: int = 1) -> dict:
-    """Indexed-vs-naive wall-clock scaling (BENCH_wallclock body).
-
-    Wall-clock numbers dominate this record, so everything lands under
-    ``meta`` except the virtual invariants.
-    """
-    from repro.bench.wallclock import run_bench
-    result = run_bench(workers=int(workers), scale_name=scale,
-                       write_path=None)
-    fw = result["framework_ops_scaling"]
-    cb = result["compute_backends"]
-    return {"virtual_time_identical": fw["virtual_time_identical"],
-            "makespan_s": fw["makespan_s"],
-            "backends_identical": cb["results_identical"],
-            "meta": {"framework_ops": fw, "apps": result["apps"],
-                     "compute_backends": cb}}
-
-
-@register("dataplane")
-def dataplane_cell(scale: str = "full") -> dict:
-    """Zero-copy vs naive data plane (BENCH_dataplane body)."""
-    from repro.bench.dataplane import run_bench
-    result = run_bench(scale, write_path=None)
-    sort_case = result["by_case"]["external_sort_file_backed"]
-    return {"bytes_identical": all(c["bytes_identical"]
-                                   for c in result["cases"]),
-            "makespan_identical": sort_case["makespan_identical"],
-            "makespan_s": sort_case["makespan_s"],
-            "meta": {"cases": result["cases"]}}
 
 
 @register("serve")

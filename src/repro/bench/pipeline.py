@@ -1,4 +1,4 @@
-"""Pipelined task-graph scheduling vs eager program order.
+"""Pipelined task-graph scheduling vs in-order program replay.
 
 The plan layer (:mod:`repro.plan`) lowers each level of the Listing-3
 recursion into a task graph whose edges encode *every* cross-chunk data
@@ -10,7 +10,7 @@ queues exist for.
 
 The win shows on a *starved shared channel*: the hdd/ssd-class devices
 model a half-duplex link (one ``{dev}.ch`` resource for both
-directions), and with eager issue order chunk k's ``move_up`` books the
+directions), and with program issue order chunk k's ``move_up`` books the
 channel at a position that leaves only a compute-sized gap -- too short
 for chunk k+1's ``move_down`` to backfill whenever compute is shorter
 than the transfer.  The pipelined issue order (combine ranked before
@@ -27,9 +27,10 @@ Cases (all virtual makespans, so CI timing noise cannot move them):
   more compute per chunk residence, bigger overlap win (reported).
 * **hotspot_ssd_shared** -- ssd-class storage: faster channel, same
   half-duplex sharing, smaller but present win (reported).
-* **scheduler_equivalence** -- guard: on the starved config the
-  InOrderScheduler's makespan is *hex-identical* to the eager driver's
-  and all three schedulers produce identical result bytes.
+
+The baseline is :class:`~repro.core.scheduler.InOrderScheduler`; that
+its replay is bit-identical to the graph-free chunk loop is asserted on
+every fig config by ``tests/core/test_scheduler_equivalence.py``.
 
 ``REPRO_PIPELINE_SCALE=ci`` (or ``run_bench("ci")``) shrinks the
 grids; the floor relaxes slightly because fewer chunks amortise the
@@ -52,8 +53,7 @@ import numpy as np
 
 from repro.apps.hotspot import HotspotApp
 from repro.bench.configs import scaled_apu_tree
-from repro.core.scheduler import (EagerScheduler, InOrderScheduler,
-                                  PipelinedScheduler)
+from repro.core.scheduler import InOrderScheduler, PipelinedScheduler
 from repro.core.system import System
 from repro.memory.units import KB
 
@@ -109,41 +109,17 @@ def _case(p: _Params, name: str, storage: str, *, steps_per_pass: int,
           depth: int) -> dict:
     kw = dict(n=p.grid_n, iterations=max(p.iters, steps_per_pass),
               steps_per_pass=steps_per_pass, depth=depth)
-    eager_mk, eager_out = _run(p, storage, EagerScheduler(), **kw)
+    inorder_mk, inorder_out = _run(p, storage, InOrderScheduler(), **kw)
     pipe_mk, pipe_out = _run(p, storage, PipelinedScheduler(), **kw)
-    assert pipe_out == eager_out, (
+    assert pipe_out == inorder_out, (
         f"{name}: pipelined schedule changed the result bytes")
     return {"case": name, "storage": storage, "n": kw["n"],
             "iterations": kw["iterations"],
             "steps_per_pass": steps_per_pass, "pipeline_depth": depth,
             "staging_bytes": p.staging,
-            "eager_makespan_s": eager_mk,
-            "pipelined_makespan_s": pipe_mk,
-            "speedup": round(eager_mk / pipe_mk, 3),
-            "results_identical": True}
-
-
-def _case_equivalence(p: _Params) -> dict:
-    """InOrder replay must be bit-identical to the eager driver."""
-    kw = dict(n=p.grid_n, iterations=p.iters, steps_per_pass=p.spp,
-              depth=p.depth)
-    eager_mk, eager_out = _run(p, "hdd", EagerScheduler(), **kw)
-    inorder_mk, inorder_out = _run(p, "hdd", InOrderScheduler(), **kw)
-    pipe_mk, pipe_out = _run(p, "hdd", PipelinedScheduler(), **kw)
-    assert float(inorder_mk).hex() == float(eager_mk).hex(), (
-        f"in-order lowering changed the virtual makespan: "
-        f"{eager_mk!r} != {inorder_mk!r}")
-    assert inorder_out == eager_out, (
-        "in-order lowering changed the result bytes")
-    assert pipe_out == eager_out, (
-        "pipelined schedule changed the result bytes")
-    return {"case": "scheduler_equivalence", "storage": "hdd",
-            "n": kw["n"], "iterations": p.iters, "steps_per_pass": p.spp,
-            "pipeline_depth": p.depth, "staging_bytes": p.staging,
-            "eager_makespan_s": eager_mk,
             "inorder_makespan_s": inorder_mk,
             "pipelined_makespan_s": pipe_mk,
-            "inorder_matches_eager": True,
+            "speedup": round(inorder_mk / pipe_mk, 3),
             "results_identical": True}
 
 
@@ -159,7 +135,6 @@ def run_bench(scale_name: str | None = None, *,
               depth=p.deep_depth),
         _case(p, "hotspot_ssd_shared", "ssd", steps_per_pass=p.spp,
               depth=p.depth),
-        _case_equivalence(p),
     ]
     by_case = {c["case"]: c for c in cases}
     result = {
@@ -182,13 +157,9 @@ def run_bench(scale_name: str | None = None, *,
 def format_table(result: dict) -> str:
     lines = []
     for c in result["cases"]:
-        if "speedup" in c:
-            lines.append(f"{c['case']:>24}: eager "
-                         f"{c['eager_makespan_s'] * 1e3:.3f} ms -> "
-                         f"pipelined "
-                         f"{c['pipelined_makespan_s'] * 1e3:.3f} ms "
-                         f"({c['speedup']}x)")
-        else:
-            lines.append(f"{c['case']:>24}: in-order == eager "
-                         f"({c['eager_makespan_s'] * 1e3:.3f} ms)")
+        lines.append(f"{c['case']:>24}: in-order "
+                     f"{c['inorder_makespan_s'] * 1e3:.3f} ms -> "
+                     f"pipelined "
+                     f"{c['pipelined_makespan_s'] * 1e3:.3f} ms "
+                     f"({c['speedup']}x)")
     return "\n".join(lines)

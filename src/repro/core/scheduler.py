@@ -17,21 +17,19 @@ Four pieces implement that here:
   a buffer may only be overwritten after its last reader finished
   (tracked on the handle).
 * The **schedulers** -- pluggable executors of the lowered task graph
-  (:mod:`repro.plan`).  :class:`EagerScheduler` is the historical
-  inline driver (kept as the bit-identity reference);
-  :class:`InOrderScheduler` lowers each level and replays the graph
-  depth-first (bit-identical to eager by the lowering contract);
+  (:mod:`repro.plan`).  :class:`InOrderScheduler` lowers each level
+  and replays the graph depth-first in program order;
   :class:`PipelinedScheduler` dispatches ready nodes by stage priority,
   overlapping chunk k+1's ``move_down`` with chunk k's ``compute``
-  whenever the edges allow; :class:`RandomOrderScheduler` executes a
-  seeded random topological order (the equivalence property tests).
+  whenever the edges allow.  The graph-free driver they replaced and a
+  seeded random-topological-order executor live in ``tests/reference``
+  as the equivalence suites' oracles.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -216,10 +214,10 @@ class InOrderScheduler(Scheduler):
 
     This is the default executor: by the lowering contract
     (:mod:`repro.plan.lower`) the replay performs exactly the timeline
-    charges the historical eager driver performed, in the same order,
-    so makespans and result bytes are bit-identical to
-    :class:`EagerScheduler` -- the property the equivalence suite
-    pins down on every fig6-fig11 configuration.
+    charges the graph-free chunk loop (``tests/reference/eager.py``)
+    performs, in the same order, so makespans and result bytes are
+    bit-identical to it -- the property the equivalence suite pins
+    down on every fig6-fig11 configuration.
     """
 
     def _drain(self, plan) -> None:
@@ -242,17 +240,10 @@ class PipelinedScheduler(Scheduler):
     :meth:`~repro.core.program.NorthupProgram.pipeline_window` declares
     how many chunks may hold buffers at once (the level's memory
     budget, and an independence assertion for everything outside the
-    buffer-hazard edges).  An explicit ``window=`` overrides the hint.
+    buffer-hazard edges).
     """
 
-    def __init__(self, *, window: int | None = None,
-                 keep_plans: bool = False) -> None:
-        super().__init__(keep_plans=keep_plans)
-        self.window = window
-
     def level_window(self, program, ctx, chunks: list) -> int:
-        if self.window is not None:
-            return max(1, self.window)
         return max(1, program.pipeline_window(ctx, chunks))
 
     def _drain(self, plan) -> None:
@@ -283,107 +274,3 @@ class PipelinedScheduler(Scheduler):
             raise SchedulerError(
                 f"pipelined drain stalled: {len(graph) - executed} of "
                 f"{len(graph)} nodes unreachable (dependency cycle?)")
-
-
-class RandomOrderScheduler(Scheduler):
-    """Execute a seeded uniformly-random topological order.
-
-    The equivalence property test's vehicle: *any* edge-respecting
-    order must produce bit-identical result arrays and move the same
-    bytes, because the edges carry every cross-chunk dependency.
-    Virtual makespans may legitimately differ between orders (issue
-    order steers the timeline's greedy placement); results may not.
-    """
-
-    def __init__(self, seed: int, *, window: int | None = None,
-                 keep_plans: bool = False) -> None:
-        super().__init__(keep_plans=keep_plans)
-        self.rng = random.Random(seed)
-        self.window = window
-
-    def level_window(self, program, ctx, chunks: list) -> int:
-        if self.window is not None:
-            return max(1, self.window)
-        return max(1, program.pipeline_window(ctx, chunks))
-
-    def _drain(self, plan) -> None:
-        graph = plan.graph
-        while not graph.complete:
-            ready = graph.ready()
-            if not ready:
-                raise SchedulerError(
-                    f"random drain stalled with {graph.remaining} "
-                    f"pending nodes (dependency cycle?)")
-            plan.execute(ready[self.rng.randrange(len(ready))])
-
-
-class EagerScheduler(Scheduler):
-    """The historical inline driver, kept as the bit-identity reference.
-
-    Executes each level's chunk loop directly -- no graph, no plan --
-    exactly as ``NorthupProgram.recurse`` did before the plan/execute
-    split.  The scheduler-equivalence suite runs every app under this
-    and under :class:`InOrderScheduler` and asserts identical makespans
-    and result bytes.
-    """
-
-    def execute_level(self, program, ctx) -> None:
-        obs = ctx.system.obs
-        divide_span = obs.open("divide", node_id=ctx.node.node_id)
-        try:
-            queue = LevelQueue(level=ctx.node.level)
-            ctx.node.work_queues = [queue]
-            ctx.scratch["level_queue"] = queue
-            chunks = list(program.decompose(ctx))
-            tasks = [queue.enqueue(chunk) for chunk in chunks]
-            ctx.system.charge_runtime(len(tasks), label="enqueue tasks")
-            divide_span.annotate("chunks", len(chunks))
-            divide_span.annotate("exec_backend", ctx.system.executor.name)
-            if ctx.system.cache.transparent:
-                hints = program.prefetch_hints(ctx, chunks)
-                if hints is not None:
-                    planned = ctx.system.cache.engine.plan_level(ctx.node,
-                                                                 hints)
-                    if planned:
-                        ctx.system.charge_runtime(1, label="prefetch plan")
-                        for task in tasks:
-                            task.mark_prefetched()
-                        divide_span.annotate("prefetch_planned", planned)
-            for chunk, task in zip(chunks, tasks):
-                child = program.select_child(ctx, chunk)
-                if child.parent is not ctx.node:
-                    raise SchedulerError(
-                        f"select_child returned node {child.node_id}, not a "
-                        f"child of {ctx.node.node_id}")
-                span = obs.open("setup", node_id=child.node_id)
-                try:
-                    payload = program.setup_buffers(ctx, child, chunk)
-                    child_ctx = ctx.descend(child, chunk=chunk,
-                                            payload=payload)
-                finally:
-                    obs.close(span)
-                task.advance(TaskState.MOVING)
-                span = obs.open("move_down", node_id=child.node_id)
-                try:
-                    program.data_down(ctx, child_ctx, chunk)
-                finally:
-                    obs.close(span)
-                task.advance(TaskState.RESIDENT)
-                program.recurse(child_ctx)
-                task.advance(TaskState.COMPUTED)
-                span = obs.open("move_up", node_id=child.node_id)
-                try:
-                    program.data_up(ctx, child_ctx, chunk)
-                finally:
-                    obs.close(span)
-                span = obs.open("combine", node_id=ctx.node.node_id)
-                try:
-                    program.teardown_buffers(ctx, child_ctx, chunk)
-                finally:
-                    obs.close(span)
-                task.advance(TaskState.DONE)
-            program.after_level(ctx)
-            # Same level-boundary settle as the graph schedulers.
-            ctx.system.drain_exec()
-        finally:
-            obs.close(divide_span)

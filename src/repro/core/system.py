@@ -38,7 +38,6 @@ from repro.exec.base import Executor, KernelSpec, effective_cpu_count, \
     make_executor, resolve_kernel
 from repro.exec.inline import InlineExecutor
 from repro.exec.ledger import MergeTarget, PendingLedger
-from repro.memory import reference
 from repro.memory.device import StorageKind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_OBSERVER, Observer
@@ -148,7 +147,7 @@ class System:
         Compute backend for :meth:`launch` kernel specs
         (:mod:`repro.exec`): an :class:`~repro.exec.base.Executor`
         instance, a backend name (``"inline"``, ``"threaded"``,
-        ``"shm"``), or ``None`` for the default in-process
+        ``"shm"``, ``"dist"``), or ``None`` for the default in-process
         :class:`~repro.exec.inline.InlineExecutor` (behaviour-identical
         to the pre-executor runtime).  Virtual time is charged on the
         simulator thread under every backend, so makespans and traces
@@ -161,17 +160,10 @@ class System:
 
     def __init__(self, tree: TopologyTree, *,
                  cache: CacheConfig | None = None,
-                 zero_copy: bool = True,
                  observe: bool = True,
                  executor: "Executor | str | None" = None,
                  telemetry: bool = False) -> None:
         self.tree = tree
-        #: Route physical byte movement through the zero-copy data plane
-        #: (``Device.copy_into`` view/pooled-fd/vectored paths).  False
-        #: retains the historical copy-out + copy-in path
-        #: (:mod:`repro.memory.reference`) -- the benchmark baseline.
-        #: Virtual time and buffer contents are identical either way.
-        self.zero_copy = zero_copy
         self.timeline = Timeline()
         self.registry = BufferRegistry()
         self.runtime_ops = 0
@@ -280,15 +272,9 @@ class System:
                       src_offset: int, dst_node: TreeNode, dst: BufferHandle,
                       dst_offset: int, nbytes: int) -> None:
         t0 = time.perf_counter()
-        if self.zero_copy:
-            src_node.device.copy_into(
-                dst_node.device, src.alloc_id, src.base_offset + src_offset,
-                dst.alloc_id, dst.base_offset + dst_offset, nbytes)
-        else:
-            reference.naive_copy(
-                src_node.device.backend, src.alloc_id,
-                src.base_offset + src_offset, dst_node.device.backend,
-                dst.alloc_id, dst.base_offset + dst_offset, nbytes)
+        src_node.device.copy_into(
+            dst_node.device, src.alloc_id, src.base_offset + src_offset,
+            dst.alloc_id, dst.base_offset + dst_offset, nbytes)
         self.wall.note(time.perf_counter() - t0, nbytes)
 
     def _transfer_2d(self, src_node: TreeNode, src: BufferHandle,
@@ -320,18 +306,10 @@ class System:
                          dst_offset: int, dst_stride: int, *,
                          rows: int, row_bytes: int) -> None:
         t0 = time.perf_counter()
-        if self.zero_copy:
-            src_node.device.copy_into_2d(
-                dst_node.device, src.alloc_id, src.base_offset + src_offset,
-                src_stride, dst.alloc_id, dst.base_offset + dst_offset,
-                dst_stride, rows=rows, row_bytes=row_bytes)
-        else:
-            reference.naive_copy_2d(
-                src_node.device.backend, src.alloc_id,
-                src.base_offset + src_offset, src_stride,
-                dst_node.device.backend, dst.alloc_id,
-                dst.base_offset + dst_offset, dst_stride, rows=rows,
-                row_bytes=row_bytes)
+        src_node.device.copy_into_2d(
+            dst_node.device, src.alloc_id, src.base_offset + src_offset,
+            src_stride, dst.alloc_id, dst.base_offset + dst_offset,
+            dst_stride, rows=rows, row_bytes=row_bytes)
         self.wall.note(time.perf_counter() - t0, rows * row_bytes)
 
     # -- Table I: unified data management ------------------------------------

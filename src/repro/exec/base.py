@@ -12,7 +12,9 @@ bit-identical no matter which backend executes the NumPy work.  What an
   GIL-releasing NumPy ops;
 * :class:`~repro.exec.shm.SharedMemExecutor` -- a persistent
   ``multiprocessing`` worker pool passing operands through
-  ``multiprocessing.shared_memory`` segments.
+  ``multiprocessing.shared_memory`` segments;
+* :class:`~repro.dist.executor.DistExecutor` -- a persistent worker
+  pool shipping operands over pipes (message passing).
 
 Kernels dispatched this way are **picklable pure functions over buffer
 descriptors**: a :class:`KernelSpec` names a module-level function by
@@ -308,9 +310,9 @@ def make_executor(spec: str, workers: int | None = None, *,
         return InlineExecutor(telemetry=telemetry)
     if name == "threaded":
         return ThreadedExecutor(workers=workers, telemetry=telemetry)
-    if name in ("shm", "sharedmem", "shared-memory"):
+    if name == "shm":
         return SharedMemExecutor(workers=workers, telemetry=telemetry)
-    if name in ("dist", "distributed"):
+    if name == "dist":
         from repro.dist.executor import DistExecutor
         return DistExecutor(workers=workers, telemetry=telemetry)
     raise ExecError(

@@ -131,6 +131,9 @@ class _SegmentPool:
         self.live_bytes = 0
         self.peak_bytes = 0
         self.free_bytes = 0
+        #: Segments on the free lists, kept as a count so another
+        #: thread can read it without walking ``_free``.
+        self.free_count = 0
 
     def take(self, nbytes: int, *,
              force: bool = False) -> SharedMemory | None:
@@ -142,11 +145,13 @@ class _SegmentPool:
         if bucket:
             self.reused += 1
             self.free_bytes -= size
+            self.free_count -= 1
             return bucket.pop()
         while self.free_bytes and \
                 self.live_bytes + size > SEGMENT_BUDGET_BYTES:
             victim = next(b for b in self._free.values() if b).pop()
             self.free_bytes -= victim.size
+            self.free_count -= 1
             self._unlink(victim)
         if self.live_bytes + size > SEGMENT_BUDGET_BYTES and not force:
             return None
@@ -165,6 +170,7 @@ class _SegmentPool:
         else:
             self._free.setdefault(seg.size, []).append(seg)
             self.free_bytes += seg.size
+            self.free_count += 1
 
     def _unlink(self, seg: SharedMemory) -> None:
         del self._all[seg.name]
@@ -181,6 +187,7 @@ class _SegmentPool:
                 pass
         self._free.clear()
         self.free_bytes = 0
+        self.free_count = 0
 
 
 class SharedMemExecutor(Executor):
@@ -464,6 +471,13 @@ class SharedMemExecutor(Executor):
                           self._running, self._done, self._failed):
                 state.clear()
             self._pool.close_all()
+
+    def pool_stats(self) -> dict:
+        """Segment-pool counters, safe to read from any thread: each
+        is a plain integer the owning thread maintains."""
+        pool = self._pool
+        return {"segments": pool.created, "reused": pool.reused,
+                "free": pool.free_count}
 
     def describe(self) -> str:
         pool = self._pool

@@ -26,7 +26,7 @@ paths probe for, so a move between two backends degrades gracefully from
 ``try_view`` / ``try_view_2d``
     A writable zero-copy window into the backing storage (``None`` when
     the backend cannot expose one).  :class:`MemBackend` always can;
-    :class:`FileBackend` only in ``mmap_mode``.
+    :class:`FileBackend` never does.
 ``read_into``
     Fill a caller-provided array without an intermediate copy (a single
     ``np.copyto`` or a single ``preadv`` straight into the destination).
@@ -39,8 +39,6 @@ paths probe for, so a move between two backends degrades gracefully from
 :class:`FileBackend` keeps an LRU-capped pool of open descriptors and
 issues positioned I/O (``os.pread``/``os.pwrite``) against them: no
 per-operation ``open`` and no ``.tobytes()`` staging copy on writes.
-The pre-optimisation per-op ``open``+copy path is retained verbatim in
-:mod:`repro.memory.reference` as the benchmark baseline.
 
 Read-ahead
 ----------
@@ -55,7 +53,6 @@ every write through the backend first discards the windows it overlaps.
 
 from __future__ import annotations
 
-import mmap
 import os
 import shutil
 import threading
@@ -621,11 +618,6 @@ class FileBackend(DataBackend):
     writes hand NumPy arrays straight to ``os.pwrite`` (buffer protocol)
     instead of staging through ``.tobytes()``.
 
-    ``mmap_mode=True`` additionally maps every file on creation, which
-    upgrades the backend to full view support (``try_view`` and friends
-    return windows into the mapping) -- useful for hot staging buffers
-    that live on a filesystem but are accessed like memory.
-
     ``close`` removes the root directory only if this backend created
     it; a user-supplied directory that already existed survives
     teardown (minus the buffer files themselves).
@@ -637,8 +629,7 @@ class FileBackend(DataBackend):
     ``write`` / ``scatter_2d`` / ``destroy`` on the caller's thread, and
     each first discards the advised windows whose byte span it
     overlaps, so a served window holds exactly the bytes a synchronous
-    read at that point would return.  Mapped files (``mmap_mode``) are
-    written through views and are never read ahead.
+    read at that point would return.
     """
 
     #: A strided file window is fetched with vectored spanning reads when
@@ -652,17 +643,14 @@ class FileBackend(DataBackend):
     SPAN_GAP_BYTES = 8 << 10
 
     def __init__(self, root: str, *, sync_writes: bool = False,
-                 max_open_fds: int = 128, mmap_mode: bool = False) -> None:
+                 max_open_fds: int = 128) -> None:
         self.root = root
         self.sync_writes = sync_writes
-        self.mmap_mode = mmap_mode
         self._owns_root = not os.path.isdir(root)
         os.makedirs(root, exist_ok=True)
         self._paths: dict[int, str] = {}
         self._sizes: dict[int, int] = {}
         self._fds = _FdPool(max_open_fds)
-        #: alloc id -> (mmap object, uint8 array over it); mmap_mode only.
-        self._maps: dict[int, tuple[mmap.mmap, np.ndarray]] = {}
         #: The advised-window queue and its reader (see :meth:`advise`).
         self.readahead = _ReadAhead(self._read_ahead)
 
@@ -683,13 +671,6 @@ class FileBackend(DataBackend):
             fh.truncate(nbytes)
         self._paths[alloc_id] = path
         self._sizes[alloc_id] = nbytes
-        if self.mmap_mode and nbytes > 0:
-            fd = os.open(path, os.O_RDWR)
-            try:
-                mm = mmap.mmap(fd, nbytes)
-            finally:
-                os.close(fd)
-            self._maps[alloc_id] = (mm, np.frombuffer(mm, dtype=np.uint8))
 
     def destroy(self, alloc_id: int) -> None:
         path = self._paths.pop(alloc_id, None)
@@ -698,22 +679,10 @@ class FileBackend(DataBackend):
         self.readahead.discard(alloc_id, 0, self._sizes.pop(alloc_id),
                                wait=True)
         self._fds.drop(alloc_id)
-        entry = self._maps.pop(alloc_id, None)
-        if entry is not None:
-            mm, arr = entry
-            del entry, arr  # drop the buffer export before closing the map
-            try:
-                mm.close()
-            except BufferError:  # pragma: no cover - caller kept a view
-                pass
         try:
             os.remove(path)
         except FileNotFoundError:  # pragma: no cover - external interference
             pass
-
-    def _map_array(self, alloc_id: int) -> np.ndarray | None:
-        entry = self._maps.get(alloc_id)
-        return None if entry is None else entry[1]
 
     # The raw reads below take an explicit descriptor and touch no
     # backend state: the public methods pass the pooled one, the
@@ -735,9 +704,6 @@ class FileBackend(DataBackend):
     def read(self, alloc_id: int, offset: int, nbytes: int) -> np.ndarray:
         self._check_range(alloc_id, offset, nbytes,
                           self._sizes[self._require(alloc_id)])
-        arr = self._map_array(alloc_id)
-        if arr is not None:
-            return arr[offset:offset + nbytes].copy()
         out = np.empty(nbytes, dtype=np.uint8)
         self._pread_into(self._fd(alloc_id), offset, out)
         return out
@@ -746,30 +712,9 @@ class FileBackend(DataBackend):
         self._path(alloc_id)
         return alloc_id
 
-    def try_view(self, alloc_id: int, offset: int,
-                 nbytes: int) -> np.ndarray | None:
-        arr = self._map_array(alloc_id)
-        if arr is None:
-            return None
-        self._check_range(alloc_id, offset, nbytes, self._sizes[alloc_id])
-        return arr[offset:offset + nbytes]
-
-    def try_view_2d(self, alloc_id: int, offset: int, rows: int,
-                    row_bytes: int, stride: int) -> np.ndarray | None:
-        arr = self._map_array(alloc_id)
-        if arr is None:
-            return None
-        self._check_range_2d(alloc_id, offset, rows, row_bytes, stride,
-                             self._sizes[alloc_id])
-        return _strided_2d(arr, offset, rows, row_bytes, stride)
-
     def read_into(self, alloc_id: int, offset: int, out: np.ndarray) -> None:
         self._check_range(alloc_id, offset, out.size,
                           self._sizes[self._require(alloc_id)])
-        arr = self._map_array(alloc_id)
-        if arr is not None:
-            np.copyto(out, arr[offset:offset + out.size])
-            return
         if self._serve_ahead((alloc_id, offset, 1, out.size, out.size), out):
             return
         if out.flags.c_contiguous:
@@ -788,10 +733,6 @@ class FileBackend(DataBackend):
         span = self._check_range_2d(alloc_id, offset, rows, row_bytes, stride,
                                     self._sizes[self._require(alloc_id)])
         if not rows or not row_bytes:
-            return
-        arr = self._map_array(alloc_id)
-        if arr is not None:
-            np.copyto(out, _strided_2d(arr, offset, rows, row_bytes, stride))
             return
         if self._serve_ahead(
                 self._window_key(alloc_id, offset, rows, row_bytes, stride),
@@ -889,12 +830,6 @@ class FileBackend(DataBackend):
                                     self._sizes[self._require(alloc_id)])
         if not rows or not row_bytes:
             return
-        arr = self._map_array(alloc_id)
-        if arr is not None:
-            np.copyto(_strided_2d(arr, offset, rows, row_bytes, stride), data)
-            if self.sync_writes:
-                self._maps[alloc_id][0].flush()
-            return
         self.readahead.discard(alloc_id, offset, offset + span)
         fd = self._fd(alloc_id)
         if stride == row_bytes:
@@ -922,12 +857,6 @@ class FileBackend(DataBackend):
         raw = _as_bytes(data)
         self._check_range(alloc_id, offset, raw.size,
                           self._sizes[self._require(alloc_id)])
-        arr = self._map_array(alloc_id)
-        if arr is not None:
-            arr[offset:offset + raw.size] = raw
-            if self.sync_writes:
-                self._maps[alloc_id][0].flush()
-            return
         self.readahead.discard(alloc_id, offset, offset + raw.size)
         fd = self._fd(alloc_id)
         os.pwrite(fd, raw, offset)
@@ -952,7 +881,7 @@ class FileBackend(DataBackend):
         windows under :data:`READAHEAD_MIN_BYTES`; a window equal to the
         one advised just before it for the same file (a cache above
         serves the repeats, reading it again would only burn
-        bandwidth); mapped files; windows no read would accept."""
+        bandwidth); windows no read would accept."""
         ahead = self.readahead
         queued: list[_Window] = []
         previous: dict[int, tuple] = {}
@@ -967,8 +896,7 @@ class FileBackend(DataBackend):
             previous[alloc_id] = key
             path = self._paths.get(alloc_id)
             span = (key[2] - 1) * key[4] + key[3]
-            if path is None or alloc_id in self._maps or rows < 1 \
-                    or key[4] < key[3] or offset < 0 \
+            if path is None or rows < 1 or key[4] < key[3] or offset < 0 \
                     or offset + span > self._sizes[alloc_id]:
                 continue
             queued.append(_Window(key, path, span))

@@ -1,7 +1,7 @@
 """Performance-regression gating against committed bench baselines.
 
-The perf wins banked in ``BENCH_wallclock.json`` and
-``BENCH_dataplane.json`` are claims; this module makes them enforceable.
+The figures banked in the committed ``BENCH_*.json`` files are claims;
+this module makes them enforceable.
 :func:`compare` walks a baseline JSON and a freshly generated run of the
 same bench and classifies every shared numeric leaf:
 
@@ -64,8 +64,6 @@ from dataclasses import dataclass
 #: against.
 BASELINE_PRODUCERS = {
     "BENCH_pipeline.json": "benchmarks/bench_pipeline_overlap.py",
-    "BENCH_wallclock.json": "benchmarks/bench_wallclock_scaling.py",
-    "BENCH_dataplane.json": "benchmarks/bench_dataplane.py",
     "BENCH_serve.json": "benchmarks/bench_serve_throughput.py",
     "BENCH_distributed.json": "benchmarks/bench_distributed_scaling.py",
 }

@@ -75,6 +75,8 @@ class Job:
     trace_windows: list[tuple[int, int]] = field(default_factory=list)
     #: The job's open-span chain, swapped into the observer per grant.
     span_stack: list[int] = field(default_factory=lambda: [0])
+    #: The job's root span, opened at admission (``None`` until then).
+    _span: Any = None
     grants: int = 0
     busy_vt: float = 0.0           # summed durations of this job's intervals
 

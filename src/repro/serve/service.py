@@ -356,12 +356,9 @@ class JobService:
                 "stragglers": [],
             }
             out["health"] = {"workers": {}, "counts": {}}
-        pool = getattr(ex, "_pool", None)
-        if pool is not None and hasattr(pool, "created"):
-            out["shm_pool"] = {
-                "segments": pool.created, "reused": pool.reused,
-                "free": sum(len(b) for b in pool._free.values()),
-            }
+        pool_stats = getattr(ex, "pool_stats", None)
+        if pool_stats is not None:
+            out["shm_pool"] = pool_stats()
         return out
 
     def start_status_server(self, port: int = 0):
@@ -425,8 +422,3 @@ class JobService:
                 f"  {t}: {b:.6f}s ({b / total:.1%})"
                 for t, b in sorted(self._tenant_busy.items()))
         return "\n".join(lines)
-
-
-# Jobs grow a ``_span`` attribute at admission; declare the default here
-# so unadmitted (e.g. rejected) jobs still read coherently.
-Job._span = None

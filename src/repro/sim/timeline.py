@@ -39,7 +39,7 @@ parallel ``starts``/``ends`` arrays plus two accelerators that preserve
   so the scan may jump straight past it.
 
 The naive reference implementation is retained verbatim in
-:mod:`repro.sim.reference`; the tier-1 equivalence suite replays
+``tests/reference/naive_slot.py``; the tier-1 equivalence suite replays
 randomized workloads through both and asserts identical placements.
 
 Observability
@@ -82,8 +82,8 @@ class _Slot:
     def earliest_gap(self, ready: float, duration: float) -> float:
         """Earliest start >= ready with ``duration`` of idle time.
 
-        Result is bit-identical to the naive linear scan
-        (:class:`repro.sim.reference.NaiveSlot.earliest_gap`).
+        Result is bit-identical to the naive linear scan the
+        equivalence suite keeps as its oracle.
         """
         ends = self.ends
         n = len(ends)
@@ -259,10 +259,9 @@ class Timeline:
     every interval from every resource.
 
     ``slot_cls`` selects the slot implementation for every resource the
-    timeline creates; the default is the indexed scheduler.  The
-    equivalence suite and the wall-clock bench pass
-    :class:`repro.sim.reference.NaiveSlot` to reproduce the pre-indexed
-    behaviour.
+    timeline creates; the default is the indexed scheduler.  It is the
+    seam through which the equivalence suite substitutes its
+    linear-scan oracle slot.
     """
 
     trace: Trace = field(default_factory=Trace)

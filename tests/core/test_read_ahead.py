@@ -18,8 +18,7 @@ from repro.apps import GemmApp, HotspotApp, SpmvApp
 from repro.cache.manager import CacheConfig
 from repro.cache.spec import FetchSpec
 from repro.compute.processor import KernelCost
-from repro.core.scheduler import (EagerScheduler, InOrderScheduler,
-                                  PipelinedScheduler, RandomOrderScheduler)
+from repro.core.scheduler import InOrderScheduler, PipelinedScheduler
 from repro.core.system import System
 from repro.exec import Binding, ExecError, kernel_spec, shm_residue
 from repro.memory.backends import FileBackend
@@ -29,6 +28,8 @@ from repro.topology.builders import apu_two_level
 from repro.workloads.sparse import uniform_random
 from tests.exec import kernels
 from tests.hygiene import io_threads as _io_threads
+from tests.reference.eager import EagerScheduler
+from tests.reference.random_order import RandomOrderScheduler
 
 
 @pytest.fixture

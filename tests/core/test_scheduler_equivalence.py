@@ -18,11 +18,12 @@ from repro.apps.reduce import ReduceApp
 from repro.apps.sort import SortApp
 from repro.apps.spmv import SpmvApp
 from repro.bench.configs import scaled_apu_tree, scaled_dgpu_tree
-from repro.core.scheduler import (EagerScheduler, InOrderScheduler,
-                                  PipelinedScheduler, RandomOrderScheduler)
+from repro.core.scheduler import InOrderScheduler, PipelinedScheduler
 from repro.core.system import System
 from repro.memory.units import KB
 from repro.workloads.sparse import preset
+from tests.reference.eager import EagerScheduler
+from tests.reference.random_order import RandomOrderScheduler
 
 
 def _make_app(name: str, system: System):

@@ -219,6 +219,34 @@ def test_other_sizes_are_evicted_before_the_budget_is_passed(monkeypatch):
     assert shm_residue() == []
 
 
+def test_pool_stats_match_the_free_lists(monkeypatch):
+    """``pool_stats`` is built from counters the pool maintains; after
+    every step of a seeded take/give sequence that reuses, evicts and
+    creates past the budget, they equal what the free lists hold."""
+    monkeypatch.setattr(shm, "SEGMENT_BUDGET_BYTES", 64 * 1024)
+    rng = np.random.default_rng(15)
+    sizes = [4096, 8192, 16384, 24576, 32768]
+    with SharedMemExecutor(workers=1) as ex:
+        pool, held = ex._pool, []
+        for _ in range(300):
+            if held and rng.random() < 0.5:
+                pool.give(held.pop(int(rng.integers(len(held)))))
+            else:
+                held.append(pool.take(int(rng.choice(sizes)), force=True))
+            free = [seg for bucket in pool._free.values() for seg in bucket]
+            assert ex.pool_stats() == {"segments": pool.created,
+                                       "reused": pool.reused,
+                                       "free": len(free)}
+            assert pool.free_bytes == sum(seg.size for seg in free)
+        # The sequence took every path: exact-size reuse, eviction of
+        # other sizes, and unlink-on-give of segments past the budget.
+        assert pool.reused and pool.unlinked
+        assert pool.peak_bytes > shm.SEGMENT_BUDGET_BYTES
+        for seg in held:
+            pool.give(seg)
+    assert shm_residue() == []
+
+
 # -- (iii) a dead worker -----------------------------------------------------
 
 def test_dead_workers_ticket_fails_fast_and_the_rest_complete():

@@ -13,14 +13,12 @@ import pytest
 from repro.memory.backends import FileBackend, MemBackend
 
 
-@pytest.fixture(params=["mem", "file", "mmap"])
+@pytest.fixture(params=["mem", "file"])
 def backend(request, tmp_path):
     if request.param == "mem":
         b = MemBackend()
-    elif request.param == "file":
-        b = FileBackend(str(tmp_path / "store"))
     else:
-        b = FileBackend(str(tmp_path / "store"), mmap_mode=True)
+        b = FileBackend(str(tmp_path / "store"))
     yield b
     b.close()
 
@@ -29,7 +27,7 @@ def backend(request, tmp_path):
 
 def test_read_returns_independent_copy(backend):
     """``read`` is documented to return a copy: mutating the result
-    must never reach the backing store, on any backend or mode."""
+    must never reach the backing store, on any backend."""
     backend.create(1, 32)
     backend.write(1, 0, np.arange(32, dtype=np.uint8))
     out = backend.read(1, 0, 32)
@@ -51,8 +49,8 @@ def test_write_does_not_retain_caller_array(backend):
 def test_try_view_aliases_where_supported(backend):
     backend.create(1, 32)
     v = backend.try_view(1, 4, 8)
-    if isinstance(backend, FileBackend) and not backend.mmap_mode:
-        assert v is None           # plain files cannot expose live memory
+    if isinstance(backend, FileBackend):
+        assert v is None           # files cannot expose live memory
         return
     assert v is not None and v.nbytes == 8
     v[:] = 9
@@ -66,7 +64,7 @@ def test_try_view_aliases_where_supported(backend):
 def test_try_view_2d_aliases_where_supported(backend):
     backend.create(1, 64)
     w = backend.try_view_2d(1, 0, rows=4, row_bytes=8, stride=16)
-    if isinstance(backend, FileBackend) and not backend.mmap_mode:
+    if isinstance(backend, FileBackend):
         assert w is None
         return
     assert w is not None and w.shape == (4, 8)

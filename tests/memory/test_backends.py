@@ -235,45 +235,6 @@ def test_fd_pool_single_buffer_opens_once(tmp_path):
     b.close()
 
 
-# -- mmap mode ---------------------------------------------------------------
-
-def test_mmap_mode_roundtrip_and_views(tmp_path):
-    b = FileBackend(str(tmp_path / "s"), mmap_mode=True)
-    b.create(1, 64)
-    data = np.arange(16, dtype=np.uint8)
-    b.write(1, 8, data)
-    np.testing.assert_array_equal(b.read(1, 8, 16), data)
-    # Views are live windows into the file mapping.
-    v = b.try_view(1, 8, 16)
-    assert v is not None
-    v[0] = 99
-    assert b.read(1, 8, 1)[0] == 99
-    v2 = b.try_view_2d(1, 0, rows=4, row_bytes=8, stride=16)
-    assert v2 is not None and v2.shape == (4, 8)
-    b.destroy(1)
-    with pytest.raises(AllocationError):
-        b.read(1, 0, 1)
-    b.close()
-
-
-def test_mmap_mode_matches_plain_mode(tmp_path):
-    plain = FileBackend(str(tmp_path / "p"))
-    mapped = FileBackend(str(tmp_path / "m"), mmap_mode=True)
-    rng = np.random.default_rng(7)
-    for backend in (plain, mapped):
-        backend.create(1, 256)
-    for _ in range(20):
-        off = int(rng.integers(0, 255))
-        ln = int(rng.integers(0, 256 - off))
-        payload = rng.integers(0, 256, ln).astype(np.uint8)
-        for backend in (plain, mapped):
-            backend.write(1, off, payload)
-    np.testing.assert_array_equal(plain.read(1, 0, 256),
-                                  mapped.read(1, 0, 256))
-    plain.close()
-    mapped.close()
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_random_writes_match_shadow_model(data):

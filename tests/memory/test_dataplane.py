@@ -2,7 +2,7 @@
 
 Every fast path in ``Device.copy_into`` / ``copy_into_2d`` -- the
 Listing 4 dispatch on (src storage, dst storage) -- must produce bytes
-identical to the retained naive reference in ``repro.memory.reference``.
+identical to the retained naive reference in ``tests/reference/naive_plane``.
 The tests sweep all four backend pairs and the stride regimes that
 select different file I/O strategies (contiguous, dense span, sparse
 span forced onto the per-row descriptor path).
@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core.buffers import ArrayPool
-from repro.memory import reference
 from repro.memory.backends import FileBackend, MemBackend
 from repro.memory.device import Device, DeviceSpec, StorageKind
+from tests.reference import naive_plane as reference
 
 
 def _device(name, backend):
@@ -235,28 +235,3 @@ def test_mem_backend_pooled_alloc_is_zeroed():
     assert b.read(2, 0, 512).sum() == 0
     b.close()
 
-
-# -- end-to-end A/B parity ---------------------------------------------------
-
-def test_system_zero_copy_ab_parity(tmp_path):
-    """The zero-copy plane and the retained naive plane must agree on
-    result bytes and on the virtual makespan, bit for bit."""
-    from repro.apps.gemm import GemmApp
-    from repro.topology.builders import apu_two_level
-
-    def run(zero_copy, tag):
-        from repro.core.system import System
-        tree = apu_two_level(
-            storage_backend=FileBackend(str(tmp_path / tag)))
-        system = System(tree, zero_copy=zero_copy)
-        app = GemmApp(system, m=48, n=48, k=48, seed=11)
-        app.run(system)
-        out = app.result().tobytes()
-        makespan = system.makespan()
-        system.close()
-        return out, makespan
-
-    fast_out, fast_t = run(True, "fast")
-    ref_out, ref_t = run(False, "ref")
-    assert fast_out == ref_out
-    assert fast_t.hex() == ref_t.hex()

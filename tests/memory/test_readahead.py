@@ -50,8 +50,8 @@ def low_floor(monkeypatch):
     monkeypatch.setattr(backends_mod, "READAHEAD_MIN_BYTES", 16)
 
 
-def _filled(tmp_path, name, sizes, **kwargs):
-    b = FileBackend(str(tmp_path / name), **kwargs)
+def _filled(tmp_path, name, sizes):
+    b = FileBackend(str(tmp_path / name))
     rng = np.random.default_rng(7)
     for alloc_id, size in sizes.items():
         b.create(alloc_id, size)
@@ -375,21 +375,18 @@ def test_sort_style_rewrite_of_the_file_being_read(tmp_path, low_floor):
         b.close()
 
 
-def test_filters_keep_small_repeated_mapped_and_bad_windows_out(tmp_path):
+def test_filters_keep_small_repeated_and_bad_windows_out(tmp_path):
     big = 2 * READAHEAD_MIN_BYTES
     b = _filled(tmp_path, "s", {1: 2 * big, 2: big})
-    m = _filled(tmp_path, "m", {1: big}, mmap_mode=True)
     try:
         b.advise([(1, 0, 1, READAHEAD_MIN_BYTES - 1, READAHEAD_MIN_BYTES - 1),
                   (1, 0, 8, 100, 200)])
-        m.advise([(1, 0, 1, big, big)])
         b.advise([(9, 0, 1, big, big),            # no such buffer
                   (1, big + 1, 1, big, big),      # past the end
                   (1, -1, 1, big, big)])
         assert not _io_threads()                  # nothing worth a thread
         assert b.readahead.counts == dict(advised=5, served=0, late=0,
                                           stale=0, skipped=5, failed=0)
-        assert m.readahead.counts["skipped"] == 1
         # GEMM's pattern: the same A strip hinted before every B tile.
         strip, tile = (1, 0, 1, big, big), (2, 0, 1, big, big)
         b.advise([strip, tile, strip, tile, strip, (1, big, 1, big, big)])
@@ -398,7 +395,6 @@ def test_filters_keep_small_repeated_mapped_and_bad_windows_out(tmp_path):
         assert _io_threads() == ["repro-io-read-file"]
     finally:
         b.close()
-        m.close()
 
 
 def test_mem_backend_ignores_advice():

@@ -171,7 +171,7 @@ def test_cli_unreadable_file_exits_two(tmp_path, capsys):
 
 def test_cli_against_committed_baselines(capsys):
     """The committed bench artifacts gate cleanly against themselves."""
-    for name in ("BENCH_wallclock.json", "BENCH_dataplane.json"):
+    for name in ("BENCH_pipeline.json", "BENCH_distributed.json"):
         assert main([name, name]) == 0
 
 

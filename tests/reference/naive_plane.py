@@ -1,17 +1,14 @@
-"""Retained pre-optimisation byte-movement paths (honest baselines).
+"""The pre-optimisation byte-movement paths, retained as an oracle.
 
 The zero-copy data plane (views, pooled descriptors, vectored strided
 I/O) replaced a copy-per-endpoint implementation: every transfer
 materialised a read copy and a write copy, and every
 :class:`~repro.memory.backends.FileBackend` operation opened the file,
 seeked, and staged writes through ``.tobytes()``.  That path is kept
-here verbatim -- the same way :mod:`repro.sim.reference` retains the
-naive scheduler slot -- so ``benchmarks/bench_dataplane.py`` can measure
-the speedup against the real before-state and the equivalence tests can
-assert the two planes move identical bytes.
-
-``System(tree, zero_copy=False)`` routes every physical transfer through
-these functions.
+here verbatim (moved from ``repro.memory.reference``) so
+``tests/memory/test_dataplane.py`` can assert that
+``Device.copy_into`` / ``copy_into_2d`` move identical bytes on every
+backend pair and stride regime.
 """
 
 from __future__ import annotations

@@ -3,15 +3,11 @@
 :class:`NaiveSlot` is the original linear-scan slot implementation the
 indexed :class:`repro.sim.timeline._Slot` replaced: a sorted list of
 ``(start, end)`` tuples, an O(n) gap scan per charge and an O(n) insert.
-It is kept -- verbatim -- for two jobs:
-
-* the tier-1 equivalence suite (``tests/sim/test_scheduler_equivalence``)
-  replays randomized charge/charge_path workloads through both
-  implementations and asserts bit-identical placements, makespans and
-  phase breakdowns;
-* ``benchmarks/bench_wallclock_scaling.py`` measures it as the honest
-  pre-change baseline the indexed scheduler's wall-clock speedup is
-  reported against in ``BENCH_wallclock.json``.
+It is kept -- verbatim, moved here from ``repro.sim.reference`` -- for
+the tier-1 equivalence suite (``tests/sim/test_scheduler_equivalence``),
+which replays randomized charge/charge_path workloads through both
+implementations and asserts bit-identical placements, makespans and
+phase breakdowns.
 
 Use :func:`naive_timeline` to build a timeline whose resources all use
 this slot.

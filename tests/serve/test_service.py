@@ -1,6 +1,9 @@
 """JobService end-to-end: interleaved jobs finish with solo-identical
 results, per-job observability, and clean failure handling."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -188,3 +191,48 @@ def test_quota_capped_tenant_fails_not_crashes():
         assert by_tenant["gamma"].state is JobState.DONE
     finally:
         release_all(sys_, jobs)
+
+
+def test_status_is_safe_while_the_shm_pool_cycles_segments():
+    """``status()`` runs on the HTTP thread while the loop thread's
+    executor takes and gives pool segments.  It must never walk a
+    container that thread is changing: a fixed number of calls, each
+    racing the pool's free lists gaining a size, all succeed."""
+    from repro.exec import SharedMemExecutor, shm_residue
+
+    calls = 2000
+    ex = SharedMemExecutor(workers=1)
+    sys_ = System(configs.scaled_apu_tree("ssd"), executor=ex)
+    service = JobService(sys_, ServeConfig())
+    errors: list[BaseException] = []
+
+    def poll():
+        try:
+            for _ in range(calls):
+                pool = service.status()["shm_pool"]
+                assert set(pool) == {"segments", "reused", "free"}
+        except BaseException as exc:       # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)            # hand over mid-call, often
+    poller = threading.Thread(target=poll)
+    try:
+        poller.start()
+        size = 0
+        while poller.is_alive():
+            # Every round frees a segment of a size the pool has not
+            # seen (a new free-list key) and reuses an older one.
+            size += 1
+            fresh = ex._pool.take(size, force=True)
+            again = ex._pool.take(1 + size // 2, force=True)
+            ex._pool.give(fresh)
+            ex._pool.give(again)
+        poller.join()
+    finally:
+        sys.setswitchinterval(interval)
+        sys_.close()
+        ex.close()
+    assert not errors, repr(errors[0])
+    assert size > 1
+    assert shm_residue() == []

@@ -2,7 +2,7 @@
 
 Randomized charge/charge_path workloads are replayed through the indexed
 :class:`repro.sim.timeline._Slot` and the retained naive reference
-(:class:`repro.sim.reference.NaiveSlot`); every placement, the makespan
+(:class:`tests.reference.naive_slot.NaiveSlot`); every placement, the makespan
 and the per-phase/per-resource breakdowns must be *bit-identical* -- the
 indexed scheduler is a pure wall-clock optimisation.
 
@@ -18,9 +18,9 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.reference import NaiveSlot, naive_timeline
 from repro.sim.timeline import Timeline
 from repro.sim.trace import Phase
+from tests.reference.naive_slot import NaiveSlot, naive_timeline
 
 RESOURCES = ("host", "ssd.read", "pcie.down", "gpu", "nvme.q")
 MULTI_SLOT = {"nvme.q": 3}
