@@ -24,11 +24,11 @@ import numpy as np
 
 from repro.cache.spec import FetchSpec
 from repro.compute.kernels.spmv import (CSRMatrix, bin_rows, binning_cost,
-                                        spmv_block, spmv_cost)
+                                        spmv, spmv_block, spmv_cost)
 from repro.compute.processor import ProcessorKind
 from repro.core.buffers import BufferHandle
 from repro.core.context import ExecutionContext, root_context
-from repro.core.decomposition import Range1D, split_rows_by_nnz
+from repro.core.decomposition import Range1D, split_even, split_rows_by_nnz
 from repro.core.program import NorthupProgram
 from repro.core.system import System
 from repro.errors import CapacityError, ConfigError
@@ -177,7 +177,6 @@ class SpmvApp(NorthupProgram):
             # Skewed inputs then produce wildly uneven shards, and a
             # shard can overflow the next level -- the failure mode the
             # nnz-aware split exists to avoid.
-            from repro.core.decomposition import split_even
             return split_even(lv.nrows, len(shards))
         return shards
 
@@ -319,7 +318,6 @@ class SpmvApp(NorthupProgram):
 
     def reference(self) -> np.ndarray:
         """The NumPy/host reference the tests compare against."""
-        from repro.compute.kernels.spmv import spmv
         return spmv(self.csr, self.x_np)
 
     def release_root_buffers(self) -> None:

@@ -110,19 +110,6 @@ def _scaled_processor(proc: Processor, *, scale_flops: bool,
     return proc
 
 
-def _add_scaled(tree: TopologyTree, name: str, *, parent=None,
-                capacity: int | None = None, instance: str = "",
-                processors=None) -> object:
-    spec = _scaled_spec(device_spec(name), capacity=capacity)
-    parent_spec = parent.device.spec if parent is not None else None
-    link = None
-    if parent_spec is not None:
-        link = _scaled_link(default_link_for(parent_spec, spec))
-    return tree.add_node(Device(spec=spec, instance=instance),
-                         parent=parent, processors=processors or [],
-                         link=link)
-
-
 def scaled_apu_tree(storage: str = "ssd", *,
                     flop_bound_app: bool = False,
                     staging_bytes: int | None = None,

@@ -119,18 +119,27 @@ class CSRMatrix:
         return out
 
 
-def spmv(csr: CSRMatrix, x: np.ndarray) -> np.ndarray:
-    """Plain CSR ``y = A @ x`` (the correctness reference).
+def _spmv_rows(row_ptr: np.ndarray, col_id: np.ndarray, data: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for the rows a ``row_ptr`` window spans (it need not
+    start at 0; ``col_id``/``data`` are the whole matrix's).
 
     Uses the prefix-sum formulation, which unlike ``np.add.reduceat``
     handles empty rows exactly.
     """
+    lo, hi = row_ptr[0], row_ptr[-1]
+    products = data[lo:hi] * x[col_id[lo:hi]]
+    prefix = np.concatenate([[0.0], np.cumsum(products, dtype=np.float64)])
+    ptr = row_ptr - lo
+    y = prefix[ptr[1:]] - prefix[ptr[:-1]]
+    return y.astype(np.result_type(data, x), copy=False)
+
+
+def spmv(csr: CSRMatrix, x: np.ndarray) -> np.ndarray:
+    """Plain CSR ``y = A @ x`` (the correctness reference)."""
     if x.shape != (csr.ncols,):
         raise KernelError(f"x must have shape ({csr.ncols},), got {x.shape}")
-    products = csr.data * x[csr.col_id]
-    prefix = np.concatenate([[0.0], np.cumsum(products, dtype=np.float64)])
-    y = prefix[csr.row_ptr[1:]] - prefix[csr.row_ptr[:-1]]
-    return y.astype(np.result_type(csr.data, x), copy=False)
+    return _spmv_rows(csr.row_ptr, csr.col_id, csr.data, x)
 
 
 class BinKind(enum.Enum):
@@ -160,31 +169,27 @@ def bin_rows(row_ptr: np.ndarray, block_nnz: int = DEFAULT_BLOCK_NNZ) -> list[Ro
     budget becomes its own CSR-Vector block.
 
     Every row lands in exactly one block, in order -- a property test
-    pins this down.
+    pins this down.  One binary search of ``row_ptr`` per block; the
+    per-row loop is the oracle in ``tests/reference/naive_rows.py``.
     """
     if block_nnz < 1:
         raise KernelError(f"block_nnz must be >= 1, got {block_nnz}")
-    row_ptr = np.asarray(row_ptr)
+    row_ptr = np.asarray(row_ptr, dtype=np.int64)
+    if np.any(np.diff(row_ptr) < 0):
+        raise KernelError("row_ptr must be non-decreasing")
     nrows = row_ptr.size - 1
     blocks: list[RowBlock] = []
     start = 0
     while start < nrows:
-        first_nnz = int(row_ptr[start + 1] - row_ptr[start])
-        if first_nnz > block_nnz:
-            blocks.append(RowBlock(start=start, end=start + 1,
-                                   kind=BinKind.VECTOR, nnz=first_nnz))
-            start += 1
-            continue
-        end = start + 1
-        acc = first_nnz
-        while end < nrows:
-            nxt = int(row_ptr[end + 1] - row_ptr[end])
-            if nxt > block_nnz or acc + nxt > block_nnz:
-                break
-            acc += nxt
-            end += 1
-        blocks.append(RowBlock(start=start, end=end, kind=BinKind.STREAM,
-                               nnz=acc))
+        base = int(row_ptr[start])
+        # The last row that ends within budget: `start` itself when its
+        # first row alone is over.
+        within = min(base + block_nnz, int(row_ptr[-1]))
+        end = int(row_ptr.searchsorted(within, "right")) - 1
+        kind = BinKind.STREAM if end > start else BinKind.VECTOR
+        end = max(end, start + 1)
+        blocks.append(RowBlock(start=start, end=end, kind=kind,
+                               nnz=int(row_ptr[end]) - base))
         start = end
     return blocks
 
@@ -197,15 +202,18 @@ def spmv_adaptive(csr: CSRMatrix, x: np.ndarray,
         raise KernelError(f"x must have shape ({csr.ncols},), got {x.shape}")
     if blocks is None:
         blocks = bin_rows(csr.row_ptr)
-    y = np.zeros(csr.nrows, dtype=np.result_type(csr.data, x))
+    row_ptr, col_id, data = csr.row_ptr, csr.col_id, csr.data
+    y = np.zeros(csr.nrows, dtype=np.result_type(data, x))
     for blk in blocks:
         if blk.kind is BinKind.VECTOR:
-            lo, hi = csr.row_ptr[blk.start], csr.row_ptr[blk.start + 1]
+            lo, hi = row_ptr[blk.start], row_ptr[blk.start + 1]
             # A workgroup strides the row; a tree reduction combines.
-            y[blk.start] = float(csr.data[lo:hi] @ x[csr.col_id[lo:hi]])
+            y[blk.start] = float(data[lo:hi] @ x[col_id[lo:hi]])
         else:
-            sub = csr.slice_rows(blk.start, blk.end)
-            y[blk.start:blk.end] = spmv(sub, x)
+            # Staged through local memory: a window of `csr`'s rows,
+            # which were validated with the matrix.
+            y[blk.start:blk.end] = _spmv_rows(
+                row_ptr[blk.start:blk.end + 1], col_id, data, x)
     return y
 
 

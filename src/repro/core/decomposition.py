@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from repro.errors import ConfigError
 
 
@@ -214,21 +216,23 @@ def split_rows_by_nnz(row_ptr, budget_nnz: int) -> list[Range1D]:
     be further broken into smaller shards."  A single row with more than
     ``budget_nnz`` non-zeros becomes its own shard (it cannot be split
     in the row dimension).
+
+    One binary search of ``row_ptr`` per shard; the per-row loop is the
+    oracle in ``tests/reference/naive_rows.py``.
     """
     if budget_nnz < 1:
         raise ConfigError(f"budget_nnz must be >= 1, got {budget_nnz}")
+    row_ptr = np.asarray(row_ptr, dtype=np.int64)
+    if np.any(np.diff(row_ptr) < 0):
+        raise ConfigError("row_ptr must be non-decreasing")
     nrows = len(row_ptr) - 1
     out: list[Range1D] = []
     start = 0
     while start < nrows:
-        end = start + 1
-        nnz = int(row_ptr[end] - row_ptr[start])
-        while end < nrows:
-            nxt = int(row_ptr[end + 1] - row_ptr[end])
-            if nnz + nxt > budget_nnz:
-                break
-            nnz += nxt
-            end += 1
+        # The last row that ends within budget (trailing empty rows
+        # ride along); an over-budget first row goes alone.
+        within = min(int(row_ptr[start]) + budget_nnz, int(row_ptr[-1]))
+        end = max(start + 1, int(row_ptr.searchsorted(within, "right")) - 1)
         out.append(Range1D(index=len(out), start=start, stop=end))
         start = end
     return out

@@ -109,25 +109,6 @@ class QueueSet:
         for i, task in enumerate(tasks):
             self.queues[i % len(self.queues)].push(task)
 
-    def push_ready_from_graph(self, graph, *, kind: str | None = None) -> int:
-        """Distribute a :class:`~repro.plan.graph.TaskGraph`'s ready
-        nodes round-robin across the queues; returns how many were
-        pushed.
-
-        ``kind`` restricts to one node kind (typically ``"compute"`` --
-        queue workers execute kernels, not transfers).  Nodes already
-        pushed once are skipped (tracked via ``node.meta["queued"]``),
-        so the helper can be called again after :meth:`TaskGraph
-        .mark_done` unlocks successors.
-        """
-        fresh = [n for n in graph.ready()
-                 if (kind is None or n.kind == kind)
-                 and not n.meta.get("queued")]
-        for i, node in enumerate(fresh):
-            node.meta["queued"] = True
-            self.queues[i % len(self.queues)].push(node)
-        return len(fresh)
-
     def total_pending(self) -> int:
         return sum(len(q) for q in self.queues)
 

@@ -79,6 +79,9 @@ class LevelPlan:
         self.divide_span = divide_span
         self.queue = queue
         self.records = records
+        #: Chunks whose setup produced buffers and whose combine has not
+        #: run: the only ones a later chunk can have a hazard with.
+        self.holding: list[_ChunkRecord] = []
 
     def execute(self, node: TaskNode) -> None:
         """Dispatch one node: dependency check, thunk, bookkeeping."""
@@ -182,7 +185,7 @@ def lower_level(program, ctx, *, window=1) -> LevelPlan:
             if index >= window:
                 graph.add_edge(records[index - window].nodes[COMBINE],
                                setup, WINDOW)
-            _install_thunks(plan, rec, index)
+            _install_thunks(plan, rec)
 
         # The program's hints are collected once per level, whatever the
         # cache mode.  They feed the physical read-ahead (wall-clock
@@ -209,7 +212,7 @@ def lower_level(program, ctx, *, window=1) -> LevelPlan:
         raise
 
 
-def _install_thunks(plan: LevelPlan, rec: _ChunkRecord, index: int) -> None:
+def _install_thunks(plan: LevelPlan, rec: _ChunkRecord) -> None:
     """Install the five executable bodies for one chunk.
 
     Each thunk is the corresponding slice of the old eager loop --
@@ -240,11 +243,16 @@ def _install_thunks(plan: LevelPlan, rec: _ChunkRecord, index: int) -> None:
         # earlier chunk to finish with those bytes (its combine).
         rec.handles = collect_handles(payload)
         if rec.handles:
-            for earlier in plan.records[:index]:
-                if earlier.handles and not earlier.nodes[COMBINE].executed \
-                        and overlapping_handles(earlier.handles, rec.handles):
+            # Setups run in chunk order (queue edges), so `holding` is
+            # the earlier chunks, in order, minus those that combined.
+            holding = [earlier for earlier in plan.holding
+                       if not earlier.nodes[COMBINE].executed]
+            for earlier in holding:
+                if overlapping_handles(earlier.handles, rec.handles):
                     graph.add_edge(earlier.nodes[COMBINE], nodes[MOVE_DOWN],
                                    BUFFER)
+            holding.append(rec)
+            plan.holding = holding
 
     def move_down_thunk() -> None:
         span = obs.open("move_down", node_id=child.node_id)

@@ -25,18 +25,23 @@ Indexed scheduling
 ------------------
 The original slot kept a sorted interval list and ran a linear gap scan
 per charge -- quadratic as bookings accumulate, which put the framework
-itself on the critical path of large runs.  :class:`_Slot` now keeps
-parallel ``starts``/``ends`` arrays plus two accelerators that preserve
+itself on the critical path of large runs.  :class:`_Slot` keeps
+parallel ``starts``/``ends`` arrays plus three accelerators that preserve
 **bit-identical placements** with respect to that linear scan:
 
 * an O(1) append fast path for the dominant ``ready >= free_at`` case;
 * a bisect that skips every booking ending at or before ``ready``
   (placements provably unchanged -- such bookings can neither move the
   scan's candidate nor change its early-return value);
-* a *packed-prefix gap cursor*: the index below which consecutive
-  bookings touch exactly (``starts[j] <= ends[j-1]``).  A gapless
-  prefix cannot host any operation longer than the scheduling epsilon,
-  so the scan may jump straight past it.
+* a *remembered tight run*: what the last scan to get through proved,
+  "no gap between bookings ``lo..hi`` admits a request of ``d`` or
+  longer".  A later request at least that long steps over the run: the
+  scan's comparison is monotone in the duration, so the step cannot
+  change a placement, and an insert only replaces a gap by two shorter
+  ones, so the run survives backfill (it shifts or grows by one).  A
+  scan that walks on past the run extends it, so a dense host lane and
+  a saturated channel whose gaps are all too short both cost O(1) per
+  charge (DESIGN.md, "Indexed scheduling", has the argument in full).
 
 The naive reference implementation is retained verbatim in
 ``tests/reference/naive_slot.py``; the tier-1 equivalence suite replays
@@ -66,18 +71,19 @@ _EPS = 1e-12
 
 class _Slot:
     """One serially-occupied lane: sorted ``starts``/``ends`` arrays with
-    an append fast path and a packed-prefix gap cursor."""
+    an append fast path and a remembered run of tight gaps."""
 
-    __slots__ = ("starts", "ends", "_packed")
+    __slots__ = ("starts", "ends", "_tight")
 
     def __init__(self) -> None:
         self.starts: list[float] = []
         self.ends: list[float] = []
-        #: Bookings ``[0, _packed)`` are gapless: ``starts[j] <=
-        #: ends[j-1]`` for every ``1 <= j < _packed``.  Nothing longer
-        #: than ``_EPS`` fits between them, so gap searches skip the
-        #: whole prefix.
-        self._packed = 0
+        #: ``(d, lo, hi, end)``: what a gap search proved and inserts
+        #: cannot undo.  A search for ``d`` or longer that reaches
+        #: booking ``lo`` is refused by every gap up to booking ``hi``
+        #: and steps over them to ``end``, their latest end.  Starts
+        #: as the empty run.
+        self._tight = (float("inf"), 0, 0, 0.0)
 
     def earliest_gap(self, ready: float, duration: float) -> float:
         """Earliest start >= ready with ``duration`` of idle time.
@@ -95,23 +101,50 @@ class _Slot:
         # early return they could take yields `ready`, which the first
         # surviving booking's check reproduces (starts are sorted).
         i = bisect_right(ends, ready)
-        candidate = ready
-        packed = self._packed
-        if duration > _EPS and packed > i:
-            # Inside a gapless prefix only the gap *before* the first
-            # booking can fit anything longer than the epsilon.
-            if i == 0 and candidate + duration <= starts[0] + _EPS:
+        if ready + duration <= starts[i] + _EPS:
+            return ready
+        # From here the candidate is the end of the booking before the
+        # gap under test: a refusal says something about the gap alone.
+        candidate = ends[i] if ends[i] > ready else ready
+        d, lo, hi, run_end = kept = self._tight
+        covered = hi - lo
+        if duration < d or i > hi:
+            # The remembered run is no help (it may admit something this
+            # short, or lies behind us): scan from the empty run at `i`.
+            d, lo, hi, run_end = duration, i, i, candidate
+        tight = True    # every gap walked below refuses `d` as well
+        for j in range(i + 1, lo + 1):
+            limit = starts[j] + _EPS
+            if candidate + duration <= limit:
                 return candidate
-            i = packed
-            prev_end = ends[packed - 1]
-            if prev_end > candidate:
-                candidate = prev_end
-        for j in range(i, n):
-            if candidate + duration <= starts[j] + _EPS:
-                return candidate
+            if candidate + d <= limit:
+                tight = False
             e = ends[j]
             if e > candidate:
                 candidate = e
+        if run_end > candidate:
+            candidate = run_end
+        last = n - 1
+        for j in range(hi + 1, n):
+            limit = starts[j] + _EPS
+            if candidate + duration <= limit:
+                last = j - 1
+                break
+            if candidate + d <= limit:
+                tight = False
+            e = ends[j]
+            if e > candidate:
+                candidate = e
+        # Gaps (lo, last] all refused `duration`, and `d` too if still
+        # tight.  The longer run is kept (this one on a tie); a shorter
+        # one takes its length off the run it could not use, so a run
+        # nothing starts in any more fades instead of staying for good.
+        lo = min(i, lo)
+        if last - lo >= covered:
+            self._tight = (d if tight else duration, lo, last, candidate)
+        else:
+            d, kept_lo, hi, run_end = kept
+            self._tight = (d, kept_lo + last - lo, hi, run_end)
         return candidate
 
     def occupy(self, start: float, duration: float) -> None:
@@ -128,20 +161,16 @@ class _Slot:
         if lo == n:
             starts.append(start)
             ends.append(end)
-            if self._packed == n and (n == 0 or start <= ends[n - 1]):
-                self._packed = n + 1
         else:
             starts.insert(lo, start)
             ends.insert(lo, end)
-            # A backfill insert may break or (by filling a gap) extend
-            # the packed prefix: truncate to the insert point, then
-            # re-extend while consecutive bookings touch.
-            packed = min(self._packed, lo)
-            total = n + 1
-            while packed < total and (packed == 0
-                                      or starts[packed] <= ends[packed - 1]):
-                packed += 1
-            self._packed = packed
+            # A backfill insert only splits a gap in two shorter ones,
+            # so the tight run survives: it shifts, or grows by one.
+            d, run_lo, run_hi, run_end = self._tight
+            if lo <= run_lo:
+                self._tight = (d, run_lo + 1, run_hi + 1, run_end)
+            elif lo <= run_hi:
+                self._tight = (d, run_lo, run_hi + 1, max(run_end, end))
 
     @property
     def booked(self) -> int:
@@ -190,17 +219,13 @@ class Resource:
         if duration < 0:
             raise SimulationError(f"negative duration {duration} on {self.name!r}")
         slots = self._slots
-        if len(slots) == 1:
-            best_slot = slots[0]
-            start = best_slot.earliest_gap(ready, duration)
-        else:
-            # First slot with the minimal start wins (matches min()'s
-            # first-minimum tie-break on the naive path).
-            best_slot, start = slots[0], slots[0].earliest_gap(ready, duration)
-            for s in slots[1:]:
-                cand = s.earliest_gap(ready, duration)
-                if cand < start:
-                    best_slot, start = s, cand
+        # First slot with the minimal start wins (matches min()'s
+        # first-minimum tie-break on the naive path).
+        best_slot, start = slots[0], slots[0].earliest_gap(ready, duration)
+        for s in slots[1:]:
+            cand = s.earliest_gap(ready, duration)
+            if cand < start:
+                best_slot, start = s, cand
         best_slot.occupy(start, duration)
         return start
 
@@ -383,6 +408,22 @@ class Timeline:
                     f"{passes} passes (bound {max_passes}) for "
                     f"duration={duration} ready={ready}, stuck at t={start}")
 
+    def _book_path(self, resolved: list[Resource], joined: str,
+                   duration: float, ready: float, phase: Phase, label: str,
+                   nbytes: int) -> Completion:
+        """Negotiate, book and record one multi-resource operation."""
+        if duration < 0:
+            raise SimulationError(
+                f"negative duration {duration} on path [{joined}]")
+        if self.floor > ready:
+            ready = self.floor
+        start = self._negotiate(resolved, duration, ready)
+        for res in resolved:
+            res.occupy_at(start, duration)
+        end = start + duration
+        self.trace.record_raw(start, end, phase, joined, label, nbytes)
+        return Completion(start=start, end=end)
+
     def charge_path(self, resources: Sequence[str | Resource], duration: float,
                     phase: Phase, *, ready: float = 0.0, label: str = "",
                     nbytes: int = 0) -> Completion:
@@ -394,20 +435,8 @@ class Timeline:
         for the full duration.
         """
         resolved = self._resolve_path(resources)
-        if duration < 0:
-            raise SimulationError(
-                f"negative duration {duration} on path "
-                f"[{', '.join(r.name for r in resolved)}]")
-        if self.floor > ready:
-            ready = self.floor
-        start = self._negotiate(resolved, duration, ready)
-        for res in resolved:
-            res.occupy_at(start, duration)
-        end = start + duration
-        self.trace.record_raw(start, end, phase,
-                              "+".join(r.name for r in resolved),
-                              label, nbytes)
-        return Completion(start=start, end=end)
+        return self._book_path(resolved, "+".join(r.name for r in resolved),
+                               duration, ready, phase, label, nbytes)
 
     def charge_path_batch(self, resources: Sequence[str | Resource],
                           ops: Iterable[BatchOp], phase: Phase, *,
@@ -427,26 +456,10 @@ class Timeline:
         """
         resolved = self._resolve_path(resources)
         joined = "+".join(r.name for r in resolved)
-        record = self.trace.record_raw
-        floor = self.floor
-        out = []
-        for op in ops:
-            k = len(op)
-            duration, ready = op[0], op[1]
-            if floor > ready:
-                ready = floor
-            if duration < 0:
-                raise SimulationError(
-                    f"negative duration {duration} on path [{joined}]")
-            op_label = op[2] if k > 2 else label
-            op_nbytes = op[3] if k > 3 else nbytes
-            start = self._negotiate(resolved, duration, ready)
-            for res in resolved:
-                res.occupy_at(start, duration)
-            end = start + duration
-            record(start, end, phase, joined, op_label, op_nbytes)
-            out.append(Completion(start=start, end=end))
-        return out
+        return [self._book_path(resolved, joined, op[0], op[1], phase,
+                                op[2] if len(op) > 2 else label,
+                                op[3] if len(op) > 3 else nbytes)
+                for op in ops]
 
     def makespan(self) -> float:
         return self.trace.makespan()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import ConfigError
 
@@ -158,7 +158,3 @@ class Artifact:
             except (OSError, ValueError, KeyError):
                 continue
         return out
-
-    def iter_cells(self) -> Iterator[dict[str, Any]]:
-        for _idx, doc in sorted(self.completed_cells().items()):
-            yield doc

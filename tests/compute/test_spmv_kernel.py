@@ -10,6 +10,7 @@ from repro.compute.kernels.spmv import (BinKind, CSRMatrix, bin_rows,
                                         binning_cost, spmv, spmv_adaptive,
                                         spmv_cost)
 from repro.errors import KernelError
+from tests.reference import naive_rows
 
 
 def random_csr(rows, cols, density, seed):
@@ -124,6 +125,51 @@ def test_bin_rows_partition_property(row_nnzs, block_nnz):
             assert b.nrows == 1 and b.nnz > block_nnz
         assert b.nnz == row_ptr[b.end] - row_ptr[b.start]
     assert covered == list(range(len(row_nnzs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(naive_rows.ROW_NNZS, naive_rows.BUDGETS, naive_rows.INPUT_KINDS)
+def test_bin_rows_matches_the_per_row_loop(row_nnzs, block_nnz, kind):
+    """Empty rows, rows above budget, budget 1, no rows, every input
+    type: the very same blocks as the retained per-row scan."""
+    arg = naive_rows.row_ptr_as(row_nnzs, kind)
+    assert bin_rows(arg, block_nnz) == naive_rows.naive_bin_rows(arg,
+                                                                 block_nnz)
+
+
+def test_bin_rows_edge_shapes():
+    naive_bin_rows = naive_rows.naive_bin_rows
+    assert bin_rows(np.array([0]), 4) == []                   # no rows
+    for row_ptr in ([0, 0, 0, 0],                             # all empty
+                    [0, 9, 9, 9, 10],       # over budget, then empty rows
+                    [0, 0, 9, 9],           # empty row before a long one
+                    [0, 0, 3, 3, 6, 6]):    # trailing empties absorbed
+        for block_nnz in (1, 3, 6, 100):
+            assert bin_rows(row_ptr, block_nnz) == \
+                naive_bin_rows(row_ptr, block_nnz)
+
+
+def test_bin_rows_rejects_decreasing_row_ptr():
+    with pytest.raises(KernelError, match="non-decreasing"):
+        bin_rows(np.array([0, 5, 3, 8]), block_nnz=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(1, 60), cols=st.integers(1, 40),
+       density=st.floats(0.0, 0.4), block=st.integers(1, 32),
+       seed=st.integers(0, 999))
+def test_adaptive_stream_blocks_equal_their_sliced_spmv(rows, cols, density,
+                                                        block, seed):
+    """A STREAM block is computed on a window of the validated matrix;
+    the bytes are those of ``spmv`` on the re-validated row slice."""
+    csr, _ = random_csr(rows, cols, density, seed)
+    x = np.random.default_rng(seed + 1).standard_normal(cols).astype(np.float32)
+    blocks = bin_rows(csr.row_ptr, block_nnz=block)
+    y = spmv_adaptive(csr, x, blocks)
+    for b in blocks:
+        if b.kind is BinKind.STREAM:
+            assert np.array_equal(y[b.start:b.end],
+                                  spmv(csr.slice_rows(b.start, b.end), x))
 
 
 @settings(max_examples=30, deadline=None)

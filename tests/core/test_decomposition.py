@@ -9,6 +9,7 @@ from repro.core.decomposition import (Grid2D, ceil_div, fit_row_chunks,
                                       fit_square_tiles, split_by_chunk,
                                       split_even, split_rows_by_nnz)
 from repro.errors import ConfigError
+from tests.reference import naive_rows
 
 
 def test_ceil_div():
@@ -148,3 +149,28 @@ def test_split_rows_by_nnz_balances_skew():
     assert (2, 3) in sizes  # the 1000-nnz row isolated
     with pytest.raises(ConfigError):
         split_rows_by_nnz(row_ptr, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(naive_rows.ROW_NNZS, naive_rows.BUDGETS, naive_rows.INPUT_KINDS)
+def test_split_rows_by_nnz_matches_the_per_row_loop(row_nnzs, budget, kind):
+    arg = naive_rows.row_ptr_as(row_nnzs, kind)
+    assert split_rows_by_nnz(arg, budget) == \
+        naive_rows.naive_split_rows_by_nnz(arg, budget)
+
+
+def test_split_rows_by_nnz_edge_shapes():
+    naive_split_rows_by_nnz = naive_rows.naive_split_rows_by_nnz
+    assert split_rows_by_nnz([0], 5) == []                    # no rows
+    assert split_rows_by_nnz([], 5) == []
+    for row_ptr in ([0, 0, 0, 0],                             # all empty
+                    [0, 9, 9, 9, 10],       # over budget, then empty rows
+                    [0, 0, 3, 3, 6, 6]):    # trailing empties absorbed
+        for budget in (1, 3, 6, 100):
+            assert split_rows_by_nnz(row_ptr, budget) == \
+                naive_split_rows_by_nnz(row_ptr, budget)
+
+
+def test_split_rows_by_nnz_rejects_decreasing_row_ptr():
+    with pytest.raises(ConfigError, match="non-decreasing"):
+        split_rows_by_nnz([0, 5, 3, 8], 4)

@@ -115,3 +115,62 @@ def test_gemm_pins_a_serial_window():
         assert all(p.graph.meta["window"] == 1 for p in sched.plans)
     finally:
         system.close()
+
+
+def test_buffer_edges_come_only_from_chunks_still_holding_buffers():
+    """A chunk's move_down waits for exactly the earlier chunks whose
+    windows it overlaps *and* whose combine has not run yet -- the set
+    the setup thunk tracks instead of re-walking every earlier chunk."""
+    from repro.core.context import root_context
+    from repro.core.program import NorthupProgram
+    from repro.plan.graph import BUFFER
+    from repro.plan.lower import lower_level
+
+    class Pooled(NorthupProgram):
+        """Five chunks rotating over two preallocated leaf buffers."""
+
+        def __init__(self, system):
+            leaf = system.tree.root.children[0]
+            self.pool = [system.alloc(64, leaf, label=f"pool{i}")
+                         for i in range(2)]
+
+        def decompose(self, ctx):
+            return list(range(5))
+
+        def setup_buffers(self, ctx, child, chunk):
+            return {"buf": self.pool[chunk % 2]}
+
+        def data_down(self, ctx, child_ctx, chunk):
+            pass
+
+        def compute_task(self, ctx):
+            pass
+
+        def data_up(self, ctx, child_ctx, chunk):
+            pass
+
+        def teardown_buffers(self, ctx, child_ctx, chunk):
+            pass
+
+    system = System(apu_two_level())
+    try:
+        plan = lower_level(Pooled(system), root_context(system), window=5)
+
+        def run(chunk, *kinds):
+            for kind in kinds:
+                plan.execute(plan.records[chunk].nodes[kind])
+
+        run(0, SETUP)
+        run(1, SETUP)
+        run(2, SETUP)                   # shares pool[0] with chunk 0
+        run(0, MOVE_DOWN, COMPUTE, MOVE_UP, COMBINE)
+        run(3, SETUP)                   # shares pool[1] with chunk 1
+        run(4, SETUP)                   # pool[0]: chunk 0 is done, 2 is not
+        edges = [(s.kind, s.chunk_index, d.kind, d.chunk_index)
+                 for s, d, k in plan.graph.edges() if k == BUFFER]
+        assert edges == [(COMBINE, 0, MOVE_DOWN, 2),
+                         (COMBINE, 1, MOVE_DOWN, 3),
+                         (COMBINE, 2, MOVE_DOWN, 4)]
+        plan.close()
+    finally:
+        system.close()

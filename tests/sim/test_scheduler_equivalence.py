@@ -8,17 +8,19 @@ indexed scheduler is a pure wall-clock optimisation.
 
 Workloads deliberately mix the regimes the index special-cases:
 monotone ready times (append fast path), zero ready on a dense schedule
-(packed-prefix cursor), zero/epsilon durations (cursor skip is gated on
-``duration > eps``), backfill into old gaps (bisect skip), multi-slot
-resources (tie-breaks) and multi-resource path negotiation.
+and on a saturated channel whose gaps are all too short (the remembered
+tight run), zero/epsilon durations, backfill into old gaps (bisect skip,
+and inserts that land inside the tight run), multi-slot resources
+(tie-breaks) and multi-resource path negotiation.
 """
 
 import random
+import time
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.timeline import Timeline
+from repro.sim.timeline import Timeline, _Slot
 from repro.sim.trace import Phase
 from tests.reference.naive_slot import NaiveSlot, naive_timeline
 
@@ -125,3 +127,76 @@ def test_reference_slot_is_selectable_per_timeline():
     assert isinstance(tl.resource("x")._slots[0], NaiveSlot)
     # A default timeline stays on the indexed implementation.
     assert not isinstance(Timeline().resource("x")._slots[0], NaiveSlot)
+
+
+# -- the spmv_fine shape: a saturated channel ------------------------------
+
+GAP, XFER = 63e-6, 91e-6        # every gap is shorter than every transfer
+
+
+def _saturated_channel_ops(rng: random.Random, bookings: int) -> list[tuple]:
+    """``(ready, duration)`` requests in the order `spmv_fine` issues
+    them on ``ssd.root.ch``: a transfer that appends ``GAP`` after the
+    tail, then searches whose ``ready`` lies before the first booking
+    (no gap is long enough, they land at the tail), and now and then a
+    short backfill that splits one of the gaps, a request longer than a
+    gap but shorter than any transfer, or one that starts mid-channel."""
+    ops = []
+    tail = NaiveSlot()              # only to know where the channel ends
+
+    def issue(ready, duration):
+        ops.append((ready, duration))
+        tail.occupy(tail.earliest_gap(ready, duration), duration)
+
+    issue(2 * XFER, XFER)           # room before the first booking
+    for _ in range(bookings):
+        issue(tail.free_at + GAP, XFER + rng.choice((0.0, 3e-6, 15e-6)))
+        for _ in range(rng.randint(1, 2)):
+            issue(rng.choice((0.0, XFER / 2)),
+                  XFER + rng.choice((0.0, 15e-6, 40e-6)))
+        roll = rng.random()
+        if roll < 0.15:
+            issue(rng.uniform(0.0, tail.free_at), rng.uniform(5e-6, GAP / 2))
+        elif roll < 0.20:
+            issue(0.0, rng.uniform(GAP, XFER))
+        elif roll < 0.25:
+            issue(rng.uniform(tail.free_at / 2, tail.free_at), XFER)
+    return ops
+
+
+def _replay(slot, ops) -> list[float]:
+    placed = []
+    for ready, duration in ops:
+        start = slot.earliest_gap(ready, duration)
+        slot.occupy(start, duration)
+        placed.append(start)
+    return placed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 11])
+def test_saturated_channel_matches_naive_reference(seed):
+    ops = _saturated_channel_ops(random.Random(seed), 300)
+    indexed, naive = _Slot(), NaiveSlot()
+    assert _replay(indexed, ops) == _replay(naive, ops)
+    assert list(zip(indexed.starts, indexed.ends)) == naive.busy
+    # The shape is the one intended: most searches land at the tail.
+    _d, lo, hi, _end = indexed._tight
+    assert hi - lo > len(ops) // 2
+
+
+def test_saturated_channel_search_cost_is_linear_in_bookings():
+    """4x the bookings costs < 8x the time (min of 5): the early-ready
+    searches step over the tight run instead of re-walking it, which
+    made the replay quadratic (16x)."""
+    def cost(bookings: int) -> float:
+        ops = _saturated_channel_ops(random.Random(3), bookings)
+        best = float("inf")
+        for _ in range(5):
+            slot = _Slot()
+            t0 = time.perf_counter()
+            _replay(slot, ops)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    small, large = cost(400), cost(1600)
+    assert large < 8 * small, (small, large)
