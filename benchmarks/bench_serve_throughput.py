@@ -38,10 +38,8 @@ SEED = 0
 
 def run_bench() -> dict:
     payload = serve_bench.run_bench(scale_name=SCALE, seed=SEED, verify=True)
-    payload["meta"] = {
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-    }
+    payload["meta"].update(python=sys.version.split()[0],
+                           platform=platform.platform())
     with open(RESULT_PATH, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

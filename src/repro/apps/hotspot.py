@@ -164,7 +164,7 @@ class HotspotApp(NorthupProgram):
 
     # -- pass loop ---------------------------------------------------------
 
-    def run(self, system: System, *, scheduler=None) -> ExecutionContext:
+    def steps(self, system: System, *, scheduler=None):
         """Execute all iterations: one tree sweep per pass, refreshing
         the padded root field in between (the pass's result becomes the
         next pass's input)."""
@@ -178,7 +178,7 @@ class HotspotApp(NorthupProgram):
                     t_pad=self.t_pad_root, p_pad=self.p_pad_root,
                     out=self.out_root, rows=self.n, cols=self.n,
                     halo=self.halo, edges=ChipEdges.whole_chip())
-                self.recurse(ctx)
+                yield from self.recurse(ctx)
                 system.cache.flush_all()
                 self._current_temp = self.system.fetch(
                     self.out_root, np.float32, shape=(self.n, self.n))

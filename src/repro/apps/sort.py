@@ -162,12 +162,12 @@ class SortApp(NorthupProgram):
 
     # -- phase 2: k-way merge passes ----------------------------------------
 
-    def run(self, system: System, *, scheduler=None) -> ExecutionContext:
+    def steps(self, system: System, *, scheduler=None):
         from repro.core.context import root_context
         self._scheduler = scheduler
         ctx = root_context(system)
         ctx.payload = SortLevel(data=self.data_root, n=self.n)
-        self.recurse(ctx)                      # phase 1
+        yield from self.recurse(ctx)           # phase 1
         self._merge_runs(ctx)                  # phase 2
         return ctx
 

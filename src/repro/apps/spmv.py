@@ -112,7 +112,7 @@ class SpmvApp(NorthupProgram):
 
     # -- sweep loop --------------------------------------------------------
 
-    def run(self, system: System, *, scheduler=None) -> ExecutionContext:
+    def steps(self, system: System, *, scheduler=None):
         """Execute ``iterations`` sweeps of y = A x.  The operands never
         change, so each sweep recomputes the identical y; what differs
         is the data movement -- with a transparent cache, shards left
@@ -125,7 +125,7 @@ class SpmvApp(NorthupProgram):
             for it in range(self.iterations):
                 self._iteration = it
                 ctx.payload = root_payload
-                self.recurse(ctx)
+                yield from self.recurse(ctx)
             self.after_run(ctx)
         finally:
             system.cache.end_run()

@@ -21,13 +21,11 @@ the caller's process -- same results, no pool.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Sequence
 
-from repro.bench.sweeps import SweepPoint
-from repro.errors import ConfigError
+from repro.bench.sweeps import SweepPoint, as_point, grid_points
 
 
 def default_workers() -> int:
@@ -101,23 +99,9 @@ def parallel_sweep(run: Callable[..., SweepPoint | float],
     returned rows are identical -- only wall-clock differs.  ``run``
     must be a module-level function (it crosses a process boundary).
     """
-    if not grid:
-        raise ConfigError("sweep needs a non-empty parameter grid")
-    for name, values in grid.items():
-        if not values:
-            raise ConfigError(f"sweep parameter {name!r} has no values")
-    names = list(grid)
-    params = [dict(zip(names, combo))
-              for combo in itertools.product(*(grid[n] for n in names))]
+    params = grid_points(grid)
     results = run_parallel(_SweepTask(run), params, workers=workers)
-    out: list[SweepPoint] = []
-    for p, result in zip(params, results):
-        if isinstance(result, SweepPoint):
-            result.params = {**p, **result.params}
-            out.append(result)
-        else:
-            out.append(SweepPoint(params=p, makespan=float(result)))
-    return out
+    return [as_point(p, result) for p, result in zip(params, results)]
 
 
 class _SweepTask:

@@ -47,6 +47,25 @@ class SweepPoint:
         return record
 
 
+def grid_points(grid: dict[str, list[Any]]) -> list[dict[str, Any]]:
+    """Every combination in ``grid``, in deterministic grid order."""
+    if not grid:
+        raise ConfigError("sweep needs a non-empty parameter grid")
+    for name, values in grid.items():
+        if not values:
+            raise ConfigError(f"sweep parameter {name!r} has no values")
+    return [dict(zip(grid, combo))
+            for combo in itertools.product(*grid.values())]
+
+
+def as_point(params: dict[str, Any], result) -> SweepPoint:
+    """``run``'s return value (a point or a bare makespan) as a point."""
+    if isinstance(result, SweepPoint):
+        result.params = {**params, **result.params}
+        return result
+    return SweepPoint(params=params, makespan=float(result))
+
+
 def sweep(run: Callable[..., SweepPoint | float],
           grid: dict[str, list[Any]]) -> list[SweepPoint]:
     """Run ``run(**point)`` for every combination in ``grid``.
@@ -54,22 +73,7 @@ def sweep(run: Callable[..., SweepPoint | float],
     ``run`` may return a :class:`SweepPoint` (full control) or a bare
     makespan float.  Points execute in deterministic grid order.
     """
-    if not grid:
-        raise ConfigError("sweep needs a non-empty parameter grid")
-    for name, values in grid.items():
-        if not values:
-            raise ConfigError(f"sweep parameter {name!r} has no values")
-    names = list(grid)
-    out: list[SweepPoint] = []
-    for combo in itertools.product(*(grid[n] for n in names)):
-        params = dict(zip(names, combo))
-        result = run(**params)
-        if isinstance(result, SweepPoint):
-            result.params = {**params, **result.params}
-            out.append(result)
-        else:
-            out.append(SweepPoint(params=params, makespan=float(result)))
-    return out
+    return [as_point(p, run(**p)) for p in grid_points(grid)]
 
 
 def write_csv(points: list[SweepPoint], path: str) -> int:

@@ -55,9 +55,8 @@ class ArrayPool:
     storage.  (This is the same contract a ``free``/``malloc`` pair has;
     the backends honour it by only retiring buffers on ``destroy``.)
 
-    Take/give are thread-safe: compute backends (threaded executors,
-    the serve layer's concurrent jobs) recycle staging arrays from
-    worker threads, so bucket mutation happens under a lock.
+    Take/give are thread-safe (bucket mutation happens under a lock):
+    threaded compute backends may recycle staging arrays off-thread.
     """
 
     def __init__(self, max_bytes: int = 64 * 1024 * 1024,
@@ -169,6 +168,8 @@ class BufferHandle:
     mapped_from: "BufferHandle | None" = field(default=None, repr=False)
     times: BufferTimes = field(default_factory=BufferTimes, repr=False)
     released: bool = field(default=False, repr=False)
+    #: Live mapped windows of this handle (kept by the registry).
+    windows: int = field(default=0, repr=False)
 
     @property
     def is_mapped(self) -> bool:
@@ -249,6 +250,7 @@ class BufferRegistry:
                               times=parent.times)
         self._next_id += 1
         self._live[handle.buffer_id] = handle
+        parent.windows += 1
         self.total_allocated += 1
         return handle
 
@@ -267,14 +269,13 @@ class BufferRegistry:
 
     def unregister(self, handle: BufferHandle) -> None:
         self.check_live(handle)
-        if not handle.is_mapped:
-            dependents = [h for h in self._live.values()
-                          if h.mapped_from is handle]
-            if dependents:
-                raise AllocationError(
-                    f"buffer #{handle.buffer_id} still has "
-                    f"{len(dependents)} mapped window(s); release them "
-                    f"first")
+        if handle.is_mapped:
+            handle.mapped_from.windows -= 1
+        elif handle.windows:
+            raise AllocationError(
+                f"buffer #{handle.buffer_id} still has "
+                f"{handle.windows} mapped window(s); release them "
+                f"first")
         handle.released = True
         del self._live[handle.buffer_id]
         self.total_released += 1

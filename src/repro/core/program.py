@@ -8,6 +8,13 @@ each level into a task graph (:mod:`repro.plan`) and hands it to a
 pluggable scheduler (:mod:`repro.core.scheduler`) -- pass one via
 ``program.run(system, scheduler=...)``.
 
+There is one execution path and it is *resumable*: ``steps()`` is a
+generator delegating through ``recurse`` -> ``Scheduler.execute_level``
+-> ``_drain`` -> a compute node's nested level, suspended only where a
+scheduler yields (the serve layer's, at every task-graph node); ``run()``
+drives it to exhaustion.  Apps with their own phase loops (sort's merge,
+HotSpot's passes, SpMV's sweeps) override ``steps``, not ``run``.
+
 The hooks intentionally mirror Listing 3's helper names
 (``compute_task``, ``setup_buffers``, ``data_down``, ``data_up``) so a
 reader can put the paper and an app module side by side.
@@ -21,6 +28,16 @@ from typing import Any, Iterable
 from repro.core.context import ExecutionContext, root_context
 from repro.core.system import System
 from repro.topology.node import TreeNode
+
+
+def drive(steps):
+    """Run a stepping generator to exhaustion; returns its value.
+    Nothing is sent at a yield: a cooperative scheduler rejects that."""
+    try:
+        while True:
+            next(steps)
+    except StopIteration as done:
+        return done.value
 
 
 class NorthupProgram(ABC):
@@ -155,9 +172,9 @@ class NorthupProgram(ABC):
             self._scheduler = InOrderScheduler()
         return self._scheduler
 
-    def recurse(self, ctx: ExecutionContext) -> None:
+    def recurse(self, ctx: ExecutionContext):
         """One recursion level: compute at a leaf, otherwise lower the
-        level into a task graph and hand it to the active scheduler.
+        level into a task graph and step the active scheduler through it.
 
         Each level anchors a :class:`~repro.core.scheduler.LevelQueue`
         at its tree node (Listing 1's ``work_queue``): given n chunks, n
@@ -178,7 +195,7 @@ class NorthupProgram(ABC):
             finally:
                 obs.close(leaf_span)
             return
-        self.scheduler().execute_level(self, ctx)
+        yield from self.scheduler().execute_level(self, ctx)
 
     def run(self, system: System, *, scheduler=None) -> ExecutionContext:
         """Execute the program from the tree root; returns the root
@@ -187,6 +204,13 @@ class NorthupProgram(ABC):
         ``scheduler`` selects the level executor (default: the
         graph-replaying :class:`~repro.core.scheduler.InOrderScheduler`,
         bit-identical to the historical eager driver).
+        """
+        return drive(self.steps(system, scheduler=scheduler))
+
+    def steps(self, system: System, *, scheduler=None):
+        """The program as a resumable iterator; returns the root context.
+        Yields what the scheduler yields and resumes with what the
+        stepper sends; closing it mid-run unwinds every ``finally``.
 
         Always ends with cache cleanup (leases dropped, write-back IOUs
         settled, unpinned blocks released), so a program finishes with
@@ -198,7 +222,7 @@ class NorthupProgram(ABC):
                                     node_id=ctx.node.node_id)
         try:
             self.before_run(ctx)
-            self.recurse(ctx)
+            yield from self.recurse(ctx)
             self.after_run(ctx)
         finally:
             # end_run's write-back flush intervals still attribute to

@@ -169,7 +169,9 @@ class Scheduler:
     :class:`~repro.plan.lower.LevelPlan` and drains it; subclasses
     choose the dispatch order (:meth:`_drain`) and the in-flight window
     (:meth:`level_window`).  Leaf levels never reach a scheduler -- the
-    driver computes them directly.
+    driver computes them directly.  Both are generators stepped by
+    ``NorthupProgram.steps()``: the schedulers here never yield, the
+    serve layer's cooperative one does at every grant.
 
     Set ``keep_plans=True`` to retain every drained plan on
     :attr:`plans` (``describe --plan`` and the graph-aware analyses
@@ -184,7 +186,7 @@ class Scheduler:
         """In-flight chunk cap for this level (1 = fully serial)."""
         return 1
 
-    def execute_level(self, program, ctx) -> None:
+    def execute_level(self, program, ctx):
         from repro.plan.lower import lower_level
 
         plan = lower_level(
@@ -193,7 +195,7 @@ class Scheduler:
         if self.keep_plans:
             self.plans.append(plan)
         try:
-            self._drain(plan)
+            yield from self._drain(plan)
             plan.finish()
             # Level boundary: pending compute-backend work for the
             # level's chunks (async kernel merges, deferred copies)
@@ -205,7 +207,7 @@ class Scheduler:
         finally:
             plan.close()
 
-    def _drain(self, plan) -> None:
+    def _drain(self, plan):
         raise NotImplementedError
 
 
@@ -220,8 +222,8 @@ class InOrderScheduler(Scheduler):
     down on every fig6-fig11 configuration.
     """
 
-    def _drain(self, plan) -> None:
-        plan.run_in_order()
+    def _drain(self, plan):
+        return plan.run_in_order()
 
 
 class PipelinedScheduler(Scheduler):
@@ -246,14 +248,13 @@ class PipelinedScheduler(Scheduler):
     def level_window(self, program, ctx, chunks: list) -> int:
         return max(1, program.pipeline_window(ctx, chunks))
 
-    def _drain(self, plan) -> None:
+    def _drain(self, plan):
         from repro.plan.graph import STAGE_RANK
 
         graph = plan.graph
         heap = [(STAGE_RANK[n.kind], n.chunk_index, n.node_id)
-                for n in graph.nodes if not n.preds]
+                for n in graph.ready()]
         heapq.heapify(heap)
-        executed = 0
         while heap:
             _rank, _chunk, nid = heapq.heappop(heap)
             node = graph.nodes[nid]
@@ -262,15 +263,14 @@ class PipelinedScheduler(Scheduler):
             # late predecessor completes.
             if not graph.is_ready(node):
                 continue
-            plan.execute(node)
-            executed += 1
+            yield from plan.execute(node)
             for succ_id in node.succs:
                 succ = graph.nodes[succ_id]
                 if graph.is_ready(succ):
                     heapq.heappush(
                         heap,
                         (STAGE_RANK[succ.kind], succ.chunk_index, succ_id))
-        if executed != len(graph):
+        if not graph.complete:
             raise SchedulerError(
-                f"pipelined drain stalled: {len(graph) - executed} of "
+                f"pipelined drain stalled: {graph.remaining} of "
                 f"{len(graph)} nodes unreachable (dependency cycle?)")

@@ -454,30 +454,9 @@ class System:
             if served is not None:
                 return served
 
-        ready = max(src.ready_at, dst.last_read_end)
-        hops = 0
-        if src_node is dst_node:
-            dev = src_node.device
-            duration = dev.spec.latency + nbytes / min(dev.spec.read_bw,
-                                                       dev.spec.write_bw)
-            done = self.timeline.charge_path(
-                [dev.read_resource] if dev.read_resource == dev.write_resource
-                else [dev.read_resource, dev.write_resource],
-                duration, Phase.MEM_COPY, ready=ready, label=label,
-                nbytes=nbytes)
-            start, end = done.start, done.end
-            hops = 1
-        else:
-            start = None
-            end = ready
-            for edge_src, edge_dst in self._edge_path(src_node, dst_node):
-                done = self._charge_edge(edge_src, edge_dst, nbytes,
-                                         ready=end, label=label)
-                if start is None:
-                    start = done.start
-                end = done.end
-                hops += 1
-            assert start is not None
+        start, end, hops = self._charge_move(
+            src_node, dst_node, nbytes,
+            max(src.ready_at, dst.last_read_end), label)
 
         # Physical byte movement (eager; virtual time already charged).
         self._transfer(src_node, src, src_offset, dst_node, dst, dst_offset,
@@ -536,30 +515,9 @@ class System:
             if served is not None:
                 return served
 
-        ready = max(src.ready_at, dst.last_read_end)
-        start = None
-        end = ready
-        hops = 0
-        if src_node is dst_node:
-            dev = src_node.device
-            duration = dev.spec.latency + nbytes / min(dev.spec.read_bw,
-                                                       dev.spec.write_bw)
-            resources = ([dev.read_resource]
-                         if dev.read_resource == dev.write_resource
-                         else [dev.read_resource, dev.write_resource])
-            done = self.timeline.charge_path(resources, duration,
-                                             Phase.MEM_COPY, ready=ready,
-                                             label=label, nbytes=nbytes)
-            start, end, hops = done.start, done.end, 1
-        else:
-            for edge_src, edge_dst in self._edge_path(src_node, dst_node):
-                done = self._charge_edge(edge_src, edge_dst, nbytes,
-                                         ready=end, label=label)
-                if start is None:
-                    start = done.start
-                end = done.end
-                hops += 1
-            assert start is not None
+        start, end, hops = self._charge_move(
+            src_node, dst_node, nbytes,
+            max(src.ready_at, dst.last_read_end), label)
 
         self._transfer_2d(src_node, src, src_offset, src_stride, dst_node,
                           dst, dst_offset, dst_stride, rows=rows,
@@ -570,8 +528,34 @@ class System:
         if ncache is not None:
             self._cache_admit(ncache, spec, dst, dst_offset=dst_offset,
                               dst_stride=dst_stride, end=end)
-        return MoveResult(start=start if start is not None else ready,
-                          end=end, nbytes=nbytes, hops=hops)
+        return MoveResult(start=start, end=end, nbytes=nbytes, hops=hops)
+
+    def _charge_move(self, src_node: TreeNode, dst_node: TreeNode,
+                     nbytes: int, ready: float,
+                     label: str) -> tuple[float, float, int]:
+        """Charge one transfer's virtual path -- a local copy on one
+        device, or each tree edge between the nodes in turn -- and
+        return ``(start, end, hops)``."""
+        if src_node is dst_node:
+            dev = src_node.device
+            duration = dev.spec.latency + nbytes / min(dev.spec.read_bw,
+                                                       dev.spec.write_bw)
+            done = self.timeline.charge_path(
+                [dev.read_resource] if dev.read_resource == dev.write_resource
+                else [dev.read_resource, dev.write_resource],
+                duration, Phase.MEM_COPY, ready=ready, label=label,
+                nbytes=nbytes)
+            return done.start, done.end, 1
+        start, end, hops = None, ready, 0
+        for edge_src, edge_dst in self._edge_path(src_node, dst_node):
+            done = self._charge_edge(edge_src, edge_dst, nbytes,
+                                     ready=end, label=label)
+            if start is None:
+                start = done.start
+            end = done.end
+            hops += 1
+        assert start is not None
+        return start, end, hops
 
     def map_region(self, handle: BufferHandle, offset: int, nbytes: int, *,
                    label: str = "") -> BufferHandle:

@@ -74,9 +74,9 @@ class DistributedScheduler(Scheduler):
     # inherit the outer node's pin (the whole chunk chain belongs to
     # one worker), so only the outermost drain partitions.
 
-    def _drain(self, plan) -> None:
+    def _drain(self, plan):
         if self._active:
-            plan.run_in_order()
+            yield from plan.run_in_order()
             return
         system = plan.ctx.system
         ex = system.executor
@@ -106,7 +106,7 @@ class DistributedScheduler(Scheduler):
                     ex.pin(part)
                     ex.set_task_context(node_id=node.node_id,
                                         partition=part)
-                plan.execute(node)
+                yield from plan.execute(node)
                 node.meta["partition"] = part
         finally:
             self._active = False

@@ -40,6 +40,8 @@ the charging when a scheduler invokes them.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import Counter
 from typing import Any, Callable, Iterable
 
 from repro.errors import SchedulerError
@@ -87,8 +89,9 @@ class TaskNode:
     """
 
     __slots__ = ("node_id", "kind", "chunk_index", "level", "tree_node",
-                 "label", "thunk", "preds", "succs", "state", "span_id",
-                 "first_interval", "end_interval", "meta", "weight")
+                 "label", "thunk", "preds", "succs", "unmet", "state",
+                 "span_id", "first_interval", "end_interval", "meta",
+                 "weight")
 
     def __init__(self, node_id: int, kind: str, *, chunk_index: int = -1,
                  level: int = -1, tree_node: int = -1, label: str = "",
@@ -105,10 +108,14 @@ class TaskNode:
         self.label = label
         #: Scheduling weight (e.g. cells for stealing policies).
         self.weight = weight
-        self.thunk: Callable[[], None] | None = None
+        #: Zero-argument body; may return an iterator of scheduling
+        #: steps (a ``compute`` node draining a nested level).
+        self.thunk: Callable[[], Any] | None = None
         #: Predecessor/successor node ids, with the edge kind per pair.
         self.preds: dict[int, str] = {}
         self.succs: dict[int, str] = {}
+        #: Predecessors not yet done (maintained by the graph).
+        self.unmet = 0
         self.state = PENDING
         self.span_id: int | None = None
         self.first_interval: int | None = None
@@ -132,8 +139,13 @@ class TaskGraph:
     would have executed them), so ``graph.nodes`` is always a valid
     topological order -- the :class:`~repro.core.scheduler
     .InOrderScheduler` replays it directly.  Dynamic executors instead
-    drain the graph through :meth:`ready` / :meth:`mark_done`,
-    which maintain indegrees incrementally.
+    drain the graph through :meth:`ready` / :meth:`mark_done`.
+
+    The ready frontier is incremental: a node counts its unfinished
+    predecessors (``unmet``) and ``_ready`` holds the sorted ids of
+    pending nodes with none.  ``mark_done`` inserts the successors it
+    unblocks and a late ``add_edge`` from an unfinished source retracts
+    its target, so :meth:`is_ready` is O(1) and a grant O(log frontier).
     """
 
     def __init__(self, *, level: int = -1, tree_node: int = -1) -> None:
@@ -144,6 +156,7 @@ class TaskGraph:
         self.meta: dict[str, Any] = {}
         self._edges = 0
         self._done = 0
+        self._ready: list[int] = []
 
     # -- construction ------------------------------------------------------
 
@@ -154,6 +167,7 @@ class TaskGraph:
                         level=self.level, tree_node=tree_node, label=label,
                         weight=weight)
         self.nodes.append(node)
+        self._ready.append(node.node_id)    # ids only grow: stays sorted
         return node
 
     def add_edge(self, src: TaskNode, dst: TaskNode,
@@ -179,32 +193,41 @@ class TaskGraph:
         src.succs[dst.node_id] = kind
         dst.preds[src.node_id] = kind
         self._edges += 1
+        if src.state != DONE:
+            if not dst.unmet:               # was dispatchable: retract it
+                del self._ready[bisect_left(self._ready, dst.node_id)]
+            dst.unmet += 1
         return True
 
     # -- execution bookkeeping ---------------------------------------------
 
     def is_ready(self, node: TaskNode) -> bool:
         """Every predecessor executed, and the node not yet started."""
-        if node.state != PENDING:
-            return False
-        nodes = self.nodes
-        return all(nodes[p].state == DONE for p in node.preds)
+        return node.state == PENDING and not node.unmet
 
     def ready(self) -> list[TaskNode]:
         """All dispatchable nodes, in program order."""
-        return [n for n in self.nodes if self.is_ready(n)]
+        nodes = self.nodes
+        return [nodes[i] for i in self._ready]
 
     def mark_running(self, node: TaskNode) -> None:
         if not self.is_ready(node):
             raise SchedulerError(
                 f"{node!r} dispatched before its dependencies completed")
         node.state = RUNNING
+        del self._ready[bisect_left(self._ready, node.node_id)]
 
     def mark_done(self, node: TaskNode) -> None:
         if node.state != RUNNING:
             raise SchedulerError(f"{node!r} finished without being dispatched")
         node.state = DONE
         self._done += 1
+        nodes = self.nodes
+        for succ_id in node.succs:
+            succ = nodes[succ_id]
+            succ.unmet -= 1
+            if not succ.unmet:
+                insort(self._ready, succ_id)
 
     @property
     def complete(self) -> bool:
@@ -231,16 +254,10 @@ class TaskGraph:
 
     def by_kind(self) -> dict[str, int]:
         """Node count per kind (only kinds present)."""
-        out: dict[str, int] = {}
-        for n in self.nodes:
-            out[n.kind] = out.get(n.kind, 0) + 1
-        return out
+        return dict(Counter(n.kind for n in self.nodes))
 
     def edges_by_kind(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for _s, _d, kind in self.edges():
-            out[kind] = out.get(kind, 0) + 1
-        return out
+        return dict(Counter(kind for _s, _d, kind in self.edges()))
 
     def critical_depth(self) -> int:
         """Length (in nodes) of the longest dependency chain.

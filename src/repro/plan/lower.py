@@ -11,7 +11,7 @@ executes.
 
 Lowering is *lazy and hierarchical* (the HPVM shape): a ``compute``
 node for a non-leaf child does not expand the child level up front --
-its thunk calls ``program.recurse(child_ctx)``, which lowers and drains
+its thunk steps ``program.recurse(child_ctx)``, which lowers and drains
 the nested level when (and only when) the node is dispatched.  This is
 forced by the programming model, not a shortcut: every app materialises
 the child payload inside ``data_down``/``setup_buffers``, so a child
@@ -69,6 +69,8 @@ class LevelPlan:
     onto each node), then calls :meth:`finish` on success and
     :meth:`close` unconditionally -- mirroring the eager driver's
     ``after_level`` inside ``try`` and span close in ``finally``.
+    :meth:`execute` and :meth:`run_in_order` are generators: a
+    ``compute`` node's nested level may suspend at a grant point.
     """
 
     def __init__(self, program, ctx, graph: TaskGraph, divide_span,
@@ -83,22 +85,24 @@ class LevelPlan:
         #: run: the only ones a later chunk can have a hazard with.
         self.holding: list[_ChunkRecord] = []
 
-    def execute(self, node: TaskNode) -> None:
+    def execute(self, node: TaskNode):
         """Dispatch one node: dependency check, thunk, bookkeeping."""
         graph = self.graph
         graph.mark_running(node)
         trace = self.ctx.system.timeline.trace
         node.first_interval = len(trace)
         try:
-            node.thunk()
+            nested = node.thunk()
+            if nested is not None:
+                yield from nested
         finally:
             node.end_interval = len(trace)
         graph.mark_done(node)
 
-    def run_in_order(self) -> None:
+    def run_in_order(self):
         """Replay the graph in recorded (eager) program order."""
         for node in self.graph.nodes:
-            self.execute(node)
+            yield from self.execute(node)
 
     def finish(self) -> None:
         """The level epilogue (only on success, like the eager driver)."""
@@ -263,11 +267,11 @@ def _install_thunks(plan: LevelPlan, rec: _ChunkRecord) -> None:
         nodes[MOVE_DOWN].span_id = span.span_id
         rec.task.advance(TaskState.RESIDENT)
 
-    def compute_thunk() -> None:
+    def compute_thunk():
         # The first span recurse opens (leaf "compute" or nested
         # "divide") is this node's span: 1:1 node <-> span mapping.
         next_span = len(obs.spans) if obs.enabled else None
-        program.recurse(rec.child_ctx)
+        yield from program.recurse(rec.child_ctx)
         if next_span is not None and len(obs.spans) > next_span:
             nodes[COMPUTE].span_id = next_span
         rec.task.advance(TaskState.COMPUTED)

@@ -25,6 +25,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from repro.errors import ConfigError
 from repro.serve.arrivals import poisson_arrivals
 from repro.serve.job import JobSpec, JobState
 from repro.serve.quota import TenantQuota
-from repro.serve.service import JobService, ServeConfig
+from repro.serve.service import JobService, ServeConfig, _pct
 
 POLICIES = ("fifo", "fair", "priority")
 
@@ -137,15 +138,6 @@ def _fresh_system(executor: str | None = None) -> System:
     return System(configs.scaled_apu_tree("ssd"), executor=executor)
 
 
-def _pct(sorted_vals: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0.0 when empty)."""
-    if not sorted_vals:
-        return 0.0
-    idx = min(len(sorted_vals) - 1,
-              max(0, int(np.ceil(q / 100.0 * len(sorted_vals))) - 1))
-    return sorted_vals[idx]
-
-
 class _StatusBoard:
     """Mutable holder the status endpoint reads through.
 
@@ -202,7 +194,8 @@ def run_policy(policy: str, *, scale_name: str, seed: int = 0,
                oracle: SoloOracle | None = None,
                reports_dir: str | None = None,
                executor: str | None = None,
-               board: _StatusBoard | None = None) -> dict:
+               board: _StatusBoard | None = None,
+               wall: dict | None = None) -> dict:
     """Serve the seeded stream under one policy on a fresh system.
 
     Returns the BENCH payload entry for that policy.  When ``oracle``
@@ -212,6 +205,8 @@ def run_policy(policy: str, *, scale_name: str, seed: int = 0,
     in the payload is virtual, so the payload must be byte-identical
     across backends.  ``board`` exposes the live service through the
     bench's status endpoint and keeps the final snapshot for SLO gates.
+    ``wall`` receives this policy's wall-clock serving rate (kept out of
+    the payload entry, which stays deterministic).
     """
     scale = SCALES[scale_name]
     system = _fresh_system(executor)
@@ -221,7 +216,13 @@ def run_policy(policy: str, *, scale_name: str, seed: int = 0,
         quotas=tenant_quotas()))
     if board is not None:
         board.service = service
-    jobs = service.run(build_stream(scale, seed=seed))
+    stream = build_stream(scale, seed=seed)
+    t0 = time.perf_counter()
+    jobs = service.run(stream)
+    wall_s = time.perf_counter() - t0
+    if wall is not None:
+        wall[policy] = {"wall_jobs_per_s": len(jobs) / wall_s,
+                        "wall_us_per_grant": 1e6 * wall_s / service._grants}
     try:
         if board is not None:
             board.final[policy] = service.status()
@@ -285,6 +286,7 @@ def run_bench(*, scale_name: str, seed: int = 0, verify: bool = True,
     """The full bench: every policy over the same arrival stream."""
     oracle = SoloOracle() if verify else None
     scale = SCALES[scale_name]
+    wall: dict = {}
     payload = {
         "bench": "serve_throughput",
         "scale": scale_name,
@@ -293,8 +295,11 @@ def run_bench(*, scale_name: str, seed: int = 0, verify: bool = True,
                      "count": scale["count"]},
         "policies": {p: run_policy(p, scale_name=scale_name, seed=seed,
                                    oracle=oracle, reports_dir=reports_dir,
-                                   board=board)
+                                   board=board, wall=wall)
                      for p in POLICIES},
+        # Informational, host-dependent: how fast the loop chewed the
+        # stream.  ``meta`` subtrees are skipped by ``obs.regress``.
+        "meta": {"wall": wall},
     }
     fifo = payload["policies"]["fifo"]
     fair = payload["policies"]["fair"]

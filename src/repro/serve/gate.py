@@ -1,106 +1,68 @@
-"""The baton between the service event loop and one job's thread.
+"""The mailbox between the service event loop and one job's iterator.
 
-Each served job runs its application's ordinary ``run()`` on a private
-thread, with a :class:`CooperativeScheduler` installed as the level
-executor.  Instead of draining a lowered level itself, the scheduler
-*offers* the level's ready task-graph nodes to the service through a
-:class:`JobGate` and blocks.  The service picks one ``(job, node)``
-pair at a time, wakes exactly that job's thread for exactly that node,
-and waits for the thread to park again before deciding anything else.
+A served job is its application's ``steps()`` -- the one resumable
+execution path every program has (:mod:`repro.core.program`) -- under a
+:class:`CooperativeScheduler`, which *yields* each lowered level's ready
+task-graph nodes and is resumed with the node it may execute.  A grant
+is a generator ``send`` on the loop's own thread, not a thread hand-off:
+execution is single-file and deterministic by construction, and the
+generator chain is the re-entrancy vehicle -- a job may be suspended
+inside nested levels, phase loops and ``try/finally`` blocks, and
+closing its iterator unwinds them all.
 
-At most one job thread is ever runnable, so execution is single-file
-and deterministic: identical admission order plus identical grant
-decisions reproduce the identical interleaving, timeline and allocator
-state, byte for byte.  Threads are a *re-entrancy* vehicle -- an app's
-``run()`` may recurse through nested levels, custom phase loops and
-``finally`` blocks, and the gate suspends it wherever it happens to be
--- not a parallelism vehicle.
-
-Work a job performs *between* offers (app construction, inter-level
-phases like the sort merge or HotSpot restaging, teardown) rides
-attached to the preceding grant: the thread simply keeps running until
-its next offer or until ``run()`` returns.
+Work a job performs *between* yields (app construction, the sort merge,
+HotSpot restaging, teardown) rides attached to the preceding grant.
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro.core.scheduler import Scheduler
 from repro.errors import SchedulerError
 
 
 class JobGate:
-    """Two-event baton handing control between a job thread and the
-    service loop.  All methods are called with the counterpart blocked,
-    so the shared fields need no locking."""
+    """What one job last told the service: the nodes it offers, or that
+    it is done (and how).  Plain fields: one thread reads and writes."""
 
     def __init__(self) -> None:
-        self._go = threading.Event()       # service -> job: execute grant
-        self._parked = threading.Event()   # job -> service: offered / done
         self.plan = None
         self.ready: list | None = None
-        self.granted = None
         self.done = False
         self.error: BaseException | None = None
 
-    # -- job-thread side --------------------------------------------------
-
-    def offer(self, plan, ready: list):
-        """Publish this level's ready nodes, park, and return the node
-        the service granted."""
+    def offer(self, plan, ready: list) -> None:
+        """Publish the level and ready nodes the job just yielded."""
         self.plan = plan
         self.ready = ready
-        self._parked.set()
-        self._go.wait()
-        self._go.clear()
-        node = self.granted
-        self.granted = None
-        return node
 
     def finish(self, error: BaseException | None = None) -> None:
-        """Signal that the job's ``run()`` returned (or raised)."""
+        """Record that the job's ``steps()`` returned (or raised)."""
         self.done = True
         self.error = error
         self.plan = None
         self.ready = None
-        self._parked.set()
-
-    # -- service side -----------------------------------------------------
 
     def wait_parked(self) -> None:
-        """Block until the job thread is parked at an offer or done."""
-        self._parked.wait()
-        self._parked.clear()
-
-    def grant(self, node) -> None:
-        """Wake the job thread to execute ``node`` (must be one of the
-        nodes it offered)."""
-        self.granted = node
-        self._go.set()
+        """The invariant every decision rests on: parked at an offer,
+        or done."""
+        if not self.done and not self.ready:
+            raise SchedulerError(
+                "job is neither parked at an offer nor done")
 
 
 class CooperativeScheduler(Scheduler):
-    """Level executor that yields every node decision to the service.
+    """Level executor that yields every node decision to its stepper.
 
-    Drains a lowered :class:`~repro.plan.lower.LevelPlan` by repeatedly
-    offering ``graph.ready()`` through the job's gate and executing
-    whichever node comes back.  Nested recursion levels re-enter
-    :meth:`_drain` on the same thread, so the service transparently
-    interleaves at whatever level the job is currently expanding.
-
-    The service always grants ``ready[0]``; for a graph executed as a
-    prefix of its recorded program order that is the next program-order
-    node, so each job's own operation sequence is exactly the
-    :class:`~repro.core.scheduler.InOrderScheduler` sequence -- the
-    property the solo bit-identity check rests on.
+    Drains a :class:`~repro.plan.lower.LevelPlan` by yielding ``(plan,
+    graph.ready())`` and executing whichever node is sent back; nested
+    levels yield through the same iterator chain, so the service
+    interleaves at whatever level the job is expanding.  The service
+    always grants ``ready[0]``, the next program-order node, so a job's
+    own operation sequence is exactly the :class:`~repro.core.scheduler
+    .InOrderScheduler` one -- what solo bit-identity rests on.
     """
 
-    def __init__(self, gate: JobGate, *, keep_plans: bool = False) -> None:
-        super().__init__(keep_plans=keep_plans)
-        self.gate = gate
-
-    def _drain(self, plan) -> None:
+    def _drain(self, plan):
         graph = plan.graph
         while not graph.complete:
             ready = graph.ready()
@@ -108,8 +70,8 @@ class CooperativeScheduler(Scheduler):
                 raise SchedulerError(
                     f"cooperative drain stalled with {graph.remaining} "
                     f"pending nodes (dependency cycle?)")
-            node = self.gate.offer(plan, ready)
-            if node is None or node not in ready:
+            node = yield plan, ready
+            if node is None or not graph.is_ready(node):
                 raise SchedulerError(
                     f"service granted {node!r}, which this job did not offer")
-            plan.execute(node)
+            yield from plan.execute(node)

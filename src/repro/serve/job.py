@@ -18,7 +18,6 @@ vector is a sorted vector).
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -28,9 +27,9 @@ from repro.serve.gate import JobGate
 
 class JobState(enum.Enum):
     PENDING = "pending"      # in the admission queue
-    RUNNING = "running"      # admitted; thread live
-    DONE = "done"            # run() returned
-    FAILED = "failed"        # run() raised (error stored on the job)
+    RUNNING = "running"      # admitted; iterator live
+    DONE = "done"            # steps() returned
+    FAILED = "failed"        # steps() raised (error stored on the job)
     REJECTED = "rejected"    # bounced by admission control
 
 
@@ -67,7 +66,8 @@ class Job:
     admit_vt: float = 0.0
     finish_vt: float = 0.0
     gate: JobGate = field(default_factory=JobGate)
-    thread: threading.Thread | None = None
+    #: The job as a resumable iterator (``JobService._job_steps``).
+    steps: Any = None
     app: Any = None
     error: BaseException | None = None
     #: ``(lo, hi)`` index windows of the shared trace appended by this

@@ -4,11 +4,12 @@
 priority), admits them through :class:`~repro.serve.admission.
 AdmissionController`, and runs each admitted job's application on the
 **shared** device tree under the shared virtual clock.  Jobs execute
-cooperatively: each runs on its own thread behind a
-:class:`~repro.serve.gate.JobGate`, parking at every task-graph node
-boundary, and the service grants exactly one ``(job, node)`` at a time
--- so ready nodes from all live jobs interleave at node granularity
-while at most one thread is ever runnable (single-file, deterministic).
+cooperatively: each is a resumable iterator over its plan (the app's
+``steps()`` under a :class:`~repro.serve.gate.CooperativeScheduler`)
+that yields at every task-graph node boundary, and the service resumes
+exactly one ``(job, node)`` at a time -- so ready nodes from all live
+jobs interleave at node granularity on the loop's own thread.  The
+service starts no threads; a grant costs one generator ``send``.
 
 Virtual clock
 -------------
@@ -34,10 +35,10 @@ shared trace.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass
 
+from repro.errors import SchedulerError
 from repro.obs.report import RunReport
 from repro.serve.admission import AdmissionController
 from repro.serve.arrivals import Arrival
@@ -142,6 +143,15 @@ class JobService:
         stream = sorted(arrivals, key=lambda a: a.vt)
         # Jobs already queued via submit() are part of this serve too.
         jobs: list[Job] = list(self.admission.pending)
+        try:
+            self._serve(stream, jobs)
+        except BaseException:
+            # Interrupted mid-stream: no suspended job outlives the loop.
+            self.close()
+            raise
+        return sorted(jobs, key=lambda j: j.seq)
+
+    def _serve(self, stream: list[Arrival], jobs: list[Job]) -> None:
         i = 0
         while i < len(stream) or self.admission.pending or self.live:
             # 1. Arrivals whose instant has come enter the queue.
@@ -149,11 +159,11 @@ class JobService:
                 jobs.append(self.submit(stream[i].spec, vt=stream[i].vt))
                 i += 1
             # 2. Admit from the queue up to per-tenant limits.  Starting
-            # a job runs its thread to the first offer (app construction
-            # and run prologue ride on the admission grant).
+            # a job steps it to its first offer (app construction and
+            # run prologue ride on the admission grant).
             for job in self.admission.admit_ready(self.live):
                 self._start(job)
-            # 3. Retire jobs whose run() returned during their last
+            # 3. Retire jobs whose steps() returned during their last
             # grant.
             still: list[Job] = []
             for job in self.live:
@@ -171,11 +181,29 @@ class JobService:
             # program-order node runs.
             job = self.policy.select(self.live)
             self._grant(job)
-        return sorted(jobs, key=lambda j: j.seq)
 
     def drain(self) -> list[Job]:
         """Serve whatever was already submitted, with no new arrivals."""
         return self.run([])
+
+    def close(self) -> None:
+        """Cancel every live job (idempotent).  Each suspended iterator
+        is closed inside its own grant context, so the ``finally`` blocks
+        it holds (level teardown, ``end_run``, span closes) run under the
+        job's tenant and span stack; the job ends FAILED."""
+        live, self.live = self.live, []
+        for job in live:
+            error: Exception = SchedulerError(
+                f"{job.job_id} cancelled: service closed mid-stream")
+            self._enter(job)
+            try:
+                job.steps.close()
+            except Exception as exc:  # noqa: BLE001 - reported on the job
+                error = exc
+            finally:
+                self._exit(job)
+            job.gate.finish(error)
+            self._finalize(job)
 
     # -- grant mechanics ---------------------------------------------------
 
@@ -212,53 +240,51 @@ class JobService:
     def _start(self, job: Job) -> None:
         job.admit_vt = max(self.now, job.submit_vt)
         job.state = JobState.RUNNING
-        job.thread = threading.Thread(target=self._job_body, args=(job,),
-                                      name=job.job_id, daemon=True)
+        job.steps = self._job_steps(job)
         self.policy.on_admit(job)
-        self._enter(job)
-        job._span = self.system.obs.open("job", label=job.job_id,
-                                         node_id=self.system.tree.root.node_id)
-        job._span.annotate("tenant", job.tenant)
-        job._span.annotate("app", job.spec.app)
-        job._span.annotate("priority", job.spec.priority)
-        job.thread.start()
-        job.gate.wait_parked()
-        cost = self._exit(job)
-        self.policy.on_grant(job, cost)
-        self.live.append(job)
+        self.live.append(job)       # before its first step: close() sees it
+        self._grant(job)
         self.system.metrics.with_labels(tenant=job.tenant).histogram(
             "serve_queue_wait_s", job.queue_wait,
             help_text="virtual seconds from arrival to admission")
 
-    def _job_body(self, job: Job) -> None:
-        try:
-            job.app = job.spec.build(self.system)
-            job.app.run(self.system,
-                        scheduler=CooperativeScheduler(job.gate))
-        except BaseException as exc:  # noqa: BLE001 - reported on the job
-            job.gate.finish(exc)
-            return
-        job.gate.finish()
+    def _job_steps(self, job: Job):
+        """The whole job as one iterator: open its span, build the app,
+        then the app's own ``steps()`` under a cooperative scheduler."""
+        sys_ = self.system
+        job._span = sys_.obs.open("job", label=job.job_id,
+                                  node_id=sys_.tree.root.node_id)
+        job._span.annotate("tenant", job.tenant)
+        job._span.annotate("app", job.spec.app)
+        job._span.annotate("priority", job.spec.priority)
+        job.app = job.spec.build(sys_)
+        yield from job.app.steps(sys_, scheduler=CooperativeScheduler())
 
     def _grant(self, job: Job) -> None:
-        node = job.gate.ready[0]
+        """Resume ``job`` with its next program-order node (nothing, to
+        start it) and record where it stops: its next offer, or its end
+        -- a raising job surfaces here, at ``send``."""
+        gate = job.gate
+        node = gate.ready[0] if gate.ready else None
         self._enter(job)
-        job.gate.grant(node)
-        job.gate.wait_parked()
-        cost = self._exit(job)
+        try:
+            gate.offer(*job.steps.send(node))
+        except StopIteration:
+            gate.finish()
+        except Exception as exc:  # noqa: BLE001 - reported on the job
+            gate.finish(exc)
+        finally:
+            cost = self._exit(job)
+        gate.wait_parked()
         self.policy.on_grant(job, cost)
 
     def _finalize(self, job: Job) -> None:
-        job.thread.join()
         # The job's compute-backend work settles before its span closes
         # and its result buffers are read (async kernel merges, deferred
         # copies) -- the per-job counterpart of ``System.end_run``.
         self.system.drain_exec()
-        if job.gate.error is not None:
-            job.state = JobState.FAILED
-            job.error = job.gate.error
-        else:
-            job.state = JobState.DONE
+        job.error = job.gate.error
+        job.state = JobState.DONE if job.error is None else JobState.FAILED
         trace = self.system.timeline.trace
         job.finish_vt = max(
             (trace.window_max_end(lo, hi) for lo, hi in job.trace_windows),

@@ -76,6 +76,10 @@ class Phase(enum.Enum):
     RUNTIME = "runtime"
     CACHE = "cache"
 
+    # Members are singletons compared by identity: the C-level identity
+    # hash replaces Enum's Python-level one on the per-interval path.
+    __hash__ = object.__hash__
+
     @property
     def is_io(self) -> bool:
         return self in (Phase.IO_READ, Phase.IO_WRITE)
@@ -344,20 +348,4 @@ class Trace:
             self.record_raw(*row)
 
     def clear(self) -> None:
-        self._starts.clear()
-        self._ends.clear()
-        self._phases.clear()
-        self._resources.clear()
-        self._labels.clear()
-        self._nbytes.clear()
-        self._span_ids.clear()
-        self.active_span = 0
-        self._materialized = None
-        self._busy_total = 0.0
-        self._bytes_total = 0
-        self._max_end = 0.0
-        self._busy_by_phase.clear()
-        self._busy_by_resource.clear()
-        self._busy_by_pair.clear()
-        self._bytes_by_phase.clear()
-        self._ops_by_phase.clear()
+        self.__init__()

@@ -99,6 +99,22 @@ def test_release_order_enforced(system):
     assert system.tree.root.used == 0
 
 
+def test_release_error_counts_live_windows(system):
+    """The registry counts windows per parent (no scan on release): the
+    error names how many are still live, as the scan did."""
+    parent = system.alloc(64, system.tree.root)
+    windows = [system.map_region(parent, 8 * i, 8) for i in range(3)]
+    system.release(windows.pop())
+    with pytest.raises(AllocationError,
+                       match=rf"#{parent.buffer_id} still has 2 mapped "
+                             r"window\(s\); release them first"):
+        system.release(parent)
+    for w in windows:
+        system.release(w)
+    system.release(parent)
+    assert system.registry.live_count == 0
+
+
 def test_released_window_rejected(system):
     parent = system.alloc(64, system.tree.root)
     window = system.map_region(parent, 0, 32)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.gemm import GemmApp
 from repro.apps.hotspot import HotspotApp
+from repro.core.program import drive
 from repro.core.scheduler import InOrderScheduler, PipelinedScheduler
 from repro.core.system import System
 from repro.plan.graph import (CHAIN, COMBINE, COMPUTE, MOVE_DOWN, MOVE_UP,
@@ -158,7 +159,7 @@ def test_buffer_edges_come_only_from_chunks_still_holding_buffers():
 
         def run(chunk, *kinds):
             for kind in kinds:
-                plan.execute(plan.records[chunk].nodes[kind])
+                drive(plan.execute(plan.records[chunk].nodes[kind]))
 
         run(0, SETUP)
         run(1, SETUP)

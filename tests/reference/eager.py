@@ -20,7 +20,7 @@ class EagerScheduler(Scheduler):
     and result bytes.
     """
 
-    def execute_level(self, program, ctx) -> None:
+    def execute_level(self, program, ctx):
         obs = ctx.system.obs
         divide_span = obs.open("divide", node_id=ctx.node.node_id)
         try:
@@ -62,7 +62,7 @@ class EagerScheduler(Scheduler):
                 finally:
                     obs.close(span)
                 task.advance(TaskState.RESIDENT)
-                program.recurse(child_ctx)
+                yield from program.recurse(child_ctx)
                 task.advance(TaskState.COMPUTED)
                 span = obs.open("move_up", node_id=child.node_id)
                 try:

@@ -31,7 +31,7 @@ class RandomOrderScheduler(Scheduler):
             return max(1, self.window)
         return max(1, program.pipeline_window(ctx, chunks))
 
-    def _drain(self, plan) -> None:
+    def _drain(self, plan):
         graph = plan.graph
         while not graph.complete:
             ready = graph.ready()
@@ -39,4 +39,5 @@ class RandomOrderScheduler(Scheduler):
                 raise SchedulerError(
                     f"random drain stalled with {graph.remaining} "
                     f"pending nodes (dependency cycle?)")
-            plan.execute(ready[self.rng.randrange(len(ready))])
+            yield from plan.execute(
+                ready[self.rng.randrange(len(ready))])

@@ -87,3 +87,15 @@ def test_phase_category_helpers():
     assert Phase.DEV_TRANSFER.is_transfer and Phase.MEM_COPY.is_transfer
     assert Phase.CPU_COMPUTE.is_compute and Phase.GPU_COMPUTE.is_compute
     assert not Phase.SETUP.is_compute and not Phase.RUNTIME.is_transfer
+
+
+def test_phase_hash_is_c_level_and_pickle_stable():
+    """Aggregates key dicts by phase on every interval: the hash is the
+    C identity hash, and unpickled members are the same singletons."""
+    import pickle
+
+    assert Phase.__hash__ is object.__hash__
+    for phase in Phase:
+        again = pickle.loads(pickle.dumps(phase))
+        assert again is phase and hash(again) == hash(phase)
+    assert {Phase.CACHE: 1}[Phase("cache")] == 1
