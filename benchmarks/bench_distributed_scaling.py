@@ -1,63 +1,36 @@
 """Distributed task-graph scaling: one plan sharded across workers.
 
-Wraps :mod:`repro.dist.bench` and writes ``BENCH_distributed.json`` at
-the repository root:
+Thin shim over ``benchmarks/scenarios/distributed_scaling.toml``
+(runner ``distributed`` in :mod:`repro.bench.cells`);
+``BENCH_distributed.json`` is this scenario's ``experiment collect``
+document:
 
-* **equivalence** -- all four paper apps under the distributed
-  scheduler + worker-process executor, asserted byte-identical
+* **equivalence** cells -- each paper app under the distributed
+  scheduler + worker-process executor at 2 and 4 workers, byte-identical
   (results) and bit-identical (virtual makespans, trace shape) to the
-  single-process in-order run at every worker count;
-* **scaling** -- the projected worker-count curve per app over the
-  modeled loopback network channel (deterministic virtual numbers);
-* **wallclock** -- real seconds for the distributed GEMM vs inline,
-  clamped to the usable core count with a recorded ``skipped_reason``
-  on hosts too small for a meaningful sweep.
+  single-process in-order run, or the cell raises;
+* **scaling** cells -- the projected worker-count curve per app over
+  the modeled loopback network channel (deterministic virtual numbers).
 
-``REPRO_DIST_SCALE=ci`` shrinks the sweep for shared runners.  Run
-directly (``python benchmarks/bench_distributed_scaling.py``) or via
-pytest (``pytest benchmarks/bench_distributed_scaling.py``).
+Wall-clock cost of the distributed backend is ``benchmarks/perf``'s
+``gemm_dist2`` workload, not this bench.
 """
 
-from __future__ import annotations
-
-import json
-import os
-import platform
-import sys
-
-from repro.dist import bench as dist_bench
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RESULT_PATH = os.path.join(REPO_ROOT, "BENCH_distributed.json")
+from repro.bench.cells import run_records
 
 
-def run_bench() -> dict:
-    scale_name = dist_bench.pick_scale()
-    result = dist_bench.run_bench(scale_name)
-    result["meta"] = {
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-    }
-    with open(RESULT_PATH, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return result
-
-
-def test_distributed_scaling():
-    result = run_bench()
-    eq = result["equivalence"]
-    assert eq["results_identical"] and eq["virtual_time_identical"]
-    assert eq["dist_residue_clean"]
-    for name, app in result["scaling"]["apps"].items():
-        rows = app["rows"]
+def test_distributed_scaling(tmp_path):
+    records = run_records("distributed_scaling", str(tmp_path / "dist"))
+    equivalence = [r for r in records if "rows" not in r]
+    scaling = [r for r in records if "rows" in r]
+    assert len(equivalence) == 8 and len(scaling) == 4
+    for r in equivalence:
+        assert r["result_identical"] and r["makespan_identical"]
+        assert r["trace_identical"] and r["dist_residue"] == []
+    for r in scaling:
+        rows = r["rows"]
         assert rows[0]["workers"] == 1
         assert rows[0]["speedup"] == 1.0
-        assert max(r["speedup"] for r in rows) >= 1.0, (
-            f"{name}: projected distribution should never lose to serial")
-
-
-if __name__ == "__main__":
-    out = run_bench()
-    print(dist_bench.format_table(out))
-    print(f"wrote {RESULT_PATH}")
+        assert max(row["speedup"] for row in rows) >= 1.0, (
+            f"{r['app']}: projected distribution should never lose to "
+            f"serial")

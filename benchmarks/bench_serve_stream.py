@@ -1,6 +1,6 @@
 """A long served stream on one thread, inside a wall budget.
 
-Ten thousand mice (the ``ci``-scale job mix of :mod:`repro.serve.bench`)
+Ten thousand mice (:func:`repro.serve.bench.job_mix` at the sizes below)
 arrive as one Poisson stream and are served in arrival-order batches on
 one :class:`~repro.serve.service.JobService`; between batches the
 finished jobs' root buffers are released, as a long-lived service's
@@ -28,21 +28,23 @@ from time import perf_counter
 from repro.bench import configs
 from repro.core.system import System
 from repro.serve import JobService, JobState, ServeConfig, poisson_arrivals
-from repro.serve.bench import SCALES, job_mix, tenant_quotas
+from repro.serve.bench import job_mix, tenant_quotas
 
 JOBS = 10_000
 BATCH = 250
 BUDGET_S = 120.0
+#: Mice a fraction of the committed bench's, so 10 k of them fit the budget.
+MICE = dict(gemm=dict(m=48, k=48, n=48, tile=32), sort_n=20_000,
+            spmv_rows=512, hotspot=dict(n=64, tile=32))
+RATE = 2000.0
 
 
 def test_ten_thousand_mice_on_one_thread():
-    scale = SCALES["ci"]
-    stream = poisson_arrivals(job_mix(scale), rate=scale["rate"],
-                              count=JOBS, seed=0)
+    stream = poisson_arrivals(job_mix(MICE), rate=RATE, count=JOBS, seed=0)
     system = System(configs.scaled_apu_tree("ssd"))
     service = JobService(system, ServeConfig(
         policy="fair", max_pending=BATCH, quotas=tenant_quotas(),
-        max_live_per_tenant=scale["max_live_per_tenant"]))
+        max_live_per_tenant=3))
     threads = threading.active_count()
     t0 = perf_counter()
     try:

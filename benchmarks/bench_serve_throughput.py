@@ -1,75 +1,42 @@
 """Multi-tenant serve throughput: FIFO vs fair-share vs priority.
 
-One seeded Poisson stream of mixed GEMM / HotSpot / SpMV / sort jobs
-from three tenants -- plus one injected elephant GEMM -- is served
-three times on identical fresh systems, once per scheduling policy
-(see :mod:`repro.serve.bench`).  Reported numbers are all virtual:
-jobs per virtual second, p50/p99 job latency, p99 queue wait.
+Thin shim over ``benchmarks/scenarios/serve_throughput.toml``: one
+seeded Poisson stream of mixed GEMM / HotSpot / SpMV / sort jobs from
+three tenants -- plus one injected elephant GEMM -- is served on
+identical fresh systems, one cell per scheduling policy (see
+:mod:`repro.serve.bench`).  Reported numbers are all virtual: jobs per
+virtual second, p50/p99 job latency, p99 queue wait;
+``BENCH_serve.json`` is this scenario's ``experiment collect`` document.
 
 Two properties are asserted, not just reported:
 
 * **isolation pays**: fair share beats FIFO on whole-population p99
-  job latency in the contended configuration (head-of-line blocking
-  behind the elephant is what FIFO loses);
+  job latency (head-of-line blocking behind the elephant is what FIFO
+  loses);
 * **serving is free of numeric drift**: every served job's result
   bytes equal a solo in-order run of the same spec on a fresh system.
-
-``REPRO_SERVE_SCALE=ci`` shrinks the stream for the CI smoke job; the
-committed ``BENCH_serve.json`` is the ``full`` configuration.  Run
-directly (``python benchmarks/bench_serve_throughput.py``), via pytest,
-or as ``python -m repro serve-bench``.
 """
 
-from __future__ import annotations
-
-import json
-import os
-import platform
-import sys
-
-from repro.serve import bench as serve_bench
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RESULT_PATH = os.path.join(REPO_ROOT, "BENCH_serve.json")
-
-SCALE = serve_bench.pick_scale()
-SEED = 0
+from repro.bench.cells import run_records
 
 
-def run_bench() -> dict:
-    payload = serve_bench.run_bench(scale_name=SCALE, seed=SEED, verify=True)
-    payload["meta"].update(python=sys.version.split()[0],
-                           platform=platform.platform())
-    with open(RESULT_PATH, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
-
-
-def test_serve_throughput():
-    payload = run_bench()
-    policies = payload["policies"]
+def test_serve_throughput(tmp_path):
+    records = run_records("serve_throughput", str(tmp_path / "serve"))
+    policies = {r["policy"]: r for r in records}
+    assert sorted(policies) == ["fair", "fifo", "priority"]
     for name, row in policies.items():
-        assert row["jobs_done"] == payload["arrivals"]["count"], (
+        assert row["jobs_done"] == row["arrivals"]["count"], (
             f"{name}: {row['jobs_done']} jobs done of "
-            f"{payload['arrivals']['count']} submitted")
+            f"{row['arrivals']['count']} submitted")
         assert row["jobs_verified_bit_identical"] == row["jobs_done"], (
             f"{name}: only {row['jobs_verified_bit_identical']} of "
             f"{row['jobs_done']} jobs matched their solo in-order run")
-    # The tentpole claim: fair share pulls the contended-population p99
-    # below FIFO's head-of-line-blocked tail.  At ci scale the stream
-    # is too short for a stable tail (nearest-rank p99 is the maximum,
-    # i.e. the elephant itself), so the hard assertion is full-scale.
-    if SCALE == "full":
-        assert payload["contention"]["fair_beats_fifo_p99"], (
-            f"fair p99 {policies['fair']['p99_latency_s']}s did not beat "
-            f"fifo p99 {policies['fifo']['p99_latency_s']}s")
+    # Fair share pulls the contended-population p99 below FIFO's
+    # head-of-line-blocked tail.
+    fifo, fair = policies["fifo"], policies["fair"]
+    assert fair["p99_latency_s"] < fifo["p99_latency_s"], (
+        f"fair p99 {fair['p99_latency_s']}s did not beat "
+        f"fifo p99 {fifo['p99_latency_s']}s")
     # Work conservation: total throughput is policy-invariant.
     rates = [row["virtual_jobs_per_s"] for row in policies.values()]
     assert max(rates) - min(rates) < 1e-6 * max(rates)
-
-
-if __name__ == "__main__":
-    payload = run_bench()
-    print(serve_bench.format_table(payload))
-    print(f"wrote {RESULT_PATH}")

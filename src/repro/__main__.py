@@ -3,12 +3,10 @@
 Subcommands::
 
     python -m repro report RUN.json      # RunReport on an exported trace
-    python -m repro regress BASE NEW     # perf-regression gate
+    python -m repro regress BASE NEW     # exact gate on committed figures
     python -m repro experiment run NAME  # declarative scenario harness
     python -m repro describe --plan      # dump lowered task graphs etc.
-    python -m repro serve-bench          # multi-tenant serve throughput
     python -m repro top URL              # live dashboard over /status
-    python -m repro dist-bench           # distributed scaling + equivalence
     python -m repro [evaluate args...]   # default: repro.tools.evaluate
 
 See ``--help`` on each.
@@ -31,15 +29,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "describe":
         from repro.tools.describe import main as describe_main
         return describe_main(argv[1:])
-    if argv and argv[0] == "serve-bench":
-        from repro.serve.bench import main as serve_bench_main
-        return serve_bench_main(argv[1:])
     if argv and argv[0] == "top":
         from repro.obs.live import top_main
         return top_main(argv[1:])
-    if argv and argv[0] == "dist-bench":
-        from repro.dist.bench import main as dist_bench_main
-        return dist_bench_main(argv[1:])
     from repro.tools.evaluate import main as evaluate_main
     return evaluate_main(argv)
 

@@ -69,23 +69,6 @@ class WorkloadScale:
 
 DEFAULT_SCALE = WorkloadScale()
 
-#: Shrunk workload for CI smoke runs of the experiment harness.  Paper
-#: *shapes* are not asserted at this scale (the bench shims do that at
-#: full scale); it only has to exercise every code path cheaply.
-CI_SCALE = WorkloadScale(gemm_n=256, hotspot_n=256, hotspot_iterations=4,
-                         hotspot_steps_per_pass=4, spmv_rows=8000)
-
-SCALES = {"full": DEFAULT_SCALE, "ci": CI_SCALE}
-
-
-def scale_named(name: str) -> WorkloadScale:
-    """The named workload scale (``full`` or ``ci``)."""
-    try:
-        return SCALES[name]
-    except KeyError:
-        raise ConfigError(f"unknown workload scale {name!r}; known: "
-                          f"{sorted(SCALES)}") from None
-
 
 def _scaled_spec(spec: DeviceSpec, *, capacity: int | None = None,
                  byte_scale: int = BYTE_SCALE) -> DeviceSpec:

@@ -61,6 +61,23 @@ SETUP_COST = {
 }
 
 
+def _check_window(src: BufferHandle, src_offset: int, dst: BufferHandle,
+                  dst_offset: int, nbytes: int) -> None:
+    """Bounds of one contiguous transfer, shared by every 1-D move entry
+    point.  A mapped window's handle addresses its parent's storage, so
+    an offset below zero would reach the parent's bytes outside it."""
+    if nbytes < 0:
+        raise TransferError(f"negative transfer size {nbytes}")
+    if src_offset < 0 or src_offset + nbytes > src.nbytes:
+        raise TransferError(
+            f"read [{src_offset}, {src_offset + nbytes}) out of bounds "
+            f"for {src!r}")
+    if dst_offset < 0 or dst_offset + nbytes > dst.nbytes:
+        raise TransferError(
+            f"write [{dst_offset}, {dst_offset + nbytes}) out of bounds "
+            f"for {dst!r}")
+
+
 def _transfer_phase(src: StorageKind, dst: StorageKind) -> Phase:
     """Listing 4's dispatch: pick the operation class from the endpoint
     storage types."""
@@ -433,16 +450,7 @@ class System:
         self.registry.check_live(dst)
         self.cache.flush_handle(src)
         self.cache.flush_handle(dst)
-        if nbytes < 0:
-            raise TransferError(f"negative transfer size {nbytes}")
-        if src_offset + nbytes > src.nbytes:
-            raise TransferError(
-                f"read [{src_offset}, {src_offset + nbytes}) out of bounds "
-                f"for {src!r}")
-        if dst_offset + nbytes > dst.nbytes:
-            raise TransferError(
-                f"write [{dst_offset}, {dst_offset + nbytes}) out of bounds "
-                f"for {dst!r}")
+        _check_window(src, src_offset, dst, dst_offset, nbytes)
         src_node, dst_node = self.node_of(src), self.node_of(dst)
 
         spec = ncache = None
@@ -689,16 +697,7 @@ class System:
             self.registry.check_live(m.dst)
             self.cache.flush_handle(m.src)
             self.cache.flush_handle(m.dst)
-            if m.nbytes < 0:
-                raise TransferError(f"negative transfer size {m.nbytes}")
-            if m.src_offset < 0 or m.src_offset + m.nbytes > m.src.nbytes:
-                raise TransferError(
-                    f"read [{m.src_offset}, {m.src_offset + m.nbytes}) out "
-                    f"of bounds for {m.src!r}")
-            if m.dst_offset < 0 or m.dst_offset + m.nbytes > m.dst.nbytes:
-                raise TransferError(
-                    f"write [{m.dst_offset}, {m.dst_offset + m.nbytes}) out "
-                    f"of bounds for {m.dst!r}")
+            _check_window(m.src, m.src_offset, m.dst, m.dst_offset, m.nbytes)
             src_node, dst_node = self.node_of(m.src), self.node_of(m.dst)
             self._assert_adjacent(src_node, dst_node, expect_down=True)
             if pending and (pending_nodes != (src_node, dst_node)
@@ -729,16 +728,7 @@ class System:
         if self.cache.writeback:
             self.registry.check_live(src)
             self.registry.check_live(dst)
-            if nbytes < 0:
-                raise TransferError(f"negative transfer size {nbytes}")
-            if src_offset + nbytes > src.nbytes or src_offset < 0:
-                raise TransferError(
-                    f"read [{src_offset}, {src_offset + nbytes}) out of "
-                    f"bounds for {src!r}")
-            if dst_offset + nbytes > dst.nbytes or dst_offset < 0:
-                raise TransferError(
-                    f"write [{dst_offset}, {dst_offset + nbytes}) out of "
-                    f"bounds for {dst!r}")
+            _check_window(src, src_offset, dst, dst_offset, nbytes)
             return self.cache.defer_up(dst, src, nbytes,
                                        dst_offset=dst_offset,
                                        src_offset=src_offset, label=label)
@@ -1199,16 +1189,7 @@ class System:
         self.registry.check_live(handle)
         self._exec_settle(handle)
         node = self.node_of(handle)
-        itemsize = np.dtype(dtype).itemsize
-        if count is None:
-            if shape is not None:
-                count = int(np.prod(shape)) * itemsize
-            else:
-                count = handle.nbytes - offset
-        if offset < 0 or offset + count > handle.nbytes:
-            raise TransferError(
-                f"fetch of {count} bytes at offset {offset} overflows "
-                f"{handle!r}")
+        count = self._host_window(handle, dtype, shape, offset, count)
         raw = node.device.read(handle.alloc_id, handle.base_offset + offset,
                                count)
         arr = raw.view(dtype)

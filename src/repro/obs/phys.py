@@ -530,14 +530,14 @@ def capture(outdir: str, *, workers: int = 4, app: str = "gemm") -> dict:
     import numpy as np
 
     from repro.core.system import System
-    from repro.dist.bench import APP_CASES
+    from repro.bench.cells import DIST_APP_CASES
     from repro.dist.executor import DistExecutor
     from repro.dist.runner import DistributedScheduler
     from repro.obs.report import RunReport
     from repro.tools.trace_export import write_chrome_trace
 
     os.makedirs(outdir, exist_ok=True)
-    make_app, make_tree = APP_CASES[app]
+    make_app, make_tree = DIST_APP_CASES[app]
     ex = DistExecutor(workers=workers, telemetry=True)
     sys_ = System(make_tree(), executor=ex)
     try:

@@ -60,7 +60,7 @@ class ServeConfig:
     quotas: dict[str, TenantQuota] | None = None
 
 
-def _pct(sorted_vals: list[float], q: float) -> float:
+def percentile(sorted_vals: list[float], q: float) -> float:
     """Nearest-rank percentile of an ascending list (0.0 when empty)."""
     if not sorted_vals:
         return 0.0
@@ -107,8 +107,10 @@ class JobService:
         self.finished: list[Job] = []
         self.now = 0.0
         self._seq = 0
-        self._grants = 0
-        self._tenant_busy: dict[str, float] = {}
+        #: Grants made so far and virtual busy seconds per tenant; like
+        #: ``dispatch_log`` below, written by the loop, read by anyone.
+        self.grants = 0
+        self.tenant_busy: dict[str, float] = {}
         #: Every grant in order, as ``job_id`` strings -- the service's
         #: dispatch transcript.  Determinism tests hash this.
         self.dispatch_log: list[str] = []
@@ -225,15 +227,15 @@ class JobService:
         sys_.current_tenant = ""
         sys_.serve_scope = None
         job.grants += 1
-        self._grants += 1
+        self.grants += 1
         self.dispatch_log.append(job.job_id)
         if hi <= lo:
             return 0.0
         job.trace_windows.append((lo, hi))
         busy = trace.window_busy(lo, hi)
         job.busy_vt += busy
-        self._tenant_busy[job.tenant] = \
-            self._tenant_busy.get(job.tenant, 0.0) + busy
+        self.tenant_busy[job.tenant] = \
+            self.tenant_busy.get(job.tenant, 0.0) + busy
         self.now = max(self.now, trace.window_max_end(lo, hi))
         return busy
 
@@ -306,10 +308,10 @@ class JobService:
                   help_text="jobs waiting in the admission queue")
         reg.gauge("serve_live_jobs", len(self.live),
                   help_text="admitted jobs currently interleaving")
-        reg.gauge("serve_grants_total", self._grants)
+        reg.gauge("serve_grants_total", self.grants)
         reg.gauge("serve_jobs_rejected_total", self.admission.rejected)
-        total = sum(self._tenant_busy.values())
-        for tenant, busy in sorted(self._tenant_busy.items()):
+        total = sum(self.tenant_busy.values())
+        for tenant, busy in sorted(self.tenant_busy.items()):
             reg.gauge("serve_tenant_busy_s", busy,
                       labels={"tenant": tenant})
             if total > 0:
@@ -342,12 +344,12 @@ class JobService:
                 "pending_jobs": len(self.admission.pending),
                 "finished_jobs": len(done),
                 "rejected_jobs": rejected,
-                "grants": self._grants,
-                "p50_latency_s": _pct(lat, 50),
-                "p99_latency_s": _pct(lat, 99),
+                "grants": self.grants,
+                "p50_latency_s": percentile(lat, 50),
+                "p99_latency_s": percentile(lat, 99),
             },
         }
-        busy = dict(self._tenant_busy)
+        busy = dict(self.tenant_busy)
         total_busy = sum(busy.values())
         tenants: dict[str, dict] = {}
         for j in live:
@@ -360,8 +362,8 @@ class JobService:
             per_tenant_lat.setdefault(j.tenant, []).append(j.latency)
         for tenant, row in tenants.items():
             tl = sorted(per_tenant_lat.get(tenant, ()))
-            row["p50_latency_s"] = _pct(tl, 50)
-            row["p99_latency_s"] = _pct(tl, 99)
+            row["p50_latency_s"] = percentile(tl, 50)
+            row["p99_latency_s"] = percentile(tl, 99)
             row["busy_share"] = (busy.get(tenant, 0.0) / total_busy
                                  if total_busy > 0 else 0.0)
         out["tenants"] = tenants
@@ -421,7 +423,7 @@ class JobService:
             f"policy: {self.policy.describe()}",
             f"admission: {self.admission.describe()}",
             f"executor: {self.system.executor.describe()}",
-            f"virtual now: {self.now:.6f}s  grants: {self._grants}",
+            f"virtual now: {self.now:.6f}s  grants: {self.grants}",
         ]
         if self.quotas is not None:
             lines.append("tenant quotas:")
@@ -441,10 +443,10 @@ class JobService:
             lines.append("pending jobs:")
             lines.extend(f"  {j.job_id} tenant={j.tenant} "
                          f"submitted@{j.submit_vt:.6f}s" for j in pending)
-        if self._tenant_busy:
-            total = sum(self._tenant_busy.values())
+        if self.tenant_busy:
+            total = sum(self.tenant_busy.values())
             lines.append("tenant busy share:")
             lines.extend(
                 f"  {t}: {b:.6f}s ({b / total:.1%})"
-                for t, b in sorted(self._tenant_busy.items()))
+                for t, b in sorted(self.tenant_busy.items()))
         return "\n".join(lines)

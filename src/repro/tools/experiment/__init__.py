@@ -7,7 +7,7 @@ onto one scenario layer:
 
 * :mod:`~repro.tools.experiment.config` -- the declarative scenario
   model (TOML/JSON): a registered cell runner, a knob matrix (or an
-  explicit cell list), per-scale overrides, and an optional tuner spec.
+  explicit cell list), and an optional tuner spec.
 * :mod:`~repro.tools.experiment.registry` -- named, picklable cell
   runners (``repro.bench.cells`` registers one per bench family).
 * :mod:`~repro.tools.experiment.runner` -- matrix expansion and
@@ -17,7 +17,7 @@ onto one scenario layer:
 * :mod:`~repro.tools.experiment.artifact` -- the artifact directory
   (``meta.json``, ``cells/``, ``summary.json``, ``report.md``).
 * :mod:`~repro.tools.experiment.cli` -- ``python -m repro experiment
-  run | report | list``.
+  run | report | collect | list``.
 
 Scenario configs for every paper figure live in
 ``benchmarks/scenarios/``; the bench scripts are thin shims that run

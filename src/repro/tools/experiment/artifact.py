@@ -46,6 +46,12 @@ def write_json_atomic(path: str, doc: Any) -> None:
     os.replace(tmp, path)
 
 
+def write_collection(path: str, summaries: list[dict[str, Any]]) -> None:
+    """Write ``experiment collect``'s document -- finished summaries
+    keyed by scenario name, the one format of every ``BENCH_*.json``."""
+    write_json_atomic(path, {s["scenario"]: s for s in summaries})
+
+
 class Artifact:
     """Reader/writer for one experiment artifact directory."""
 

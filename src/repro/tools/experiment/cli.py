@@ -7,7 +7,7 @@ import os
 import sys
 
 from repro.errors import NorthupError
-from repro.tools.experiment.artifact import Artifact
+from repro.tools.experiment.artifact import Artifact, write_collection
 from repro.tools.experiment.config import (default_scenario_dir,
                                            find_scenario, load_scenario)
 from repro.tools.experiment.report import render_report
@@ -17,12 +17,9 @@ from repro.tools.experiment.runner import run_scenario
 def _cmd_run(args: argparse.Namespace) -> int:
     path = find_scenario(args.scenario)
     scenario = load_scenario(path)
-    out_dir = args.out
-    if out_dir is None:
-        suffix = f"-{args.scale}" if args.scale else ""
-        out_dir = os.path.join("runs", scenario.name + suffix)
-    result = run_scenario(scenario, out_dir=out_dir, scale=args.scale,
-                          workers=args.workers, resume=args.resume)
+    out_dir = args.out or os.path.join("runs", scenario.name)
+    result = run_scenario(scenario, out_dir=out_dir, workers=args.workers,
+                          resume=args.resume)
     print(f"scenario {scenario.name}: {result.executed} cell(s) run, "
           f"{result.reused} reused -> {result.out_dir}")
     if result.tuned is not None:
@@ -54,28 +51,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_collect(args: argparse.Namespace) -> int:
-    """Combine finished artifact summaries into one bench-style JSON
-    that :mod:`repro.obs.regress` can gate against a committed
-    baseline (wall-clock fields live under ``meta`` keys, which the
-    gate ignores; the remaining numbers are virtual and exact)."""
-    import json
-    doc: dict[str, dict] = {}
+    """Combine finished artifact summaries into one JSON document that
+    :mod:`repro.obs.regress` gates against a committed baseline
+    (everything outside the ``meta`` keys is virtual and exact)."""
+    summaries = []
     for d in args.dirs:
         art = Artifact(d)
         if not art.complete:
             print(f"error: {d} is not a finished artifact dir",
                   file=sys.stderr)
             return 2
-        summary = art.read_summary()
-        key = summary["scenario"]
-        if summary.get("scale", "full") != "full":
-            key = f"{key}@{summary['scale']}"
-        doc[key] = summary
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"collected {len(doc)} summar{'y' if len(doc) == 1 else 'ies'} "
-          f"-> {args.out}")
+        summaries.append(art.read_summary())
+    write_collection(args.out, summaries)
+    n = len(summaries)
+    print(f"collected {n} summar{'y' if n == 1 else 'ies'} -> {args.out}")
     return 0
 
 
@@ -113,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "scenario dir) or a path to a .toml/.json file")
     run.add_argument("--out", default=None,
                      help="artifact directory (default: runs/<name>)")
-    run.add_argument("--scale", default=None,
-                     help="apply the scenario's [scales.<name>] override")
     run.add_argument("--workers", type=int, default=1,
                      help="process-pool width for matrix cells")
     run.add_argument("--resume", action="store_true",

@@ -10,14 +10,11 @@ same structure)::
     runner = "fig6"
 
     [fixed]                # constants merged into every cell
-    scale = "full"
+    cpu_threads = 4
 
     [matrix]               # knob grid, crossed in declaration order
     app = ["gemm", "hotspot", "spmv"]
     config = ["in-memory", "ssd", "hdd"]
-
-    [scales.ci]            # overrides applied by --scale ci
-    fixed = { scale = "ci" }
 
 Instead of ``[matrix]`` a scenario may enumerate explicit cells (for
 ragged spaces where the knobs are not a full cross product)::
@@ -135,7 +132,6 @@ class Scenario:
     matrix: dict[str, list[Any]] = field(default_factory=dict)
     cells: tuple[dict[str, Any], ...] = ()
     repeats: int = 1
-    scales: dict[str, dict[str, Any]] = field(default_factory=dict)
     tuner: TunerSpec | None = None
     source: str = ""
 
@@ -157,31 +153,6 @@ class Scenario:
                                   f"{knob!r} needs a non-empty value list")
         for i, cell in enumerate(self.cells):
             _check_params(f"scenario {self.name!r} cells[{i}]", cell)
-
-    def at_scale(self, scale: str | None) -> "Scenario":
-        """Resolve per-scale overrides into a concrete scenario.
-
-        ``None`` (or an unknown scale with no ``[scales.*]`` table at
-        all) returns the scenario unchanged; naming a scale the
-        scenario does not define is an error, so CI typos fail loudly.
-        """
-        if scale is None or not self.scales:
-            return self
-        if scale == "full" and "full" not in self.scales:
-            return self
-        if scale not in self.scales:
-            raise ConfigError(
-                f"scenario {self.name!r} defines no scale {scale!r} "
-                f"(known: {sorted(self.scales)})")
-        override = self.scales[scale]
-        fixed = {**self.fixed, **override.get("fixed", {})}
-        matrix = override.get("matrix", self.matrix)
-        repeats = override.get("repeats", self.repeats)
-        return Scenario(
-            name=self.name, runner=self.runner, title=self.title,
-            description=self.description, fixed=fixed, matrix=matrix,
-            cells=self.cells, repeats=repeats, scales={},
-            tuner=self.tuner, source=self.source)
 
     def expand(self) -> list[dict[str, Any]]:
         """The deterministic cell list: fixed params merged under each
@@ -247,8 +218,7 @@ def parse_scenario(doc: dict[str, Any], *, source: str = "") -> Scenario:
         raise ConfigError(f"{source or 'scenario document'}: missing "
                           f"[scenario] table")
     head = doc["scenario"]
-    unknown = set(doc) - {"scenario", "fixed", "matrix", "cells",
-                          "scales", "tuner"}
+    unknown = set(doc) - {"scenario", "fixed", "matrix", "cells", "tuner"}
     if unknown:
         raise ConfigError(f"{source or 'scenario document'}: unknown "
                           f"top-level tables {sorted(unknown)}")
@@ -262,7 +232,6 @@ def parse_scenario(doc: dict[str, Any], *, source: str = "") -> Scenario:
         matrix={k: list(v) for k, v in doc.get("matrix", {}).items()},
         cells=tuple(dict(c) for c in doc.get("cells", [])),
         repeats=int(head.get("repeats", 1)),
-        scales={k: dict(v) for k, v in doc.get("scales", {}).items()},
         tuner=tuner, source=source)
 
 

@@ -48,7 +48,6 @@ def render_report(summary: dict[str, Any]) -> str:
     """The ``report.md`` body for one experiment summary."""
     lines = [f"# Experiment: {summary.get('scenario', '?')}", ""]
     lines.append(f"- runner: `{summary.get('runner', '?')}`")
-    lines.append(f"- scale: `{summary.get('scale', 'full')}`")
     lines.append(f"- cells: {summary.get('cell_count', 0)}")
     meta = summary.get("meta", {})
     if "wall_s" in meta:

@@ -1,9 +1,8 @@
 """Scenario execution: expand the matrix, fan out, persist as you go.
 
 :func:`run_scenario` is the one entry point the CLI, the bench shims
-and the tests all share.  It resolves the scenario at the requested
-scale, writes ``meta.json`` (including the full expanded cell list)
-*before* any cell executes, then runs the cells through
+and the tests all share.  It writes ``meta.json`` (including the full
+expanded cell list) *before* any cell executes, then runs the cells through
 :func:`repro.bench.parallel.run_parallel` with an ``on_result`` hook
 that lands each cell file atomically as it completes.  A run killed at
 any point therefore leaves a valid partial artifact, and
@@ -73,7 +72,7 @@ def _plan(scenario: Scenario) -> list[dict[str, Any]]:
     return plan
 
 
-def _summarize(scenario: Scenario, scale: str | None,
+def _summarize(scenario: Scenario,
                cells: list[dict[str, Any]], *, wall_s: float,
                workers: int, tuned: dict[str, Any] | None
                ) -> dict[str, Any]:
@@ -86,7 +85,6 @@ def _summarize(scenario: Scenario, scale: str | None,
     summary: dict[str, Any] = {
         "scenario": scenario.name,
         "runner": scenario.runner,
-        "scale": scale or "full",
         "cell_count": len(cells),
         "cells": cells,
         "meta": {"wall_s": round(wall_s, 3), "workers": workers,
@@ -104,7 +102,7 @@ def _summarize(scenario: Scenario, scale: str | None,
     return summary
 
 
-def _run_matrix(scenario: Scenario, scale: str | None, art: Artifact, *,
+def _run_matrix(scenario: Scenario, art: Artifact, *,
                 workers: int, resume: bool) -> ExperimentResult:
     plan = _plan(scenario)
     done: dict[int, dict[str, Any]] = {}
@@ -125,8 +123,8 @@ def _run_matrix(scenario: Scenario, scale: str | None, art: Artifact, *,
         if art.exists and not resume:
             raise ConfigError(f"{art.root} already holds an experiment "
                               f"artifact; pass --resume or a fresh dir")
-        art.begin({"scenario": scenario.to_doc(), "scale": scale or "full",
-                   "plan": plan, "mode": "matrix"})
+        art.begin({"scenario": scenario.to_doc(), "plan": plan,
+                   "mode": "matrix"})
 
     todo = [entry for entry in plan if entry["index"] not in done]
     start = time.perf_counter()
@@ -148,7 +146,7 @@ def _run_matrix(scenario: Scenario, scale: str | None, art: Artifact, *,
     cells = [{"params": completed[e["index"]]["params"],
               "repeat": completed[e["index"]]["repeat"],
               "record": completed[e["index"]]["record"]} for e in plan]
-    summary = _summarize(scenario, scale, cells, wall_s=wall_s,
+    summary = _summarize(scenario, cells, wall_s=wall_s,
                          workers=workers, tuned=None)
     from repro.tools.experiment.report import render_report
     art.finish(summary, render_report(summary))
@@ -157,8 +155,8 @@ def _run_matrix(scenario: Scenario, scale: str | None, art: Artifact, *,
                             reused=len(plan) - len(todo))
 
 
-def _run_tuner(scenario: Scenario, scale: str | None, art: Artifact, *,
-               workers: int, resume: bool) -> ExperimentResult:
+def _run_tuner(scenario: Scenario, art: Artifact, *,
+               resume: bool) -> ExperimentResult:
     from repro.tools.autotune import tune_spec
     if art.exists:
         if not resume:
@@ -173,8 +171,7 @@ def _run_tuner(scenario: Scenario, scale: str | None, art: Artifact, *,
         # An interrupted tuner run re-runs from the start: the search
         # is deterministic and each evaluation is cheap virtual time,
         # so replay is simpler and equally reproducible.
-    art.begin({"scenario": scenario.to_doc(), "scale": scale or "full",
-               "plan": [], "mode": "tune"})
+    art.begin({"scenario": scenario.to_doc(), "plan": [], "mode": "tune"})
 
     assert scenario.tuner is not None
     cells: list[dict[str, Any]] = []
@@ -191,7 +188,7 @@ def _run_tuner(scenario: Scenario, scale: str | None, art: Artifact, *,
     wall_s = time.perf_counter() - start
     tuned = result.to_doc()
     art.write_tuned(tuned)
-    summary = _summarize(scenario, scale, cells, wall_s=wall_s,
+    summary = _summarize(scenario, cells, wall_s=wall_s,
                          workers=1, tuned=tuned)
     from repro.tools.experiment.report import render_report
     art.finish(summary, render_report(summary))
@@ -200,8 +197,7 @@ def _run_tuner(scenario: Scenario, scale: str | None, art: Artifact, *,
                             executed=len(cells), reused=0)
 
 
-def run_scenario(scenario: Scenario, *, out_dir: str,
-                 scale: str | None = None, workers: int = 1,
+def run_scenario(scenario: Scenario, *, out_dir: str, workers: int = 1,
                  resume: bool = False) -> ExperimentResult:
     """Execute one scenario into an artifact directory.
 
@@ -211,8 +207,6 @@ def run_scenario(scenario: Scenario, *, out_dir: str,
         A loaded :class:`Scenario` (see :func:`load_scenario`).
     out_dir:
         Artifact directory.  Must be fresh unless ``resume=True``.
-    scale:
-        Optional ``[scales.*]`` override name (e.g. ``"ci"``).
     workers:
         Process-pool width for matrix cells (tuner runs are inherently
         sequential: each move depends on the previous evaluation).
@@ -220,20 +214,16 @@ def run_scenario(scenario: Scenario, *, out_dir: str,
         Complete a previously interrupted run in ``out_dir`` instead of
         refusing to touch it.
     """
-    resolved = scenario.at_scale(scale)
     # Fail on an unknown runner before any directory is created.
-    registry.get_runner(resolved.runner)
+    registry.get_runner(scenario.runner)
     art = Artifact(os.path.abspath(out_dir))
-    if resolved.tuner is not None:
-        return _run_tuner(resolved, scale, art, workers=workers,
-                          resume=resume)
-    return _run_matrix(resolved, scale, art, workers=workers,
-                       resume=resume)
+    if scenario.tuner is not None:
+        return _run_tuner(scenario, art, resume=resume)
+    return _run_matrix(scenario, art, workers=workers, resume=resume)
 
 
-def run_scenario_file(path: str, *, out_dir: str, scale: str | None = None,
-                      workers: int = 1, resume: bool = False
-                      ) -> ExperimentResult:
+def run_scenario_file(path: str, *, out_dir: str, workers: int = 1,
+                      resume: bool = False) -> ExperimentResult:
     """:func:`run_scenario` on a scenario config file."""
-    return run_scenario(load_scenario(path), out_dir=out_dir, scale=scale,
+    return run_scenario(load_scenario(path), out_dir=out_dir,
                         workers=workers, resume=resume)

@@ -130,3 +130,29 @@ def test_fetch_preload_bounds_on_windows(system):
         system.preload(window, np.zeros(32, dtype=np.uint8))
     with pytest.raises(TransferError):
         system.fetch(window, np.uint8, count=32)
+
+
+@pytest.mark.parametrize("entry", ["move", "move_down", "move_up",
+                                   "move_transformed"])
+def test_negative_offsets_cannot_reach_outside_a_window(system, entry):
+    """A window's handle addresses its parent's storage: an offset below
+    zero must be rejected, or the move reads -- or, as the destination,
+    overwrites -- the parent's bytes outside the window."""
+    from repro.core.layout import Identity
+    nodes = [system.tree.root, system.tree.leaves()[0]]
+    if entry == "move_up":              # leaf -> root; the rest go down
+        nodes.reverse()
+    parents, windows = [], []
+    for node in nodes:
+        parents.append(system.alloc(256, node))
+        system.preload(parents[-1], np.arange(256, dtype=np.uint8))
+        windows.append(system.map_region(parents[-1], 100, 100))
+    src, dst = windows
+    args = (100, Identity(100)) if entry == "move_transformed" else (100,)
+    with pytest.raises(TransferError, match=r"read \[-50, 50\) out of"):
+        getattr(system, entry)(dst, src, *args, src_offset=-50)
+    with pytest.raises(TransferError, match=r"write \[-50, 50\) out of"):
+        getattr(system, entry)(dst, src, *args, dst_offset=-50)
+    for parent in parents:
+        np.testing.assert_array_equal(system.fetch(parent, np.uint8),
+                                      np.arange(256, dtype=np.uint8))

@@ -11,7 +11,8 @@ import pytest
 
 from repro.core.system import System
 from repro.dist import DistExecutor, DistributedScheduler, dist_residue
-from repro.dist.bench import APP_CASES, _run_app
+from repro.bench.cells import DIST_APP_CASES as APP_CASES
+from repro.bench.cells import run_dist_app as _run_app
 from repro.memory.network import NETWORK_PRESETS
 from repro.sim.trace import Phase
 
@@ -27,8 +28,8 @@ def _reference(name):
 @pytest.mark.parametrize("workers", [2, 4])
 @pytest.mark.parametrize("name", sorted(APP_CASES))
 def test_distributed_matches_single_process(name, workers):
-    ref_digest, ref_makespan, ref_intervals, _ = _reference(name)
-    digest, makespan, intervals, _ = _run_app(
+    ref_digest, ref_makespan, ref_intervals = _reference(name)
+    digest, makespan, intervals = _run_app(
         name, executor=DistExecutor(workers=workers),
         scheduler=DistributedScheduler())
     assert digest == ref_digest, (
@@ -45,7 +46,7 @@ def test_tree_strategy_keeps_identity():
     ref = _reference("gemm")
     got = _run_app("gemm", executor=DistExecutor(workers=2),
                    scheduler=DistributedScheduler(strategy="tree"))
-    assert got[:3] == ref[:3]
+    assert got == ref
 
 
 def test_every_partition_ran_kernels():

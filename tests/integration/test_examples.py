@@ -11,7 +11,7 @@ EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 EXAMPLES = ["quickstart.py", "thermal_simulation.py",
             "sparse_analytics.py", "custom_topology.py",
             "paper_listing3.py", "load_balancing.py",
-            "external_sort.py"]
+            "external_sort.py", "serve_status.py"]
 
 
 @pytest.mark.parametrize("script", EXAMPLES)

@@ -163,10 +163,18 @@ def test_job_service_status_server_lifecycle(served):
 
 
 def test_status_board_idle_document():
-    from repro.serve.bench import _StatusBoard
+    """A service that has served nothing yet still answers /status with
+    a schema-valid, empty document (what ``repro top`` shows at start)."""
+    from repro.bench import configs
+    from repro.core.system import System
+    from repro.serve import JobService
 
-    board = _StatusBoard()
-    idle = board.status()
+    with System(configs.scaled_apu_tree("ssd")) as sys_:
+        idle = JobService(sys_).status()
     assert idle["schema"] == STATUS_SCHEMA
-    assert idle["service"]["policy"] == "idle"
+    assert idle["service"]["policy"] == "fair"
+    assert idle["service"]["live_jobs"] == 0
+    assert idle["service"]["finished_jobs"] == 0
+    assert idle["service"]["p99_latency_s"] == 0.0
     assert idle["tenants"] == {}
+    json.dumps(idle)

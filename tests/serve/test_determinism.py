@@ -10,15 +10,14 @@ import pytest
 from repro.bench.parallel import run_parallel
 from repro.exec import EXEC_BACKENDS
 from repro.serve import bench as serve_bench
+from tests.serve.sizes import SMALL_STREAM
 
 
-def _run_policy(policy, executor=None):
-    """Module-level so the process pool can pickle it."""
-    return serve_bench.run_policy(policy, scale_name="ci", seed=0,
-                                  executor=executor)
-
-
-def _strip_env(row):
+def _run_policy(policy, executor=None, seed=0):
+    """Module-level so the process pool can pickle it.  The record minus
+    ``meta`` (the loop's wall-clock rate): everything left is virtual."""
+    row = serve_bench.run_policy(policy, sizes=SMALL_STREAM, seed=seed,
+                                 executor=executor)
     return {k: v for k, v in row.items() if k != "meta"}
 
 
@@ -45,8 +44,8 @@ def test_process_pool_matches_inline():
     inline = [_run_policy(p) for p in policies]
     pooled = run_parallel(_run_policy, policies, workers=3)
     for a, b in zip(inline, pooled):
-        assert json.dumps(_strip_env(a), sort_keys=True) == \
-            json.dumps(_strip_env(b), sort_keys=True)
+        assert json.dumps(a, sort_keys=True) == \
+            json.dumps(b, sort_keys=True)
 
 
 @pytest.mark.parametrize("backend", [b for b in EXEC_BACKENDS
@@ -63,6 +62,6 @@ def test_async_compute_backend_is_dispatch_invisible(backend):
 
 
 def test_seed_changes_the_stream():
-    base = serve_bench.run_policy("fair", scale_name="ci", seed=0)
-    other = serve_bench.run_policy("fair", scale_name="ci", seed=1)
+    base = _run_policy("fair", seed=0)
+    other = _run_policy("fair", seed=1)
     assert base["dispatch_digest"] != other["dispatch_digest"]

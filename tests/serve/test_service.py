@@ -132,7 +132,7 @@ def test_tenant_busy_share_sums_to_one():
     stream = [Arrival(vt=0.0, spec=s) for s in MOUSE_SPECS]
     sys_, service, jobs = serve_stream(stream)
     try:
-        total = sum(service._tenant_busy.values())
+        total = sum(service.tenant_busy.values())
         busy = sum(j.busy_vt for j in jobs)
         assert total == pytest.approx(busy)
         assert total > 0

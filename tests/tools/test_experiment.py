@@ -72,23 +72,12 @@ def test_expand_merges_fixed_under_cells():
                           {"bias": 0, "a": 3, "b": 4}]
 
 
-def test_at_scale_merges_fixed_override():
+def test_parse_rejects_a_scales_table():
+    """The reduced-scale tier is gone: ``[scales.*]`` is an unknown table."""
     doc = minimal_doc()
-    doc["fixed"] = {"bias": 0}
     doc["scales"] = {"ci": {"fixed": {"bias": 100}}}
-    s = parse_scenario(doc)
-    ci = s.at_scale("ci")
-    assert ci.fixed == {"bias": 100}
-    assert ci.matrix == s.matrix
-    assert s.at_scale(None) is s
-
-
-def test_at_scale_rejects_unknown_scale():
-    doc = minimal_doc()
-    doc["scales"] = {"ci": {"fixed": {"bias": 1}}}
-    s = parse_scenario(doc)
-    with pytest.raises(ConfigError, match="no scale 'nightly'"):
-        s.at_scale("nightly")
+    with pytest.raises(ConfigError, match="scales"):
+        parse_scenario(doc)
 
 
 def test_load_scenario_toml_roundtrip(tmp_path):
