@@ -360,7 +360,7 @@ class GemmApp(NorthupProgram):
         gpu = ctx.get_device(ProcessorKind.GPU)
 
         # The kernel is a picklable spec over buffer bindings, so any
-        # compute backend (inline, threaded, shm pool) can run it; C is
+        # compute backend (inline, shm or dist pool) can run it; C is
         # an ``update`` binding because the block accumulates into it.
         label = f"gemm {lv.m}x{lv.k}x{lv.n}"
         sys_.launch(gpu, gemm_cost(lv.m, lv.k, lv.n),

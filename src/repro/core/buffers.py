@@ -56,7 +56,8 @@ class ArrayPool:
     the backends honour it by only retiring buffers on ``destroy``.)
 
     Take/give are thread-safe (bucket mutation happens under a lock):
-    threaded compute backends may recycle staging arrays off-thread.
+    the dist executor's sender threads recycle staging arrays
+    off-thread.
     """
 
     def __init__(self, max_bytes: int = 64 * 1024 * 1024,

@@ -163,8 +163,8 @@ class System:
     executor:
         Compute backend for :meth:`launch` kernel specs
         (:mod:`repro.exec`): an :class:`~repro.exec.base.Executor`
-        instance, a backend name (``"inline"``, ``"threaded"``,
-        ``"shm"``, ``"dist"``), or ``None`` for the default in-process
+        instance, a backend name (``"inline"``, ``"shm"``,
+        ``"dist"``), or ``None`` for the default in-process
         :class:`~repro.exec.inline.InlineExecutor` (behaviour-identical
         to the pre-executor runtime).  Virtual time is charged on the
         simulator thread under every backend, so makespans and traces

@@ -6,10 +6,10 @@ One duplex pipe per worker carries these messages:
   the ``module:qualname`` entry point, its operands (the slab
   shipment), kwargs, and the owning task-graph node / partition for
   failure attribution;
-* :class:`CompletionAck` (worker -> coordinator) -- the ticket's
-  outcome: measured kernel seconds, the writable output arrays shipped
-  back, or a formatted traceback on failure;
-* :class:`Heartbeat` (worker -> coordinator) -- idle liveness beat;
+* :class:`~repro.exec.pool.CompletionAck` (worker -> coordinator) --
+  the ticket's outcome, the same reply the shm pool uses: measured
+  kernel seconds, the writable output arrays shipped back, or a
+  formatted traceback on failure;
 * :data:`SHUTDOWN` (coordinator -> worker) -- drain and exit.
 
 Every message, in both directions, travels through
@@ -34,6 +34,8 @@ import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.exec.pool import CompletionAck  # noqa: F401  (re-exported)
 
 #: Coordinator -> worker sentinel: drain the pipe and exit.
 SHUTDOWN = "shutdown"
@@ -106,41 +108,3 @@ class TaskGrant:
     #: -1 when the submit came from outside a distributed drain.
     node_id: int = -1
     partition: int = -1
-
-
-@dataclass
-class CompletionAck:
-    """A worker's reply for one grant.
-
-    The telemetry fields stay at their ``None``/``0`` defaults unless
-    the worker was started with telemetry on -- the zero-overhead-off
-    contract: bare acks never carry a payload.
-    """
-
-    ticket: int
-    worker: int
-    seconds: float
-    #: Formatted traceback when the kernel raised; ``None`` on success.
-    error: str | None = None
-    #: name -> array for every writable operand (the shipment back up).
-    outputs: dict[str, np.ndarray] = field(default_factory=dict)
-    #: Sub-phase split of ``seconds`` (unpickle/setup/kernel seconds).
-    phases: dict | None = None
-    #: Drained :class:`~repro.obs.phys.TelemetryBuffer` records
-    #: piggybacking home on this ack (worker-clock ns).
-    telemetry: list | None = None
-    #: Worker ``perf_counter_ns`` when the grant bytes arrived / when
-    #: this ack left -- one NTP-style clock sample per round trip.
-    t_recv_ns: int = 0
-    t_ack_ns: int = 0
-
-
-@dataclass
-class Heartbeat:
-    """Worker -> coordinator liveness beat (telemetry mode, idle
-    workers only): the watchdog's signal that a silent worker is idle
-    rather than wedged."""
-
-    worker: int
-    t_ns: int
-    rss: int = 0

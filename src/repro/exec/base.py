@@ -8,8 +8,6 @@ bit-identical no matter which backend executes the NumPy work.  What an
 
 * :class:`~repro.exec.inline.InlineExecutor` -- in-process, in-place
   over zero-copy buffer views (the historical path, default);
-* :class:`~repro.exec.threaded.ThreadedExecutor` -- a thread pool for
-  GIL-releasing NumPy ops;
 * :class:`~repro.exec.shm.SharedMemExecutor` -- a persistent
   ``multiprocessing`` worker pool passing operands through
   ``multiprocessing.shared_memory`` segments;
@@ -203,6 +201,9 @@ class Executor(abc.ABC):
         self.workers = max(1, int(workers))
         self.stats = ExecStats()
         self.closed = False
+        #: Task-graph node / partition of the next submits (failure
+        #: attribution; see :meth:`set_task_context`).
+        self._ctx_node = self._ctx_part = -1
         #: Physical telemetry aggregator (:mod:`repro.obs.phys`), or
         #: ``None`` -- the default.  Strictly opt-in: when None, no
         #: buffer is allocated anywhere and workers send bare acks.
@@ -212,9 +213,9 @@ class Executor(abc.ABC):
 
     def enable_telemetry(self) -> None:
         """Attach a :class:`~repro.obs.phys.PhysTelemetry` aggregator
-        (idempotent).  Must run before worker pools fork so the worker
-        side knows to buffer; backends therefore pass ``telemetry=``
-        at construction rather than calling this late."""
+        (idempotent).  Worker pools decide at fork whether workers
+        buffer, so they take ``telemetry=`` at construction and raise
+        :class:`~repro.errors.ConfigError` when called late."""
         if self.telemetry is None:
             # Lazy import: repro.obs pulls in the reporting stack, and
             # the core imports this module at startup.
@@ -228,6 +229,8 @@ class Executor(abc.ABC):
         Bare calls reset node/partition (the distributed runner's
         convention) but keep the span -- the System re-pokes it per
         dispatch."""
+        self._ctx_node = node_id
+        self._ctx_part = partition
         tel = self.telemetry
         if tel is not None:
             tel.current_node = node_id
@@ -253,6 +256,14 @@ class Executor(abc.ABC):
 
     def release(self, ticket: int) -> None:
         """Return a waited ticket's resources (e.g. shm segments)."""
+
+    def silent_since(self) -> dict[str, int | None]:
+        """worker -> coordinator ``perf_counter_ns`` its current silence
+        counts from, ``None`` for an idle worker: the
+        :class:`~repro.obs.health.Watchdog`'s input.  Only the pools
+        hold tickets, so here every worker telemetry has seen is idle."""
+        tel = self.telemetry
+        return dict.fromkeys(tel.last_seen_ns) if tel is not None else {}
 
     def close(self) -> None:
         self.closed = True
@@ -297,28 +308,23 @@ def default_exec_workers() -> int:
 
 def make_executor(spec: str, workers: int | None = None, *,
                   telemetry: bool = False) -> "Executor":
-    """Build a backend by name: ``inline``, ``threaded``, ``shm`` or
-    ``dist``."""
+    """Build a backend by name: one of :data:`EXEC_BACKENDS`."""
     from repro.exec.inline import InlineExecutor
     from repro.exec.shm import SharedMemExecutor
-    from repro.exec.threaded import ThreadedExecutor
 
     name = spec.strip().lower()
     if workers is None:
         workers = default_exec_workers()
     if name == "inline":
         return InlineExecutor(telemetry=telemetry)
-    if name == "threaded":
-        return ThreadedExecutor(workers=workers, telemetry=telemetry)
     if name == "shm":
         return SharedMemExecutor(workers=workers, telemetry=telemetry)
     if name == "dist":
         from repro.dist.executor import DistExecutor
         return DistExecutor(workers=workers, telemetry=telemetry)
-    raise ExecError(
-        f"unknown executor backend {spec!r}; known: inline, threaded, "
-        f"shm, dist")
+    raise ExecError(f"unknown executor backend {spec!r}; known: "
+                    f"{', '.join(EXEC_BACKENDS)}")
 
 
 #: Backend names ``make_executor`` accepts, canonical form.
-EXEC_BACKENDS = ("inline", "threaded", "shm", "dist")
+EXEC_BACKENDS = ("inline", "shm", "dist")

@@ -37,18 +37,14 @@ class InlineExecutor(Executor):
             raise ExecError("executor is closed")
         fn = resolve_kernel(ref)
         args = {name: arr for name, arr, _w in arrays}
-        tel = self.telemetry
-        if tel is None:
-            t0 = time.perf_counter()
-            fn(**args, **kwargs)
-            dt = time.perf_counter() - t0
-        else:
-            k0 = time.perf_counter_ns()
-            fn(**args, **kwargs)
-            k1 = time.perf_counter_ns()
-            dt = (k1 - k0) / 1e9
-            tel.note_inline("main", "kernel", k0, k1,
-                            nbytes=sum(a.nbytes for _n, a, _w in arrays))
+        k0 = time.perf_counter_ns()
+        fn(**args, **kwargs)
+        k1 = time.perf_counter_ns()
+        dt = (k1 - k0) / 1e9
+        if self.telemetry is not None:
+            self.telemetry.note_inline(
+                "main", "kernel", k0, k1,
+                nbytes=sum(a.nbytes for _n, a, _w in arrays))
         self._next += 1
         ticket = self._next
         self.stats.submitted += 1

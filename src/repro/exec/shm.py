@@ -26,39 +26,21 @@ more.  It creates past the budget only when no ack can free anything
 (the bytes are held by staged-not-yet-submitted buffers, by the ticket
 ``submit`` is still building, or by writable outputs awaiting their
 merge), which is what keeps it deadlock-free; such segments are
-unlinked, not pooled, when they come back.  Every task message carries
-the pool's unlink count, and a worker that sees it move drops its
-attachments (:mod:`repro.exec.worker`), so an unlinked segment's pages
-go back to the OS when each worker that mapped it takes its next task.
+unlinked, not pooled, when they come back (and workers let go of
+unlinked segments, :mod:`repro.exec.worker`).
 
 Completion
 ----------
-Each worker reports on a pipe of its own: a *claim* naming the ticket
-before it runs the kernel, the reply after.  The parent reads those
-pipes whenever the caller touches the executor (``stage``, ``submit``,
-``wait`` -- all on the caller's thread, which alone owns the state).
-End-of-file on a worker's pipe is its death: the ticket it had claimed
-fails with an :class:`~repro.exec.base.ExecError` naming the worker and
-its exit code, tickets on surviving workers complete, and once every
-worker is gone all remaining tickets fail.  ``wait`` cannot block on a
-ticket nobody will finish.
-
-Determinism
------------
-Replies may arrive in any order (they are stashed), but the runtime's
-:class:`~repro.exec.ledger.PendingLedger` merges results in submission
-order -- the rule :mod:`repro.bench.parallel` established -- so final
-buffer bytes are independent of worker scheduling.
-
-Lifecycle
----------
-Segments are pooled by exact size and reused across tasks (worker-side
-attachments are cached by name, so steady state does zero ``shm_open``
-calls).  ``close()`` is idempotent: sentinel-shutdown of the workers,
-then every segment -- pooled, in flight or staged and never submitted
--- is closed *and unlinked*.  The :mod:`repro.lifecycle` ``atexit``
-guard closes any executor still live at interpreter exit, so no
-``/dev/shm`` residue survives a test run even when teardown is skipped.
+Each worker reports on a pipe of its own: a *claim* before it runs the
+kernel -- which assigns the ticket to that worker in the pool core's
+book (:mod:`repro.exec.pool`) -- and the reply after, read whenever the
+caller touches the executor.  Replies may arrive in any order; the
+:class:`~repro.exec.ledger.PendingLedger` merges in submission order.
+On top of the core's ``join_timeout``, tickets no live worker claimed
+are given up after :data:`LOST_TICKET_TICKS` silent seconds.  At
+``close()`` every segment -- pooled, in flight or staged and never
+submitted -- is closed *and unlinked*; the :mod:`repro.lifecycle`
+``atexit`` guard closes any executor still live at interpreter exit.
 """
 
 from __future__ import annotations
@@ -72,11 +54,10 @@ from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
-from repro.exec.base import ExecError, Executor, TaskResult, \
-    default_exec_workers
-from repro.exec.pool import pool_context, start_workers
+from repro.exec.base import ExecError
+from repro.exec.pool import CompletionAck, WorkerPool, pool_context, \
+    pool_residue
 from repro.exec.worker import worker_main
-from repro.lifecycle import track
 
 #: Prefix of every segment this process creates; the residue test and
 #: the atexit reaper match on it.
@@ -88,7 +69,7 @@ SHM_PREFIX = f"repro_exec_{os.getpid()}_"
 SEGMENT_BUDGET_BYTES = 48 * 1024 * 1024
 
 #: A blocked ``wait``/``stage`` gives up on un-acked tickets after this
-#: many consecutive silent seconds with every live worker idle: an idle
+#: many consecutive silent seconds with no ticket claimed: an idle
 #: worker takes a queued task at once, so the tickets were taken by a
 #: worker that died before it could claim them.
 LOST_TICKET_TICKS = 10
@@ -102,17 +83,6 @@ class _Operand(NamedTuple):
     shape: tuple
     dtype: str
     writable: bool
-
-
-class _Task:
-    """What a ticket still holds: its label and the operands whose
-    segments have not gone back to the pool."""
-
-    __slots__ = ("label", "operands")
-
-    def __init__(self, label: str, operands: list[_Operand]) -> None:
-        self.label = label
-        self.operands = operands
 
 
 class _SegmentPool:
@@ -190,53 +160,35 @@ class _SegmentPool:
         self.free_count = 0
 
 
-class SharedMemExecutor(Executor):
+class SharedMemExecutor(WorkerPool):
     """Persistent worker-process pool over shared-memory operands."""
 
     name = "shm"
-    asynchronous = True
 
-    def __init__(self, workers: int | None = None, *,
-                 telemetry: bool = False) -> None:
-        super().__init__(workers=workers or default_exec_workers(),
-                         telemetry=telemetry)
+    def _open(self) -> None:
         # The resource tracker must predate the workers so they inherit
         # it: a child spawning its *own* tracker would unlink shared
         # segments when that child exits (bpo-39959).
         resource_tracker.ensure_running()
         self._tasks = pool_context().Queue()
-        self._procs, self._conns = start_workers(
-            "repro-exec", self.workers, worker_main,
-            (self._tasks, self.telemetry is not None), duplex=False)
+        self._start("repro-exec", worker_main,
+                    (self._tasks, self.telemetry is not None), duplex=False)
         self._replies = selectors.DefaultSelector()
         for worker, conn in enumerate(self._conns):
             self._replies.register(conn, selectors.EVENT_READ, worker)
         self._pool = _SegmentPool()
-        self._next = 0
         #: id(buffer) -> (buffer, segment) for every ``stage`` buffer
         #: not yet submitted (the strong reference keeps the id unique).
         self._lent: dict[int, tuple[np.ndarray, SharedMemory]] = {}
-        self._inflight: dict[int, _Task] = {}
-        #: Tickets submitted and neither acked nor failed.
-        self._unacked: set[int] = set()
-        #: worker -> the ticket it claimed and has not replied to.
-        self._running: dict[int, int] = {}
-        #: worker -> exit code, once its pipe reached end of file.
-        self._dead: dict[int, int | None] = {}
         self._silent = 0
-        self._done: dict[int, tuple] = {}
-        self._failed: dict[int, str] = {}
-        track(self)
 
     # -- segments ----------------------------------------------------------
 
     def _recyclable(self) -> bool:
-        """Whether an ack still to come returns a segment to the pool:
-        some un-acked ticket holds a read-only one.  The ticket
-        ``submit`` is building is not un-acked yet, so its own
-        segments never count."""
-        return any(not op.writable for ticket in self._unacked
-                   for op in self._inflight[ticket].operands)
+        """Whether an ack still to come frees a read-only segment (the
+        ticket ``submit`` is building is not in the book yet)."""
+        return any(not op.writable for rec in self._book.values()
+                   if rec.pending for op in rec.buffers)
 
     def _take(self, nbytes: int) -> SharedMemory:
         """A pooled segment; past the budget, waits for acks to recycle
@@ -244,7 +196,8 @@ class SharedMemExecutor(Executor):
         self._pump(0)
         seg = self._pool.take(nbytes)
         while seg is None and self._recyclable():
-            self._await()
+            if not self._pump(1.0):
+                self._idle()
             seg = self._pool.take(nbytes)
         if seg is None:
             seg = self._pool.take(nbytes, force=True)
@@ -260,31 +213,15 @@ class SharedMemExecutor(Executor):
         self._lent[id(buf)] = (buf, seg)
         return buf
 
-    def _settle(self, ticket: int, *, writable_too: bool) -> None:
-        """Return ``ticket``'s read-only segments to the pool, and the
-        writable ones too when nobody will read them."""
-        task = self._inflight[ticket]
-        kept = []
-        for op in task.operands:
-            if op.writable and not writable_too:
-                kept.append(op)
-            else:
-                self._pool.give(op.seg)
-        task.operands = kept
+    def _free(self, buffers):
+        for op in buffers:
+            self._pool.give(op.seg)
 
     # -- dispatch ----------------------------------------------------------
 
     def submit(self, ref, arrays, kwargs, label=""):
-        if self.closed:
-            raise ExecError("executor is closed")
         self._pump(0)
-        if len(self._dead) == self.workers:
-            raise ExecError(
-                f"every shm worker is dead ({self._obituary()}); cannot "
-                f"dispatch {label or ref}")
-        self._next += 1
-        ticket = self._next
-        operands = []
+        rec = self._new_ticket(label)
         for name, arr, writable in arrays:
             # An operand built in a ``stage`` buffer already sits in
             # its segment; anything else (the caller's own array, a
@@ -300,87 +237,47 @@ class SharedMemExecutor(Executor):
                                      buffer=seg.buf), arr, casting="no")
                 if lent is not None:
                     self._pool.give(lent[1])
-            operands.append(_Operand(name, seg, arr.shape, arr.dtype.str,
-                                     writable))
+            rec.buffers.append(_Operand(name, seg, arr.shape,
+                                        arr.dtype.str, writable))
             self.stats.bytes_in += arr.nbytes
-        self._inflight[ticket] = _Task(label, operands)
-        self._unacked.add(ticket)
-        self.stats.submitted += 1
+        ticket = self._file(rec)
         if self.telemetry is not None:
-            self.telemetry.note_submit(ticket)
             self.telemetry.note_grant_sent(ticket)
         descriptors = [tuple(op._replace(seg=op.seg.name))
-                       for op in operands]
+                       for op in rec.buffers]
         self._tasks.put((ticket, ref, descriptors, kwargs,
                          self._pool.unlinked))
         return ticket
 
     # -- completion --------------------------------------------------------
 
-    def _obituary(self) -> str:
-        return ", ".join(f"w{w} exit code {code}"
-                         for w, code in sorted(self._dead.items()))
-
-    def _fail(self, ticket: int, reason: str) -> None:
-        """No worker will finish ``ticket``: its segments are free."""
-        self._unacked.discard(ticket)
-        self._settle(ticket, writable_too=True)
-        del self._inflight[ticket]
-        self._failed[ticket] = reason
-
-    def _what(self, ticket: int) -> str:
-        label = self._inflight[ticket].label
-        return f"ticket {ticket} ({label})" if label else f"ticket {ticket}"
-
     def _mark_dead(self, worker: int) -> None:
         self._replies.unregister(self._conns[worker])
-        proc = self._procs[worker]
-        # EOF can beat the kernel's bookkeeping: ``exitcode`` reads
-        # None until the child has been reaped.
-        proc.join(timeout=1.0)
-        self._dead[worker] = proc.exitcode
-        ticket = self._running.pop(worker, None)
-        if ticket is not None:
-            self._fail(ticket,
-                       f"shm worker w{worker} died (exit code "
-                       f"{proc.exitcode}) running {self._what(ticket)}")
-        if len(self._dead) == self.workers:
-            for ticket in sorted(self._unacked):
-                self._fail(ticket,
-                           f"every shm worker died ({self._obituary()}) "
-                           f"before {self._what(ticket)} completed")
+        super()._mark_dead(worker)
 
     def _ingest(self, worker: int, msg) -> None:
         if isinstance(msg, int):              # the claim
-            if msg in self._unacked:
-                self._running[worker] = msg
+            self._claim(worker, msg)
             return
-        self._running.pop(worker, None)
-        tid, _worker, seconds, err = msg[:4]
-        if tid not in self._unacked:
+        tid, worker, seconds, error, phases, records = msg
+        ack = CompletionAck(tid, worker, seconds, error, phases=phases,
+                            telemetry=records)
+        rec = self._complete(ack, time.perf_counter_ns())
+        if rec is None:
             return
-        # Telemetry-on workers append a 5th payload element; the
-        # off-path reply stays the historical 4-tuple.
-        if len(msg) > 4 and self.telemetry is not None:
-            records, t_recv, t_reply = msg[4]
-            now = time.perf_counter_ns()
-            sent = self.telemetry.grant_sent.get(tid)
-            clock = ((sent, t_recv, t_reply, now)
-                     if sent is not None else None)
-            phases = {k: (t1 - t0) / 1e9
-                      for k, t0, t1, t, _n in records
-                      if t == tid and k in ("setup", "kernel")}
-            self.telemetry.note_ack(f"w{worker}", tid,
-                                    records=records, clock=clock,
-                                    phases=phases, seconds=seconds,
-                                    recv_ns=now)
-        self._unacked.discard(tid)
-        self._settle(tid, writable_too=False)
-        self._done[tid] = (worker, seconds, err)
+        # The read-only segments are free now; the writable ones are
+        # the outputs and stay with the ticket until ``release``.
+        kept = []
+        for op in rec.buffers:
+            if op.writable:
+                kept.append(op)
+                ack.outputs[op.name] = np.ndarray(op.shape, dtype=op.dtype,
+                                                  buffer=op.seg.buf)
+            else:
+                self._pool.give(op.seg)
+        rec.buffers = kept
 
     def _pump(self, timeout: float) -> bool:
-        """Consume what the workers wrote, waiting up to ``timeout``
-        seconds for the first message; True when anything arrived."""
         if self.closed:
             return False
         events = self._replies.select(timeout)
@@ -398,83 +295,36 @@ class SharedMemExecutor(Executor):
             events = self._replies.select(0)
         return True
 
-    def _await(self) -> None:
-        """Block until a worker says something, giving up on tickets
-        that nothing alive is working on (:data:`LOST_TICKET_TICKS`)."""
-        if self._pump(1.0):
-            return
+    def _idle(self) -> None:
+        """Give up on un-acked tickets that nothing alive is working on
+        (:data:`LOST_TICKET_TICKS`)."""
         self._silent += 1
-        if self._silent >= LOST_TICKET_TICKS and not self._running:
-            for ticket in sorted(self._unacked):
+        unacked = self._unacked()
+        if self._silent >= LOST_TICKET_TICKS and \
+                not any(self._book[t].worker >= 0 for t in unacked):
+            for ticket in unacked:
                 self._fail(ticket,
-                           f"shm {self._what(ticket)} was lost: no live "
-                           f"worker claimed it (dead: "
+                           f"shm {self._book[ticket].describe()} was lost: "
+                           f"no live worker claimed it (dead: "
                            f"{self._obituary() or 'none'})")
-
-    def wait(self, ticket):
-        self._pump(0)
-        while ticket in self._unacked:
-            self._await()
-        reason = self._failed.pop(ticket, None)
-        if reason is not None:
-            raise ExecError(reason)
-        if ticket not in self._done:
-            raise ExecError(f"unknown ticket {ticket}")
-        worker, seconds, err = self._done[ticket]
-        if err is not None:
-            self.release(ticket)
-            raise ExecError(f"shm kernel failed in worker w{worker}:\n{err}")
-        outputs = {}
-        for op in self._inflight[ticket].operands:   # the writable ones
-            out = np.ndarray(op.shape, dtype=op.dtype, buffer=op.seg.buf)
-            outputs[op.name] = out
-            self.stats.bytes_out += out.nbytes
-        self.stats.note_done(f"w{worker}", seconds)
-        return TaskResult(worker=f"w{worker}", seconds=seconds,
-                          outputs=outputs)
-
-    def release(self, ticket):
-        if self._done.pop(ticket, None) is not None:
-            self._settle(ticket, writable_too=True)
-            del self._inflight[ticket]
 
     # -- lifecycle ---------------------------------------------------------
 
-    def close(self):
-        if self.closed:
-            return
-        super().close()
-        try:
-            for _ in self._procs:
-                self._tasks.put(None)
-            deadline = time.monotonic() + 5.0
-            for p in self._procs:
-                p.join(timeout=max(0.1, deadline - time.monotonic()))
-            for p in self._procs:
-                if p.is_alive():
-                    p.terminate()
-                    p.join(timeout=1.0)
-        finally:
-            # A reaped worker returns its sentinel fd now, not when the
-            # Process object is collected.
-            for p in self._procs:
-                if not p.is_alive():
-                    p.close()
-            self._replies.close()
-            for conn in self._conns:
-                conn.close()
-            # Grants nobody will read may have filled the pipe: the
-            # feeder thread is told to finish, not waited for.
-            self._tasks.close()
-            self._tasks.cancel_join_thread()
-            for state in (self._lent, self._inflight, self._unacked,
-                          self._running, self._done, self._failed):
-                state.clear()
-            self._pool.close_all()
+    def _stop(self) -> None:
+        for _ in self._procs:
+            self._tasks.put(None)
+
+    def _close_transport(self) -> None:
+        self._replies.close()
+        # Grants nobody will read may have filled the pipe: the feeder
+        # thread is told to finish, not waited for.
+        self._tasks.close()
+        self._tasks.cancel_join_thread()
+        self._lent.clear()
+        self._pool.close_all()
 
     def pool_stats(self) -> dict:
-        """Segment-pool counters, safe to read from any thread: each
-        is a plain integer the owning thread maintains."""
+        """Segment-pool counters (plain integers: any thread may read)."""
         pool = self._pool
         return {"segments": pool.created, "reused": pool.reused,
                 "free": pool.free_count}
@@ -492,14 +342,10 @@ class SharedMemExecutor(Executor):
 
 def shm_residue() -> list[str]:
     """Leftover pool resources of this process: segments still under
-    ``/dev/shm`` plus unclosed telemetry aggregators (empty after
-    proper teardown -- the lifecycle tests assert on it)."""
+    ``/dev/shm``, plus what :func:`~repro.exec.pool.pool_residue`
+    finds of the shm pools."""
     root = "/dev/shm"
-    out = []
+    segments = []
     if os.path.isdir(root):
-        out = [n for n in os.listdir(root) if n.startswith(SHM_PREFIX)]
-    try:
-        from repro.obs.phys import telemetry_residue
-    except ImportError:          # pragma: no cover - obs always ships
-        return sorted(out)
-    return sorted(out + telemetry_residue("shm"))
+        segments = [n for n in os.listdir(root) if n.startswith(SHM_PREFIX)]
+    return pool_residue(SharedMemExecutor, segments)

@@ -2,10 +2,8 @@
 
 Each worker drains the pool's shared task queue of ``(task_id, fn_ref,
 descriptors, kwargs, unlinked)`` tuples, maps the named
-``multiprocessing.shared_memory`` segments, wraps them as typed NumPy
-arrays (inputs read-only) and calls the kernel the reference names.
-Replies travel on the worker's own pipe and carry the measured kernel
-seconds so the parent can account per-worker occupancy.
+``multiprocessing.shared_memory`` segments as typed NumPy arrays and
+runs the pool core's kernel body (:func:`~repro.exec.pool.run_kernel`).
 
 Workers never *own* segments: the parent creates, recycles and unlinks
 them.  Attaching registers the name with the ``resource_tracker``
@@ -29,12 +27,13 @@ task.
 
 from __future__ import annotations
 
-import traceback
 from collections import OrderedDict
 from multiprocessing import shared_memory
-from time import perf_counter, perf_counter_ns
+from time import perf_counter_ns
 
 import numpy as np
+
+from repro.exec.pool import run_kernel
 
 #: Cached attachments per worker; beyond this the oldest mapping closes.
 ATTACH_CACHE = 128
@@ -47,11 +46,9 @@ def _attach(cache: "OrderedDict[str, shared_memory.SharedMemory]",
     if seg is not None:
         cache.move_to_end(name)
         return seg
-    if buf is None:
-        seg = shared_memory.SharedMemory(name=name)
-    else:
-        a0 = perf_counter_ns()
-        seg = shared_memory.SharedMemory(name=name)
+    a0 = perf_counter_ns()
+    seg = shared_memory.SharedMemory(name=name)
+    if buf is not None:
         buf.record("attach", a0, perf_counter_ns(), ticket, seg.size)
     cache[name] = seg
     while len(cache) > ATTACH_CACHE:
@@ -68,17 +65,15 @@ def worker_main(worker_id: int, conn, tasks,
     messages per task: the bare ``task_id`` as a *claim* before the
     kernel runs -- written straight to the pipe, so the parent knows
     which ticket a worker was on even if the kernel kills the process
-    -- and the ``(task_id, worker_id, seconds, error)`` reply after it.
+    -- and the ``(task_id, worker_id, seconds, error, phases, records)``
+    reply after it, a tuple because it pickles several times faster than
+    the :class:`~repro.exec.pool.CompletionAck` the parent builds.
 
     With ``telemetry`` on the worker keeps a
     :class:`~repro.obs.phys.TelemetryBuffer`, times the
-    attach/setup/kernel sub-phases, and appends the drained buffer plus
-    its local recv/reply clock stamps as a 5th reply element -- the
-    piggyback payload the parent's aggregator merges.  Off, no buffer
-    exists and replies stay bare 4-tuples.
+    attach/setup/kernel sub-phases, and ships the drained buffer in the
+    ack.  Off, no buffer exists and the ack carries no payload.
     """
-    from repro.exec.base import resolve_kernel
-
     buf = None
     if telemetry:
         from repro.obs.phys import TelemetryBuffer
@@ -90,39 +85,19 @@ def worker_main(worker_id: int, conn, tasks,
         if msg is None:
             break
         task_id, ref, descriptors, kwargs, unlinked = msg
-        t_recv = perf_counter_ns() if buf is not None else 0
-        t0 = perf_counter()
+        t_recv = perf_counter_ns()
         conn.send(task_id)
         if unlinked != seen_unlinked:
             seen_unlinked = unlinked
             while cache:
                 cache.popitem()[1].close()
-        err = None
-        try:
-            fn = resolve_kernel(ref)
-            args = {}
-            nbytes = 0
-            for name, seg_name, shape, dtype, writable in descriptors:
-                seg = _attach(cache, seg_name, buf, task_id)
-                arr = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-                if not writable:
-                    arr = arr.view()
-                    arr.flags.writeable = False
-                args[name] = arr
-                nbytes += arr.nbytes
-            if buf is not None:
-                k0 = perf_counter_ns()
-                buf.record("setup", t_recv, k0, task_id, 0)
-            fn(**args, **kwargs)
-            if buf is not None:
-                buf.record("kernel", k0, perf_counter_ns(), task_id, nbytes)
-                buf.record_rss(task_id)
-        except BaseException:
-            err = traceback.format_exc()
-        reply = (task_id, worker_id, perf_counter() - t0, err)
-        if buf is not None:
-            reply += ((buf.drain(), t_recv, perf_counter_ns()),)
-        conn.send(reply)
+        operands = ((name, np.ndarray(shape, dtype=dtype, buffer=_attach(
+            cache, seg_name, buf, task_id).buf), writable)
+            for name, seg_name, shape, dtype, writable in descriptors)
+        seconds, err, phases = run_kernel(ref, operands, kwargs, task_id,
+                                          buf, t_recv)
+        conn.send((task_id, worker_id, seconds, err, phases,
+                   buf.drain() if buf is not None else None))
     for seg in cache.values():
         seg.close()
     conn.close()

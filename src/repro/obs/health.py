@@ -1,9 +1,10 @@
 """Worker health classification and declarative SLO gating.
 
-The physical telemetry plane (:mod:`repro.obs.phys`) timestamps every
-ack and heartbeat per worker; :class:`Watchdog` turns those liveness
-instants into a health state -- ``healthy`` / ``slow`` / ``wedged`` --
-the serve status endpoint streams and operators alert on.
+A pool knows which workers hold un-acked tickets and since when they
+have been silent (:meth:`~repro.exec.base.Executor.silent_since`);
+:class:`Watchdog` turns that into a health state -- ``healthy`` /
+``slow`` / ``wedged`` -- the serve status endpoint streams and
+operators alert on.
 
 :class:`SLOPolicy` is the declarative side: latency / queue /
 utilization objectives loaded from JSON and evaluated against a status
@@ -32,16 +33,16 @@ class WorkerHealth:
 
     worker: str
     state: str          # HEALTHY | SLOW | WEDGED
-    age_s: float        # seconds since the last ack/heartbeat
+    age_s: float        # seconds of silence holding a ticket
 
 
 class Watchdog:
-    """Classify workers by the age of their last liveness signal.
+    """Classify workers by how long they have been silent while
+    holding work.
 
     ``slow_after_s`` / ``wedged_after_s`` are absolute silence
-    thresholds; when the executor runs heartbeats (``heartbeat_s > 0``)
-    pass multiples of that interval instead so a long-running kernel
-    between beats is not misread as a hang.
+    thresholds.  An idle worker is never silent: a kernel longer than
+    ``wedged_after_s`` reads wedged, an idle pool stays healthy.
     """
 
     def __init__(self, *, slow_after_s: float = 3.0,
@@ -53,14 +54,15 @@ class Watchdog:
         self.slow_after_s = slow_after_s
         self.wedged_after_s = wedged_after_s
 
-    def classify(self, last_seen_ns: dict[str, int],
+    def classify(self, silent_since: dict[str, int | None],
                  now_ns: int | None = None) -> dict[str, WorkerHealth]:
-        """``last_seen_ns`` is coordinator ``perf_counter_ns`` per
-        worker (:attr:`PhysTelemetry.last_seen_ns`)."""
+        """``silent_since`` is coordinator ``perf_counter_ns`` per
+        worker, ``None`` for an idle one
+        (:meth:`~repro.exec.base.Executor.silent_since`)."""
         now = perf_counter_ns() if now_ns is None else now_ns
         out = {}
-        for worker, seen in sorted(last_seen_ns.items()):
-            age = max(0.0, (now - seen) / 1e9)
+        for worker, since in sorted(silent_since.items()):
+            age = 0.0 if since is None else max(0.0, (now - since) / 1e9)
             if age >= self.wedged_after_s:
                 state = WEDGED
             elif age >= self.slow_after_s:
@@ -71,10 +73,10 @@ class Watchdog:
                                        age_s=age)
         return out
 
-    def summary(self, last_seen_ns: dict[str, int],
+    def summary(self, silent_since: dict[str, int | None],
                 now_ns: int | None = None) -> dict:
         """The status-endpoint payload: states plus counts."""
-        health = self.classify(last_seen_ns, now_ns)
+        health = self.classify(silent_since, now_ns)
         counts = {HEALTHY: 0, SLOW: 0, WEDGED: 0}
         for h in health.values():
             counts[h.state] += 1

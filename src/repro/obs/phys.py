@@ -1,28 +1,24 @@
 """The physical telemetry plane: wall-clock records from inside workers.
 
-:mod:`repro.obs` accounts *virtual* time on the simulator thread; since
-the executor split (:mod:`repro.exec`) and the distributed backend
-(:mod:`repro.dist`) the *physical* work happens in worker threads and
-processes the virtual trace never sees.  This module closes that gap:
+:mod:`repro.obs` accounts *virtual* time on the simulator thread; the
+*physical* work of the process pools (:mod:`repro.exec.pool`) happens
+in workers the virtual trace never sees.  This module closes that gap:
 
-* :class:`TelemetryBuffer` -- a per-worker append-only record array
-  (plain tuples, no locks: each worker owns its buffer exclusively).
-  Workers stamp ``perf_counter_ns`` enter/exit pairs around kernel
-  execution, operand unpickling, shm attaches, ack pickling and rss
-  snapshots, then ``drain()`` the buffer into the completion ack that
-  was travelling anyway -- zero extra round-trips.
+* :class:`TelemetryBuffer` -- a per-worker append-only record array.
+  Workers stamp ``perf_counter_ns`` pairs around kernel execution,
+  operand unpickling, shm attaches and ack sends, plus rss snapshots,
+  then ``drain()`` it into the completion ack that was travelling
+  anyway -- zero extra round-trips.
 * :class:`PhysTelemetry` -- the coordinator-side aggregator one
   executor owns when built with ``telemetry=True``.  It keys records by
-  ticket, remembers the virtual span / task-graph node / partition that
-  caused each submit (``set_task_context`` + the span id the System
-  pokes at dispatch), and collects NTP-style clock samples from
-  grant/ack timestamp pairs.
-* :class:`PhysTraceMerger` -- fits a per-worker :class:`ClockModel`
-  (offset + drift, least squares over the pair samples), maps worker
-  timestamps onto the coordinator clock, clamps every record to start
-  no earlier than its grant left the coordinator, and emits merged
-  Perfetto tracks: one physical lane per worker next to the virtual
-  tracks, with grant -> kernel -> ack flow arrows per ticket.
+  ticket and remembers the virtual span / task-graph node / partition
+  that caused each submit (``set_task_context`` + the span id the
+  System pokes at dispatch).
+* :class:`PhysTraceMerger` -- emits merged Perfetto tracks: one
+  physical lane per worker next to the virtual tracks, with grant ->
+  kernel -> ack flow arrows per ticket.  Workers are local children
+  reading the coordinator's CLOCK_MONOTONIC ``perf_counter_ns``, so
+  their records need no clock alignment.
 
 Everything is strictly opt-in: executors built without
 ``telemetry=True`` hold ``telemetry = None``, allocate no buffers, and
@@ -37,15 +33,8 @@ import argparse
 import json
 import os
 import weakref
-from dataclasses import dataclass
 from time import perf_counter_ns
-
-#: Record kinds a :class:`TelemetryBuffer` may hold.  ``kernel`` /
-#: ``unpickle`` / ``setup`` / ``send`` / ``attach`` are duration spans
-#: (t0 < t1); ``rss`` and ``heartbeat`` are instants (t0 == t1) whose
-#: payload rides in ``nbytes``.
-RECORD_KINDS = ("kernel", "unpickle", "setup", "send", "attach", "rss",
-                "heartbeat")
+from typing import NamedTuple
 
 #: Flow-id namespace for grant -> kernel -> ack arrows (the virtual
 #: trace uses 1 << 32 and 1 << 33; see repro.tools.trace_export).
@@ -68,10 +57,11 @@ def rss_bytes() -> int:
 
 
 class TelemetryBuffer:
-    """Append-only per-worker record array (worker-local clock).
+    """Append-only per-worker record array.
 
-    Records are plain tuples ``(kind, t0_ns, t1_ns, ticket, nbytes)``.
-    No locks: exactly one worker thread/process appends, and ``drain``
+    Records are plain tuples ``(kind, t0_ns, t1_ns, ticket, nbytes)``:
+    ``kernel`` / ``unpickle`` / ``setup`` / ``send`` / ``attach`` spans,
+    or an ``rss`` instant whose payload rides in ``nbytes``.  No locks: exactly one worker thread/process appends, and ``drain``
     happens on that same worker between tasks.  The ``allocated`` class
     counter lets the zero-overhead suite assert that no buffer ever
     exists when telemetry is off.
@@ -97,12 +87,6 @@ class TelemetryBuffer:
             now = perf_counter_ns()
             self._records.append(("rss", now, now, ticket, rss))
 
-    def heartbeat(self) -> int:
-        """Stamp a liveness instant; returns the worker-clock ns."""
-        now = perf_counter_ns()
-        self._records.append(("heartbeat", now, now, -1, 0))
-        return now
-
     def drain(self) -> list[tuple]:
         """Take every buffered record (the piggyback payload)."""
         out = self._records
@@ -113,80 +97,18 @@ class TelemetryBuffer:
         return len(self._records)
 
 
-# -- clock alignment ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClockModel:
-    """Worker-clock -> coordinator-clock mapping ``w - offset(w)``.
-
-    ``offset(w) = offset_ns + drift * (w - ref_ns)``: the constant
-    offset at the reference instant plus a linear drift term.  With no
-    samples the model is the identity (same-process workers share the
-    coordinator's ``perf_counter_ns``).
-    """
-
-    offset_ns: float = 0.0
-    drift: float = 0.0            # ns of offset per worker-clock ns
-    ref_ns: float = 0.0
-    samples: int = 0
-
-    def offset_at(self, w_ns: float) -> float:
-        return self.offset_ns + self.drift * (w_ns - self.ref_ns)
-
-    def to_coordinator(self, w_ns: float) -> float:
-        return w_ns - self.offset_at(w_ns)
-
-
-def fit_clock(pairs: list[tuple]) -> ClockModel:
-    """Fit a :class:`ClockModel` from grant/ack timestamp pairs.
-
-    Each pair is ``(t_sent, t_recv, t_ack, t_ack_recv)``: the grant
-    left the coordinator at ``t_sent`` (coordinator clock), reached the
-    worker at ``t_recv`` (worker clock), the ack left the worker at
-    ``t_ack`` (worker clock) and arrived back at ``t_ack_recv``
-    (coordinator clock).  Assuming symmetric transport delay -- the NTP
-    model -- the midpoint sample ``(t_recv + t_ack)/2 - (t_sent +
-    t_ack_recv)/2`` estimates the worker-minus-coordinator offset at
-    worker instant ``(t_recv + t_ack)/2``; a least-squares line over
-    the samples captures drift.
-    """
-    samples = []
-    for t_sent, t_recv, t_ack, t_ack_recv in pairs:
-        w_mid = (t_recv + t_ack) / 2.0
-        c_mid = (t_sent + t_ack_recv) / 2.0
-        samples.append((w_mid, w_mid - c_mid))
-    if not samples:
-        return ClockModel()
-    w_mean = sum(w for w, _ in samples) / len(samples)
-    o_mean = sum(o for _, o in samples) / len(samples)
-    if len(samples) < 2:
-        return ClockModel(offset_ns=o_mean, ref_ns=w_mean,
-                          samples=len(samples))
-    # Centered least squares: the raw ns magnitudes (~1e13) would chew
-    # through double precision in the uncentered normal equations.
-    var = sum((w - w_mean) ** 2 for w, _ in samples)
-    if var <= 0.0:
-        return ClockModel(offset_ns=o_mean, ref_ns=w_mean,
-                          samples=len(samples))
-    cov = sum((w - w_mean) * (o - o_mean) for w, o in samples)
-    return ClockModel(offset_ns=o_mean, drift=cov / var, ref_ns=w_mean,
-                      samples=len(samples))
-
-
 # -- the coordinator-side aggregator -----------------------------------------
 
 _LIVE_TELEMETRY: "weakref.WeakSet[PhysTelemetry]" = weakref.WeakSet()
 
 
-def telemetry_residue(backend: str | None = None) -> list[str]:
-    """Unclosed telemetry aggregators (leaked buffers): executors must
-    close their telemetry with the rest of their pool resources.  The
-    ``dist_residue()`` / ``shm_residue()`` audits fold this in."""
+def telemetry_residue(backend: str) -> list[str]:
+    """Unclosed telemetry aggregators (leaked buffers) of ``backend``:
+    executors must close their telemetry with the rest of their pool
+    resources.  The pools' residue audits fold this in."""
     out = []
     for tel in list(_LIVE_TELEMETRY):
-        if tel.closed:
-            continue
-        if backend is not None and tel.backend != backend:
+        if tel.closed or tel.backend != backend:
             continue
         records = sum(len(r) for r in tel.records.values())
         out.append(f"phys-telemetry({tel.backend}, records={records})")
@@ -196,12 +118,11 @@ def telemetry_residue(backend: str | None = None) -> list[str]:
 class PhysTelemetry:
     """Coordinator-side telemetry store of one executor.
 
-    Workers are named like the executor's stats keys (``w0``, ``t3``,
-    ``main``).  Records arrive in worker-clock ns via :meth:`note_ack`
-    (piggybacked payloads) or :meth:`note_inline` (same-thread
-    executors); clock pairs accumulate per worker for the merger's
-    offset fit.  ``close()`` marks the store retired but keeps the data
-    -- post-run analysis outlives the worker pool.
+    Workers are named like the executor's stats keys (``w0``,
+    ``main``).  Records arrive via :meth:`note_ack` (piggybacked
+    payloads) or :meth:`note_inline` (same-thread executors).
+    ``close()`` marks the store retired but keeps the data -- post-run
+    analysis outlives the worker pool.
     """
 
     #: Total aggregators ever constructed in this process.
@@ -210,16 +131,14 @@ class PhysTelemetry:
     def __init__(self, backend: str = "?") -> None:
         PhysTelemetry.allocated += 1
         self.backend = backend
-        #: worker -> raw records, worker clock.
+        #: worker -> raw records.
         self.records: dict[str, list[tuple]] = {}
-        #: worker -> (t_sent, t_recv, t_ack, t_ack_recv) clock pairs.
-        self.pairs: dict[str, list[tuple]] = {}
         #: ticket -> attribution and ack metadata.
         self.tickets: dict[int, dict] = {}
         #: ticket -> coordinator perf_counter_ns the grant left at.
         self.grant_sent: dict[int, int] = {}
-        #: worker -> coordinator perf_counter_ns of the last ack or
-        #: heartbeat (the watchdog's liveness signal).
+        #: worker -> coordinator perf_counter_ns of its last ack (the
+        #: watchdog's liveness signal).
         self.last_seen_ns: dict[str, int] = {}
         self.current_span = 0
         self.current_node = -1
@@ -248,8 +167,8 @@ class PhysTelemetry:
         self.grant_sent[ticket] = perf_counter_ns() if t_ns is None else t_ns
 
     def note_ack(self, worker: str, ticket: int, *, records=(),
-                 clock: tuple | None = None, phases: dict | None = None,
-                 seconds: float = 0.0, recv_ns: int = 0) -> None:
+                 phases: dict | None = None, seconds: float = 0.0,
+                 recv_ns: int = 0) -> None:
         """Fold one completion's piggybacked payload in."""
         info = self._ticket(ticket)
         info["worker"] = worker
@@ -259,15 +178,13 @@ class PhysTelemetry:
         info["ack_recv_ns"] = recv_ns or perf_counter_ns()
         if records:
             self.records.setdefault(worker, []).extend(records)
-        if clock is not None:
-            self.pairs.setdefault(worker, []).append(clock)
         self.last_seen_ns[worker] = info["ack_recv_ns"]
 
     def note_inline(self, worker: str, kind: str, t0_ns: int, t1_ns: int,
                     nbytes: int = 0) -> int:
         """Record same-thread work (inline executor, System's in-place
-        kernel path): no wire, no clock pair, a pseudo-ticket keeps the
-        span attribution uniform."""
+        kernel path): no wire, a pseudo-ticket keeps the span
+        attribution uniform."""
         self._pseudo -= 1
         ticket = self._pseudo
         info = self._ticket(ticket)
@@ -278,30 +195,17 @@ class PhysTelemetry:
         self.last_seen_ns[worker] = t1_ns
         return ticket
 
-    def heartbeat(self, worker: str, t_ns: int, rss: int = 0) -> None:
-        """A worker's idle liveness beat (worker clock ``t_ns``)."""
-        self.records.setdefault(worker, []).append(
-            ("heartbeat", t_ns, t_ns, -1, rss))
-        self.last_seen_ns[worker] = perf_counter_ns()
-
     # -- analysis ----------------------------------------------------------
 
     def span_of(self, ticket: int) -> int:
         info = self.tickets.get(ticket)
         return info["span"] if info else 0
 
-    def clock_models(self) -> dict[str, ClockModel]:
-        models = {w: fit_clock(p) for w, p in self.pairs.items()}
-        for worker in self.records:
-            models.setdefault(worker, ClockModel())
-        return models
-
     def merger(self) -> "PhysTraceMerger":
         return PhysTraceMerger(self)
 
     def worker_stats(self) -> dict[str, dict]:
-        """Per-worker busy/utilization/phase accounting (worker clock:
-        durations and windows need no alignment)."""
+        """Per-worker busy/utilization/phase accounting."""
         out: dict[str, dict] = {}
         for worker, records in sorted(self.records.items()):
             phases: dict[str, float] = {}
@@ -311,8 +215,6 @@ class PhysTelemetry:
             for kind, t0, t1, _ticket, nbytes in records:
                 if kind == "rss":
                     rss_max = max(rss_max, nbytes)
-                    continue
-                if kind == "heartbeat":
                     continue
                 phases[kind] = phases.get(kind, 0.0) + (t1 - t0) / 1e9
                 if kind == "kernel":
@@ -334,7 +236,7 @@ class PhysTelemetry:
 
     def summary(self) -> dict:
         """The RunReport payload: per-worker stats, skew, stragglers,
-        clock offsets, aggregate phase split."""
+        aggregate phase split."""
         workers = self.worker_stats()
         busys = [w["busy_s"] for w in workers.values()]
         mean_busy = sum(busys) / len(busys) if busys else 0.0
@@ -347,12 +249,6 @@ class PhysTelemetry:
         for w in workers.values():
             for kind, secs in w["phases"].items():
                 phases[kind] = phases.get(kind, 0.0) + secs
-        clocks = {
-            worker: {"offset_ns": model.offset_ns,
-                     "drift_ppb": model.drift * 1e9,
-                     "samples": model.samples}
-            for worker, model in sorted(self.clock_models().items())
-            if model.samples}
         return {
             "backend": self.backend,
             "tasks": sum(w["tasks"] for w in workers.values()),
@@ -360,7 +256,6 @@ class PhysTelemetry:
             "busy_skew": skew,
             "stragglers": stragglers,
             "phases": dict(sorted(phases.items())),
-            "clock": clocks,
         }
 
     def close(self) -> None:
@@ -371,21 +266,20 @@ class PhysTelemetry:
 
 # -- the merger --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlignedRecord:
-    """One worker record mapped onto the coordinator clock."""
+class PhysRecord(NamedTuple):
+    """One worker record with its ticket's virtual span."""
 
     worker: str
     kind: str
-    t0_ns: float           # coordinator clock
-    t1_ns: float
+    t0_ns: int             # coordinator clock
+    t1_ns: int
     ticket: int
     span: int
     nbytes: int
 
 
 class PhysTraceMerger:
-    """Clock-align worker records and emit merged Perfetto tracks."""
+    """Emit a telemetry store's records as merged Perfetto tracks."""
 
     #: Perfetto process id of the physical lanes (exporters target
     #: cross-plane flow arrows at it).
@@ -393,8 +287,7 @@ class PhysTraceMerger:
 
     def __init__(self, telemetry: PhysTelemetry) -> None:
         self.telemetry = telemetry
-        self.models = telemetry.clock_models()
-        self._aligned: list[AlignedRecord] | None = None
+        self._records: list[PhysRecord] | None = None
         self._tids: dict[str, int] = {}
         for worker in sorted(telemetry.records):
             self._tids[worker] = len(self._tids) + 2   # 1 = coordinator
@@ -402,36 +295,23 @@ class PhysTraceMerger:
     def tid_of(self, worker: str) -> int:
         return self._tids.get(worker, 1)
 
-    def aligned(self) -> list[AlignedRecord]:
-        """Every record in coordinator-clock ns, clamped so no record
-        of a granted ticket starts before its grant left (the property
-        test's invariant: causality survives clock-fit error)."""
-        if self._aligned is not None:
-            return self._aligned
-        tel = self.telemetry
-        out: list[AlignedRecord] = []
-        for worker, records in sorted(tel.records.items()):
-            model = self.models.get(worker, ClockModel())
-            for kind, w0, w1, ticket, nbytes in records:
-                t0 = model.to_coordinator(w0)
-                t1 = model.to_coordinator(w1)
-                sent = tel.grant_sent.get(ticket)
-                if sent is not None:
-                    t0 = max(t0, float(sent))
-                t1 = max(t1, t0)
-                out.append(AlignedRecord(
-                    worker=worker, kind=kind, t0_ns=t0, t1_ns=t1,
-                    ticket=ticket, span=tel.span_of(ticket),
-                    nbytes=nbytes))
-        out.sort(key=lambda r: (r.t0_ns, r.worker))
-        self._aligned = out
-        return out
+    def records(self) -> list[PhysRecord]:
+        """Every worker record with its span, in start order."""
+        if self._records is None:
+            tel = self.telemetry
+            self._records = sorted(
+                (PhysRecord(worker, kind, t0, t1, ticket,
+                            tel.span_of(ticket), nbytes)
+                 for worker, records in tel.records.items()
+                 for kind, t0, t1, ticket, nbytes in records),
+                key=lambda r: (r.t0_ns, r.worker))
+        return self._records
 
     @property
     def epoch_ns(self) -> float:
         """t = 0 of the physical tracks: the earliest grant or record."""
         instants = list(self.telemetry.grant_sent.values())
-        instants.extend(r.t0_ns for r in self.aligned())
+        instants.extend(r.t0_ns for r in self.records())
         return float(min(instants)) if instants else 0.0
 
     def kernel_anchors(self) -> dict[int, tuple[float, str]]:
@@ -441,7 +321,7 @@ class PhysTraceMerger:
         to arrow virtual spans into the physical lanes."""
         epoch = self.epoch_ns
         out: dict[int, tuple[float, str]] = {}
-        for rec in self.aligned():
+        for rec in self.records():
             if rec.kind == "kernel" and rec.span > 0 \
                     and rec.span not in out:
                 out[rec.span] = ((rec.t0_ns - epoch) / 1e9, rec.worker)
@@ -466,19 +346,14 @@ class PhysTraceMerger:
             yield {"name": "thread_name", "ph": "M", "pid": PID_PHYS,
                    "tid": tid, "args": {"name": f"phys:{worker}"}}
 
-        #: ticket -> ts of its first aligned kernel slice (flow step).
+        #: ticket -> ts of its first kernel slice (flow step).
         kernel_at: dict[int, float] = {}
-        for rec in self.aligned():
+        for rec in self.records():
             tid = self.tid_of(rec.worker)
             if rec.kind == "rss":
                 yield {"name": f"rss:{rec.worker}", "ph": "C",
                        "ts": ts(rec.t0_ns), "pid": PID_PHYS,
                        "args": {"rss_mb": rec.nbytes / 1e6}}
-                continue
-            if rec.kind == "heartbeat":
-                yield {"name": "heartbeat", "cat": "phys", "ph": "i",
-                       "s": "t", "ts": ts(rec.t0_ns), "pid": PID_PHYS,
-                       "tid": tid}
                 continue
             event = {
                 "name": rec.kind, "cat": "phys", "ph": "X",
@@ -557,7 +432,7 @@ def capture(outdir: str, *, workers: int = 4, app: str = "gemm") -> dict:
                   "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
         lanes = sum(1 for w in summary["workers"] if w.startswith("w"))
-        spans_hit = sum(1 for r in merger.aligned()
+        spans_hit = sum(1 for r in merger.records()
                         if r.kind == "kernel" and r.span > 0)
         return {"app": app, "digest": digest, "events": events,
                 "worker_lanes": lanes, "kernel_spans": spans_hit,

@@ -372,7 +372,7 @@ class JobService:
         if tel is not None and tel.records:
             out["workers_summary"] = tel.summary()
             from repro.obs.health import Watchdog
-            out["health"] = Watchdog().summary(tel.last_seen_ns)
+            out["health"] = Watchdog().summary(ex.silent_since())
         else:
             stats = ex.stats
             out["workers_summary"] = {

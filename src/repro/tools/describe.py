@@ -22,6 +22,7 @@ import sys
 
 from repro.compute import registry
 from repro.errors import NorthupError
+from repro.exec.base import EXEC_BACKENDS
 from repro.memory import catalog
 from repro.topology import builders
 from repro.topology.spec import build_from_spec
@@ -266,7 +267,7 @@ def _print_exec() -> int:
 
     from repro.apps.gemm import GemmApp
     from repro.core.system import System
-    from repro.exec import EXEC_BACKENDS, make_executor, shm_residue
+    from repro.exec import make_executor, shm_residue
     from repro.memory.units import KB, MB
 
     print("compute backends (demo: gemm 128x128x128 per backend):")
@@ -378,8 +379,8 @@ def _print_dist() -> int:
 
 def _print_phys() -> int:
     """Run a small telemetry-on distributed GEMM and print the physical
-    plane: per-worker sub-phases, clock models, utilization, and the
-    watchdog's verdicts."""
+    plane: per-worker sub-phases, utilization, and the watchdog's
+    verdicts."""
     from repro.core.system import System
     from repro.dist import DistExecutor, DistributedScheduler, dist_residue
     from repro.obs.health import Watchdog
@@ -403,15 +404,11 @@ def _print_phys() -> int:
             print(f"  {worker}: {st['tasks']} tasks, "
                   f"util {st['utilization']:.1%}, "
                   f"rss {st['rss_max_bytes'] // (1 << 20)} MiB | {phases}")
-        for worker, model in sorted(tel.clock_models().items()):
-            print(f"  clock {worker}: offset {model.offset_ns / 1e3:.1f}us, "
-                  f"drift {model.drift * 1e9:.1f}ppb "
-                  f"({model.samples} samples)")
-        verdicts = Watchdog().summary(tel.last_seen_ns)
+        verdicts = Watchdog().summary(executor.silent_since())
         states = {w: h["state"] for w, h in verdicts["workers"].items()}
         print(f"  watchdog: {states} (counts {verdicts['counts']})")
         merger = tel.merger()
-        print(f"  merged trace: {len(merger.aligned())} aligned records, "
+        print(f"  merged trace: {len(merger.records())} records, "
               f"{len(merger.kernel_anchors())} span-attributed kernels")
     except NorthupError as exc:
         print(f"phys demo failed: {exc}", file=sys.stderr)
@@ -565,8 +562,8 @@ def main(argv: list[str] | None = None) -> int:
                              "queue state")
     parser.add_argument("--exec", action="store_true", dest="exec_",
                         help="run a small demo on every compute backend "
-                             "(inline, threaded, shm) and print executor "
-                             "configs, worker occupancy, and the "
+                             f"({', '.join(EXEC_BACKENDS)}) and print "
+                             "executor configs, worker occupancy, and the "
                              "cross-backend equivalence check")
     parser.add_argument("--dist", action="store_true",
                         help="run a small demo under the distributed "
@@ -577,7 +574,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--phys", action="store_true",
                         help="run a small telemetry-on distributed demo "
                              "and print the physical plane: per-worker "
-                             "sub-phases, clock alignment, utilization, "
+                             "sub-phases, utilization, "
                              "watchdog verdicts")
     parser.add_argument("--experiment", action="store_true",
                         help="list the committed experiment scenarios, "

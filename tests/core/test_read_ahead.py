@@ -97,7 +97,7 @@ def test_advice_changes_no_result_makespan_or_trace(
     assert counts["failed"] == 0
 
 
-@pytest.mark.parametrize("executor", ["threaded", "shm"])
+@pytest.mark.parametrize("executor", ["shm"])
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_advice_is_exact_under_asynchronous_executors(
         tmp_path, monkeypatch, low_floor, app, executor):

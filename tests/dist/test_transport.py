@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.dist import DistExecutor, dist_residue
 from repro.dist.protocol import (OUT_OF_BAND_MIN, SHUTDOWN, CompletionAck,
-                                 Heartbeat, recv_message, send_message)
+                                 TaskGrant, recv_message, send_message)
 from repro.exec import ExecError, fn_ref
 from tests.exec import kernels
 
@@ -92,7 +92,8 @@ def test_messages_round_trip_exactly(arrays, extra):
 
 
 def test_array_free_messages_round_trip():
-    for msg in (SHUTDOWN, None, Heartbeat(worker=2, t_ns=99, rss=7),
+    for msg in (SHUTDOWN, None, TaskGrant(ticket=2, fn_ref="m:f",
+                                          operands=[], kwargs={"k": 7}),
                 {"k": [1, 2.5, "x"]}):
         got, buffers = _round_trip(msg)
         assert got == msg and buffers == []
@@ -208,7 +209,6 @@ def test_close_leaves_no_thread_process_or_pipe_behind():
                       [("out", np.zeros(8, np.float32), True)],
                       {"value": 1.0}))
     ex.close()
-    ex.poll()        # the receivers' queued EOFs are harmless now
     assert dist_residue() == []
     assert _dist_threads() == []
     assert not mp.active_children()
@@ -234,22 +234,3 @@ def test_crash_leaves_no_thread_process_or_pipe_behind():
     assert _dist_threads() == []
     assert not mp.active_children()
     assert _open_fds() == fds
-
-
-def test_unread_heartbeats_are_capped(monkeypatch):
-    """An idle telemetry-on pool that nobody polls must not grow the
-    coordinator without bound."""
-    from repro.dist import executor as dist_executor
-    monkeypatch.setattr(dist_executor, "INBOUND_BEATS_MAX", 5)
-    ex = DistExecutor(workers=1, telemetry=True, heartbeat_s=0.002)
-    try:
-        assert _eventually(lambda: ex._inbound.qsize() >= 5)
-        time.sleep(0.05)                 # ~25 more beats arrive ...
-        assert ex._inbound.qsize() <= 6  # ... and are dropped
-        ex.poll()
-        beats = [r for r in ex.telemetry.records["w0"]
-                 if r[0] == "heartbeat"]
-        assert 5 <= len(beats) <= 6
-    finally:
-        ex.close()
-    assert dist_residue() == []

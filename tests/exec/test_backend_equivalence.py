@@ -89,7 +89,7 @@ def test_backend_matches_inline(name, backend):
 
 def test_exec_metrics_recorded_for_async_run():
     sys_ = System(apu_two_level(storage_capacity=8 * MB,
-                                staging_bytes=256 * KB), executor="threaded")
+                                staging_bytes=256 * KB), executor="shm")
     try:
         app = _gemm(sys_)
         app.run(sys_)

@@ -166,7 +166,7 @@ def test_conflicting_transfer_settled_first_runs_predecessors():
 @pytest.fixture
 def sys_async():
     s = System(apu_two_level(storage="ssd", storage_capacity=64 * MB,
-                             staging_bytes=16 * MB), executor="threaded")
+                             staging_bytes=16 * MB), executor="shm")
     yield s
     s.close()
 

@@ -48,6 +48,12 @@ def _staged(ex, values):
     return arr
 
 
+def _segments():
+    """The ``/dev/shm`` part of the residue: an open pool's processes
+    and pipes are listed too."""
+    return [r for r in shm_residue() if r.startswith(shm.SHM_PREFIX)]
+
+
 def _eventually(predicate, seconds=5.0):
     deadline = time.monotonic() + seconds
     while not predicate() and time.monotonic() < deadline:
@@ -96,9 +102,9 @@ def test_acks_are_consumed_without_anyone_calling_wait(tmp_path):
                            {"path": str(marker)})
         assert _eventually(marker.exists)
         time.sleep(0.05)                # the ack follows the kernel
-        assert ex._unacked == {ticket}  # ... and nobody has read it yet
+        assert ex._unacked() == [ticket]  # ... and nobody has read it yet
         again = ex.stage(x.nbytes)      # any touch drains the replies
-        assert not ex._unacked
+        assert not ex._unacked()
         assert np.shares_memory(again, x)        # x's segment, recycled
         assert ex._pool.created == 1 and ex._pool.reused == 1
         ex.wait(ticket)
@@ -142,7 +148,7 @@ def test_budget_held_by_unmerged_outputs_does_not_block(monkeypatch):
             ex.release(ticket)
         # Segments made past the budget are unlinked, not pooled.
         assert pool.live_bytes <= MIB
-        assert len(shm_residue()) == pool.live_bytes // (512 * 1024)
+        assert len(_segments()) == pool.live_bytes // (512 * 1024)
     assert shm_residue() == []
 
 
@@ -268,7 +274,7 @@ def test_dead_workers_ticket_fails_fast_and_the_rest_complete():
         assert (result.outputs["out"] == 5.0).all()
         ex.release(fine)
         # The dead ticket's segments are the pool's again ...
-        assert doomed not in ex._inflight and not ex._unacked
+        assert doomed not in ex._book and not ex._unacked()
         assert ex._pool.free_bytes == ex._pool.live_bytes
         # ... and the survivor keeps serving.
         again = ex.submit(FILL, [("out", np.zeros(8, np.float32), True)],
@@ -310,7 +316,7 @@ def test_killing_an_idle_worker_never_hangs_wait(monkeypatch):
             assert (ex.wait(ticket).outputs["out"] == 3.0).all()
         except ExecError as exc:
             assert "was lost" in str(exc) and "w0 exit code -9" in str(exc)
-        assert not ex._unacked
+        assert not ex._unacked()
         # A survivor stuck on that lock would sit out close()'s join.
         os.kill(ex._procs[1].pid, signal.SIGKILL)
     assert shm_residue() == []
@@ -330,7 +336,7 @@ def test_staged_buffer_never_submitted_is_reclaimed_at_close():
     ex = SharedMemExecutor(workers=1)
     buf = ex.stage(4096)
     buf[:] = 7
-    assert len(shm_residue()) == 1
+    assert len(_segments()) == 1
     del buf
     ex.close()
     assert shm_residue() == []

@@ -172,8 +172,8 @@ def test_array_pool_zero_size():
 
 
 def test_array_pool_concurrent_stress():
-    """Hammer one pool from many threads (the threaded executor and the
-    serve layer share pools): every take() must hand out a zeroed
+    """Hammer one pool from many threads (the dist sender threads give
+    staging buffers back off the caller's thread): every take() must hand out a zeroed
     array that no other thread holds, and the accounting must balance.
     """
     import threading

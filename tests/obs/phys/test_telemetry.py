@@ -1,7 +1,8 @@
 """The telemetry plane end-to-end: worker buffers fill, piggybacked
-payloads land keyed by ticket, sub-phases split out per backend,
-heartbeats keep idle workers visibly alive, and the residue audits
-flag leaked aggregators until the executor closes them."""
+payloads land keyed by ticket, sub-phases split out per backend, the
+watchdog counts only the silence of workers holding tickets, and the
+residue audits flag leaked aggregators until the executor closes
+them."""
 
 import time
 
@@ -10,7 +11,7 @@ import pytest
 
 from repro.dist import DistExecutor, dist_residue
 from repro.exec import SharedMemExecutor, fn_ref, shm_residue
-from repro.obs.health import HEALTHY, Watchdog
+from repro.obs.health import HEALTHY, WEDGED, Watchdog
 from repro.obs.phys import PhysTelemetry, TelemetryBuffer, telemetry_residue
 from tests.exec import kernels
 
@@ -33,16 +34,12 @@ def test_buffer_records_and_drains():
     assert buf.drain() == []          # drain is destructive and safe
 
 
-def test_buffer_heartbeat_and_rss_are_instants():
+def test_buffer_rss_is_an_instant():
     buf = TelemetryBuffer("w0")
-    beat = buf.heartbeat()
     buf.record_rss(ticket=7)
     records = buf.drain()
-    kind, t0, t1, ticket, payload = records[0]
-    assert (kind, t0, t1, ticket, payload) == ("heartbeat", beat, beat,
-                                               -1, 0)
-    if len(records) > 1:              # rss needs /proc; 0 is skipped
-        kind, t0, t1, ticket, rss = records[1]
+    if records:                       # rss needs /proc; 0 is skipped
+        ((kind, t0, t1, ticket, rss),) = records
         assert kind == "rss" and t0 == t1 and ticket == 7 and rss > 0
 
 
@@ -58,7 +55,6 @@ def test_submit_context_joins_ack_payload_on_ticket():
     # Context moves on before the ack returns; the join must not care.
     tel.current_span = 99
     tel.note_ack("w1", 17, records=[("kernel", 1100, 1200, 17, 64)],
-                 clock=(1000, 1100, 1250, 1300),
                  phases={"kernel": 1e-7}, seconds=1e-7, recv_ns=1300)
     info = tel.tickets[17]
     assert info["span"] == 42 and info["node"] == 3
@@ -66,7 +62,6 @@ def test_submit_context_joins_ack_payload_on_ticket():
     assert info["phases"] == {"kernel": 1e-7}
     assert tel.span_of(17) == 42
     assert tel.records["w1"] == [("kernel", 1100, 1200, 17, 64)]
-    assert tel.pairs["w1"] == [(1000, 1100, 1250, 1300)]
     assert tel.last_seen_ns["w1"] == 1300
     tel.close()
 
@@ -88,8 +83,7 @@ def test_worker_stats_and_straggler_summary():
     for worker, dur in (("w0", 2 * ns), ("w1", 2 * ns), ("w2", 20 * ns)):
         tel.records[worker] = [("kernel", 0, dur, 1, 0),
                                ("send", dur, dur + ns // 10, 1, 0),
-                               ("rss", dur, dur, -1, 123456),
-                               ("heartbeat", dur, dur, -1, 0)]
+                               ("rss", dur, dur, -1, 123456)]
     stats = tel.worker_stats()
     assert set(stats) == {"w0", "w1", "w2"}
     w0 = stats["w0"]
@@ -123,7 +117,7 @@ def test_telemetry_residue_lifecycle():
 
 # -- the dist backend --------------------------------------------------------
 
-def test_dist_ack_carries_sub_phases_records_and_clock():
+def test_dist_ack_carries_sub_phases_and_records():
     ex = DistExecutor(workers=2, telemetry=True)
     try:
         assert dist_residue() != []   # open aggregator is flagged...
@@ -148,14 +142,10 @@ def test_dist_ack_carries_sub_phases_records_and_clock():
             sent = tel.grant_sent[ticket]
             assert sent < tel.tickets[ticket]["ack_recv_ns"]
         # Records merged per worker; both workers saw work (round
-        # robin) and each contributed clock pairs for the fit.
+        # robin).
         assert set(tel.records) == {"w0", "w1"}
         kinds = {r[0] for recs in tel.records.values() for r in recs}
         assert {"unpickle", "setup", "kernel"} <= kinds
-        for worker in ("w0", "w1"):
-            assert tel.pairs[worker]
-            model = tel.clock_models()[worker]
-            assert model.samples == len(tel.pairs[worker])
         stats = tel.worker_stats()
         assert sum(w["tasks"] for w in stats.values()) == len(tickets)
     finally:
@@ -178,40 +168,40 @@ def test_dist_error_ack_still_reports_partial_phases():
     assert dist_residue() == []
 
 
-def test_idle_dist_workers_heartbeat_and_classify_healthy():
-    ex = DistExecutor(workers=2, telemetry=True, heartbeat_s=0.05)
+@pytest.mark.parametrize("pool", [SharedMemExecutor, DistExecutor],
+                         ids=["shm", "dist"])
+def test_watchdog_counts_silence_only_while_a_ticket_is_held(pool):
+    """An idle pool is healthy however long it idles; a worker sitting
+    on an un-acked ticket reads wedged once it has been silent past
+    the threshold."""
+    S = 1_000_000_000
+    dog = Watchdog(slow_after_s=3.0, wedged_after_s=10.0)
+    ex = pool(workers=2, telemetry=True)
     try:
-        # Prime: one task so workers exist in last_seen, then idle.
-        t = ex.submit(fn_ref(kernels.fill), [("out", _arr(), True)],
-                      {"value": 1.0})
-        ex.wait(t)
-        ex.release(t)
-        deadline = time.monotonic() + 5.0
-        tel = ex.telemetry
-        while time.monotonic() < deadline:
-            ex.poll()     # idle beats only land when the pipe is read
-            beats = [r for recs in tel.records.values() for r in recs
-                     if r[0] == "heartbeat"]
-            if len(beats) >= 2:
-                break
-            time.sleep(0.02)
-        assert len(beats) >= 2, "idle workers never heartbeat"
-        health = Watchdog(slow_after_s=3.0, wedged_after_s=10.0) \
-            .classify(tel.last_seen_ns)
-        assert set(health) == {"w0", "w1"}
+        for value in range(4):
+            t = ex.submit(fn_ref(kernels.fill), [("out", _arr(), True)],
+                          {"value": float(value)})
+            ex.wait(t)
+            ex.release(t)
+        idle = ex.silent_since()
+        assert idle and all(since is None for since in idle.values())
+        health = dog.classify(idle, now_ns=time.perf_counter_ns() + 11 * S)
         assert all(h.state == HEALTHY for h in health.values())
+
+        held = ex.submit(fn_ref(kernels.snooze), [("x", _arr(), False)],
+                         {"seconds": 0.2})
+        deadline = time.monotonic() + 5.0
+        while not any(ex.silent_since().values()) and \
+                time.monotonic() < deadline:
+            ex._pump(0.01)                # shm assigns at the claim
+        busy = ex.silent_since()
+        health = dog.classify(busy, now_ns=time.perf_counter_ns() + 11 * S)
+        assert [h.state for h in health.values()].count(WEDGED) == 1
+        ex.wait(held)
+        assert all(since is None for since in ex.silent_since().values())
     finally:
         ex.close()
-    assert dist_residue() == []
-
-
-def test_heartbeat_period_requires_telemetry():
-    ex = DistExecutor(workers=1, heartbeat_s=0.01)   # telemetry off
-    try:
-        assert ex.heartbeat_s == 0.0
-        assert ex.telemetry is None
-    finally:
-        ex.close()
+    assert shm_residue() == [] and dist_residue() == []
 
 
 # -- the shm backend ---------------------------------------------------------
@@ -231,7 +221,7 @@ def test_shm_telemetry_reports_attach_and_kernel_phases():
         tel = ex.telemetry
         kinds = {r[0] for recs in tel.records.values() for r in recs}
         assert "kernel" in kinds and "attach" in kinds
-        assert sum(len(p) for p in tel.pairs.values()) == len(tickets)
+        assert all(tel.tickets[t]["ack_recv_ns"] for t in tickets)
         for info in tel.tickets.values():
             if info["phases"]:
                 assert "kernel" in info["phases"]
