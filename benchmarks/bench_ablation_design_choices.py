@@ -15,19 +15,17 @@ family's shape on the shared records.
 """
 
 from repro.bench.cells import run_records
-from repro.bench.figures import AblationRow
 from repro.bench.reporting import format_ablation
 
-_FAMILIES: dict[str, list[AblationRow]] = {}
+_FAMILIES: dict[str, list[dict]] = {}
 
 
-def _family(tmp_path_factory, name: str) -> list[AblationRow]:
+def _family(tmp_path_factory, name: str) -> list[dict]:
     """All four families come from one scenario run, paid once."""
     if not _FAMILIES:
         out = str(tmp_path_factory.mktemp("ablations"))
         for rec in run_records("ablation_design_choices", out):
-            _FAMILIES[rec["ablation"]] = [AblationRow(**d)
-                                          for d in rec["rows"]]
+            _FAMILIES[rec["ablation"]] = rec["rows"]
     return _FAMILIES[name]
 
 
@@ -37,10 +35,9 @@ def test_ablation_gemm_reuse(benchmark, report, tmp_path_factory):
                               rounds=1, iterations=1)
     report("ablation_gemm_reuse",
            format_ablation(rows, "Ablation: GEMM row-shard reuse"))
-    by_variant = {r.variant: r for r in rows}
-    assert (by_variant["reuse"].io_read_bytes
-            < by_variant["no-reuse"].io_read_bytes)
-    assert by_variant["reuse"].makespan <= by_variant["no-reuse"].makespan
+    by = {r["variant"]: r for r in rows}
+    assert by["reuse"]["io_read_bytes"] < by["no-reuse"]["io_read_bytes"]
+    assert by["reuse"]["makespan"] <= by["no-reuse"]["makespan"]
 
 
 def test_ablation_hotspot_fusion(benchmark, report, tmp_path_factory):
@@ -49,9 +46,9 @@ def test_ablation_hotspot_fusion(benchmark, report, tmp_path_factory):
                               rounds=1, iterations=1)
     report("ablation_hotspot_fusion",
            format_ablation(rows, "Ablation: HotSpot steps per pass"))
-    by_variant = {r.variant: r for r in rows}
-    assert by_variant["K=8"].io_read_bytes < by_variant["K=1"].io_read_bytes
-    assert by_variant["K=8"].makespan < by_variant["K=1"].makespan
+    by = {r["variant"]: r for r in rows}
+    assert by["K=8"]["io_read_bytes"] < by["K=1"]["io_read_bytes"]
+    assert by["K=8"]["makespan"] < by["K=1"]["makespan"]
 
 
 def test_ablation_pipeline_depth(benchmark, report, tmp_path_factory):
@@ -60,8 +57,8 @@ def test_ablation_pipeline_depth(benchmark, report, tmp_path_factory):
                               rounds=1, iterations=1)
     report("ablation_pipeline_depth",
            format_ablation(rows, "Ablation: pipeline (prefetch) depth"))
-    by_variant = {r.variant: r for r in rows}
-    assert by_variant["depth=2"].makespan <= by_variant["depth=1"].makespan
+    by = {r["variant"]: r for r in rows}
+    assert by["depth=2"]["makespan"] <= by["depth=1"]["makespan"]
 
 
 def test_ablation_blocking_size(benchmark, report, tmp_path_factory):
@@ -76,6 +73,6 @@ def test_ablation_blocking_size(benchmark, report, tmp_path_factory):
     # staging buffer holding the whole problem degenerates to one
     # load -> compute -> store chain with no overlap, so the largest
     # budget must not be the fastest.
-    spans = {r.variant: r.makespan for r in rows}
-    largest = rows[-1].variant
+    spans = {r["variant"]: r["makespan"] for r in rows}
+    largest = rows[-1]["variant"]
     assert spans[largest] > min(spans.values())

@@ -11,7 +11,6 @@ workgroups per SIMD engine to hide latency.
 """
 
 from repro.bench.cells import run_records
-from repro.bench.figures import Fig11Row
 from repro.bench.reporting import format_fig11
 
 
@@ -19,20 +18,17 @@ def test_fig11_load_balancing(benchmark, report, tmp_path):
     records = benchmark.pedantic(run_records,
                                  args=("fig11", str(tmp_path / "fig11")),
                                  rounds=1, iterations=1)
-    rows = [Fig11Row(matrix_dim=r["matrix_dim"], chunk_dim=r["chunk_dim"],
-                     gpu_queues=r["gpu_queues"], speedup=r["speedup"],
-                     steals=r["steals"], cpu_share=r["cpu_share"])
-            for r in records]
-    report("fig11_load_balancing", format_fig11(rows))
+    report("fig11_load_balancing", format_fig11(records))
 
     by_input = {}
-    for r in rows:
-        by_input.setdefault((r.matrix_dim, r.chunk_dim), {})[r.gpu_queues] = r
+    for r in records:
+        by_input.setdefault((r["matrix_dim"], r["chunk_dim"]),
+                            {})[r["gpu_queues"]] = r
     for qs in by_input.values():
-        assert qs[32].speedup > qs[16].speedup > qs[8].speedup
-        assert 1.10 < qs[32].speedup < 1.30   # "up to 24%"
-        assert qs[32].steals > 0               # stealing actually fires
-        assert 0 < qs[32].cpu_share < 0.5
+        assert qs[32]["speedup"] > qs[16]["speedup"] > qs[8]["speedup"]
+        assert 1.10 < qs[32]["speedup"] < 1.30   # "up to 24%"
+        assert qs[32]["steals"] > 0               # stealing actually fires
+        assert 0 < qs[32]["cpu_share"] < 0.5
     # The stealing sim is GPU-compute-bound at every measured point --
     # the attribution the autotune scenario's knob search keys on.
     assert all(r["binding"] == "compute" for r in records)

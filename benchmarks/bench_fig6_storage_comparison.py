@@ -10,8 +10,7 @@ on the disk drive.
 """
 
 from repro.bench.cells import run_records
-from repro.bench.figures import Fig6Row
-from repro.bench.reporting import format_fig6
+from repro.bench.reporting import fig6_slowdowns, format_fig6
 
 
 def test_fig6_storage_comparison(benchmark, report, tmp_path):
@@ -19,16 +18,12 @@ def test_fig6_storage_comparison(benchmark, report, tmp_path):
                                  args=("fig6", str(tmp_path / "fig6")),
                                  rounds=1, iterations=1)
     assert all(r["verified"] for r in records)
-    by = {(r["app"], r["config"]): r["makespan_s"] for r in records}
-    rows = [Fig6Row(app=app, in_memory=by[(app, "in-memory")],
-                    ssd=by[(app, "ssd")], hdd=by[(app, "hdd")])
-            for app in ("gemm", "hotspot", "spmv")]
-    report("fig6_storage_comparison", format_fig6(rows))
+    report("fig6_storage_comparison", format_fig6(records))
 
-    by_app = {r.app: r for r in rows}
+    slowdowns = fig6_slowdowns(records)
     # Qualitative shape checks (the paper's claims, not its numbers).
-    for r in rows:
-        assert 1.0 <= r.ssd_slowdown <= r.hdd_slowdown
-    assert by_app["gemm"].ssd_slowdown < 1.2          # compute hides I/O
-    assert by_app["hotspot"].ssd_slowdown < by_app["spmv"].ssd_slowdown
-    assert by_app["hotspot"].hdd_slowdown > 2.0       # disk clearly hurts
+    for s in slowdowns.values():
+        assert 1.0 <= s["ssd"] <= s["hdd"]
+    assert slowdowns["gemm"]["ssd"] < 1.2          # compute hides I/O
+    assert slowdowns["hotspot"]["ssd"] < slowdowns["spmv"]["ssd"]
+    assert slowdowns["hotspot"]["hdd"] > 2.0       # disk clearly hurts

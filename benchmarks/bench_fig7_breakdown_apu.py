@@ -9,7 +9,7 @@ CSR-Adaptive shows visible CPU time (row binning).
 """
 
 from repro.bench.cells import run_records
-from repro.bench.reporting import format_breakdown_records
+from repro.bench.reporting import format_breakdown
 
 
 def test_fig7_breakdown_apu(benchmark, report, tmp_path):
@@ -18,8 +18,8 @@ def test_fig7_breakdown_apu(benchmark, report, tmp_path):
                                  rounds=1, iterations=1)
     assert all(r["verified"] for r in records)
     report("fig7_breakdown_apu",
-           format_breakdown_records(records, "Figure 7: breakdown, APU "
-                                             "tree (busy-time shares)"))
+           format_breakdown(records, "Figure 7: breakdown, APU "
+                                     "tree (busy-time shares)"))
 
     by_key = {(r["app"], r["storage"]): r["shares"] for r in records}
     for app in ("gemm", "hotspot", "spmv"):

@@ -11,7 +11,7 @@ apps and that every byte that reaches the GPU crossed it.
 """
 
 from repro.bench.cells import run_records
-from repro.bench.reporting import format_breakdown_records
+from repro.bench.reporting import format_breakdown
 
 
 def test_fig8_breakdown_dgpu(benchmark, report, tmp_path):
@@ -20,9 +20,9 @@ def test_fig8_breakdown_dgpu(benchmark, report, tmp_path):
                                  rounds=1, iterations=1)
     assert all(r["verified"] for r in records)
     report("fig8_breakdown_dgpu",
-           format_breakdown_records(records, "Figure 8: breakdown, "
-                                             "discrete-GPU tree "
-                                             "(busy-time shares)"))
+           format_breakdown(records, "Figure 8: breakdown, "
+                                     "discrete-GPU tree "
+                                     "(busy-time shares)"))
 
     for r in records:
         assert r["dev_transfer_busy_s"] > 0

@@ -10,7 +10,7 @@ abstract's headline number.
 """
 
 from repro.bench.cells import run_records
-from repro.bench.reporting import format_fig9_records
+from repro.bench.reporting import format_fig9
 
 
 def test_fig9_faster_storage(benchmark, report, tmp_path):
@@ -18,7 +18,7 @@ def test_fig9_faster_storage(benchmark, report, tmp_path):
                                  args=("fig9", str(tmp_path / "fig9")),
                                  rounds=1, iterations=1)
     assert all(r["verified"] for r in records)
-    report("fig9_faster_storage", format_fig9_records(records))
+    report("fig9_faster_storage", format_fig9(records))
 
     for r in records:
         ios = r["io_norm"]

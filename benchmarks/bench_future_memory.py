@@ -13,8 +13,7 @@ Thin shims over ``benchmarks/scenarios/future_memory.toml`` and
 """
 
 from repro.bench.cells import run_records
-from repro.bench.future import (GenerationRow, SpmvStructureRow,
-                                format_generations, format_spmv_structures)
+from repro.bench.reporting import format_generations, format_spmv_structures
 
 
 def test_storage_generations(benchmark, report, tmp_path):
@@ -22,13 +21,11 @@ def test_storage_generations(benchmark, report, tmp_path):
         run_records, args=("future_memory", str(tmp_path / "future")),
         rounds=1, iterations=1)
     assert all(r["verified"] for r in records)
-    rows = [GenerationRow(app=r["app"], storage=r["storage"],
-                          slowdown=r["slowdown"]) for r in records]
-    report("future_storage_generations", format_generations(rows))
+    report("future_storage_generations", format_generations(records))
 
     by_app = {}
-    for r in rows:
-        by_app.setdefault(r.app, {})[r.storage] = r.slowdown
+    for r in records:
+        by_app.setdefault(r["app"], {})[r["storage"]] = r["slowdown"]
     for app, per_storage in by_app.items():
         # Each storage generation strictly narrows the gap.
         assert per_storage["nvm"] < per_storage["ssd"] < per_storage["hdd"]
@@ -42,23 +39,23 @@ def test_spmv_input_structures(benchmark, report, tmp_path):
         run_records, args=("future_spmv_structures",
                            str(tmp_path / "spmv")),
         rounds=1, iterations=1)
-    rows = [SpmvStructureRow(**d) for d in records[0]["rows"]]
+    rows = records[0]["rows"]
     report("future_spmv_structures", format_spmv_structures(rows))
 
-    by_key = {(r.preset, r.strategy): r for r in rows}
+    by_key = {(r["preset"], r["strategy"]): r for r in rows}
     # nnz-aware sharding always completes and stays balanced -- on every
     # input, including the adversarial one.
     for preset in ("circuit-like", "stencil-like", "webgraph-like",
                    "adversarial-skew"):
         nnz = by_key[(preset, "nnz")]
-        assert nnz.completed and nnz.slowdown >= 1.0
+        assert nnz["completed"] and nnz["slowdown"] >= 1.0
     # Naive equal-rows sharding produces more variable shards on
     # power-law inputs...
     web_rows = by_key[("webgraph-like", "rows")]
     web_nnz = by_key[("webgraph-like", "nnz")]
-    assert web_rows.shard_size_cv > web_nnz.shard_size_cv
+    assert web_rows["shard_size_cv"] > web_nnz["shard_size_cv"]
     # ...and cannot fit the next level at all on the adversarial input
     # ("Northup has a unique advantage to handle this situation").
-    assert not by_key[("adversarial-skew", "rows")].completed
+    assert not by_key[("adversarial-skew", "rows")]["completed"]
     # On the regular stencil input the strategies are interchangeable.
-    assert by_key[("stencil-like", "rows")].completed
+    assert by_key[("stencil-like", "rows")]["completed"]

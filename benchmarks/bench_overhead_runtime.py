@@ -15,7 +15,6 @@ import statistics
 import time
 
 from repro.bench.cells import run_records
-from repro.bench.figures import OverheadRow
 from repro.bench.reporting import format_overhead
 from repro.obs.spans import Span
 
@@ -24,14 +23,11 @@ def test_runtime_overhead(benchmark, report, tmp_path):
     records = benchmark.pedantic(
         run_records, args=("overhead_runtime", str(tmp_path / "overhead")),
         rounds=1, iterations=1)
-    rows = [OverheadRow(app=r["app"],
-                        runtime_fraction=r["runtime_fraction"],
-                        runtime_ops=r["runtime_ops"]) for r in records]
-    report("overhead_runtime", format_overhead(rows))
+    report("overhead_runtime", format_overhead(records))
 
-    for r in rows:
-        assert r.runtime_fraction < 0.01
-        assert r.runtime_ops > 0
+    for r in records:
+        assert r["runtime_fraction"] < 0.01
+        assert r["runtime_ops"] > 0
 
 
 def _timed_gemm(observe: bool) -> float:

@@ -15,7 +15,7 @@ The public surface, by layer:
   functions);
 * applications -- :mod:`repro.apps` (GEMM, HotSpot-2D, CSR-Adaptive
   SpMV, and in-memory baselines);
-* evaluation -- :mod:`repro.bench` (figure runners),
+* evaluation -- :mod:`repro.bench` (scenario cell runners),
   :mod:`repro.emulator` (storage projection).
 
 Quick taste::

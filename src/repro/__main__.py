@@ -1,4 +1,4 @@
-"""``python -m repro``: regenerate the paper's evaluation.
+"""``python -m repro``: the command-line entry point.
 
 Subcommands::
 
@@ -7,33 +7,30 @@ Subcommands::
     python -m repro experiment run NAME  # declarative scenario harness
     python -m repro describe --plan      # dump lowered task graphs etc.
     python -m repro top URL              # live dashboard over /status
-    python -m repro [evaluate args...]   # default: repro.tools.evaluate
 
-See ``--help`` on each.
+See ``--help`` on each.  Without one of these subcommands this text is
+printed and the exit status is 2.
 """
 
+import importlib
 import sys
+
+_COMMANDS = {
+    "report": ("repro.obs.report", "main"),
+    "regress": ("repro.obs.regress", "main"),
+    "experiment": ("repro.tools.experiment.cli", "main"),
+    "describe": ("repro.tools.describe", "main"),
+    "top": ("repro.obs.live", "top_main"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "report":
-        from repro.obs.report import main as report_main
-        return report_main(argv[1:])
-    if argv and argv[0] == "regress":
-        from repro.obs.regress import main as regress_main
-        return regress_main(argv[1:])
-    if argv and argv[0] == "experiment":
-        from repro.tools.experiment.cli import main as experiment_main
-        return experiment_main(argv[1:])
-    if argv and argv[0] == "describe":
-        from repro.tools.describe import main as describe_main
-        return describe_main(argv[1:])
-    if argv and argv[0] == "top":
-        from repro.obs.live import top_main
-        return top_main(argv[1:])
-    from repro.tools.evaluate import main as evaluate_main
-    return evaluate_main(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        print(__doc__, file=sys.stderr)
+        return 2
+    module, name = _COMMANDS[argv[0]]
+    return getattr(importlib.import_module(module), name)(argv[1:])
 
 
 if __name__ == "__main__":

@@ -1,19 +1,17 @@
-"""Benchmark harness: one entry point per paper table/figure.
+"""Benchmark harness: the paper's evaluation as scenario cells.
 
 * :mod:`repro.bench.configs` -- the scaled experimental setup (devices,
-  trees, workload sizes) and the scaling rules that preserve the
+  trees, the one workload scale) and the scaling rules that preserve the
   paper's compute:I/O ratios.
-* :mod:`repro.bench.figures` -- runners that regenerate each figure's
-  rows/series (Figures 6, 7, 8, 9, 11 plus the Section V-B runtime-
-  overhead measurement and the ablations).
-* :mod:`repro.bench.reporting` -- paper-style table formatting.
-* :mod:`repro.bench.future` -- forward-looking analyses (storage
-  generations, sharding strategies).
-* :mod:`repro.bench.sweeps` -- generic parameter sweeps with CSV output.
+* :mod:`repro.bench.cells` -- the registered cell runners, the only code
+  that computes a committed figure (Figures 6, 7, 8, 9, 11, the Section
+  V-B runtime overhead, the ablations and the forward-looking analyses).
+* :mod:`repro.bench.reporting` -- paper-style tables rendered from cell
+  records.
 * :mod:`repro.bench.parallel` -- process-pool fan-out of independent
-  experiment configurations with a deterministic merge.
+  cells with a deterministic merge.
 """
 
-from repro.bench import configs, figures, parallel, reporting
+from repro.bench import configs, parallel, reporting
 
-__all__ = ["configs", "figures", "parallel", "reporting"]
+__all__ = ["configs", "parallel", "reporting"]

@@ -1,4 +1,4 @@
-"""Cell runners: the bench families, one scenario cell at a time.
+"""Cell runners: the one producer of every committed figure.
 
 Every runner here is a module-level ``fn(**params) -> dict`` registered
 with :mod:`repro.tools.experiment.registry`, so the experiment harness
@@ -9,18 +9,28 @@ wall-clock measurements go under a ``meta`` key, which
 :mod:`repro.obs.regress` ignores.
 
 The ``benchmarks/bench_*.py`` shims run the same scenarios through
-:func:`run_records` and assert the paper shapes on the records.
+:func:`run_records`, render the records with :mod:`repro.bench.reporting`
+and assert the paper shapes on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any
 
-from repro.bench import configs, figures
+import numpy as np
+
+from repro.apps import (GemmApp, HotspotApp, InMemoryGemm, InMemoryHotspot,
+                        InMemorySpmv, SpmvApp)
+from repro.bench import configs
+from repro.core.profiler import Breakdown
+from repro.core.system import System
+from repro.emulator.projection import IOProfile, sweep
 from repro.errors import ConfigError
+from repro.sim.trace import Phase
 from repro.tools.experiment.registry import register
+from repro.workloads.sparse import preset, preset_names
 
 #: Every figure cell runs the committed 1/16-scale workload.
 SCALE = configs.DEFAULT_SCALE
@@ -37,16 +47,92 @@ def run_records(scenario_name: str, out_dir: str, *,
     return [cell["record"] for cell in result.summary["cells"]]
 
 
+# -- One measured Figure 6 application run ------------------------------------
+
+@dataclass
+class RunResult:
+    """One measured execution and whether its result verified."""
+
+    makespan: float
+    breakdown: Breakdown
+    verified: bool
+    io_profile: IOProfile
+    runtime_ops: int
+
+
+def _measure(system: System, app) -> RunResult:
+    verified = bool(np.allclose(app.result(), app.reference(),
+                                rtol=1e-3, atol=1e-3))
+    breakdown = system.breakdown()
+    return RunResult(makespan=system.makespan(), breakdown=breakdown,
+                     verified=verified,
+                     io_profile=IOProfile.from_trace(system.timeline.trace),
+                     runtime_ops=system.runtime_ops)
+
+
+def _spmv_matrix():
+    return preset(SCALE.spmv_preset, nrows=SCALE.spmv_rows, seed=SCALE.seed)
+
+
+def _run_app(app_name: str, tree) -> RunResult:
+    """``app_name`` under Northup on ``tree``."""
+    system = System(tree)
+    try:
+        if app_name == "gemm":
+            app = GemmApp(system, m=SCALE.gemm_n, k=SCALE.gemm_n,
+                          n=SCALE.gemm_n, seed=SCALE.seed)
+        elif app_name == "hotspot":
+            app = HotspotApp(system, n=SCALE.hotspot_n,
+                             iterations=SCALE.hotspot_iterations,
+                             steps_per_pass=SCALE.hotspot_steps_per_pass,
+                             seed=SCALE.seed)
+        elif app_name == "spmv":
+            app = SpmvApp(system, matrix=_spmv_matrix(), seed=SCALE.seed)
+        else:
+            raise ConfigError(f"unknown app {app_name!r}")
+        app.run(system)
+        return _measure(system, app)
+    finally:
+        system.close()
+
+
+def _run_baseline(app_name: str) -> RunResult:
+    """``app_name``'s in-memory baseline."""
+    system = System(configs.scaled_inmemory_tree(
+        flop_bound_app=(app_name == "gemm")))
+    try:
+        if app_name == "gemm":
+            app = InMemoryGemm(system, m=SCALE.gemm_n, k=SCALE.gemm_n,
+                               n=SCALE.gemm_n, seed=SCALE.seed)
+        elif app_name == "hotspot":
+            app = InMemoryHotspot(system, n=SCALE.hotspot_n,
+                                  iterations=SCALE.hotspot_iterations,
+                                  seed=SCALE.seed)
+        elif app_name == "spmv":
+            app = InMemorySpmv(system, matrix=_spmv_matrix(),
+                               seed=SCALE.seed)
+        else:
+            raise ConfigError(f"unknown app {app_name!r}")
+        app.run()
+        return _measure(system, app)
+    finally:
+        system.close()
+
+
+def _apu_tree_for(app_name: str, storage: str, **kw):
+    return configs.scaled_apu_tree(storage,
+                                   flop_bound_app=(app_name == "gemm"), **kw)
+
+
 # -- Figures 6/7/8/9 ----------------------------------------------------------
 
 @register("fig6")
 def fig6_cell(app: str, config: str) -> dict:
     """One Figure 6 bar: ``app`` on ``config`` (in-memory/ssd/hdd)."""
     if config == "in-memory":
-        res = figures._run_baseline(app, SCALE)
+        res = _run_baseline(app)
     else:
-        res = figures._run_app(app, figures._apu_tree_for(app, config),
-                               config, SCALE)
+        res = _run_app(app, _apu_tree_for(app, config))
     return {"app": app, "config": config, "makespan_s": res.makespan,
             "verified": res.verified}
 
@@ -54,8 +140,7 @@ def fig6_cell(app: str, config: str) -> dict:
 @register("fig7")
 def fig7_cell(app: str, storage: str) -> dict:
     """One Figure 7 breakdown: ``app`` on the 2-level APU tree."""
-    res = figures._run_app(app, figures._apu_tree_for(app, storage),
-                           storage, SCALE)
+    res = _run_app(app, _apu_tree_for(app, storage))
     return {"app": app, "storage": storage, "makespan_s": res.makespan,
             "verified": res.verified, "shares": res.breakdown.shares(),
             "dev_transfer_share": res.breakdown.dev_transfer_share}
@@ -65,7 +150,7 @@ def fig7_cell(app: str, storage: str) -> dict:
 def fig8_cell(app: str) -> dict:
     """One Figure 8 breakdown: ``app`` on the 3-level discrete-GPU tree."""
     tree = configs.scaled_dgpu_tree("hdd", flop_bound_app=(app == "gemm"))
-    res = figures._run_app(app, tree, "hdd+dgpu", SCALE)
+    res = _run_app(app, tree)
     shares = res.breakdown.shares()
     shares["dev_transfer"] = res.breakdown.dev_transfer_share
     return {"app": app, "storage": "hdd+dgpu", "makespan_s": res.makespan,
@@ -79,10 +164,8 @@ def fig8_cell(app: str) -> dict:
 def fig9_cell(app: str) -> dict:
     """One Figure 9 series: project ``app``'s SSD run up the storage
     ladder and measure the remaining gap to in-memory."""
-    from repro.emulator.projection import sweep
-    base = figures._run_baseline(app, SCALE)
-    res = figures._run_app(app, figures._apu_tree_for(app, "ssd"), "ssd",
-                           SCALE)
+    base = _run_baseline(app)
+    res = _run_app(app, _apu_tree_for(app, "ssd"))
     ssd_latency = (configs.device_spec("ssd").latency
                    / configs.BYTE_SCALE)
     projections = sweep(res.io_profile, configs.FIG9_LADDER,
@@ -141,17 +224,115 @@ def fig11_cell(input: str, gpu_queues: int, cpu_threads: int = 4,
 
 @register("overhead")
 def overhead_cell(app: str) -> dict:
-    """Runtime bookkeeping share of one app (Section V-B)."""
-    row = figures.runtime_overhead(SCALE, apps=(app,))[0]
-    return {"app": app, "runtime_fraction": row.runtime_fraction,
-            "runtime_ops": row.runtime_ops}
+    """Runtime bookkeeping share of one app (Section V-B), with the
+    system's own count of the runtime ops it charged."""
+    res = _run_app(app, _apu_tree_for(app, "ssd"))
+    return {"app": app,
+            "runtime_fraction": res.breakdown.runtime_overhead_fraction(),
+            "runtime_ops": res.runtime_ops}
+
+
+def _ablation_gemm_reuse() -> list[dict]:
+    """Row-shard reuse on/off (the Section IV-A optimisation).
+
+    Since the reuse moved from the app into the runtime's buffer cache,
+    the switch is the system's cache config: "reuse" runs the default
+    (explicit-fetch caching), "no-reuse" disables caching entirely.
+    Tile shape is held fixed across the two variants so the comparison
+    isolates the caching itself, not the chooser's different plans.
+    """
+    from repro.apps.gemm import GemmTiles, choose_gemm_tiles
+    from repro.cache.manager import CacheConfig
+    n = SCALE.gemm_n
+    chosen = choose_gemm_tiles(
+        n, n, n, elem_size=4,
+        budget_bytes=int(configs.STAGING_BYTES * 0.9), depth=2,
+        prefer_reuse=True)
+    tiles = GemmTiles(tm=chosen.tm, tn=chosen.tn, tk=chosen.tk, reuse=True)
+    rows = []
+    for cached in (True, False):
+        system = System(_apu_tree_for("gemm", "ssd"),
+                        cache=CacheConfig() if cached
+                        else CacheConfig.disabled())
+        try:
+            app = GemmApp(system, m=n, k=n, n=n, seed=SCALE.seed,
+                          force_tiles=tiles)
+            app.run(system)
+            bd = system.breakdown()
+            rows.append({
+                "name": "gemm-row-shard-reuse",
+                "variant": "reuse" if cached else "no-reuse",
+                "makespan": system.makespan(),
+                "io_read_bytes": bd.bytes_by_phase.get(Phase.IO_READ, 0)})
+        finally:
+            system.close()
+    return rows
+
+
+def _ablation_pipeline_depth() -> list[dict]:
+    """Prefetch depth (buffer sets) for the HotSpot pass."""
+    rows = []
+    for depth in (1, 2, 3):
+        system = System(_apu_tree_for("hotspot", "ssd"))
+        try:
+            app = HotspotApp(system, n=SCALE.hotspot_n,
+                             iterations=SCALE.hotspot_iterations,
+                             steps_per_pass=SCALE.hotspot_steps_per_pass,
+                             seed=SCALE.seed, pipeline_depth=depth)
+            app.run(system)
+            rows.append({"name": "hotspot-pipeline-depth",
+                         "variant": f"depth={depth}",
+                         "makespan": system.makespan(), "io_read_bytes": 0})
+        finally:
+            system.close()
+    return rows
+
+
+def _ablation_hotspot_fusion() -> list[dict]:
+    """Steps fused per storage pass (ghost-zone temporal blocking)."""
+    rows = []
+    for k in (1, 2, 4, 8):
+        system = System(_apu_tree_for("hotspot", "ssd"))
+        try:
+            app = HotspotApp(system, n=SCALE.hotspot_n,
+                             iterations=SCALE.hotspot_iterations,
+                             steps_per_pass=k, seed=SCALE.seed)
+            app.run(system)
+            bd = system.breakdown()
+            rows.append({
+                "name": "hotspot-steps-per-pass", "variant": f"K={k}",
+                "makespan": system.makespan(),
+                "io_read_bytes": bd.bytes_by_phase.get(Phase.IO_READ, 0)})
+        finally:
+            system.close()
+    return rows
+
+
+def _ablation_blocking_size() -> list[dict]:
+    """Blocking-size sensitivity via the staging-buffer budget
+    (Section V-B: "this also depends on the chosen blocking sizes")."""
+    rows = []
+    for staging in (configs.STAGING_BYTES // 4, configs.STAGING_BYTES,
+                    configs.STAGING_BYTES * 4):
+        system = System(_apu_tree_for("gemm", "ssd",
+                                      staging_bytes=staging))
+        try:
+            app = GemmApp(system, m=SCALE.gemm_n, k=SCALE.gemm_n,
+                          n=SCALE.gemm_n, seed=SCALE.seed)
+            app.run(system)
+            rows.append({"name": "gemm-blocking-size",
+                         "variant": f"staging={staging // (1 << 20)}MiB",
+                         "makespan": system.makespan(), "io_read_bytes": 0})
+        finally:
+            system.close()
+    return rows
 
 
 _ABLATIONS = {
-    "gemm_reuse": figures.ablation_gemm_reuse,
-    "hotspot_fusion": figures.ablation_hotspot_fusion,
-    "pipeline_depth": figures.ablation_pipeline_depth,
-    "blocking_size": figures.ablation_blocking_size,
+    "gemm_reuse": _ablation_gemm_reuse,
+    "hotspot_fusion": _ablation_hotspot_fusion,
+    "pipeline_depth": _ablation_pipeline_depth,
+    "blocking_size": _ablation_blocking_size,
 }
 
 
@@ -163,25 +344,91 @@ def ablation_cell(ablation: str) -> dict:
     except KeyError:
         raise ConfigError(f"unknown ablation {ablation!r}; known: "
                           f"{sorted(_ABLATIONS)}") from None
-    rows = fn(SCALE)
-    return {"ablation": ablation, "rows": [asdict(r) for r in rows]}
+    return {"ablation": ablation, "rows": fn()}
 
 
 @register("cache_policy")
 def cache_policy_cell() -> dict:
-    """The buffer-cache policy ablation (all apps x variants)."""
-    rows = figures.ablation_cache_policies(SCALE)
-    return {"rows": [asdict(r) for r in rows]}
+    """The buffer-cache policy ablation (all apps x variants).
+
+    Each app runs uncached and then under each eviction policy with the
+    transparent ("full") cache; results must stay bit-identical to the
+    uncached run.  The workloads are sized so the cache matters:
+
+    * GEMM reuses its row shard across column tiles (the Section IV-A
+      pattern, now owned by the cache);
+    * HotSpot re-stages the read-only power grid every pass, with the
+      tile forced below the auto-chooser's pick so the staging level has
+      cache headroom;
+    * SpMV sweeps its CSR shards cyclically through a cache smaller than
+      the working set -- the access pattern where LRU evicts each block
+      just before reuse and only the Belady oracle retains a prefix.
+    """
+    from repro.cache.manager import CacheConfig
+    from repro.memory.units import KB, MB
+    from repro.topology.builders import apu_two_level
+    from repro.workloads.sparse import uniform_random
+
+    def run(app_name: str, variant: str) -> tuple[np.ndarray, dict]:
+        cache = (CacheConfig.disabled() if variant == "off"
+                 else CacheConfig(mode="full", policy=variant))
+        if app_name == "gemm":
+            tree = _apu_tree_for("gemm", "ssd")
+        elif app_name == "hotspot":
+            tree = apu_two_level(storage_capacity=8 * MB,
+                                 staging_bytes=2 * MB)
+        else:
+            tree = apu_two_level(storage_capacity=16 * MB,
+                                 staging_bytes=512 * KB)
+        system = System(tree, cache=cache)
+        try:
+            if app_name == "gemm":
+                n = SCALE.gemm_n
+                app = GemmApp(system, m=n, k=n, n=n, seed=SCALE.seed)
+            elif app_name == "hotspot":
+                app = HotspotApp(system, n=256, iterations=8,
+                                 steps_per_pass=4, force_tile=128,
+                                 seed=SCALE.seed)
+            else:
+                matrix = uniform_random(8000, 8000, nnz_per_row=16, seed=7)
+                app = SpmvApp(system, matrix=matrix, seed=SCALE.seed,
+                              iterations=3)
+            app.run(system)
+            st = system.cache.total_stats()
+            bd = system.breakdown()
+            row = {"app": app_name, "variant": variant,
+                   "makespan": system.makespan(),
+                   "io_read_bytes": bd.bytes_by_phase.get(Phase.IO_READ, 0),
+                   "hits": st.hits, "misses": st.misses,
+                   "evictions": st.evictions,
+                   "prefetch_used": st.prefetch_used}
+            return app.result(), row
+        finally:
+            system.close()
+
+    rows = []
+    for app_name in ("gemm", "hotspot", "spmv"):
+        baseline = None
+        for variant in ("off", "lru", "cost", "oracle"):
+            result, row = run(app_name, variant)
+            if baseline is None:
+                baseline = result
+            row["identical"] = bool(np.array_equal(result, baseline))
+            rows.append(row)
+    return {"rows": rows}
 
 
 # -- Forward-looking analyses -------------------------------------------------
 
 @register("future_generation")
 def future_generation_cell(app: str, storage: str) -> dict:
-    """One (app, storage generation) slowdown point (Section V-D)."""
-    base = figures._run_baseline(app, SCALE)
-    res = figures._run_app(app, figures._apu_tree_for(app, storage),
-                           storage, SCALE)
+    """One (app, storage generation) slowdown point (Section V-D).
+
+    NVM here is the block-mode device (2.5/2.0 GB/s): the "per-node
+    slower memory" the paper argues NVM bandwidth now justifies.
+    """
+    base = _run_baseline(app)
+    res = _run_app(app, _apu_tree_for(app, storage))
     return {"app": app, "storage": storage,
             "verified": base.verified and res.verified,
             "slowdown": res.makespan / base.makespan}
@@ -189,10 +436,79 @@ def future_generation_cell(app: str, storage: str) -> dict:
 
 @register("future_spmv")
 def future_spmv_cell() -> dict:
-    """SpMV sharding strategy vs input structure (Section IV-C)."""
-    from repro.bench.future import spmv_input_structures
-    rows = spmv_input_structures(SCALE)
-    return {"rows": [asdict(r) for r in rows]}
+    """SpMV sharding strategy vs input structure (Section IV-C).
+
+    Northup's nnz-aware sharding vs the naive equal-rows split.  On
+    regular inputs the two are near-identical; on power-law inputs
+    equal-rows sharding produces wildly variable shard sizes and may
+    overflow the next level entirely -- "Northup has a unique advantage
+    to handle this situation thanks to its recursive scheme."
+    """
+    from repro.errors import CapacityError
+
+    inputs = {name: preset(name, nrows=SCALE.spmv_rows, seed=SCALE.seed)
+              for name in preset_names()}
+    inputs["adversarial-skew"] = _adversarial_skew(SCALE.spmv_rows,
+                                                   seed=SCALE.seed)
+
+    rows = []
+    for name, matrix in inputs.items():
+
+        base_sys = System(configs.scaled_inmemory_tree())
+        try:
+            base = InMemorySpmv(base_sys, matrix=matrix, seed=SCALE.seed)
+            base.run()
+            assert np.allclose(base.result(), base.reference(),
+                               rtol=1e-3, atol=1e-3)
+            base_time = base_sys.makespan()
+        finally:
+            base_sys.close()
+
+        for strategy in ("nnz", "rows"):
+            # A tighter staging budget so several shards exist and the
+            # skew has room to show.
+            system = System(_apu_tree_for(
+                "spmv", "ssd",
+                staging_bytes=configs.STAGING_BYTES // 8))
+            try:
+                app = SpmvApp(system, matrix=matrix, seed=SCALE.seed,
+                              shard_strategy=strategy)
+                try:
+                    app.run(system)
+                except CapacityError:
+                    rows.append({"preset": name, "strategy": strategy,
+                                 "completed": False,
+                                 "slowdown": float("inf"), "shard_count": 0,
+                                 "shard_size_cv": float("inf")})
+                    continue
+                assert np.allclose(app.result(), app.reference(),
+                                   rtol=1e-3, atol=1e-3)
+                sizes = [iv.nbytes for iv in system.timeline.trace
+                         if iv.phase is Phase.IO_READ
+                         and iv.label == "data down"]
+                mean = float(np.mean(sizes)) if sizes else 0.0
+                cv = float(np.std(sizes) / mean) if mean else 0.0
+                rows.append({"preset": name, "strategy": strategy,
+                             "completed": True,
+                             "slowdown": system.makespan() / base_time,
+                             "shard_count": len(sizes),
+                             "shard_size_cv": cv})
+            finally:
+                system.close()
+    return {"rows": rows}
+
+
+def _adversarial_skew(nrows: int, *, seed: int):
+    """Mostly single-nonzero rows plus a few giant rows, each close to a
+    whole next-level budget: the input family for which equal-rows
+    sharding cannot work at all."""
+    rng = np.random.default_rng(seed)
+    lengths = np.ones(nrows, dtype=np.int64)
+    giant = max(16, nrows // 3000)
+    positions = rng.choice(nrows, size=giant, replace=False)
+    lengths[positions] = nrows  # clipped to ncols by the assembler
+    from repro.workloads.sparse import _assemble
+    return _assemble(lengths, nrows, rng)
 
 
 # -- Library apps -------------------------------------------------------------
@@ -200,10 +516,7 @@ def future_spmv_cell() -> dict:
 @register("library_reduce")
 def library_reduce_cell(storage: str, n: int = 2_000_000) -> dict:
     """Out-of-core reduction: one storage generation."""
-    import numpy as np
     from repro.apps.reduce import ReduceApp
-    from repro.core.system import System
-    from repro.sim.trace import Phase
     system = System(configs.scaled_apu_tree(storage))
     try:
         app = ReduceApp(system, n=int(n), op="l2", seed=2019)
@@ -221,10 +534,7 @@ def library_reduce_cell(storage: str, n: int = 2_000_000) -> dict:
 @register("library_sort")
 def library_sort_cell(staging_divisor: int, n: int = 1_000_000) -> dict:
     """External merge sort under a shrunken staging budget."""
-    import numpy as np
     from repro.apps.sort import SortApp
-    from repro.core.system import System
-    from repro.sim.trace import Phase
     system = System(configs.scaled_apu_tree(
         "ssd", staging_bytes=configs.STAGING_BYTES // int(staging_divisor)))
     try:
@@ -283,7 +593,6 @@ def framework_op(system, op: str):
 @register("framework_op")
 def framework_op_cell(op: str, rounds: int = 200) -> dict:
     """Wall-clock cost of one hot-path framework operation."""
-    from repro.core.system import System
     from repro.memory.units import MB
     from repro.topology.builders import apu_two_level
     system = System(apu_two_level(storage_capacity=256 * MB,
@@ -309,9 +618,6 @@ def framework_op_cell(op: str, rounds: int = 200) -> dict:
 def _hotspot_run(scheduler, storage: str, staging_bytes: int,
                  **app_kw) -> tuple[float, bytes]:
     """One HotSpot run; ``(virtual makespan, result bytes)``."""
-    import numpy as np
-    from repro.apps.hotspot import HotspotApp
-    from repro.core.system import System
     system = System(configs.scaled_apu_tree(storage,
                                             staging_bytes=staging_bytes))
     try:
@@ -368,17 +674,14 @@ def serve_policy_cell(policy: str, seed: int = 0) -> dict:
 # -- Distributed execution ----------------------------------------------------
 
 def _dist_gemm(sys_):
-    from repro.apps.gemm import GemmApp
     return GemmApp(sys_, m=128, k=128, n=128, seed=3)
 
 
 def _dist_hotspot(sys_):
-    from repro.apps.hotspot import HotspotApp
     return HotspotApp(sys_, n=96, iterations=2, seed=4)
 
 
 def _dist_spmv(sys_):
-    from repro.apps.spmv import SpmvApp
     from repro.workloads.sparse import powerlaw_rows
     return SpmvApp(sys_, matrix=powerlaw_rows(3000, 3000, alpha=1.5,
                                               max_row=512, seed=3),
@@ -417,9 +720,6 @@ def run_dist_app(name: str, *, executor=None, scheduler=None):
     """One :data:`DIST_APP_CASES` run; ``(result sha256, makespan, trace
     intervals)``.  ``executor`` instances are caller-owned, closed here."""
     import hashlib
-
-    import numpy as np
-    from repro.core.system import System
     make_app, make_tree = DIST_APP_CASES[name]
     sys_ = System(make_tree(), executor=executor)
     try:
@@ -460,7 +760,6 @@ def _dist_scaling(app: str) -> dict:
     measured per-node costs list-scheduled onto 1..N worker lanes over
     the modeled network channel.  No timing: deterministic."""
     from repro.core.scheduler import InOrderScheduler
-    from repro.core.system import System
     from repro.dist.model import project_run
     from repro.memory.network import NETWORK_PRESETS
     channel = NETWORK_PRESETS[DIST_CHANNEL]

@@ -186,16 +186,6 @@ def scaled_inmemory_tree(*, flop_bound_app: bool = False,
 FIG11_GPU_CELLS_PER_S = 1.2e8
 FIG11_CPU_CELLS_PER_S = 0.24 * FIG11_GPU_CELLS_PER_S
 
-#: The paper's three (m, n) input points, at 1/16 linear scale:
-#: (16k, 4k), (32k, 4k), (32k, 8k) -> (1024, 256), (2048, 256), (2048, 512).
-FIG11_INPUTS = [
-    (16384 // LINEAR_SCALE, 4096 // LINEAR_SCALE),
-    (32768 // LINEAR_SCALE, 4096 // LINEAR_SCALE),
-    (32768 // LINEAR_SCALE, 8192 // LINEAR_SCALE),
-]
-
-FIG11_QUEUE_COUNTS = [8, 16, 32]
-
 #: Stencil steps fused per resident chunk in the load-balancing study.
 #: The paper notes "the parameter n has to be big enough so there are
 #: enough elements per queue"; at 1/16 scale the per-chunk task count

@@ -9,8 +9,8 @@ shrinks.
 
 Results are merged deterministically: :func:`run_parallel` returns them
 in submission order regardless of which worker finished first, so a
-parallel sweep produces exactly the rows (in exactly the order) of the
-sequential loop it replaces.
+parallel scenario run produces exactly the cells (in exactly the order)
+of the sequential loop it replaces.
 
 Workers are plain processes (``ProcessPoolExecutor``); the task function
 and its arguments must be picklable, which in practice means a
@@ -25,8 +25,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Sequence
 
-from repro.bench.sweeps import SweepPoint, as_point, grid_points
-
 
 def default_workers() -> int:
     """Pool size when none is given: the CPU count, capped at 8 (the
@@ -35,9 +33,8 @@ def default_workers() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
-def run_parallel(fn: Callable[..., Any], configs: Sequence[Any], *,
+def run_parallel(fn: Callable[[Any], Any], configs: Sequence[Any], *,
                  workers: int | None = None,
-                 star: bool = False,
                  on_result: Callable[[int, Any], None] | None = None
                  ) -> list[Any]:
     """Run ``fn(config)`` for every config across a process pool.
@@ -45,8 +42,7 @@ def run_parallel(fn: Callable[..., Any], configs: Sequence[Any], *,
     Parameters
     ----------
     fn:
-        Module-level (picklable) function of one config.  With
-        ``star=True`` each config is a tuple splatted as ``fn(*config)``.
+        Module-level (picklable) function of one config.
     configs:
         The experiment configurations, one task each.
     workers:
@@ -68,16 +64,13 @@ def run_parallel(fn: Callable[..., Any], configs: Sequence[Any], *,
     if workers <= 1:
         results = []
         for i, c in enumerate(configs):
-            result = fn(*c) if star else fn(c)
+            result = fn(c)
             if on_result is not None:
                 on_result(i, result)
             results.append(result)
         return results
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        if star:
-            futures = [pool.submit(fn, *c) for c in configs]
-        else:
-            futures = [pool.submit(fn, c) for c in configs]
+        futures = [pool.submit(fn, c) for c in configs]
         # .result() in submission order IS the deterministic merge:
         # completion order is scheduling noise and never observed.
         results = []
@@ -87,28 +80,3 @@ def run_parallel(fn: Callable[..., Any], configs: Sequence[Any], *,
                 on_result(i, result)
             results.append(result)
         return results
-
-
-def parallel_sweep(run: Callable[..., SweepPoint | float],
-                   grid: dict[str, list[Any]], *,
-                   workers: int | None = None) -> list[SweepPoint]:
-    """:func:`repro.bench.sweeps.sweep`, fanned across a process pool.
-
-    Grid points are enumerated in the same deterministic order as the
-    sequential sweep and results are merged in that order, so the
-    returned rows are identical -- only wall-clock differs.  ``run``
-    must be a module-level function (it crosses a process boundary).
-    """
-    params = grid_points(grid)
-    results = run_parallel(_SweepTask(run), params, workers=workers)
-    return [as_point(p, result) for p, result in zip(params, results)]
-
-
-class _SweepTask:
-    """Picklable kwargs adapter around the user's ``run`` callable."""
-
-    def __init__(self, run: Callable[..., SweepPoint | float]) -> None:
-        self.run = run
-
-    def __call__(self, params: dict[str, Any]) -> SweepPoint | float:
-        return self.run(**params)

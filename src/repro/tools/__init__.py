@@ -3,8 +3,9 @@
 * ``python -m repro.tools.describe`` -- render built-in topologies, JSON
   topology specs, and the device/processor catalogs (Section III-E:
   "Northup can output the topology").
-* ``python -m repro.tools.evaluate`` (also ``python -m repro``) --
-  regenerate every table/figure of the paper in one command.
+* :mod:`repro.tools.experiment` (``python -m repro experiment``) --
+  the scenario harness: run, collect and list the committed scenarios
+  that produce every table/figure of the paper.
 * :mod:`repro.tools.trace_export` -- Chrome Trace Event JSON for
   chrome://tracing / Perfetto.
 * :mod:`repro.tools.gantt` -- ASCII Gantt charts for terminals.

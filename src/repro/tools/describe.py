@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from repro.compute import registry
@@ -421,42 +420,6 @@ def _print_phys() -> int:
     return 0
 
 
-def _print_experiment() -> int:
-    """Print the scenario layer: committed scenario files (with their
-    expanded cell counts) and the registered cell runners."""
-    from repro.tools.experiment.config import (default_scenario_dir,
-                                               load_scenario)
-    from repro.tools.experiment.registry import list_runners
-
-    scenario_dir = default_scenario_dir()
-    print(f"experiment harness (python -m repro experiment run NAME)")
-    print(f"scenario dir: {scenario_dir}")
-    names = sorted(f for f in os.listdir(scenario_dir)
-                   if f.endswith((".toml", ".json")))
-    for fname in names:
-        try:
-            s = load_scenario(os.path.join(scenario_dir, fname))
-        except NorthupError as exc:
-            print(f"  {fname}: UNREADABLE ({exc})")
-            continue
-        if s.tuner is not None:
-            knobs = " x ".join(f"{k.name}[{len(k.values)}]"
-                               for k in s.tuner.knobs)
-            detail = (f"tuner over {knobs} = {s.tuner.grid_size} grid, "
-                      f"objective {s.tuner.objective}")
-        else:
-            detail = f"{s.cell_count} cell(s)"
-            if s.repeats > 1:
-                detail += f" ({s.repeats} repeats)"
-        print(f"  {s.name:<26} runner={s.runner:<18} {detail}")
-    print("registered cell runners:")
-    for name in list_runners():
-        print(f"  {name}")
-    print("artifact layout: <out>/meta.json, summary.json, report.md, "
-          "cells/cell-NNN.json (+ tuned.json for tuner scenarios)")
-    return 0
-
-
 def _print_tuning() -> int:
     """Explain the two tuning layers and run a small live demo of each:
     the AdaptiveDispatcher's observed-rate policy and the
@@ -576,10 +539,6 @@ def main(argv: list[str] | None = None) -> int:
                              "and print the physical plane: per-worker "
                              "sub-phases, utilization, "
                              "watchdog verdicts")
-    parser.add_argument("--experiment", action="store_true",
-                        help="list the committed experiment scenarios, "
-                             "registered cell runners, and the artifact "
-                             "layout of the declarative harness")
     parser.add_argument("--tuning", action="store_true",
                         help="explain the tuning layers (AdaptiveDispatcher "
                              "rate policy, critical-path-guided Autotuner) "
@@ -615,8 +574,6 @@ def main(argv: list[str] | None = None) -> int:
         return _print_dist()
     if args.phys:
         return _print_phys()
-    if args.experiment:
-        return _print_experiment()
     if args.tuning:
         return _print_tuning()
     if args.plan:

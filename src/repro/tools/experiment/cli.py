@@ -85,7 +85,13 @@ def _cmd_list(args: argparse.Namespace) -> int:
             continue
         kind = "tune" if sc.tuner is not None else \
             f"{sc.cell_count} cell(s)"
-        print(f"  {sc.name:28s} {kind:12s} {sc.title}")
+        print(f"  {sc.name:28s} {kind:12s} runner={sc.runner:18s} "
+              f"{sc.title}")
+        if sc.tuner is not None:
+            knobs = " x ".join(f"{k.name}[{len(k.values)}]"
+                               for k in sc.tuner.knobs)
+            print(f"  {'':28s} tuner over {knobs} = {sc.tuner.grid_size} "
+                  f"grid, objective {sc.tuner.goal} {sc.tuner.objective}")
     return 0
 
 

@@ -72,7 +72,13 @@ def test_fig9_ladder_matches_paper_endpoints():
 
 
 def test_fig11_inputs_scaled_from_paper():
-    assert configs.FIG11_INPUTS == [(1024, 256), (2048, 256), (2048, 512)]
-    assert configs.FIG11_QUEUE_COUNTS == [8, 16, 32]
+    # The paper's (16k, 4k), (32k, 4k), (32k, 8k) inputs at 1/16 scale.
+    from repro.tools.experiment.config import find_scenario, load_scenario
+    matrix = load_scenario(find_scenario("fig11")).matrix
+    assert matrix["input"] == [f"{m // configs.LINEAR_SCALE}x"
+                               f"{n // configs.LINEAR_SCALE}"
+                               for m, n in ((16384, 4096), (32768, 4096),
+                                            (32768, 8192))]
+    assert matrix["gpu_queues"] == [8, 16, 32]
     assert configs.FIG11_CPU_CELLS_PER_S == pytest.approx(
         0.24 * configs.FIG11_GPU_CELLS_PER_S)

@@ -1,24 +1,15 @@
-"""The parallel bench runner: deterministic merge, sweep parity."""
+"""The parallel bench runner: deterministic merge, sequential parity."""
 
-import pytest
-
-from repro.bench.parallel import default_workers, parallel_sweep, run_parallel
-from repro.bench.sweeps import SweepPoint, sweep
-from repro.errors import ConfigError
+from repro.bench.cells import fig11_cell
+from repro.bench.parallel import default_workers, run_parallel
 
 
 def _square(x):
     return x * x
 
 
-def _weighted(a, b):
-    return a * 10 + b
-
-
-def _point(staging, n):
-    # A fake experiment: makespan depends deterministically on params.
-    return SweepPoint(params={}, makespan=staging * 0.001 + n,
-                      extra={"chunks": staging // max(n, 1)})
+def _fig11(params):
+    return fig11_cell(**params)
 
 
 def _slow_then_fast(x):
@@ -43,29 +34,12 @@ def test_run_parallel_inline_fallback():
     assert run_parallel(lambda x: x + 1, [1, 2, 3], workers=1) == [2, 3, 4]
 
 
-def test_run_parallel_star():
-    assert run_parallel(_weighted, [(1, 2), (3, 4)], workers=2,
-                        star=True) == [12, 34]
-
-
 def test_parallel_sweep_matches_sequential_sweep():
-    grid = {"staging": [1000, 2000], "n": [1, 2, 5]}
-    seq = sweep(_point, grid)
-    par = parallel_sweep(_point, grid, workers=2)
-    assert [(p.params, p.makespan, p.extra) for p in seq] == \
-        [(p.params, p.makespan, p.extra) for p in par]
-
-
-def test_parallel_sweep_bare_floats():
-    rows = parallel_sweep(_square, {"x": [2, 3]}, workers=1)
-    assert [(r.params["x"], r.makespan) for r in rows] == [(2, 4.0), (3, 9.0)]
-
-
-def test_parallel_sweep_validation():
-    with pytest.raises(ConfigError):
-        parallel_sweep(_square, {})
-    with pytest.raises(ConfigError):
-        parallel_sweep(_square, {"x": []})
+    """Scenario cells fanned across the pool equal the sequential loop,
+    record for record."""
+    cells = [{"input": "1024x256", "gpu_queues": q} for q in (8, 16, 32)]
+    assert run_parallel(_fig11, cells, workers=2) == \
+        [_fig11(c) for c in cells]
 
 
 def test_default_workers_bounds():

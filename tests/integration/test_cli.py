@@ -54,30 +54,6 @@ def test_module_entrypoint_runs():
     assert "dram.staging" in proc.stdout
 
 
-def test_evaluate_quick_runs_everything(tmp_path, capsys):
-    from repro.tools.evaluate import main as eval_main
-    assert eval_main(["--quick", "--out", str(tmp_path / "r")]) == 0
-    out = capsys.readouterr().out
-    for name in ("fig6", "fig7", "fig8", "fig9", "fig11", "overhead",
-                 "storage_generations", "spmv_structures"):
-        assert f"===== {name} =====" in out
-        assert (tmp_path / "r" / f"{name}.txt").exists()
-
-
-def test_evaluate_only_and_unknown(capsys):
-    from repro.tools.evaluate import main as eval_main
-    assert eval_main(["--quick", "--only", "fig11"]) == 0
-    out = capsys.readouterr().out
-    assert "fig11" in out and "fig6" not in out
-    assert eval_main(["--quick", "--only", "fig99"]) == 2
-
-
-def test_evaluation_is_deterministic():
-    """EXPERIMENTS.md's claim: two runs produce identical tables."""
-    from repro.tools.evaluate import QUICK_SCALE, run_all
-    assert run_all(QUICK_SCALE) == run_all(QUICK_SCALE)
-
-
 def test_spec_file_rendering(tmp_path, capsys):
     import json
     spec = {"device": "ssd", "capacity": "4MB",

@@ -24,10 +24,13 @@ def test_readme_snippet_runs(index, capsys):
 
 
 def test_module_entrypoint():
+    """``python -m repro`` without a subcommand prints the five
+    subcommands and exits 2."""
     import subprocess
     import sys
-    proc = subprocess.run([sys.executable, "-m", "repro", "--quick",
-                           "--only", "overhead"],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0
-    assert "overhead" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "repro"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    for command in ("report", "regress", "experiment run", "describe",
+                    "top"):
+        assert f"python -m repro {command}" in proc.stderr

@@ -14,7 +14,6 @@ from repro.obs.regress import BASELINES, compare
 from repro.tools.experiment.config import (default_scenario_dir,
                                            load_scenario)
 from repro.tools.experiment.registry import get_runner, list_runners
-from repro.tools.experiment.runner import run_scenario
 
 REPO = os.path.dirname(os.path.dirname(default_scenario_dir()))
 SCENARIOS = {os.path.splitext(os.path.basename(p))[0]: p for p in sorted(
@@ -59,11 +58,10 @@ def test_no_registered_runner_takes_a_scale():
         assert "scale" not in inspect.signature(get_runner(name)).parameters
 
 
-@pytest.mark.parametrize("name", ["pipeline_overlap", "distributed_scaling"])
-def test_harness_regenerates_the_committed_figures(name, tmp_path):
+@pytest.mark.parametrize("name", ["fig6", "fig11", "pipeline_overlap",
+                                  "distributed_scaling"])
+def test_harness_regenerates_the_committed_figures(name, scenario_summary):
     """Every leaf outside ``meta`` is virtual: a fresh run through the
     harness equals the committed document.  (``serve_throughput`` takes
     ~2.5 s and is gated the same way by CI's serve-smoke job.)"""
-    fresh = run_scenario(load_scenario(SCENARIOS[name]),
-                         out_dir=str(tmp_path / name)).summary
-    assert compare(_committed(name), fresh) == []
+    assert compare(_committed(name), scenario_summary(name)) == []

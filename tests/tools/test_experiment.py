@@ -198,3 +198,6 @@ def test_committed_scenarios_all_load_and_list(capsys):
     assert "unreadable" not in out
     for name in ("fig6", "fig11", "fig11_autotune", "library_reduce"):
         assert name in out
+    # Each scenario names its runner; a tuner scenario its knob grid.
+    assert "runner=fig6 " in out and "runner=library_reduce" in out
+    assert "= 36 grid, objective max speedup" in out
