@@ -12,8 +12,8 @@ GEMM hides I/O, bandwidth-bound HotSpot and SpMV do not.
 * :mod:`repro.compute.cpu`, :mod:`repro.compute.gpu` -- calibrated models
   of the paper's A10-7850K CPU, its integrated GPU, and the FirePro W9100.
 * :mod:`repro.compute.kernels` -- GEMM, HotSpot-2D, and CSR-Adaptive SpMV.
-* :mod:`repro.compute.streams` -- OpenCL/CUDA-style streams for
-  copy/compute overlap at the leaf.
+* :mod:`repro.compute.registry` -- the named processors topology specs
+  refer to.
 """
 
 from repro.compute.processor import KernelCost, Processor, ProcessorKind

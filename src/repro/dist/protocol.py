@@ -45,10 +45,6 @@ SHUTDOWN = "shutdown"
 #: and a pipe read; ~40 us per round trip of a 256-byte operand).
 OUT_OF_BAND_MIN = 8192
 
-#: One-line description of the framing (``describe --dist``).
-WIRE_FORMAT = ("pickle protocol 5: header frame (head, [sizes]) + one raw "
-               f"frame per array buffer of >= {OUT_OF_BAND_MIN} bytes")
-
 
 def _fresh(nbytes: int) -> np.ndarray:
     return np.empty(nbytes, dtype=np.uint8)

@@ -93,5 +93,5 @@ class QuotaError(NorthupError):
 
 
 class SimulationError(NorthupError):
-    """The discrete-event engine was driven incorrectly (time moving
-    backwards, event scheduled in the past, engine reused after close)."""
+    """A virtual-time resource was charged incorrectly (negative
+    duration, zero slots, overlapping slot reservations)."""

@@ -25,12 +25,8 @@ their time on the path -- the "top-5 spans to shrink" view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.sim.trace import Phase, Trace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.plan.graph import TaskGraph
 
 #: Predecessor tolerance: an interval ending within EPS after the
 #: current start still counts as "finished before" (float rounding in
@@ -190,59 +186,3 @@ def critical_path(trace: Trace) -> CriticalPath:
                               nbytes, sid, slack))
     return CriticalPath(steps, makespan)
 
-
-def graph_critical_path(graph: "TaskGraph", trace: Trace) -> CriticalPath:
-    """Critical chain over a lowered level's *real* dependency edges.
-
-    :func:`critical_path` infers causality from the timeline ("latest
-    interval that ended before you started"), which conflates true
-    dependencies with resource contention.  When the level was lowered
-    into a :class:`~repro.plan.graph.TaskGraph`, the edges are known
-    exactly, so the chain can walk them instead: start from the node
-    whose trace envelope ends last, step to its latest-ending graph
-    predecessor, repeat.  Each :class:`PathStep` covers one *node* --
-    its envelope ``[min start, max end]`` over the trace intervals the
-    node's thunk recorded, labelled ``kind:label``, with the phase and
-    resource of the node's longest interval and the node's causal span.
-    Gaps between a node and its chain successor are genuine scheduling
-    slack (the successor's inputs were ready and it still waited).
-
-    Nodes that never executed (or charged nothing) are skipped; an
-    un-executed graph yields an empty path.
-    """
-    rows = list(trace.span_rows())
-    env: dict[int, tuple[float, float, int, int]] = {}
-    for node in graph.nodes:
-        lo, hi = node.first_interval, node.end_interval
-        if lo is None or hi is None or hi <= lo:
-            continue
-        window = rows[lo:hi]
-        env[node.node_id] = (min(r[0] for r in window),
-                            max(r[1] for r in window), lo, hi)
-    if not env:
-        return CriticalPath([], trace.makespan())
-    # Latest-ending node; ties break toward the earliest-lowered.
-    cur = max(env, key=lambda nid: (env[nid][1], -nid))
-    chain = [cur]
-    while True:
-        preds = [p for p in graph.nodes[cur].preds if p in env]
-        if not preds:
-            break
-        cur = max(preds, key=lambda nid: (env[nid][1], -nid))
-        chain.append(cur)
-    chain.reverse()
-    steps: list[PathStep] = []
-    for k, nid in enumerate(chain):
-        node = graph.nodes[nid]
-        start, end, lo, hi = env[nid]
-        window = rows[lo:hi]
-        longest = max(window, key=lambda r: r[1] - r[0])
-        nbytes = sum(r[5] for r in window)
-        if k + 1 < len(chain):
-            slack = max(0.0, env[chain[k + 1]][0] - end)
-        else:
-            slack = 0.0
-        steps.append(PathStep(start, end, longest[2], longest[3],
-                              f"{node.kind}:{node.label}", nbytes,
-                              node.span_id or 0, slack))
-    return CriticalPath(steps, trace.makespan())

@@ -145,12 +145,21 @@ class SLOPolicy:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SLOPolicy":
+        if not isinstance(doc, dict):
+            raise NorthupError(f"an SLO policy must be a JSON object, got "
+                               f"{type(doc).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         bad = set(doc) - known
         if bad:
             raise NorthupError(
                 f"unknown SLO objective(s) {sorted(bad)}; known: "
                 f"{sorted(known)}")
+        for key, value in doc.items():
+            if key != "name" and value is not None and (
+                    isinstance(value, bool)
+                    or not isinstance(value, (int, float))):
+                raise NorthupError(f"SLO objective {key!r} must be a "
+                                   f"number or null, got {value!r}")
         return cls(**doc)
 
     @classmethod

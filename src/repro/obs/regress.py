@@ -40,6 +40,8 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
+from repro.errors import NorthupError
+
 #: Committed baseline file -> the scenarios collected into it.
 BASELINES = {
     "BENCH_pipeline.json": ("pipeline_overlap",),
@@ -170,6 +172,10 @@ def main(argv: list[str] | None = None) -> int:
                 status_doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read SLO inputs: {exc}", file=sys.stderr)
+            return 2
+        except NorthupError as exc:
+            print(f"invalid SLO policy {policy_path!r}: {exc}",
+                  file=sys.stderr)
             return 2
         report = policy.evaluate(status_doc)
         print(report.table())

@@ -37,12 +37,13 @@ from repro.topology.validate import validate_tree
 
 _ALLOWED_KEYS = {"device", "capacity", "instance", "processors", "backend",
                  "children"}
+_PROCESSOR_KEYS = {"kind", "name"}
 
 
 def _parse_capacity(value: Any, where: str) -> int | None:
     if value is None:
         return None
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         if value <= 0:
             raise ConfigError(f"{where}: capacity must be positive, got {value}")
         return value
@@ -78,10 +79,18 @@ def _make_processors(value: Any, where: str) -> list:
         if isinstance(item, str):
             procs.append(make_processor(item))
         elif isinstance(item, dict):
-            kind = item.get("kind")
+            unknown = set(item) - _PROCESSOR_KEYS
+            if unknown:
+                raise ConfigError(f"{where}: processor #{i} has unknown keys "
+                                  f"{sorted(unknown)}; allowed: "
+                                  f"{sorted(_PROCESSOR_KEYS)}")
+            kind, name = item.get("kind"), item.get("name")
             if not isinstance(kind, str):
                 raise ConfigError(f"{where}: processor #{i} needs a 'kind'")
-            procs.append(make_processor(kind, name=item.get("name")))
+            if name is not None and not isinstance(name, str):
+                raise ConfigError(f"{where}: processor #{i} name must be a "
+                                  f"string")
+            procs.append(make_processor(kind, name=name))
         else:
             raise ConfigError(f"{where}: processor #{i} must be a name or a "
                               f"dict, got {type(item).__name__}")
@@ -107,6 +116,13 @@ def build_from_spec(spec: dict, *, validate: bool = True) -> TopologyTree:
         if not isinstance(dev_name, str):
             raise ConfigError(f"{path}: every node needs a 'device' name")
         instance = node_spec.get("instance")
+        if instance is not None and not isinstance(instance, str):
+            raise ConfigError(f"{path}: instance must be a string")
+        children = node_spec.get("children")
+        if children is None:
+            children = []
+        elif not isinstance(children, list):
+            raise ConfigError(f"{path}: children must be a list")
         if instance is None:
             # Auto-number repeated device types so names stay unique.
             idx = counters.get(dev_name, 0)
@@ -121,7 +137,7 @@ def build_from_spec(spec: dict, *, validate: bool = True) -> TopologyTree:
         node = tree.add_node(device, parent=parent,
                              processors=_make_processors(
                                  node_spec.get("processors"), path))
-        for i, child in enumerate(node_spec.get("children") or []):
+        for i, child in enumerate(children):
             add(child, node, f"{path}.children[{i}]")
 
     add(spec, None, "root")

@@ -5,7 +5,42 @@ import sys
 
 import pytest
 
+from repro.cache.policy import _POLICIES
+from repro.compute import registry
+from repro.exec.base import EXEC_BACKENDS
+from repro.memory import catalog
+from repro.memory.network import NETWORK_PRESETS
+from repro.serve.job import known_apps
 from repro.tools.describe import TOPOLOGIES, main
+from repro.tools.experiment.registry import list_runners
+from repro.workloads.sparse import preset_names
+
+#: Every registry ``--list`` walks: section title -> the registry's names,
+#: read from the registry itself.
+REGISTRIES = {
+    "topologies": lambda: sorted(TOPOLOGIES),
+    "devices": catalog.names,
+    "processors": registry.names,
+    "executor backends": lambda: list(EXEC_BACKENDS),
+    "network presets": lambda: sorted(NETWORK_PRESETS),
+    "eviction policies": lambda: sorted(_POLICIES),
+    "serve apps": known_apps,
+    "sparse presets": preset_names,
+    "experiment runners": lambda: sorted(list_runners()),
+}
+
+
+def list_sections(capsys) -> dict[str, list[str]]:
+    """``--list`` output as section title -> entry lines."""
+    assert main(["--list"]) == 0
+    sections: dict[str, list[str]] = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  "):
+            sections[title].append(line.strip())
+        else:
+            title = line.rstrip(":")
+            sections[title] = []
+    return sections
 
 
 def run_cli(*args):
@@ -34,13 +69,30 @@ def test_unknown_topology_fails(capsys):
     assert "unknown topology" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("title", sorted(REGISTRIES))
+def test_list_prints_every_registry_entry(title, capsys):
+    sections = list_sections(capsys)
+    assert set(sections) == set(REGISTRIES)
+    names = [line.split()[0] for line in sections[title]]
+    assert names == list(REGISTRIES[title]())
+
+
 def test_devices_and_processors(capsys):
-    assert main(["--devices"]) == 0
-    out = capsys.readouterr().out
+    sections = list_sections(capsys)
+    out = "\n".join(sections["devices"])
     assert "ssd" in out and "1400.0 MB/s" in out
-    assert main(["--processors"]) == 0
-    out = capsys.readouterr().out
+    out = "\n".join(sections["processors"])
     assert "gpu-apu" in out and "737" in out
+
+
+@pytest.mark.parametrize("flag", ["--devices", "--processors", "--cache",
+                                  "--cache-policy", "--obs", "--serve",
+                                  "--exec", "--dist", "--phys", "--tuning"])
+def test_removed_demo_flags_are_rejected(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_no_args_prints_help(capsys):

@@ -130,51 +130,3 @@ def test_chunk_spans_recorded():
           if row[2] is Phase.IO_WRITE]
     assert wb and all(sid > 0 for sid in wb)
 
-
-# -- graph-aware critical path (walks real task-graph edges) -----------------
-
-def test_graph_critical_path_over_lowered_run():
-    from repro.apps.hotspot import HotspotApp
-    from repro.core.scheduler import InOrderScheduler
-    from repro.core.system import System
-    from repro.obs.critical import graph_critical_path
-    from repro.topology.builders import apu_two_level
-
-    system = System(apu_two_level())
-    try:
-        app = HotspotApp(system, n=128, iterations=2, steps_per_pass=1,
-                         force_tile=64, seed=1)
-        sched = InOrderScheduler(keep_plans=True)
-        app.run(system, scheduler=sched)
-        trace = system.timeline.trace
-        for plan in sched.plans:
-            path = graph_critical_path(plan.graph, trace)
-            assert len(path) >= 1
-            nodes = {n.node_id: n for n in plan.graph.nodes}
-            # Steps follow real edges: consecutive steps are pred/succ.
-            ids = []
-            for step in path.steps:
-                matches = [n for n in plan.graph.nodes
-                           if f"{n.kind}:{n.label}" == step.label
-                           and (n.span_id or 0) == step.span_id]
-                assert matches, f"step {step.label} is not a graph node"
-                ids.append(matches[0].node_id)
-            for a, b in zip(ids, ids[1:]):
-                assert a in nodes[b].preds
-            # Envelopes are ordered and slack is non-negative.
-            for a, b in zip(path.steps, path.steps[1:]):
-                assert a.start <= b.start
-                assert a.slack_after >= 0.0
-            # The path ends at the level's latest-finishing node.
-            rows = list(trace.span_rows())
-            latest = max((n for n in plan.graph.nodes
-                          if n.end_interval is not None and
-                          n.end_interval > (n.first_interval or 0)),
-                         key=lambda n: max(
-                             (rows[i][1]
-                              for i in range(n.first_interval,
-                                             n.end_interval)),
-                             default=0.0))
-            assert ids[-1] == latest.node_id
-    finally:
-        system.close()

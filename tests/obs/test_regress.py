@@ -150,6 +150,25 @@ def test_cli_unreadable_file_exits_two(tmp_path, capsys):
     assert main([str(bad), base]) == 2
 
 
+@pytest.mark.parametrize("policy", [
+    {"bogus": 1},                       # unknown objective
+    {"max_p99_latency_s": "0.01"},      # a string bound
+    {"max_queue_depth": True},          # a bool is not a number
+    [{"max_p99_latency_s": 0.01}],      # a list, not an object
+    ["bogus"],
+], ids=["unknown-key", "string-bound", "bool-bound", "list-of-dicts",
+        "list-of-strings"])
+def test_cli_malformed_slo_policy_exits_two(tmp_path, capsys, policy):
+    """A bad policy file is an input error (exit 2, one line), never a
+    traceback and never the "objective missed" exit 1."""
+    policy_path = _write(tmp_path, "policy.json", policy)
+    status = _write(tmp_path, "status.json",
+                    {"service": {"p99_latency_s": 0.001}})
+    assert main(["--slo", policy_path, status]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("invalid SLO policy") and "\n" not in err
+
+
 def test_cli_against_committed_baselines(capsys):
     """The committed bench artifacts gate cleanly against themselves."""
     for name in BASELINES:

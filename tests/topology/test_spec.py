@@ -75,6 +75,15 @@ def test_processor_dict_form():
     ({"device": "dram", "processors": [42]}, "name or a dict"),
     ({"device": "dram", "processors": [{"name": "x"}]}, "kind"),
     ({"device": "warpdrive"}, "unknown device"),
+    ({"device": "dram", "capacity": True}, "int or string"),
+    ({"device": "dram", "instance": 7}, "instance must be a string"),
+    ({"device": "dram", "processors": [{"kind": "cpu", "nmae": "x"}]},
+     "unknown keys"),
+    ({"device": "dram", "processors": [{"kind": "cpu", "name": 3}]},
+     "name must be a string"),
+    ({"device": "ssd", "children": "dram"}, "children must be a list"),
+    ({"device": "ssd", "children": {"device": "dram"}},
+     "children must be a list"),
 ])
 def test_malformed_specs_rejected(bad_spec, msg):
     with pytest.raises(ConfigError, match=msg):
