@@ -25,7 +25,7 @@ import numpy as np
 from repro.cache.spec import FetchSpec
 from repro.compute.kernels.hotspot import (ChipEdges, HotspotParams,
                                            default_params, hotspot_block,
-                                           hotspot_cost, pad_grid)
+                                           hotspot_cost, hotspot_run, pad_grid)
 from repro.compute.processor import ProcessorKind
 from repro.core.buffers import BufferHandle
 from repro.core.context import ExecutionContext, root_context
@@ -285,9 +285,9 @@ class HotspotApp(NorthupProgram):
                          src_stride=src_stride,
                          dst_offset=0, dst_stride=row_bytes,
                          label=f"{name} block down")
-        sub_edges = lv.edges.intersect(ChipEdges.of_block(
+        sub_edges = lv.edges.sub_block(
             chunk.row0, chunk.row1, chunk.col0, chunk.col1,
-            lv.rows, lv.cols))
+            lv.rows, lv.cols)
         child_ctx.payload = HotspotLevel(
             t_pad=pay["t"], p_pad=pay["p"], out=pay["o"],
             rows=chunk.rows, cols=chunk.cols, halo=h, edges=sub_edges)
@@ -370,7 +370,6 @@ class HotspotApp(NorthupProgram):
 
     def reference(self) -> np.ndarray:
         """The NumPy/host reference the tests compare against."""
-        from repro.compute.kernels.hotspot import hotspot_run
         return hotspot_run(self.temp0, self.power_np, self.params,
                            self.iterations)
 

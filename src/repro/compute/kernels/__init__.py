@@ -2,7 +2,7 @@
 
 Each kernel module provides (a) a NumPy implementation computing real
 answers, (b) the algorithm-specific structure the paper describes
-(blocking for GEMM, border packing for HotSpot-2D, row binning for
+(blocking for GEMM, ghost-zone halos for HotSpot-2D, row binning for
 CSR-Adaptive), and (c) a :class:`~repro.compute.processor.KernelCost`
 constructor feeding the roofline timing model.
 

@@ -73,8 +73,8 @@ class Partitioning:
         return out
 
     def stats(self) -> dict:
-        """Summary payload (``describe --dist``, bench JSON, span
-        annotations)."""
+        """Summary payload (``experiment run distributed_scaling``, bench
+        JSON, span annotations)."""
         by_kind: dict[str, int] = {}
         for e in self.boundary:
             by_kind[e.kind] = by_kind.get(e.kind, 0) + 1

@@ -98,7 +98,7 @@ class QuotaLedger:
         return quota.weight
 
     def describe(self) -> list[str]:
-        """Human-readable per-tenant lines (``describe --serve``)."""
+        """Human-readable per-tenant lines (``JobService.describe()``)."""
         lines = []
         for tenant in sorted(self.quotas):
             q = self.quotas[tenant]

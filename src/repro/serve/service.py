@@ -418,7 +418,8 @@ class JobService:
                 sorted(self.finished, key=lambda j: j.seq)]
 
     def describe(self) -> str:
-        """Human-readable runtime state (``describe --serve``)."""
+        """Human-readable runtime state; ``examples/serve_status.py``
+        serves its machine-readable twin, the ``/status`` document."""
         lines = [
             f"policy: {self.policy.describe()}",
             f"admission: {self.admission.describe()}",

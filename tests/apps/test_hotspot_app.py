@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.apps.hotspot import HotspotApp, choose_hotspot_tile
+from repro.compute.kernels.hotspot import HotspotParams
 from repro.core.system import System
 from repro.errors import CapacityError, ConfigError
 from repro.memory.units import KB, MB
 from repro.topology.builders import apu_two_level, discrete_gpu_three_level
+from tests.reference.padded_stencil import assert_bits_equal
 
 
 def run_hotspot(tree, **kw):
@@ -15,8 +17,7 @@ def run_hotspot(tree, **kw):
     try:
         app = HotspotApp(sys_, **kw)
         app.run(sys_)
-        np.testing.assert_allclose(app.result(), app.reference(),
-                                   rtol=1e-4, atol=1e-4)
+        assert_bits_equal(app.result(), app.reference())
         return sys_.breakdown(), app
     finally:
         sys_.close()
@@ -68,8 +69,7 @@ def test_fused_passes_reduce_io_traffic():
             app = HotspotApp(sys_, n=64, iterations=4,
                              steps_per_pass=steps_per_pass, seed=6)
             app.run(sys_)
-            np.testing.assert_allclose(app.result(), app.reference(),
-                                       rtol=1e-4, atol=1e-4)
+            assert_bits_equal(app.result(), app.reference())
             bd = sys_.breakdown()
             return (bd.bytes_by_phase.get(Phase.IO_READ, 0)
                     + bd.bytes_by_phase.get(Phase.IO_WRITE, 0))
@@ -85,6 +85,22 @@ def test_hotspot_on_three_level_tree():
                                                  gpu_mem_bytes=64 * KB),
                         n=64, iterations=2, seed=7)
     assert bd.dev_transfer > 0
+
+
+@pytest.mark.parametrize("three_level", [False, True])
+def test_remainder_tile_narrower_than_the_halo(three_level):
+    """n=98 in tiles of 48 leaves a 2-wide remainder, so the middle
+    tiles' 4-wide halos cross the chip boundary.  A stiff step makes a
+    stale ghost cell there show in the bits."""
+    tree = (discrete_gpu_three_level(storage_capacity=16 * MB,
+                                     staging_bytes=512 * KB,
+                                     gpu_mem_bytes=256 * KB)
+            if three_level else
+            apu_two_level(storage_capacity=16 * MB, staging_bytes=512 * KB))
+    stiff = HotspotParams(rx_inv=0.3, ry_inv=0.7, rz_inv=0.05,
+                          step_div_cap=0.3)
+    run_hotspot(tree, n=98, iterations=8, steps_per_pass=4, seed=3,
+                force_tile=48, params=stiff)
 
 
 def test_hotspot_releases_pooled_buffers():

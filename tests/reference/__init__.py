@@ -13,4 +13,7 @@ can assert the replacement is bit-identical to it; nothing under
 * :mod:`tests.reference.naive_plane` -- copy-out + copy-in byte
   movement with a file ``open`` per operation (oracle for
   ``Device.copy_into`` / ``copy_into_2d``).
+* :mod:`tests.reference.padded_stencil` -- the HotSpot update as one
+  NumPy expression over a fresh padded copy per step (oracle for the
+  flat-frame sweep's float32 operation order).
 """
