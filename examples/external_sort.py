@@ -3,8 +3,9 @@
 
 Sorts a vector ~40x larger than the staging buffer: sorted runs form on
 the leaf processor, then k-way merge passes stream run blocks through
-the staging level.  The run's full timeline is exported in Chrome Trace
-Event format -- open it in chrome://tracing or https://ui.perfetto.dev
+the staging level.  The run report (breakdown, busy seconds by resource,
+critical path) is printed, and the full timeline is exported in Chrome
+Trace Event format -- open it in chrome://tracing or https://ui.perfetto.dev
 to see loads, kernels, and flushes overlapping on their resources.
 
 Run:  python examples/external_sort.py
@@ -18,7 +19,7 @@ import numpy as np
 from repro.apps.sort import SortApp
 from repro.core.system import System
 from repro.memory.units import KB, MB
-from repro.tools.gantt import render
+from repro.obs.report import RunReport
 from repro.tools.trace_export import write_chrome_trace
 from repro.topology.builders import apu_two_level
 
@@ -44,7 +45,7 @@ def main() -> None:
               f"{bd.io * 1e3:.2f} ms storage I/O")
 
         print()
-        print(render(system.timeline.trace, width=68))
+        print(RunReport.from_system(system, name="external sort").table())
         print()
         out = os.path.join(tempfile.gettempdir(), "northup_sort_trace.json")
         events = write_chrome_trace(system.timeline.trace, out)

@@ -36,6 +36,16 @@ from repro.workloads.sparse import preset, preset_names
 SCALE = configs.DEFAULT_SCALE
 
 
+def _int(name: str, value) -> int:
+    """A scenario's integer knob: an integral number, never a ``bool``
+    (TOML's ``true`` is not a count) and never silently truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def run_records(scenario_name: str, out_dir: str, *,
                 workers: int = 1) -> list[dict[str, Any]]:
     """Run a committed scenario and return its cell records in plan
@@ -201,12 +211,13 @@ def fig11_cell(input: str, gpu_queues: int, cpu_threads: int = 4,
     from repro.tools.autotune import binding_from_trace
     m, n = _parse_input(input)
     cfg = StealConfig(
-        matrix_dim=m, chunk_dim=n, gpu_queues=int(gpu_queues),
-        cpu_threads=int(cpu_threads),
+        matrix_dim=m, chunk_dim=n,
+        gpu_queues=_int("gpu_queues", gpu_queues),
+        cpu_threads=_int("cpu_threads", cpu_threads),
         gpu_cells_per_s=configs.FIG11_GPU_CELLS_PER_S,
         cpu_cells_per_s=configs.FIG11_CPU_CELLS_PER_S,
         ssd_read_bw=1400e6, ssd_write_bw=600e6,
-        steps_per_chunk=int(steps_per_chunk))
+        steps_per_chunk=_int("steps_per_chunk", steps_per_chunk))
     observer = Observer()
     stats = simulate(cfg, observer=observer)
     binding, attribution = binding_from_trace(observer.trace)
@@ -517,13 +528,14 @@ def _adversarial_skew(nrows: int, *, seed: int):
 def library_reduce_cell(storage: str, n: int = 2_000_000) -> dict:
     """Out-of-core reduction: one storage generation."""
     from repro.apps.reduce import ReduceApp
+    n = _int("n", n)
     system = System(configs.scaled_apu_tree(storage))
     try:
-        app = ReduceApp(system, n=int(n), op="l2", seed=2019)
+        app = ReduceApp(system, n=n, op="l2", seed=2019)
         app.run(system)
         verified = app.result() == np.float64(app.reference())
         bd = system.breakdown()
-        return {"storage": storage, "n": int(n),
+        return {"storage": storage, "n": n,
                 "makespan_s": system.makespan(), "verified": bool(verified),
                 "io_read_bytes": bd.bytes_by_phase.get(Phase.IO_READ, 0),
                 "io_write_bytes": bd.bytes_by_phase.get(Phase.IO_WRITE, 0)}
@@ -535,14 +547,16 @@ def library_reduce_cell(storage: str, n: int = 2_000_000) -> dict:
 def library_sort_cell(staging_divisor: int, n: int = 1_000_000) -> dict:
     """External merge sort under a shrunken staging budget."""
     from repro.apps.sort import SortApp
+    staging_divisor = _int("staging_divisor", staging_divisor)
+    n = _int("n", n)
     system = System(configs.scaled_apu_tree(
-        "ssd", staging_bytes=configs.STAGING_BYTES // int(staging_divisor)))
+        "ssd", staging_bytes=configs.STAGING_BYTES // staging_divisor))
     try:
-        app = SortApp(system, n=int(n), seed=2019)
+        app = SortApp(system, n=n, seed=2019)
         app.run(system)
         verified = np.array_equal(app.result(), app.reference())
         bd = system.breakdown()
-        return {"staging_divisor": int(staging_divisor), "n": int(n),
+        return {"staging_divisor": staging_divisor, "n": n,
                 "makespan_s": system.makespan(), "verified": bool(verified),
                 "io_read_bytes": bd.bytes_by_phase.get(Phase.IO_READ, 0),
                 "runs": len(app.runs)}
@@ -595,18 +609,19 @@ def framework_op_cell(op: str, rounds: int = 200) -> dict:
     """Wall-clock cost of one hot-path framework operation."""
     from repro.memory.units import MB
     from repro.topology.builders import apu_two_level
+    rounds = _int("rounds", rounds)
     system = System(apu_two_level(storage_capacity=256 * MB,
                                   staging_bytes=64 * MB))
     try:
         fn = framework_op(system, op)
         samples = []
-        for _ in range(int(rounds)):
+        for _ in range(rounds):
             system.reset_time()
             t0 = perf_counter()
             fn()
             samples.append(perf_counter() - t0)
         samples.sort()
-        return {"op": op, "rounds": int(rounds),
+        return {"op": op, "rounds": rounds,
                 "meta": {"p50_ns": round(samples[len(samples) // 2] * 1e9),
                          "min_ns": round(samples[0] * 1e9)}}
     finally:
@@ -667,7 +682,7 @@ def serve_policy_cell(policy: str, seed: int = 0) -> dict:
     """The committed job stream served under one scheduling policy,
     every job verified against its solo in-order run."""
     from repro.serve import bench as serve_bench
-    return serve_bench.run_policy(policy, seed=int(seed),
+    return serve_bench.run_policy(policy, seed=_int("seed", seed),
                                   oracle=serve_bench.SoloOracle())
 
 
@@ -782,7 +797,7 @@ def distributed_cell(section: str, app: str, workers: int = 0) -> dict:
     """One distributed-scaling cell: an ``equivalence`` case of ``app``
     on ``workers`` processes, or ``app``'s projected ``scaling`` curve."""
     if section == "equivalence":
-        return _dist_equivalence(app, int(workers))
+        return _dist_equivalence(app, _int("workers", workers))
     if section == "scaling":
         return _dist_scaling(app)
     raise ConfigError(f"unknown distributed section {section!r}; known: "

@@ -169,31 +169,6 @@ def window2d(row0: int, rows: int, col0: int, cols: int, parent_cols: int,
             parent_cols * elem_size)
 
 
-def fit_square_tiles(nrows: int, ncols: int, elem_size: int,
-                     budget_bytes: int, *, arrays: int = 1,
-                     align: int = 1) -> Grid2D:
-    """Choose the largest square-ish chunk whose working set fits.
-
-    ``arrays`` counts how many same-shaped arrays must be resident per
-    chunk (HotSpot keeps input + output = 2); ``align`` rounds the chunk
-    edge down to a multiple (GPU workgroup granularity).
-
-    Raises :class:`ConfigError` when even a 1x1 chunk cannot fit.
-    """
-    if budget_bytes < arrays * elem_size:
-        raise ConfigError(
-            f"budget of {budget_bytes} bytes cannot hold even one element "
-            f"of {arrays} array(s)")
-    edge = min(nrows, ncols)
-    while edge > 1:
-        if arrays * edge * edge * elem_size <= budget_bytes:
-            break
-        edge -= 1
-    if align > 1 and edge > align:
-        edge -= edge % align
-    return Grid2D(nrows=nrows, ncols=ncols, chunk_rows=edge, chunk_cols=edge)
-
-
 def fit_row_chunks(nrows: int, row_bytes: int, budget_bytes: int, *,
                    copies: int = 1) -> list[Range1D]:
     """Split rows so ``copies`` resident chunks fit in the budget."""

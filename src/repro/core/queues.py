@@ -15,8 +15,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import SchedulerError
-
 
 @dataclass
 class WorkQueue:
@@ -78,62 +76,3 @@ class WorkQueue:
     @property
     def empty(self) -> bool:
         return not self._items
-
-
-@dataclass
-class QueueSet:
-    """The queues anchored at one tree node (Listing 1's
-    ``work_queue[numQueues]``)."""
-
-    queues: list[WorkQueue] = field(default_factory=list)
-
-    @classmethod
-    def create(cls, count: int, prefix: str, owner_prefix: str = "") -> "QueueSet":
-        if count < 1:
-            raise SchedulerError(f"need at least one queue, got {count}")
-        return cls(queues=[
-            WorkQueue(name=f"{prefix}{i}",
-                      owner=f"{owner_prefix}{i}" if owner_prefix else "")
-            for i in range(count)
-        ])
-
-    def __len__(self) -> int:
-        return len(self.queues)
-
-    def __getitem__(self, i: int) -> WorkQueue:
-        return self.queues[i]
-
-    def push_round_robin(self, tasks: list[Any]) -> None:
-        """Distribute tasks across queues in round-robin order (how the
-        Figure 10 organisation assigns rows of blocks to queues)."""
-        for i, task in enumerate(tasks):
-            self.queues[i % len(self.queues)].push(task)
-
-    def total_pending(self) -> int:
-        return sum(len(q) for q in self.queues)
-
-    def export_metrics(self, registry, *,
-                       labels: dict[str, str] | None = None) -> None:
-        """Publish every queue's counters into a
-        :class:`~repro.obs.metrics.MetricsRegistry` (gauges labelled by
-        queue name; extra ``labels`` are merged in)."""
-        base = dict(labels or {})
-        for q in self.queues:
-            qlabels = dict(base, queue=q.name)
-            registry.gauge("queue_pushes", q.pushes, labels=qlabels)
-            registry.gauge("queue_pops", q.pops, labels=qlabels)
-            registry.gauge("queue_steals_suffered", q.steals_suffered,
-                           labels=qlabels)
-            registry.gauge("queue_pending", len(q), labels=qlabels)
-
-    def steal_from_any(self, exclude: WorkQueue | None = None) -> Any | None:
-        """Steal from the longest other queue (deterministic victim
-        choice: length, then name)."""
-        victims = sorted(
-            (q for q in self.queues if q is not exclude and not q.empty),
-            key=lambda q: (-len(q), q.name))
-        for victim in victims:
-            task = victim.steal()
-            if task is not None:
-                return task
-        return None

@@ -11,13 +11,12 @@ worker lanes for the ``BENCH_distributed.json`` scaling curve.
 """
 
 from repro.dist.executor import DistExecutor, dist_residue
-from repro.dist.model import (DistProjection, project_plan, project_run,
-                              sweep)
+from repro.dist.model import DistProjection, project_plan, project_run
 from repro.dist.protocol import SHUTDOWN, CompletionAck, TaskGrant
 from repro.dist.runner import DistributedScheduler
 
 __all__ = [
     "CompletionAck", "DistExecutor", "DistProjection",
     "DistributedScheduler", "SHUTDOWN", "TaskGrant", "dist_residue",
-    "project_plan", "project_run", "sweep",
+    "project_plan", "project_run",
 ]

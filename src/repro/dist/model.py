@@ -184,11 +184,3 @@ def project_run(plans, *, workers: int, channel=None,
         shipped_bytes=sum(p.shipped_bytes for p in projs),
         net_seconds=sum(p.net_seconds for p in projs),
         boundary_edges=sum(p.boundary_edges for p in projs))
-
-
-def sweep(plan, worker_counts, *, channel=None,
-          strategy: str = "chunk") -> list[DistProjection]:
-    """Project one plan across a ladder of worker counts."""
-    return [project_plan(plan, workers=w, channel=channel,
-                         strategy=strategy)
-            for w in worker_counts]

@@ -11,11 +11,10 @@ package models all of them behind one interface:
   (:class:`FileBackend`), the latter giving genuine out-of-core runs.
 * :mod:`repro.memory.allocator` -- a first-fit free-list allocator with
   coalescing, providing capacity enforcement and fragmentation stats.
-* :mod:`repro.memory.catalog` and the per-technology modules
-  (:mod:`~repro.memory.hdd`, :mod:`~repro.memory.ssd`,
-  :mod:`~repro.memory.nvm`, :mod:`~repro.memory.dram`,
-  :mod:`~repro.memory.hbm`, :mod:`~repro.memory.gpumem`) -- calibrated
-  device specs matching the hardware in Section V-A.
+* :mod:`repro.memory.catalog` -- every calibrated device spec (disk,
+  SSDs, NVM, DRAM, HBM, GPU memories) matching the hardware in
+  Section V-A, and :func:`~repro.memory.catalog.make_device`, the one
+  way to build a device from a name.
 * :mod:`repro.memory.channel` -- interconnect links (PCIe, SATA, the
   memory bus) that bound transfer bandwidth along tree edges.
 """

@@ -8,5 +8,4 @@
   that produce every table/figure of the paper.
 * :mod:`repro.tools.trace_export` -- Chrome Trace Event JSON for
   chrome://tracing / Perfetto.
-* :mod:`repro.tools.gantt` -- ASCII Gantt charts for terminals.
 """

@@ -1,11 +1,9 @@
 """Critical-path-guided knob search (the Section III-E idea, scaled up).
 
-:class:`repro.core.tuning.AdaptiveDispatcher` already applies the
-paper's "profile earlier chunks, steer later decisions" rule to one
-knob: which processor runs the next chunk.  This module generalises it
-to the whole configuration space the experiment harness exposes --
-chunk size, pipeline depth, staging capacity, cache policy, scheduler,
-queue counts -- with the same discipline:
+The paper's "profile earlier chunks, steer later decisions" rule,
+applied to the whole configuration space the experiment harness
+exposes -- chunk size, pipeline depth, staging capacity, cache policy,
+scheduler, queue counts -- with this discipline:
 
 1. **observe** -- every evaluation returns not just a score but an
    *attribution*: which resource bound the run, read off the
@@ -139,9 +137,7 @@ class Autotuner:
     knobs:
         Ordered axes of the search space.  Declaration order is the
         exploration order (ties in score resolve toward
-        earlier-declared knobs, seeded -- the same contract
-        :class:`~repro.core.tuning.AdaptiveDispatcher` keeps for
-        processors).
+        earlier-declared knobs, seeded).
     objective:
         ``objective(params) -> Evaluation`` (or a plain record dict
         with a score key, see :meth:`from_spec`).  Must be

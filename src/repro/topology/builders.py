@@ -23,10 +23,13 @@ from repro.memory.backends import DataBackend, MemBackend
 from repro.memory.catalog import make_device
 from repro.memory.channel import Link
 from repro.memory.device import Device, DeviceSpec, StorageKind
-from repro.memory.dram import STAGING_BUFFER_BYTES
 from repro.memory.units import GB
 from repro.topology.tree import TopologyTree
 from repro.topology.validate import validate_tree
+
+#: The DRAM slice Section V-A configures as the out-of-core staging
+#: buffer (the in-memory baselines use the full 16 GB).
+STAGING_BUFFER_BYTES = 2 * GB
 
 
 def _storage_device(storage: str, capacity: int | None,

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.decomposition import (Grid2D, ceil_div, fit_row_chunks,
-                                      fit_square_tiles, split_by_chunk,
-                                      split_even, split_rows_by_nnz)
+                                      split_by_chunk, split_even,
+                                      split_rows_by_nnz)
 from repro.errors import ConfigError
 from tests.reference import naive_rows
 
@@ -89,31 +89,6 @@ def test_grid2d_validation():
         Grid2D(nrows=0, ncols=1, chunk_rows=1, chunk_cols=1)
     with pytest.raises(ConfigError):
         Grid2D(nrows=1, ncols=1, chunk_rows=0, chunk_cols=1)
-
-
-def test_fit_square_tiles_respects_budget():
-    # 2 arrays of float32, budget for a 16x16 working set.
-    g = fit_square_tiles(100, 100, elem_size=4, budget_bytes=2 * 16 * 16 * 4,
-                         arrays=2)
-    assert g.chunk_rows == g.chunk_cols == 16
-    assert 2 * g.chunk_rows * g.chunk_cols * 4 <= 2 * 16 * 16 * 4
-
-
-def test_fit_square_tiles_alignment():
-    g = fit_square_tiles(1000, 1000, elem_size=4,
-                         budget_bytes=2 * 100 * 100 * 4, arrays=2, align=16)
-    assert g.chunk_rows % 16 == 0
-    assert g.chunk_rows == 96
-
-
-def test_fit_square_tiles_whole_grid_fits():
-    g = fit_square_tiles(8, 8, elem_size=4, budget_bytes=10**9)
-    assert g.chunk_rows == 8 and g.num_tiles == 1
-
-
-def test_fit_square_tiles_impossible():
-    with pytest.raises(ConfigError):
-        fit_square_tiles(8, 8, elem_size=4, budget_bytes=3, arrays=1)
 
 
 def test_fit_row_chunks():

@@ -1,11 +1,9 @@
 """Unit and property tests for work-stealing deques."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.queues import QueueSet, WorkQueue
-from repro.errors import SchedulerError
+from repro.core.queues import WorkQueue
 
 
 def test_owner_pops_lifo():
@@ -56,32 +54,3 @@ def test_deque_semantics_match_model(ops):
             want = model.pop(0) if model else None
             assert got == want
     assert len(q) == len(model)
-
-
-def test_queue_set_round_robin():
-    qs = QueueSet.create(3, prefix="gpu-q", owner_prefix="wg")
-    qs.push_round_robin(list(range(7)))
-    assert [len(q) for q in qs.queues] == [3, 2, 2]
-    assert qs.total_pending() == 7
-    assert qs[0].owner == "wg0"
-    assert len(qs) == 3
-
-
-def test_queue_set_steal_prefers_longest():
-    qs = QueueSet.create(3, prefix="q")
-    qs[0].push("a")
-    qs[2].push("x")
-    qs[2].push("y")
-    got = qs.steal_from_any(exclude=qs[1])
-    assert got == "x"  # from the longest queue, head end
-
-
-def test_queue_set_steal_excludes_self():
-    qs = QueueSet.create(2, prefix="q")
-    qs[0].push("mine")
-    assert qs.steal_from_any(exclude=qs[0]) is None
-
-
-def test_queue_set_validation():
-    with pytest.raises(SchedulerError):
-        QueueSet.create(0, prefix="q")

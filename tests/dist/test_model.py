@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.scheduler import InOrderScheduler
 from repro.core.system import System
-from repro.dist.model import project_plan, project_run, sweep
+from repro.dist.model import project_plan, project_run
 from repro.memory.network import LOOPBACK, NetworkChannel
 from repro.memory.units import KB, MB
 from repro.topology.builders import apu_two_level
@@ -36,7 +36,7 @@ def test_one_worker_is_the_serial_sum(gemm_run):
 
 def test_more_workers_never_hurt_without_network(gemm_run):
     plan = gemm_run.plans[0]
-    curve = sweep(plan, (1, 2, 4, 8))
+    curve = [project_plan(plan, workers=w) for w in (1, 2, 4, 8)]
     spans = [pr.makespan_s for pr in curve]
     assert spans == sorted(spans, reverse=True), (
         "adding lanes with a free network must not slow the projection")

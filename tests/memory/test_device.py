@@ -6,13 +6,7 @@ import pytest
 from repro.errors import CapacityError, ConfigError
 from repro.memory import catalog
 from repro.memory.backends import FileBackend
-from repro.memory.device import Device, DeviceSpec, StorageKind
-from repro.memory.dram import make_dram
-from repro.memory.gpumem import make_gpu_device_mem, make_gpu_local_mem
-from repro.memory.hbm import make_hbm
-from repro.memory.hdd import make_hdd
-from repro.memory.nvm import make_nvm
-from repro.memory.ssd import make_ssd
+from repro.memory.device import DeviceSpec, StorageKind
 from repro.memory.units import GB, MB
 
 
@@ -36,7 +30,7 @@ def test_spec_validation():
 
 
 def test_spec_scaled_replaces_fields():
-    base = make_ssd().spec
+    base = catalog.spec("ssd")
     scaled = base.scaled(capacity=123, read_bw=1.0)
     assert scaled.capacity == 123
     assert scaled.read_bw == 1.0
@@ -45,7 +39,7 @@ def test_spec_scaled_replaces_fields():
 
 
 def test_device_allocate_write_read_release():
-    dev = make_dram(capacity=4096)
+    dev = catalog.make_device("dram", capacity=4096)
     h = dev.allocate(256)
     dev.write(h, 0, np.full(256, 7, dtype=np.uint8))
     assert dev.read(h, 0, 256).sum() == 7 * 256
@@ -55,32 +49,32 @@ def test_device_allocate_write_read_release():
 
 
 def test_device_capacity_enforced():
-    dev = make_dram(capacity=1024)
+    dev = catalog.make_device("dram", capacity=1024)
     dev.allocate(512)
     with pytest.raises(CapacityError):
         dev.allocate(1024)
 
 
 def test_half_duplex_shares_channel():
-    hdd = make_hdd()
+    hdd = catalog.make_device("hdd")
     assert hdd.read_resource == hdd.write_resource
 
 
 def test_duplex_separates_channels():
-    dram = make_dram()
+    dram = catalog.make_device("dram")
     assert dram.read_resource != dram.write_resource
 
 
 def test_instance_names_disambiguate():
-    a = make_dram(instance="dram0")
-    b = make_dram(instance="dram1")
+    a = catalog.make_device("dram", instance="dram0")
+    b = catalog.make_device("dram", instance="dram1")
     assert a.read_resource != b.read_resource
     assert a.name == "dram0"
 
 
 def test_device_with_file_backend(tmp_path):
-    dev = make_ssd(capacity=1 * MB,
-                   backend=FileBackend(str(tmp_path / "ssd")))
+    dev = catalog.make_device("ssd", capacity=1 * MB,
+                              backend=FileBackend(str(tmp_path / "ssd")))
     h = dev.allocate(128)
     dev.write(h, 0, b"northup")
     assert bytes(dev.read(h, 0, 7)) == b"northup"
@@ -88,25 +82,25 @@ def test_device_with_file_backend(tmp_path):
 
 
 def test_factories_produce_expected_kinds():
-    assert make_hdd().kind is StorageKind.FILE
-    assert make_ssd().kind is StorageKind.FILE
-    assert make_nvm(mode="block").kind is StorageKind.FILE
-    assert make_nvm(mode="dimm").kind is StorageKind.MEM
-    assert make_dram().kind is StorageKind.MEM
-    assert make_hbm().kind is StorageKind.MEM
-    assert make_gpu_device_mem().kind is StorageKind.GPU_DEVICE
-    assert make_gpu_local_mem().kind is StorageKind.GPU_LOCAL
+    kinds = {"hdd": StorageKind.FILE, "ssd": StorageKind.FILE,
+             "nvm": StorageKind.FILE, "nvm-dimm": StorageKind.MEM,
+             "dram": StorageKind.MEM, "hbm": StorageKind.MEM,
+             "gpu-mem": StorageKind.GPU_DEVICE,
+             "gpu-local": StorageKind.GPU_LOCAL}
+    for name, kind in kinds.items():
+        assert catalog.make_device(name).kind is kind, name
 
 
 def test_nvm_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        make_nvm(mode="quantum")
+    with pytest.raises(ConfigError, match="nvm-dimm"):
+        catalog.make_device("nvm-quantum")
 
 
 def test_ssd_bandwidth_overrides():
-    dev = make_ssd(read_bw=3500 * MB, write_bw=2100 * MB)
-    assert dev.spec.read_bw == 3500 * MB
-    assert dev.spec.write_bw == 2100 * MB
+    spec = catalog.spec("ssd").scaled(read_bw=3500 * MB, write_bw=2100 * MB)
+    assert spec.read_bw == 3500 * MB
+    assert spec.write_bw == 2100 * MB
+    assert spec.latency == catalog.spec("ssd").latency
 
 
 def test_paper_calibration_numbers():

@@ -123,24 +123,6 @@ def test_system_metrics_unify_runtime_counters():
         system.close()
 
 
-def test_queueset_export_metrics():
-    from repro.core.queues import QueueSet
-
-    qs = QueueSet.create(2, "q")
-    qs[0].push("t1")
-    qs[0].push("t2")
-    qs[0].pop()
-    qs[0].steal()
-    reg = MetricsRegistry()
-    qs.export_metrics(reg, labels={"node": "3"})
-    snap = reg.snapshot()
-    rows = {r["labels"]["queue"]: r["value"] for r in snap["queue_pushes"]}
-    assert rows == {"q0": 2, "q1": 0}
-    q0 = next(r for r in snap["queue_steals_suffered"]
-              if r["labels"]["queue"] == "q0")
-    assert q0["value"] == 1 and q0["labels"]["node"] == "3"
-
-
 def test_level_queue_state_counts_exported():
     """Satellite: LevelQueue per-state task counts surface as a pull
     collector gauge and in the RunReport table."""

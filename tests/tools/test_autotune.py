@@ -114,7 +114,7 @@ def test_seeded_trajectories_are_reproducible():
 
 def test_seed_zero_breaks_ties_toward_first_declared_knob():
     # Both unit moves from (1, 2) score identically; seed 0 must take
-    # the earlier-declared knob's move (the AdaptiveDispatcher contract).
+    # the earlier-declared knob's move (first-declared wins).
     def objective(params):
         return Evaluation(params=params,
                           score=float(params["x"] + params["y"]),

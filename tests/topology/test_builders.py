@@ -5,10 +5,10 @@ import pytest
 from repro.compute.processor import ProcessorKind
 from repro.errors import ConfigError
 from repro.memory.device import StorageKind
-from repro.memory.dram import STAGING_BUFFER_BYTES
 from repro.memory.units import GB
-from repro.topology.builders import (apu_two_level, discrete_gpu_three_level,
-                                     exascale_node, figure2_asymmetric,
+from repro.topology.builders import (STAGING_BUFFER_BYTES, apu_two_level,
+                                     discrete_gpu_three_level, exascale_node,
+                                     figure2_asymmetric,
                                      in_memory_single_level)
 from repro.topology.validate import validate_tree
 
