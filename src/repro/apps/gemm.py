@@ -44,7 +44,8 @@ from repro.core.system import System
 from repro.errors import CapacityError, ConfigError
 from repro.exec import Binding, kernel_spec
 from repro.topology.node import TreeNode
-from repro.workloads.matrices import load_array, random_dense
+from repro.workloads.matrices import (load_bands, random_dense,
+                                      random_dense_bands)
 
 #: Fraction of a child node's capacity the decomposition may plan for;
 #: the rest covers alignment padding and transient allocations.
@@ -232,12 +233,15 @@ class GemmApp(NorthupProgram):
         self.pipeline_depth = pipeline_depth
         self.reuse_row_shard = reuse_row_shard
         self.force_tiles = force_tiles
-        self.a_np = random_dense(m, k, seed=seed)
-        self.b_np = random_dense(k, n, seed=seed + 1)
+        self.seed = seed
+        # Born on the root: the operands stream in band by band.
         root = system.tree.root
-        self.a_root = load_array(system, self.a_np, root, label="A")
-        self.b_root = load_array(system, self.b_np, root, label="B")
+        self.a_root = system.alloc(m * k * self.elem, root, label="A")
+        self.b_root = system.alloc(k * n * self.elem, root, label="B")
         self.c_root = system.alloc(m * n * self.elem, root, label="C")
+        load_bands(system, self.a_root, random_dense_bands(m, k, seed=seed))
+        load_bands(system, self.b_root,
+                   random_dense_bands(k, n, seed=seed + 1))
 
     # -- template hooks -------------------------------------------------
 
@@ -447,8 +451,9 @@ class GemmApp(NorthupProgram):
                                  shape=(self.m, self.n))
 
     def reference(self) -> np.ndarray:
-        """The NumPy/host reference the tests compare against."""
-        return self.a_np @ self.b_np
+        """The host reference; the operands are drawn again from the seed."""
+        return (random_dense(self.m, self.k, seed=self.seed)
+                @ random_dense(self.k, self.n, seed=self.seed + 1))
 
     def release_root_buffers(self) -> None:
         """Free the root-level buffers this app allocated."""

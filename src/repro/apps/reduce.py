@@ -29,6 +29,8 @@ from repro.core.program import NorthupProgram
 from repro.core.system import System
 from repro.errors import ConfigError
 from repro.topology.node import TreeNode
+from repro.workloads.matrices import (load_bands, random_dense,
+                                      random_dense_bands)
 
 CAPACITY_SAFETY = 0.9
 
@@ -40,7 +42,6 @@ class _Op:
     name: str
     fold: Callable[[np.ndarray], np.floating]
     combine: Callable[[np.ndarray], np.floating]
-    reference: Callable[[np.ndarray], float]
     flops_per_elem: float
 
 
@@ -49,22 +50,18 @@ def _ops() -> dict[str, _Op]:
         "sum": _Op("sum",
                    fold=lambda a: a.sum(dtype=np.float64),
                    combine=lambda p: p.sum(dtype=np.float64),
-                   reference=lambda a: float(a.sum(dtype=np.float64)),
                    flops_per_elem=1.0),
         "max": _Op("max",
                    fold=lambda a: np.float64(a.max()),
                    combine=lambda p: np.float64(p.max()),
-                   reference=lambda a: float(a.max()),
                    flops_per_elem=1.0),
         "min": _Op("min",
                    fold=lambda a: np.float64(a.min()),
                    combine=lambda p: np.float64(p.min()),
-                   reference=lambda a: float(a.min()),
                    flops_per_elem=1.0),
         "l2": _Op("l2",
                   fold=lambda a: (a.astype(np.float64) ** 2).sum(),
                   combine=lambda p: p.sum(dtype=np.float64),
-                  reference=lambda a: float((a.astype(np.float64) ** 2).sum()),
                   flops_per_elem=2.0),
     }
 
@@ -107,12 +104,13 @@ class ReduceApp(NorthupProgram):
         self.system = system
         self.n = n
         self.op = ops[op]
-        rng = np.random.default_rng(seed)
-        self.data_np = (2.0 * rng.random(n) - 1.0).astype(np.float32)
+        self.seed = seed
         root = system.tree.root
         self.data_root = system.alloc(n * 4, root, label="data")
         self.out_root = system.alloc(8, root, label="result")
-        system.preload(self.data_root, self.data_np)
+        # Uniform in [-1, 1): one column of ``random_dense``'s stream.
+        load_bands(system, self.data_root,
+                   random_dense_bands(n, 1, seed=seed))
 
     # -- template hooks -------------------------------------------------
 
@@ -231,8 +229,9 @@ class ReduceApp(NorthupProgram):
         return float(self.system.fetch(self.out_root, np.float64)[0])
 
     def reference(self) -> float:
-        """The NumPy reference the tests compare against."""
-        return self.op.reference(self.data_np)
+        """The host reference: one fold over the input, drawn again."""
+        return float(self.op.fold(
+            random_dense(self.n, 1, seed=self.seed).ravel()))
 
     def release_root_buffers(self) -> None:
         """Free the root-level buffers this app allocated."""

@@ -34,17 +34,10 @@ from repro.core.system import System
 from repro.errors import ConfigError
 from repro.exec import Binding, kernel_spec
 from repro.topology.node import TreeNode
+from repro.workloads.matrices import load_bands, row_bands
 
 CAPACITY_SAFETY = 0.9
 ELEM = 4  # float32
-
-
-def sort_cost(n: int) -> KernelCost:
-    """Roofline cost of sorting ``n`` float32 in fast memory."""
-    comparisons = max(1.0, n * np.log2(max(2, n)))
-    return KernelCost(flops=2.0 * comparisons, bytes_read=4.0 * n,
-                      bytes_written=4.0 * n, efficiency=0.10,
-                      bw_efficiency=0.5)
 
 
 def sort_block(vals: np.ndarray) -> None:
@@ -54,7 +47,8 @@ def sort_block(vals: np.ndarray) -> None:
 
 
 def merge_cost(n: int, fan_in: int) -> KernelCost:
-    """Cost of merging ``n`` elements from ``fan_in`` sorted streams."""
+    """Cost of merging ``n`` elements from ``fan_in`` sorted streams;
+    sorting ``n`` in fast memory is ``merge_cost(n, n)``."""
     comparisons = max(1.0, n * np.log2(max(2, fan_in)))
     return KernelCost(flops=2.0 * comparisons, bytes_read=4.0 * n,
                       bytes_written=4.0 * n, efficiency=0.10,
@@ -83,14 +77,19 @@ class SortApp(NorthupProgram):
             raise ConfigError(f"element count must be >= 1, got {n}")
         self.system = system
         self.n = n
-        rng = np.random.default_rng(seed)
-        self.data_np = rng.standard_normal(n).astype(np.float32)
+        self.seed = seed
         root = system.tree.root
         self.data_root = system.alloc(n * ELEM, root, label="data")
         self.scratch_root = system.alloc(n * ELEM, root, label="scratch")
-        system.preload(self.data_root, self.data_np)
+        load_bands(system, self.data_root, self._input_bands())
         self.runs: list[Range1D] = []
         self._result_in_scratch = False
+
+    def _input_bands(self):
+        """The seeded standard-normal input, drawn band by band."""
+        rng = np.random.default_rng(self.seed)
+        for first, stop in row_bands(self.n, 1):
+            yield first, rng.standard_normal(stop - first).astype(np.float32)
 
     # -- phase 1: run formation (the Listing 3 recursion) -----------------
 
@@ -134,7 +133,7 @@ class SortApp(NorthupProgram):
 
         # In-place sort over one inout binding; any compute backend can
         # run it (the run both reads and writes lv.data).
-        sys_.launch(proc, sort_cost(lv.n), reads=(lv.data,),
+        sys_.launch(proc, merge_cost(lv.n, lv.n), reads=(lv.data,),
                     writes=(lv.data,),
                     kernel=kernel_spec(
                         sort_block,
@@ -232,7 +231,9 @@ class SortApp(NorthupProgram):
                 return
             sys_.move_down(in_bufs[i], src, want * ELEM,
                            src_offset=cursors[i] * ELEM, label="merge load")
-            heads[i] = sys_.fetch(in_bufs[i], np.float32, count=want * ELEM)
+            # Zero-copy where the node allows: a head is spent before refill.
+            heads[i], _ = sys_.host_array(in_bufs[i], np.float32,
+                                          count=want * ELEM)
             cursors[i] += want
 
         for i in range(k):
@@ -252,22 +253,21 @@ class SortApp(NorthupProgram):
                 take = int(np.searchsorted(h, bound, side="right"))
                 parts.append(h[:take])
                 heads[i] = h[take:]
-            merged = np.sort(np.concatenate(parts)) if parts else \
-                np.empty(0, dtype=np.float32)
-            if merged.size:
-                out_view = sys_.view_array(out_buf, np.float32,
-                                           count=merged.size * ELEM,
-                                           writable=True)
-                if out_view is None:
+            size = sum(p.size for p in parts)
+            if size:
+                # Concatenate and sort in the output buffer itself.
+                merged, in_place = sys_.host_array(
+                    out_buf, np.float32, count=size * ELEM, writable=True)
+                np.concatenate(parts, out=merged)
+                merged.sort()
+                if not in_place:
                     sys_.preload(out_buf, merged)
-                else:
-                    np.copyto(out_view, merged)
-                sys_.launch(proc, merge_cost(merged.size, k),
+                sys_.launch(proc, merge_cost(size, k),
                             reads=tuple(in_bufs), writes=(out_buf,),
-                            label=f"merge {merged.size}")
-                sys_.move_up(dst, out_buf, merged.size * ELEM,
+                            label=f"merge {size}")
+                sys_.move_up(dst, out_buf, size * ELEM,
                              dst_offset=write_pos * ELEM, label="merge flush")
-                write_pos += merged.size
+                write_pos += size
             for i in range(k):
                 if not heads[i].size and cursors[i] < ends[i]:
                     refill(i)
@@ -300,8 +300,8 @@ class SortApp(NorthupProgram):
         return self.system.fetch(handle, np.float32, count=self.n * ELEM)
 
     def reference(self) -> np.ndarray:
-        """``np.sort`` of the input, for verification."""
-        return np.sort(self.data_np)
+        """``np.sort`` of the input, drawn again from the seed."""
+        return np.sort(np.concatenate([b for _, b in self._input_bands()]))
 
     def release_root_buffers(self) -> None:
         """Free the root-level buffers this app allocated."""

@@ -269,14 +269,6 @@ def hotspot_multistep(t_pad: np.ndarray, p_pad: np.ndarray,
                   out=out)
 
 
-def pad_grid(temp: np.ndarray, halo: int) -> np.ndarray:
-    """The whole chip with a replicate-filled ``halo`` band around it --
-    the root-level padded field the blocked decomposition slices."""
-    if halo < 0:
-        raise KernelError(f"halo must be >= 0, got {halo}")
-    return np.pad(temp, halo, mode="edge")
-
-
 def hotspot_run(temp: np.ndarray, power: np.ndarray, params: HotspotParams,
                 steps: int) -> np.ndarray:
     """``steps`` full-grid iterations (the in-memory baseline)."""

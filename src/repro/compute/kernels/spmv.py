@@ -110,14 +110,6 @@ class CSRMatrix:
                    data=dense[nz_rows[order], nz_cols[order]],
                    ncols=cols)
 
-    def to_dense(self) -> np.ndarray:
-        """Materialise as a dense array (tests only; O(rows*cols))."""
-        out = np.zeros(self.shape, dtype=self.data.dtype)
-        for r in range(self.nrows):
-            lo, hi = self.row_ptr[r], self.row_ptr[r + 1]
-            out[r, self.col_id[lo:hi]] += self.data[lo:hi]
-        return out
-
 
 def _spmv_rows(row_ptr: np.ndarray, col_id: np.ndarray, data: np.ndarray,
                x: np.ndarray) -> np.ndarray:

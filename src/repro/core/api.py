@@ -185,40 +185,3 @@ def move_data_up(dst: BufferHandle, src: BufferHandle, size: int,
             f"(node {parent.node_id})")
     return ctx.system.move_up(dst, src, size, dst_offset=offset,
                               src_offset=src_offset)
-
-
-def fetch_data_down(src: BufferHandle, size: int, offset: int = 0,
-                    i: int = 0, *, label: str = "") -> BufferHandle:
-    """Cache-aware variant of :func:`move_data_down`: pin ``size`` bytes
-    of a current-node buffer on the i-th child and return a handle to
-    the resident copy.  A repeated fetch of the same region hits the
-    child's buffer cache; pair with :func:`fetch_data_release`."""
-    ctx = _ctx()
-    children = ctx.node.children
-    if not (0 <= i < len(children)):
-        raise TransferError(
-            f"node {ctx.node.node_id} has {len(children)} children; "
-            f"child index {i} is out of range")
-    return ctx.system.fetch_down(children[i], src, nbytes=size,
-                                 src_offset=offset, label=label)
-
-
-def fetch_data_release(ptr: BufferHandle) -> None:
-    """End a :func:`fetch_data_down` lease (the bytes may stay cached)."""
-    _ctx().system.fetch_release(ptr)
-
-
-def view_data(ptr: BufferHandle, dtype, shape=None, offset: int = 0, *,
-              writable: bool = False):
-    """Zero-copy host view of a buffer (Section III-D: movement "can be
-    implemented with memory mapping functions too"), or ``None`` when
-    the node's backend cannot expose one -- see
-    :meth:`repro.core.system.System.view_array`."""
-    return _ctx().system.view_array(ptr, dtype, shape, offset,
-                                    writable=writable)
-
-
-def cache_stats():
-    """Merged hit/miss/eviction/prefetch counters of every node cache in
-    the ambient session's system (a :class:`repro.cache.stats.CacheStats`)."""
-    return _ctx().system.cache.total_stats()

@@ -115,14 +115,6 @@ class ExecutionContext:
             raise SchedulerError(f"node {self.node.node_id} is a leaf")
         return children[0]
 
-    def depth_remaining(self) -> int:
-        """Levels below this one on the deepest path under this node."""
-        def deepest(n: TreeNode) -> int:
-            if not n.children:
-                return n.level
-            return max(deepest(c) for c in n.children)
-        return deepest(self.node) - self.node.level
-
 
 def root_context(system: System) -> ExecutionContext:
     """The context a Northup program starts from: the tree root, where

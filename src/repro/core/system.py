@@ -1208,6 +1208,10 @@ class System:
             raise TransferError(
                 f"access of {count} bytes at offset {offset} overflows "
                 f"{handle!r}")
+        if count % itemsize:
+            raise TransferError(
+                f"access of {count} bytes is not a whole number of "
+                f"{np.dtype(dtype).name} elements in {handle!r}")
         return count
 
     def view_array(self, handle: BufferHandle, dtype, shape=None,

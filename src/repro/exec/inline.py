@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.exec.base import ExecError, Executor, TaskResult, resolve_kernel
 
 

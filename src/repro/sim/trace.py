@@ -80,19 +80,6 @@ class Phase(enum.Enum):
     # hash replaces Enum's Python-level one on the per-interval path.
     __hash__ = object.__hash__
 
-    @property
-    def is_io(self) -> bool:
-        return self in (Phase.IO_READ, Phase.IO_WRITE)
-
-    @property
-    def is_transfer(self) -> bool:
-        return self in (Phase.IO_READ, Phase.IO_WRITE, Phase.DEV_TRANSFER,
-                        Phase.MEM_COPY, Phase.NET_TRANSFER)
-
-    @property
-    def is_compute(self) -> bool:
-        return self in (Phase.CPU_COMPUTE, Phase.GPU_COMPUTE)
-
 
 @dataclass(frozen=True)
 class Interval:

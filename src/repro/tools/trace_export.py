@@ -265,15 +265,6 @@ def iter_chrome_events(trace: Trace, *, time_unit: float = 1e6,
         }
 
 
-def to_chrome_trace(trace: Trace, *, time_unit: float = 1e6,
-                    counters: bool = True, spans=None,
-                    graphs=None, phys=None) -> list[dict]:
-    """Convert a trace to a list of Chrome Trace Event dicts."""
-    return list(iter_chrome_events(trace, time_unit=time_unit,
-                                   counters=counters, spans=spans,
-                                   graphs=graphs, phys=phys))
-
-
 def write_chrome_trace(trace: Trace, path: str, *,
                        time_unit: float = 1e6, counters: bool = True,
                        spans=None, graphs=None, phys=None) -> int:

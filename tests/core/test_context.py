@@ -88,7 +88,5 @@ def test_is_leaf_on_asymmetric_tree():
         assert hbm4.is_leaf
         assert hbm4.get_level() == 2
         assert hbm4.get_max_treelevel() == 3
-        assert right.depth_remaining() == 1
-        assert ctx.depth_remaining() == 3
     finally:
         sys_.close()

@@ -256,6 +256,17 @@ def test_fetch_typed_views(apu):
                                   vals)
 
 
+@pytest.mark.parametrize("access", ["fetch", "view_array", "host_array"])
+def test_partial_element_window_is_a_transfer_error(apu, access):
+    """A byte count that is not a whole number of elements names the
+    handle instead of surfacing NumPy's reshape error."""
+    h = apu.alloc(64, apu.tree.leaves()[0], label="odd")
+    with pytest.raises(TransferError, match="odd"):
+        getattr(apu, access)(h, np.float32, count=6)
+    with pytest.raises(TransferError, match="whole number"):
+        getattr(apu, access)(h, np.float64, offset=4)
+
+
 def test_move_2d_block_transfer(apu):
     """A strided sub-block moves as one charged operation."""
     root, leaf = apu.tree.root, apu.tree.leaves()[0]

@@ -9,7 +9,7 @@ from repro.core.profiler import profile_trace
 from repro.core.system import System
 from repro.memory.units import KB, MB
 from repro.sim.trace import Interval, Phase, Trace
-from repro.tools.trace_export import (read_chrome_trace, to_chrome_trace,
+from repro.tools.trace_export import (iter_chrome_events, read_chrome_trace,
                                       write_chrome_trace)
 from repro.topology.builders import apu_two_level
 
@@ -24,7 +24,7 @@ def small_trace():
 
 
 def test_events_carry_timing_and_metadata():
-    events = to_chrome_trace(small_trace())
+    events = list(iter_chrome_events(small_trace()))
     complete = [e for e in events if e["ph"] == "X"]
     meta = [e for e in events if e["ph"] == "M"]
     assert len(complete) == 2
@@ -38,7 +38,7 @@ def test_events_carry_timing_and_metadata():
 
 
 def test_resources_map_to_stable_tids():
-    events = to_chrome_trace(small_trace())
+    events = list(iter_chrome_events(small_trace()))
     by_resource = {}
     for e in events:
         if e["ph"] == "X":
@@ -51,12 +51,12 @@ def test_counter_events_accumulate_bytes_per_resource():
     t = small_trace()
     t.record(Interval(1.5, 2.0, Phase.IO_READ, "ssd.ch", label="B down",
                       nbytes=2048))
-    counters = [e for e in to_chrome_trace(t) if e["ph"] == "C"]
+    counters = [e for e in iter_chrome_events(t) if e["ph"] == "C"]
     # Only transfer intervals with bytes feed counters: 2 on ssd.ch.
     assert [c["name"] for c in counters] == ["bytes:ssd.ch", "bytes:ssd.ch"]
     assert [c["args"]["cumulative_bytes"] for c in counters] == [1024, 3072]
-    assert to_chrome_trace(t, counters=False) == [
-        e for e in to_chrome_trace(t) if e["ph"] != "C"]
+    assert list(iter_chrome_events(t, counters=False)) == [
+        e for e in iter_chrome_events(t) if e["ph"] != "C"]
 
 
 def test_write_and_reload(tmp_path):
@@ -71,7 +71,7 @@ def test_write_and_reload(tmp_path):
 
 def test_streaming_write_matches_buffered_export(tmp_path):
     path = tmp_path / "run.json"
-    events = to_chrome_trace(small_trace())
+    events = list(iter_chrome_events(small_trace()))
     count = write_chrome_trace(small_trace(), str(path))
     assert count == len(events)
     assert json.loads(path.read_text())["traceEvents"] == events
@@ -107,7 +107,8 @@ def test_span_and_flow_events(tmp_path):
                                   staging_bytes=128 * KB))
     try:
         GemmApp(system, m=96, k=96, n=96, seed=2).run(system)
-        events = to_chrome_trace(system.timeline.trace, spans=system.obs)
+        events = list(iter_chrome_events(system.timeline.trace,
+                                         spans=system.obs))
         spans_b = [e for e in events if e["ph"] == "b" and e["cat"] == "span"]
         spans_e = [e for e in events if e["ph"] == "e" and e["cat"] == "span"]
         assert spans_b and len(spans_b) == len(spans_e)
@@ -145,7 +146,7 @@ def test_full_app_run_exports(tmp_path):
 
 
 def test_empty_trace():
-    assert to_chrome_trace(Trace()) == []
+    assert list(iter_chrome_events(Trace())) == []
 
 
 def test_task_graph_edges_become_flow_arrows():
@@ -161,7 +162,8 @@ def test_task_graph_edges_become_flow_arrows():
         sched = InOrderScheduler(keep_plans=True)
         app.run(system, scheduler=sched)
         graphs = [p.graph for p in sched.plans]
-        events = to_chrome_trace(system.timeline.trace, graphs=graphs)
+        events = list(iter_chrome_events(system.timeline.trace,
+                                         graphs=graphs))
         flows = [e for e in events if e.get("cat") == "task_graph"]
         starts = [e for e in flows if e["ph"] == "s"]
         finishes = [e for e in flows if e["ph"] == "f"]
@@ -180,7 +182,7 @@ def test_task_graph_edges_become_flow_arrows():
             assert "#" in s["args"]["src"] and "#" in s["args"]["dst"]
         assert "dep:chain" in kinds
         # Without graphs= no task_graph events appear.
-        plain = to_chrome_trace(system.timeline.trace)
+        plain = list(iter_chrome_events(system.timeline.trace))
         assert not [e for e in plain if e.get("cat") == "task_graph"]
     finally:
         system.close()

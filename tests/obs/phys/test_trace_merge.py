@@ -12,7 +12,8 @@ from repro.dist import DistExecutor
 from repro.dist.runner import DistributedScheduler
 from repro.memory.units import KB, MB
 from repro.obs.phys import FLOW_PHYS_BASE, PID_PHYS
-from repro.tools.trace_export import to_chrome_trace, write_chrome_trace
+from repro.tools.trace_export import (iter_chrome_events,
+                                      write_chrome_trace)
 from repro.topology.builders import apu_two_level
 
 _FLOW_VPHYS_BASE = 1 << 35
@@ -95,12 +96,12 @@ def test_phys_accepts_raw_telemetry_and_plain_trace_unchanged(merged_run):
     """``phys=`` takes a PhysTelemetry directly (auto-merged), and
     omitting it keeps the physical plane entirely out of the export."""
     _, merger = merged_run
-    events = to_chrome_trace_from_empty(phys=merger.telemetry)
+    events = events_of_empty_trace(phys=merger.telemetry)
     assert any(e.get("pid") == PID_PHYS for e in events)
-    bare = to_chrome_trace_from_empty(phys=None)
+    bare = events_of_empty_trace(phys=None)
     assert all(e.get("pid") != PID_PHYS for e in bare)
 
 
-def to_chrome_trace_from_empty(*, phys):
+def events_of_empty_trace(*, phys):
     from repro.sim.trace import Trace
-    return to_chrome_trace(Trace(), phys=phys)
+    return list(iter_chrome_events(Trace(), phys=phys))

@@ -81,14 +81,6 @@ def test_extend_merges():
     assert len(a) == 2
 
 
-def test_phase_category_helpers():
-    assert Phase.IO_READ.is_io and Phase.IO_WRITE.is_io
-    assert not Phase.DEV_TRANSFER.is_io
-    assert Phase.DEV_TRANSFER.is_transfer and Phase.MEM_COPY.is_transfer
-    assert Phase.CPU_COMPUTE.is_compute and Phase.GPU_COMPUTE.is_compute
-    assert not Phase.SETUP.is_compute and not Phase.RUNTIME.is_transfer
-
-
 def test_phase_hash_is_c_level_and_pickle_stable():
     """Aggregates key dicts by phase on every interval: the hash is the
     C identity hash, and unpickled members are the same singletons."""

@@ -1,16 +1,24 @@
 """Unit tests for workload generators."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.system import System
 from repro.errors import ConfigError
 from repro.memory.units import MB
 from repro.topology.builders import apu_two_level
-from repro.workloads.matrices import load_array, random_dense
+from repro.workloads import matrices
+from repro.workloads.matrices import (load_array, load_bands, random_dense,
+                                      random_dense_bands)
 from repro.workloads.sparse import (banded, powerlaw_rows, preset,
                                     preset_names, uniform_random)
-from repro.workloads.thermal import AMBIENT, initial_temperature, power_grid
+from repro.workloads.thermal import (AMBIENT, initial_temperature,
+                                     initial_temperature_bands, power_grid,
+                                     power_grid_bands)
 
 
 def test_random_dense_deterministic_and_bounded():
@@ -55,6 +63,107 @@ def test_power_grid_has_hot_blocks():
     assert flat.max() < 0.05
     with pytest.raises(ConfigError):
         power_grid(8, 8, seed=0, hot_blocks=-1)
+
+
+# -- band forms ---------------------------------------------------------------
+#
+# The one-shot generators as they were before the band forms existed:
+# every band form must reproduce their RNG stream bit for bit.
+
+def _dense_one_shot(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    return (2.5 * (2.0 * rng.random((rows, cols)) - 1.0)).astype(np.float32)
+
+
+def _temperature_one_shot(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    return (AMBIENT + 10.0 * rng.random((rows, cols))).astype(np.float32)
+
+
+def _power_one_shot(rows, cols, seed, hot_blocks):
+    rng = np.random.default_rng(seed)
+    power = (0.01 * 1.5 * rng.random((rows, cols))).astype(np.float32)
+    for _ in range(hot_blocks):
+        h, w = max(1, rows // 8), max(1, cols // 8)
+        r0 = int(rng.integers(0, max(1, rows - h + 1)))
+        c0 = int(rng.integers(0, max(1, cols - w + 1)))
+        power[r0:r0 + h, c0:c0 + w] += 1.5 * (0.5 + 0.5 * rng.random())
+    return power
+
+
+def _assert_bands_tile(bands, rows, cols, band_rows):
+    """Bands cover the rows in order, each at most ``band_rows`` tall."""
+    first_rows = []
+    blocks = []
+    for first, block in bands:
+        assert block.dtype == np.float32 and block.shape[1] == cols
+        assert 1 <= len(block) <= band_rows
+        first_rows.append(first)
+        blocks.append(block)
+    assert first_rows == list(np.cumsum([0] + [len(b) for b in blocks])[:-1])
+    assert sum(len(b) for b in blocks) == rows
+    return np.concatenate(blocks)
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 40), cols=st.integers(1, 40),
+       band_rows=st.integers(1, 41), seed=st.integers(0, 2**32 - 1),
+       hot_blocks=st.integers(0, 9))
+@example(rows=1, cols=1, band_rows=1, seed=0, hot_blocks=4)
+@example(rows=17, cols=9, band_rows=2, seed=3, hot_blocks=9)
+def test_band_forms_equal_one_shot_generators(rows, cols, band_rows, seed,
+                                              hot_blocks):
+    """Every band size (down to one row) reproduces the one-shot arrays,
+    hot blocks straddling band edges and touching chip edges included;
+    the whole-array functions agree at the default band size."""
+    with mock.patch.object(matrices, "BAND_BYTES", band_rows * 8 * cols):
+        dense = _assert_bands_tile(random_dense_bands(
+            rows, cols, seed=seed, scale=2.5), rows, cols, band_rows)
+        temp = _assert_bands_tile(initial_temperature_bands(
+            rows, cols, seed=seed), rows, cols, band_rows)
+        power = _assert_bands_tile(power_grid_bands(
+            rows, cols, seed=seed, hot_blocks=hot_blocks, peak=1.5),
+            rows, cols, band_rows)
+    expected_power = _power_one_shot(rows, cols, seed, hot_blocks)
+    np.testing.assert_array_equal(_bits(dense),
+                                  _bits(_dense_one_shot(rows, cols, seed)))
+    np.testing.assert_array_equal(
+        _bits(temp), _bits(_temperature_one_shot(rows, cols, seed)))
+    np.testing.assert_array_equal(_bits(power), _bits(expected_power))
+    np.testing.assert_array_equal(
+        _bits(power_grid(rows, cols, seed=seed, hot_blocks=hot_blocks,
+                         peak=1.5)), _bits(expected_power))
+    np.testing.assert_array_equal(
+        _bits(random_dense(rows, cols, seed=seed, scale=2.5)), _bits(dense))
+    np.testing.assert_array_equal(
+        _bits(initial_temperature(rows, cols, seed=seed)), _bits(temp))
+
+
+def test_band_forms_reject_bad_shapes():
+    for bands in (random_dense_bands(3, 0, seed=1),
+                  initial_temperature_bands(0, 3, seed=1),
+                  power_grid_bands(3, 3, seed=1, hot_blocks=-1)):
+        with pytest.raises(ConfigError):
+            next(bands)
+
+
+def test_load_bands_writes_the_whole_array():
+    sys_ = System(apu_two_level(storage_capacity=16 * MB,
+                                staging_bytes=4 * MB))
+    try:
+        h = sys_.alloc(70 * 30 * 4, sys_.tree.root, label="A")
+        with mock.patch.object(matrices, "BAND_BYTES", 8 * 8 * 30):
+            load_bands(sys_, h, random_dense_bands(70, 30, seed=4))
+        np.testing.assert_array_equal(
+            sys_.fetch(h, np.float32, shape=(70, 30)),
+            random_dense(70, 30, seed=4))
+        assert sys_.breakdown().io == 0.0
+    finally:
+        sys_.close()
 
 
 def test_uniform_random_row_lengths():
