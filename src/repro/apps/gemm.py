@@ -433,12 +433,12 @@ class GemmApp(NorthupProgram):
                              % len(children)]
             a_off, a_rows, a_rb, a_stride = window2d(
                 chunk.row0, chunk.rows, chunk.k0, chunk.kk, lv.k, self.elem)
-            hints.append((child, FetchSpec.strided(
+            hints.append((child, FetchSpec(
                 lv.a, offset=a_off, rows=a_rows, row_bytes=a_rb,
                 stride=a_stride)))
             b_off, b_rows, b_rb, b_stride = window2d(
                 chunk.k0, chunk.kk, chunk.col0, chunk.cols, lv.n, self.elem)
-            hints.append((child, FetchSpec.strided(
+            hints.append((child, FetchSpec(
                 lv.b, offset=b_off, rows=b_rows, row_bytes=b_rb,
                 stride=b_stride)))
         return hints

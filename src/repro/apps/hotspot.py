@@ -325,7 +325,7 @@ class HotspotApp(NorthupProgram):
                              % len(children)]
             off, prow, row_bytes, stride = self._block_window(lv, chunk)
             for parent in (lv.t_pad, lv.p_pad):
-                hints.append((child, FetchSpec.strided(
+                hints.append((child, FetchSpec(
                     parent, offset=off, rows=prow, row_bytes=row_bytes,
                     stride=stride)))
         return hints

@@ -338,15 +338,11 @@ class CacheManager:
             done = system._charge_edge(edge_src, edge_dst, spec.nbytes,
                                        ready=end, label=label)
             end = done.end
-        # Physical fill: the strided source window lands packed row-major
-        # in the block, as one vectored transfer.
-        if spec.is_strided:
-            system._transfer_2d(src_node, spec.src, spec.offset, spec.stride,
-                                node, block.handle, 0, spec.row_bytes,
-                                rows=spec.rows, row_bytes=spec.row_bytes)
-        else:
-            system._transfer(src_node, spec.src, spec.offset, node,
-                             block.handle, 0, spec.nbytes)
+        # Physical fill: the source window lands packed row-major in the
+        # block, as one vectored transfer.
+        system._transfer(src_node, spec.src, spec.offset, spec.stride, node,
+                         block.handle, 0, spec.row_bytes, spec.rows,
+                         spec.row_bytes)
         spec.src.note_read(end)
         block.handle.note_write(end)
 
@@ -412,8 +408,8 @@ class CacheManager:
             ready=src.ready_at, label=label or "write-back")
         self._writebacks[key] = wb
         stats.writebacks_deferred += 1
-        system._transfer(src_node, src, src_offset, dst_node, dst,
-                         dst_offset, nbytes)
+        system._transfer(src_node, src, src_offset, nbytes, dst_node, dst,
+                         dst_offset, nbytes, 1, nbytes)
         dst.bump_version()  # content changed; cached views are stale
         system.charge_runtime(1)
         return MoveResult(start=src.ready_at, end=src.ready_at,

@@ -130,11 +130,6 @@ class Processor:
         memory_t = cost.bytes_total / (self.mem_bw * cost.bw_efficiency)
         return self.launch_overhead + max(compute_t, memory_t)
 
-    def arithmetic_intensity_knee(self) -> float:
-        """Flops/byte at which a kernel moves from bandwidth- to
-        compute-bound on this processor (the roofline ridge point)."""
-        return self.peak_gflops * 1e9 / self.mem_bw
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Processor({self.name!r}, {self.kind.value}, "
                 f"{self.peak_gflops:.0f} GFLOP/s, {self.mem_bw / 1e9:.0f} GB/s)")

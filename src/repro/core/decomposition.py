@@ -120,10 +120,6 @@ class Grid2D:
     def tiles_n(self) -> int:
         return ceil_div(self.ncols, self.chunk_cols)
 
-    @property
-    def num_tiles(self) -> int:
-        return self.tiles_m * self.tiles_n
-
     def index(self, m: int, n: int) -> int:
         """Flat chunk index (Listing 3's ``index(m, n)``)."""
         if not (0 <= m < self.tiles_m and 0 <= n < self.tiles_n):

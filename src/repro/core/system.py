@@ -61,21 +61,29 @@ SETUP_COST = {
 }
 
 
-def _check_window(src: BufferHandle, src_offset: int, dst: BufferHandle,
-                  dst_offset: int, nbytes: int) -> None:
-    """Bounds of one contiguous transfer, shared by every 1-D move entry
-    point.  A mapped window's handle addresses its parent's storage, so
-    an offset below zero would reach the parent's bytes outside it."""
-    if nbytes < 0:
-        raise TransferError(f"negative transfer size {nbytes}")
-    if src_offset < 0 or src_offset + nbytes > src.nbytes:
+def _check_window(src: BufferHandle, src_offset: int, src_stride: int,
+                  dst: BufferHandle, dst_offset: int, dst_stride: int,
+                  rows: int, row_bytes: int) -> None:
+    """Bounds of one transfer window (``rows`` runs of ``row_bytes``; a
+    contiguous range is one row), shared by every move entry point and
+    checked for empty windows too.  A mapped window's handle addresses
+    its parent's storage, so an offset below zero would reach the
+    parent's bytes outside it."""
+    if rows < 0 or row_bytes < 0:
         raise TransferError(
-            f"read [{src_offset}, {src_offset + nbytes}) out of bounds "
-            f"for {src!r}")
-    if dst_offset < 0 or dst_offset + nbytes > dst.nbytes:
+            f"negative transfer size (rows={rows}, row_bytes={row_bytes})")
+    if rows > 1 and (src_stride < row_bytes or dst_stride < row_bytes):
         raise TransferError(
-            f"write [{dst_offset}, {dst_offset + nbytes}) out of bounds "
-            f"for {dst!r}")
+            f"strides ({src_stride}, {dst_stride}) smaller than the row "
+            f"payload {row_bytes}: rows would overlap")
+    src_end = src_offset + ((rows - 1) * src_stride + row_bytes if rows else 0)
+    if src_offset < 0 or src_end > src.nbytes:
+        raise TransferError(
+            f"read [{src_offset}, {src_end}) out of bounds for {src!r}")
+    dst_end = dst_offset + ((rows - 1) * dst_stride + row_bytes if rows else 0)
+    if dst_offset < 0 or dst_end > dst.nbytes:
+        raise TransferError(
+            f"write [{dst_offset}, {dst_end}) out of bounds for {dst!r}")
 
 
 def _transfer_phase(src: StorageKind, dst: StorageKind) -> Phase:
@@ -258,70 +266,39 @@ class System:
 
     # -- physical byte movement (the data plane) ---------------------------
 
-    def _transfer(self, src_node: TreeNode, src: BufferHandle, src_offset: int,
-                  dst_node: TreeNode, dst: BufferHandle, dst_offset: int,
-                  nbytes: int) -> None:
-        """Move ``nbytes`` between two handles' backends, charging wall
-        time.  Virtual time is the caller's business; this is Listing
-        4's physical half, dispatched on the endpoint backend pair by
-        :meth:`~repro.memory.device.Device.copy_into`.
+    def _transfer(self, src_node: TreeNode, src: BufferHandle,
+                  src_offset: int, src_stride: int, dst_node: TreeNode,
+                  dst: BufferHandle, dst_offset: int, dst_stride: int,
+                  rows: int, row_bytes: int) -> None:
+        """Move one window -- ``rows`` runs of ``row_bytes``, a
+        contiguous range being one row -- between two handles' backends
+        as one vectored transfer, charging wall time.  Virtual time is
+        the caller's business; this is Listing 4's physical half,
+        dispatched on the endpoint backend pair by
+        :meth:`~repro.memory.device.Device.copy_into_2d`.
 
         When the transfer conflicts with pending executor work (it
         reads a slab an async kernel will merge into, or touches a slab
         a deferred copy still needs), it is deferred behind those ops
         instead of draining them -- that deferral is what keeps several
         chunk chains in flight across workers."""
+        args = (src_node, src, src_offset, src_stride, dst_node, dst,
+                dst_offset, dst_stride, rows, row_bytes)
         if self._ledger.active:
             sslab = (src_node.node_id, src.alloc_id)
             dslab = (dst_node.node_id, dst.alloc_id)
             deps = self._ledger.conflicting(reads=(sslab,), writes=(dslab,))
             if deps:
-                self._ledger.defer_copy(
-                    lambda: self._transfer_now(src_node, src, src_offset,
-                                               dst_node, dst, dst_offset,
-                                               nbytes),
-                    reads=(sslab,), writes=(dslab,), deps=deps)
+                self._ledger.defer_copy(lambda: self._transfer_now(*args),
+                                        reads=(sslab,), writes=(dslab,),
+                                        deps=deps)
                 return
-        self._transfer_now(src_node, src, src_offset, dst_node, dst,
-                           dst_offset, nbytes)
+        self._transfer_now(*args)
 
     def _transfer_now(self, src_node: TreeNode, src: BufferHandle,
-                      src_offset: int, dst_node: TreeNode, dst: BufferHandle,
-                      dst_offset: int, nbytes: int) -> None:
-        t0 = time.perf_counter()
-        src_node.device.copy_into(
-            dst_node.device, src.alloc_id, src.base_offset + src_offset,
-            dst.alloc_id, dst.base_offset + dst_offset, nbytes)
-        self.wall.note(time.perf_counter() - t0, nbytes)
-
-    def _transfer_2d(self, src_node: TreeNode, src: BufferHandle,
-                     src_offset: int, src_stride: int, dst_node: TreeNode,
-                     dst: BufferHandle, dst_offset: int, dst_stride: int, *,
-                     rows: int, row_bytes: int) -> None:
-        """Strided 2-D variant of :meth:`_transfer`: one vectored
-        gathered transfer instead of a per-row Python loop (same
-        pending-conflict deferral)."""
-        if self._ledger.active:
-            sslab = (src_node.node_id, src.alloc_id)
-            dslab = (dst_node.node_id, dst.alloc_id)
-            deps = self._ledger.conflicting(reads=(sslab,), writes=(dslab,))
-            if deps:
-                self._ledger.defer_copy(
-                    lambda: self._transfer_2d_now(
-                        src_node, src, src_offset, src_stride, dst_node, dst,
-                        dst_offset, dst_stride, rows=rows,
-                        row_bytes=row_bytes),
-                    reads=(sslab,), writes=(dslab,), deps=deps)
-                return
-        self._transfer_2d_now(src_node, src, src_offset, src_stride,
-                              dst_node, dst, dst_offset, dst_stride,
-                              rows=rows, row_bytes=row_bytes)
-
-    def _transfer_2d_now(self, src_node: TreeNode, src: BufferHandle,
-                         src_offset: int, src_stride: int,
-                         dst_node: TreeNode, dst: BufferHandle,
-                         dst_offset: int, dst_stride: int, *,
-                         rows: int, row_bytes: int) -> None:
+                      src_offset: int, src_stride: int, dst_node: TreeNode,
+                      dst: BufferHandle, dst_offset: int, dst_stride: int,
+                      rows: int, row_bytes: int) -> None:
         t0 = time.perf_counter()
         src_node.device.copy_into_2d(
             dst_node.device, src.alloc_id, src.base_offset + src_offset,
@@ -434,7 +411,8 @@ class System:
     def move(self, dst: BufferHandle, src: BufferHandle, nbytes: int, *,
              dst_offset: int = 0, src_offset: int = 0,
              label: str = "", cache: bool = True) -> MoveResult:
-        """``move_data(dst, src, size, offset, dst_node, src_node)``.
+        """``move_data(dst, src, size, offset, dst_node, src_node)``: the
+        one-row window of :meth:`move_2d`.
 
         Endpoints may be anywhere in the tree; a transfer between
         non-adjacent nodes walks the tree edge by edge (the runtime "may
@@ -446,37 +424,8 @@ class System:
         transfer with a bookkeeping charge, a miss performs the transfer
         and admits the region.  ``cache=False`` opts a single move out.
         """
-        self.registry.check_live(src)
-        self.registry.check_live(dst)
-        self.cache.flush_handle(src)
-        self.cache.flush_handle(dst)
-        _check_window(src, src_offset, dst, dst_offset, nbytes)
-        src_node, dst_node = self.node_of(src), self.node_of(dst)
-
-        spec = ncache = None
-        if cache and nbytes >= 1 and self._cacheable_down(src_node, dst_node):
-            spec = FetchSpec.contiguous(src, src_offset, nbytes)
-            served, ncache = self._cache_consult(dst, spec,
-                                                 dst_offset=dst_offset,
-                                                 dst_stride=None, label=label)
-            if served is not None:
-                return served
-
-        start, end, hops = self._charge_move(
-            src_node, dst_node, nbytes,
-            max(src.ready_at, dst.last_read_end), label)
-
-        # Physical byte movement (eager; virtual time already charged).
-        self._transfer(src_node, src, src_offset, dst_node, dst, dst_offset,
-                       nbytes)
-
-        src.note_read(end)
-        dst.note_write(end)
-        self.charge_runtime(2)
-        if ncache is not None:
-            self._cache_admit(ncache, spec, dst, dst_offset=dst_offset,
-                              dst_stride=None, end=end)
-        return MoveResult(start=start, end=end, nbytes=nbytes, hops=hops)
+        return self._move_window(dst, src, src_offset, nbytes, dst_offset,
+                                 nbytes, 1, nbytes, label, cache)
 
     def move_2d(self, dst: BufferHandle, src: BufferHandle, *, rows: int,
                 row_bytes: int, src_offset: int, src_stride: int,
@@ -490,36 +439,33 @@ class System:
         model; the paper preprocesses inputs precisely so chunk I/O is
         bulk rather than per-row (Section V-B).
         """
+        return self._move_window(dst, src, src_offset, src_stride,
+                                 dst_offset, dst_stride, rows, row_bytes,
+                                 label, cache)
+
+    def _move_window(self, dst: BufferHandle, src: BufferHandle,
+                     src_offset: int, src_stride: int, dst_offset: int,
+                     dst_stride: int, rows: int, row_bytes: int,
+                     label: str, cache: bool) -> MoveResult:
+        """The one timed transfer behind :meth:`move` and
+        :meth:`move_2d`: checks, cache consult, virtual charge, bytes,
+        admission."""
         self.registry.check_live(src)
         self.registry.check_live(dst)
         self.cache.flush_handle(src)
         self.cache.flush_handle(dst)
-        if rows < 0 or row_bytes < 0:
-            raise TransferError(f"negative rows/row_bytes ({rows}, {row_bytes})")
-        if rows and row_bytes:
-            last_src = src_offset + (rows - 1) * src_stride + row_bytes
-            last_dst = dst_offset + (rows - 1) * dst_stride + row_bytes
-            if src_offset < 0 or last_src > src.nbytes:
-                raise TransferError(
-                    f"2-D read [{src_offset}..{last_src}) out of bounds for {src!r}")
-            if dst_offset < 0 or last_dst > dst.nbytes:
-                raise TransferError(
-                    f"2-D write [{dst_offset}..{last_dst}) out of bounds for {dst!r}")
-            if src_stride < row_bytes or dst_stride < row_bytes:
-                raise TransferError(
-                    f"strides ({src_stride}, {dst_stride}) smaller than the "
-                    f"row payload {row_bytes}: rows would overlap")
+        if rows == 1:
+            src_stride = dst_stride = row_bytes
+        _check_window(src, src_offset, src_stride, dst, dst_offset,
+                      dst_stride, rows, row_bytes)
         nbytes = rows * row_bytes
         src_node, dst_node = self.node_of(src), self.node_of(dst)
 
         spec = ncache = None
         if cache and nbytes >= 1 and self._cacheable_down(src_node, dst_node):
-            spec = FetchSpec.strided(src, offset=src_offset, rows=rows,
-                                     row_bytes=row_bytes, stride=src_stride)
-            served, ncache = self._cache_consult(dst, spec,
-                                                 dst_offset=dst_offset,
-                                                 dst_stride=dst_stride,
-                                                 label=label)
+            spec = FetchSpec(src, src_offset, rows, row_bytes, src_stride)
+            served, ncache = self._cache_consult(dst, spec, dst_offset,
+                                                 dst_stride, label)
             if served is not None:
                 return served
 
@@ -527,15 +473,14 @@ class System:
             src_node, dst_node, nbytes,
             max(src.ready_at, dst.last_read_end), label)
 
-        self._transfer_2d(src_node, src, src_offset, src_stride, dst_node,
-                          dst, dst_offset, dst_stride, rows=rows,
-                          row_bytes=row_bytes)
+        # Physical byte movement (eager; virtual time already charged).
+        self._transfer(src_node, src, src_offset, src_stride, dst_node, dst,
+                       dst_offset, dst_stride, rows, row_bytes)
         src.note_read(end)
         dst.note_write(end)
         self.charge_runtime(2)
         if ncache is not None:
-            self._cache_admit(ncache, spec, dst, dst_offset=dst_offset,
-                              dst_stride=dst_stride, end=end)
+            self._cache_admit(ncache, spec, dst, dst_offset, dst_stride, end)
         return MoveResult(start=start, end=end, nbytes=nbytes, hops=hops)
 
     def _charge_move(self, src_node: TreeNode, dst_node: TreeNode,
@@ -681,8 +626,9 @@ class System:
                     m.label, m.nbytes) for m in pending]
             done = self.timeline.charge_path_batch(resources, ops, phase)
             for m, c in zip(pending, done):
-                self._transfer(src_node, m.src, m.src_offset, dst_node,
-                               m.dst, m.dst_offset, m.nbytes)
+                self._transfer(src_node, m.src, m.src_offset, m.nbytes,
+                               dst_node, m.dst, m.dst_offset, m.nbytes, 1,
+                               m.nbytes)
                 m.src.note_read(c.end)
                 m.dst.note_write(c.end)
                 results.append(MoveResult(start=c.start, end=c.end,
@@ -697,7 +643,8 @@ class System:
             self.registry.check_live(m.dst)
             self.cache.flush_handle(m.src)
             self.cache.flush_handle(m.dst)
-            _check_window(m.src, m.src_offset, m.dst, m.dst_offset, m.nbytes)
+            _check_window(m.src, m.src_offset, m.nbytes, m.dst, m.dst_offset,
+                          m.nbytes, 1, m.nbytes)
             src_node, dst_node = self.node_of(m.src), self.node_of(m.dst)
             self._assert_adjacent(src_node, dst_node, expect_down=True)
             if pending and (pending_nodes != (src_node, dst_node)
@@ -728,7 +675,8 @@ class System:
         if self.cache.writeback:
             self.registry.check_live(src)
             self.registry.check_live(dst)
-            _check_window(src, src_offset, dst, dst_offset, nbytes)
+            _check_window(src, src_offset, nbytes, dst, dst_offset, nbytes,
+                          1, nbytes)
             return self.cache.defer_up(dst, src, nbytes,
                                        dst_offset=dst_offset,
                                        src_offset=src_offset, label=label)
@@ -753,27 +701,24 @@ class System:
         :meth:`fetch_release`; do not write through it or pass it to
         :meth:`release`.
 
-        Pass ``nbytes``/``src_offset`` for a contiguous range, or
-        ``rows``/``row_bytes``/``src_stride`` (+ ``src_offset``) for a
-        2-D window, which lands packed row-major in the returned buffer.
-        With the cache off this degenerates to allocate + move, released
-        by ``fetch_release``.
+        Pass ``nbytes`` (+ ``src_offset``) for a contiguous range, the
+        one-row window, or ``rows``/``row_bytes``/``src_stride`` (+
+        ``src_offset``) for a 2-D window; either lands packed row-major
+        in the returned buffer.  With the cache off this degenerates to
+        allocate + move, released by ``fetch_release``.
         """
         n = self._node(node)
         self.registry.check_live(src)
         src_node = self.node_of(src)
         self._assert_adjacent(src_node, n, expect_down=True)
-        if rows is not None:
-            if row_bytes is None or src_stride is None:
-                raise TransferError(
-                    "strided fetch_down needs rows, row_bytes and src_stride")
-            spec = FetchSpec.strided(src, offset=src_offset, rows=rows,
-                                     row_bytes=row_bytes, stride=src_stride)
-        elif nbytes is not None:
-            spec = FetchSpec.contiguous(src, src_offset, nbytes)
-        else:
+        window = (rows, row_bytes, src_stride)
+        if nbytes is not None and window == (None, None, None):
+            window = (1, nbytes, nbytes)
+        elif nbytes is not None or None in window:
             raise TransferError(
-                "fetch_down needs nbytes or rows/row_bytes/src_stride")
+                "fetch_down needs either nbytes or all of rows, row_bytes "
+                "and src_stride")
+        spec = FetchSpec(src, src_offset, *window)
         cache = self.cache.node_cache(n)
         if cache is not None:
             block = cache.lookup(spec)
@@ -800,14 +745,10 @@ class System:
         # torn down again by fetch_release.
         handle = self.alloc(spec.nbytes, n,
                             label=label or f"fetch:{src.label or src.buffer_id}")
-        if spec.is_strided:
-            self.move_2d(handle, src, rows=spec.rows,
-                         row_bytes=spec.row_bytes, src_offset=spec.offset,
-                         src_stride=spec.stride, dst_offset=0,
-                         dst_stride=spec.row_bytes, label=label, cache=False)
-        else:
-            self.move(handle, src, spec.nbytes, src_offset=spec.offset,
-                      label=label, cache=False)
+        self.move_2d(handle, src, rows=spec.rows, row_bytes=spec.row_bytes,
+                     src_offset=spec.offset, src_stride=spec.stride,
+                     dst_offset=0, dst_stride=spec.row_bytes, label=label,
+                     cache=False)
         return self.cache.lease_plain(handle)
 
     def will_need(self, hints) -> None:
@@ -833,12 +774,9 @@ class System:
         by_node: dict[int, list[tuple]] = {}
         for _child, spec in hints:
             src = spec.src
-            rows, row_bytes, stride = \
-                (spec.rows, spec.row_bytes, spec.stride) if spec.is_strided \
-                else (1, spec.nbytes, spec.nbytes)
             by_node.setdefault(src.node_id, []).append(
-                (src.alloc_id, src.base_offset + spec.offset, rows,
-                 row_bytes, stride))
+                (src.alloc_id, src.base_offset + spec.offset, spec.rows,
+                 spec.row_bytes, spec.stride))
         for node_id, windows in by_node.items():
             self.tree.node(node_id).device.advise(windows)
 
@@ -855,8 +793,8 @@ class System:
         return (self.cache.transparent and src_node is not dst_node
                 and src_node in dst_node.path_to_root())
 
-    def _cache_consult(self, dst: BufferHandle, spec: FetchSpec, *,
-                       dst_offset: int, dst_stride: int | None, label: str):
+    def _cache_consult(self, dst: BufferHandle, spec: FetchSpec,
+                       dst_offset: int, dst_stride: int, label: str):
         """Try to serve a down-move from the destination node's cache.
 
         Returns ``(MoveResult, None)`` on a hit; ``(None, cache)`` on a
@@ -882,13 +820,8 @@ class System:
             nbytes=spec.nbytes)
         # Local copy block -> destination region; no edge is crossed.
         bh = block.handle
-        if spec.is_strided:
-            self._transfer_2d(dst_node, bh, 0, spec.row_bytes, dst_node, dst,
-                              dst_offset, dst_stride, rows=spec.rows,
-                              row_bytes=spec.row_bytes)
-        else:
-            self._transfer(dst_node, bh, 0, dst_node, dst, dst_offset,
-                           spec.nbytes)
+        self._transfer(dst_node, bh, 0, spec.row_bytes, dst_node, dst,
+                       dst_offset, dst_stride, spec.rows, spec.row_bytes)
         bh.note_read(done.end)
         dst.note_write(done.end)
         self.charge_runtime(1)
@@ -896,9 +829,8 @@ class System:
         return MoveResult(start=done.start, end=done.end,
                           nbytes=spec.nbytes, hops=0), None
 
-    def _cache_admit(self, cache, spec: FetchSpec, dst: BufferHandle, *,
-                     dst_offset: int, dst_stride: int | None,
-                     end: float) -> None:
+    def _cache_admit(self, cache, spec: FetchSpec, dst: BufferHandle,
+                     dst_offset: int, dst_stride: int, end: float) -> None:
         """After a transparent miss moved the bytes into ``dst``, admit
         the region by copying it (locally) into a cache block."""
         dst_node = self.node_of(dst)
@@ -912,13 +844,8 @@ class System:
                 "host", SETUP_COST[dst_node.device.kind], Phase.SETUP,
                 label=f"cache-alloc@{dst_node.node_id}")
             bh = block.handle
-            if spec.is_strided:
-                self._transfer_2d(dst_node, dst, dst_offset, dst_stride,
-                                  dst_node, bh, 0, spec.row_bytes,
-                                  rows=spec.rows, row_bytes=spec.row_bytes)
-            else:
-                self._transfer(dst_node, dst, dst_offset, dst_node, bh, 0,
-                               spec.nbytes)
+            self._transfer(dst_node, dst, dst_offset, dst_stride, dst_node,
+                           bh, 0, spec.row_bytes, spec.rows, spec.row_bytes)
             bh.note_write(end)
         self.cache.engine.issue(dst_node)
 

@@ -84,14 +84,6 @@ class Projection:
     io_time: float
     overall: float
 
-    def io_speedup_over(self, other: "Projection") -> float:
-        """I/O-time speedup of this projection over another."""
-        return other.io_time / self.io_time if self.io_time else float("inf")
-
-    def overall_speedup_over(self, other: "Projection") -> float:
-        """Overall-time speedup of this projection over another."""
-        return other.overall / self.overall if self.overall else float("inf")
-
 
 def project(profile: IOProfile, *, read_bw: float, write_bw: float,
             latency: float = 80e-6) -> Projection:

@@ -69,10 +69,6 @@ class FreeListAllocator:
         """High-water mark of :attr:`used_bytes`."""
         return self._peak
 
-    @property
-    def live_allocations(self) -> int:
-        return len(self._live)
-
     def largest_free_block(self) -> int:
         """Size of the largest contiguous free block (0 when full)."""
         return max((size for _off, size in self._free), default=0)

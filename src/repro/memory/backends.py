@@ -27,14 +27,15 @@ paths probe for, so a move between two backends degrades gracefully from
     A writable zero-copy window into the backing storage (``None`` when
     the backend cannot expose one).  :class:`MemBackend` always can;
     :class:`FileBackend` never does.
-``read_into``
-    Fill a caller-provided array without an intermediate copy (a single
-    ``np.copyto`` or a single ``preadv`` straight into the destination).
 ``gather_2d`` / ``scatter_2d``
-    Vectored strided transfers: a 2-D row shard or ghost zone moves as
-    one gathered operation (a strided NumPy copy, or one spanning
+    Vectored transfers of one *window*: ``rows`` runs of ``row_bytes``
+    every ``stride`` bytes, a contiguous range being the one-row window
+    (:func:`window_key`).  A dense window is one slice copy or one
+    positioned read/write; a gapped row shard or ghost zone moves as one
+    gathered operation (a strided NumPy copy, or one spanning
     ``pread``/``pwrite`` plus a strided copy) instead of a Python loop
-    of per-row calls.
+    of per-row calls.  ``read_into`` is the one-row gather into a
+    caller-provided array.
 
 :class:`FileBackend` keeps an LRU-capped pool of open descriptors and
 issues positioned I/O (``os.pread``/``os.pwrite``) against them: no
@@ -74,10 +75,27 @@ def _as_bytes(data: np.ndarray | bytes | bytearray | memoryview) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8)
 
 
+def window_key(offset: int, rows: int, row_bytes: int,
+               stride: int) -> tuple[int, int, int, int]:
+    """Identity of the window of ``rows`` runs of ``row_bytes`` every
+    ``stride`` bytes from ``offset``: a dense one (one row, or rows back
+    to back) is a single row however the caller cut it.  The buffer
+    cache and the read-ahead queue both key windows on this."""
+    if rows == 1 or stride == row_bytes:
+        nbytes = rows * row_bytes
+        return (offset, 1, nbytes, nbytes)
+    return (offset, rows, row_bytes, stride)
+
+
 def _strided_2d(buf: np.ndarray, offset: int, rows: int, row_bytes: int,
                 stride: int) -> np.ndarray:
-    """A (rows, row_bytes) strided window over ``buf`` starting at
-    ``offset``.  Caller has validated the bounds."""
+    """A (rows, row_bytes) window over ``buf`` starting at ``offset``:
+    a slice for a dense window, ``as_strided`` (ten times the cost)
+    only for a gapped one.  Caller has validated the bounds."""
+    if rows == 1:
+        return buf[None, offset:offset + row_bytes]
+    if stride == row_bytes:
+        return buf[offset:offset + rows * row_bytes].reshape(rows, row_bytes)
     return np.lib.stride_tricks.as_strided(
         buf[offset:], shape=(rows, row_bytes), strides=(stride, 1))
 
@@ -135,12 +153,10 @@ class DataBackend(ABC):
         return None
 
     def read_into(self, alloc_id: int, offset: int, out: np.ndarray) -> None:
-        """Fill ``out`` (uint8, ``out.size`` bytes) from ``offset``.
-
-        Default: a copying read.  Backends override this to write the
-        destination directly (``np.copyto`` / ``preadv``).
-        """
-        out[...] = self.read(alloc_id, offset, out.size)
+        """Fill ``out`` (1-D or C-contiguous uint8, ``out.size`` bytes)
+        from ``offset``: the one-row window of :meth:`gather_2d`."""
+        self.gather_2d(alloc_id, offset, 1, out.size, out.size,
+                       out.reshape(1, out.size))
 
     def gather_2d(self, alloc_id: int, offset: int, rows: int, row_bytes: int,
                   stride: int, out: np.ndarray) -> None:
@@ -178,11 +194,11 @@ class DataBackend(ABC):
 
     def _check_range_2d(self, alloc_id: int, offset: int, rows: int,
                         row_bytes: int, stride: int, size: int) -> int:
-        """Validate a strided window; returns its bounding span."""
+        """Validate a window; returns its bounding span."""
         if rows < 0 or row_bytes < 0:
             raise TransferError(
                 f"negative rows/row_bytes ({rows}, {row_bytes})")
-        if rows and stride < row_bytes:
+        if rows > 1 and stride < row_bytes:
             raise TransferError(
                 f"stride {stride} smaller than the row payload {row_bytes}")
         span = (rows - 1) * stride + row_bytes if rows else 0
@@ -253,11 +269,6 @@ class MemBackend(DataBackend):
         self._check_range_2d(alloc_id, offset, rows, row_bytes, stride,
                              buf.size)
         return _strided_2d(buf, offset, rows, row_bytes, stride)
-
-    def read_into(self, alloc_id: int, offset: int, out: np.ndarray) -> None:
-        buf = self._buf(alloc_id)
-        self._check_range(alloc_id, offset, out.size, buf.size)
-        np.copyto(out, buf[offset:offset + out.size])
 
     def gather_2d(self, alloc_id: int, offset: int, rows: int, row_bytes: int,
                   stride: int, out: np.ndarray) -> None:
@@ -358,7 +369,7 @@ class _Window:
 
     def __init__(self, key: tuple, path: str, span: int) -> None:
         #: ``(alloc_id, offset, rows, row_bytes, stride)``, normalised
-        #: by :meth:`FileBackend._window_key`.
+        #: by :func:`window_key`.
         self.key = key
         self.path = path
         #: Bounding byte span in the file: what a write must miss.
@@ -454,6 +465,11 @@ class _ReadAhead:
                     name=self.name, daemon=True)
                 self._thread.start()
             self._cv.notify_all()
+
+    @property
+    def pending(self) -> bool:
+        """Is any advised window still outstanding?"""
+        return bool(self._queue)
 
     def take(self, key: tuple) -> np.ndarray | None:
         """The side buffer holding window ``key`` (hand it back with
@@ -691,13 +707,13 @@ class FileBackend(DataBackend):
 
     @staticmethod
     def _pread_into(fd: int, offset: int, out: np.ndarray) -> bool:
-        """One positioned read straight into ``out`` (uint8, contiguous).
-        A short read (defensive; files are sized at create) leaves the
-        sparse-tail semantics intact: the unread remainder reads as
-        zero."""
+        """One positioned read straight into ``out`` (uint8, C-contiguous,
+        any shape).  A short read (defensive; files are sized at create)
+        leaves the sparse-tail semantics intact: the unread remainder
+        reads as zero."""
         got = os.preadv(fd, [out], offset)
         if got < out.size:
-            out[got:] = 0
+            out.reshape(-1)[got:] = 0
             return False
         return True
 
@@ -712,18 +728,6 @@ class FileBackend(DataBackend):
         self._path(alloc_id)
         return alloc_id
 
-    def read_into(self, alloc_id: int, offset: int, out: np.ndarray) -> None:
-        self._check_range(alloc_id, offset, out.size,
-                          self._sizes[self._require(alloc_id)])
-        if self._serve_ahead((alloc_id, offset, 1, out.size, out.size), out):
-            return
-        if out.flags.c_contiguous:
-            self._pread_into(self._fd(alloc_id), offset, out)
-        else:
-            scratch = np.empty(out.size, dtype=np.uint8)
-            self._pread_into(self._fd(alloc_id), offset, scratch)
-            out[...] = scratch.reshape(out.shape)
-
     def _span_is_dense(self, rows: int, row_bytes: int, span: int) -> bool:
         gap_total = span - rows * row_bytes
         return span <= self.SPAN_MIN or gap_total <= rows * self.SPAN_GAP_BYTES
@@ -734,9 +738,8 @@ class FileBackend(DataBackend):
                                     self._sizes[self._require(alloc_id)])
         if not rows or not row_bytes:
             return
-        if self._serve_ahead(
-                self._window_key(alloc_id, offset, rows, row_bytes, stride),
-                out):
+        if self.readahead.pending and self._serve_ahead(
+                (alloc_id, *window_key(offset, rows, row_bytes, stride)), out):
             return
         self._gather_fd(self._fd(alloc_id), offset, rows, row_bytes, stride,
                         span, out)
@@ -745,9 +748,9 @@ class FileBackend(DataBackend):
                    stride: int, span: int, out: np.ndarray) -> bool:
         """The strided read behind :meth:`gather_2d` (bounds checked by
         the caller)."""
-        if stride == row_bytes and out.flags.c_contiguous:
-            # Contiguous window: the whole shard is one positioned read.
-            return self._pread_into(fd, offset, out.reshape(-1))
+        if (rows == 1 or stride == row_bytes) and out.flags.c_contiguous:
+            # Dense window: the whole shard is one positioned read.
+            return self._pread_into(fd, offset, out)
         if self._span_is_dense(rows, row_bytes, span):
             if out.ndim == 2 and out.strides[1] == 1:
                 # True vectored read: one preadv per IOV_MAX-sized batch
@@ -795,7 +798,7 @@ class FileBackend(DataBackend):
         reads (sparse tails) zero-fill the unreached row remainders.
         """
         gap = stride - row_bytes
-        scrap = np.empty(gap, dtype=np.uint8) if gap else None
+        scrap = np.empty(gap, dtype=np.uint8) if gap > 0 else None
         rows_per_call = max(1, self._IOV_BATCH // 2)
         complete = True
         r0 = 0
@@ -832,10 +835,10 @@ class FileBackend(DataBackend):
             return
         self.readahead.discard(alloc_id, offset, offset + span)
         fd = self._fd(alloc_id)
-        if stride == row_bytes:
+        if rows == 1 or stride == row_bytes:
             packed = data if data.flags.c_contiguous else \
                 np.ascontiguousarray(data)
-            os.pwrite(fd, packed.reshape(-1), offset)
+            os.pwrite(fd, packed, offset)
         elif self._span_is_dense(rows, row_bytes, span):
             # Read-modify-write of the bounding span: one read, one
             # vectored scatter in memory, one write.  Gap bytes are
@@ -865,16 +868,6 @@ class FileBackend(DataBackend):
 
     # -- read-ahead ------------------------------------------------------------
 
-    @staticmethod
-    def _window_key(alloc_id: int, offset: int, rows: int, row_bytes: int,
-                    stride: int) -> tuple:
-        """Identity of a window; a contiguous one is a single row
-        however the caller cut it."""
-        if stride == row_bytes or rows == 1:
-            nbytes = rows * row_bytes
-            return (alloc_id, offset, 1, nbytes, nbytes)
-        return (alloc_id, offset, rows, row_bytes, stride)
-
     def advise(self, windows) -> None:
         """Queue ``windows`` for the reader thread, replacing earlier
         advice.  Left out (and read synchronously, as without advice):
@@ -890,7 +883,7 @@ class FileBackend(DataBackend):
             total += 1
             if rows * row_bytes < READAHEAD_MIN_BYTES:
                 continue
-            key = self._window_key(alloc_id, offset, rows, row_bytes, stride)
+            key = (alloc_id, *window_key(offset, rows, row_bytes, stride))
             if previous.get(alloc_id) == key:
                 continue
             previous[alloc_id] = key

@@ -90,14 +90,6 @@ class DeviceSpec:
         if self.latency < 0:
             raise ConfigError(f"{self.name}: latency must be non-negative")
 
-    def read_cost(self, nbytes: int) -> float:
-        """Seconds to read ``nbytes`` (latency + bandwidth term)."""
-        return self.latency + nbytes / self.read_bw
-
-    def write_cost(self, nbytes: int) -> float:
-        """Seconds to write ``nbytes``."""
-        return self.latency + nbytes / self.write_bw
-
     def scaled(self, *, capacity: int | None = None,
                read_bw: float | None = None,
                write_bw: float | None = None,
@@ -218,8 +210,18 @@ class Device:
 
     def copy_into(self, dst: "Device", src_id: int, src_offset: int,
                   dst_id: int, dst_offset: int, nbytes: int) -> None:
-        """Move ``nbytes`` from this device into ``dst`` with the fewest
-        copies the two backends allow.
+        """Move ``nbytes`` from this device into ``dst``: the one-row
+        window of :meth:`copy_into_2d`."""
+        self.copy_into_2d(dst, src_id, src_offset, nbytes, dst_id,
+                          dst_offset, nbytes, rows=1, row_bytes=nbytes)
+
+    def copy_into_2d(self, dst: "Device", src_id: int, src_offset: int,
+                     src_stride: int, dst_id: int, dst_offset: int,
+                     dst_stride: int, *, rows: int, row_bytes: int) -> None:
+        """Move one window -- ``rows`` runs of ``row_bytes`` with
+        independent endpoint strides; a contiguous range is one row --
+        from this device into ``dst`` with the fewest copies the two
+        backends allow.
 
         This is the physical half of Listing 4's dispatch: the runtime
         picks the mechanics from the (source, destination) backend pair
@@ -227,42 +229,16 @@ class Device:
         from the endpoint storage types.
 
         * view -> view (mem->mem): one ``np.copyto``.
-        * opaque -> view (file->mem): one positioned read straight into
+        * opaque -> view (file->mem): one gathered read straight into
           the destination window.
-        * view -> opaque (mem->file): one positioned write straight from
+        * view -> opaque (mem->file): one scattered write straight from
           the source window.
         * opaque -> opaque (file->file): staged through one pooled
-          scratch array (read_into + write).
-        """
-        if nbytes == 0:
-            return
-        sb, db = self.backend, dst.backend
-        dview = db.try_view(dst_id, dst_offset, nbytes)
-        if dview is not None:
-            sview = sb.try_view(src_id, src_offset, nbytes)
-            if sview is not None:
-                np.copyto(dview, sview)
-            else:
-                sb.read_into(src_id, src_offset, dview)
-            return
-        sview = sb.try_view(src_id, src_offset, nbytes)
-        if sview is not None:
-            db.write(dst_id, dst_offset, sview)
-            return
-        scratch = _scratch_pool().take(nbytes, zero=False)
-        try:
-            sb.read_into(src_id, src_offset, scratch)
-            db.write(dst_id, dst_offset, scratch)
-        finally:
-            _scratch_pool().give(scratch)
+          scratch array (gather + scatter).
 
-    def copy_into_2d(self, dst: "Device", src_id: int, src_offset: int,
-                     src_stride: int, dst_id: int, dst_offset: int,
-                     dst_stride: int, *, rows: int, row_bytes: int) -> None:
-        """Strided 2-D variant of :meth:`copy_into`: ``rows`` runs of
-        ``row_bytes`` with independent endpoint strides move as one
-        vectored transfer (a strided NumPy copy, a gathered read, or a
-        scattered write) instead of a Python loop of per-row calls."""
+        A dense window is one positioned read or write on a file and a
+        plain slice on memory; only a gapped one pays for strides.
+        """
         if rows == 0 or row_bytes == 0:
             return
         sb, db = self.backend, dst.backend

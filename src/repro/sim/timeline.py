@@ -318,9 +318,6 @@ class Timeline:
                 f"with slots={slots}")
         return res
 
-    def has_resource(self, name: str) -> bool:
-        return name in self._resources
-
     def charge(self, resource: str | Resource, duration: float,
                phase: Phase, *, ready: float = 0.0, label: str = "",
                nbytes: int = 0) -> Completion:

@@ -150,9 +150,6 @@ class TopologyTree:
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._nodes
 
-    def nodes_at_level(self, level: int) -> list[TreeNode]:
-        return [n for n in self.nodes() if n.level == level]
-
     def lowest_common_ancestor(self, a: TreeNode | int,
                                b: TreeNode | int) -> TreeNode:
         """LCA of two nodes; the junction any a->b transfer routes through."""

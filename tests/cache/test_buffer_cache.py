@@ -93,6 +93,45 @@ def test_fetch_down_serves_correct_bytes():
         sys_.close()
 
 
+def test_dense_window_is_one_block_whatever_its_shape():
+    """The same bytes fetched as a contiguous range, a one-row window and
+    a dense 4-row window are one cache block (the read-ahead's window
+    identity), and a hit still lands in the shape that was asked for."""
+    sys_ = make_system(CacheConfig(lookahead=0))
+    try:
+        src = fill_root(sys_, 4 * KB, seed=7)
+        want = sys_.fetch(src, np.uint8, offset=1024, count=512)
+        child = sys_.tree.root.children[0]
+        for shape in (dict(nbytes=512),
+                      dict(rows=1, row_bytes=512, src_stride=999),
+                      dict(rows=4, row_bytes=128, src_stride=128)):
+            h = sys_.fetch_down(child, src, src_offset=1024, **shape)
+            np.testing.assert_array_equal(
+                sys_.fetch(h, np.uint8, count=512), want)
+            sys_.fetch_release(h)
+        st = sys_.cache.total_stats()
+        assert (st.misses, st.hits) == (1, 2)
+    finally:
+        sys_.close()
+    sys_ = make_system(CacheConfig(mode="full", lookahead=0))
+    try:
+        src = fill_root(sys_, 4 * KB, seed=7)
+        want = sys_.fetch(src, np.uint8, offset=1024, count=512)
+        child = sys_.tree.root.children[0]
+        a = sys_.alloc(512, child)
+        b = sys_.alloc(1024, child)
+        sys_.move(a, src, 512, src_offset=1024)
+        sys_.move_2d(b, src, rows=4, row_bytes=128, src_offset=1024,
+                     src_stride=128, dst_offset=0, dst_stride=256)
+        got = sys_.fetch(b, np.uint8, count=1024).reshape(4, 256)
+        np.testing.assert_array_equal(got[:, :128], want.reshape(4, 128))
+        assert not got[:, 128:].any()
+        st = sys_.cache.total_stats()
+        assert (st.misses, st.hits) == (1, 1)
+    finally:
+        sys_.close()
+
+
 def test_cache_off_degenerates_to_plain_staging():
     sys_ = make_system(CacheConfig.disabled())
     try:

@@ -78,12 +78,6 @@ def test_cpu_cores_scale_peak():
     assert four.peak_gflops == pytest.approx(4 * one.peak_gflops)
 
 
-def test_ridge_point():
-    apu = make_gpu_apu()
-    knee = apu.arithmetic_intensity_knee()
-    assert knee == pytest.approx(737e9 / 20e9)
-
-
 def test_invalid_processor_rejected():
     with pytest.raises(ConfigError):
         Processor(name="x", kind=ProcessorKind.CPU, peak_gflops=0, mem_bw=1)

@@ -55,7 +55,6 @@ def test_split_validation():
 def test_grid2d_tile_shapes():
     g = Grid2D(nrows=10, ncols=7, chunk_rows=4, chunk_cols=3)
     assert g.tiles_m == 3 and g.tiles_n == 3
-    assert g.num_tiles == 9
     last = g.tile(2, 2)
     assert (last.rows, last.cols) == (2, 1)  # ragged edges
     assert g.tile(0, 0).size == 12

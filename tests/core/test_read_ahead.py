@@ -177,8 +177,8 @@ def test_will_need_wants_a_spare_core(tmp_path, monkeypatch, cores,
                             _FakeExecutor(asynchronous, workers))
         system.will_need([
             (child, FetchSpec.contiguous(h, 128, 1024)),
-            (child, FetchSpec.strided(h, offset=64, rows=4, row_bytes=16,
-                                      stride=256))])
+            (child, FetchSpec(h, offset=64, rows=4, row_bytes=16,
+                              stride=256))])
         if advised:
             assert got == [[(h.alloc_id, 128, 1, 1024, 1024),
                             (h.alloc_id, 64, 4, 16, 256)]]

@@ -301,6 +301,41 @@ def test_move_2d_bounds_and_stride_checks(apu):
                     src_stride=16, dst_offset=0, dst_stride=16)
 
 
+@pytest.mark.parametrize("entry", ["move", "move_2d"])
+def test_empty_window_is_still_bounds_checked(apu, entry):
+    """Both entry points share one window check, which an empty window
+    does not skip: a negative offset would reach a mapped window's
+    parent bytes whatever the size."""
+    root, leaf = apu.tree.root, apu.tree.leaves()[0]
+    parent = apu.alloc(256, root)
+    child = apu.alloc(64, leaf)
+    move = {
+        "move": lambda **at: apu.move(child, parent, 0, **at),
+        "move_2d": lambda **at: apu.move_2d(
+            child, parent, rows=0, row_bytes=16, src_stride=16,
+            dst_stride=16, **at),
+    }[entry]
+    with pytest.raises(TransferError, match="out of bounds"):
+        move(src_offset=-64, dst_offset=0)
+    with pytest.raises(TransferError, match="out of bounds"):
+        move(src_offset=0, dst_offset=65)
+    assert move(src_offset=256, dst_offset=64).nbytes == 0
+
+
+def test_fetch_down_takes_one_form(apu):
+    """``nbytes`` and the ``rows`` form are exclusive: passing both
+    used to return a lease shaped by ``rows`` alone."""
+    root, leaf = apu.tree.root, apu.tree.leaves()[0]
+    src = apu.alloc(1024, root)
+    with pytest.raises(TransferError, match="either"):
+        apu.fetch_down(leaf, src, nbytes=1024, rows=2, row_bytes=16,
+                       src_stride=32)
+    with pytest.raises(TransferError, match="either"):
+        apu.fetch_down(leaf, src)
+    with pytest.raises(TransferError, match="either"):
+        apu.fetch_down(leaf, src, rows=2, row_bytes=16)
+
+
 def test_move_2d_writes_back_up(apu):
     root, leaf = apu.tree.root, apu.tree.leaves()[0]
     big = apu.alloc(6 * 6 * 4, root)

@@ -41,8 +41,8 @@ def test_faster_storage_shrinks_io_but_not_compute():
     fast = project(p, read_bw=3500 * MB, write_bw=2100 * MB, latency=0.0)
     assert fast.io_time == pytest.approx(1400 / 3500 + 600 / 2100)
     assert fast.overall == pytest.approx(3.0 + fast.io_time)
-    assert fast.io_speedup_over(base) > 2.0
-    assert fast.overall_speedup_over(base) < fast.io_speedup_over(base)
+    assert base.io_time / fast.io_time > 2.0
+    assert base.overall / fast.overall < base.io_time / fast.io_time
 
 
 def test_non_io_floor_without_overlap():

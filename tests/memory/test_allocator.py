@@ -138,7 +138,6 @@ def test_reset():
     a.allocate(100)
     a.reset()
     assert a.used_bytes == 0
-    assert a.live_allocations == 0
     assert a.largest_free_block() == 1024
 
 

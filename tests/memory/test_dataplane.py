@@ -5,15 +5,24 @@ Listing 4 dispatch on (src storage, dst storage) -- must produce bytes
 identical to the retained naive reference in ``tests/reference/naive_plane``.
 The tests sweep all four backend pairs and the stride regimes that
 select different file I/O strategies (contiguous, dense span, sparse
-span forced onto the per-row descriptor path).
+span forced onto the per-row descriptor path).  A contiguous range is
+the one-row window, so ``System.move`` and a one-row ``move_2d`` must
+be indistinguishable.
 """
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.buffers import ArrayPool
+from repro.core.system import System
 from repro.memory.backends import FileBackend, MemBackend
 from repro.memory.device import Device, DeviceSpec, StorageKind
+from repro.topology.builders import apu_two_level
 from tests.reference import naive_plane as reference
 
 
@@ -73,6 +82,10 @@ def test_copy_into_matches_reference(devices):
     (8, 64, 64, 256),      # contiguous src scattered into strided dst
     (8, 64, 256, 512),     # strided both sides
     (1, 100, 100, 100),    # single row
+    (1, 100, 7, 3000),     # single row: its strides are irrelevant
+    (1, 4096, 4096, 4096),  # single row spanning pages
+    (32, 16, 16, 16),      # thin dense rows: one slice / one positioned I/O
+    (4, 20000, 20000, 20000),  # dense rows past the span heuristic
     (16, 4, 1000, 2000),   # thin rows, wide gaps
 ])
 def test_copy_into_2d_matches_reference(devices, rows, row_bytes,
@@ -121,6 +134,90 @@ def test_copy_into_2d_sparse_span_takes_per_row_path(tmp_path, monkeypatch):
     finally:
         src.backend.close()
         dst.backend.close()
+
+
+@pytest.mark.parametrize("rows,row_bytes,stride", [(1, 4096, 1),
+                                                   (8, 512, 512)])
+def test_dense_file_window_is_one_positioned_call(tmp_path, monkeypatch,
+                                                  rows, row_bytes, stride):
+    """A dense window (one row, or rows back to back) moves between a
+    file and memory as one ``preadv`` and one ``pwrite``."""
+    file = _device("file", FileBackend(str(tmp_path / "f")))
+    mem = _device("mem", MemBackend())
+    try:
+        payload = _fill(file, 1, 8192, seed=7)
+        mem.backend.create(1, 8192)
+        calls = []
+        for name in ("preadv", "pwrite"):
+            real = getattr(os, name)
+            monkeypatch.setattr(os, name, lambda *a, _real=real, _name=name:
+                                calls.append(_name) or _real(*a))
+        file.copy_into_2d(mem, 1, 0, stride, 1, 0, stride, rows=rows,
+                          row_bytes=row_bytes)
+        mem.copy_into_2d(file, 1, 0, stride, 1, 4096, stride, rows=rows,
+                         row_bytes=row_bytes)
+        assert calls == ["preadv", "pwrite"]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(file.backend.read(1, 4096, 4096),
+                                      payload[:4096])
+    finally:
+        file.backend.close()
+        mem.backend.close()
+
+
+def _moves_on(root_kind: str, moves, one_row: bool):
+    """Run ``moves`` on a fresh two-level system, each as ``move`` or as
+    a one-row ``move_2d``; returns the destination bytes, the move
+    results and the trace."""
+    with tempfile.TemporaryDirectory() as tmp:
+        backend = MemBackend() if root_kind == "mem" else \
+            FileBackend(os.path.join(tmp, "root"))
+        system = System(apu_two_level(storage_capacity=1 << 20,
+                                      staging_bytes=1 << 20,
+                                      storage_backend=backend))
+        try:
+            root, leaf = system.tree.root, system.tree.leaves()[0]
+            top = system.alloc(4096, root)
+            low = system.alloc(4096, leaf)
+            system.preload(top, np.arange(4096, dtype=np.uint8) * 7)
+            system.preload(low, np.arange(4096, dtype=np.uint8) * 3)
+            results = []
+            for up, nbytes, src_offset, dst_offset, strides in moves:
+                src, dst = (low, top) if up else (top, low)
+                if one_row:
+                    res = system.move_2d(
+                        dst, src, rows=1, row_bytes=nbytes,
+                        src_offset=src_offset, src_stride=strides[0],
+                        dst_offset=dst_offset, dst_stride=strides[1])
+                else:
+                    res = system.move(dst, src, nbytes,
+                                      src_offset=src_offset,
+                                      dst_offset=dst_offset)
+                results.append((res.start, res.end, res.nbytes, res.hops))
+            data = (system.fetch(top, np.uint8), system.fetch(low, np.uint8))
+            return data, results, list(system.timeline.trace)
+        finally:
+            system.close()
+
+
+_window = st.integers(0, 4096).flatmap(lambda n: st.tuples(
+    st.booleans(), st.just(n), st.integers(0, 4096 - n),
+    st.integers(0, 4096 - n), st.tuples(st.integers(0, 8192),
+                                        st.integers(0, 8192))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(root_kind=st.sampled_from(["mem", "file"]),
+       moves=st.lists(_window, min_size=1, max_size=4))
+def test_move_is_the_one_row_window(root_kind, moves):
+    """``move`` and ``move_2d(rows=1)`` (whatever strides it is given)
+    leave identical bytes, results and trace rows."""
+    data, results, trace = _moves_on(root_kind, moves, one_row=False)
+    data2, results2, trace2 = _moves_on(root_kind, moves, one_row=True)
+    for a, b in zip(data, data2):
+        np.testing.assert_array_equal(a, b)
+    assert results == results2
+    assert trace == trace2
 
 
 def test_copy_into_same_device(tmp_path):

@@ -10,13 +10,6 @@ from repro.memory.device import DeviceSpec, StorageKind
 from repro.memory.units import GB, MB
 
 
-def test_spec_costs():
-    spec = DeviceSpec(name="d", kind=StorageKind.FILE, capacity=GB,
-                      read_bw=100 * MB, write_bw=50 * MB, latency=1e-3)
-    assert spec.read_cost(100 * MB) == pytest.approx(1.001)
-    assert spec.write_cost(50 * MB) == pytest.approx(1.001)
-
-
 def test_spec_validation():
     with pytest.raises(ConfigError):
         DeviceSpec(name="x", kind=StorageKind.MEM, capacity=0,

@@ -97,8 +97,6 @@ def test_negative_duration_rejected():
 def test_resource_identity_is_cached():
     tl = Timeline()
     assert tl.resource("gpu") is tl.resource("gpu")
-    assert tl.has_resource("gpu")
-    assert not tl.has_resource("fpga")
 
 
 def test_bad_slot_count_rejected():

@@ -87,7 +87,7 @@ def test_bfs_order_and_leaves():
     ids = [n.node_id for n in tree.nodes()]
     assert ids == [0, 1, 2, 3]
     assert {n.node_id for n in tree.leaves()} == {b.node_id, c.node_id}
-    assert tree.nodes_at_level(1) == [a, b]
+    assert [n for n in tree.nodes() if n.level == 1] == [a, b]
 
 
 def test_path_to_root_and_lca():
