@@ -206,7 +206,7 @@ def fig11_cell(input: str, gpu_queues: int, cpu_threads: int = 4,
                ) -> dict:
     """One Figure 11 point: HotSpot CPU+GPU work stealing vs GPU-only,
     with critical-path attribution of the binding resource."""
-    from repro.core.stealing import StealConfig, simulate, speedup_vs_gpu_only
+    from repro.core.stealing import StealConfig, gpu_only_config, simulate
     from repro.obs.spans import Observer
     from repro.tools.autotune import binding_from_trace
     m, n = _parse_input(input)
@@ -225,7 +225,8 @@ def fig11_cell(input: str, gpu_queues: int, cpu_threads: int = 4,
             "cpu_threads": cfg.cpu_threads,
             "steps_per_chunk": cfg.steps_per_chunk,
             "makespan_s": stats.makespan,
-            "speedup": speedup_vs_gpu_only(cfg),
+            "speedup": simulate(gpu_only_config(cfg)).makespan
+            / stats.makespan,
             "steals": stats.steals,
             "cpu_share": stats.tasks_cpu / stats.tasks_total,
             "binding": binding, "attribution": attribution}
@@ -724,11 +725,10 @@ DIST_APP_CASES = {
     "sort": (_dist_sort, lambda: _small_tree(16, 128)),
 }
 
-#: Worker counts of a projected scaling curve, its modeled network
-#: channel and the partitioning strategy of both distributed sections.
+#: Worker counts of a projected scaling curve and its modeled network
+#: channel.
 DIST_LADDER = (1, 2, 4, 8)
 DIST_CHANNEL = "loopback"
-DIST_STRATEGY = "chunk"
 
 
 def run_dist_app(name: str, *, executor=None, scheduler=None):
@@ -755,7 +755,7 @@ def _dist_equivalence(app: str, workers: int) -> dict:
     makespan and trace shape vs the in-order inline run, or it raises."""
     from repro.dist import DistExecutor, DistributedScheduler, dist_residue
     reference = run_dist_app(app)
-    sched = DistributedScheduler(strategy=DIST_STRATEGY)
+    sched = DistributedScheduler()
     got = run_dist_app(app, executor=DistExecutor(workers=workers),
                        scheduler=sched)
     for what, ref, new in zip(("result bytes", "virtual makespan",
@@ -783,8 +783,7 @@ def _dist_scaling(app: str) -> dict:
     sys_ = System(make_tree())
     try:
         make_app(sys_).run(sys_, scheduler=sched)
-        rows = [project_run(sched.plans, workers=w, channel=channel,
-                            strategy=DIST_STRATEGY).row()
+        rows = [project_run(sched.plans, workers=w, channel=channel).row()
                 for w in DIST_LADDER]
     finally:
         sys_.close()

@@ -11,8 +11,9 @@
 * :mod:`repro.core.program` -- the recursive algorithm template of
   Listing 3 (:class:`NorthupProgram`).
 * :mod:`repro.core.decomposition` -- capacity-driven chunking math.
-* :mod:`repro.core.scheduler` -- per-level task queues and multi-buffer
-  pipelining (Section III-C's multi-stage transfers).
+* :mod:`repro.core.scheduler` -- the executors of a lowered level's
+  task graph, in program order or pipelined (Section III-C's
+  multi-stage transfers); the graph is the level's task queue.
 * :mod:`repro.core.queues` -- work-stealing deques (Section V-E).
 * :mod:`repro.core.stealing` -- the CPU+GPU load-balancing simulation
   behind Figure 11.

@@ -139,8 +139,8 @@ class NorthupProgram(ABC):
         lowering pass can see in their payload handles.  The default,
         1, keeps every level serial -- the eager memory footprint and
         ordering.  Apps that already provision double buffers
-        (``BufferPool`` depth, per-chunk allocation budgeted for two
-        copies) override this to match that depth.
+        (per-chunk allocation budgeted for two copies) override this to
+        match that depth.
         """
         return 1
 
@@ -176,11 +176,11 @@ class NorthupProgram(ABC):
         """One recursion level: compute at a leaf, otherwise lower the
         level into a task graph and step the active scheduler through it.
 
-        Each level anchors a :class:`~repro.core.scheduler.LevelQueue`
-        at its tree node (Listing 1's ``work_queue``): given n chunks, n
-        tasks are enqueued and advanced through queued -> moving ->
-        resident -> computed -> done as the chunk progresses
-        (Section III-C's progress tracking).  How the chunks *execute*
+        Each level anchors its :class:`~repro.plan.lower.LevelPlan` at
+        its tree node (``TreeNode.plan``, Listing 1's ``work_queue``):
+        given n chunks, the plan holds n chunk chains whose node states
+        read as queued -> moving -> resident -> computed -> done as
+        each chunk progresses (Section III-C's progress tracking).  How the chunks *execute*
         -- strictly in order, pipelined, randomised -- is the
         scheduler's choice (:mod:`repro.core.scheduler`); what they
         compute is pinned by the graph's dependency edges

@@ -1,4 +1,4 @@
-"""Per-level task tracking, transfer pipelining, and graph executors.
+"""Graph executors: the pluggable drains of a lowered level.
 
 Section III-C: "We also support task queues to keep track of the
 progress of data movement for individual chunks ... This enables
@@ -6,158 +6,25 @@ multi-stage data transfer and better parallelism.  Whenever the space of
 lower memory levels is freed, more chunks can be scheduled for
 movement."
 
-Four pieces implement that here:
-
-* :class:`LevelQueue` -- a bookkeeping queue of chunk tasks per memory
-  level, recording state transitions (queued -> moving -> resident ->
-  computed -> written-back).  Its counters feed the runtime-overhead
-  measurement and are exported as metrics gauges.
-* :class:`BufferPool` -- N interchangeable buffer *sets* on a node.
-  Acquiring sets round-robin bounds pipelining depth in *virtual time*:
-  a buffer may only be overwritten after its last reader finished
-  (tracked on the handle).
-* The **schedulers** -- pluggable executors of the lowered task graph
-  (:mod:`repro.plan`).  :class:`InOrderScheduler` lowers each level
-  and replays the graph depth-first in program order;
-  :class:`PipelinedScheduler` dispatches ready nodes by stage priority,
-  overlapping chunk k+1's ``move_down`` with chunk k's ``compute``
-  whenever the edges allow.  The graph-free driver they replaced and a
-  seeded random-topological-order executor live in ``tests/reference``
-  as the equivalence suites' oracles.
+The per-level task queue is the lowered graph itself
+(:class:`~repro.plan.lower.LevelPlan`): each chunk's five node states
+say whether it is queued, moving, resident, computed or done
+(:meth:`~repro.plan.lower.LevelPlan.state_counts`), and its
+``window`` edges bound how many chunks hold buffers at once.  The
+**schedulers** here choose the dispatch order.
+:class:`InOrderScheduler` lowers each level and replays the graph
+depth-first in program order; :class:`PipelinedScheduler` dispatches
+ready nodes by stage priority, overlapping chunk k+1's ``move_down``
+with chunk k's ``compute`` whenever the edges allow.  The graph-free
+driver they replaced and a seeded random-topological-order executor
+live in ``tests/reference`` as the equivalence suites' oracles.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Callable
 
-from repro.core.buffers import BufferHandle
-from repro.core.system import System
 from repro.errors import SchedulerError
-from repro.topology.node import TreeNode
-
-
-class TaskState(enum.Enum):
-    QUEUED = "queued"
-    MOVING = "moving"
-    RESIDENT = "resident"
-    COMPUTED = "computed"
-    DONE = "done"
-
-
-_ORDER = [TaskState.QUEUED, TaskState.MOVING, TaskState.RESIDENT,
-          TaskState.COMPUTED, TaskState.DONE]
-
-
-@dataclass
-class ChunkTask:
-    """Progress record of one chunk at one level."""
-
-    chunk: Any
-    state: TaskState = TaskState.QUEUED
-    #: The chunk's transfers are covered by a prefetch plan (the level's
-    #: program supplied hints to the cache's prefetch engine).
-    prefetched: bool = False
-
-    def advance(self, to: TaskState) -> None:
-        if _ORDER.index(to) <= _ORDER.index(self.state):
-            raise SchedulerError(
-                f"task for {self.chunk!r} cannot go {self.state.value} -> "
-                f"{to.value}")
-        self.state = to
-
-    def mark_prefetched(self) -> None:
-        self.prefetched = True
-
-
-@dataclass
-class LevelQueue:
-    """Task queue for one memory level (per-memory-level queue of
-    Section III-C).  Given n chunks at level i, n tasks are enqueued."""
-
-    level: int
-    tasks: list[ChunkTask] = field(default_factory=list)
-
-    def enqueue(self, chunk: Any) -> ChunkTask:
-        task = ChunkTask(chunk=chunk)
-        self.tasks.append(task)
-        return task
-
-    def count(self, state: TaskState) -> int:
-        return sum(1 for t in self.tasks if t.state is state)
-
-    @property
-    def all_done(self) -> bool:
-        return all(t.state is TaskState.DONE for t in self.tasks)
-
-    @property
-    def prefetch_planned(self) -> int:
-        return sum(1 for t in self.tasks if t.prefetched)
-
-    def state_counts(self) -> dict[str, int]:
-        """``state name -> task count`` over every tracked state (the
-        payload of the ``level_queue_state`` metrics gauges)."""
-        counts = dict.fromkeys((s.value for s in _ORDER), 0)
-        for t in self.tasks:
-            counts[t.state.value] += 1
-        return counts
-
-    def progress(self) -> str:
-        return (f"L{self.level}: " + " ".join(
-            f"{s.value}={self.count(s)}" for s in _ORDER))
-
-
-@dataclass
-class BufferPool:
-    """N interchangeable buffer sets on one node.
-
-    ``factory(set_index)`` allocates one set (a dict of named handles).
-    With ``depth >= 2``, consecutive chunks land in different sets, so
-    the load of chunk ``k+1`` overlaps the compute of chunk ``k`` --
-    the paper's multi-stage transfer, expressed as buffer reuse.
-    """
-
-    system: System
-    node: TreeNode
-    depth: int
-    factory: Callable[[int], dict[str, BufferHandle]]
-    _sets: list[dict[str, BufferHandle]] = field(default_factory=list)
-    _next: int = 0
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise SchedulerError(f"pipeline depth must be >= 1, got {self.depth}")
-        for i in range(self.depth):
-            made = self.factory(i)
-            if not isinstance(made, dict) or not all(
-                    isinstance(v, BufferHandle) for v in made.values()):
-                raise SchedulerError(
-                    "BufferPool factory must return a dict of BufferHandles")
-            self._sets.append(made)
-
-    def acquire(self) -> dict[str, BufferHandle]:
-        """The next buffer set in round-robin order."""
-        s = self._sets[self._next % self.depth]
-        self._next += 1
-        self.system.metrics.counter(
-            "buffer_pool_acquires", labels={"node": str(self.node.node_id)},
-            help_text="pipelined buffer-set rotations")
-        return s
-
-    def release_all(self) -> None:
-        for made in self._sets:
-            for handle in made.values():
-                if not handle.released:
-                    self.system.release(handle)
-        self._sets.clear()
-
-    def __enter__(self) -> "BufferPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release_all()
 
 
 # -- graph executors ---------------------------------------------------------

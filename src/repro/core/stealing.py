@@ -19,37 +19,36 @@ Two modelling knobs come straight from the paper's setup:
   SIMD engine is needed to fully utilize GPU hardware"), so 8 or 16
   queues leave it under-occupied -- the Figure 11 finding.
 * **CPU queues are over-weighted.**  Task distribution gives CPU queues
-  a larger share than a naive round-robin, reflecting the
+  :data:`CPU_QUEUE_WEIGHT` times a GPU queue's share, reflecting the
   profiling-guided task-processor mapping of Section III-E; the GPU's
   stealing then corrects any overshoot.  Without the weighting the CPU
   queues drain early and stealing never fires.
+
+Every chunk is fully resident before its tasks run, so the tasks are
+independent: the schedule is a flat list schedule over the queues.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, replace
 
 from repro.core.queues import WorkQueue
-from repro.errors import ConfigError, SchedulerError
+from repro.errors import ConfigError
 from repro.sim.trace import Phase
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.plan.graph import TaskGraph
 
 #: Concurrent workgroups the APU GPU needs for full throughput
 #: (8 SIMD engines x 4 waves, matching GpuProcessor's occupancy model).
 GPU_SATURATION_WORKGROUPS = 32
-
-
-@dataclass(frozen=True)
-class StealTask:
-    """One row-of-blocks task: ``cells`` grid cells of stencil work."""
-
-    row: int
-    cells: int
+#: Task granularity: each task covers this many grid rows of the chunk
+#: (the paper's 16-high workgroup blocks).
+BLOCK_ROWS = 16
+#: Tasks a CPU queue receives per task a GPU queue receives.
+CPU_QUEUE_WEIGHT = 2.0
+#: Bytes per grid cell a chunk load reads (temperature and power) and
+#: a writeback writes (temperature).
+BYTES_PER_CELL_READ = 8
+BYTES_PER_CELL_WRITE = 4
 
 
 @dataclass(frozen=True)
@@ -73,18 +72,9 @@ class StealConfig:
         Aggregate stencil throughputs at full occupancy.
     ssd_read_bw / ssd_write_bw:
         Storage bandwidths; loads and writebacks share one channel.
-    block_rows:
-        Task granularity: each task covers ``block_rows`` grid rows of
-        the chunk (the paper's 16-high workgroup blocks).
     steps_per_chunk:
         Stencil iterations run while a chunk is resident in DRAM; >1 is
         what makes the study compute-bound enough for CPU help to show.
-    cpu_queue_weight:
-        Tasks a CPU queue receives per task a GPU queue receives
-        (profiling-guided oversubscription; GPU stealing corrects
-        overshoot).
-    steal_enabled:
-        Whether GPU workgroups steal from CPU queues.
     """
 
     matrix_dim: int
@@ -95,20 +85,20 @@ class StealConfig:
     cpu_cells_per_s: float
     ssd_read_bw: float
     ssd_write_bw: float
-    block_rows: int = 16
     steps_per_chunk: int = 4
-    cpu_queue_weight: float = 2.0
-    steal_enabled: bool = True
-    bytes_per_cell_read: int = 8
-    bytes_per_cell_write: int = 4
 
     def __post_init__(self) -> None:
+        if self.matrix_dim < 1 or self.chunk_dim < 1:
+            raise ConfigError(
+                f"matrix_dim and chunk_dim must be >= 1, got "
+                f"{self.matrix_dim}x{self.chunk_dim}")
         if self.matrix_dim < self.chunk_dim:
             raise ConfigError("matrix_dim must be >= chunk_dim")
         if self.matrix_dim % self.chunk_dim:
             raise ConfigError("chunk_dim must divide matrix_dim")
-        if self.chunk_dim % self.block_rows:
-            raise ConfigError("block_rows must divide chunk_dim")
+        if self.chunk_dim % BLOCK_ROWS:
+            raise ConfigError(f"chunk_dim must be a multiple of the "
+                              f"{BLOCK_ROWS}-row block")
         if self.gpu_queues < 1:
             raise ConfigError("need at least one GPU queue")
         if self.cpu_threads < 0:
@@ -119,8 +109,6 @@ class StealConfig:
             raise ConfigError("storage bandwidths must be positive")
         if self.steps_per_chunk < 1:
             raise ConfigError("steps_per_chunk must be >= 1")
-        if self.cpu_queue_weight <= 0:
-            raise ConfigError("cpu_queue_weight must be positive")
 
     @property
     def num_chunks(self) -> int:
@@ -129,21 +117,21 @@ class StealConfig:
 
     @property
     def tasks_per_chunk(self) -> int:
-        return (self.chunk_dim // self.block_rows) * self.steps_per_chunk
+        return (self.chunk_dim // BLOCK_ROWS) * self.steps_per_chunk
 
     @property
     def cells_per_task(self) -> int:
-        return self.block_rows * self.chunk_dim
+        return BLOCK_ROWS * self.chunk_dim
 
     @property
     def chunk_load_time(self) -> float:
         cells = self.chunk_dim * self.chunk_dim
-        return cells * self.bytes_per_cell_read / self.ssd_read_bw
+        return cells * BYTES_PER_CELL_READ / self.ssd_read_bw
 
     @property
     def chunk_writeback_time(self) -> float:
         cells = self.chunk_dim * self.chunk_dim
-        return cells * self.bytes_per_cell_write / self.ssd_write_bw
+        return cells * BYTES_PER_CELL_WRITE / self.ssd_write_bw
 
     def gpu_rate_per_workgroup(self) -> float:
         """Sustained cells/s of one resident workgroup.
@@ -188,138 +176,57 @@ class StealStats:
         return self.tasks_gpu + self.tasks_cpu
 
 
-def lower_chunk_graph(cfg: StealConfig) -> "TaskGraph":
-    """Lower one resident chunk's row-of-blocks tasks into a
-    :class:`~repro.plan.graph.TaskGraph` of ``compute`` nodes.
-
-    The paper's chunk is fully resident before any task runs, so the
-    graph is *flat* -- every node is ready at chunk time zero and the
-    stealing policy degenerates to the classic list schedule.  Callers
-    may add edges before simulation (e.g. wavefront dependencies
-    between stencil rows) and the policy respects them.
-    """
-    from repro.plan.graph import COMPUTE, TaskGraph
-
-    graph = TaskGraph()
-    graph.meta["tasks_per_chunk"] = cfg.tasks_per_chunk
-    for t in range(cfg.tasks_per_chunk):
-        node = graph.add_node(COMPUTE, chunk_index=t, label=f"row{t}",
-                              weight=cfg.cells_per_task)
-        node.meta["task"] = StealTask(row=t, cells=cfg.cells_per_task)
-    return graph
-
-
-def _distribute(cfg: StealConfig, gpu_queues: list[WorkQueue],
-                cpu_queues: list[WorkQueue], graph: "TaskGraph") -> None:
-    """Smooth weighted round-robin over the graph's compute nodes: GPU
-    queues weight 1, CPU queues weight ``cpu_queue_weight``.
-    Deterministic.  Distribution ignores readiness -- queues hold the
-    whole chunk's tasks up front, exactly as Listing 1 populates
-    ``work_queue[numQueues]``; readiness gates *popping*, not pushing.
+def _distribute(tasks: int, gpu_queues: list[WorkQueue],
+                cpu_queues: list[WorkQueue]) -> None:
+    """Smooth weighted round-robin of a chunk's task rows: GPU queues
+    weight 1, CPU queues weight :data:`CPU_QUEUE_WEIGHT`.
+    Deterministic.  Queues hold the whole chunk's tasks up front,
+    exactly as Listing 1 populates ``work_queue[numQueues]``.
     """
     queues = gpu_queues + cpu_queues
     weights = ([1.0] * len(gpu_queues)
-               + [cfg.cpu_queue_weight] * len(cpu_queues))
+               + [CPU_QUEUE_WEIGHT] * len(cpu_queues))
     total = sum(weights)
     credits = [0.0] * len(queues)
-    for node in graph.nodes:
+    for row in range(tasks):
         for i, w in enumerate(weights):
             credits[i] += w
         j = max(range(len(queues)), key=lambda i: (credits[i], -i))
         credits[j] -= total
-        queues[j].push(node)
+        queues[j].push(row)
 
 
-def simulate_chunk(cfg: StealConfig, *,
-                   graph: "TaskGraph | None" = None) -> ChunkOutcome:
+def simulate_chunk(cfg: StealConfig) -> ChunkOutcome:
     """List-schedule one resident chunk's tasks over the workers.
 
-    The chunk's tasks are lowered into a task graph (or supplied via
-    ``graph``) and consumed as a DAG policy: workers pop *ready*
-    ``compute`` nodes from their own queue's tail and -- GPU side only,
-    when enabled -- steal ready nodes from the head of the longest CPU
-    queue.  A popped node whose predecessors are still running is
-    restored and the worker retries at the next task-completion time.
-    For the flat graphs :func:`lower_chunk_graph` builds, every node is
-    ready at time zero and the schedule (and every statistic) is
-    identical to the original queue-only policy.  Deterministic: ties
-    break on worker index.
+    Each worker pops from its own queue's tail; a GPU workgroup whose
+    queue is dry steals from the head of the longest CPU queue (ties
+    by name), and a worker with nothing left to take retires.
+    Deterministic: ties break on worker index.
     """
-    if graph is None:
-        graph = lower_chunk_graph(cfg)
-    gpu_queues = [WorkQueue(name=f"gpu-q{i}", owner=f"gpu-wg{i}")
-                  for i in range(cfg.gpu_queues)]
-    cpu_queues = [WorkQueue(name=f"cpu-q{i}", owner=f"cpu-t{i}")
-                  for i in range(cfg.cpu_threads)]
-    _distribute(cfg, gpu_queues, cpu_queues, graph)
+    gpu_queues = [WorkQueue(name=f"gpu-q{i}") for i in range(cfg.gpu_queues)]
+    cpu_queues = [WorkQueue(name=f"cpu-q{i}") for i in range(cfg.cpu_threads)]
+    _distribute(cfg.tasks_per_chunk, gpu_queues, cpu_queues)
 
     outcome = ChunkOutcome(duration=0.0, tasks_gpu=0, tasks_cpu=0,
                            steals=0, gpu_busy=0.0, cpu_busy=0.0)
-
-    def take(kind: str, own: WorkQueue):
-        # Pop from the own tail, skipping (and restoring) nodes whose
-        # predecessors haven't finished.
-        deferred = []
-        node = None
-        while True:
-            cand = own.pop()
-            if cand is None:
-                break
-            if graph.is_ready(cand):
-                node = cand
-                break
-            deferred.append(cand)
-        for d in reversed(deferred):
-            own.restore(d)
-        if node is not None:
-            return node
-        if kind == "gpu" and cfg.steal_enabled:
-            victims = sorted((q for q in cpu_queues if not q.empty),
-                             key=lambda q: (-len(q), q.name))
-            for victim in victims:
-                stolen = victim.steal()
-                if stolen is None:
-                    continue
-                if graph.is_ready(stolen):
-                    outcome.steals += 1
-                    return stolen
-                victim.restore(stolen, head=True)
-        return None
-
-    # (free_time, index, kind, rate, own_queue, finishing_node) --
-    # index breaks ties before the non-comparable payload fields.
-    heap: list = []
-    idx = 0
-    for q in gpu_queues:
-        heapq.heappush(heap, (0.0, idx, "gpu", cfg.gpu_rate_per_workgroup(),
-                              q, None))
-        idx += 1
-    for q in cpu_queues:
-        heapq.heappush(heap, (0.0, idx, "cpu", cfg.cpu_rate_per_thread(),
-                              q, None))
-        idx += 1
-
-    # Workers whose reachable queues hold only blocked nodes; readiness
-    # changes exactly at task completions, so they re-enter the heap at
-    # the next completion time.
-    starved: list = []
+    cells = cfg.cells_per_task
+    # (free_time, index, kind, rate, own_queue) -- index breaks ties
+    # before the non-comparable payload fields.
+    heap = [(0.0, i, "gpu", cfg.gpu_rate_per_workgroup(), q)
+            for i, q in enumerate(gpu_queues)]
+    heap += [(0.0, len(heap) + i, "cpu", cfg.cpu_rate_per_thread(), q)
+             for i, q in enumerate(cpu_queues)]
+    heapq.heapify(heap)
     while heap:
-        now, i, kind, rate, own, finishing = heapq.heappop(heap)
-        if finishing is not None:
-            graph.mark_done(finishing)
-            for si, skind, srate, sown in starved:
-                heapq.heappush(heap, (now, si, skind, srate, sown, None))
-            starved.clear()
-        node = take(kind, own)
-        if node is None:
-            if own.empty and (kind != "gpu" or not cfg.steal_enabled
-                              or all(q.empty for q in cpu_queues)):
+        now, i, kind, rate, own = heapq.heappop(heap)
+        if own.pop() is None:
+            victims = [q for q in cpu_queues if not q.empty]
+            if kind != "gpu" or not victims:
                 continue  # worker retires; no reachable work remains
-            starved.append((i, kind, rate, own))
-            continue
-        graph.mark_running(node)
-        task: StealTask = node.meta["task"]
-        duration = task.cells / rate
+            min(victims, key=lambda q: (-len(q), q.name)).steal()
+            outcome.steals += 1
+        duration = cells / rate
         end = now + duration
         if kind == "gpu":
             outcome.tasks_gpu += 1
@@ -328,15 +235,7 @@ def simulate_chunk(cfg: StealConfig, *,
             outcome.tasks_cpu += 1
             outcome.cpu_busy += duration
         outcome.duration = max(outcome.duration, end)
-        heapq.heappush(heap, (end, i, kind, rate, own, node))
-
-    if not graph.complete:
-        raise SchedulerError(
-            f"stealing graph stalled with {graph.remaining} nodes "
-            "unexecuted (dependency cycle, or every owner of a blocked "
-            "node retired)")
-    leftover = sum(len(q) for q in gpu_queues + cpu_queues)
-    assert leftover == 0, "every queue has an owner; nothing can strand"
+        heapq.heappush(heap, (end, i, kind, rate, own))
     return outcome
 
 
@@ -361,8 +260,8 @@ def simulate(cfg: StealConfig, *, observer=None) -> StealStats:
     n = cfg.num_chunks
     t_load, t_wb = cfg.chunk_load_time, cfg.chunk_writeback_time
     trace = observer.trace if observer is not None else None
-    load_bytes = cfg.chunk_dim * cfg.chunk_dim * cfg.bytes_per_cell_read
-    wb_bytes = cfg.chunk_dim * cfg.chunk_dim * cfg.bytes_per_cell_write
+    load_bytes = cfg.chunk_dim * cfg.chunk_dim * BYTES_PER_CELL_READ
+    wb_bytes = cfg.chunk_dim * cfg.chunk_dim * BYTES_PER_CELL_WRITE
     chunk_span_ids: list[int] = []
 
     chan_free = 0.0
@@ -423,21 +322,5 @@ def simulate(cfg: StealConfig, *, observer=None) -> StealStats:
 
 def gpu_only_config(cfg: StealConfig) -> StealConfig:
     """The Figure 11 baseline: plain Northup execution with a fully
-    occupied GPU and no CPU queues."""
-    return StealConfig(
-        matrix_dim=cfg.matrix_dim, chunk_dim=cfg.chunk_dim,
-        gpu_queues=GPU_SATURATION_WORKGROUPS, cpu_threads=0,
-        gpu_cells_per_s=cfg.gpu_cells_per_s,
-        cpu_cells_per_s=cfg.cpu_cells_per_s,
-        ssd_read_bw=cfg.ssd_read_bw, ssd_write_bw=cfg.ssd_write_bw,
-        block_rows=cfg.block_rows, steps_per_chunk=cfg.steps_per_chunk,
-        cpu_queue_weight=cfg.cpu_queue_weight, steal_enabled=False,
-        bytes_per_cell_read=cfg.bytes_per_cell_read,
-        bytes_per_cell_write=cfg.bytes_per_cell_write)
-
-
-def speedup_vs_gpu_only(cfg: StealConfig) -> float:
-    """Figure 11's metric: makespan improvement over GPU-only Northup."""
-    baseline = simulate(gpu_only_config(cfg))
-    result = simulate(cfg)
-    return baseline.makespan / result.makespan
+    occupied GPU and no CPU queues (so nothing to steal)."""
+    return replace(cfg, gpu_queues=GPU_SATURATION_WORKGROUPS, cpu_threads=0)

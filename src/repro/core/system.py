@@ -1276,23 +1276,17 @@ class System:
                 reg.gauge("array_pool_dropped", pool.dropped, labels=labels)
                 reg.gauge("array_pool_held_bytes", pool.held_bytes,
                           labels=labels)
-            for queue in node.work_queues:
-                qlabels = {"node": str(node.node_id)}
-                if hasattr(queue, "pushes"):          # WorkQueue
-                    qlabels["queue"] = queue.name
-                    reg.gauge("queue_pushes", queue.pushes, labels=qlabels)
-                    reg.gauge("queue_pops", queue.pops, labels=qlabels)
-                    reg.gauge("queue_steals_suffered",
-                              queue.steals_suffered, labels=qlabels)
-                elif hasattr(queue, "tasks"):         # LevelQueue
-                    qlabels["level"] = str(queue.level)
-                    reg.gauge("level_queue_tasks", len(queue.tasks),
-                              labels=qlabels)
-                    reg.gauge("level_queue_prefetch_planned",
-                              queue.prefetch_planned, labels=qlabels)
-                    for state, count in queue.state_counts().items():
-                        reg.gauge("level_queue_state", count,
-                                  labels=dict(qlabels, state=state))
+            plan = node.plan
+            if plan is not None:
+                qlabels = {"node": str(node.node_id),
+                           "level": str(plan.graph.level)}
+                reg.gauge("level_queue_tasks", len(plan.records),
+                          labels=qlabels)
+                reg.gauge("level_queue_prefetch_planned",
+                          plan.prefetch_planned, labels=qlabels)
+                for state, count in plan.state_counts().items():
+                    reg.gauge("level_queue_state", count,
+                              labels=dict(qlabels, state=state))
 
     def makespan(self) -> float:
         """End-to-end virtual time of everything charged so far.

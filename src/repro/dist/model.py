@@ -48,7 +48,6 @@ class DistProjection:
     """Projected distributed execution of one level plan."""
 
     workers: int
-    strategy: str
     makespan_s: float
     #: Serial sum of measured node costs (the workers=1 makespan).
     serial_s: float
@@ -67,7 +66,7 @@ class DistProjection:
         """Bench-JSON row for one worker count."""
         return {
             "workers": self.workers,
-            "strategy": self.strategy,
+            "strategy": "chunk",
             "makespan_s": self.makespan_s,
             "speedup": round(self.speedup, 4),
             "net_s": round(self.net_seconds, 9),
@@ -95,15 +94,14 @@ def _node_costs(plan) -> list[float]:
     return costs
 
 
-def project_plan(plan, *, workers: int, channel=None,
-                 strategy: str = "chunk") -> DistProjection:
+def project_plan(plan, *, workers: int, channel=None) -> DistProjection:
     """Project ``plan``'s graph onto ``workers`` lanes; see module doc.
 
     The plan must have been drained (node interval windows stamped) --
     run the app first, e.g. under ``InOrderScheduler(keep_plans=True)``.
     """
     graph = plan.graph
-    parts = partition_graph(graph, workers, strategy=strategy)
+    parts = partition_graph(graph, workers)
     costs = _node_costs(plan)
     serial = sum(costs)
     lane_free = [0.0] * workers
@@ -149,14 +147,13 @@ def project_plan(plan, *, workers: int, channel=None,
         finish[node.node_id] = end
     makespan = max([0.0, *finish.values(), *tx_free])
     return DistProjection(
-        workers=workers, strategy=parts.strategy, makespan_s=makespan,
+        workers=workers, makespan_s=makespan,
         serial_s=serial, lane_busy_s=[round(c, 12) for c in lane_busy],
         shipments=shipments, shipped_bytes=shipped,
         net_seconds=net_seconds, boundary_edges=len(parts.boundary))
 
 
-def project_run(plans, *, workers: int, channel=None,
-                strategy: str = "chunk") -> DistProjection:
+def project_run(plans, *, workers: int, channel=None) -> DistProjection:
     """Aggregate projection over a whole run's top-level plans.
 
     An app may drain several top-level levels in sequence (retained via
@@ -169,14 +166,14 @@ def project_run(plans, *, workers: int, channel=None,
     if not tops:
         raise ValueError("no top-level plans to project; run the app "
                          "under a scheduler with keep_plans=True first")
-    projs = [project_plan(p, workers=workers, channel=channel,
-                          strategy=strategy) for p in tops]
+    projs = [project_plan(p, workers=workers, channel=channel)
+             for p in tops]
     lanes = [0.0] * workers
     for pr in projs:
         for i, busy in enumerate(pr.lane_busy_s):
             lanes[i] += busy
     return DistProjection(
-        workers=workers, strategy=projs[0].strategy,
+        workers=workers,
         makespan_s=sum(p.makespan_s for p in projs),
         serial_s=sum(p.serial_s for p in projs),
         lane_busy_s=[round(c, 12) for c in lanes],

@@ -3,7 +3,8 @@ processes over a modeled network level.
 
 :class:`DistributedScheduler` is a drop-in level executor
 (:mod:`repro.core.scheduler`): it partitions each lowered top-level
-graph (:func:`repro.plan.partition.partition_graph`), pins the
+graph into contiguous chunk ranges
+(:func:`repro.plan.partition.partition_graph`), pins the
 system's :class:`~repro.dist.executor.DistExecutor` to a node's
 partition before dispatching it -- so every partition's *physical*
 kernels, including nested levels lowered inside its compute nodes, run
@@ -48,10 +49,6 @@ class DistributedScheduler(Scheduler):
     workers:
         Partition count; defaults to the system executor's worker
         count at drain time.
-    strategy:
-        ``"chunk"`` (contiguous chunk ranges) or ``"tree"`` (one
-        partition per device subtree, falling back to chunk ranges on
-        single-subtree levels).
     network:
         A :class:`~repro.memory.network.NetworkChannel` to charge
         boundary shipments on; ``None`` (default) reads the tree's
@@ -59,12 +56,10 @@ class DistributedScheduler(Scheduler):
         level disabled -- the bit-identical mode.
     """
 
-    def __init__(self, *, workers: int | None = None,
-                 strategy: str = "chunk", network=None,
+    def __init__(self, *, workers: int | None = None, network=None,
                  keep_plans: bool = False) -> None:
         super().__init__(keep_plans=keep_plans)
         self.workers = workers
-        self.strategy = strategy
         self.network = network
         #: Partitioning of every drained top-level graph, in order.
         self.partitionings: list = []
@@ -82,11 +77,11 @@ class DistributedScheduler(Scheduler):
         ex = system.executor
         graph = plan.graph
         workers = self.workers or ex.workers
-        parts = partition_graph(graph, workers, strategy=self.strategy)
+        parts = partition_graph(graph, workers)
         self.partitionings.append(parts)
         graph.meta["partitioning"] = parts.stats()
         plan.divide_span.annotate("dist_partitions", parts.workers)
-        plan.divide_span.annotate("dist_strategy", parts.strategy)
+        plan.divide_span.annotate("dist_strategy", "chunk")
         plan.divide_span.annotate("dist_boundary_edges",
                                   len(parts.boundary))
         network = self.network

@@ -90,12 +90,11 @@ class TaskNode:
 
     __slots__ = ("node_id", "kind", "chunk_index", "level", "tree_node",
                  "label", "thunk", "preds", "succs", "unmet", "state",
-                 "span_id", "first_interval", "end_interval", "meta",
-                 "weight")
+                 "span_id", "first_interval", "end_interval", "meta")
 
     def __init__(self, node_id: int, kind: str, *, chunk_index: int = -1,
-                 level: int = -1, tree_node: int = -1, label: str = "",
-                 weight: int = 0) -> None:
+                 level: int = -1, tree_node: int = -1,
+                 label: str = "") -> None:
         if kind not in NODE_KINDS:
             raise SchedulerError(
                 f"unknown task-node kind {kind!r}; expected one of "
@@ -106,8 +105,6 @@ class TaskNode:
         self.level = level
         self.tree_node = tree_node
         self.label = label
-        #: Scheduling weight (e.g. cells for stealing policies).
-        self.weight = weight
         #: Zero-argument body; may return an iterator of scheduling
         #: steps (a ``compute`` node draining a nested level).
         self.thunk: Callable[[], Any] | None = None
@@ -161,11 +158,9 @@ class TaskGraph:
     # -- construction ------------------------------------------------------
 
     def add_node(self, kind: str, *, chunk_index: int = -1,
-                 tree_node: int = -1, label: str = "",
-                 weight: int = 0) -> TaskNode:
+                 tree_node: int = -1, label: str = "") -> TaskNode:
         node = TaskNode(len(self.nodes), kind, chunk_index=chunk_index,
-                        level=self.level, tree_node=tree_node, label=label,
-                        weight=weight)
+                        level=self.level, tree_node=tree_node, label=label)
         self.nodes.append(node)
         self._ready.append(node.node_id)    # ids only grow: stays sorted
         return node

@@ -1,13 +1,15 @@
 """Lowering: record one level of the Listing-3 recursion as a graph.
 
 :func:`lower_level` performs the *control* half of what the eager
-driver used to do inline -- open the level's ``divide`` span, anchor
-the :class:`~repro.core.scheduler.LevelQueue`, decompose, enqueue, and
-hand the program's fetch hints to the read-ahead and the cache -- and
-then, instead of executing the per-chunk hooks, records them as
-:class:`~repro.plan.graph.TaskNode` thunks wired with explicit
-dependency edges.  The returned :class:`LevelPlan` is what a scheduler
-executes.
+driver used to do inline -- open the level's ``divide`` span,
+decompose, enqueue, and hand the program's fetch hints to the
+read-ahead and the cache -- and then, instead of executing the
+per-chunk hooks, records them as :class:`~repro.plan.graph.TaskNode`
+thunks wired with explicit dependency edges.  The returned
+:class:`LevelPlan` is what a scheduler executes, and it is the level's
+task queue (Section III-C, Listing 1's ``work_queue``): it is anchored
+at its tree node (``TreeNode.plan``) and each chunk's progress state
+is read off its nodes' states (:meth:`LevelPlan.state_counts`).
 
 Lowering is *lazy and hierarchical* (the HPVM shape): a ``compute``
 node for a non-leaf child does not expand the child level up front --
@@ -47,14 +49,20 @@ from repro.plan.graph import (BUFFER, CHAIN, COMBINE, COMPUTE, MOVE_DOWN,
                               TaskNode, collect_handles, overlapping_handles)
 
 
+#: A chunk's progress state once each stage has finished, latest stage
+#: first; a chunk none of whose stages finished is ``queued``.
+_PROGRESS = ((COMBINE, "done"), (COMPUTE, "computed"),
+             (MOVE_DOWN, "resident"), (SETUP, "moving"))
+CHUNK_STATES = ("queued", "moving", "resident", "computed", "done")
+
+
 class _ChunkRecord:
     """Execution-time state of one chunk shared by its five thunks."""
 
-    __slots__ = ("chunk", "task", "child", "child_ctx", "handles", "nodes")
+    __slots__ = ("chunk", "child", "child_ctx", "handles", "nodes")
 
-    def __init__(self, chunk: Any, task, child) -> None:
+    def __init__(self, chunk: Any, child) -> None:
         self.chunk = chunk
-        self.task = task
         self.child = child
         self.child_ctx = None
         self.handles: list | None = None
@@ -74,16 +82,30 @@ class LevelPlan:
     """
 
     def __init__(self, program, ctx, graph: TaskGraph, divide_span,
-                 queue, records: list[_ChunkRecord]) -> None:
+                 records: list[_ChunkRecord]) -> None:
         self.program = program
         self.ctx = ctx
         self.graph = graph
         self.divide_span = divide_span
-        self.queue = queue
         self.records = records
+        #: Chunks whose transfers a prefetch plan covers (all or none).
+        self.prefetch_planned = 0
         #: Chunks whose setup produced buffers and whose combine has not
         #: run: the only ones a later chunk can have a hazard with.
         self.holding: list[_ChunkRecord] = []
+
+    def state_counts(self) -> dict[str, int]:
+        """``state -> chunk count`` over :data:`CHUNK_STATES`: a chunk
+        is ``moving`` once its setup finished, then ``resident``,
+        ``computed`` and ``done`` as its move_down, compute and combine
+        finish (the ``level_queue_state`` metrics gauges)."""
+        counts = dict.fromkeys(CHUNK_STATES, 0)
+        for rec in self.records:
+            nodes = rec.nodes
+            state = next((state for kind, state in _PROGRESS
+                          if nodes[kind].executed), "queued")
+            counts[state] += 1
+        return counts
 
     def execute(self, node: TaskNode):
         """Dispatch one node: dependency check, thunk, bookkeeping."""
@@ -128,18 +150,12 @@ def lower_level(program, ctx, *, window=1) -> LevelPlan:
     callable ``window`` is invoked with the decomposed chunk list
     (window policies usually depend on how many chunks a level has).
     """
-    from repro.core.scheduler import LevelQueue
-
     system = ctx.system
     obs = system.obs
     divide_span = obs.open("divide", node_id=ctx.node.node_id)
     try:
-        queue = LevelQueue(level=ctx.node.level)
-        ctx.node.work_queues = [queue]
-        ctx.scratch["level_queue"] = queue
         chunks = list(program.decompose(ctx))
-        tasks = [queue.enqueue(chunk) for chunk in chunks]
-        system.charge_runtime(len(tasks), label="enqueue tasks")
+        system.charge_runtime(len(chunks), label="enqueue tasks")
         divide_span.annotate("chunks", len(chunks))
         # Which compute backend the level's kernels dispatch through
         # (plan inspection / trace analysis reads it off the span).
@@ -152,15 +168,16 @@ def lower_level(program, ctx, *, window=1) -> LevelPlan:
             raise SchedulerError(f"pipeline window must be >= 1, got {window}")
         graph.meta["window"] = window
         records: list[_ChunkRecord] = []
-        plan = LevelPlan(program, ctx, graph, divide_span, queue, records)
+        plan = LevelPlan(program, ctx, graph, divide_span, records)
+        ctx.node.plan = plan
 
-        for index, (chunk, task) in enumerate(zip(chunks, tasks)):
+        for index, chunk in enumerate(chunks):
             child = program.select_child(ctx, chunk)
             if child.parent is not ctx.node:
                 raise SchedulerError(
                     f"select_child returned node {child.node_id}, not a "
                     f"child of {ctx.node.node_id}")
-            rec = _ChunkRecord(chunk, task, child)
+            rec = _ChunkRecord(chunk, child)
             records.append(rec)
             label = repr(chunk)
             setup = graph.add_node(SETUP, chunk_index=index,
@@ -206,8 +223,7 @@ def lower_level(program, ctx, *, window=1) -> LevelPlan:
                                                               graph)
                 if planned:
                     system.charge_runtime(1, label="prefetch plan")
-                    for task in tasks:
-                        task.mark_prefetched()
+                    plan.prefetch_planned = len(chunks)
                     divide_span.annotate("prefetch_planned", planned)
         return plan
     except BaseException:
@@ -220,13 +236,12 @@ def _install_thunks(plan: LevelPlan, rec: _ChunkRecord) -> None:
     """Install the five executable bodies for one chunk.
 
     Each thunk is the corresponding slice of the old eager loop --
-    identical hook calls, spans, task-state transitions and therefore
-    identical timeline charges.
+    identical hook calls and spans, and therefore identical timeline
+    charges.
     """
     program, ctx = plan.program, plan.ctx
     obs = ctx.system.obs
     graph = plan.graph
-    from repro.core.scheduler import TaskState
 
     nodes = rec.nodes
     child = rec.child
@@ -240,7 +255,6 @@ def _install_thunks(plan: LevelPlan, rec: _ChunkRecord) -> None:
         finally:
             obs.close(span)
         nodes[SETUP].span_id = span.span_id
-        rec.task.advance(TaskState.MOVING)
         # Buffer hazards: this chunk's windows vs every earlier chunk
         # still holding buffers.  Physical byte movement is eager at
         # dispatch, so an overlap means our move_down must wait for the
@@ -265,7 +279,6 @@ def _install_thunks(plan: LevelPlan, rec: _ChunkRecord) -> None:
         finally:
             obs.close(span)
         nodes[MOVE_DOWN].span_id = span.span_id
-        rec.task.advance(TaskState.RESIDENT)
 
     def compute_thunk():
         # The first span recurse opens (leaf "compute" or nested
@@ -274,7 +287,6 @@ def _install_thunks(plan: LevelPlan, rec: _ChunkRecord) -> None:
         yield from program.recurse(rec.child_ctx)
         if next_span is not None and len(obs.spans) > next_span:
             nodes[COMPUTE].span_id = next_span
-        rec.task.advance(TaskState.COMPUTED)
 
     def move_up_thunk() -> None:
         span = obs.open("move_up", node_id=child.node_id)
@@ -291,7 +303,6 @@ def _install_thunks(plan: LevelPlan, rec: _ChunkRecord) -> None:
         finally:
             obs.close(span)
         nodes[COMBINE].span_id = span.span_id
-        rec.task.advance(TaskState.DONE)
 
     nodes[SETUP].thunk = setup_thunk
     nodes[MOVE_DOWN].thunk = move_down_thunk

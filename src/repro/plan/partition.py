@@ -8,21 +8,12 @@ message-passing shipments over the modeled network level
 *static* half of that: deciding which node belongs to which partition,
 and planning which edges become boundary shipments.
 
-Two strategies, matching ROADMAP item 1's "one worker per subtree of
-the device topology, or per chunk range":
-
-* ``chunk`` -- contiguous chunk-index ranges, balanced by node weight
-  (falling back to node count when the lowering recorded no weights).
-  Every node of a chunk lands in one partition, so the only
-  cross-partition edges are the inter-chunk ones (``queue`` folds,
-  ``buffer`` hazards, ``window`` caps) -- exactly the ``move_up`` /
-  ``combine`` handoffs the network must carry.
-* ``tree`` -- group chunks by the device subtree their child node
-  belongs to (multi-branch topologies spreading chunks via
-  ``select_child``), assigning distinct subtrees round-robin to
-  workers.  When the level fans into a single subtree -- the common
-  apu shape -- there is nothing to split by and the strategy falls
-  back to ``chunk`` ranges.
+Partitions are contiguous chunk-index ranges of roughly equal chunk
+count.  Every node of a chunk lands in one partition, so the only
+cross-partition edges are the inter-chunk ones (``queue`` folds,
+``buffer`` hazards, ``window`` caps) -- exactly the ``move_up`` /
+``combine`` handoffs the network must carry.  Rows and span
+annotations name this strategy ``"chunk"``.
 
 Boundary edges recorded here are the *static* plan (``describe
 --dist`` and the bench read them); ``buffer`` hazards are discovered
@@ -36,9 +27,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import SchedulerError
 from repro.plan.graph import TaskGraph, TaskNode
-
-PARTITION_STRATEGIES = ("chunk", "tree")
-
 
 @dataclass(frozen=True)
 class BoundaryEdge:
@@ -57,7 +45,6 @@ class Partitioning:
     """The assignment of one task graph to N workers."""
 
     workers: int
-    strategy: str
     #: node_id -> partition index, dense over ``graph.nodes``.
     assignment: list[int]
     boundary: list[BoundaryEdge] = field(default_factory=list)
@@ -80,41 +67,30 @@ class Partitioning:
             by_kind[e.kind] = by_kind.get(e.kind, 0) + 1
         return {
             "workers": self.workers,
-            "strategy": self.strategy,
+            "strategy": "chunk",
             "nodes_per_partition": self.counts(),
             "boundary_edges": len(self.boundary),
             "boundary_by_kind": by_kind,
         }
 
 
-def _chunk_weights(graph: TaskGraph) -> dict[int, int]:
-    """Total scheduling weight per chunk index (>= 1 each, so a level
-    whose lowering recorded no weights still balances by node count)."""
-    weights: dict[int, int] = {}
-    for node in graph.nodes:
-        weights[node.chunk_index] = \
-            weights.get(node.chunk_index, 0) + max(0, node.weight)
-    return {c: max(1, w) for c, w in weights.items()}
-
-
-def _contiguous_ranges(chunks: list[int], weights: dict[int, int],
-                       workers: int) -> dict[int, int]:
+def _contiguous_ranges(chunks: list[int], workers: int) -> dict[int, int]:
     """Split ``chunks`` (sorted) into ``workers`` contiguous ranges of
-    roughly equal total weight; returns chunk -> partition.
+    roughly equal length; returns chunk -> partition.
 
-    Deterministic greedy sweep: a range closes once the running total
+    Deterministic greedy sweep: a range closes once the running count
     reaches the next ideal boundary, while always leaving at least one
     chunk for each remaining partition (no empty middle partitions when
     there are enough chunks to go around).
     """
-    total = sum(weights[c] for c in chunks)
+    total = len(chunks)
     assign: dict[int, int] = {}
     part = 0
     acc = 0.0
     remaining = len(chunks)
     for c in chunks:
         assign[c] = part
-        acc += weights[c]
+        acc += 1
         remaining -= 1
         boundary = total * (part + 1) / workers
         must_close = remaining == (workers - 1 - part)
@@ -124,61 +100,21 @@ def _contiguous_ranges(chunks: list[int], weights: dict[int, int],
     return assign
 
 
-def _chunk_partition(graph: TaskGraph, workers: int) -> list[int]:
-    weights = _chunk_weights(graph)
-    chunks = sorted(weights)
-    by_chunk = _contiguous_ranges(chunks, weights, workers)
-    return [by_chunk[n.chunk_index] for n in graph.nodes]
-
-
-def _tree_partition(graph: TaskGraph, workers: int) -> list[int] | None:
-    """Group chunks by the child subtree their stages target; ``None``
-    when the level fans into fewer than two subtrees (nothing to split
-    by -- the caller falls back to chunk ranges)."""
-    subtree_of_chunk: dict[int, int] = {}
-    for node in graph.nodes:
-        # Combine nodes sit on the parent; any other stage names the
-        # child subtree the chunk descends into.
-        if node.kind != "combine" and node.chunk_index >= 0:
-            subtree_of_chunk.setdefault(node.chunk_index, node.tree_node)
-    distinct = sorted(set(subtree_of_chunk.values()))
-    if len(distinct) < 2:
-        return None
-    part_of_subtree = {t: i % workers for i, t in enumerate(distinct)}
-    return [part_of_subtree[subtree_of_chunk[n.chunk_index]]
-            for n in graph.nodes]
-
-
-def partition_graph(graph: TaskGraph, workers: int, *,
-                    strategy: str = "chunk") -> Partitioning:
+def partition_graph(graph: TaskGraph, workers: int) -> Partitioning:
     """Assign every node of ``graph`` to one of ``workers`` partitions.
 
-    Both strategies keep a chunk's whole stage chain (setup ->
-    move_down -> compute -> move_up -> combine) inside one partition:
-    ``chain`` edges never cross a boundary, so every shipment carries
-    an inter-chunk dependency -- the deterministic fold order
-    (``queue``), a buffer hazard (``buffer``) or an in-flight cap
-    (``window``).
+    A chunk's whole stage chain (setup -> move_down -> compute ->
+    move_up -> combine) stays inside one partition: ``chain`` edges
+    never cross a boundary, so every shipment carries an inter-chunk
+    dependency -- the deterministic fold order (``queue``), a buffer
+    hazard (``buffer``) or an in-flight cap (``window``).
     """
-    if strategy not in PARTITION_STRATEGIES:
-        raise SchedulerError(
-            f"unknown partition strategy {strategy!r}; known: "
-            f"{PARTITION_STRATEGIES}")
     if workers < 1:
         raise SchedulerError(f"partition workers must be >= 1, got {workers}")
-    if not graph.nodes:
-        return Partitioning(workers=workers, strategy=strategy,
-                            assignment=[])
-    used = strategy
-    assignment = None
-    if strategy == "tree":
-        assignment = _tree_partition(graph, workers)
-        if assignment is None:
-            used = "chunk"      # single-subtree level: fall back
-    if assignment is None:
-        assignment = _chunk_partition(graph, workers)
-    parts = Partitioning(workers=workers, strategy=used,
-                         assignment=assignment)
+    by_chunk = _contiguous_ranges(
+        sorted({n.chunk_index for n in graph.nodes}), workers)
+    assignment = [by_chunk[n.chunk_index] for n in graph.nodes]
+    parts = Partitioning(workers=workers, assignment=assignment)
     for src, dst, kind in graph.edges():
         sp, dp = assignment[src.node_id], assignment[dst.node_id]
         if sp != dp:

@@ -182,51 +182,35 @@ class _Slot:
 
 
 class Resource:
-    """A virtual resource with one or more identical slots.
+    """A virtual resource: one serially-occupied lane.
 
     Parameters
     ----------
     name:
         Unique human-readable identifier; appears in trace intervals.
-    slots:
-        Operations the resource can run concurrently.  Most resources
-        are ``slots=1``; a multi-queue device may use more.
     slot_cls:
-        Slot implementation; defaults to the indexed :class:`_Slot`.
+        Lane implementation; defaults to the indexed :class:`_Slot`.
         The equivalence suite passes the retained naive reference.
     """
 
-    __slots__ = ("name", "slots", "_slots", "_slot_cls")
+    __slots__ = ("name", "_slot", "_slot_cls")
 
-    def __init__(self, name: str, slots: int = 1, *,
-                 slot_cls: type = _Slot) -> None:
-        if slots < 1:
-            raise SimulationError(f"resource {name!r} needs >= 1 slot, got {slots}")
+    def __init__(self, name: str, *, slot_cls: type = _Slot) -> None:
         self.name = name
-        self.slots = slots
         self._slot_cls = slot_cls
-        self._slots = [slot_cls() for _ in range(slots)]
+        self._slot = slot_cls()
 
     def earliest_start(self, ready: float, duration: float = 0.0) -> float:
         """Earliest time an operation ready at ``ready`` could begin."""
-        slots = self._slots
-        if len(slots) == 1:
-            return slots[0].earliest_gap(ready, duration)
-        return min(s.earliest_gap(ready, duration) for s in slots)
+        return self._slot.earliest_gap(ready, duration)
 
     def reserve(self, ready: float, duration: float) -> float:
         """Book the earliest feasible interval; returns its start."""
         if duration < 0:
             raise SimulationError(f"negative duration {duration} on {self.name!r}")
-        slots = self._slots
-        # First slot with the minimal start wins (matches min()'s
-        # first-minimum tie-break on the naive path).
-        best_slot, start = slots[0], slots[0].earliest_gap(ready, duration)
-        for s in slots[1:]:
-            cand = s.earliest_gap(ready, duration)
-            if cand < start:
-                best_slot, start = s, cand
-        best_slot.occupy(start, duration)
+        slot = self._slot
+        start = slot.earliest_gap(ready, duration)
+        slot.occupy(start, duration)
         return start
 
     def occupy_at(self, start: float, duration: float) -> None:
@@ -234,28 +218,27 @@ class Resource:
         after a common start has been negotiated)."""
         if duration < 0:
             raise SimulationError(f"negative duration {duration} on {self.name!r}")
-        for slot in self._slots:
-            if slot.earliest_gap(start, duration) <= start + _EPS:
-                slot.occupy(start, duration)
-                return
-        raise SimulationError(
-            f"resource {self.name!r} has no free slot at t={start}")
+        slot = self._slot
+        if slot.earliest_gap(start, duration) > start + _EPS:
+            raise SimulationError(
+                f"resource {self.name!r} is not free at t={start}")
+        slot.occupy(start, duration)
 
     @property
     def booked(self) -> int:
-        """Total bookings across all slots (charge_path's pass bound)."""
-        return sum(s.booked for s in self._slots)
+        """Bookings on the lane (charge_path's pass bound)."""
+        return self._slot.booked
 
     @property
     def free_at(self) -> float:
-        """Time at which at least one slot has no further bookings."""
-        return min(s.free_at for s in self._slots)
+        """Time after which the lane has no further bookings."""
+        return self._slot.free_at
 
     def reset(self) -> None:
-        self._slots = [self._slot_cls() for _ in range(self.slots)]
+        self._slot = self._slot_cls()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Resource({self.name!r}, slots={self.slots}, free_at={self.free_at})"
+        return f"Resource({self.name!r}, free_at={self.free_at})"
 
 
 @dataclass
@@ -297,25 +280,12 @@ class Timeline:
     #: backfill cannot place a job's operations before the job existed.
     floor: float = 0.0
 
-    def resource(self, name: str, slots: int | None = None) -> Resource:
-        """Fetch (creating on first use) the resource called ``name``.
-
-        ``slots`` may be omitted to fetch whatever is registered (new
-        resources default to one slot).  Passing a ``slots`` count that
-        conflicts with an existing registration raises
-        :class:`~repro.errors.SimulationError` -- silently returning a
-        resource with a different concurrency would corrupt schedules.
-        """
+    def resource(self, name: str) -> Resource:
+        """Fetch (creating on first use) the resource called ``name``."""
         res = self._resources.get(name)
         if res is None:
-            res = Resource(name, 1 if slots is None else slots,
-                           slot_cls=self.slot_cls)
+            res = Resource(name, slot_cls=self.slot_cls)
             self._resources[name] = res
-        elif slots is not None and slots != res.slots:
-            raise SimulationError(
-                f"resource {name!r} already registered with "
-                f"{res.slots} slot(s); conflicting re-registration "
-                f"with slots={slots}")
         return res
 
     def charge(self, resource: str | Resource, duration: float,
@@ -428,8 +398,8 @@ class Timeline:
 
         Used for transfers that hold both endpoints (e.g. a DMA from the
         SSD into DRAM holds the SSD read channel and the memory bus).
-        The start time is negotiated so every resource has a free slot
-        for the full duration.
+        The start time is negotiated so every resource is free for the
+        full duration.
         """
         resolved = self._resolve_path(resources)
         return self._book_path(resolved, "+".join(r.name for r in resolved),

@@ -5,8 +5,8 @@ node``: memory information (held by the attached
 :class:`~repro.memory.device.Device`), optional processor attachments
 (``processor_t``, normally at leaves, but the paper notes a CPU may
 attach to a non-leaf node in a CPU + discrete-GPU system), the level and
-node id, parent/children links, and per-node work queues used by the
-scheduler and the load balancer.
+node id, parent/children links, and the node's work queue: the last
+level plan lowered at it.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ class TreeNode:
         Attached compute elements.  A node with processors where
         recursion bottoms out launches kernels; an APU leaf carries both
         the CPU and the GPU.
-    work_queues:
-        Scheduler queues anchored at this node (Section V-E); created on
-        demand by the runtime.
+    plan:
+        The last :class:`~repro.plan.lower.LevelPlan` lowered at this
+        node (Listing 1's ``work_queue``): its chunks' progress states
+        are the level's task queue.  ``None`` until a level runs here.
     """
 
     node_id: int
@@ -55,7 +56,7 @@ class TreeNode:
     uplink: Link | None = None
     processors: list["Processor"] = field(default_factory=list)
     children: list["TreeNode"] = field(default_factory=list)
-    work_queues: list[Any] = field(default_factory=list)
+    plan: Any = None
 
     @property
     def is_leaf(self) -> bool:

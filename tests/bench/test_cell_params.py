@@ -32,3 +32,9 @@ def test_non_integral_knob_is_rejected(runner, params, knob):
 def test_integral_float_knob_is_accepted():
     fig11 = get_runner("fig11")
     assert fig11("1024x256", 8.0) == fig11("1024x256", 8)
+
+
+@pytest.mark.parametrize("dims", ["1024x0", "0x0", "1024x-256"])
+def test_fig11_rejects_non_positive_dimensions(dims):
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        get_runner("fig11")(dims, 32)

@@ -230,33 +230,28 @@ def test_teardown_releases_nested_payload_containers(apu_system):
 
 
 def test_level_queue_tracks_chunk_progress(apu_system):
-    """Listing 1's work queues: n chunks -> n tasks, advanced through
-    the movement states and all done at the end."""
-    from repro.core.scheduler import TaskState
-
+    """Listing 1's work queues: n chunks -> n chunk chains in the
+    level's plan, read as moving/resident/... and all done at the end."""
     observed = {}
 
     class Watcher(DoublingProgram):
         def data_down(self, ctx, child_ctx, chunk):
-            q = ctx.scratch["level_queue"]
-            observed.setdefault("during_down", []).append(
-                q.count(TaskState.MOVING))
+            counts = ctx.node.plan.state_counts()
+            observed.setdefault("during_down", []).append(counts["moving"])
             super().data_down(ctx, child_ctx, chunk)
 
         def compute_task(self, ctx):
-            q = ctx.parent_ctx.scratch["level_queue"]
+            counts = ctx.parent_ctx.node.plan.state_counts()
             observed.setdefault("during_compute", []).append(
-                q.count(TaskState.RESIDENT))
+                counts["resident"])
             super().compute_task(ctx)
 
     prog = Watcher(apu_system, n=4096, chunks=4)
     prog.run(apu_system)
-    # Exactly one task in MOVING while its data moves down, one RESIDENT
+    # Exactly one chunk moving while its data moves down, one resident
     # while its leaf computes.
     assert observed["during_down"] == [1, 1, 1, 1]
     assert observed["during_compute"] == [1, 1, 1, 1]
-    # The queue is anchored at the root node and fully drained.
-    (queue,) = apu_system.tree.root.work_queues
-    assert queue.all_done
-    assert len(queue.tasks) == 4
-    assert "done=4" in queue.progress()
+    # The plan is anchored at the root node and fully drained.
+    assert apu_system.tree.root.plan.state_counts() == {
+        "queued": 0, "moving": 0, "resident": 0, "computed": 0, "done": 4}

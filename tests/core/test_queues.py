@@ -24,15 +24,6 @@ def test_thief_steals_fifo():
     assert q.empty and q.steal() is None
 
 
-def test_counters():
-    q = WorkQueue(name="q")
-    q.push("a")
-    q.push("b")
-    q.pop()
-    q.steal()
-    assert (q.pushes, q.pops, q.steals_suffered) == (2, 1, 1)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sampled_from(["push", "pop", "steal"]), max_size=60))
 def test_deque_semantics_match_model(ops):

@@ -1,43 +1,14 @@
-"""Unit tests for level queues and buffer pools."""
+"""The level's task queue is its plan: per-chunk progress states read
+off the lowered graph's node states."""
 
 import pytest
 
-from repro.core.scheduler import (BufferPool, ChunkTask, LevelQueue,
-                                  TaskState)
+from repro.core.program import NorthupProgram
+from repro.core.scheduler import InOrderScheduler, PipelinedScheduler
 from repro.core.system import System
-from repro.errors import SchedulerError
 from repro.memory.units import MB
+from repro.plan.lower import CHUNK_STATES
 from repro.topology.builders import apu_two_level
-
-
-def test_task_state_machine():
-    t = ChunkTask(chunk="c0")
-    t.advance(TaskState.MOVING)
-    t.advance(TaskState.RESIDENT)
-    t.advance(TaskState.COMPUTED)
-    t.advance(TaskState.DONE)
-    with pytest.raises(SchedulerError):
-        t.advance(TaskState.MOVING)  # no going back
-
-
-def test_task_cannot_skip_backwards():
-    t = ChunkTask(chunk="c0")
-    t.advance(TaskState.RESIDENT)  # skipping forward is allowed
-    with pytest.raises(SchedulerError):
-        t.advance(TaskState.RESIDENT)
-
-
-def test_level_queue_counts_and_progress():
-    lq = LevelQueue(level=1)
-    tasks = [lq.enqueue(f"c{i}") for i in range(3)]
-    assert lq.count(TaskState.QUEUED) == 3
-    tasks[0].advance(TaskState.DONE)
-    assert lq.count(TaskState.DONE) == 1
-    assert not lq.all_done
-    for t in tasks[1:]:
-        t.advance(TaskState.DONE)
-    assert lq.all_done
-    assert "done=3" in lq.progress()
 
 
 @pytest.fixture
@@ -48,52 +19,109 @@ def apu_system():
     sys_.close()
 
 
-def test_buffer_pool_round_robin_and_release(apu_system):
-    leaf = apu_system.tree.leaves()[0]
-    with BufferPool(system=apu_system, node=leaf, depth=2,
-                    factory=lambda i: {
-                        "in": apu_system.alloc(1024, leaf, label=f"in{i}"),
-                        "out": apu_system.alloc(1024, leaf, label=f"out{i}"),
-                    }) as pool:
-        a, b, c = pool.acquire(), pool.acquire(), pool.acquire()
-        assert a is c and a is not b
-        assert apu_system.registry.live_count == 4
-    assert apu_system.registry.live_count == 0
+def _watching(base):
+    """``base`` scheduler that snapshots ``(plan, state_counts())``
+    before every node dispatch."""
+
+    class Watching(base):
+        def __init__(self):
+            super().__init__()
+            self.seen = []
+
+        def _drain(self, plan):
+            execute = plan.execute
+
+            def watched(node):
+                self.seen.append((plan, plan.state_counts()))
+                yield from execute(node)
+
+            plan.execute = watched
+            yield from super()._drain(plan)
+
+    return Watching()
 
 
-def test_buffer_pool_validates_factory(apu_system):
-    leaf = apu_system.tree.leaves()[0]
-    with pytest.raises(SchedulerError):
-        BufferPool(system=apu_system, node=leaf, depth=1,
-                   factory=lambda i: "not a dict")
-    with pytest.raises(SchedulerError):
-        BufferPool(system=apu_system, node=leaf, depth=0,
-                   factory=lambda i: {})
+class Chunks(NorthupProgram):
+    """``n`` hook-free chunks, each descending to the staging leaf."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def decompose(self, ctx):
+        return list(range(self.n))
+
+    def setup_buffers(self, ctx, child, chunk):
+        return None
+
+    def data_down(self, ctx, child_ctx, chunk):
+        pass
+
+    def compute_task(self, ctx):
+        pass
+
+    def data_up(self, ctx, child_ctx, chunk):
+        pass
 
 
-def test_buffer_pool_depth_gives_overlap(apu_system):
-    """With depth 2, consecutive loads into the pool overlap compute;
-    with depth 1 they serialise (the ablation Figure's mechanism)."""
-    from repro.compute.processor import KernelCost
+def test_task_state_machine(apu_system):
+    """One chunk walks queued -> moving -> resident -> computed ->
+    done as its setup, move_down, compute and combine finish."""
+    sched = _watching(InOrderScheduler)
+    Chunks(1).run(apu_system, scheduler=sched)
+    walked = [next(s for s, c in counts.items() if c)
+              for _plan, counts in sched.seen]
+    # Snapshots precede setup, move_down, compute, move_up, combine.
+    assert walked == ["queued", "moving", "resident", "computed",
+                      "computed"]
+    assert apu_system.tree.root.plan.state_counts()["done"] == 1
 
-    root = apu_system.tree.root
-    leaf = apu_system.tree.leaves()[0]
-    gpu = leaf.processor_named("gpu-apu")
-    src = apu_system.alloc(8 * MB, root)
-    kernel_cost = KernelCost(flops=737e9 * 0.02, bytes_read=0, efficiency=1.0)
 
-    def run(depth):
-        apu_system.reset_time()
-        with BufferPool(system=apu_system, node=leaf, depth=depth,
-                        factory=lambda i: {
-                            "buf": apu_system.alloc(2 * MB, leaf)}) as pool:
-            for k in range(4):
-                bufs = pool.acquire()
-                apu_system.move_down(bufs["buf"], src, 2 * MB,
-                                     src_offset=k * 2 * MB)
-                apu_system.launch(gpu, kernel_cost, reads=(bufs["buf"],))
-            return apu_system.makespan()
+def test_level_queue_counts_and_progress(apu_system):
+    Chunks(3).run(apu_system)
+    plan = apu_system.tree.root.plan
+    assert len(plan.records) == 3
+    assert plan.state_counts() == dict.fromkeys(CHUNK_STATES, 0) | {"done": 3}
 
-    serial = run(1)
-    pipelined = run(2)
-    assert pipelined < serial
+
+@pytest.fixture(scope="module")
+def hotspot_pipelined():
+    """A HotSpot run under the pipelined scheduler with a window > 1,
+    snapshotting every level plan's counts at each node dispatch."""
+    from repro.apps.hotspot import HotspotApp
+
+    system = System(apu_two_level())
+    try:
+        sched = _watching(PipelinedScheduler)
+        app = HotspotApp(system, n=256, iterations=2, steps_per_pass=1,
+                         force_tile=64, pipeline_depth=2, seed=1)
+        app.run(system, scheduler=sched)
+        final = {id(plan): plan.state_counts() for plan, _c in sched.seen}
+        yield sched.seen, final
+    finally:
+        system.close()
+
+
+def test_pipelined_level_queue_counts_every_chunk(hotspot_pipelined):
+    seen, final = hotspot_pipelined
+    windows = {plan.graph.meta["window"] for plan, _c in seen}
+    assert max(windows) > 1
+    # Chunks really overlap: some dispatch sees two chunks in flight.
+    assert any(sum(c[s] for s in ("moving", "resident", "computed")) > 1
+               for _plan, c in seen)
+    for plan, counts in seen:
+        assert sum(counts.values()) == len(plan.records)
+    for plan, _c in seen:
+        assert final[id(plan)]["done"] == len(plan.records)
+
+
+def test_task_cannot_skip_backwards(hotspot_pipelined):
+    """Under overlap, no chunk's state ever moves back: per plan, the
+    number of chunks at or past each state never falls."""
+    seen, _final = hotspot_pipelined
+    last = {}
+    for plan, counts in seen:
+        reached = [sum(counts[s] for s in CHUNK_STATES[i:])
+                   for i in range(len(CHUNK_STATES))]
+        prev = last.get(id(plan), [0] * len(CHUNK_STATES))
+        assert all(a >= b for a, b in zip(reached, prev))
+        last[id(plan)] = reached

@@ -42,13 +42,6 @@ def test_distributed_matches_single_process(name, workers):
     assert dist_residue() == []
 
 
-def test_tree_strategy_keeps_identity():
-    ref = _reference("gemm")
-    got = _run_app("gemm", executor=DistExecutor(workers=2),
-                   scheduler=DistributedScheduler(strategy="tree"))
-    assert got == ref
-
-
 def test_every_partition_ran_kernels():
     make_app, make_tree = APP_CASES["gemm"]
     executor = DistExecutor(workers=2)

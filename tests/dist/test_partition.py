@@ -8,14 +8,13 @@ from repro.core.system import System
 from repro.errors import SchedulerError
 from repro.memory.units import KB, MB
 from repro.plan.graph import CHAIN
-from repro.plan.partition import (PARTITION_STRATEGIES, partition_graph,
-                                  shipment_bytes)
+from repro.plan.partition import partition_graph, shipment_bytes
 from repro.topology.builders import apu_two_level
 
 
 @pytest.fixture(scope="module")
 def gemm_plan():
-    """A drained top-level gemm plan (several chunks, real weights);
+    """A drained top-level gemm plan (several chunks);
     module-scoped -- the partitioner never mutates the graph."""
     from repro.apps.gemm import GemmApp
 
@@ -79,15 +78,6 @@ def test_more_workers_than_chunks_degrades_gracefully(gemm_plan):
     assert sum(1 for c in parts.counts() if c) <= len(chunks)
 
 
-def test_tree_strategy_falls_back_on_single_subtree(gemm_plan):
-    # apu_two_level fans every chunk into the one staging child, so
-    # there is no subtree split; the partitioner must fall back to
-    # chunk ranges and say so.
-    parts = partition_graph(gemm_plan.graph, 2, strategy="tree")
-    assert parts.strategy == "chunk"
-    assert parts.counts() == partition_graph(gemm_plan.graph, 2).counts()
-
-
 def test_partition_is_deterministic(gemm_plan):
     a = partition_graph(gemm_plan.graph, 3)
     b = partition_graph(gemm_plan.graph, 3)
@@ -109,8 +99,5 @@ def test_shipment_bytes_only_for_payload_stages(gemm_plan):
 
 
 def test_partition_rejects_bad_arguments(gemm_plan):
-    with pytest.raises(SchedulerError, match="strategy"):
-        partition_graph(gemm_plan.graph, 2, strategy="voronoi")
     with pytest.raises(SchedulerError, match="workers"):
         partition_graph(gemm_plan.graph, 0)
-    assert "chunk" in PARTITION_STRATEGIES

@@ -70,7 +70,6 @@ def test_system_usable_after_failed_run(system):
 def test_failed_run_leaves_level_queue_evidence(system):
     """The per-level task queue records how far each chunk got --
     exactly the progress information Section III-C's queues exist for."""
-    from repro.core.scheduler import TaskState
 
     class FailsOnSecond(NorthupProgram):
         def decompose(self, ctx):
@@ -91,10 +90,10 @@ def test_failed_run_leaves_level_queue_evidence(system):
 
     with pytest.raises(RuntimeError):
         FailsOnSecond().run(system)
-    (queue,) = system.tree.root.work_queues
-    assert queue.count(TaskState.DONE) == 1
-    assert queue.count(TaskState.MOVING) == 1   # the chunk that died
-    assert queue.count(TaskState.QUEUED) == 1   # never started
+    counts = system.tree.root.plan.state_counts()
+    assert counts["done"] == 1
+    assert counts["moving"] == 1    # the chunk that died
+    assert counts["queued"] == 1    # never started
 
 
 def test_use_after_release_rejected_everywhere(system):

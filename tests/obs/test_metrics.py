@@ -124,7 +124,7 @@ def test_system_metrics_unify_runtime_counters():
 
 
 def test_level_queue_state_counts_exported():
-    """Satellite: LevelQueue per-state task counts surface as a pull
+    """The level plans' per-state chunk counts surface as a pull
     collector gauge and in the RunReport table."""
     from repro.apps.hotspot import HotspotApp
     from repro.core.system import System
@@ -147,8 +147,38 @@ def test_level_queue_state_counts_exported():
         # Every task ended done: no other state carries a count.
         assert all(r["value"] == 0 for r in rows
                    if r["labels"]["state"] != "done")
+        tasks = {(r["labels"]["node"], r["labels"]["level"]): r["value"]
+                 for r in snap["level_queue_tasks"]}
+        assert sum(tasks.values()) == done
+        # The default (explicit) cache plans no prefetch.
+        assert all(r["value"] == 0
+                   for r in snap["level_queue_prefetch_planned"])
         report = RunReport.from_system(system, name="hotspot")
         assert "level-queue task states" in report.table()
         assert "done=" in report.table()
+    finally:
+        system.close()
+
+
+def test_level_queue_counts_prefetch_planned_chunks():
+    """A level whose hints a full-mode cache planned counts every one
+    of its chunks as prefetch-planned."""
+    from repro.apps.hotspot import HotspotApp
+    from repro.cache.manager import CacheConfig
+    from repro.core.system import System
+    from repro.topology.builders import apu_two_level
+
+    system = System(apu_two_level(), cache=CacheConfig(mode="full"))
+    try:
+        HotspotApp(system, n=128, iterations=2, steps_per_pass=1,
+                   force_tile=64, seed=1).run(system)
+        snap = system.metrics.snapshot()
+        tasks = {(r["labels"]["node"], r["labels"]["level"]): r["value"]
+                 for r in snap["level_queue_tasks"]}
+        planned = {(r["labels"]["node"], r["labels"]["level"]): r["value"]
+                   for r in snap["level_queue_prefetch_planned"]}
+        assert planned.keys() == tasks.keys()
+        assert all(planned[key] in (0, n) for key, n in tasks.items())
+        assert any(planned.values())
     finally:
         system.close()

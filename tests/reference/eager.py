@@ -1,12 +1,14 @@
 """The graph-free chunk-loop driver, the lowering contract's oracle.
 
-Moved verbatim from ``repro.core.scheduler``: it is how
+Moved from ``repro.core.scheduler``: it is how
 ``NorthupProgram.recurse`` executed a level before the plan/execute
 split, and the scheduler-equivalence suites compare every lowered
-schedule against it bit for bit.
+schedule against it bit for bit.  It makes every charge a lowered
+level makes; per-chunk progress states belong to the lowered graph
+(``LevelPlan.state_counts``), so it keeps none.
 """
 
-from repro.core.scheduler import LevelQueue, Scheduler, TaskState
+from repro.core.scheduler import Scheduler
 from repro.errors import SchedulerError
 
 
@@ -24,12 +26,8 @@ class EagerScheduler(Scheduler):
         obs = ctx.system.obs
         divide_span = obs.open("divide", node_id=ctx.node.node_id)
         try:
-            queue = LevelQueue(level=ctx.node.level)
-            ctx.node.work_queues = [queue]
-            ctx.scratch["level_queue"] = queue
             chunks = list(program.decompose(ctx))
-            tasks = [queue.enqueue(chunk) for chunk in chunks]
-            ctx.system.charge_runtime(len(tasks), label="enqueue tasks")
+            ctx.system.charge_runtime(len(chunks), label="enqueue tasks")
             divide_span.annotate("chunks", len(chunks))
             divide_span.annotate("exec_backend", ctx.system.executor.name)
             if ctx.system.cache.transparent:
@@ -39,10 +37,8 @@ class EagerScheduler(Scheduler):
                                                                  hints)
                     if planned:
                         ctx.system.charge_runtime(1, label="prefetch plan")
-                        for task in tasks:
-                            task.mark_prefetched()
                         divide_span.annotate("prefetch_planned", planned)
-            for chunk, task in zip(chunks, tasks):
+            for chunk in chunks:
                 child = program.select_child(ctx, chunk)
                 if child.parent is not ctx.node:
                     raise SchedulerError(
@@ -55,15 +51,12 @@ class EagerScheduler(Scheduler):
                                             payload=payload)
                 finally:
                     obs.close(span)
-                task.advance(TaskState.MOVING)
                 span = obs.open("move_down", node_id=child.node_id)
                 try:
                     program.data_down(ctx, child_ctx, chunk)
                 finally:
                     obs.close(span)
-                task.advance(TaskState.RESIDENT)
                 yield from program.recurse(child_ctx)
-                task.advance(TaskState.COMPUTED)
                 span = obs.open("move_up", node_id=child.node_id)
                 try:
                     program.data_up(ctx, child_ctx, chunk)
@@ -74,7 +67,6 @@ class EagerScheduler(Scheduler):
                     program.teardown_buffers(ctx, child_ctx, chunk)
                 finally:
                     obs.close(span)
-                task.advance(TaskState.DONE)
             program.after_level(ctx)
             # Same level-boundary settle as the graph schedulers.
             ctx.system.drain_exec()

@@ -10,8 +10,8 @@ Workloads deliberately mix the regimes the index special-cases:
 monotone ready times (append fast path), zero ready on a dense schedule
 and on a saturated channel whose gaps are all too short (the remembered
 tight run), zero/epsilon durations, backfill into old gaps (bisect skip,
-and inserts that land inside the tight run), multi-slot resources
-(tie-breaks) and multi-resource path negotiation.
+and inserts that land inside the tight run) and multi-resource path
+negotiation.
 """
 
 import random
@@ -25,7 +25,6 @@ from repro.sim.trace import Phase
 from tests.reference.naive_slot import NaiveSlot, naive_timeline
 
 RESOURCES = ("host", "ssd.read", "pcie.down", "gpu", "nvme.q")
-MULTI_SLOT = {"nvme.q": 3}
 PHASES = (Phase.IO_READ, Phase.DEV_TRANSFER, Phase.RUNTIME,
           Phase.GPU_COMPUTE)
 
@@ -83,9 +82,6 @@ def _apply(timeline: Timeline, i: int, op: tuple) -> bool:
 def test_indexed_matches_naive_reference(seed):
     ops = _random_ops(random.Random(seed), 400)
     indexed, naive = Timeline(), naive_timeline()
-    for tl in (indexed, naive):
-        for name, slots in MULTI_SLOT.items():
-            tl.resource(name, slots=slots)
     for i, op in enumerate(ops):
         # Lockstep: both accept or both reject every single op.
         assert _apply(indexed, i, op) == _apply(naive, i, op), f"op {i}"
@@ -124,9 +120,9 @@ def test_batch_apis_match_naive_loop(seed):
 def test_reference_slot_is_selectable_per_timeline():
     tl = naive_timeline()
     tl.charge("x", 1.0, Phase.IO_READ)
-    assert isinstance(tl.resource("x")._slots[0], NaiveSlot)
+    assert isinstance(tl.resource("x")._slot, NaiveSlot)
     # A default timeline stays on the indexed implementation.
-    assert not isinstance(Timeline().resource("x")._slots[0], NaiveSlot)
+    assert not isinstance(Timeline().resource("x")._slot, NaiveSlot)
 
 
 # -- the spmv_fine shape: a saturated channel ------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.timeline import Resource, Timeline
+from repro.sim.timeline import Timeline
 from repro.sim.trace import Phase
 
 
@@ -41,16 +41,6 @@ def test_dependency_chain_models_pipeline():
     assert load2.start == pytest.approx(2.0)  # overlaps comp1
     assert comp2.start == pytest.approx(5.0)  # gpu busy until then
     assert tl.makespan() == pytest.approx(8.0)
-
-
-def test_multi_slot_resource_runs_concurrently():
-    tl = Timeline()
-    res = tl.resource("nvme", slots=2)
-    a = tl.charge(res, 4.0, Phase.IO_READ)
-    b = tl.charge(res, 4.0, Phase.IO_READ)
-    c = tl.charge(res, 4.0, Phase.IO_READ)
-    assert a.start == 0.0 and b.start == 0.0
-    assert c.start == pytest.approx(4.0)
 
 
 def test_charge_path_holds_all_resources():
@@ -99,11 +89,6 @@ def test_resource_identity_is_cached():
     assert tl.resource("gpu") is tl.resource("gpu")
 
 
-def test_bad_slot_count_rejected():
-    with pytest.raises(SimulationError):
-        Resource("x", slots=0)
-
-
 def test_trace_records_bytes_and_labels():
     tl = Timeline()
     tl.charge("ssd.ch", 1.0, Phase.IO_READ, label="chunk0", nbytes=4096)
@@ -119,23 +104,6 @@ def test_reset_clears_everything():
     tl.reset()
     assert len(tl.trace) == 0
     assert tl.charge("gpu", 1.0, Phase.GPU_COMPUTE).start == 0.0
-
-
-def test_resource_reregistration_conflict_raises():
-    tl = Timeline()
-    tl.resource("nvme", slots=2)
-    with pytest.raises(SimulationError, match="conflicting re-registration"):
-        tl.resource("nvme", slots=3)
-    # Fetching without a slot count, or with the registered one, is fine.
-    assert tl.resource("nvme").slots == 2
-    assert tl.resource("nvme", slots=2).slots == 2
-
-
-def test_resource_slotless_fetch_then_conflict():
-    tl = Timeline()
-    tl.charge("ssd.read", 1.0, Phase.IO_READ)  # registers with 1 slot
-    with pytest.raises(SimulationError):
-        tl.resource("ssd.read", slots=4)
 
 
 def test_charge_path_converges_under_contention():

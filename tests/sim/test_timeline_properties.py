@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.timeline import _EPS, Timeline
+from repro.sim.timeline import Timeline
 from repro.sim.trace import Phase
 
 
@@ -25,8 +25,8 @@ op = st.tuples(
 @settings(max_examples=100, deadline=None)
 @given(st.lists(op, max_size=40))
 def test_single_slot_resources_never_overlap(ops):
-    """However operations are issued, a slots=1 resource runs at most
-    one at a time -- the core backfill invariant."""
+    """However operations are issued, a resource runs at most one
+    operation at a time -- the core backfill invariant."""
     tl = Timeline()
     for res, ready, duration in ops:
         done = tl.charge(res, duration, Phase.GPU_COMPUTE, ready=ready)
@@ -68,29 +68,3 @@ def test_charge_path_holds_invariant_on_every_member(ops):
         spans.sort()
         for (s1, e1), (s2, _e2) in zip(spans, spans[1:]):
             assert e1 <= s2 + 1e-9, f"overlap on {res}"
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(op, max_size=30), st.integers(2, 4))
-def test_multi_slot_bounded_concurrency(ops, slots):
-    """A slots=k resource never runs more than k operations at once.
-
-    Gap placement tolerates overlaps up to ``_EPS`` (both the indexed
-    slot and the naive reference accept ``candidate + duration <=
-    start + _EPS``), so concurrency is counted on intervals shrunk by
-    that epsilon -- a sub-epsilon brush with a neighbour is within
-    contract, not a third concurrent op.
-    """
-    tl = Timeline()
-    res = tl.resource("multi", slots=slots)
-    events = []
-    for _r, ready, duration in ops:
-        done = tl.charge(res, duration, Phase.IO_READ, ready=ready)
-        events.append((done.start, 1))
-        events.append((done.end - _EPS, -1))
-    events.sort(key=lambda e: (e[0], e[1]))
-    live = peak = 0
-    for _t, delta in events:
-        live += delta
-        peak = max(peak, live)
-    assert peak <= slots
