@@ -16,6 +16,7 @@ import numpy as np
 from repro.compute.processor import KernelCost, ProcessorKind
 from repro.core import api
 from repro.core.system import System
+from repro.exec.base import Binding, kernel_spec
 from repro.memory.units import KB, MB
 from repro.topology.builders import apu_two_level
 
@@ -23,20 +24,26 @@ CHUNKS_X, CHUNKS_Y = 2, 2          # the (m, n) loop bounds
 N = 64                             # matrix edge
 
 
+def scale_by_2(data, out):
+    """The kernel: a module-level function, so any compute backend can
+    run it by name over the bound buffers."""
+    np.multiply(data, 2.0, out=out)
+
+
 def compute_task(system, buffers):
     """Listing 3's compute_task: check the device, launch the kernel."""
     device = api.get_device()
     if device.kind is ProcessorKind.GPU:
-        def kernel():
-            data = system.fetch(buffers["in"], np.float32)
-            system.preload(buffers["out"], (2.0 * data).astype(np.float32))
-
         system.launch(device,
                       KernelCost(flops=buffers["in"].nbytes / 4,
                                  bytes_read=buffers["in"].nbytes,
                                  bytes_written=buffers["out"].nbytes),
                       reads=(buffers["in"],), writes=(buffers["out"],),
-                      fn=kernel, label="scale-by-2")
+                      kernel=kernel_spec(
+                          scale_by_2,
+                          Binding.read("data", buffers["in"], np.float32),
+                          Binding.update("out", buffers["out"], np.float32)),
+                      label="scale-by-2")
     else:  # pragma: no cover - the APU leaf always has a GPU
         raise RuntimeError("expected a GPU at the leaf")
 

@@ -4,32 +4,32 @@
 The motivating HPC scenario of Section IV-B: a temperature grid too
 large for the staging memory is advanced through HotSpot-2D Euler steps
 by streaming halo-padded blocks through the hierarchy.  The same
-application code runs against the SSD and the disk configuration; the
-script reports the slowdown of each against in-memory processing
-(Figure 6's comparison, at example scale) and where the heat ended up.
+application code runs on a one-node DRAM tree (in-memory processing)
+and against the SSD and the disk configuration; the script reports the
+slowdown of each storage against in memory (Figure 6's comparison, at
+example scale) and where the heat ended up.
 
 Run:  python examples/thermal_simulation.py
 """
 
 import numpy as np
 
-from repro.apps import HotspotApp, InMemoryHotspot
+from repro.apps import HotspotApp
 from repro.core.system import System
 from repro.memory.units import KB, MB
 from repro.topology.builders import apu_two_level, in_memory_single_level
 
 
-def run_out_of_core(storage: str, n: int, iterations: int) -> float:
-    system = System(apu_two_level(storage=storage,
-                                  storage_capacity=64 * MB,
-                                  staging_bytes=192 * KB))
+def run(tree, n: int, iterations: int):
+    """The same app on any tree: its final grid and virtual runtime."""
+    system = System(tree)
     try:
         app = HotspotApp(system, n=n, iterations=iterations,
                          steps_per_pass=iterations, seed=7)
         app.run(system)
-        assert np.allclose(app.result(), app.reference(),
-                           rtol=1e-4, atol=1e-4)
-        return system.makespan()
+        final = app.result()
+        assert np.allclose(final, app.reference(), rtol=1e-4, atol=1e-4)
+        return final, system.makespan()
     finally:
         system.close()
 
@@ -37,13 +37,7 @@ def run_out_of_core(storage: str, n: int, iterations: int) -> float:
 def main() -> None:
     n, iterations = 256, 4
 
-    base_sys = System(in_memory_single_level())
-    base = InMemoryHotspot(base_sys, n=n, iterations=iterations, seed=7)
-    base.run()
-    final = base.result()
-    in_memory = base_sys.makespan()
-    base_sys.close()
-
+    final, in_memory = run(in_memory_single_level(), n, iterations)
     hot = np.unravel_index(np.argmax(final), final.shape)
     print(f"HotSpot-2D: {n}x{n} grid, {iterations} Euler steps")
     print(f"  hottest cell: {hot} at {final.max():.2f} "
@@ -53,7 +47,8 @@ def main() -> None:
 
     print(f"{'storage':<8}{'runtime':>12}{'vs in-memory':>14}")
     for storage in ("ssd", "hdd"):
-        t = run_out_of_core(storage, n, iterations)
+        _, t = run(apu_two_level(storage=storage, storage_capacity=64 * MB,
+                                 staging_bytes=192 * KB), n, iterations)
         print(f"{storage:<8}{t * 1e3:>10.2f} ms{t / in_memory:>13.2f}x")
     print()
     print("(At this toy scale the disk pays a full ~12 ms seek per ~40 KB")

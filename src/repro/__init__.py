@@ -14,7 +14,8 @@ The public surface, by layer:
   recursion template), :mod:`repro.core.api` (paper-style free
   functions);
 * applications -- :mod:`repro.apps` (GEMM, HotSpot-2D, CSR-Adaptive
-  SpMV, and in-memory baselines);
+  SpMV, reduction, merge sort; run on the one-node DRAM tree, they are
+  also the in-memory bars);
 * evaluation -- :mod:`repro.bench` (scenario cell runners),
   :mod:`repro.emulator` (storage projection).
 
@@ -37,8 +38,7 @@ from repro.topology.builders import (apu_two_level,
                                      discrete_gpu_three_level,
                                      exascale_node, figure2_asymmetric,
                                      in_memory_single_level)
-from repro.apps import (GemmApp, HotspotApp, InMemoryGemm, InMemoryHotspot,
-                        InMemorySpmv, ReduceApp, SortApp, SpmvApp)
+from repro.apps import GemmApp, HotspotApp, ReduceApp, SortApp, SpmvApp
 from repro.errors import NorthupError
 
 __version__ = "0.1.0"
@@ -66,9 +66,6 @@ __all__ = [
     "SpmvApp",
     "ReduceApp",
     "SortApp",
-    "InMemoryGemm",
-    "InMemoryHotspot",
-    "InMemorySpmv",
     "NorthupError",
     "__version__",
 ]

@@ -6,13 +6,16 @@
   packed-border blocks (IV-B).
 * :mod:`repro.apps.spmv` -- CSR-Adaptive SpMV with nnz-aware sharding
   (IV-C).
-* :mod:`repro.apps.baselines` -- the in-memory baselines every Figure 6
-  bar is normalised against.
+* :mod:`repro.apps.reduce` and :mod:`repro.apps.sort` -- an
+  out-of-core reduction and an external merge sort (the combine and
+  merge phases).
 
 Each app computes real answers (verified against NumPy/SciPy references
 in the tests) while the System charges virtual time; the same app code
 runs unchanged on the 2-level APU tree, the 3-level discrete-GPU tree,
-and deeper topologies -- which is the portability claim of the paper.
+deeper topologies, and the one-node DRAM tree whose runs are the
+in-memory bars of Figure 6 -- which is the portability claim of the
+paper.
 """
 
 from repro.apps.gemm import GemmApp
@@ -20,8 +23,6 @@ from repro.apps.hotspot import HotspotApp
 from repro.apps.spmv import SpmvApp
 from repro.apps.reduce import ReduceApp
 from repro.apps.sort import SortApp
-from repro.apps.baselines import (InMemoryGemm, InMemoryHotspot,
-                                  InMemorySpmv)
 
 __all__ = [
     "GemmApp",
@@ -29,7 +30,4 @@ __all__ = [
     "SortApp",
     "HotspotApp",
     "SpmvApp",
-    "InMemoryGemm",
-    "InMemoryHotspot",
-    "InMemorySpmv",
 ]

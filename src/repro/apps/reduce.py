@@ -17,7 +17,7 @@ else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.core.decomposition import Range1D, fit_row_chunks
 from repro.core.program import NorthupProgram
 from repro.core.system import System
 from repro.errors import ConfigError
+from repro.exec.base import Binding, kernel_spec
 from repro.topology.node import TreeNode
 from repro.workloads.matrices import (load_bands, random_dense,
                                       random_dense_bands)
@@ -35,35 +36,29 @@ from repro.workloads.matrices import (load_bands, random_dense,
 CAPACITY_SAFETY = 0.9
 
 
-@dataclass(frozen=True)
-class _Op:
-    """One reduction operator: elementwise fold + identity."""
-
-    name: str
-    fold: Callable[[np.ndarray], np.floating]
-    combine: Callable[[np.ndarray], np.floating]
-    flops_per_elem: float
+#: Reduction operator name -> flops per element of its fold.
+OPS = {"sum": 1.0, "max": 1.0, "min": 1.0, "l2": 2.0}
 
 
-def _ops() -> dict[str, _Op]:
-    return {
-        "sum": _Op("sum",
-                   fold=lambda a: a.sum(dtype=np.float64),
-                   combine=lambda p: p.sum(dtype=np.float64),
-                   flops_per_elem=1.0),
-        "max": _Op("max",
-                   fold=lambda a: np.float64(a.max()),
-                   combine=lambda p: np.float64(p.max()),
-                   flops_per_elem=1.0),
-        "min": _Op("min",
-                   fold=lambda a: np.float64(a.min()),
-                   combine=lambda p: np.float64(p.min()),
-                   flops_per_elem=1.0),
-        "l2": _Op("l2",
-                  fold=lambda a: (a.astype(np.float64) ** 2).sum(),
-                  combine=lambda p: p.sum(dtype=np.float64),
-                  flops_per_elem=2.0),
-    }
+def _fold(a: np.ndarray, op: str) -> np.float64:
+    """The ``op`` fold of ``a`` as a float64 (``l2``: sum of squares)."""
+    if op == "l2":
+        return (a.astype(np.float64) ** 2).sum()
+    if op == "sum":
+        return a.sum(dtype=np.float64)
+    return np.float64(a.max() if op == "max" else a.min())
+
+
+def reduce_fold(data: np.ndarray, out: np.ndarray, *, op: str) -> None:
+    """Executor entry point: ``out[0]`` = the ``op`` fold of a chunk."""
+    out[0] = _fold(data, op)
+
+
+def reduce_combine(partials: np.ndarray, out: np.ndarray, *,
+                   op: str) -> None:
+    """Executor entry point: ``out[0]`` = the ``op`` combine of the
+    per-chunk partials (``l2`` partials are sums of squares: they add)."""
+    out[0] = _fold(partials, "sum" if op == "l2" else op)
 
 
 @dataclass
@@ -96,14 +91,13 @@ class ReduceApp(NorthupProgram):
 
     def __init__(self, system: System, *, n: int, op: str = "sum",
                  seed: int = 0) -> None:
-        ops = _ops()
-        if op not in ops:
-            raise ConfigError(f"unknown reduction {op!r}; known: {sorted(ops)}")
+        if op not in OPS:
+            raise ConfigError(f"unknown reduction {op!r}; known: {sorted(OPS)}")
         if n < 1:
             raise ConfigError(f"element count must be >= 1, got {n}")
         self.system = system
         self.n = n
-        self.op = ops[op]
+        self.op = op
         self.seed = seed
         root = system.tree.root
         self.data_root = system.alloc(n * 4, root, label="data")
@@ -157,20 +151,17 @@ class ReduceApp(NorthupProgram):
         lv: ReduceLevel = ctx.payload
         sys_ = ctx.system
         gpu = ctx.get_device(ProcessorKind.GPU)
-
-        def kernel():
-            # Fold over a zero-copy view of the chunk (fetch copies only
-            # on view-less backends); the 8-byte partial goes through
-            # preload either way.
-            data, _ = sys_.host_array(lv.data, np.float32, count=lv.n * 4)
-            sys_.preload(lv.out, np.array([self.op.fold(data)],
-                                          dtype=np.float64))
-
-        sys_.launch(gpu, KernelCost(flops=self.op.flops_per_elem * lv.n,
+        label = f"{self.op} {lv.n}"
+        sys_.launch(gpu, KernelCost(flops=OPS[self.op] * lv.n,
                                     bytes_read=lv.n * 4.0, bytes_written=8.0,
                                     efficiency=0.5, bw_efficiency=0.8),
-                    reads=(lv.data,), writes=(lv.out,), fn=kernel,
-                    label=f"{self.op.name} {lv.n}")
+                    reads=(lv.data,), writes=(lv.out,),
+                    kernel=kernel_spec(
+                        reduce_fold,
+                        Binding.read("data", lv.data, np.float32, (lv.n,)),
+                        Binding.update("out", lv.out, np.float64, (1,)),
+                        op=self.op, label=label),
+                    label=label)
 
     def data_up(self, ctx: ExecutionContext, child_ctx: ExecutionContext,
                 chunk: Range1D) -> None:
@@ -199,23 +190,26 @@ class ReduceApp(NorthupProgram):
         child = ctx.first_child()
         result = sys_.alloc(8, child, label="combined")
         num = plan["num_chunks"]
-        proc0 = child.processors[0] if child.processors else None
-
-        def combine():
-            vals = sys_.fetch(partials, np.float64, count=num * 8)
-            sys_.preload(result, np.array([self.op.combine(vals)],
-                                          dtype=np.float64))
-
-        if proc0 is not None:
-            sys_.launch(proc0, KernelCost(flops=float(num), bytes_read=num * 8.0,
-                                        bytes_written=8.0, efficiency=0.5,
-                                        bw_efficiency=0.8),
-                        reads=(partials,), writes=(result,), fn=combine,
+        if child.processors:
+            sys_.launch(child.processors[0],
+                        KernelCost(flops=float(num), bytes_read=num * 8.0,
+                                   bytes_written=8.0, efficiency=0.5,
+                                   bw_efficiency=0.8),
+                        reads=(partials,), writes=(result,),
+                        kernel=kernel_spec(
+                            reduce_combine,
+                            Binding.read("partials", partials, np.float64,
+                                         (num,)),
+                            Binding.update("out", result, np.float64, (1,)),
+                            op=self.op, label=f"combine {num}"),
                         label=f"combine {num}")
         else:
             # An intermediate node without a processor: combine on the
             # host (charged as runtime bookkeeping) -- tiny either way.
-            combine()
+            out = np.empty(1, dtype=np.float64)
+            reduce_combine(sys_.fetch(partials, np.float64, count=num * 8),
+                           out, op=self.op)
+            sys_.preload(result, out)
             sys_.charge_runtime(num, label="host combine")
         sys_.move_up(lv.out, result, 8, label="result up")
         sys_.release(result)
@@ -230,8 +224,8 @@ class ReduceApp(NorthupProgram):
 
     def reference(self) -> float:
         """The host reference: one fold over the input, drawn again."""
-        return float(self.op.fold(
-            random_dense(self.n, 1, seed=self.seed).ravel()))
+        return float(_fold(random_dense(self.n, 1, seed=self.seed).ravel(),
+                           self.op))
 
     def release_root_buffers(self) -> None:
         """Free the root-level buffers this app allocated."""

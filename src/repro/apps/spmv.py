@@ -264,8 +264,7 @@ class SpmvApp(NorthupProgram):
                     label=f"bin {lv.nrows} rows")
 
         # Picklable shard kernel: device buffers bind as arrays, the
-        # shard's row_ptr and bins travel as host-metadata kwargs (the
-        # same split the old closure had).
+        # shard's row_ptr and bins travel as host-metadata kwargs.
         label = f"spmv {lv.nrows}r/{lv.nnz}nnz"
         sys_.launch(gpu, spmv_cost(lv.nnz, lv.nrows, blocks=blocks),
                     reads=(lv.col_id, lv.data, lv.x, lv.row_ptr),

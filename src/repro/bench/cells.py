@@ -21,15 +21,21 @@ from typing import Any
 
 import numpy as np
 
-from repro.apps import (GemmApp, HotspotApp, InMemoryGemm, InMemoryHotspot,
-                        InMemorySpmv, SpmvApp)
+from repro.apps import GemmApp, HotspotApp, SpmvApp
 from repro.bench import configs
+from repro.compute.kernels.hotspot import (default_params, hotspot_cost,
+                                           hotspot_run)
+from repro.compute.processor import ProcessorKind
+from repro.core.context import root_context
 from repro.core.profiler import Breakdown
 from repro.core.system import System
 from repro.emulator.projection import IOProfile, sweep
 from repro.errors import ConfigError
+from repro.exec.base import Binding, kernel_spec
 from repro.sim.trace import Phase
 from repro.tools.experiment.registry import register
+from repro.workloads import thermal
+from repro.workloads.matrices import load_bands
 from repro.workloads.sparse import preset, preset_names
 
 #: Every figure cell runs the committed 1/16-scale workload.
@@ -70,9 +76,8 @@ class RunResult:
     runtime_ops: int
 
 
-def _measure(system: System, app) -> RunResult:
-    verified = bool(np.allclose(app.result(), app.reference(),
-                                rtol=1e-3, atol=1e-3))
+def _measure(system: System, result, reference) -> RunResult:
+    verified = bool(np.allclose(result, reference, rtol=1e-3, atol=1e-3))
     breakdown = system.breakdown()
     return RunResult(makespan=system.makespan(), breakdown=breakdown,
                      verified=verified,
@@ -101,32 +106,57 @@ def _run_app(app_name: str, tree) -> RunResult:
         else:
             raise ConfigError(f"unknown app {app_name!r}")
         app.run(system)
-        return _measure(system, app)
+        return _measure(system, app.result(), app.reference())
     finally:
         system.close()
 
 
-def _run_baseline(app_name: str) -> RunResult:
-    """``app_name``'s in-memory baseline."""
-    system = System(configs.scaled_inmemory_tree(
-        flop_bound_app=(app_name == "gemm")))
+def _run_in_memory(app_name: str) -> RunResult:
+    """``app_name``'s in-memory bar, Section V-B's "performance upper
+    bound that Northup can achieve": the data already in DRAM.  GEMM
+    and SpMV run the real app on the one-node DRAM tree; HotSpot keeps
+    :func:`_hotspot_in_memory`."""
+    tree = configs.scaled_inmemory_tree(flop_bound_app=(app_name == "gemm"))
+    if app_name != "hotspot":
+        return _run_app(app_name, tree)
+    n, steps, seed = SCALE.hotspot_n, SCALE.hotspot_iterations, SCALE.seed
+    system = System(tree)
     try:
-        if app_name == "gemm":
-            app = InMemoryGemm(system, m=SCALE.gemm_n, k=SCALE.gemm_n,
-                               n=SCALE.gemm_n, seed=SCALE.seed)
-        elif app_name == "hotspot":
-            app = InMemoryHotspot(system, n=SCALE.hotspot_n,
-                                  iterations=SCALE.hotspot_iterations,
-                                  seed=SCALE.seed)
-        elif app_name == "spmv":
-            app = InMemorySpmv(system, matrix=_spmv_matrix(),
-                               seed=SCALE.seed)
-        else:
-            raise ConfigError(f"unknown app {app_name!r}")
-        app.run()
-        return _measure(system, app)
+        result = _hotspot_in_memory(system, n, steps, seed)
+        return _measure(system, result, hotspot_run(
+            thermal.initial_temperature(n, n, seed=seed),
+            thermal.power_grid(n, n, seed=seed + 1),
+            default_params(n, n), steps))
     finally:
         system.close()
+
+
+def _hotspot_in_memory(system: System, n: int, steps: int,
+                       seed: int) -> np.ndarray:
+    """HotSpot's Figure 6 normaliser on ``system``'s root: ``steps``
+    full-grid launches on the resident grid (the Rodinia loop), the last
+    of which runs all the steps.  ``HotspotApp`` on the same tree
+    charges its padded, temporally blocked frames instead (43.28 vs
+    41.96 ms at bench scale), so moving this bar onto it re-banks the
+    figure."""
+    root = system.tree.root
+    temp, power, out = (system.alloc(n * n * 4, root, label=label)
+                        for label in ("temp", "power", "out"))
+    load_bands(system, temp,
+               thermal.initial_temperature_bands(n, n, seed=seed))
+    load_bands(system, power, thermal.power_grid_bands(n, n, seed=seed + 1))
+    gpu = root_context(system).get_device(ProcessorKind.GPU)
+    grid = (n, n)
+    for step in range(steps):
+        kernel = None if step < steps - 1 else kernel_spec(
+            hotspot_run, Binding.read("temp", temp, np.float32, grid),
+            Binding.read("power", power, np.float32, grid),
+            Binding.update("out", out, np.float32, grid),
+            params=default_params(n, n), steps=steps)
+        system.launch(gpu, hotspot_cost(n, n), reads=(temp, power),
+                      writes=(out,), kernel=kernel,
+                      label=f"hotspot step {step}")
+    return system.fetch(out, np.float32, shape=grid)
 
 
 def _apu_tree_for(app_name: str, storage: str, **kw):
@@ -140,7 +170,7 @@ def _apu_tree_for(app_name: str, storage: str, **kw):
 def fig6_cell(app: str, config: str) -> dict:
     """One Figure 6 bar: ``app`` on ``config`` (in-memory/ssd/hdd)."""
     if config == "in-memory":
-        res = _run_baseline(app)
+        res = _run_in_memory(app)
     else:
         res = _run_app(app, _apu_tree_for(app, config))
     return {"app": app, "config": config, "makespan_s": res.makespan,
@@ -174,7 +204,7 @@ def fig8_cell(app: str) -> dict:
 def fig9_cell(app: str) -> dict:
     """One Figure 9 series: project ``app``'s SSD run up the storage
     ladder and measure the remaining gap to in-memory."""
-    base = _run_baseline(app)
+    base = _run_in_memory(app)
     res = _run_app(app, _apu_tree_for(app, "ssd"))
     ssd_latency = (configs.device_spec("ssd").latency
                    / configs.BYTE_SCALE)
@@ -439,7 +469,7 @@ def future_generation_cell(app: str, storage: str) -> dict:
     NVM here is the block-mode device (2.5/2.0 GB/s): the "per-node
     slower memory" the paper argues NVM bandwidth now justifies.
     """
-    base = _run_baseline(app)
+    base = _run_in_memory(app)
     res = _run_app(app, _apu_tree_for(app, storage))
     return {"app": app, "storage": storage,
             "verified": base.verified and res.verified,
@@ -468,8 +498,8 @@ def future_spmv_cell() -> dict:
 
         base_sys = System(configs.scaled_inmemory_tree())
         try:
-            base = InMemorySpmv(base_sys, matrix=matrix, seed=SCALE.seed)
-            base.run()
+            base = SpmvApp(base_sys, matrix=matrix, seed=SCALE.seed)
+            base.run(base_sys)
             assert np.allclose(base.result(), base.reference(),
                                rtol=1e-3, atol=1e-3)
             base_time = base_sys.makespan()

@@ -162,7 +162,8 @@ def scaled_dgpu_tree(storage: str = "hdd", *,
 
 def scaled_inmemory_tree(*, flop_bound_app: bool = False,
                          linear_scale: int = LINEAR_SCALE) -> TopologyTree:
-    """The in-memory baseline system at bench scale."""
+    """:func:`~repro.topology.builders.in_memory_single_level` at bench
+    scale: the tree every Figure 6 in-memory bar runs on."""
     byte_scale = linear_scale ** 2
     tree = TopologyTree()
     dram_spec = _scaled_spec(device_spec("dram"), byte_scale=byte_scale)

@@ -270,11 +270,13 @@ def hotspot_multistep(t_pad: np.ndarray, p_pad: np.ndarray,
 
 
 def hotspot_run(temp: np.ndarray, power: np.ndarray, params: HotspotParams,
-                steps: int) -> np.ndarray:
-    """``steps`` full-grid iterations (the in-memory baseline)."""
+                steps: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``steps`` full-grid iterations, into ``out`` if given: the
+    reference result, and the kernel of the Figure 6 HotSpot normaliser
+    (:mod:`repro.bench.cells`)."""
     if steps < 0:
         raise KernelError(f"steps must be >= 0, got {steps}")
-    return _sweep(temp, power, params, steps)
+    return _sweep(temp, power, params, steps, out=out)
 
 
 def hotspot_cost(rows: int, cols: int, *, dtype_size: int = 4,

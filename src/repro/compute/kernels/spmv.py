@@ -260,9 +260,8 @@ def spmv_block(col_id: np.ndarray, data: np.ndarray, x: np.ndarray,
     SpMV of one row shard into ``y``.
 
     ``row_ptr`` and the CPU pass's row bins travel as kwargs (host-side
-    metadata, not device buffers), mirroring how the launch's closure
-    used them.  ``y`` may be empty (a zero-row shard) -- the copy is
-    then a no-op, like the guarded ``preload`` it replaces.
+    metadata, not device buffers).  ``y`` may be empty (a zero-row
+    shard) -- the copy is then a no-op.
     """
     csr = CSRMatrix(row_ptr=row_ptr, col_id=col_id, data=data, ncols=ncols)
     np.copyto(y, spmv_adaptive(csr, x, blocks).astype(np.float32))

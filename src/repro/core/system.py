@@ -86,6 +86,20 @@ def _check_window(src: BufferHandle, src_offset: int, src_stride: int,
             f"write [{dst_offset}, {dst_end}) out of bounds for {dst!r}")
 
 
+def _check_bindings(spec: KernelSpec, reads: tuple[BufferHandle, ...],
+                    writes: tuple[BufferHandle, ...]) -> None:
+    """Raise unless every binding of ``spec`` names a buffer the launch
+    declares, so that the node check and the hazard bookkeeping cover
+    everything the kernel touches."""
+    for b in spec.bindings:
+        declared = writes if b.writable else (*reads, *writes)
+        if not any(b.handle is h for h in declared):
+            raise TransferError(
+                f"kernel {spec.fn_ref!r} binds {b.name!r} to buffer "
+                f"#{b.handle.buffer_id}, which the launch does not declare "
+                f"in {'writes' if b.writable else 'reads or writes'}")
+
+
 def _transfer_phase(src: StorageKind, dst: StorageKind) -> Phase:
     """Listing 4's dispatch: pick the operation class from the endpoint
     storage types."""
@@ -912,21 +926,22 @@ class System:
     def launch(self, proc: Processor, cost: KernelCost, *,
                reads: tuple[BufferHandle, ...] = (),
                writes: tuple[BufferHandle, ...] = (),
-               fn=None, kernel: KernelSpec | None = None, label: str = "",
+               kernel: KernelSpec | None = None, label: str = "",
                extra_duration: float = 0.0) -> Completion:
         """Launch a kernel on a processor (Section III-E).
 
-        The real computation is either ``fn`` -- a closure run
-        immediately on the simulator thread, the historical path -- or
-        ``kernel``, a picklable :class:`~repro.exec.base.KernelSpec`
-        dispatched through the system's compute backend
-        (:mod:`repro.exec`): inline backends run it in place over
-        buffer views, asynchronous ones snapshot the bindings and merge
-        results later in submission order.  Duration always comes from
-        the processor's roofline on ``cost``, charged here on the
-        simulator thread -- virtual time is backend-independent.  The
-        launch waits for its input buffers to be ready and for its
-        output buffers to be safe to overwrite.
+        A launch is cost-only, or its real computation is ``kernel``, a
+        picklable :class:`~repro.exec.base.KernelSpec` dispatched
+        through the system's compute backend (:mod:`repro.exec`):
+        inline backends run it in place over buffer views, asynchronous
+        ones snapshot the bindings and merge results later in
+        submission order.  Every binding must name a declared buffer: a
+        read binding one of ``reads`` or ``writes``, a writable one one
+        of ``writes``.  Duration always comes from the processor's
+        roofline on ``cost``, charged here on the simulator thread --
+        virtual time is backend-independent.  The launch waits for its
+        input buffers to be ready and for its output buffers to be safe
+        to overwrite.
         """
         node = self.processor_node(proc)
         for h in (*reads, *writes):
@@ -943,11 +958,8 @@ class System:
         for h in writes:
             ready = max(ready, h.last_read_end, h.ready_at)
         if kernel is not None:
-            if fn is not None:
-                raise TransferError("launch takes fn or kernel, not both")
+            _check_bindings(kernel, reads, writes)
             self._dispatch_kernel(kernel)
-        elif fn is not None:
-            fn()
         duration = proc.exec_time(cost) + extra_duration
         done = self.timeline.charge(proc.resource, duration, proc.phase,
                                     ready=ready, label=label or proc.name)
@@ -961,11 +973,11 @@ class System:
     def _dispatch_kernel(self, spec: KernelSpec) -> None:
         """Route a kernel spec to the compute backend.
 
-        Inline backends execute in place over buffer views, exactly as
-        the historical closures did.  Asynchronous backends snapshot
-        every binding's current bytes (outputs included: an ``inout``
-        accumulator needs its prior contents, and untouched window
-        bytes must merge back unchanged), submit, and register the
+        Inline backends execute in place over buffer views.
+        Asynchronous backends snapshot every binding's current bytes
+        (outputs included: an ``inout`` accumulator needs its prior
+        contents, and untouched window bytes must merge back
+        unchanged), submit, and register the
         pending merge with the ledger keyed on the output slabs."""
         ex = self.executor
         led = self._ledger
@@ -1028,9 +1040,8 @@ class System:
         return arr
 
     def _run_kernel_inline(self, spec: KernelSpec) -> None:
-        """In-place execution over buffer views -- behaviour-identical
-        to the historical per-app closures (fetch/preload round trip on
-        view-less backends)."""
+        """In-place execution over buffer views (a fetch/preload round
+        trip on view-less backends)."""
         ex = self.executor
         t0 = time.perf_counter()
         args = {}

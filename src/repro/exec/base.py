@@ -7,7 +7,7 @@ bit-identical no matter which backend executes the NumPy work.  What an
 :class:`Executor` decides is where the *physical* kernel math happens:
 
 * :class:`~repro.exec.inline.InlineExecutor` -- in-process, in-place
-  over zero-copy buffer views (the historical path, default);
+  over zero-copy buffer views (the default);
 * :class:`~repro.exec.shm.SharedMemExecutor` -- a persistent
   ``multiprocessing`` worker pool passing operands through
   ``multiprocessing.shared_memory`` segments;

@@ -1,11 +1,10 @@
-"""The in-process executor: the historical NumPy path.
+"""The in-process executor, the default.
 
-``InlineExecutor`` is the default and is behaviour-identical to the
-pre-executor runtime: the :class:`~repro.core.system.System` runs
-kernel specs synchronously over zero-copy buffer views (falling back to
-fetch/preload round trips on view-less backends), so no snapshots are
-taken, no pending operations enter the ledger, and wall-clock overhead
-is a couple of attribute checks per launch.
+With ``InlineExecutor`` the :class:`~repro.core.system.System` runs
+every launch's kernel spec synchronously over zero-copy buffer views
+(falling back to fetch/preload round trips on view-less backends), so
+no snapshots are taken, no pending operations enter the ledger, and
+wall-clock overhead is a couple of attribute checks per launch.
 
 The ``submit``/``wait`` surface still works (the executor unit tests
 exercise every backend uniformly): a submitted task runs immediately on

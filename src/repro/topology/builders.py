@@ -28,7 +28,7 @@ from repro.topology.tree import TopologyTree
 from repro.topology.validate import validate_tree
 
 #: The DRAM slice Section V-A configures as the out-of-core staging
-#: buffer (the in-memory baselines use the full 16 GB).
+#: buffer (the in-memory runs use the full 16 GB).
 STAGING_BUFFER_BYTES = 2 * GB
 
 
@@ -93,8 +93,9 @@ def discrete_gpu_three_level(*, storage: str = "hdd",
 
 def in_memory_single_level(*, capacity: int | None = None,
                            with_cpu: bool = True) -> TopologyTree:
-    """The in-memory baseline: one DRAM node holding the whole working
-    set (the paper's 16 GB configuration), APU processors attached."""
+    """The in-memory machine: one DRAM node holding the whole working
+    set (the paper's 16 GB configuration), APU processors attached.  An
+    app run on it is Section V-B's in-memory upper bound."""
     tree = TopologyTree()
     procs = [make_gpu_apu()]
     if with_cpu:

@@ -15,13 +15,12 @@ reproduction, so this package provides seeded generators:
 Everything takes an explicit seed; generated data is deterministic.
 """
 
-from repro.workloads.matrices import load_array, random_dense
+from repro.workloads.matrices import random_dense
 from repro.workloads.thermal import initial_temperature, power_grid
 from repro.workloads.sparse import (banded, powerlaw_rows, preset,
                                     preset_names, uniform_random)
 
 __all__ = [
-    "load_array",
     "random_dense",
     "initial_temperature",
     "power_grid",

@@ -9,7 +9,6 @@ import numpy as np
 from repro.core.buffers import BufferHandle
 from repro.core.system import System
 from repro.errors import ConfigError
-from repro.topology.node import TreeNode
 
 #: Host bytes of one band's float64 draws (at least one row).
 BAND_BYTES = 2 << 20
@@ -58,13 +57,3 @@ def load_bands(system: System, handle: BufferHandle, bands) -> None:
     for first, block in bands:
         system.preload(handle, block,
                        offset=first * (block.nbytes // len(block)))
-
-
-def load_array(system: System, arr: np.ndarray, node: TreeNode | int, *,
-               label: str = "") -> BufferHandle:
-    """Place an array on a tree node: allocate + preload (untimed --
-    input preprocessing is excluded from measurement, Section V-B)."""
-    arr = np.ascontiguousarray(arr)
-    handle = system.alloc(arr.nbytes, node, label=label)
-    system.preload(handle, arr)
-    return handle

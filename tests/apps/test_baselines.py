@@ -1,14 +1,19 @@
-"""Tests for the in-memory baselines."""
+"""Tests for the in-memory runs (Figure 6's normalisers): the real apps
+on the one-node DRAM tree, and HotSpot's full-grid normaliser."""
 
 import numpy as np
 import pytest
 
-from repro.apps.baselines import InMemoryGemm, InMemoryHotspot, InMemorySpmv
+from repro.apps import GemmApp, HotspotApp, SpmvApp
+from repro.bench.cells import _hotspot_in_memory
+from repro.compute.kernels.hotspot import default_params, hotspot_run
 from repro.core.system import System
 from repro.errors import ConfigError
-from repro.memory.units import MB
-from repro.topology.builders import in_memory_single_level
+from repro.memory.units import KB, MB
+from repro.sim.trace import Phase
+from repro.topology.builders import apu_two_level, in_memory_single_level
 from repro.workloads.sparse import uniform_random
+from repro.workloads.thermal import initial_temperature, power_grid
 
 
 @pytest.fixture
@@ -19,8 +24,8 @@ def system():
 
 
 def test_gemm_baseline_correct_and_io_free(system):
-    app = InMemoryGemm(system, m=96, k=96, n=96, seed=1)
-    app.run()
+    app = GemmApp(system, m=96, k=96, n=96, seed=1)
+    app.run(system)
     np.testing.assert_allclose(app.result(), app.reference(),
                                rtol=1e-4, atol=1e-5)
     bd = system.breakdown()
@@ -29,49 +34,43 @@ def test_gemm_baseline_correct_and_io_free(system):
 
 
 def test_hotspot_baseline_correct(system):
-    app = InMemoryHotspot(system, n=48, iterations=3, seed=2)
-    app.run()
-    np.testing.assert_allclose(app.result(), app.reference(),
-                               rtol=1e-5, atol=1e-5)
-    bd = system.breakdown()
+    result = _hotspot_in_memory(system, 48, 3, 2)
+    np.testing.assert_array_equal(result, hotspot_run(
+        initial_temperature(48, 48, seed=2), power_grid(48, 48, seed=3),
+        default_params(48, 48), 3))
     # One launch per iteration.
-    from repro.sim.trace import Phase
     launches = [iv for iv in system.timeline.trace
                 if iv.phase is Phase.GPU_COMPUTE]
     assert len(launches) == 3
+    assert system.executor.stats.submitted == 1
 
 
 def test_spmv_baseline_correct(system):
     m = uniform_random(800, 800, nnz_per_row=6, seed=3)
-    app = InMemorySpmv(system, matrix=m)
-    app.run()
+    app = SpmvApp(system, matrix=m)
+    app.run(system)
     np.testing.assert_allclose(app.result(), app.reference(),
                                rtol=1e-3, atol=1e-4)
     bd = system.breakdown()
     assert bd.cpu > 0 and bd.gpu > 0  # binning + kernel
+    assert bd.io == 0.0
 
 
 def test_gemm_baseline_validation(system):
     with pytest.raises(ConfigError):
-        InMemoryGemm(system, m=0, k=1, n=1)
+        GemmApp(system, m=0, k=1, n=1)
     with pytest.raises(ConfigError):
-        InMemoryHotspot(system, n=2)
+        HotspotApp(system, n=2)
 
 
 def test_baseline_is_upper_bound_for_northup():
     """Fig 6's premise: the in-memory run is the performance upper bound."""
-    from repro.apps.gemm import GemmApp
-    from repro.memory.units import KB
-    from repro.topology.builders import apu_two_level
-
     base_sys = System(in_memory_single_level(capacity=64 * MB))
     ooc_sys = System(apu_two_level(storage_capacity=16 * MB,
                                    staging_bytes=128 * KB))
     try:
-        base = InMemoryGemm(base_sys, m=128, k=128, n=128, seed=5)
-        base.run()
-        ooc = GemmApp(ooc_sys, m=128, k=128, n=128, seed=5)
-        ooc.run(ooc_sys)
+        for sys_ in (base_sys, ooc_sys):
+            GemmApp(sys_, m=128, k=128, n=128, seed=5).run(sys_)
         assert base_sys.makespan() < ooc_sys.makespan()
     finally:
         base_sys.close()

@@ -7,6 +7,7 @@ from repro.apps.reduce import ReduceApp
 from repro.core.system import System
 from repro.errors import ConfigError
 from repro.memory.units import KB, MB
+from repro.sim.trace import Phase
 from repro.topology.builders import apu_two_level, discrete_gpu_three_level
 
 
@@ -88,3 +89,28 @@ def test_reduction_validation():
             ReduceApp(sys_, n=10, op="xor")
     finally:
         sys_.close()
+
+
+@pytest.mark.parametrize("op", ["sum", "max", "min", "l2"])
+def test_reduction_is_the_same_on_every_backend(op):
+    """The fold and the combine are kernel specs, so every compute
+    backend runs them: same result bytes, makespan and trace as inline,
+    one executor task per compute launch."""
+    seen = []
+    for backend in ("inline", "shm", "dist"):
+        sys_ = System(apu_two_level(storage_capacity=16 * MB,
+                                    staging_bytes=32 * KB), executor=backend)
+        try:
+            app = ReduceApp(sys_, n=50_000, op=op, seed=3)
+            app.run(sys_)
+            trace = sys_.timeline.trace
+            launches = sum(1 for iv in trace if iv.phase in (
+                Phase.GPU_COMPUTE, Phase.CPU_COMPUTE))
+            assert launches > 2
+            assert sys_.executor.stats.submitted == launches
+            seen.append((sys_.fetch(app.out_root, np.uint8).tobytes(),
+                         sys_.makespan(), len(trace)))
+        finally:
+            sys_.close()
+    assert seen[0][0] == np.float64(app.reference()).tobytes()
+    assert seen[1] == seen[0] and seen[2] == seen[0]

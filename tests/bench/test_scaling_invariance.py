@@ -11,8 +11,9 @@ future change breaks a scaling rule -- say, forgets to scale a latency
 import numpy as np
 import pytest
 
-from repro.apps import GemmApp, HotspotApp, InMemoryGemm, InMemoryHotspot
+from repro.apps import GemmApp, HotspotApp
 from repro.bench import configs
+from repro.bench.cells import _hotspot_in_memory
 from repro.core.system import System
 
 
@@ -21,8 +22,7 @@ def gemm_slowdown(linear_scale: int, storage: str) -> float:
     base_sys = System(configs.scaled_inmemory_tree(
         flop_bound_app=True, linear_scale=linear_scale))
     try:
-        base = InMemoryGemm(base_sys, m=n, k=n, n=n, seed=1)
-        base.run()
+        GemmApp(base_sys, m=n, k=n, n=n, seed=1).run(base_sys)
         base_time = base_sys.makespan()
     finally:
         base_sys.close()
@@ -44,8 +44,7 @@ def hotspot_slowdown(linear_scale: int, storage: str) -> float:
     base_sys = System(configs.scaled_inmemory_tree(
         linear_scale=linear_scale))
     try:
-        base = InMemoryHotspot(base_sys, n=n, iterations=8, seed=1)
-        base.run()
+        _hotspot_in_memory(base_sys, n, 8, 1)
         base_time = base_sys.makespan()
     finally:
         base_sys.close()

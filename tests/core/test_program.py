@@ -6,9 +6,11 @@ import pytest
 from repro.compute.processor import KernelCost, ProcessorKind
 from repro.core.program import NorthupProgram
 from repro.core.system import System
+from repro.exec.base import Binding, kernel_spec
 from repro.errors import SchedulerError
 from repro.memory.units import MB
 from repro.topology.builders import apu_two_level, figure2_asymmetric
+from tests.exec import kernels
 
 
 class DoublingProgram(NorthupProgram):
@@ -49,12 +51,12 @@ class DoublingProgram(NorthupProgram):
         bufs = ctx.payload
         gpu = ctx.get_device(ProcessorKind.GPU)
 
-        def kernel():
-            data = sys_.fetch(bufs["in"], np.uint8)
-            sys_.preload(bufs["out"], (data * 2).astype(np.uint8))
-
         sys_.launch(gpu, KernelCost(flops=1e6, bytes_read=bufs["in"].nbytes),
-                    reads=(bufs["in"],), writes=(bufs["out"],), fn=kernel)
+                    reads=(bufs["in"],), writes=(bufs["out"],),
+                    kernel=kernel_spec(
+                        kernels.double,
+                        Binding.read("data", bufs["in"], np.uint8),
+                        Binding.update("out", bufs["out"], np.uint8)))
 
     def data_up(self, ctx, child_ctx, chunk):
         self.calls["up"] += 1

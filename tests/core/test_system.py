@@ -5,11 +5,13 @@ import pytest
 
 from repro.core.system import RUNTIME_OP_COST, System, _transfer_phase
 from repro.errors import AllocationError, CapacityError, TransferError
+from repro.exec.base import Binding, kernel_spec
 from repro.memory.device import StorageKind
 from repro.memory.units import MB
 from repro.sim.trace import Phase
 from repro.topology.builders import (apu_two_level, discrete_gpu_three_level,
                                      figure2_asymmetric)
+from tests.exec import kernels
 
 
 @pytest.fixture
@@ -169,17 +171,20 @@ def test_cross_subtree_move_routes_via_lca():
         sys_.close()
 
 
-def test_launch_runs_fn_and_charges_processor(apu):
+def test_launch_runs_kernel_and_charges_processor(apu):
     leaf = apu.tree.leaves()[0]
     gpu = leaf.processor_named("gpu-apu")
     buf = apu.alloc(4096, leaf)
-    state = {}
 
     from repro.compute.processor import KernelCost
     done = apu.launch(gpu, KernelCost(flops=737e9 * 0.5, bytes_read=0,
                                       efficiency=1.0),
-                      writes=(buf,), fn=lambda: state.setdefault("ran", True))
-    assert state["ran"]
+                      writes=(buf,),
+                      kernel=kernel_spec(kernels.fill,
+                                         Binding.update("out", buf, np.uint8),
+                                         value=7))
+    assert (apu.fetch(buf, np.uint8) == 7).all()
+    assert apu.executor.stats.submitted == 1
     assert done.duration == pytest.approx(0.5, rel=0.01)
     assert buf.ready_at == pytest.approx(done.end)
     assert apu.breakdown().gpu == pytest.approx(done.duration)
@@ -192,6 +197,32 @@ def test_launch_rejects_remote_buffers(apu):
     from repro.compute.processor import KernelCost
     with pytest.raises(TransferError):
         apu.launch(gpu, KernelCost(flops=1, bytes_read=0), reads=(remote,))
+
+
+def test_launch_rejects_undeclared_kernel_bindings(apu):
+    """Every binding must be declared -- a read one in ``reads`` or
+    ``writes``, a writable one in ``writes`` -- or the node check and
+    the hazard bookkeeping never see it."""
+    root, leaf = apu.tree.root, apu.tree.leaves()[0]
+    gpu = leaf.processor_named("gpu-apu")
+    from repro.compute.processor import KernelCost
+    cost = KernelCost(flops=1, bytes_read=0)
+    local, remote = apu.alloc(64, leaf), apu.alloc(64, root)
+
+    def fill(buf):
+        return kernel_spec(kernels.fill, Binding.update("out", buf, np.uint8),
+                           value=1)
+    with pytest.raises(TransferError,
+                       match=f"'out' to buffer #{local.buffer_id}.* writes"):
+        apu.launch(gpu, cost, reads=(local,), kernel=fill(local))
+    with pytest.raises(TransferError, match=f"#{remote.buffer_id}"):
+        apu.launch(gpu, cost, writes=(local,), kernel=fill(remote))
+    axpy = kernel_spec(kernels.axpy, Binding.read("x", remote, np.float32),
+                       Binding.update("y", local, np.float32), alpha=1.0)
+    with pytest.raises(TransferError, match="'x'.*reads or writes"):
+        apu.launch(gpu, cost, writes=(local,), kernel=axpy)
+    assert apu.executor.stats.submitted == 0
+    assert (apu.fetch(remote, np.uint8) == 0).all()
 
 
 def test_launch_waits_for_input(apu):

@@ -11,6 +11,11 @@ def fill(out, *, value):
     out[:] = value
 
 
+def double(data, out):
+    """``out = 2 * data`` (integers wrap in the dtype)."""
+    np.multiply(data, 2, out=out)
+
+
 def axpy(x, y, *, alpha):
     """``y += alpha * x`` -- one read-only and one inout binding."""
     y += alpha * x

@@ -13,8 +13,10 @@ import pytest
 from repro.compute.processor import KernelCost, ProcessorKind
 from repro.core.program import NorthupProgram
 from repro.core.system import System
+from repro.exec.base import Binding, kernel_spec
 from repro.memory.units import KB, MB
 from repro.topology.builders import dual_branch_apu
+from tests.exec import kernels
 
 
 class BranchSpread(NorthupProgram):
@@ -49,15 +51,15 @@ class BranchSpread(NorthupProgram):
         sys_, bufs = ctx.system, ctx.payload
         gpu = ctx.get_device(ProcessorKind.GPU)
 
-        def kernel():
-            data = sys_.fetch(bufs["in"], np.uint8)
-            sys_.preload(bufs["out"], (data * 2).astype(np.uint8))
-
         # A deliberately beefy kernel so compute dominates the storage
         # channel and the branch overlap is visible in the makespan.
         sys_.launch(gpu, KernelCost(flops=737e9 * 0.01, bytes_read=0,
                                     efficiency=1.0),
-                    reads=(bufs["in"],), writes=(bufs["out"],), fn=kernel)
+                    reads=(bufs["in"],), writes=(bufs["out"],),
+                    kernel=kernel_spec(
+                        kernels.double,
+                        Binding.read("data", bufs["in"], np.uint8),
+                        Binding.update("out", bufs["out"], np.uint8)))
 
     def data_up(self, ctx, child_ctx, chunk):
         _i, off, size = chunk

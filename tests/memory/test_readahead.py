@@ -499,11 +499,13 @@ def test_reader_side_oserror_leaves_the_read_to_the_coordinator(
     p = _filled(tmp_path, "p", {1: 4096})
     try:
         a.advise([(1, i * 1024, 1, 1024, 1024) for i in range(4)])
+        # Every window fails and frees its buffer, so a settled reader
+        # has tried all four before the coordinator reads any.
+        _settle(a)
         for i in range(4):
             _twin_read(a, p, 1, i * 1024, 1024)
         c = a.readahead.counts
-        assert c["served"] == 0 and c["failed"] + c["late"] == 4
-        assert c["failed"] >= 1
+        assert (c["served"], c["failed"], c["late"]) == (0, 4, 0)
         assert _accounted(a.readahead)
     finally:
         with _within(10):

@@ -12,7 +12,7 @@ from repro.errors import ConfigError
 from repro.memory.units import MB
 from repro.topology.builders import apu_two_level
 from repro.workloads import matrices
-from repro.workloads.matrices import (load_array, load_bands, random_dense,
+from repro.workloads.matrices import (load_bands, random_dense,
                                       random_dense_bands)
 from repro.workloads.sparse import (banded, powerlaw_rows, preset,
                                     preset_names, uniform_random)
@@ -30,21 +30,6 @@ def test_random_dense_deterministic_and_bounded():
     assert not np.array_equal(a, random_dense(16, 8, seed=8))
     with pytest.raises(ConfigError):
         random_dense(0, 4, seed=1)
-
-
-def test_load_array_places_data():
-    sys_ = System(apu_two_level(storage_capacity=16 * MB,
-                                staging_bytes=4 * MB))
-    try:
-        arr = random_dense(32, 32, seed=1)
-        h = load_array(sys_, arr, sys_.tree.root, label="A")
-        np.testing.assert_array_equal(sys_.fetch(h, np.float32, shape=(32, 32)),
-                                      arr)
-        assert sys_.tree.root.used >= arr.nbytes
-        # Loading is untimed apart from the alloc setup charge.
-        assert sys_.breakdown().io == 0.0
-    finally:
-        sys_.close()
 
 
 def test_initial_temperature_near_ambient():
