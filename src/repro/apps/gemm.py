@@ -18,6 +18,8 @@ Two paper optimisations are implemented and individually switchable
   handles;
 * **pipelining**: B tiles come from a depth-``pipeline_depth`` buffer
   pool, so the next column shard's load overlaps the current kernel.
+  Chunks themselves stay serial (the default ``pipeline_window`` of
+  1): the C block carries across the k loop.
 
 Accumulation across the k loop happens where the paper puts it: the
 child's C block stays resident while partial products accumulate into
@@ -411,15 +413,6 @@ class GemmApp(NorthupProgram):
             for h in state.b_pool:
                 ctx.system.release(h)
             state.b_pool.clear()
-
-    def pipeline_window(self, ctx: ExecutionContext, chunks: list) -> int:
-        """Chunks are *not* independent here: the C block accumulates
-        across the k loop (``c_current`` carries from ``p`` to ``p+1``
-        and is only retired at ``last_p``), and ``setup_buffers``
-        asserts the previous block was retired before allocating the
-        next.  The level must stay serial; overlap for GEMM comes from
-        the B buffer pool's virtual-time depth instead."""
-        return 1
 
     def prefetch_hints(self, ctx: ExecutionContext, chunks) -> list[tuple]:
         """Each chunk's A and B windows, in loop order (full-mode cache

@@ -7,11 +7,13 @@ Rodinia ghost-zone ("pyramid") kernel for ``steps_per_pass`` Euler
 steps, and the valid interior is written back.  Passes repeat until the
 requested number of iterations is reached.
 
-With ``steps_per_pass = 1`` this is exactly the paper's width-1 border
-scheme (the four border vectors packed into one contiguous buffer --
-here the halo ships as part of the padded block, one 2-D DMA per
-block).  Larger values amortise storage traffic over several steps per
-load, which is what the Rodinia GPU kernel's pyramid height does on
+With ``steps_per_pass = 1`` this is the paper's width-1 border scheme,
+with one difference in shape: the paper packs the four border vectors
+into one contiguous buffer, while here the border ships inside the
+padded block (one 2-D DMA per block, and one kernel,
+:func:`~repro.compute.kernels.hotspot.hotspot_multistep`, for every
+halo width).  Larger values amortise storage traffic over several steps
+per load, which is what the Rodinia GPU kernel's pyramid height does on
 chip and what the calibrated benches use.
 """
 
@@ -28,7 +30,7 @@ from repro.compute.kernels.hotspot import (ChipEdges, HotspotParams,
                                            hotspot_cost, hotspot_run)
 from repro.compute.processor import ProcessorKind
 from repro.core.buffers import BufferHandle
-from repro.core.context import ExecutionContext, root_context
+from repro.core.context import ExecutionContext
 from repro.core.decomposition import Grid2D, window2d
 from repro.core.program import NorthupProgram
 from repro.core.system import System
@@ -167,25 +169,18 @@ class HotspotApp(NorthupProgram):
 
     # -- pass loop ---------------------------------------------------------
 
-    def steps(self, system: System, *, scheduler=None):
+    def phases(self, ctx: ExecutionContext):
         """Execute all iterations: one tree sweep per pass, refreshing
         the padded root field in between (the pass's result becomes the
         next pass's input)."""
-        self._scheduler = scheduler
-        ctx = root_context(system)
-        passes = self.iterations // self.halo
-        try:
-            for _ in range(passes):
-                self._stage_padded_input()
-                ctx.payload = HotspotLevel(
-                    t_pad=self.t_pad_root, p_pad=self.p_pad_root,
-                    out=self.out_root, rows=self.n, cols=self.n,
-                    halo=self.halo, edges=ChipEdges.whole_chip())
-                yield from self.recurse(ctx)
-                system.cache.flush_all()
-        finally:
-            system.cache.end_run()
-        return ctx
+        for _ in range(self.iterations // self.halo):
+            self._stage_padded_input()
+            ctx.payload = HotspotLevel(
+                t_pad=self.t_pad_root, p_pad=self.p_pad_root,
+                out=self.out_root, rows=self.n, cols=self.n,
+                halo=self.halo, edges=ChipEdges.whole_chip())
+            yield from self.recurse(ctx)
+            ctx.system.cache.flush_all()
 
     def _store_padded(self, handle: BufferHandle, bands) -> None:
         """Write ``(first_row, block)`` bands of the ``n x n`` field into

@@ -161,16 +161,18 @@ class SortApp(NorthupProgram):
 
     # -- phase 2: k-way merge passes ----------------------------------------
 
-    def steps(self, system: System, *, scheduler=None):
-        from repro.core.context import root_context
-        self._scheduler = scheduler
-        ctx = root_context(system)
+    def before_run(self, ctx: ExecutionContext) -> None:
         ctx.payload = SortLevel(data=self.data_root, n=self.n)
+
+    def phases(self, ctx: ExecutionContext):
         yield from self.recurse(ctx)           # phase 1
         self._merge_runs(ctx)                  # phase 2
-        return ctx
 
     def _merge_runs(self, ctx: ExecutionContext) -> None:
+        if len(self.runs) < 2:
+            # One run is already sorted in place; on a one-node tree
+            # the root sorted everything as a leaf and formed no runs.
+            return
         sys_ = self.system
         proc = None
         node: TreeNode | None = ctx.first_child()

@@ -27,7 +27,7 @@ from repro.compute.kernels.spmv import (CSRMatrix, bin_rows, binning_cost,
                                         spmv, spmv_block, spmv_cost)
 from repro.compute.processor import ProcessorKind
 from repro.core.buffers import BufferHandle
-from repro.core.context import ExecutionContext, root_context
+from repro.core.context import ExecutionContext
 from repro.core.decomposition import Range1D, split_even, split_rows_by_nnz
 from repro.core.program import NorthupProgram
 from repro.core.system import System
@@ -112,24 +112,16 @@ class SpmvApp(NorthupProgram):
 
     # -- sweep loop --------------------------------------------------------
 
-    def steps(self, system: System, *, scheduler=None):
-        """Execute ``iterations`` sweeps of y = A x.  The operands never
+    def phases(self, ctx: ExecutionContext):
+        """Run ``iterations`` sweeps of y = A x.  The operands never
         change, so each sweep recomputes the identical y; what differs
         is the data movement -- with a transparent cache, shards left
         resident by one sweep are served locally in the next."""
-        self._scheduler = scheduler
-        ctx = root_context(system)
-        try:
-            self.before_run(ctx)
-            root_payload = ctx.payload
-            for it in range(self.iterations):
-                self._iteration = it
-                ctx.payload = root_payload
-                yield from self.recurse(ctx)
-            self.after_run(ctx)
-        finally:
-            system.cache.end_run()
-        return ctx
+        root_payload = ctx.payload
+        for it in range(self.iterations):
+            self._iteration = it
+            ctx.payload = root_payload
+            yield from self.recurse(ctx)
 
     # -- x replication -----------------------------------------------------
 

@@ -9,10 +9,12 @@ Two parts from the paper's testbed (Section V-A):
   5.24 TFLOP/s SP with 320 GB/s of GDDR5 behind a PCIe link.
 
 Beyond the roofline (inherited from :class:`Processor`), the GPU model
-adds an occupancy curve: a kernel fed from ``q`` work queues can keep at
-most ``q`` workgroups in flight, and the device needs several workgroups
-per SIMD engine to hide memory latency.  This is the mechanism behind
-Figure 11's finding that 32 queues beat 8 and 16 on the APU.
+records its occupancy parameters: the device needs several workgroups
+per SIMD engine in flight to hide memory latency, and a kernel fed from
+``q`` work queues keeps at most ``q`` of them.  Figure 11's steal
+simulation (:mod:`repro.core.stealing`) saturates at the APU's
+``simd_engines x waves_per_simd_for_peak`` = 32 workgroups -- why 32
+queues beat 8 and 16 there.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.memory.units import GB, KiB, MiB
 
 @dataclass
 class GpuProcessor(Processor):
-    """A GPU with an explicit occupancy model.
+    """A GPU with its occupancy parameters.
 
     Attributes
     ----------
@@ -52,22 +54,6 @@ class GpuProcessor(Processor):
             raise ConfigError(f"{self.name}: CU/SIMD counts must be >= 1")
         if self.waves_per_simd_for_peak < 1:
             raise ConfigError(f"{self.name}: waves_per_simd_for_peak must be >= 1")
-
-    def occupancy(self, concurrent_workgroups: int) -> float:
-        """Fraction of peak throughput sustained with this many
-        workgroups resident (linear ramp up to the latency-hiding knee)."""
-        if concurrent_workgroups < 0:
-            raise ConfigError("workgroup count must be non-negative")
-        needed = self.simd_engines * self.waves_per_simd_for_peak
-        return min(1.0, concurrent_workgroups / needed)
-
-    def effective_gflops(self, concurrent_workgroups: int) -> float:
-        return self.peak_gflops * self.occupancy(concurrent_workgroups)
-
-    def effective_mem_bw(self, concurrent_workgroups: int) -> float:
-        """Memory-level parallelism also needs occupancy: a starved GPU
-        cannot keep its memory pipes full either."""
-        return self.mem_bw * self.occupancy(concurrent_workgroups)
 
 
 def make_gpu_apu(*, name: str = "gpu-apu", mem_bw: float = 20 * GB) -> GpuProcessor:

@@ -2,11 +2,11 @@
 
 The paper extends an optimised tiled OpenCL GEMM that reaches >80% of
 peak GPU FLOPS, blocking 16x16 tiles into per-CU local memory.  Here
-:func:`gemm` computes the answer with NumPy, :func:`tiled_gemm` is an
-explicitly blocked reference used to validate the decomposition math,
-and :func:`gemm_cost` charges roofline time assuming local-memory tiling
-(each operand element is read from device memory once per tile pass, so
-traffic is ``2*m*n*k/tile`` words instead of ``2*m*n*k``).
+:func:`gemm_block` is the one kernel -- ``c += a @ b`` on one block, the
+partial-sum step of Figure 3 -- and :func:`gemm_cost` charges roofline
+time assuming local-memory tiling (each operand element is read from
+device memory once per tile pass, so traffic is ``2*m*n*k/tile`` words
+instead of ``2*m*n*k``).
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ import numpy as np
 
 from repro.compute.processor import KernelCost
 from repro.errors import KernelError
-
-#: Local-memory tile edge used by the paper's kernel ("16x16 blocking
-#: size is used in GPU local memory").
-LOCAL_TILE = 16
 
 #: Effective reuse factor for device-memory traffic.  LDS tiling alone
 #: (16x16) gives only ~4 flops/byte -- not enough to reach 80% of peak on
@@ -29,63 +25,6 @@ MACRO_REUSE = 256
 
 #: Fraction of peak FLOPS the tuned kernel sustains (">80% of peak").
 GEMM_EFFICIENCY = 0.80
-
-
-def _check_operands(a: np.ndarray, b: np.ndarray) -> None:
-    if a.ndim != 2 or b.ndim != 2:
-        raise KernelError(f"gemm needs 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise KernelError(f"inner dimensions differ: {a.shape} x {b.shape}")
-
-
-def gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
-         accumulate: bool = False) -> np.ndarray:
-    """``out (+)= a @ b`` in the operands' dtype.
-
-    With ``accumulate=True`` the product is added into ``out`` -- the
-    partial-sum step of the paper's block-level "dot product" (Figure 3:
-    compute partial results from corresponding blocks of A and B, then
-    accumulate).
-    """
-    _check_operands(a, b)
-    if out is None:
-        if accumulate:
-            raise KernelError("accumulate=True requires an output operand")
-        return a @ b
-    expected = (a.shape[0], b.shape[1])
-    if out.shape != expected:
-        raise KernelError(f"output shape {out.shape} != {expected}")
-    if accumulate:
-        out += a @ b
-    else:
-        np.matmul(a, b, out=out)
-    return out
-
-
-def tiled_gemm(a: np.ndarray, b: np.ndarray, tile_m: int, tile_n: int,
-               tile_k: int) -> np.ndarray:
-    """Explicitly blocked GEMM: the reference for the blocking math.
-
-    Iterates m/n/k tile loops accumulating partial products, exactly the
-    schedule the out-of-core app runs across memory levels.  Tiles need
-    not divide the dimensions evenly.
-    """
-    _check_operands(a, b)
-    for name, t in (("tile_m", tile_m), ("tile_n", tile_n), ("tile_k", tile_k)):
-        if t < 1:
-            raise KernelError(f"{name} must be >= 1, got {t}")
-    m, k = a.shape
-    n = b.shape[1]
-    out = np.zeros((m, n), dtype=np.result_type(a, b))
-    for i0 in range(0, m, tile_m):
-        i1 = min(i0 + tile_m, m)
-        for j0 in range(0, n, tile_n):
-            j1 = min(j0 + tile_n, n)
-            acc = out[i0:i1, j0:j1]
-            for l0 in range(0, k, tile_k):
-                l1 = min(l0 + tile_k, k)
-                acc += a[i0:i1, l0:l1] @ b[l0:l1, j0:j1]
-    return out
 
 
 def gemm_cost(m: int, k: int, n: int, *, dtype_size: int = 4,

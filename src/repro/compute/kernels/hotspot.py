@@ -6,12 +6,12 @@ resistances Rx/Ry), vertical dissipation to the ambient (Rz), and the
 cell's own power draw.  The Rodinia formulation advanced one explicit
 Euler step per kernel launch is reproduced here.
 
-The blocked (Northup) execution loads a sub-block plus its borders per
-level: width-1 :class:`Borders` for one step, or a ``K``-wide halo for
-``K`` ghost-zone steps (:func:`hotspot_multistep`).  Every entry point
-runs one stencil sweep (:func:`_sweep`) with one float32 operation
-order, so a blocked step is bit-identical to the full-grid step -- the
-invariant the tests pin down.
+The blocked (Northup) execution loads a sub-block plus a ``K``-wide
+halo of neighbour cells per level and runs ``K`` ghost-zone steps on it
+(:func:`hotspot_multistep`); ``K = 1`` is the paper's width-1 border
+scheme.  Both entry points run one stencil sweep (:func:`_sweep`) with
+one float32 operation order, so a blocked step is bit-identical to the
+full-grid step -- the invariant the tests pin down.
 """
 
 from __future__ import annotations
@@ -80,48 +80,6 @@ def default_params(rows: int, cols: int) -> HotspotParams:
                          step_div_cap=step / cap)
 
 
-@dataclass
-class Borders:
-    """Width-1 halos around a block: the neighbour cells just outside it.
-
-    ``north``/``south`` have one entry per column, ``west``/``east`` one
-    per row.  At the chip boundary Rodinia clamps to the edge cell's own
-    value, as :func:`extract_borders` does.
-    """
-
-    north: np.ndarray
-    south: np.ndarray
-    west: np.ndarray
-    east: np.ndarray
-
-    def validate(self, rows: int, cols: int) -> None:
-        """Check border shapes against the block; raises KernelError."""
-        if self.north.shape != (cols,) or self.south.shape != (cols,):
-            raise KernelError(
-                f"north/south borders must have shape ({cols},), got "
-                f"{self.north.shape} and {self.south.shape}")
-        if self.west.shape != (rows,) or self.east.shape != (rows,):
-            raise KernelError(
-                f"west/east borders must have shape ({rows},), got "
-                f"{self.west.shape} and {self.east.shape}")
-
-
-def extract_borders(grid: np.ndarray, r0: int, r1: int, c0: int,
-                    c1: int) -> Borders:
-    """Borders for block ``grid[r0:r1, c0:c1]`` taken from the full grid,
-    replicating at chip edges.  This is what ``data_down`` ships along
-    with the block (Figure 4)."""
-    rows, cols = grid.shape
-    if not (0 <= r0 < r1 <= rows and 0 <= c0 < c1 <= cols):
-        raise KernelError(f"block [{r0}:{r1}, {c0}:{c1}] outside grid {grid.shape}")
-    north = grid[r0 - 1, c0:c1] if r0 > 0 else grid[r0, c0:c1]
-    south = grid[r1, c0:c1] if r1 < rows else grid[r1 - 1, c0:c1]
-    west = grid[r0:r1, c0 - 1] if c0 > 0 else grid[r0:r1, c0]
-    east = grid[r0:r1, c1] if c1 < cols else grid[r0:r1, c1 - 1]
-    return Borders(north=north.copy(), south=south.copy(),
-                   west=west.copy(), east=east.copy())
-
-
 @dataclass(frozen=True)
 class ChipEdges:
     """How far each side of a block lies from the chip boundary, in cells:
@@ -172,7 +130,7 @@ def _refresh_chip_ghosts(padded: np.ndarray, halo: int,
 
 
 def _sweep(temp: np.ndarray, power: np.ndarray, params: HotspotParams,
-           steps: int, *, borders: Borders | None = None, halo: int = 0,
+           steps: int, *, halo: int = 0,
            edges: ChipEdges = ChipEdges.whole_chip(),
            out: np.ndarray | None = None) -> np.ndarray:
     """``steps`` Euler steps in one flat padded frame.  Returns the cells
@@ -181,8 +139,7 @@ def _sweep(temp: np.ndarray, power: np.ndarray, params: HotspotParams,
     ``temp``/``power`` share one shape and floating dtype, the scratch's
     (an int grid would truncate, a mixed pair round silently).  The
     frame's ring extends the ``halo`` band by one: before each step the
-    ghost cells in both beyond the chip boundary are re-replicated, then
-    ``borders``, if given, overwrite the ring.
+    ghost cells in both beyond the chip boundary are re-replicated.
     Flattened, the N/S/W/E neighbours of rows 1..R are the slices at
     ``-(C+2)``, ``+(C+2)``, ``-1``, ``+1``: one step is 14 ufuncs into
     scratch and the other frame, in the association of Rodinia's
@@ -198,8 +155,6 @@ def _sweep(temp: np.ndarray, power: np.ndarray, params: HotspotParams,
         raise KernelError(f"temp ({temp.dtype}) and power ({power.dtype}) "
                           "must share one floating dtype")
     rows, cols = temp.shape
-    if borders is not None:
-        borders.validate(rows, cols)
     w = cols + 2
     span = rows * w
     cur, nxt = (np.zeros((rows + 2, w), dtype=temp.dtype) for _ in range(2))
@@ -209,9 +164,6 @@ def _sweep(temp: np.ndarray, power: np.ndarray, params: HotspotParams,
     a, b, c = (np.empty(span, dtype=temp.dtype) for _ in range(3))
     for _ in range(steps):
         _refresh_chip_ghosts(cur, halo + 1, edges)
-        if borders is not None:
-            cur[0, 1:-1], cur[-1, 1:-1] = borders.north, borders.south
-            cur[1:-1, 0], cur[1:-1, -1] = borders.west, borders.east
         f = cur.ravel()
         t = f[w:w + span]
         np.add(f[:span], f[2 * w:], out=a)                  # north + south
@@ -235,17 +187,6 @@ def _sweep(temp: np.ndarray, power: np.ndarray, params: HotspotParams,
         return cur[k:-k, k:-k].copy()
     np.copyto(out, cur[k:-k, k:-k])
     return out
-
-
-def hotspot_step(temp: np.ndarray, power: np.ndarray, params: HotspotParams,
-                 borders: Borders | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """One explicit Euler step on a block.
-
-    ``borders`` supplies the halo; ``None`` means chip-boundary
-    (replicated-edge) conditions, i.e. the block is the whole chip.
-    """
-    return _sweep(temp, power, params, 1, borders=borders, out=out)
 
 
 def hotspot_multistep(t_pad: np.ndarray, p_pad: np.ndarray,

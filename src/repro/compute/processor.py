@@ -61,24 +61,6 @@ class KernelCost:
     def bytes_total(self) -> float:
         return self.bytes_read + self.bytes_written
 
-    def plus(self, other: "KernelCost") -> "KernelCost":
-        """Combine two sequential launches (efficiencies flop-weighted)."""
-        total_flops = self.flops + other.flops
-        total_bytes = self.bytes_total + other.bytes_total
-        if total_flops > 0:
-            eff = (self.flops * self.efficiency + other.flops * other.efficiency) / total_flops
-        else:
-            eff = min(self.efficiency, other.efficiency)
-        if total_bytes > 0:
-            bw_eff = ((self.bytes_total * self.bw_efficiency
-                       + other.bytes_total * other.bw_efficiency) / total_bytes)
-        else:
-            bw_eff = min(self.bw_efficiency, other.bw_efficiency)
-        return KernelCost(flops=total_flops,
-                          bytes_read=self.bytes_read + other.bytes_read,
-                          bytes_written=self.bytes_written + other.bytes_written,
-                          efficiency=eff, bw_efficiency=bw_eff)
-
 
 @dataclass
 class Processor:

@@ -84,7 +84,6 @@ class Breakdown:
         Phase.IO_WRITE: "transfer",
         Phase.DEV_TRANSFER: "transfer",
         Phase.MEM_COPY: "transfer",
-        Phase.NET_TRANSFER: "transfer",
         Phase.RUNTIME: "runtime",
         Phase.CACHE: "cache",
     }

@@ -12,8 +12,11 @@ There is one execution path and it is *resumable*: ``steps()`` is a
 generator delegating through ``recurse`` -> ``Scheduler.execute_level``
 -> ``_drain`` -> a compute node's nested level, suspended only where a
 scheduler yields (the serve layer's, at every task-graph node); ``run()``
-drives it to exhaustion.  Apps with their own phase loops (sort's merge,
-HotSpot's passes, SpMV's sweeps) override ``steps``, not ``run``.
+drives it to exhaustion.  ``steps`` is the one driver for every app:
+it opens the run's root span, runs :meth:`~NorthupProgram.phases`
+between ``before_run`` and ``after_run``, and always ends the run.  Apps
+with their own phase loops (sort's merge, HotSpot's passes, SpMV's
+sweeps) override ``phases``, whose default is one recursion.
 
 The hooks intentionally mirror Listing 3's helper names
 (``compute_task``, ``setup_buffers``, ``data_down``, ``data_up``) so a
@@ -152,6 +155,13 @@ class NorthupProgram(ABC):
     def after_run(self, ctx: ExecutionContext) -> None:
         """Called once at the root after recursion completes."""
 
+    def phases(self, ctx: ExecutionContext):
+        """The program's body between :meth:`before_run` and
+        :meth:`after_run`, as a stepping generator.  Default: one
+        recursion from the root (Listing 3's single call of
+        ``myfunction``)."""
+        yield from self.recurse(ctx)
+
     def after_level(self, ctx: ExecutionContext) -> None:
         """Called after a level finishes its chunk loop.
 
@@ -222,7 +232,7 @@ class NorthupProgram(ABC):
                                     node_id=ctx.node.node_id)
         try:
             self.before_run(ctx)
-            yield from self.recurse(ctx)
+            yield from self.phases(ctx)
             self.after_run(ctx)
         finally:
             # end_run's write-back flush intervals still attribute to

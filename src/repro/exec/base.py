@@ -179,22 +179,20 @@ class Executor(abc.ABC):
 
     The contract every backend honours:
 
-    * ``submit`` receives *owned snapshot arrays* (the caller will not
-      mutate them) and returns an opaque ticket; a snapshot built in a
-      :meth:`stage` buffer belongs to the executor from then on, which
-      alone decides when that buffer is free again;
-    * ``wait(ticket)`` blocks until that task finished and returns its
-      :class:`TaskResult` -- output arrays stay valid until
-      ``release(ticket)``;
-    * tasks submitted in some order merge back in that order (the
-      :class:`~repro.exec.ledger.PendingLedger` enforces it);
+    * :attr:`asynchronous` says who runs a launch's kernel: False (the
+      inline backend) means the System runs it in place, on its own
+      thread; True means a :class:`~repro.exec.pool.WorkerPool`'s
+      ``submit``/``wait``/``release`` round trip over snapshots;
+    * :attr:`stats` counts every kernel either way, and
+      :attr:`telemetry` (opt-in) records its wall-clock span;
     * executors are context managers; :meth:`close` is idempotent and
       reaps every pool resource (threads, processes, shared memory).
     """
 
     name = "?"
-    #: True when ``submit`` may run the kernel off-thread: the caller
-    #: must snapshot operands and merge results through the ledger.
+    #: True for the pools, whose ``submit`` runs the kernel off-thread:
+    #: the caller snapshots operands and merges results through the
+    #: ledger.
     asynchronous = False
 
     def __init__(self, workers: int = 1, telemetry: bool = False) -> None:
@@ -238,21 +236,21 @@ class Executor(abc.ABC):
             if span_id:
                 tel.current_span = span_id
 
-    def stage(self, nbytes: int) -> np.ndarray:
-        """A writable uint8 array of ``nbytes`` for the System to
-        snapshot one operand into."""
-        return np.empty(nbytes, dtype=np.uint8)
+    # The asynchronous contract is the worker pools'
+    # (:class:`~repro.exec.pool.WorkerPool`); a synchronous backend has
+    # the System run every kernel in place and takes no submits.
 
-    @abc.abstractmethod
     def submit(self, ref: str,
                arrays: list[tuple[str, np.ndarray, bool]],
                kwargs: dict, label: str = "") -> int:
         """Queue one kernel; returns a ticket for :meth:`wait`."""
+        raise ExecError(f"the {self.name} executor runs kernels in place "
+                        f"and takes no submits")
 
-    @abc.abstractmethod
     def wait(self, ticket: int) -> TaskResult:
         """Block until ``ticket`` finished; raises :class:`ExecError`
         if the kernel raised."""
+        raise ExecError(f"unknown ticket {ticket}")
 
     def release(self, ticket: int) -> None:
         """Return a waited ticket's resources (e.g. shm segments)."""

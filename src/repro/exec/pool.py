@@ -132,7 +132,20 @@ class _Ticket:
 
 class WorkerPool(Executor):
     """A persistent pool of worker processes behind the executor
-    contract; subclasses supply the transport."""
+    contract; subclasses supply the transport.
+
+    The asynchronous contract, on top of :class:`Executor`'s:
+
+    * ``submit`` receives *owned snapshot arrays* (the caller will not
+      mutate them) and returns an opaque ticket; a snapshot built in a
+      :meth:`stage` buffer belongs to the pool from then on, which
+      alone decides when that buffer is free again;
+    * ``wait(ticket)`` blocks until that task finished and returns its
+      :class:`TaskResult` -- output arrays stay valid until
+      ``release(ticket)``;
+    * tasks submitted in some order merge back in that order (the
+      :class:`~repro.exec.ledger.PendingLedger` enforces it).
+    """
 
     asynchronous = True
     _procs: list | tuple = ()
@@ -360,6 +373,11 @@ class WorkerPool(Executor):
             self._book.clear()
 
     # -- transport hooks ---------------------------------------------------
+
+    def stage(self, nbytes: int) -> np.ndarray:
+        """A writable uint8 array of ``nbytes`` for the System to
+        snapshot one operand into."""
+        raise NotImplementedError
 
     def _open(self) -> None:
         """Start the workers (:meth:`_start`) and the transport."""

@@ -1,7 +1,7 @@
 """The network level of the device tree: channels between workers.
 
-The paper's tree abstraction extends naturally by one more level -- a
-network channel *above* the per-machine storage root.  Where
+The paper's tree abstraction extends by one more level -- a network
+channel *above* the per-machine storage root.  Where
 :class:`~repro.memory.channel.Link` models the bus between two memory
 nodes inside one machine, a :class:`NetworkChannel` models the fabric
 between distributed workers that each own a whole subtree (or chunk
@@ -15,14 +15,9 @@ bytes::
 
     seconds(nbytes) = latency + per_message + nbytes / bandwidth
 
-Each worker owns a transmit and a receive lane on the fabric
-(``net.<name>.w<k>.tx`` / ``.rx``), so a shipment occupies the source
-worker's tx lane and the destination's rx lane simultaneously --
-shipments out of one worker serialise, shipments between disjoint
-worker pairs overlap.  Non-duplex channels collapse both directions of
-one worker onto a single lane.  Charging on named lanes is what lets
-:mod:`repro.obs.critical` blame the network by resource name like any
-other channel.
+The distributed projection (:mod:`repro.dist.model`) charges every
+boundary-crossing shipment this way; shipments out of one worker
+serialise on its transmit side.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ class NetworkChannel:
     Attributes
     ----------
     name:
-        e.g. ``"10gbe"``; lane resource names derive from it.
+        e.g. ``"10gbe"``.
     bandwidth:
         Peak payload bandwidth in bytes/second per direction.
     latency:
@@ -49,7 +44,8 @@ class NetworkChannel:
         Fixed per-message software overhead (serialisation, syscalls);
         the only cost of a zero-byte control message besides latency.
     duplex:
-        Whether a worker's tx and rx lanes are independent.
+        Whether the fabric is full duplex; descriptive only (the
+        projection serialises a worker's sends either way).
     """
 
     name: str
@@ -71,14 +67,6 @@ class NetworkChannel:
         if nbytes < 0:
             raise ConfigError(f"negative shipment size {nbytes}")
         return self.latency + self.per_message + nbytes / self.bandwidth
-
-    def lane(self, worker: int, direction: str) -> str:
-        """Timeline resource of one worker's lane ('tx' or 'rx')."""
-        if direction not in ("tx", "rx"):
-            raise ConfigError(f"unknown lane direction {direction!r}")
-        if self.duplex:
-            return f"net.{self.name}.w{worker}.{direction}"
-        return f"net.{self.name}.w{worker}.ch"
 
     def describe(self) -> dict:
         """The cost-model parameters (bench JSON / describe payload)."""

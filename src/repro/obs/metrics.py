@@ -62,27 +62,6 @@ class Histogram:
         out.append((float("inf"), running + self.counts[-1]))
         return out
 
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile (``0 <= q <= 1``) from the
-        cumulative buckets, interpolating linearly inside the target
-        bucket (Prometheus ``histogram_quantile`` semantics).  Samples
-        in the trailing +Inf bucket clamp to the highest finite bound;
-        an empty histogram reports 0.0."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        running = 0
-        lo = 0.0
-        for bound, n in zip(self.buckets, self.counts):
-            if running + n >= rank and n > 0:
-                frac = (rank - running) / n
-                return lo + (bound - lo) * max(0.0, min(1.0, frac))
-            running += n
-            lo = bound
-        return self.buckets[-1] if self.buckets else 0.0
-
     def to_dict(self) -> dict:
         return {
             "count": self.count,

@@ -10,11 +10,11 @@ Storage layout
 Intervals are kept as parallel primitive arrays (one Python list per
 column) with running aggregates maintained on append:
 
-* per-phase, per-resource and per-(phase, resource) busy seconds,
-* per-phase moved bytes and operation counts,
+* per-phase and per-resource busy seconds,
+* per-phase moved bytes,
 * the running makespan.
 
-Aggregation queries (:meth:`Trace.busy_time`, :meth:`Trace.by_phase`,
+Aggregation queries (:meth:`Trace.by_phase`, :meth:`Trace.by_resource`,
 :meth:`Trace.bytes_moved`, :meth:`Trace.makespan`) therefore cost O(1)
 or O(#distinct keys) instead of a full re-scan -- the framework's own
 bookkeeping must stay off the critical path as traces grow to millions
@@ -69,10 +69,6 @@ class Phase(enum.Enum):
     IO_WRITE = "io_write"
     DEV_TRANSFER = "dev_transfer"
     MEM_COPY = "mem_copy"
-    #: Cross-worker shipment on the modeled network level
-    #: (:mod:`repro.memory.network`): boundary edges of a partitioned
-    #: task graph crossing between distributed workers.
-    NET_TRANSFER = "net_transfer"
     RUNTIME = "runtime"
     CACHE = "cache"
 
@@ -124,9 +120,8 @@ class Trace:
 
     __slots__ = ("_starts", "_ends", "_phases", "_resources", "_labels",
                  "_nbytes", "_span_ids", "active_span", "_materialized",
-                 "_busy_total", "_bytes_total", "_max_end", "_busy_by_phase",
-                 "_busy_by_resource", "_busy_by_pair", "_bytes_by_phase",
-                 "_ops_by_phase")
+                 "_bytes_total", "_max_end", "_busy_by_phase",
+                 "_busy_by_resource", "_bytes_by_phase")
 
     def __init__(self, intervals: Iterable[Interval] | None = None) -> None:
         self._starts: list[float] = []
@@ -142,16 +137,13 @@ class Trace:
         #: Cached Interval objects; None until first materialization,
         #: kept in sync by record() afterwards.
         self._materialized: list[Interval] | None = None
-        self._busy_total = 0.0
         self._bytes_total = 0
         self._max_end = 0.0
         self._busy_by_phase: dict[Phase, float] = {}
         self._busy_by_resource: dict[str, float] = {}
-        self._busy_by_pair: dict[tuple[Phase, str], float] = {}
         #: Only phases that moved a nonzero byte count appear here (the
         #: key set the breakdown reports expose).
         self._bytes_by_phase: dict[Phase, int] = {}
-        self._ops_by_phase: dict[Phase, int] = {}
         if intervals is not None:
             for iv in intervals:
                 self.record(iv)
@@ -191,18 +183,12 @@ class Trace:
         if self._materialized is not None:
             self._materialized = None
         duration = end - start
-        self._busy_total += duration
         if end > self._max_end:
             self._max_end = end
         bp = self._busy_by_phase
         bp[phase] = bp.get(phase, 0.0) + duration
         br = self._busy_by_resource
         br[resource] = br.get(resource, 0.0) + duration
-        pair = (phase, resource)
-        bpr = self._busy_by_pair
-        bpr[pair] = bpr.get(pair, 0.0) + duration
-        ops = self._ops_by_phase
-        ops[phase] = ops.get(phase, 0) + 1
         if nbytes:
             self._bytes_total += nbytes
             bb = self._bytes_by_phase
@@ -257,23 +243,6 @@ class Trace:
 
     # -- aggregation ----------------------------------------------------
 
-    def busy_time(self, phase: Phase | None = None,
-                  resource: str | None = None) -> float:
-        """Total duration of matching intervals (double-counting overlap).
-
-        Busy time is the quantity behind the paper's stacked breakdown
-        bars: it answers "how long was each category active", regardless
-        of whether activities overlapped in wall-clock terms.  Served
-        from running aggregates in O(1).
-        """
-        if phase is None and resource is None:
-            return self._busy_total
-        if resource is None:
-            return self._busy_by_phase.get(phase, 0.0)
-        if phase is None:
-            return self._busy_by_resource.get(resource, 0.0)
-        return self._busy_by_pair.get((phase, resource), 0.0)
-
     def by_phase(self) -> dict[Phase, float]:
         """Busy time per phase for every phase present in the trace."""
         return dict(self._busy_by_phase)
@@ -285,12 +254,6 @@ class Trace:
     def bytes_by_phase(self) -> dict[Phase, int]:
         """Moved bytes per phase (phases with a nonzero total only)."""
         return dict(self._bytes_by_phase)
-
-    def ops(self, phase: Phase | None = None) -> int:
-        """Number of recorded intervals, optionally for one phase."""
-        if phase is None:
-            return len(self._starts)
-        return self._ops_by_phase.get(phase, 0)
 
     def bytes_moved(self, phase: Phase | None = None) -> int:
         """Total bytes moved by matching transfer intervals."""
@@ -317,22 +280,6 @@ class Trace:
         """Total busy seconds of intervals ``[lo, hi)``."""
         return sum(e - s for s, e in zip(self._starts[lo:hi],
                                          self._ends[lo:hi]))
-
-    # -- composition ----------------------------------------------------
-
-    def filter(self, phases: Iterable[Phase]) -> "Trace":
-        """A new trace containing only intervals in ``phases``."""
-        wanted = set(phases)
-        out = Trace()
-        for row in self.span_rows():
-            if row[2] in wanted:
-                out.record_raw(*row)
-        return out
-
-    def extend(self, other: "Trace") -> None:
-        """Append every interval of ``other`` (used to merge sub-traces)."""
-        for row in other.span_rows():
-            self.record_raw(*row)
 
     def clear(self) -> None:
         self.__init__()

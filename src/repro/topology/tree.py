@@ -34,21 +34,6 @@ class TopologyTree:
         self._nodes: dict[int, TreeNode] = {}
         self._root: TreeNode | None = None
         self._next_id = 0
-        #: Optional network level *above* the root: the fabric between
-        #: distributed workers that each replicate this tree
-        #: (:class:`~repro.memory.network.NetworkChannel`).  ``None``
-        #: means single-machine -- the historical model, unchanged.
-        self.network = None
-
-    def attach_network(self, channel) -> "TopologyTree":
-        """Declare the network level above this tree's root.
-
-        The channel does not charge anything by itself; the distributed
-        runner (:mod:`repro.dist`) reads it as the default fabric for
-        cross-partition shipments.  Returns the tree for chaining.
-        """
-        self.network = channel
-        return self
 
     # -- construction -------------------------------------------------------
 
@@ -186,12 +171,8 @@ class TopologyTree:
             for child in node.children:
                 walk(child, indent + "  ")
 
-        if self.network is not None:
-            lines.append(f"(net) {self.network.name} "
-                         f"{self.network.bandwidth / 1e9:.1f} GB/s "
-                         f"lat {self.network.latency * 1e6:.1f}us")
         if self._root is not None:
-            walk(self._root, "  " if self.network is not None else "")
+            walk(self._root, "")
         return "\n".join(lines)
 
     def close(self) -> None:

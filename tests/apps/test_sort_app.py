@@ -9,7 +9,8 @@ from repro.apps.sort import SortApp, merge_cost
 from repro.core.system import System
 from repro.errors import ConfigError
 from repro.memory.units import KB, MB
-from repro.topology.builders import apu_two_level, discrete_gpu_three_level
+from repro.topology.builders import (apu_two_level, discrete_gpu_three_level,
+                                     in_memory_single_level)
 
 
 def run_sort(tree, **kw):
@@ -27,6 +28,20 @@ def test_sort_single_run_degenerate():
     # Everything fits one chunk: phase 2 is a no-op.
     run_sort(apu_two_level(storage_capacity=16 * MB, staging_bytes=1 * MB),
              n=5000, seed=1)
+
+
+def test_sort_on_a_one_node_tree():
+    """The root is the leaf: it sorts the whole vector in place and forms
+    no runs, so the merge phase has nothing to do (it used to look for a
+    child and raise SchedulerError)."""
+    sys_ = System(in_memory_single_level(capacity=4 * MB))
+    try:
+        app = SortApp(sys_, n=20_000, seed=6)
+        app.run(sys_)
+        assert app.runs == []
+        assert app.result().tobytes() == app.reference().tobytes()
+    finally:
+        sys_.close()
 
 
 def test_sort_two_runs():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compute.kernels.gemm import (GEMM_EFFICIENCY, MACRO_REUSE, gemm,
-                                        gemm_cost, tiled_gemm)
+from repro.compute.kernels.gemm import (GEMM_EFFICIENCY, MACRO_REUSE,
+                                        gemm_block, gemm_cost)
 from repro.errors import KernelError
 
 
@@ -17,34 +17,26 @@ def rand(m, n, seed):
 
 def test_gemm_matches_numpy():
     a, b = rand(17, 23, 0), rand(23, 11, 1)
-    np.testing.assert_allclose(gemm(a, b), a @ b, rtol=1e-5)
+    c = np.zeros((17, 11), dtype=np.float32)
+    gemm_block(a, b, c)
+    np.testing.assert_allclose(c, a @ b, rtol=1e-5)
 
 
 def test_gemm_into_output():
+    """C is an inout operand: the product adds to its prior contents."""
     a, b = rand(8, 8, 0), rand(8, 8, 1)
-    out = np.zeros((8, 8), dtype=np.float32)
-    gemm(a, b, out=out)
-    np.testing.assert_allclose(out, a @ b, rtol=1e-5)
+    out = np.ones((8, 8), dtype=np.float32)
+    gemm_block(a, b, out)
+    np.testing.assert_allclose(out, 1.0 + a @ b, rtol=1e-5, atol=1e-6)
 
 
 def test_gemm_accumulate_partial_sums():
     # Figure 3's block dot product: split k, accumulate partials.
     a, b = rand(12, 20, 0), rand(20, 9, 1)
     out = np.zeros((12, 9), dtype=np.float32)
-    gemm(a[:, :10], b[:10], out=out, accumulate=True)
-    gemm(a[:, 10:], b[10:], out=out, accumulate=True)
+    gemm_block(a[:, :10], b[:10], out)
+    gemm_block(a[:, 10:], b[10:], out)
     np.testing.assert_allclose(out, a @ b, rtol=1e-4, atol=1e-5)
-
-
-def test_gemm_shape_validation():
-    with pytest.raises(KernelError):
-        gemm(rand(3, 4, 0), rand(5, 6, 1))
-    with pytest.raises(KernelError):
-        gemm(rand(3, 4, 0), rand(4, 6, 1), out=np.zeros((2, 2), dtype=np.float32))
-    with pytest.raises(KernelError):
-        gemm(rand(3, 4, 0), rand(4, 2, 1), accumulate=True)
-    with pytest.raises(KernelError):
-        gemm(np.zeros(3, dtype=np.float32), rand(3, 3, 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -52,16 +44,18 @@ def test_gemm_shape_validation():
        tm=st.integers(1, 17), tn=st.integers(1, 17), tk=st.integers(1, 17),
        seed=st.integers(0, 2**16))
 def test_tiled_gemm_matches_reference(m, k, n, tm, tn, tk, seed):
-    """Blocking with any (even non-dividing) tile sizes is exact."""
+    """Blocking with any (even non-dividing) tile sizes is exact: the
+    m/n/k tile loops the out-of-core app runs across memory levels,
+    one :func:`gemm_block` per (i, j, l) tile."""
     a, b = rand(m, k, seed), rand(k, n, seed + 1)
-    np.testing.assert_allclose(tiled_gemm(a, b, tm, tn, tk), a @ b,
-                               rtol=1e-4, atol=1e-5)
-
-
-def test_tiled_gemm_validates_tiles():
-    a, b = rand(4, 4, 0), rand(4, 4, 1)
-    with pytest.raises(KernelError):
-        tiled_gemm(a, b, 0, 1, 1)
+    out = np.zeros((m, n), dtype=np.float32)
+    for i0 in range(0, m, tm):
+        for j0 in range(0, n, tn):
+            for l0 in range(0, k, tk):
+                gemm_block(a[i0:i0 + tm, l0:l0 + tk],
+                           b[l0:l0 + tk, j0:j0 + tn],
+                           out[i0:i0 + tm, j0:j0 + tn])
+    np.testing.assert_allclose(out, a @ b, rtol=1e-4, atol=1e-5)
 
 
 def test_gemm_cost_flops_and_traffic():

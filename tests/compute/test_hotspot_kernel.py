@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compute.kernels.hotspot import (Borders, ChipEdges, HotspotParams,
-                                           default_params, extract_borders,
-                                           hotspot_block, hotspot_cost,
-                                           hotspot_multistep, hotspot_run,
-                                           hotspot_step)
+from repro.compute.kernels.hotspot import (ChipEdges, HotspotParams,
+                                           default_params, hotspot_block,
+                                           hotspot_cost, hotspot_multistep,
+                                           hotspot_run)
 from repro.errors import KernelError
 from tests.reference import padded_stencil
 from tests.reference.padded_stencil import assert_bits_equal
@@ -66,7 +65,7 @@ def test_power_heats_cell():
     temp = np.full((8, 8), params.amb_temp, dtype=np.float32)
     power = np.zeros_like(temp)
     power[4, 4] = 1.0
-    out = hotspot_step(temp, power, params)
+    out = hotspot_run(temp, power, params, 1)
     assert out[4, 4] > temp[4, 4]
     assert out[0, 0] == pytest.approx(temp[0, 0])  # untouched far cell
 
@@ -75,18 +74,9 @@ def test_step_shape_validation():
     params = default_params(4, 4)
     t, p = grids(4, 4)
     with pytest.raises(KernelError):
-        hotspot_step(t, p[:2], params)
+        hotspot_run(t, p[:2], params, 1)
     with pytest.raises(KernelError):
-        hotspot_step(t[0], p[0], params)
-
-
-def test_border_validation():
-    t, p = grids(4, 6)
-    params = default_params(4, 6)
-    bad = Borders(north=np.zeros(4), south=np.zeros(6), west=np.zeros(4),
-                  east=np.zeros(4))
-    with pytest.raises(KernelError):
-        hotspot_step(t, p, params, borders=bad)
+        hotspot_run(t[0], p[0], params, 1)
 
 
 _MIXED = [(np.int32, np.int32), (np.int32, np.float32),
@@ -102,8 +92,6 @@ def test_non_float_or_mixed_dtypes_rejected(tdt, pdt):
     t, p = t.astype(tdt), p.astype(pdt)
     params = default_params(6, 5)
     with pytest.raises(KernelError, match="floating dtype"):
-        hotspot_step(t, p, params)
-    with pytest.raises(KernelError, match="floating dtype"):
         hotspot_run(t, p, params, 2)
     with pytest.raises(KernelError, match="floating dtype"):
         hotspot_multistep(pad(t, 1), pad(p, 1), params, 1,
@@ -113,42 +101,29 @@ def test_non_float_or_mixed_dtypes_rejected(tdt, pdt):
 def test_float64_grids_stay_float64():
     t, p = (g.astype(np.float64) for g in grids(6, 5))
     params = default_params(6, 5)
-    assert hotspot_step(t, p, params).dtype == np.float64
     assert hotspot_run(t, p, params, 3).dtype == np.float64
-
-
-def test_extract_borders_interior_and_edges():
-    grid = np.arange(25, dtype=np.float32).reshape(5, 5)
-    b = extract_borders(grid, 1, 3, 1, 3)
-    np.testing.assert_array_equal(b.north, grid[0, 1:3])
-    np.testing.assert_array_equal(b.south, grid[3, 1:3])
-    np.testing.assert_array_equal(b.west, grid[1:3, 0])
-    np.testing.assert_array_equal(b.east, grid[1:3, 3])
-    # Chip-corner block replicates its own edges where no neighbour exists.
-    c = extract_borders(grid, 0, 2, 0, 2)
-    np.testing.assert_array_equal(c.north, grid[0, 0:2])
-    np.testing.assert_array_equal(c.west, grid[0:2, 0])
-    with pytest.raises(KernelError):
-        extract_borders(grid, 0, 6, 0, 2)
 
 
 @settings(max_examples=25, deadline=None)
 @given(rows=st.integers(1, 24), cols=st.integers(1, 24),
        br=st.integers(1, 8), bc=st.integers(1, 8), seed=st.integers(0, 999))
 def test_blocked_step_equals_full_step(rows, cols, br, bc, seed):
-    """The paper's decomposition invariant: computing per-block with
-    extracted borders reproduces the full-grid step exactly."""
+    """The paper's decomposition invariant, width-1 border scheme:
+    computing per block with a one-cell halo of neighbour data
+    reproduces the full-grid step exactly."""
     temp, power = grids(rows, cols, seed)
     params = default_params(rows, cols)
-    full = hotspot_step(temp, power, params)
+    full = hotspot_run(temp, power, params, 1)
+    t_pad, p_pad = pad(temp, 1), pad(power, 1)
+    whole = ChipEdges.whole_chip()
     blocked = np.empty_like(temp)
     for r0 in range(0, rows, br):
         r1 = min(r0 + br, rows)
         for c0 in range(0, cols, bc):
             c1 = min(c0 + bc, cols)
-            borders = extract_borders(temp, r0, r1, c0, c1)
-            blocked[r0:r1, c0:c1] = hotspot_step(
-                temp[r0:r1, c0:c1], power[r0:r1, c0:c1], params, borders)
+            blocked[r0:r1, c0:c1] = hotspot_multistep(
+                t_pad[r0:r1 + 2, c0:c1 + 2], p_pad[r0:r1 + 2, c0:c1 + 2],
+                params, 1, whole.sub_block(r0, r1, c0, c1, rows, cols))
     assert_bits_equal(blocked, full)
 
 
@@ -167,9 +142,9 @@ def test_out_parameter():
     params = default_params(6, 6)
     temp, power = grids(6, 6)
     out = np.empty_like(temp)
-    res = hotspot_step(temp, power, params, out=out)
+    res = hotspot_run(temp, power, params, 1, out=out)
     assert res is out
-    assert_bits_equal(out, hotspot_step(temp, power, params))
+    assert_bits_equal(out, hotspot_run(temp, power, params, 1))
 
 
 def test_hotspot_cost_bandwidth_bound_on_apu():
@@ -218,14 +193,8 @@ def test_sweep_matches_padded_expression_oracle(rows, cols, steps, sides,
             (100 * rng.random((r, c))).astype(np.float32)
     temp, power = fields(rows, cols, seed)
     params = STIFF
-    assert_bits_equal(hotspot_step(temp, power, params),
+    assert_bits_equal(hotspot_run(temp, power, params, 1),
                       padded_stencil.step(temp, power, params))
-    b = extract_borders(fields(rows + 2, cols + 2, seed + 1)[0],
-                        1, rows + 1, 1, cols + 1)
-    assert_bits_equal(
-        hotspot_step(temp, power, params, b),
-        padded_stencil.step(temp, power, params,
-                            (b.north, b.south, b.west, b.east)))
     assert_bits_equal(hotspot_run(temp, power, params, steps),
                       padded_stencil.run(temp, power, params, steps))
     tp, pp = fields(rows + 2 * steps, cols + 2 * steps, seed + 2)

@@ -18,16 +18,6 @@ def test_kernel_cost_validation():
         KernelCost(flops=1, bytes_read=0, bw_efficiency=1.5)
 
 
-def test_kernel_cost_plus_weighted_efficiency():
-    a = KernelCost(flops=100, bytes_read=10, efficiency=1.0, bw_efficiency=1.0)
-    b = KernelCost(flops=300, bytes_read=30, efficiency=0.5, bw_efficiency=0.5)
-    c = a.plus(b)
-    assert c.flops == 400
-    assert c.bytes_read == 40
-    assert c.efficiency == pytest.approx((100 * 1.0 + 300 * 0.5) / 400)
-    assert c.bw_efficiency == pytest.approx((10 * 1.0 + 30 * 0.5) / 40)
-
-
 def test_roofline_compute_bound():
     p = Processor(name="p", kind=ProcessorKind.GPU, peak_gflops=100,
                   mem_bw=1e12, launch_overhead=0.0)
@@ -83,19 +73,6 @@ def test_invalid_processor_rejected():
         Processor(name="x", kind=ProcessorKind.CPU, peak_gflops=0, mem_bw=1)
     with pytest.raises(ConfigError):
         Processor(name="x", kind=ProcessorKind.CPU, peak_gflops=1, mem_bw=0)
-
-
-def test_gpu_occupancy_curve():
-    gpu = make_gpu_apu()  # 8 SIMD x 4 waves -> knee at 32
-    assert gpu.occupancy(0) == 0.0
-    assert gpu.occupancy(8) == pytest.approx(0.25)
-    assert gpu.occupancy(16) == pytest.approx(0.5)
-    assert gpu.occupancy(32) == 1.0
-    assert gpu.occupancy(64) == 1.0
-    assert gpu.effective_gflops(16) == pytest.approx(737.0 / 2)
-    assert gpu.effective_mem_bw(8) == pytest.approx(5e9)
-    with pytest.raises(ConfigError):
-        gpu.occupancy(-1)
 
 
 def test_gpu_validation():

@@ -44,7 +44,7 @@ def test_batch_matches_sequential_loop(apu):
     loop = [apu.move_down(d, src, nbytes, src_offset=i * nbytes)
             for i, d in enumerate(dsts)]
     loop_rows = _non_runtime_rows(apu)
-    loop_runtime = apu.timeline.trace.busy_time(Phase.RUNTIME)
+    loop_runtime = apu.timeline.trace.by_phase()[Phase.RUNTIME]
     loop_ops = apu.runtime_ops
 
     batch_sys = System(apu_two_level(storage_capacity=64 * MB,
@@ -60,7 +60,7 @@ def test_batch_matches_sequential_loop(apu):
         # Runtime bookkeeping: same total ops and busy seconds, charged
         # as one aggregate interval instead of one per move.
         assert batch_sys.runtime_ops == loop_ops
-        assert batch_sys.timeline.trace.busy_time(Phase.RUNTIME) == \
+        assert batch_sys.timeline.trace.by_phase()[Phase.RUNTIME] == \
             pytest.approx(loop_runtime)
         # The bytes really moved.
         for i, d in enumerate(dsts2):

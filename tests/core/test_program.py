@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.apps import GemmApp, HotspotApp, ReduceApp, SortApp, SpmvApp
 from repro.compute.processor import KernelCost, ProcessorKind
 from repro.core.program import NorthupProgram
 from repro.core.system import System
 from repro.exec.base import Binding, kernel_spec
 from repro.errors import SchedulerError
-from repro.memory.units import MB
+from repro.memory.units import KB, MB
+from repro.obs.spans import analyze
 from repro.topology.builders import apu_two_level, figure2_asymmetric
+from repro.workloads.sparse import uniform_random
 from tests.exec import kernels
 
 
@@ -257,3 +260,35 @@ def test_level_queue_tracks_chunk_progress(apu_system):
     # The plan is anchored at the root node and fully drained.
     assert apu_system.tree.root.plan.state_counts() == {
         "queued": 0, "moving": 0, "resident": 0, "computed": 0, "done": 4}
+
+
+_APPS = {
+    "gemm": lambda s: GemmApp(s, m=96, k=96, n=96, seed=1),
+    "hotspot": lambda s: HotspotApp(s, n=64, iterations=2, seed=1),
+    "spmv": lambda s: SpmvApp(s, matrix=uniform_random(
+        2000, 2000, nnz_per_row=6, seed=1), iterations=2),
+    "sort": lambda s: SortApp(s, n=40_000, seed=1),
+    "reduce": lambda s: ReduceApp(s, n=40_000, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_APPS))
+def test_every_app_runs_under_one_root_span(name):
+    """One driver for every app: phase loops (sort's merge, HotSpot's
+    passes, SpMV's sweeps) run inside the base driver's ``run`` span,
+    so the span tree has exactly one root and every interval the run
+    charged is attributed to a span under it."""
+    sys_ = System(apu_two_level(storage_capacity=16 * MB,
+                                staging_bytes=64 * KB))
+    try:
+        app = _APPS[name](sys_)
+        trace = sys_.timeline.trace
+        built = len(list(trace.span_rows()))    # the root allocations
+        app.run(sys_)
+        roots = analyze(sys_.obs, trace).roots
+        assert [r.span.kind for r in roots] == ["run"]
+        assert roots[0].span.label == type(app).__name__
+        sids = [sid for *_rest, sid in trace.span_rows()][built:]
+        assert sids and all(sids)
+    finally:
+        sys_.close()

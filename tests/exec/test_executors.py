@@ -1,6 +1,7 @@
-"""The executor contract, exercised uniformly across every backend:
-submit/wait/release round trips, error propagation, lifecycle, and
-shared-memory hygiene."""
+"""The executor contract: lifecycle on every backend, and the worker
+pools' asynchronous submit/wait/release round trips, error propagation
+and shared-memory hygiene, exercised uniformly.  The inline backend
+has no submit: the System runs its kernels in place."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ FILL = fn_ref(kernels.fill)
 BOOM = fn_ref(kernels.boom)
 
 
-@pytest.fixture(params=EXEC_BACKENDS)
+POOL_BACKENDS = [b for b in EXEC_BACKENDS if b != "inline"]
+
+
+@pytest.fixture(params=POOL_BACKENDS)
 def executor(request):
     ex = make_executor(request.param, workers=2)
     yield ex
@@ -51,19 +55,16 @@ def test_many_tasks_wait_in_submission_order(executor):
 
 def test_kernel_error_propagates(executor):
     x = np.zeros(4, dtype=np.float32)
-    # Inline runs at submit; asynchronous backends surface it at wait.
-    with pytest.raises((ExecError, RuntimeError), match="exploded"):
-        ticket = executor.submit(BOOM, [("x", x, False)], {})
+    ticket = executor.submit(BOOM, [("x", x, False)], {})
+    with pytest.raises(ExecError, match="exploded"):
         executor.wait(ticket)
 
 
 def test_pool_survives_a_failed_kernel(executor):
     x = np.zeros(4, dtype=np.float32)
-    try:
-        ticket = executor.submit(BOOM, [("x", x, False)], {})
+    ticket = executor.submit(BOOM, [("x", x, False)], {})
+    with pytest.raises(ExecError):
         executor.wait(ticket)
-    except (ExecError, RuntimeError):
-        pass
     out = np.zeros(8, dtype=np.float32)
     ticket = executor.submit(FILL, [("out", out, True)], {"value": 5.0})
     result = executor.wait(ticket)
@@ -86,14 +87,28 @@ def test_closed_executor_rejects_submit(executor):
     executor.close()    # idempotent
 
 
+def test_inline_executor_takes_no_submits():
+    """Inline kernels run in place inside ``System.launch``: the
+    submit/wait round trip is the pools' contract alone."""
+    with make_executor("inline") as ex:
+        assert not ex.asynchronous
+        with pytest.raises(ExecError, match="takes no submits"):
+            ex.submit(FILL, [("out", np.zeros(4, np.float32), True)],
+                      {"value": 1.0})
+        with pytest.raises(ExecError, match="unknown ticket"):
+            ex.wait(1)
+
+
 @pytest.mark.parametrize("backend", EXEC_BACKENDS)
 def test_context_manager_closes(backend):
     with make_executor(backend, workers=1) as ex:
-        out = np.zeros(4, dtype=np.float32)
-        ticket = ex.submit(FILL, [("out", out, True)], {"value": 3.0})
-        np.testing.assert_array_equal(ex.wait(ticket).outputs["out"],
-                                      np.full(4, 3.0, np.float32))
-        ex.release(ticket)
+        assert not ex.closed
+        if ex.asynchronous:
+            out = np.zeros(4, dtype=np.float32)
+            ticket = ex.submit(FILL, [("out", out, True)], {"value": 3.0})
+            np.testing.assert_array_equal(ex.wait(ticket).outputs["out"],
+                                          np.full(4, 3.0, np.float32))
+            ex.release(ticket)
     assert ex.closed
 
 

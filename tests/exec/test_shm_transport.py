@@ -325,7 +325,7 @@ def test_killing_an_idle_worker_never_hangs_wait(monkeypatch):
 def test_signal_handler_exceptions_pass_through_wait():
     with SharedMemExecutor(workers=1) as ex:
         ticket = ex.submit(SNOOZE, [("x", np.zeros(8), False)],
-                           {"seconds": 1.0})
+                           {"seconds": 0.6})
         with pytest.raises(TimeoutError), _within(0.3):
             ex.wait(ticket)
 

@@ -14,16 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def step(temp, power, params, borders=None):
-    """One Euler step; ``borders`` (N, S, W, E arrays) default to the
-    replicated edges."""
-    if borders is None:
-        borders = (temp[0], temp[-1], temp[:, 0], temp[:, -1])
+def step(temp, power, params):
+    """One Euler step, the borders replicating the edges."""
     rows, cols = temp.shape
     padded = np.empty((rows + 2, cols + 2), dtype=temp.dtype)
     padded[1:-1, 1:-1] = temp
     (padded[0, 1:-1], padded[-1, 1:-1],
-     padded[1:-1, 0], padded[1:-1, -1]) = borders
+     padded[1:-1, 0], padded[1:-1, -1]) = (temp[0], temp[-1],
+                                            temp[:, 0], temp[:, -1])
     north, south = padded[0:-2, 1:-1], padded[2:, 1:-1]
     west, east = padded[1:-1, 0:-2], padded[1:-1, 2:]
     delta = params.step_div_cap * (

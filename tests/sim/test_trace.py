@@ -31,10 +31,10 @@ def test_busy_time_by_phase_and_resource():
     t.record(iv(0, 1, Phase.GPU_COMPUTE, "gpu"))
     t.record(iv(0, 2, Phase.IO_READ, "ssd"))
     t.record(iv(2, 3, Phase.IO_READ, "ssd"))
-    assert t.busy_time() == pytest.approx(4.0)
-    assert t.busy_time(phase=Phase.IO_READ) == pytest.approx(3.0)
-    assert t.busy_time(resource="gpu") == pytest.approx(1.0)
-    assert t.busy_time(phase=Phase.IO_READ, resource="gpu") == 0.0
+    assert sum(t.by_phase().values()) == pytest.approx(4.0)
+    assert t.by_phase()[Phase.IO_READ] == pytest.approx(3.0)
+    assert t.by_resource() == {"gpu": pytest.approx(1.0),
+                               "ssd": pytest.approx(3.0)}
 
 
 def test_by_phase_totals():
@@ -62,23 +62,6 @@ def test_makespan_empty_and_nonempty():
     t.record(iv(0, 1))
     t.record(iv(0.5, 4.0, Phase.IO_READ, "ssd"))
     assert t.makespan() == pytest.approx(4.0)
-
-
-def test_filter_returns_subset():
-    t = Trace()
-    t.record(iv(0, 1, Phase.GPU_COMPUTE))
-    t.record(iv(0, 1, Phase.IO_READ, "ssd"))
-    io_only = t.filter([Phase.IO_READ, Phase.IO_WRITE])
-    assert len(io_only) == 1
-    assert io_only.intervals[0].phase is Phase.IO_READ
-
-
-def test_extend_merges():
-    a, b = Trace(), Trace()
-    a.record(iv(0, 1))
-    b.record(iv(1, 2))
-    a.extend(b)
-    assert len(a) == 2
 
 
 def test_phase_hash_is_c_level_and_pickle_stable():
