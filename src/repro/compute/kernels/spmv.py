@@ -79,37 +79,6 @@ class CSRMatrix:
         """Non-zeros per row."""
         return np.diff(self.row_ptr)
 
-    def slice_rows(self, start: int, end: int) -> "CSRMatrix":
-        """The shard ``[start, end)``: a self-contained CSR sub-matrix.
-
-        This is the paper's shard extraction: the ``col_id``/``data``
-        portion is located via ``row_ptr[start]`` and ``row_ptr[end]``,
-        and the sliced ``row_ptr`` is rebased to zero.
-        """
-        if not (0 <= start <= end <= self.nrows):
-            raise KernelError(f"row slice [{start}, {end}) outside 0..{self.nrows}")
-        lo, hi = int(self.row_ptr[start]), int(self.row_ptr[end])
-        return CSRMatrix(row_ptr=self.row_ptr[start:end + 1] - lo,
-                         col_id=self.col_id[lo:hi],
-                         data=self.data[lo:hi],
-                         ncols=self.ncols)
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":
-        """Build a CSR matrix from a dense array."""
-        if dense.ndim != 2:
-            raise KernelError("from_dense needs a 2-D array")
-        rows, cols = dense.shape
-        mask = dense != 0
-        counts = mask.sum(axis=1)
-        row_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        nz_rows, nz_cols = np.nonzero(mask)
-        order = np.lexsort((nz_cols, nz_rows))
-        return cls(row_ptr=row_ptr,
-                   col_id=nz_cols[order].astype(np.int32),
-                   data=dense[nz_rows[order], nz_cols[order]],
-                   ncols=cols)
-
 
 def _spmv_rows(row_ptr: np.ndarray, col_id: np.ndarray, data: np.ndarray,
                x: np.ndarray) -> np.ndarray:

@@ -1080,12 +1080,15 @@ class System:
         """End-of-run teardown: pending executor work settles, then the
         cache drops leases and pays write-back IOUs.  Programs call this
         (via :meth:`NorthupProgram.run`'s finally); the serve layer
-        calls it per job with ``serve_scope`` set.  Read-ahead advice
-        (:meth:`will_need`) not yet used is cancelled, also when the
-        run failed."""
+        calls it per job with ``serve_scope`` set.  Then every backend
+        writes out what it held back, so each file is current.
+        Read-ahead advice (:meth:`will_need`) not yet used is cancelled,
+        also when the run failed."""
         try:
             self.drain_exec()
             self.cache.end_run()
+            for node in self.tree.nodes():
+                node.device.backend.flush()
         finally:
             for node in self.tree.nodes():
                 node.device.advise(())
@@ -1279,6 +1282,10 @@ class System:
                           labels=labels,
                           help_text="coordinator blocked on an in-flight "
                                     "window")
+                for outcome, count in backend.bands.items():
+                    reg.gauge("write_bands", count,
+                              labels=dict(labels, outcome=outcome),
+                              help_text="row bands written, whole or merged")
             pool = getattr(backend, "pool", None)
             if pool is not None and hasattr(pool, "reuses"):
                 reg.gauge("array_pool_reuses", pool.reuses, labels=labels)

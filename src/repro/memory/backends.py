@@ -180,6 +180,10 @@ class DataBackend(ABC):
         before; an empty iterable just cancels.  Advice never changes
         what a read returns.  Default: ignored."""
 
+    def flush(self) -> None:
+        """Write out any bytes held back from the backing storage, so
+        it is current.  Default: nothing is held back."""
+
     # -- shared validation -------------------------------------------------
 
     def _check_range(self, alloc_id: int, offset: int, nbytes: int,
@@ -641,11 +645,18 @@ class FileBackend(DataBackend):
     :meth:`advise` queues windows of at least
     :data:`READAHEAD_MIN_BYTES` on :attr:`readahead`, whose reader
     thread (``repro-io-read-<label>``) starts with the first window
-    queued.  Every physical write to a file goes through
-    ``write`` / ``scatter_2d`` / ``destroy`` on the caller's thread, and
-    each first discards the advised windows whose byte span it
-    overlaps, so a served window holds exactly the bytes a synchronous
-    read at that point would return.
+    queued.  Every change to a file's bytes is a ``write`` /
+    ``scatter_2d`` / ``destroy`` on the caller's thread, and each first
+    discards the advised windows whose byte span it overlaps, so a
+    served window holds exactly the bytes a synchronous read at that
+    point would return.
+
+    A gapped :meth:`scatter_2d` with a dense span lands in the one
+    dirty *row band* (``rows x stride`` bytes from its first row's
+    start) instead of paying a read-modify-write per tile.  An overlapping
+    access or advice, a scatter to another band, or :meth:`flush` writes
+    the band out: one ``pwrite`` when its tiles covered every column,
+    else one read-modify-write.  ``sync_writes`` writes it at once.
     """
 
     #: A strided file window is fetched with vectored spanning reads when
@@ -669,6 +680,11 @@ class FileBackend(DataBackend):
         self._fds = _FdPool(max_open_fds)
         #: The advised-window queue and its reader (see :meth:`advise`).
         self.readahead = _ReadAhead(self._read_ahead)
+        #: ``((alloc_id, first byte, rows, stride), bytes, columns
+        #: written)`` of the dirty row band, or ``None``.
+        self._band: tuple | None = None
+        #: Row bands written out, by whether their tiles covered them.
+        self.bands = {"whole": 0, "merged": 0}
 
     def _path(self, alloc_id: int) -> str:
         try:
@@ -692,6 +708,8 @@ class FileBackend(DataBackend):
         path = self._paths.pop(alloc_id, None)
         if path is None:
             raise AllocationError(f"backend has no file for id {alloc_id}")
+        if self._band is not None and self._band[0][0] == alloc_id:
+            self._band = None
         self.readahead.discard(alloc_id, 0, self._sizes.pop(alloc_id),
                                wait=True)
         self._fds.drop(alloc_id)
@@ -720,6 +738,7 @@ class FileBackend(DataBackend):
     def read(self, alloc_id: int, offset: int, nbytes: int) -> np.ndarray:
         self._check_range(alloc_id, offset, nbytes,
                           self._sizes[self._require(alloc_id)])
+        self._flush_over(alloc_id, offset, offset + nbytes)
         out = np.empty(nbytes, dtype=np.uint8)
         self._pread_into(self._fd(alloc_id), offset, out)
         return out
@@ -738,6 +757,7 @@ class FileBackend(DataBackend):
                                     self._sizes[self._require(alloc_id)])
         if not rows or not row_bytes:
             return
+        self._flush_over(alloc_id, offset, offset + span)
         if self.readahead.pending and self._serve_ahead(
                 (alloc_id, *window_key(offset, rows, row_bytes, stride)), out):
             return
@@ -834,26 +854,30 @@ class FileBackend(DataBackend):
         if not rows or not row_bytes:
             return
         self.readahead.discard(alloc_id, offset, offset + span)
-        fd = self._fd(alloc_id)
-        if rows == 1 or stride == row_bytes:
-            packed = data if data.flags.c_contiguous else \
-                np.ascontiguousarray(data)
-            os.pwrite(fd, packed, offset)
-        elif self._span_is_dense(rows, row_bytes, span):
-            # Read-modify-write of the bounding span: one read, one
-            # vectored scatter in memory, one write.  Gap bytes are
-            # preserved by the read.
-            buf = np.empty(span, dtype=np.uint8)
-            self._pread_into(fd, offset, buf)
-            np.copyto(_strided_2d(buf, 0, rows, row_bytes, stride), data)
-            os.pwrite(fd, buf, offset)
+        dense = rows == 1 or stride == row_bytes
+        if not dense and self._span_is_dense(rows, row_bytes, span):
+            col = offset % stride
+            if col + row_bytes > stride:
+                col = 0                     # across a row start: own band
+            key = (alloc_id, offset - col, rows, stride)
+            if self._band is None or self._band[0] != key:
+                self.flush()
+                self._band = (key, np.empty((rows, stride), np.uint8),
+                              np.zeros(stride, bool))
+            np.copyto(self._band[1][:, col:col + row_bytes], data)
+            self._band[2][col:col + row_bytes] = True
+            if not self.sync_writes:
+                return
+            self.flush()
         else:
-            for r in range(rows):
-                row = data[r] if data[r].flags.c_contiguous else \
-                    np.ascontiguousarray(data[r])
-                os.pwrite(fd, row, offset + r * stride)
+            self._flush_over(alloc_id, offset, offset + span)
+            fd = self._fd(alloc_id)
+            # A dense window is one write, a sparse one one per row.
+            for r, row in enumerate([data] if dense else data):
+                self._pwrite(alloc_id, fd, np.ascontiguousarray(row),
+                             offset + r * stride)
         if self.sync_writes:
-            os.fsync(fd)
+            os.fsync(self._fd(alloc_id))
 
     def write(self, alloc_id: int, offset: int,
               data: np.ndarray | bytes | bytearray | memoryview) -> None:
@@ -861,10 +885,56 @@ class FileBackend(DataBackend):
         self._check_range(alloc_id, offset, raw.size,
                           self._sizes[self._require(alloc_id)])
         self.readahead.discard(alloc_id, offset, offset + raw.size)
+        self._flush_over(alloc_id, offset, offset + raw.size)
         fd = self._fd(alloc_id)
-        os.pwrite(fd, raw, offset)
+        self._pwrite(alloc_id, fd, raw, offset)
         if self.sync_writes:
             os.fsync(fd)
+
+    def _pwrite(self, alloc_id: int, fd: int, data: np.ndarray,
+                offset: int) -> None:
+        """Write all of C-contiguous ``data`` at ``offset``, resuming
+        short writes; a failed write, or one that makes no progress, is
+        a :class:`TransferError` naming the buffer, its file and where."""
+        done = 0
+        while done < data.nbytes:
+            rest = _as_bytes(data)[done:] if done else data
+            try:
+                wrote = os.pwrite(fd, rest, offset + done)
+                if wrote <= 0:
+                    raise OSError("no bytes written")
+            except OSError as exc:
+                raise TransferError(
+                    f"write to buffer {alloc_id} ({self._paths[alloc_id]}) "
+                    f"at offset {offset + done} failed: {exc}") from exc
+            done += wrote
+
+    def _flush_over(self, alloc_id: int, lo: int, hi: int) -> None:
+        """Write the band out first if it holds bytes of ``alloc_id``
+        in ``[lo, hi)``."""
+        band = self._band
+        if band is not None and band[0][0] == alloc_id \
+                and band[0][1] < hi and lo < band[0][1] + band[1].size:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the dirty row band out (up to the end of its file):
+        alone when its tiles covered every column, else over the file's
+        bytes in the other columns.  A failed write raises here, and the
+        band is gone either way."""
+        band, self._band = self._band, None
+        if band is None:
+            return
+        (alloc_id, base, _, _), grid, written = band
+        fd = self._fd(alloc_id)
+        whole = bool(written.all())
+        if not whole:
+            old = np.empty_like(grid)
+            self._pread_into(fd, base, old)
+            np.copyto(grid, old, where=~written)
+        self.bands["whole" if whole else "merged"] += 1
+        self._pwrite(alloc_id, fd,
+                     grid.reshape(-1)[:self._sizes[alloc_id] - base], base)
 
     # -- read-ahead ------------------------------------------------------------
 
@@ -892,6 +962,7 @@ class FileBackend(DataBackend):
             if path is None or rows < 1 or key[4] < key[3] or offset < 0 \
                     or offset + span > self._sizes[alloc_id]:
                 continue
+            self._flush_over(alloc_id, offset, offset + span)
             queued.append(_Window(key, path, span))
         if queued:
             ahead.name = f"repro-io-read-{self.label or 'file'}"

@@ -190,6 +190,13 @@ class RunReport:
                 f"{total('readahead_bytes') / 1e6:.1f} MB served, "
                 f"coordinator waited "
                 f"{total('readahead_wait_seconds') * 1e3:.3f} ms")
+        bands: dict[str, int] = {}
+        for row in (self.metrics or {}).get("write_bands", []):
+            outcome = row["labels"]["outcome"]
+            bands[outcome] = bands.get(outcome, 0) + int(row["value"])
+        if any(bands.values()):
+            parts += ["", f"write bands: {bands['whole']} whole, "
+                          f"{bands['merged']} merged"]
         if self.phys is not None:
             parts.append("")
             parts.append(f"physical workers ({self.phys['backend']}, "

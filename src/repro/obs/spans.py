@@ -149,10 +149,6 @@ class Observer:
             stack.pop()
         self.trace.active_span = stack[-1]
 
-    def span(self, kind: str, label: str = "", node_id: int = -1) -> "_SpanCtx":
-        """``with obs.span("divide"):`` convenience context manager."""
-        return _SpanCtx(self, kind, label, node_id)
-
     # -- annotations -------------------------------------------------------
 
     @property
@@ -209,9 +205,6 @@ class NullObserver:
     def close(self, span) -> None:
         pass
 
-    def span(self, kind: str, label: str = "", node_id: int = -1) -> "_NullCtx":
-        return _NULL_CTX
-
     @property
     def current(self) -> _NullSpan:
         return _NULL_SPAN
@@ -231,40 +224,6 @@ class NullObserver:
 
 #: The shared disabled observer (``System(observe=False)``).
 NULL_OBSERVER = NullObserver()
-
-
-class _SpanCtx:
-    """Context manager produced by :meth:`Observer.span`."""
-
-    __slots__ = ("_obs", "_kind", "_label", "_node_id", "span")
-
-    def __init__(self, obs: Observer, kind: str, label: str,
-                 node_id: int) -> None:
-        self._obs = obs
-        self._kind = kind
-        self._label = label
-        self._node_id = node_id
-        self.span: Span | None = None
-
-    def __enter__(self) -> Span:
-        self.span = self._obs.open(self._kind, self._label, self._node_id)
-        return self.span
-
-    def __exit__(self, *exc) -> None:
-        self._obs.close(self.span)
-
-
-class _NullCtx:
-    __slots__ = ()
-
-    def __enter__(self) -> _NullSpan:
-        return _NULL_SPAN
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_CTX = _NullCtx()
 
 
 # -- analysis ----------------------------------------------------------------

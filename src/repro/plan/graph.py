@@ -281,22 +281,6 @@ class TaskGraph:
             "critical_depth": self.critical_depth(),
         }
 
-    def validate_topological(self, order: Iterable[TaskNode]) -> None:
-        """Raise unless ``order`` visits every node after its preds."""
-        seen: set[int] = set()
-        count = 0
-        for node in order:
-            for p in node.preds:
-                if p not in seen:
-                    raise SchedulerError(
-                        f"{node!r} ordered before its predecessor "
-                        f"#{p} ({self.nodes[p].kind})")
-            seen.add(node.node_id)
-            count += 1
-        if count != len(self.nodes):
-            raise SchedulerError(
-                f"order visits {count} of {len(self.nodes)} nodes")
-
 
 def overlapping_handles(a: Iterable, b: Iterable) -> bool:
     """True when any handle window in ``a`` shares bytes with one in ``b``.

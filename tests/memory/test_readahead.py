@@ -3,8 +3,9 @@ the lifetime of anything.
 
 The reader is a real thread, so most tests lower the size floor and use
 small files: every interleaving of the reader with the coordinator's
-writes, destroys and reads must give the bytes (or the exception) of a
-twin backend that never received advice.
+writes (combined into row bands or not), destroys and reads must give
+the bytes (or the exception) of an in-memory twin that never received
+advice.
 """
 
 import os
@@ -66,9 +67,11 @@ FILE_BYTES = 2048
 
 class ReadAheadTwin(RuleBasedStateMachine):
     """Random ``create/advise/write/scatter_2d/read_into/gather_2d/
-    destroy`` against two backends; only one receives the advice.
-    Writes and reads aim at the advised windows most of the time --
-    that is where a stale byte could come from."""
+    destroy/flush`` against an advised file backend, whose gapped
+    scatters wait in row bands, and a :class:`MemBackend` byte oracle.
+    Writes and reads aim at the advised windows most of the time, and
+    tile walks build bands -- that is where a stale byte could come
+    from."""
 
     ids = st.integers(1, 2)
     windows = st.tuples(ids, st.integers(0, FILE_BYTES // 48).map(
@@ -83,7 +86,7 @@ class ReadAheadTwin(RuleBasedStateMachine):
         self._floor = backends_mod.READAHEAD_MIN_BYTES
         backends_mod.READAHEAD_MIN_BYTES = 16
         self.advised = FileBackend(os.path.join(self._dir.name, "a"))
-        self.plain = FileBackend(os.path.join(self._dir.name, "p"))
+        self.oracle = MemBackend()
         self.last_advice: list[tuple] = []
         self.generation = 0
         for alloc_id in (1, 2):
@@ -93,14 +96,14 @@ class ReadAheadTwin(RuleBasedStateMachine):
         backends_mod.READAHEAD_MIN_BYTES = self._floor
         with _within(10):
             self.advised.close()
-        self.plain.close()
+        self.oracle.close()
         self._dir.cleanup()
         assert not _io_threads()
 
     def _both(self, call):
         """Run ``call(backend)`` on both; same result or same error."""
         results = []
-        for backend in (self.advised, self.plain):
+        for backend in (self.advised, self.oracle):
             try:
                 with _within(10):
                     results.append(("ok", call(backend)))
@@ -112,12 +115,12 @@ class ReadAheadTwin(RuleBasedStateMachine):
 
     @rule(alloc_id=ids)
     def create(self, alloc_id):
-        if alloc_id in self.plain._paths:
+        if alloc_id in self.oracle._bufs:
             return
         self.generation += 1
         fill = np.random.default_rng(self.generation).integers(
             0, 256, FILE_BYTES, dtype=np.uint8)
-        for backend in (self.advised, self.plain):
+        for backend in (self.advised, self.oracle):
             backend.create(alloc_id, FILE_BYTES)
             backend.write(alloc_id, 0, fill)
 
@@ -169,6 +172,38 @@ class ReadAheadTwin(RuleBasedStateMachine):
         self._both(lambda b: b.scatter_2d(alloc_id, offset, rows, row_bytes,
                                           row_bytes + gap, block))
 
+    @rule(alloc_id=ids, band=st.integers(0, 3), rows=st.integers(2, 4),
+          width=st.sampled_from([32, 64]), tiles=st.integers(1, 4),
+          fill=st.integers(0, 255))
+    def tile_walk(self, alloc_id, band, rows, width, tiles, fill):
+        """An app's output tiles, left to right across one row band of a
+        128-byte-stride grid: bands form, covered whole or in part."""
+        for i in range(min(tiles, 128 // width)):
+            block = np.full((rows, width), (fill + i) % 256, dtype=np.uint8)
+            self._both(lambda b: b.scatter_2d(
+                alloc_id, band * rows * 128 + i * width, rows, width, 128,
+                block))
+
+    @precondition(lambda self: self.advised._band is not None)
+    @rule(settle=st.booleans())
+    def advise_the_dirty_band(self, settle):
+        """Advice over the band's rows: the reader must see its bytes."""
+        (alloc_id, base, rows, stride), _, _ = self.advised._band
+        row_bytes = min(48, stride)
+        self.advise([(alloc_id, base, rows, row_bytes, stride - row_bytes)],
+                    settle)
+
+    @rule()
+    def flush(self):
+        """What ``System.end_run`` does: every file is current."""
+        with _within(10):
+            self.advised.flush()
+        for alloc_id, path in self.advised._paths.items():
+            with open(path, "rb") as fh:
+                np.testing.assert_array_equal(
+                    np.frombuffer(fh.read(), dtype=np.uint8),
+                    self.oracle.read(alloc_id, 0, FILE_BYTES))
+
     def _read(self, alloc_id, offset, rows, row_bytes, stride):
         def gather(b):
             out = np.full((rows, row_bytes), 0xAB, dtype=np.uint8)
@@ -208,7 +243,8 @@ class ReadAheadTwin(RuleBasedStateMachine):
             assert _accounted(ahead), (ahead.counts, len(ahead._queue))
             assert 0 <= ahead._out <= READAHEAD_BUFFERS
             assert ahead._out + len(ahead._free) <= READAHEAD_BUFFERS
-        assert sum(self.plain.readahead.counts.values()) == 0
+        band = self.advised._band
+        assert band is None or band[0][0] in self.advised._paths
 
 
 ReadAheadTwin.TestCase.settings = settings(max_examples=100,

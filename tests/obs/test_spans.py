@@ -55,14 +55,6 @@ def test_out_of_order_close_unwinds_descendants():
     assert obs.trace.active_span == 0
 
 
-def test_span_context_manager():
-    obs = Observer()
-    with obs.span("divide", node_id=3) as s:
-        assert obs.trace.active_span == s.span_id
-        assert s.node_id == 3
-    assert obs.trace.active_span == 0
-
-
 def test_count_annotates_current_span():
     obs = Observer()
     s = obs.open("run")
@@ -88,8 +80,6 @@ def test_null_observer_allocates_no_spans():
     s.annotate("k", 1)
     s.count("k")
     NULL_OBSERVER.close(s)
-    with NULL_OBSERVER.span("divide"):
-        pass
     assert Span.allocated == before
     assert not NULL_OBSERVER.enabled
     assert len(NULL_OBSERVER) == 0

@@ -85,15 +85,6 @@ def test_critical_depth_and_stats():
     assert lone.node_id == 5
 
 
-def test_validate_topological():
-    g, nodes = chain_of([SETUP, MOVE_DOWN, COMPUTE])
-    g.validate_topological(nodes)           # program order always valid
-    with pytest.raises(SchedulerError):
-        g.validate_topological(reversed(nodes))
-    with pytest.raises(SchedulerError):
-        g.validate_topological(nodes[:2])   # must visit every node
-
-
 def test_stage_rank_orders_unblocking_stages_first():
     """combine must outrank move_up: its completion releases window
     edges, letting the next chunk descend before the channel is booked."""
