@@ -995,6 +995,7 @@ class System:
             self._run_kernel_inline(spec)
             return
         t0 = time.perf_counter()
+        waited = ex.stats.budget_wait_seconds
         slabs = [(b.handle.node_id, b.handle.alloc_id)
                  for b in spec.bindings]
         if led.active:
@@ -1027,7 +1028,8 @@ class System:
                            label=spec.label)
         led.add_kernel(executor=ex, ticket=ticket, writes=write_slabs,
                        merges=merges, deps=deps, label=spec.label)
-        ex.stats.dispatch_seconds += time.perf_counter() - t0
+        ex.stats.dispatch_seconds += time.perf_counter() - t0 - (
+            ex.stats.budget_wait_seconds - waited)
 
     def _snapshot_binding(self, b, ex: Executor) -> np.ndarray:
         """An owned, writable copy of a binding's current bytes, built
@@ -1219,6 +1221,9 @@ class System:
         reg.gauge("exec_dispatch_seconds", ex.stats.dispatch_seconds,
                   labels=xlabels,
                   help_text="submit-side snapshot/packing/queueing wall time")
+        reg.gauge("exec_budget_waits", ex.stats.budget_waits,
+                  labels=xlabels,
+                  help_text="stagings that waited for in-flight budget")
         reg.gauge("exec_merge_seconds", ex.stats.merge_seconds,
                   labels=xlabels,
                   help_text="result read-back wall time (async backends)")

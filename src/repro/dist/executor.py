@@ -19,7 +19,9 @@ dead-worker set (all of it in the pool core, :mod:`repro.exec.pool`).
 **Staging**: the System copies each operand snapshot into a buffer it
 gets from :meth:`DistExecutor.stage` -- a pooled array the sender
 thread hands back right after the wire write; ack outputs land in
-buffers of the same pool and go back at ``release``.
+buffers of the same pool and go back at ``release``.  Lent buffers and
+un-acked grants stay inside the pools' one in-flight budget
+(:data:`~repro.exec.pool.SEGMENT_BUDGET_BYTES`).
 
 Placement is **pinned**, not load-balanced: the distributed scheduler
 (:mod:`repro.dist.runner`) pins the executor to a partition before
@@ -46,6 +48,7 @@ from repro.core.buffers import ArrayPool
 from repro.dist.protocol import SHUTDOWN, TaskGrant, recv_message, \
     send_message
 from repro.dist.worker import dist_worker_main
+from repro.exec import pool as core
 from repro.exec.pool import WorkerPool, pool_residue
 
 #: Retention of the snapshot / ack staging pool.  Bytes are the real
@@ -101,11 +104,20 @@ class DistExecutor(WorkerPool):
     # -- dispatch ----------------------------------------------------------
 
     def stage(self, nbytes):
-        """A pooled snapshot buffer; the sender thread returns it to
-        the pool once the grant that carries it is on the wire."""
+        """A pooled snapshot buffer (after acks, while it would pass
+        the budget); the sender thread returns it to the pool once the
+        grant that carries it is on the wire."""
+        self._await_budget(
+            lambda: self._held() + nbytes <= core.SEGMENT_BUDGET_BYTES,
+            self._unacked)
         buf = self._pool.take(nbytes, zero=False)
         self._lent[id(buf)] = buf
         return buf
+
+    def _held(self) -> int:
+        """Snapshot bytes lent (not yet submitted) or not yet acked."""
+        return sum(buf.nbytes for buf in self._lent.values()) + sum(
+            rec.nbytes for rec in self._book.values() if rec.pending)
 
     def submit(self, ref, arrays, kwargs, label=""):
         pin = self._pin
@@ -121,7 +133,7 @@ class DistExecutor(WorkerPool):
                 id(arr if arr.base is None else arr.base), None)
             if buf is not None:
                 staged.append(buf)
-        shipped = sum(arr.nbytes for _name, arr, _writable in arrays)
+        shipped = rec.nbytes = sum(arr.nbytes for _name, arr, _w in arrays)
         ticket = self._file(rec)
         grant = TaskGrant(ticket=ticket, fn_ref=ref, operands=list(arrays),
                           kwargs=kwargs, label=label, node_id=rec.node,

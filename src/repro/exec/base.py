@@ -159,6 +159,10 @@ class ExecStats:
     submitted: int = 0
     completed: int = 0
     dispatch_seconds: float = 0.0   # submit-side packing/queueing
+    #: Times, and seconds, staging blocked on acks to stay inside the
+    #: pools' in-flight budget (kept out of ``dispatch_seconds``).
+    budget_waits: int = 0
+    budget_wait_seconds: float = 0.0
     merge_seconds: float = 0.0      # result read-back into device buffers
     #: Operand bytes handed to workers; on ``dist``, the array bytes
     #: actually shipped down the pipes (framing overhead excluded).

@@ -9,9 +9,10 @@ for it; ``dist`` assigns the worker at submit (partition-pinned push),
 ``shm`` at the worker's claim (shared pull queue) -- one attribution
 text for every error, dead-worker handling, the ``join_timeout``-bounded
 ``wait``, reply ingestion, ``close`` and the residue walk
-(:func:`pool_residue`); and the worker-side kernel body
-(:func:`run_kernel`).  A transport supplies its data plane through the
-hooks at the end of :class:`WorkerPool`.
+(:func:`pool_residue`); the one in-flight snapshot budget
+(:data:`SEGMENT_BUDGET_BYTES`, :meth:`WorkerPool._await_budget`); and
+the worker-side kernel body (:func:`run_kernel`).  A transport supplies
+its data plane through the hooks at the end of :class:`WorkerPool`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ from repro.errors import ConfigError
 from repro.exec.base import ExecError, Executor, TaskResult, \
     default_exec_workers, resolve_kernel
 from repro.lifecycle import live, track
+
+
+#: The one bound on the snapshot bytes a pool holds for tickets in
+#: flight (``shm``'s live segments; ``dist``'s lent buffers and un-acked
+#: grants): past it, staging waits for acks (DESIGN.md).  Under the
+#: 64 MiB ``/dev/shm`` of a default Docker container.
+SEGMENT_BUDGET_BYTES = 32 * 1024 * 1024
 
 
 def pool_context():
@@ -102,7 +110,7 @@ class _Ticket:
     ``failure``; neither while pending)."""
 
     __slots__ = ("label", "node", "partition", "worker", "since",
-                 "buffers", "reply", "failure")
+                 "buffers", "nbytes", "reply", "failure")
 
     def __init__(self, label: str, node: int, partition: int,
                  worker: int) -> None:
@@ -114,6 +122,7 @@ class _Ticket:
         #: Coordinator ns the assigned worker got the ticket.
         self.since = perf_counter_ns() if worker >= 0 else 0
         self.buffers: list = []
+        self.nbytes = 0         # operand bytes shipped (``dist``'s budget)
         self.reply: CompletionAck | None = None
         self.failure: str | None = None
 
@@ -335,6 +344,29 @@ class WorkerPool(Executor):
                 out[name] = start if held is None else min(held, start)
         return out
 
+    def _await_budget(self, fits, in_flight) -> None:
+        """Pump acks until ``fits()`` or no ticket ``in_flight()`` can
+        make room: the in-flight budget's wait, timed into ``stats``.
+        A worker dying meanwhile, or ``join_timeout``, fails it."""
+        self._pump(0)
+        t0, dead = time.monotonic(), len(self._dead)
+        if fits() or not in_flight():
+            return
+        self.stats.budget_waits += 1
+        try:
+            while not fits() and in_flight():
+                left = t0 + self.join_timeout - time.monotonic()
+                if left <= 0:
+                    raise ExecError(f"{self.name} workers freed no budget "
+                                    f"in {self.join_timeout:g}s (hung?)")
+                if not self._pump(min(1.0, left)):
+                    self._idle()
+                if len(self._dead) > dead:
+                    raise ExecError(f"{self.name} worker died while staging "
+                                    f"waited for budget ({self._obituary()})")
+        finally:
+            self.stats.budget_wait_seconds += time.monotonic() - t0
+
     # -- lifecycle ---------------------------------------------------------
 
     def close(self):
@@ -416,5 +448,5 @@ def pool_residue(kind: type, extra=()) -> list[str]:
     return sorted(out + telemetry_residue(kind.name))
 
 
-__all__ = ["CompletionAck", "WorkerPool", "pool_context", "pool_residue",
-           "run_kernel"]
+__all__ = ["CompletionAck", "SEGMENT_BUDGET_BYTES", "WorkerPool",
+           "pool_context", "pool_residue", "run_kernel"]

@@ -20,9 +20,10 @@ writable ones stay with the ticket until ``release`` after the merge.
 Operands that did not come from ``stage`` are copied into a segment at
 ``submit`` and follow the same path from there.
 
-Live segment bytes are bounded by :data:`SEGMENT_BUDGET_BYTES`: past
-it, taking a segment waits for acks to recycle one instead of creating
-more.  It creates past the budget only when no ack can free anything
+Live segment bytes are bounded by the pools' one in-flight budget,
+:data:`~repro.exec.pool.SEGMENT_BUDGET_BYTES`: past it, taking a
+segment waits for acks to recycle one instead of creating more.  It
+creates past the budget only when no ack can free anything
 (the bytes are held by staged-not-yet-submitted buffers, by the ticket
 ``submit`` is still building, or by writable outputs awaiting their
 merge), which is what keeps it deadlock-free; such segments are
@@ -54,6 +55,7 @@ from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
+from repro.exec import pool as core
 from repro.exec.base import ExecError
 from repro.exec.pool import CompletionAck, WorkerPool, pool_context, \
     pool_residue
@@ -62,11 +64,6 @@ from repro.exec.worker import worker_main
 #: Prefix of every segment this process creates; the residue test and
 #: the atexit reaper match on it.
 SHM_PREFIX = f"repro_exec_{os.getpid()}_"
-
-#: Bound on the bytes of all segments that exist at once (in flight,
-#: staged and free together).  Under the 64 MiB ``/dev/shm`` a default
-#: Docker container mounts, where overcommitting is a SIGBUS.
-SEGMENT_BUDGET_BYTES = 48 * 1024 * 1024
 
 #: A blocked ``wait``/``stage`` gives up on un-acked tickets after this
 #: many consecutive silent seconds with no ticket claimed: an idle
@@ -105,11 +102,17 @@ class _SegmentPool:
         #: thread can read it without walking ``_free``.
         self.free_count = 0
 
-    def take(self, nbytes: int, *,
-             force: bool = False) -> SharedMemory | None:
+    def fits(self, nbytes: int) -> bool:
+        """Can :meth:`take` serve ``nbytes`` inside the budget?"""
+        size = max(1, nbytes)
+        return bool(self._free.get(size)) or \
+            self.live_bytes - self.free_bytes + size \
+            <= core.SEGMENT_BUDGET_BYTES
+
+    def take(self, nbytes: int) -> SharedMemory:
         """A segment of ``nbytes``: a free one of that size, else a new
-        one once free segments of other sizes made room for it.
-        ``None`` when that would pass the budget, unless ``force``."""
+        one once free segments of other sizes made room for it -- past
+        the budget when they cannot."""
         size = max(1, nbytes)
         bucket = self._free.get(size)
         if bucket:
@@ -118,13 +121,11 @@ class _SegmentPool:
             self.free_count -= 1
             return bucket.pop()
         while self.free_bytes and \
-                self.live_bytes + size > SEGMENT_BUDGET_BYTES:
+                self.live_bytes + size > core.SEGMENT_BUDGET_BYTES:
             victim = next(b for b in self._free.values() if b).pop()
             self.free_bytes -= victim.size
             self.free_count -= 1
             self._unlink(victim)
-        if self.live_bytes + size > SEGMENT_BUDGET_BYTES and not force:
-            return None
         self._seq += 1
         self.created += 1
         seg = SharedMemory(create=True, size=size,
@@ -135,7 +136,7 @@ class _SegmentPool:
         return seg
 
     def give(self, seg: SharedMemory) -> None:
-        if self.live_bytes > SEGMENT_BUDGET_BYTES:
+        if self.live_bytes > core.SEGMENT_BUDGET_BYTES:
             self._unlink(seg)                 # created past the budget
         else:
             self._free.setdefault(seg.size, []).append(seg)
@@ -193,15 +194,8 @@ class SharedMemExecutor(WorkerPool):
     def _take(self, nbytes: int) -> SharedMemory:
         """A pooled segment; past the budget, waits for acks to recycle
         one while any in-flight ticket can still return one."""
-        self._pump(0)
-        seg = self._pool.take(nbytes)
-        while seg is None and self._recyclable():
-            if not self._pump(1.0):
-                self._idle()
-            seg = self._pool.take(nbytes)
-        if seg is None:
-            seg = self._pool.take(nbytes, force=True)
-        return seg
+        self._await_budget(lambda: self._pool.fits(nbytes), self._recyclable)
+        return self._pool.take(nbytes)
 
     def stage(self, nbytes):
         """A uint8 array over a pooled segment; ``submit`` adopts the
@@ -337,7 +331,7 @@ class SharedMemExecutor(WorkerPool):
                 f"segments={pool.created} created/{pool.reused} reused, "
                 f"live={pool.live_bytes / mib:.1f} MiB "
                 f"(peak {pool.peak_bytes / mib:.1f}) of "
-                f"{SEGMENT_BUDGET_BYTES / mib:.0f} MiB budget)")
+                f"{core.SEGMENT_BUDGET_BYTES / mib:.0f} MiB budget)")
 
 
 def shm_residue() -> list[str]:

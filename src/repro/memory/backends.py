@@ -32,9 +32,9 @@ paths probe for, so a move between two backends degrades gracefully from
     every ``stride`` bytes, a contiguous range being the one-row window
     (:func:`window_key`).  A dense window is one slice copy or one
     positioned read/write; a gapped row shard or ghost zone moves as one
-    gathered operation (a strided NumPy copy, or one spanning
-    ``pread``/``pwrite`` plus a strided copy) instead of a Python loop
-    of per-row calls.  ``read_into`` is the one-row gather into a
+    strided NumPy copy (over a read-only map of a file's span, or into
+    a file's write-combining row band) instead of a Python loop of
+    per-row calls.  ``read_into`` is the one-row gather into a
     caller-provided array.
 
 :class:`FileBackend` keeps an LRU-capped pool of open descriptors and
@@ -54,6 +54,7 @@ every write through the backend first discards the windows it overlaps.
 
 from __future__ import annotations
 
+import mmap
 import os
 import shutil
 import threading
@@ -138,7 +139,7 @@ class DataBackend(ABC):
     def close(self) -> None:
         """Release every buffer and any external resources."""
 
-    # -- zero-copy capabilities (optional; safe defaults) ------------------
+    # -- views (optional; safe defaults) and strided windows --------------
 
     def try_view(self, alloc_id: int, offset: int,
                  nbytes: int) -> np.ndarray | None:
@@ -158,19 +159,17 @@ class DataBackend(ABC):
         self.gather_2d(alloc_id, offset, 1, out.size, out.size,
                        out.reshape(1, out.size))
 
+    @abstractmethod
     def gather_2d(self, alloc_id: int, offset: int, rows: int, row_bytes: int,
                   stride: int, out: np.ndarray) -> None:
         """Read a strided 2-D region into ``out`` (shape (rows, row_bytes),
-        any strides).  Default: one copying read per row."""
-        for r in range(rows):
-            out[r] = self.read(alloc_id, offset + r * stride, row_bytes)
+        any strides)."""
 
+    @abstractmethod
     def scatter_2d(self, alloc_id: int, offset: int, rows: int, row_bytes: int,
                    stride: int, data: np.ndarray) -> None:
         """Write ``data`` (shape (rows, row_bytes)) into the strided
-        region.  Default: one write per row."""
-        for r in range(rows):
-            self.write(alloc_id, offset + r * stride, data[r])
+        region."""
 
     def advise(self, windows) -> None:
         """Will-need advice: ``windows`` is an iterable of ``(alloc_id,
@@ -362,6 +361,10 @@ READAHEAD_BUFFERS = 2
 #: every window counted ``advised`` ends in exactly one of the others.
 READAHEAD_OUTCOMES = ("advised", "served", "late", "stale", "skipped",
                       "failed")
+
+#: Span of file a gapped gather maps at a time (one row when a row is
+#: longer): bounds the file pages one gather adds to the resident set.
+MAP_BAND_BYTES = 4 << 20
 
 _QUEUED, _READING, _READY, _FAILED = range(4)
 
@@ -659,13 +662,9 @@ class FileBackend(DataBackend):
     else one read-modify-write.  ``sync_writes`` writes it at once.
     """
 
-    #: A strided file window is fetched with vectored spanning reads when
-    #: the inter-row gap bytes are cheap relative to the per-row syscalls
-    #: they replace: dense when the window is small in absolute terms
-    #: (``span <= SPAN_MIN``) or the total gap is at most
-    #: ``SPAN_GAP_BYTES`` per row -- roughly the bytes one positioned
-    #: read's overhead is worth at page-cache bandwidth.  Beyond that,
-    #: per-row reads skip the gaps instead of paying to read them.
+    #: A gapped scatter goes to a row band when its span is small
+    #: (``<= SPAN_MIN``) or gaps at most ``SPAN_GAP_BYTES`` per row, about
+    #: one ``pwrite``'s overhead; else per-row writes skip the gaps.
     SPAN_MIN = 64 << 10
     SPAN_GAP_BYTES = 8 << 10
 
@@ -736,16 +735,11 @@ class FileBackend(DataBackend):
         return True
 
     def read(self, alloc_id: int, offset: int, nbytes: int) -> np.ndarray:
-        self._check_range(alloc_id, offset, nbytes,
-                          self._sizes[self._require(alloc_id)])
+        self._check_range(alloc_id, offset, nbytes, self.size_of(alloc_id))
         self._flush_over(alloc_id, offset, offset + nbytes)
         out = np.empty(nbytes, dtype=np.uint8)
         self._pread_into(self._fd(alloc_id), offset, out)
         return out
-
-    def _require(self, alloc_id: int) -> int:
-        self._path(alloc_id)
-        return alloc_id
 
     def _span_is_dense(self, rows: int, row_bytes: int, span: int) -> bool:
         gap_total = span - rows * row_bytes
@@ -754,7 +748,7 @@ class FileBackend(DataBackend):
     def gather_2d(self, alloc_id: int, offset: int, rows: int, row_bytes: int,
                   stride: int, out: np.ndarray) -> None:
         span = self._check_range_2d(alloc_id, offset, rows, row_bytes, stride,
-                                    self._sizes[self._require(alloc_id)])
+                                    self.size_of(alloc_id))
         if not rows or not row_bytes:
             return
         self._flush_over(alloc_id, offset, offset + span)
@@ -762,95 +756,50 @@ class FileBackend(DataBackend):
                 (alloc_id, *window_key(offset, rows, row_bytes, stride)), out):
             return
         self._gather_fd(self._fd(alloc_id), offset, rows, row_bytes, stride,
-                        span, out)
+                        out)
 
-    def _gather_fd(self, fd: int, offset: int, rows: int, row_bytes: int,
-                   stride: int, span: int, out: np.ndarray) -> bool:
-        """The strided read behind :meth:`gather_2d` (bounds checked by
-        the caller)."""
+    @staticmethod
+    def _gather_fd(fd: int, offset: int, rows: int, row_bytes: int,
+                   stride: int, out: np.ndarray) -> bool:
+        """The read behind :meth:`gather_2d` (bounds checked by the
+        caller): one positioned read for a dense window into a
+        C-contiguous ``out``, else one strided ``np.copyto`` per read-only
+        shared map (coherent with ``pwrite``) of :data:`MAP_BAND_BYTES`
+        of span, mapped only up to the file's end; bytes past it read
+        as zero, as after a short read."""
         if (rows == 1 or stride == row_bytes) and out.flags.c_contiguous:
-            # Dense window: the whole shard is one positioned read.
-            return self._pread_into(fd, offset, out)
-        if self._span_is_dense(rows, row_bytes, span):
-            if out.ndim == 2 and out.strides[1] == 1:
-                # True vectored read: one preadv per IOV_MAX-sized batch
-                # with destination rows as iovecs and the inter-row gaps
-                # landing in a single reused (cache-hot) scrap buffer --
-                # no spanning temp, no second gather pass.
-                return self._preadv_scatter(fd, offset, rows, row_bytes,
-                                            stride, out)
-            # Destination rows are not contiguous: spanning read into a
-            # temp, then a strided gather in memory.
-            buf = np.empty(span, dtype=np.uint8)
-            complete = self._pread_into(fd, offset, buf)
-            np.copyto(out, _strided_2d(buf, 0, rows, row_bytes, stride))
-            return complete
-        # Sparse window: per-row positioned reads, straight into the
-        # destination rows when they are contiguous.
-        complete = True
-        if out.ndim == 2 and out.strides[1] == 1:
-            for r in range(rows):
-                got = os.preadv(fd, [out[r]], offset + r * stride)
-                if got < row_bytes:
-                    out[r, got:] = 0
-                    complete = False
-            return complete
-        row = np.empty(row_bytes, dtype=np.uint8)
-        for r in range(rows):
-            got = os.preadv(fd, [row], offset + r * stride)
-            if got < row_bytes:
-                row[got:] = 0
-                complete = False
-            out[r] = row
-        return complete
-
-    #: iovec budget per ``preadv`` call (conservative vs IOV_MAX=1024).
-    _IOV_BATCH = 1024
-
-    def _preadv_scatter(self, fd: int, offset: int, rows: int,
-                        row_bytes: int, stride: int,
-                        out: np.ndarray) -> bool:
-        """Gather a strided file window with vectored positioned reads.
-
-        Each ``preadv`` consumes the file span contiguously while the
-        iovec list scatters it: payload rows straight into ``out``,
-        gap bytes into one scrap buffer reused for every gap.  Short
-        reads (sparse tails) zero-fill the unreached row remainders.
-        """
-        gap = stride - row_bytes
-        scrap = np.empty(gap, dtype=np.uint8) if gap > 0 else None
-        rows_per_call = max(1, self._IOV_BATCH // 2)
-        complete = True
-        r0 = 0
-        while r0 < rows:
-            batch = min(rows - r0, rows_per_call)
-            iov: list[np.ndarray] = []
-            expected = 0
-            for r in range(r0, r0 + batch):
-                iov.append(out[r])
-                expected += row_bytes
-                if scrap is not None and r != rows - 1:
-                    iov.append(scrap)
-                    expected += gap
-            got = os.preadv(fd, iov, offset + r0 * stride)
-            if got < expected:
-                # EOF inside the batch: zero everything past ``got``.
-                complete = False
-                rem = got
-                for r in range(r0, r0 + batch):
-                    take = min(rem, row_bytes)
-                    rem -= take
-                    if take < row_bytes:
-                        out[r, take:] = 0
-                    if r != rows - 1:
-                        rem -= min(rem, gap)
-            r0 += batch
-        return complete
+            return FileBackend._pread_into(fd, offset, out)
+        stride = row_bytes if rows == 1 else stride
+        end = os.fstat(fd).st_size
+        per_band = max(1, MAP_BAND_BYTES // stride)
+        for r0 in range(0, rows, per_band):
+            n = min(rows - r0, per_band)
+            lo = offset + r0 * stride
+            hi = min(lo + (n - 1) * stride + row_bytes, end)
+            if hi <= lo:
+                out[r0:] = 0
+                return False
+            base = lo - lo % mmap.ALLOCATIONGRANULARITY
+            with mmap.mmap(fd, hi - base, prot=mmap.PROT_READ,
+                           offset=base) as mapped:
+                src = np.frombuffer(mapped, np.uint8)
+                whole = min(n, max(0, hi - lo - row_bytes + stride) // stride)
+                np.copyto(out[r0:r0 + whole], _strided_2d(
+                    src, lo - base, whole, row_bytes, stride))
+                if whole < n:        # the file ends in this band
+                    at = lo - base + whole * stride
+                    out[r0 + whole:] = 0
+                    out[r0 + whole, :max(0, src.size - at)] = src[at:]
+                # Every view of the map goes before the map closes.
+                del src
+            if whole < n:
+                return False
+        return True
 
     def scatter_2d(self, alloc_id: int, offset: int, rows: int, row_bytes: int,
                    stride: int, data: np.ndarray) -> None:
         span = self._check_range_2d(alloc_id, offset, rows, row_bytes, stride,
-                                    self._sizes[self._require(alloc_id)])
+                                    self.size_of(alloc_id))
         if not rows or not row_bytes:
             return
         self.readahead.discard(alloc_id, offset, offset + span)
@@ -882,8 +831,7 @@ class FileBackend(DataBackend):
     def write(self, alloc_id: int, offset: int,
               data: np.ndarray | bytes | bytearray | memoryview) -> None:
         raw = _as_bytes(data)
-        self._check_range(alloc_id, offset, raw.size,
-                          self._sizes[self._require(alloc_id)])
+        self._check_range(alloc_id, offset, raw.size, self.size_of(alloc_id))
         self.readahead.discard(alloc_id, offset, offset + raw.size)
         self._flush_over(alloc_id, offset, offset + raw.size)
         fd = self._fd(alloc_id)
@@ -987,7 +935,6 @@ class FileBackend(DataBackend):
         fd = os.open(win.path, os.O_RDONLY)
         try:
             return self._gather_fd(fd, offset, rows, row_bytes, stride,
-                                   win.hi - win.lo,
                                    buf.reshape(rows, row_bytes))
         finally:
             os.close(fd)

@@ -197,6 +197,10 @@ class RunReport:
         if any(bands.values()):
             parts += ["", f"write bands: {bands['whole']} whole, "
                           f"{bands['merged']} merged"]
+        waits = (self.metrics or {}).get("exec_budget_waits", [])
+        if waits and waits[0]["value"]:
+            parts += ["", f"budget waits: {int(waits[0]['value'])} stagings "
+                          f"waited for acks to free in-flight bytes"]
         if self.phys is not None:
             parts.append("")
             parts.append(f"physical workers ({self.phys['backend']}, "

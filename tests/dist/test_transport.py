@@ -1,6 +1,6 @@
 """The dist data plane: message framing, the receiver threads' eager
-ack drain, pooled snapshot staging, and what is left behind after
-``close()`` or a crash."""
+ack drain, pooled snapshot staging, the in-flight budget, and what is
+left behind after ``close()`` or a crash."""
 
 import multiprocessing as mp
 import os
@@ -8,6 +8,7 @@ import threading
 import time
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -16,7 +17,10 @@ from repro.dist import DistExecutor, dist_residue
 from repro.dist.protocol import (OUT_OF_BAND_MIN, SHUTDOWN, CompletionAck,
                                  TaskGrant, recv_message, send_message)
 from repro.exec import ExecError, fn_ref
+from repro.exec import pool as core
 from tests.exec import kernels
+
+MIB = 1024 * 1024
 
 
 # -- framing -----------------------------------------------------------------
@@ -185,6 +189,66 @@ def test_staged_snapshots_and_ack_buffers_recycle_through_the_pool():
         reuses = pool.reuses
         assert any(ex.stage(1 << 16) is b for b in pooled)
         assert pool.reuses == reuses + 1
+    assert dist_residue() == []
+
+
+# -- the in-flight budget ----------------------------------------------------
+
+def _staged(ex, values):
+    """``values`` snapshotted the way ``System`` does it."""
+    arr = ex.stage(values.nbytes).view(values.dtype).reshape(values.shape)
+    arr[...] = values
+    return arr
+
+
+def test_staging_holds_at_most_the_budget_plus_one_ticket(monkeypatch):
+    monkeypatch.setattr(core, "SEGMENT_BUDGET_BYTES", MIB)
+    rng = np.random.default_rng(38)
+    xs = [rng.random(16 * 1024) for _ in range(20)]         # 128 KiB each
+    ys = [rng.random(16 * 1024) for _ in range(20)]
+    ticket_bytes = xs[0].nbytes + ys[0].nbytes
+    peak = 0
+    with DistExecutor(workers=2) as ex:
+        tickets = []
+        for x, y in zip(xs, ys):
+            ops = [("x", _staged(ex, x), False)]
+            peak = max(peak, ex._held())
+            ops.append(("y", _staged(ex, y), True))
+            peak = max(peak, ex._held())
+            tickets.append(ex.submit(fn_ref(kernels.slow_axpy), ops,
+                                     {"alpha": 3.0, "seconds": 0.01}))
+            peak = max(peak, ex._held())
+        for ticket, x, y in zip(tickets, xs, ys):
+            got = ex.wait(ticket).outputs["y"]
+            assert got.tobytes() == (y + 3.0 * x).tobytes()
+            ex.release(ticket)
+        assert peak <= MIB + ticket_bytes
+        assert ex.stats.budget_waits > 0
+        assert ex.stats.budget_wait_seconds > 0
+        assert ex._held() == 0
+    assert dist_residue() == []
+
+
+def test_a_worker_killed_during_a_budget_wait_fails_it_by_name(monkeypatch):
+    monkeypatch.setattr(core, "SEGMENT_BUDGET_BYTES", MIB)
+    ex = DistExecutor(workers=2, join_timeout=10.0)
+    try:
+        ex.pin(1)
+        ticket = ex.submit(fn_ref(kernels.snooze), [
+            ("x", _staged(ex, np.zeros(MIB, np.uint8)), False)],
+            {"seconds": 30.0})
+        killer = threading.Timer(0.2, ex._procs[1].kill)
+        killer.start()
+        t0 = time.monotonic()
+        with pytest.raises(ExecError, match="died while staging.*w1 exit"):
+            ex.stage(MIB // 2)
+        assert time.monotonic() - t0 < ex.join_timeout
+        killer.join()
+        with pytest.raises(ExecError, match="w1 died"):
+            ex.wait(ticket)
+        assert ex.stats.budget_waits == 1
+    finally:
+        ex.close()
     assert dist_residue() == []
 
 

@@ -63,3 +63,11 @@ def count_dead_maps(out, *, prefix):
         out[0] = sum(1 for line in maps
                      if f"/{prefix}" in line and line.rstrip().endswith(
                          "(deleted)"))
+
+
+def slow_axpy(x, y, *, alpha, seconds):
+    """:func:`axpy` after a nap: slow enough that the coordinator
+    outruns the workers (the in-flight budget tests)."""
+    import time
+    time.sleep(seconds)
+    y += alpha * x

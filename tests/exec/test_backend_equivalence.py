@@ -102,6 +102,32 @@ def test_exec_metrics_recorded_for_async_run():
 
 
 @pytest.mark.parametrize("backend", ASYNC_BACKENDS)
+def test_budget_waits_are_counted_and_reported(monkeypatch, backend):
+    """Under a tiny in-flight budget every pool stages behind acks: the
+    result stays exact, and the waits reach the stats, the
+    ``exec_budget_waits`` gauge and ``RunReport``."""
+    from repro.exec import pool
+    from repro.obs.report import RunReport
+
+    monkeypatch.setattr(pool, "SEGMENT_BUDGET_BYTES", 16 * KB)
+    sys_ = System(apu_two_level(storage_capacity=8 * MB,
+                                staging_bytes=256 * KB), executor=backend)
+    try:
+        app = _gemm(sys_)
+        app.run(sys_)
+        assert np.array_equal(app.result(), app.reference())
+        stats = sys_.executor.stats
+        assert stats.budget_waits > 0 and stats.budget_wait_seconds > 0
+        assert stats.dispatch_seconds > 0
+        [gauge] = sys_.metrics.snapshot()["exec_budget_waits"]
+        assert gauge["value"] == stats.budget_waits
+        assert f"budget waits: {stats.budget_waits} stagings" in \
+            RunReport.from_system(sys_).table()
+    finally:
+        sys_.close()
+
+
+@pytest.mark.parametrize("backend", ASYNC_BACKENDS)
 def test_serve_layer_matches_inline(backend):
     """A served 12-job stream dispatches and computes identically on
     every backend (virtual stats, dispatch digests, result bytes)."""

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.exec import ExecError, SharedMemExecutor, fn_ref, shm_residue
+from repro.exec import pool as core
 from repro.exec import shm
 from tests.exec import kernels
 
@@ -115,7 +116,7 @@ def test_acks_are_consumed_without_anyone_calling_wait(tmp_path):
 
 def test_live_bytes_stay_under_the_budget_while_acks_can_free_segments(
         monkeypatch):
-    monkeypatch.setattr(shm, "SEGMENT_BUDGET_BYTES", 8 * MIB)
+    monkeypatch.setattr(core, "SEGMENT_BUDGET_BYTES", 8 * MIB)
     payload = np.arange(MIB // 8, dtype=np.float64)          # 1 MiB
     with SharedMemExecutor(workers=2) as ex, _within(60):
         tickets = []
@@ -134,7 +135,7 @@ def test_live_bytes_stay_under_the_budget_while_acks_can_free_segments(
 
 
 def test_budget_held_by_unmerged_outputs_does_not_block(monkeypatch):
-    monkeypatch.setattr(shm, "SEGMENT_BUDGET_BYTES", MIB)
+    monkeypatch.setattr(core, "SEGMENT_BUDGET_BYTES", MIB)
     with SharedMemExecutor(workers=2) as ex, _within(30):
         # 8 x 512 KiB of writable outputs, none merged: no ack can free
         # a byte, so staging goes past the budget instead of waiting.
@@ -156,7 +157,7 @@ def test_copied_operands_of_one_submit_do_not_wait_for_each_other(
         monkeypatch):
     """The ticket ``submit`` is building holds segments no ack will
     free; its second operand must not wait for its first."""
-    monkeypatch.setattr(shm, "SEGMENT_BUDGET_BYTES", MIB)
+    monkeypatch.setattr(core, "SEGMENT_BUDGET_BYTES", MIB)
     x = np.arange(768 * 1024, dtype=np.uint8)                # caller's own
     y = x[::-1].copy()
     with SharedMemExecutor(workers=1) as ex, _within(10):
@@ -172,7 +173,7 @@ def test_copied_operands_of_one_submit_do_not_wait_for_each_other(
 
 def test_copied_operands_go_past_a_budget_held_by_unmerged_outputs(
         monkeypatch):
-    monkeypatch.setattr(shm, "SEGMENT_BUDGET_BYTES", MIB)
+    monkeypatch.setattr(core, "SEGMENT_BUDGET_BYTES", MIB)
     with SharedMemExecutor(workers=2) as ex, _within(10):
         held = [ex.submit(FILL, [("out", _staged(
             ex, np.zeros(MIB // 8, np.float32)), True)], {"value": 1.0})
@@ -190,7 +191,7 @@ def test_copied_operands_go_past_a_budget_held_by_unmerged_outputs(
 def test_workers_let_go_of_segments_the_parent_unlinked(monkeypatch):
     """A mapping keeps an unlinked segment's pages in ``/dev/shm``; the
     budget means nothing if the workers' attachment caches pin them."""
-    monkeypatch.setattr(shm, "SEGMENT_BUDGET_BYTES", MIB)
+    monkeypatch.setattr(core, "SEGMENT_BUDGET_BYTES", MIB)
     with SharedMemExecutor(workers=1) as ex, _within(30):
         def dead_maps():
             ticket = ex.submit(fn_ref(kernels.count_dead_maps), [
@@ -213,7 +214,7 @@ def test_workers_let_go_of_segments_the_parent_unlinked(monkeypatch):
 
 
 def test_other_sizes_are_evicted_before_the_budget_is_passed(monkeypatch):
-    monkeypatch.setattr(shm, "SEGMENT_BUDGET_BYTES", MIB)
+    monkeypatch.setattr(core, "SEGMENT_BUDGET_BYTES", MIB)
     with SharedMemExecutor(workers=1) as ex:
         for size in (512 * 1024, 768 * 1024, 1024 * 1024):
             ticket = ex.submit(SNOOZE, [("x", _staged(
@@ -229,7 +230,7 @@ def test_pool_stats_match_the_free_lists(monkeypatch):
     """``pool_stats`` is built from counters the pool maintains; after
     every step of a seeded take/give sequence that reuses, evicts and
     creates past the budget, they equal what the free lists hold."""
-    monkeypatch.setattr(shm, "SEGMENT_BUDGET_BYTES", 64 * 1024)
+    monkeypatch.setattr(core, "SEGMENT_BUDGET_BYTES", 64 * 1024)
     rng = np.random.default_rng(15)
     sizes = [4096, 8192, 16384, 24576, 32768]
     with SharedMemExecutor(workers=1) as ex:
@@ -238,7 +239,7 @@ def test_pool_stats_match_the_free_lists(monkeypatch):
             if held and rng.random() < 0.5:
                 pool.give(held.pop(int(rng.integers(len(held)))))
             else:
-                held.append(pool.take(int(rng.choice(sizes)), force=True))
+                held.append(pool.take(int(rng.choice(sizes))))
             free = [seg for bucket in pool._free.values() for seg in bucket]
             assert ex.pool_stats() == {"segments": pool.created,
                                        "reused": pool.reused,
@@ -247,7 +248,7 @@ def test_pool_stats_match_the_free_lists(monkeypatch):
         # The sequence took every path: exact-size reuse, eviction of
         # other sizes, and unlink-on-give of segments past the budget.
         assert pool.reused and pool.unlinked
-        assert pool.peak_bytes > shm.SEGMENT_BUDGET_BYTES
+        assert pool.peak_bytes > core.SEGMENT_BUDGET_BYTES
         for seg in held:
             pool.give(seg)
     assert shm_residue() == []

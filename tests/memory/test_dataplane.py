@@ -4,20 +4,22 @@ Every fast path in ``Device.copy_into`` / ``copy_into_2d`` -- the
 Listing 4 dispatch on (src storage, dst storage) -- must produce bytes
 identical to the retained naive reference in ``tests/reference/naive_plane``.
 The tests sweep all four backend pairs and the stride regimes that
-select different file I/O strategies (contiguous, dense span, sparse
-span forced onto the per-row descriptor path).  A contiguous range is
+select different file I/O strategies (contiguous, mapped gapped
+gathers, row-band and per-row scatters).  A contiguous range is
 the one-row window, so ``System.move`` and a one-row ``move_2d`` must
 be indistinguishable.
 """
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.memory.backends as backends_mod
 from repro.core.buffers import ArrayPool
 from repro.core.system import System
 from repro.memory.backends import FileBackend, MemBackend
@@ -109,9 +111,10 @@ def test_copy_into_2d_matches_reference(devices, rows, row_bytes,
     np.testing.assert_array_equal(got, want)
 
 
-def test_copy_into_2d_sparse_span_takes_per_row_path(tmp_path, monkeypatch):
-    """Force the span heuristic to reject dense gathering so the
-    per-row positioned-I/O fallback is exercised, and stays correct."""
+def test_copy_into_2d_sparse_span_scatter_takes_per_row_path(tmp_path,
+                                                            monkeypatch):
+    """Force the span heuristic to reject a row band so the per-row
+    positioned-write scatter is exercised, and stays correct."""
     monkeypatch.setattr(FileBackend, "SPAN_GAP_BYTES", 0)
     monkeypatch.setattr(FileBackend, "SPAN_MIN", 0)
     src = _device("src", FileBackend(str(tmp_path / "src")))
@@ -120,20 +123,102 @@ def test_copy_into_2d_sparse_span_takes_per_row_path(tmp_path, monkeypatch):
         rows, row_bytes, stride = 6, 32, 500
         payload = _fill(src, 1, (rows - 1) * stride + row_bytes, seed=5)
         dst.backend.create(1, rows * row_bytes)
-        src.copy_into_2d(dst, 1, 0, stride, 1, 0, row_bytes,
-                         rows=rows, row_bytes=row_bytes)
-        got = dst.backend.read(1, 0, rows * row_bytes).reshape(rows, row_bytes)
         for r in range(rows):
-            np.testing.assert_array_equal(
-                got[r], payload[r * stride:r * stride + row_bytes])
-        # And the scatter direction through the same forced fallback.
+            dst.backend.write(1, r * row_bytes,
+                              payload[r * stride:r * stride + row_bytes])
         dst.copy_into_2d(src, 1, 0, row_bytes, 1, 0, stride,
                          rows=rows, row_bytes=row_bytes)
+        assert src.backend.bands == {"whole": 0, "merged": 0}
         np.testing.assert_array_equal(
             src.backend.read(1, 0, (rows - 1) * stride + row_bytes), payload)
     finally:
         src.backend.close()
         dst.backend.close()
+
+
+def _gather_layout(rows, row_bytes, layout):
+    """A destination for a gathered window: C order, every other
+    column of a wider array, or Fortran order."""
+    if layout == "c":
+        return np.full((rows, row_bytes), 0xAB, np.uint8)
+    if layout == "columns":
+        return np.full((rows, 2 * row_bytes), 0xAB, np.uint8)[:, ::2]
+    return np.asfortranarray(np.full((rows, row_bytes), 0xAB, np.uint8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 12), row_bytes=st.integers(1, 9000),
+       gap=st.integers(0, 9000), offset=st.integers(0, 5000),
+       tail=st.sampled_from([0, 0, 1, 4095, 7000]),
+       layout=st.sampled_from(["c", "columns", "fortran"]),
+       band=st.sampled_from([4096, 3 * 4096, 1 << 16, None]),
+       writes=st.lists(st.tuples(st.floats(0, 1), st.integers(1, 6000)),
+                       max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_mapped_gather_matches_a_memory_oracle(rows, row_bytes, gap, offset,
+                                               tail, layout, band, writes,
+                                               seed):
+    """Every window a file gather maps -- unaligned offsets, rows across
+    pages or longer than one, never-written holes, a last row ending the
+    file, any destination layout, one or many map bands -- holds the
+    bytes of a ``MemBackend`` given the same writes."""
+    stride = row_bytes + gap
+    size = offset + (rows - 1) * stride + row_bytes + tail
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as root:
+        fb, mb = FileBackend(os.path.join(root, "f")), MemBackend()
+        try:
+            for b in (fb, mb):
+                b.create(1, size)
+            for where, nbytes in writes:      # the rest stays a hole
+                lo = int(where * (size - 1))
+                data = rng.integers(0, 256, min(nbytes, size - lo),
+                                    dtype=np.uint8)
+                fb.write(1, lo, data)
+                mb.write(1, lo, data)
+            got = _gather_layout(rows, row_bytes, layout)
+            want = np.empty((rows, row_bytes), np.uint8)
+            with mock.patch.object(backends_mod, "MAP_BAND_BYTES",
+                                   band or backends_mod.MAP_BAND_BYTES):
+                fb.gather_2d(1, offset, rows, row_bytes, stride, got)
+            mb.gather_2d(1, offset, rows, row_bytes, stride, want)
+            np.testing.assert_array_equal(got, want)
+        finally:
+            fb.close()
+            mb.close()
+
+
+def test_a_gathered_row_the_file_ends_in_reads_zero_past_the_end(tmp_path):
+    """A file truncated behind the backend's back: the mapped gather
+    maps only up to its end (no SIGBUS), keeps the bytes of the row the
+    end falls in, zero-fills the rest and reports the read short."""
+    b = FileBackend(str(tmp_path / "s"))
+    try:
+        payload = np.random.default_rng(9).integers(0, 256, 64 * 1024,
+                                                    dtype=np.uint8)
+        b.create(1, payload.size)
+        b.write(1, 0, payload)
+        rows, row_bytes, stride, offset = 12, 3000, 5000, 100
+        os.truncate(b._paths[1], offset + 5 * stride + 1000)
+        want = np.lib.stride_tricks.as_strided(
+            payload[offset:], (rows, row_bytes), (stride, 1)).copy()
+        want[5, 1000:] = 0
+        want[6:] = 0
+        got = np.full((rows, row_bytes), 0xAB, np.uint8)
+        b.gather_2d(1, offset, rows, row_bytes, stride, got)
+        np.testing.assert_array_equal(got, want)
+        got[:] = 0xAB
+        with mock.patch.object(backends_mod, "MAP_BAND_BYTES", 2 * stride):
+            assert not b._gather_fd(b._fd(1), offset, rows, row_bytes,
+                                    stride, got)
+        np.testing.assert_array_equal(got, want)
+        assert b._gather_fd(b._fd(1), offset, 5, row_bytes, stride, got[:5])
+        os.truncate(b._paths[1], 0)
+        assert not b._gather_fd(b._fd(1), offset, rows, row_bytes, stride,
+                                got)
+        assert not got.any()
+    finally:
+        b.close()
 
 
 @pytest.mark.parametrize("rows,row_bytes,stride", [(1, 4096, 1),

@@ -503,6 +503,31 @@ def test_file_truncated_under_the_reader(tmp_path, low_floor):
         p.close()
 
 
+def test_gapped_window_of_a_file_truncated_under_the_reader(tmp_path,
+                                                           low_floor):
+    """The reader maps a gapped window only up to the file's end: the
+    window fails instead of faulting, and the caller's own gather reads
+    what a backend that never got advice reads."""
+    a = _filled(tmp_path, "a", {1: 64 * 1024})
+    p = _filled(tmp_path, "p", {1: 64 * 1024})
+    try:
+        for b in (a, p):
+            os.truncate(b._paths[1], 17_000)
+        window = (1, 100, 8, 1000, 4096)        # crosses the end in row 4
+        a.advise([window])
+        _settle(a)
+        got = [np.full((8, 1000), 0xAB, np.uint8) for _ in (a, p)]
+        for b, out in zip((a, p), got):
+            b.gather_2d(*window, out)
+        np.testing.assert_array_equal(got[0], got[1])
+        assert got[1][4, :516].any() and not got[1][4, 516:].any()
+        assert not got[1][5:].any()
+        assert a.readahead.counts["failed"] == 1
+    finally:
+        a.close()
+        p.close()
+
+
 @pytest.mark.parametrize("fd_open", [True, False])
 def test_file_unlinked_under_the_reader(tmp_path, low_floor, fd_open):
     a = _filled(tmp_path, "a", {1: 4096})

@@ -224,8 +224,8 @@ def test_status_is_safe_while_the_shm_pool_cycles_segments():
             # Every round frees a segment of a size the pool has not
             # seen (a new free-list key) and reuses an older one.
             size += 1
-            fresh = ex._pool.take(size, force=True)
-            again = ex._pool.take(1 + size // 2, force=True)
+            fresh = ex._pool.take(size)
+            again = ex._pool.take(1 + size // 2)
             ex._pool.give(fresh)
             ex._pool.give(again)
         poller.join()
