@@ -84,9 +84,6 @@ class ExecutionContext:
             f"no processor of kind {wanted!r} at or above node "
             f"{self.node.node_id}")
 
-    def processors(self) -> list[Processor]:
-        return list(self.node.processors)
-
     # -- descent ----------------------------------------------------------
 
     def descend(self, child: TreeNode | int, *, chunk: Any = None,

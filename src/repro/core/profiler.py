@@ -29,16 +29,8 @@ class Breakdown:
     # -- grouped views (the paper's categories) --------------------------
 
     @property
-    def cpu(self) -> float:
-        return self.by_phase.get(Phase.CPU_COMPUTE, 0.0)
-
-    @property
     def gpu(self) -> float:
         return self.by_phase.get(Phase.GPU_COMPUTE, 0.0)
-
-    @property
-    def setup(self) -> float:
-        return self.by_phase.get(Phase.SETUP, 0.0)
 
     @property
     def io(self) -> float:
@@ -52,24 +44,9 @@ class Breakdown:
         return self.by_phase.get(Phase.DEV_TRANSFER, 0.0)
 
     @property
-    def mem_copy(self) -> float:
-        return self.by_phase.get(Phase.MEM_COPY, 0.0)
-
-    @property
-    def transfers(self) -> float:
-        """All data movement: I/O + device transfers + memory copies."""
-        return self.io + self.dev_transfer + self.mem_copy
-
-    @property
     def runtime(self) -> float:
         """Framework bookkeeping -- Section V-B reports this < 1%."""
         return self.by_phase.get(Phase.RUNTIME, 0.0)
-
-    @property
-    def cache(self) -> float:
-        """Buffer-cache bookkeeping (hit/eviction accounting); every
-        second here replaced a much longer transfer."""
-        return self.by_phase.get(Phase.CACHE, 0.0)
 
     @property
     def busy_total(self) -> float:

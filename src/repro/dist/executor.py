@@ -8,7 +8,8 @@ travel back the same way.  No shared memory, no shared file
 descriptors: the pipes *are* the network.
 
 Each worker's pipe is served by a **thread pair**.  The sender thread
-writes queued grants, so the coordinator never blocks on a full pipe;
+writes grants ``submit`` encoded (so a grant that cannot be pickled
+fails its submit), and the coordinator never blocks on a full pipe;
 the receiver thread reads every frame the moment the worker writes it
 (a worker never waits on the coordinator to take an ack), stamps the
 arrival and hands the message to one inbound queue.  Neither thread
@@ -45,10 +46,11 @@ from functools import partial
 import numpy as np
 
 from repro.core.buffers import ArrayPool
-from repro.dist.protocol import SHUTDOWN, TaskGrant, recv_message, \
-    send_message
+from repro.dist.protocol import SHUTDOWN, TaskGrant, encode, \
+    recv_message, write
 from repro.dist.worker import dist_worker_main
 from repro.exec import pool as core
+from repro.exec.base import ExecError
 from repro.exec.pool import WorkerPool, pool_residue
 
 #: Retention of the snapshot / ack staging pool.  Bytes are the real
@@ -57,10 +59,6 @@ from repro.exec.pool import WorkerPool, pool_residue
 #: to avoid (DESIGN.md, staging-pool ownership).
 STAGE_POOL_BYTES = 64 * 1024 * 1024
 STAGE_POOL_PER_SIZE = 64
-
-#: Inbound-queue marker: the worker's pipe reached end of file.
-_EOF = object()
-
 
 class DistExecutor(WorkerPool):
     """Message-passing worker-process pool with partition pinning."""
@@ -75,8 +73,6 @@ class DistExecutor(WorkerPool):
         #: id(buffer) -> buffer for every staging buffer handed out and
         #: not yet submitted (the strong reference keeps the id unique).
         self._lent: dict[int, np.ndarray] = {}
-        #: Per-worker operand bytes put on the wire.
-        self.shipped_bytes = [0] * self.workers
         # One sender and one receiver thread per worker, started after
         # the last fork: both directions of every pipe drain
         # independently of each other and of the caller's thread.
@@ -133,14 +129,21 @@ class DistExecutor(WorkerPool):
                 id(arr if arr.base is None else arr.base), None)
             if buf is not None:
                 staged.append(buf)
-        shipped = rec.nbytes = sum(arr.nbytes for _name, arr, _w in arrays)
+        rec.nbytes = sum(arr.nbytes for _name, arr, _w in arrays)
+        # Encoded before ``_file`` gives it this ticket, so that a grant
+        # which cannot be pickled never enters the book.
+        grant = TaskGrant(ticket=self._next + 1, fn_ref=ref,
+                          operands=list(arrays), kwargs=kwargs, label=label,
+                          node_id=rec.node, partition=part)
+        try:
+            iovecs, _wire = encode(grant)
+        except Exception as exc:
+            raise ExecError(
+                f"cannot send {rec.describe()} to {self.name} worker "
+                f"w{worker}: {type(exc).__name__}: {exc}") from exc
         ticket = self._file(rec)
-        grant = TaskGrant(ticket=ticket, fn_ref=ref, operands=list(arrays),
-                          kwargs=kwargs, label=label, node_id=rec.node,
-                          partition=part)
-        self.stats.bytes_in += shipped
-        self.shipped_bytes[worker] += shipped
-        self._out[worker].put((grant, staged))
+        self.stats.bytes_in += rec.nbytes
+        self._out[worker].put((ticket, iovecs, staged))
         return ticket
 
     def _sender_loop(self, worker: int) -> None:
@@ -150,14 +153,13 @@ class DistExecutor(WorkerPool):
             item = out.get()
             if item is None:
                 return
-            msg, staged = item
+            ticket, iovecs, staged = item
             try:
-                if self.telemetry is not None and \
-                        isinstance(msg, TaskGrant):
+                if self.telemetry is not None and ticket is not None:
                     # Stamp as close to the wire as possible: no worker
                     # record of the ticket can start before this.
-                    self.telemetry.note_grant_sent(msg.ticket)
-                send_message(conn, msg)
+                    self.telemetry.note_grant_sent(ticket)
+                write(conn.fileno(), iovecs)
             except OSError:
                 # Worker (or pipe) gone; the receiver sees the EOF and
                 # the caller fails this worker's tickets.
@@ -166,24 +168,29 @@ class DistExecutor(WorkerPool):
                 self._pool.give(buf)
 
     def _receiver_loop(self, worker: int) -> None:
-        """Read frames as they arrive; all state stays with the caller
-        of ``wait``, who consumes the inbound queue."""
+        """Read messages as they arrive; all state stays with the caller
+        of ``wait``, who consumes the inbound queue.  A failed read is
+        the last message: the exception itself."""
         conn = self._conns[worker]
         take = partial(self._pool.take, zero=False)
         msg = None
-        while msg is not _EOF:
+        while not isinstance(msg, Exception):
             try:
                 msg, buffers, _wire = recv_message(conn, take)
-            except (EOFError, OSError):
-                msg, buffers = _EOF, ()
+            except Exception as exc:
+                msg, buffers = exc, ()
             self._inbound.put((worker, msg, buffers,
                                time.perf_counter_ns()))
 
     # -- completion --------------------------------------------------------
 
     def _ingest(self, worker: int, msg, buffers, recv_ns: int) -> None:
-        if msg is _EOF:
-            self._mark_dead(worker)
+        if isinstance(msg, Exception):      # the receiver's last word
+            eof = isinstance(msg, (EOFError, OSError))
+            if not eof:     # a corrupt stream cannot be resynchronised
+                self._procs[worker].kill()
+            self._mark_dead(worker,
+                            "" if eof else f"{type(msg).__name__}: {msg}")
             return
         rec = self._complete(msg, recv_ns)
         if rec is None:
@@ -214,8 +221,9 @@ class DistExecutor(WorkerPool):
     # -- lifecycle ---------------------------------------------------------
 
     def _stop(self) -> None:
+        shutdown, _wire = encode(SHUTDOWN)
         for out in self._out:
-            out.put((SHUTDOWN, ()))
+            out.put((None, shutdown, ()))
             out.put(None)           # sender-thread sentinel
 
     def _close_transport(self) -> None:

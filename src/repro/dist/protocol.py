@@ -12,16 +12,19 @@ One duplex pipe per worker carries these messages:
   formatted traceback on failure;
 * :data:`SHUTDOWN` (coordinator -> worker) -- drain and exit.
 
-Every message, in both directions, travels through
-:func:`send_message` / :func:`recv_message`: a small *header frame*
+Every message, in both directions, travels as one byte stream written
+by :func:`write` from the iovecs :func:`encode` builds and read by
+:func:`recv_message`: an 8-byte length, the *header frame*
 ``pickle((head, [sizes]))`` -- ``head`` is the protocol-5 pickle of the
 message with its array payloads of :data:`OUT_OF_BAND_MIN` bytes and
-more taken out of band -- followed by one frame per out-of-band buffer,
-written straight from the array's memory and read straight into a
-preallocated buffer the unpickled array then wraps.  A large contiguous
-array therefore costs one pipe write and one pipe read, with no
-``tobytes``/concatenate on the way out and no copy in ``loads`` on the
-way in; small ones ride in the header frame.
+more taken out of band -- and then the raw out-of-band buffers back to
+back, their sizes being in the frame.  Out, one ``os.writev`` loop
+sends straight from the arrays' memory; in, ``os.readv`` lands each
+buffer straight in the array ``take`` supplies, which the unpickled
+array then wraps.  No frame is copied between the pipe and its final
+buffer, and small arrays ride in the header frame.  A peer gone
+mid-message is :class:`EOFError`; bytes that are not a message are
+:class:`pickle.UnpicklingError`.
 
 Determinism does not come from the wire: acks arrive in any order and
 are stashed; the :class:`~repro.exec.ledger.PendingLedger` merges
@@ -30,7 +33,10 @@ results in submission order, exactly as for the shared-memory pool.
 
 from __future__ import annotations
 
+import os
 import pickle
+import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,17 +47,24 @@ from repro.exec.pool import CompletionAck  # noqa: F401  (re-exported)
 SHUTDOWN = "shutdown"
 
 #: Buffers smaller than this stay inside the header frame: for a small
-#: array one more memcpy is cheaper than one more frame (a pipe write
-#: and a pipe read; ~40 us per round trip of a 256-byte operand).
+#: array one more memcpy is cheaper than one more buffer to take and
+#: fill (measured when each buffer was a pipe message of its own).
 OUT_OF_BAND_MIN = 8192
+
+#: The length prefix of a message's header frame.
+_LENGTH = struct.Struct("!Q")
+
+#: Most iovecs one ``readv``/``writev`` call takes.
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 def _fresh(nbytes: int) -> np.ndarray:
     return np.empty(nbytes, dtype=np.uint8)
 
 
-def send_message(conn, obj) -> int:
-    """Write ``obj`` to ``conn``; returns the bytes put on the wire."""
+def encode(obj) -> tuple[list, int]:
+    """``obj`` as one message: ``(iovecs, wire_bytes)``.  The
+    out-of-band iovecs are views of ``obj``'s arrays, not copies."""
     raws: list[memoryview] = []
 
     def out_of_band(buf: pickle.PickleBuffer):
@@ -61,13 +74,48 @@ def send_message(conn, obj) -> int:
         raws.append(raw)
 
     head = pickle.dumps(obj, protocol=5, buffer_callback=out_of_band)
-    frame = pickle.dumps((head, [r.nbytes for r in raws]), protocol=5)
-    conn.send_bytes(frame)
-    wire = len(frame)
-    for raw in raws:
-        conn.send_bytes(raw)
-        wire += raw.nbytes
+    sizes = [r.nbytes for r in raws]
+    frame = pickle.dumps((head, sizes), protocol=5)
+    return ([_LENGTH.pack(len(frame)), frame, *raws],
+            _LENGTH.size + len(frame) + sum(sizes))
+
+
+def _transfer(call, fd: int, buffers) -> None:
+    """``call`` (``os.readv`` / ``os.writev``) on ``fd`` until every
+    byte of ``buffers`` is done, resuming after each short transfer."""
+    views = [v for v in (memoryview(b).cast("B") for b in buffers)
+             if v.nbytes]
+    i = 0
+    while i < len(views):
+        n = call(fd, views[i:i + _IOV_MAX])
+        if n == 0:
+            raise EOFError("peer closed the pipe")
+        while i < len(views) and n >= views[i].nbytes:
+            n -= views[i].nbytes
+            i += 1
+        if n:
+            views[i] = views[i][n:]
+
+
+def write(fd: int, iovecs) -> None:
+    """Put every byte of ``iovecs`` (from :func:`encode`) on ``fd``."""
+    _transfer(os.writev, fd, iovecs)
+
+
+def send_message(conn, obj) -> int:
+    """Write ``obj`` to ``conn``; returns the bytes put on the wire."""
+    iovecs, wire = encode(obj)
+    write(conn.fileno(), iovecs)
     return wire
+
+
+@contextmanager
+def _corrupt():
+    try:
+        yield
+    except Exception as exc:
+        raise pickle.UnpicklingError(
+            f"not a dist message: {type(exc).__name__}: {exc}") from exc
 
 
 def recv_message(conn, take=_fresh) -> tuple:
@@ -77,15 +125,22 @@ def recv_message(conn, take=_fresh) -> tuple:
     buffer lands in (a pool, on the coordinator); the arrays inside
     ``obj`` are views of those ``buffers``, so whoever recycles them
     must be done with ``obj`` first.  Raises :class:`EOFError` /
-    :class:`OSError` when the peer is gone.
+    :class:`OSError` when the peer is gone, before or inside a message,
+    and :class:`pickle.UnpicklingError` on bytes that are not one.
     """
-    frame = conn.recv_bytes()
-    head, sizes = pickle.loads(frame)
-    buffers = [take(n) for n in sizes]
-    for buf in buffers:
-        conn.recv_bytes_into(buf)
-    return (pickle.loads(head, buffers=buffers), buffers,
-            len(frame) + sum(sizes))
+    fd = conn.fileno()
+    length = bytearray(_LENGTH.size)
+    _transfer(os.readv, fd, [length])
+    with _corrupt():
+        frame = _fresh(*_LENGTH.unpack(length))
+    _transfer(os.readv, fd, [frame])
+    with _corrupt():
+        head, sizes = pickle.loads(frame)
+        buffers = [take(n) for n in sizes]
+    _transfer(os.readv, fd, buffers)
+    with _corrupt():
+        obj = pickle.loads(head, buffers=buffers)
+    return obj, buffers, _LENGTH.size + frame.nbytes + sum(sizes)
 
 
 @dataclass

@@ -3,11 +3,11 @@
 Each worker owns one end of a duplex pipe and drains
 :class:`~repro.dist.protocol.TaskGrant` messages until the
 :data:`~repro.dist.protocol.SHUTDOWN` sentinel (or pipe EOF) arrives.
-Operand arrays arrive with the grant (message passing, not shared
-memory: these workers model machines that share nothing but the
-network), the pool core's kernel body
-(:func:`~repro.exec.pool.run_kernel`) runs the kernel over them, and
-writable outputs travel back with the
+Operand arrays arrive with the grant, read straight into the arrays the
+kernel gets (message passing, not shared memory: these workers model
+machines that share nothing but the network), the pool core's kernel
+body (:func:`~repro.exec.pool.run_kernel`) runs the kernel over them,
+and writable outputs travel back with the
 :class:`~repro.exec.pool.CompletionAck`.  A kernel exception travels
 back as a formatted traceback; the worker survives.
 """
@@ -28,9 +28,10 @@ def dist_worker_main(worker_id: int, conn, telemetry: bool = False) -> None:
     unpickle / setup / kernel / ack-send sub-phases (the "worker busy
     but kernel idle" attribution hole) and ships its drained
     :class:`~repro.obs.phys.TelemetryBuffer` inside the ack.
-    ``unpickle`` runs from the grant's header frame arriving to its
-    operands being materialised and counts the grant's wire bytes,
-    out-of-band buffers included; ``send`` likewise for the ack.  The
+    ``unpickle`` runs from the grant's first byte arriving to its
+    operands being materialised -- the pipe reads included -- and
+    counts the grant's wire bytes (length prefix, header frame and
+    out-of-band buffers); ``send`` likewise for the ack.  The
     ack's own send time cannot ride the ack being sent, so it is
     buffered and flushes piggybacked on the *next* ack.  Telemetry off,
     no buffer is ever allocated and acks stay bare.

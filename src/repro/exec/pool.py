@@ -171,8 +171,8 @@ class WorkerPool(Executor):
         #: close-time join); raise it for kernels that run longer.
         self.join_timeout = join_timeout
         self._book: dict[int, _Ticket] = {}
-        #: worker -> exit code, once its pipe reached end of file.
-        self._dead: dict[int, int | None] = {}
+        #: worker -> "exit code N[; cause]", once its pipe failed.
+        self._dead: dict[int, str] = {}
         self._next = 0
         self._open()
         track(self)
@@ -265,24 +265,26 @@ class WorkerPool(Executor):
         rec.buffers = []
 
     def _obituary(self) -> str:
-        return ", ".join(f"w{w} exit code {code}"
-                         for w, code in sorted(self._dead.items()))
+        return ", ".join(f"w{w} {why}"
+                         for w, why in sorted(self._dead.items()))
 
-    def _mark_dead(self, worker: int) -> None:
+    def _mark_dead(self, worker: int, cause: str = "") -> None:
+        """Fail ``worker``'s tickets; ``cause`` says why its pipe broke
+        when that was not end of file."""
         if worker in self._dead:
             return
         proc = self._procs[worker]
         # EOF can beat the kernel's bookkeeping: ``exitcode`` reads
         # None until the child has been reaped.
         proc.join(timeout=1.0)
-        self._dead[worker] = proc.exitcode
+        why = self._dead[worker] = f"exit code {proc.exitcode}" + (
+            f"; {cause}" if cause else "")
         for ticket in self._unacked():
             rec = self._book[ticket]
             if rec.worker == worker:
                 self._fail(ticket,
-                           f"{self.name} worker w{worker} died (exit code "
-                           f"{proc.exitcode}) before completing "
-                           f"{rec.describe()}")
+                           f"{self.name} worker w{worker} died ({why}) "
+                           f"before completing {rec.describe()}")
         if len(self._dead) == self.workers:
             for ticket in self._unacked():
                 self._fail(ticket,

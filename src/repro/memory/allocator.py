@@ -84,13 +84,6 @@ class FreeListAllocator:
             return False
         return self._padded(size) <= self.largest_free_block()
 
-    def fragmentation(self) -> float:
-        """1 - largest_free_block / free_bytes; 0.0 when unfragmented."""
-        free = self.free_bytes
-        if free == 0:
-            return 0.0
-        return 1.0 - self.largest_free_block() / free
-
     def lookup(self, alloc_id: int) -> Allocation:
         try:
             return self._live[alloc_id]
@@ -200,12 +193,6 @@ class FreeListAllocator:
         else:
             self._free = []
         return moved
-
-    def reset(self) -> None:
-        """Free everything (between experiments)."""
-        self._free = [(0, self.capacity)]
-        self._live.clear()
-        self._used = 0
 
     def check_invariants(self) -> None:
         """Assert internal consistency; used by property tests."""

@@ -15,7 +15,7 @@ column) with running aggregates maintained on append:
 * the running makespan.
 
 Aggregation queries (:meth:`Trace.by_phase`, :meth:`Trace.by_resource`,
-:meth:`Trace.bytes_moved`, :meth:`Trace.makespan`) therefore cost O(1)
+:meth:`Trace.bytes_by_phase`, :meth:`Trace.makespan`) therefore cost O(1)
 or O(#distinct keys) instead of a full re-scan -- the framework's own
 bookkeeping must stay off the critical path as traces grow to millions
 of intervals (the paper's Section V-B budget: runtime overhead < 1%).
@@ -110,17 +110,13 @@ class Interval:
     def duration(self) -> float:
         return self.end - self.start
 
-    def overlaps(self, other: "Interval") -> bool:
-        """True when the two intervals share a positive-length span."""
-        return self.start < other.end and other.start < self.end
-
 
 class Trace:
     """Append-only columnar store of intervals with O(1) aggregation."""
 
     __slots__ = ("_starts", "_ends", "_phases", "_resources", "_labels",
                  "_nbytes", "_span_ids", "active_span", "_materialized",
-                 "_bytes_total", "_max_end", "_busy_by_phase",
+                 "_max_end", "_busy_by_phase",
                  "_busy_by_resource", "_bytes_by_phase")
 
     def __init__(self, intervals: Iterable[Interval] | None = None) -> None:
@@ -137,7 +133,6 @@ class Trace:
         #: Cached Interval objects; None until first materialization,
         #: kept in sync by record() afterwards.
         self._materialized: list[Interval] | None = None
-        self._bytes_total = 0
         self._max_end = 0.0
         self._busy_by_phase: dict[Phase, float] = {}
         self._busy_by_resource: dict[str, float] = {}
@@ -190,7 +185,6 @@ class Trace:
         br = self._busy_by_resource
         br[resource] = br.get(resource, 0.0) + duration
         if nbytes:
-            self._bytes_total += nbytes
             bb = self._bytes_by_phase
             bb[phase] = bb.get(phase, 0) + nbytes
 
@@ -227,10 +221,6 @@ class Trace:
         return zip(self._starts, self._ends, self._phases, self._resources,
                    self._labels, self._nbytes, self._span_ids)
 
-    def span_of(self, index: int) -> int:
-        """Causal-span id of the ``index``-th recorded interval."""
-        return self._span_ids[index]
-
     def window_rows(self, lo: int, hi: int) -> Iterator[
             tuple[float, float, Phase, str, str, int, int]]:
         """:meth:`span_rows` restricted to interval indexes ``[lo, hi)``
@@ -254,12 +244,6 @@ class Trace:
     def bytes_by_phase(self) -> dict[Phase, int]:
         """Moved bytes per phase (phases with a nonzero total only)."""
         return dict(self._bytes_by_phase)
-
-    def bytes_moved(self, phase: Phase | None = None) -> int:
-        """Total bytes moved by matching transfer intervals."""
-        if phase is None:
-            return self._bytes_total
-        return self._bytes_by_phase.get(phase, 0)
 
     def makespan(self) -> float:
         """End of the last interval (0.0 for an empty trace)."""

@@ -27,10 +27,9 @@ their scenario and assert the paper's qualitative shape on the rows.
 from repro.tools.experiment.config import Scenario, load_scenario
 from repro.tools.experiment.registry import (get_runner, list_runners,
                                              register)
-from repro.tools.experiment.runner import (ExperimentResult, run_scenario,
-                                           run_scenario_file)
+from repro.tools.experiment.runner import ExperimentResult, run_scenario
 
 __all__ = [
     "Scenario", "load_scenario", "register", "get_runner", "list_runners",
-    "ExperimentResult", "run_scenario", "run_scenario_file",
+    "ExperimentResult", "run_scenario",
 ]

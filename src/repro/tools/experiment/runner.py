@@ -26,7 +26,7 @@ from repro.bench.parallel import run_parallel
 from repro.errors import ConfigError
 from repro.tools.experiment import registry
 from repro.tools.experiment.artifact import Artifact
-from repro.tools.experiment.config import Scenario, load_scenario
+from repro.tools.experiment.config import Scenario
 
 
 class _CellTask:
@@ -53,10 +53,6 @@ class ExperimentResult:
     @property
     def out_dir(self) -> str:
         return self.artifact.root
-
-    @property
-    def rows(self) -> list[dict[str, Any]]:
-        return self.summary.get("cells", [])
 
 
 def _plan(scenario: Scenario) -> list[dict[str, Any]]:
@@ -220,10 +216,3 @@ def run_scenario(scenario: Scenario, *, out_dir: str, workers: int = 1,
     if scenario.tuner is not None:
         return _run_tuner(scenario, art, resume=resume)
     return _run_matrix(scenario, art, workers=workers, resume=resume)
-
-
-def run_scenario_file(path: str, *, out_dir: str, workers: int = 1,
-                      resume: bool = False) -> ExperimentResult:
-    """:func:`run_scenario` on a scenario config file."""
-    return run_scenario(load_scenario(path), out_dir=out_dir,
-                        workers=workers, resume=resume)

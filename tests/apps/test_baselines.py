@@ -52,7 +52,7 @@ def test_spmv_baseline_correct(system):
     np.testing.assert_allclose(app.result(), app.reference(),
                                rtol=1e-3, atol=1e-4)
     bd = system.breakdown()
-    assert bd.cpu > 0 and bd.gpu > 0  # binning + kernel
+    assert bd.by_phase[Phase.CPU_COMPUTE] > 0 and bd.gpu > 0  # binning + kernel
     assert bd.io == 0.0
 
 

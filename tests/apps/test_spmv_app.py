@@ -6,6 +6,7 @@ import pytest
 from repro.apps.spmv import SpmvApp
 from repro.core.system import System
 from repro.memory.units import KB, MB
+from repro.sim.trace import Phase
 from repro.topology.builders import apu_two_level, discrete_gpu_three_level
 from repro.workloads.sparse import banded, powerlaw_rows, uniform_random
 
@@ -27,7 +28,7 @@ def test_spmv_uniform_matrix():
     bd, _ = run_spmv(apu_two_level(storage_capacity=16 * MB,
                                    staging_bytes=96 * KB), m)
     assert bd.gpu > 0 and bd.io > 0
-    assert bd.cpu > 0  # the binning pass
+    assert bd.by_phase[Phase.CPU_COMPUTE] > 0  # the binning pass
 
 
 def test_spmv_banded_matrix():

@@ -360,7 +360,7 @@ def test_hits_surface_in_breakdown_and_trace():
         sys_.move(a, src, 16 * KB)
         sys_.move(a, src, 16 * KB)
         bd = sys_.breakdown()
-        assert bd.cache > 0.0
+        assert bd.by_phase[Phase.CACHE] > 0.0
         assert "cache" in bd.shares()
         assert any(iv.phase is Phase.CACHE and "cache-hit" in iv.label
                    for iv in sys_.timeline.trace)

@@ -10,6 +10,7 @@ from repro.core.layout import AosToSoa, Identity, SoaToAos, Transpose
 from repro.core.system import System
 from repro.errors import TransferError
 from repro.memory.units import MB
+from repro.sim.trace import Phase
 from repro.topology.builders import apu_two_level
 
 
@@ -122,7 +123,7 @@ def test_move_transformed_charges_extra_pass(system):
     transformed = system.move_transformed(
         b, src, n, Transpose(rows=512, cols=512, elem_size=4))
     assert transformed.duration > plain.duration
-    assert system.breakdown().mem_copy > 0
+    assert system.breakdown().by_phase[Phase.MEM_COPY] > 0
 
 
 def test_move_transformed_identity_costs_nothing_extra(system):
@@ -133,7 +134,7 @@ def test_move_transformed_identity_costs_nothing_extra(system):
     res = system.move_transformed(dst, src, 1024, Identity(nbytes=1024))
     np.testing.assert_array_equal(system.fetch(dst, np.uint8),
                                   np.arange(1024, dtype=np.uint8))
-    assert system.breakdown().mem_copy == 0.0
+    assert Phase.MEM_COPY not in system.breakdown().by_phase
     assert res.nbytes == 1024
 
 

@@ -21,12 +21,11 @@ def make_trace():
 def test_grouped_categories():
     bd = profile_trace(make_trace())
     assert bd.gpu == pytest.approx(2.0)
-    assert bd.cpu == pytest.approx(0.25)
+    assert bd.by_phase[Phase.CPU_COMPUTE] == pytest.approx(0.25)
     assert bd.io == pytest.approx(1.5)
     assert bd.dev_transfer == pytest.approx(0.05)
-    assert bd.setup == pytest.approx(0.1)
+    assert bd.by_phase[Phase.SETUP] == pytest.approx(0.1)
     assert bd.runtime == pytest.approx(0.01)
-    assert bd.transfers == pytest.approx(1.55)
     assert bd.makespan == pytest.approx(2.0)
 
 
@@ -66,4 +65,4 @@ def test_table_renders():
 
 def test_breakdown_missing_phases_default_zero():
     bd = Breakdown(makespan=0.0, by_phase={})
-    assert bd.gpu == 0.0 and bd.io == 0.0 and bd.mem_copy == 0.0
+    assert bd.gpu == 0.0 and bd.io == 0.0 and bd.runtime == 0.0

@@ -11,6 +11,7 @@ from repro.exec.base import Binding, kernel_spec
 from repro.errors import SchedulerError
 from repro.memory.units import KB, MB
 from repro.obs.spans import analyze
+from repro.sim.trace import Phase
 from repro.topology.builders import apu_two_level, figure2_asymmetric
 from repro.workloads.sparse import uniform_random
 from tests.exec import kernels
@@ -102,7 +103,8 @@ def test_program_charges_all_phases(apu_system):
     prog = DoublingProgram(apu_system, n=4096, chunks=4)
     prog.run(apu_system)
     bd = apu_system.breakdown()
-    assert bd.gpu > 0 and bd.setup > 0 and bd.io > 0 and bd.runtime > 0
+    assert bd.gpu > 0 and bd.by_phase[Phase.SETUP] > 0 and bd.io > 0
+    assert bd.runtime > 0
 
 
 def test_bad_select_child_rejected(apu_system):

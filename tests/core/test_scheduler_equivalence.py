@@ -96,7 +96,7 @@ def test_any_topological_order_is_equivalent(seed):
                              pipeline_depth=2, seed=2019)
             app.run(system, scheduler=scheduler)
             return (np.asarray(app.result()).tobytes(),
-                    system.timeline.trace.bytes_moved())
+                    system.timeline.trace.bytes_by_phase())
         finally:
             system.close()
 

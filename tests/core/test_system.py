@@ -42,7 +42,7 @@ def test_alloc_respects_capacity(apu):
 def test_alloc_charges_setup_phase(apu):
     apu.alloc(1024, apu.tree.root)
     bd = apu.breakdown()
-    assert bd.setup > 0
+    assert bd.by_phase[Phase.SETUP] > 0
     assert bd.runtime > 0
 
 
@@ -133,7 +133,7 @@ def test_same_node_copy(apu):
     res = apu.move(b, a, 1024)
     assert res.hops == 1
     assert apu.fetch(b, np.uint8).sum() == 9 * 1024
-    assert apu.breakdown().mem_copy > 0
+    assert apu.breakdown().by_phase[Phase.MEM_COPY] > 0
 
 
 def test_multi_hop_move_charges_each_edge():

@@ -2,8 +2,12 @@
 ack drain, pooled snapshot staging, the in-flight budget, and what is
 left behind after ``close()`` or a crash."""
 
+import hashlib
 import multiprocessing as mp
 import os
+import pickle
+import socket
+import struct
 import threading
 import time
 
@@ -14,8 +18,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.dist import DistExecutor, dist_residue
+from repro.dist import executor as dist_executor
+from repro.dist import protocol
 from repro.dist.protocol import (OUT_OF_BAND_MIN, SHUTDOWN, CompletionAck,
-                                 TaskGrant, recv_message, send_message)
+                                 TaskGrant, encode, recv_message,
+                                 send_message)
 from repro.exec import ExecError, fn_ref
 from repro.exec import pool as core
 from tests.exec import kernels
@@ -129,6 +136,140 @@ def test_out_of_band_array_lands_in_the_callers_buffer():
     finally:
         a.close()
         b.close()
+
+
+def _duplex_message(seed):
+    """Three out-of-band arrays of >= 1 MiB (C and Fortran order) and
+    two in-band ones."""
+    rng = np.random.default_rng(seed)
+    return {
+        "c": rng.random((512, 300)),
+        "f": np.asfortranarray(rng.integers(0, 2 ** 31, (400, 700),
+                                            dtype=np.int32)),
+        "u": rng.integers(0, 256, 3 * MIB, dtype=np.uint8),
+        "small": rng.random(16),
+        "small_f": np.asfortranarray(rng.random((4, 6))),
+    }
+
+
+def _fingerprint(msg):
+    return {name: (a.dtype.str, a.shape, a.flags.c_contiguous,
+                   a.flags.f_contiguous, hashlib.sha256(a.tobytes()).digest())
+            for name, a in msg.items()}
+
+
+def _duplex_peer(conn, seed):
+    """Send one large message while reading the other side's; then
+    report what arrived and the wire bytes each way."""
+    sent = []
+    t = threading.Thread(target=lambda: sent.append(
+        send_message(conn, _duplex_message(seed))))
+    t.start()
+    got, _buffers, wire = recv_message(conn)
+    t.join()
+    send_message(conn, (_fingerprint(got), sent[0], wire))
+    conn.close()
+
+
+def test_large_messages_cross_a_forked_peer_in_both_directions_at_once():
+    ctx = core.pool_context()
+    a, b = ctx.Pipe(duplex=True)
+    peer = ctx.Process(target=_duplex_peer, args=(b, 2), daemon=True)
+    peer.start()
+    b.close()
+    try:
+        mine = _duplex_message(1)
+        sent = []
+        t = threading.Thread(target=lambda: sent.append(send_message(a,
+                                                                     mine)))
+        t.start()
+        got, buffers, wire = recv_message(a)
+        t.join(timeout=30.0)
+        assert not t.is_alive()
+        assert sorted(buf.nbytes for buf in buffers) == [
+            1_120_000, 1_228_800, 3 * MIB]
+        for name, want in _duplex_message(2).items():
+            _same_array(got[name], want)
+        (seen, peer_sent, peer_got), _buffers, _wire = recv_message(a)
+        assert seen == _fingerprint(mine)
+        assert (peer_sent, peer_got) == (wire, sent[0])
+    finally:
+        a.close()
+        peer.join(timeout=10.0)
+    assert peer.exitcode == 0
+
+
+def test_a_zero_length_out_of_band_buffer(monkeypatch):
+    monkeypatch.setattr(protocol, "OUT_OF_BAND_MIN", 0)
+    msg = {"empty": np.zeros((0, 3)), "x": np.arange(5.0),
+           "none_f": np.asfortranarray(np.zeros((2, 0), np.int16))}
+    got, buffers = _round_trip(msg)
+    assert sorted(buf.nbytes for buf in buffers) == [0, 0, 40]
+    for name, want in msg.items():
+        _same_array(got[name], want)
+
+
+def _wire(obj):
+    """``obj``'s message as the bytes on the wire, and the offset of
+    each out-of-band buffer in them."""
+    iovecs, wire = encode(obj)
+    data = b"".join(bytes(v) for v in iovecs)
+    assert len(data) == wire
+    starts = [len(iovecs[0]) + len(iovecs[1])]
+    for raw in iovecs[2:]:
+        starts.append(starts[-1] + raw.nbytes)
+    return data, starts[:-1]
+
+
+def _recv_from(data):
+    """``recv_message`` on a socket whose peer wrote ``data`` and
+    closed; returns the ``take`` buffers, raises what it raised."""
+    a, b = socket.socketpair()
+    taken = []
+
+    def take(nbytes):
+        taken.append(np.zeros(nbytes, np.uint8))
+        return taken[-1]
+    try:
+        a.sendall(data)
+        a.close()
+        recv_message(b, take)
+    finally:
+        a.close()
+        b.close()
+    return taken
+
+
+@pytest.mark.parametrize("where", ["between messages", "after the length",
+                                   "inside the frame", "inside buffer 0",
+                                   "inside buffer 2"])
+def test_a_peer_closing_mid_message_is_end_of_file(where):
+    arrays = [np.full(4096, i + 1.0) for i in range(3)]    # 32 KiB each
+    data, starts = _wire(arrays)
+    cut = {"between messages": 0, "after the length": 8,
+           "inside the frame": (8 + starts[0]) // 2,
+           "inside buffer 0": starts[0] + 100,
+           "inside buffer 2": starts[2] + 32767}[where]
+    with pytest.raises(EOFError):
+        _recv_from(data[:cut])
+    assert len(_recv_from(data)) == 3       # the whole message reads
+
+
+def _framed(frame):
+    return struct.pack("!Q", len(frame)) + frame
+
+
+@pytest.mark.parametrize("data", [
+    _framed(b"\x80\x05not a pickle!!"),
+    struct.pack("!Q", 2 ** 62),                 # no frame is that long
+    _framed(pickle.dumps(42, protocol=5)[:5]),  # a truncated pickle
+    _framed(pickle.dumps(42, protocol=5)),      # not (head, sizes)
+    _framed(pickle.dumps((b"head", [-1]), protocol=5)),
+], ids=["junk", "huge length", "truncated pickle", "not (head, sizes)",
+        "negative size"])
+def test_bytes_that_are_not_a_message_raise_a_typed_error(data):
+    with pytest.raises(pickle.UnpicklingError, match="not a dist message"):
+        _recv_from(data)
 
 
 # -- eager ack drain ---------------------------------------------------------
@@ -247,6 +388,54 @@ def test_a_worker_killed_during_a_budget_wait_fails_it_by_name(monkeypatch):
         with pytest.raises(ExecError, match="w1 died"):
             ex.wait(ticket)
         assert ex.stats.budget_waits == 1
+    finally:
+        ex.close()
+    assert dist_residue() == []
+
+
+# -- failures on the wire ----------------------------------------------------
+
+def test_an_unpicklable_grant_fails_its_submit_and_spares_the_worker():
+    with DistExecutor(workers=1, join_timeout=10.0) as ex:
+        t0 = time.monotonic()
+        with pytest.raises(ExecError, match=r"\(bad kwargs\).*TypeError: "
+                                            r"cannot pickle '_thread.lock'"):
+            ex.submit(fn_ref(kernels.fill),
+                      [("out", np.zeros(8, np.float32), True)],
+                      {"value": 1.0, "bad": threading.Lock()},
+                      label="bad kwargs")
+        assert time.monotonic() - t0 < 1.0
+        rng = np.random.default_rng(39)
+        x, y = rng.random(1 << 16), rng.random(1 << 16)
+        ticket = ex.submit(fn_ref(kernels.axpy),
+                           [("x", x, False), ("y", y.copy(), True)],
+                           {"alpha": 2.0}, label="good")
+        got = ex.wait(ticket).outputs["y"]
+        assert got.tobytes() == (y + 2.0 * x).tobytes()
+        ex.release(ticket)
+    assert dist_residue() == []
+
+
+def test_a_corrupt_reply_ends_its_worker_with_the_cause(monkeypatch):
+    def corrupt(conn, take):
+        recv_message(conn, take)
+        raise pickle.UnpicklingError("not a dist message: junk")
+    monkeypatch.setattr(dist_executor, "recv_message", corrupt)
+    ex = DistExecutor(workers=2, join_timeout=60.0)
+    try:
+        ex.pin(1)
+        ticket = ex.submit(fn_ref(kernels.fill),
+                           [("out", np.zeros(8, np.float32), True)],
+                           {"value": 1.0})
+        t0 = time.monotonic()
+        with pytest.raises(ExecError, match=r"w1 died \(exit code -9; "
+                                            r"UnpicklingError: not a dist"):
+            ex.wait(ticket)
+        assert time.monotonic() - t0 < 5.0
+        with pytest.raises(ExecError, match="w1 is dead"):
+            ex.submit(fn_ref(kernels.fill),
+                      [("out", np.zeros(8, np.float32), True)],
+                      {"value": 1.0})
     finally:
         ex.close()
     assert dist_residue() == []

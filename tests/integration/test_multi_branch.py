@@ -112,6 +112,7 @@ def test_gpu_intervals_overlap_across_branches():
     gpu_ivs = [iv for iv in system.timeline.trace
                if iv.phase is Phase.GPU_COMPUTE]
     overlapping = any(
-        a.overlaps(b) for a in gpu_ivs for b in gpu_ivs
+        a.start < b.end and b.start < a.end
+        for a in gpu_ivs for b in gpu_ivs
         if a.resource != b.resource)
     assert overlapping

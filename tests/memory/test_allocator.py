@@ -38,9 +38,9 @@ def test_fragmentation_error_distinguished():
     assert a.free_bytes == 192
     with pytest.raises(CapacityError, match="fragmented"):
         a.allocate(128)
-    assert a.fragmentation() == pytest.approx(0.5)
+    assert a.largest_free_block() == 96
     a.free(mid)
-    assert a.fragmentation() == 0.0
+    assert a.largest_free_block() == a.free_bytes == 256
     assert a.allocate(256) > 0
 
 
@@ -131,14 +131,6 @@ def test_peak_tracks_high_water_mark():
     a.allocate(100)
     assert a.peak_bytes == 600
     assert a.used_bytes == 100
-
-
-def test_reset():
-    a = FreeListAllocator(1024)
-    a.allocate(100)
-    a.reset()
-    assert a.used_bytes == 0
-    assert a.largest_free_block() == 1024
 
 
 def test_bad_construction():

@@ -20,12 +20,6 @@ def test_record_rejects_negative_duration():
         t.record(iv(2.0, 1.0))
 
 
-def test_overlaps():
-    assert iv(0, 2).overlaps(iv(1, 3))
-    assert not iv(0, 1).overlaps(iv(1, 2))  # touching is not overlap
-    assert not iv(0, 1).overlaps(iv(5, 6))
-
-
 def test_busy_time_by_phase_and_resource():
     t = Trace()
     t.record(iv(0, 1, Phase.GPU_COMPUTE, "gpu"))
@@ -48,12 +42,12 @@ def test_by_phase_totals():
     assert Phase.IO_READ not in phases
 
 
-def test_bytes_moved():
+def test_bytes_by_phase():
     t = Trace()
     t.record(iv(0, 1, Phase.IO_READ, "ssd", nbytes=100))
     t.record(iv(1, 2, Phase.IO_WRITE, "ssd", nbytes=50))
-    assert t.bytes_moved() == 150
-    assert t.bytes_moved(Phase.IO_READ) == 100
+    t.record(iv(2, 3, Phase.GPU_COMPUTE))
+    assert t.bytes_by_phase() == {Phase.IO_READ: 100, Phase.IO_WRITE: 50}
 
 
 def test_makespan_empty_and_nonempty():
