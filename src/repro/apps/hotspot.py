@@ -19,12 +19,11 @@ chip and what the calibrated benches use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from repro.cache.spec import FetchSpec
 from repro.compute.kernels.hotspot import (ChipEdges, HotspotParams,
                                            default_params, hotspot_block,
                                            hotspot_cost, hotspot_run)
@@ -32,7 +31,7 @@ from repro.compute.processor import ProcessorKind
 from repro.core.buffers import BufferHandle
 from repro.core.context import ExecutionContext
 from repro.core.decomposition import Grid2D, window2d
-from repro.core.program import NorthupProgram
+from repro.core.program import READ, WRITE, NorthupProgram, Window
 from repro.core.system import System
 from repro.errors import CapacityError, ConfigError
 from repro.exec import Binding, kernel_spec
@@ -90,22 +89,6 @@ class HotspotLevel:
     cols: int
     halo: int
     edges: ChipEdges
-
-
-@dataclass
-class _ChildPool:
-    sets: list[dict[str, BufferHandle]] = field(default_factory=list)
-    next_set: int = 0
-
-
-@dataclass
-class _PassPlan:
-    tile: int
-    tiles_n: int
-    pools: dict[int, _ChildPool] = field(default_factory=dict)
-
-    def pool(self, node_id: int) -> _ChildPool:
-        return self.pools.setdefault(node_id, _ChildPool())
 
 
 class HotspotApp(NorthupProgram):
@@ -239,91 +222,48 @@ class HotspotApp(NorthupProgram):
                                        elem_size=self.elem)
         grid = Grid2D(nrows=lv.rows, ncols=lv.cols, chunk_rows=tile,
                       chunk_cols=tile)
-        ctx.scratch["plan"] = _PassPlan(tile=tile, tiles_n=grid.tiles_n)
+        ctx.scratch["tiles_n"] = grid.tiles_n
         return grid.tiles()
 
     def select_child(self, ctx: ExecutionContext, chunk) -> TreeNode:
         """Blocks spread round-robin over sibling subtrees -- each block
         is independent, so any child may take it."""
-        plan: _PassPlan = ctx.scratch["plan"]
         children = ctx.node.children
-        return children[(chunk.m * plan.tiles_n + chunk.n) % len(children)]
+        return children[(chunk.m * ctx.scratch["tiles_n"] + chunk.n)
+                        % len(children)]
 
     def pipeline_window(self, ctx: ExecutionContext, chunks: list) -> int:
-        """Blocks are independent and every child's pool holds
+        """Blocks are independent and every child's ring holds
         ``pipeline_depth`` buffer sets, so that many chunks per child
         may be in flight; set reuse beyond the window is fenced by the
         lowering pass's buffer-hazard edges."""
         return self.pipeline_depth * max(1, len(ctx.node.children))
 
-    def setup_buffers(self, ctx: ExecutionContext, child: TreeNode,
-                      chunk) -> dict:
-        sys_ = ctx.system
+    def access(self, ctx: ExecutionContext, chunk) -> list[Window]:
+        """Each block's halo-padded temperature and power windows move
+        down -- the block plus its ghost zone, which in padded
+        coordinates starts exactly at ``(row0, col0)`` -- and its valid
+        interior moves up, all through ``pipeline_depth`` buffer sets
+        per child.  The power window is the same every pass: the one a
+        cache can keep between passes."""
         lv: HotspotLevel = ctx.payload
-        plan: _PassPlan = ctx.scratch["plan"]
-        pool = plan.pool(child.node_id)
-        if not pool.sets:
-            s = plan.tile
-            padded = (s + 2 * lv.halo) ** 2 * self.elem
-            for d in range(self.pipeline_depth):
-                pool.sets.append({
-                    "t": sys_.alloc(padded, child, label=f"t_pad{d}"),
-                    "p": sys_.alloc(padded, child, label=f"p_pad{d}"),
-                    "o": sys_.alloc(s * s * self.elem, child, label=f"out{d}"),
-                })
-        bufs = pool.sets[pool.next_set % len(pool.sets)]
-        pool.next_set += 1
-        return dict(bufs)
+        h, depth = lv.halo, self.pipeline_depth
+        padded = window2d(chunk.row0, chunk.rows + 2 * h, chunk.col0,
+                          chunk.cols + 2 * h, lv.cols + 2 * h, self.elem)
+        return [Window("t", lv.t_pad, *padded, READ, depth),
+                Window("p", lv.p_pad, *padded, READ, depth),
+                Window("out", lv.out, *window2d(
+                    chunk.row0, chunk.rows, chunk.col0, chunk.cols,
+                    lv.cols, self.elem), WRITE, depth)]
 
-    def _block_window(self, lv: HotspotLevel, chunk) -> tuple:
-        """The halo-padded source window of a block in the parent's
-        padded grid -- the block plus its ghost zone, which in padded
-        coordinates starts exactly at ``(row0, col0)``."""
-        h = lv.halo
-        return window2d(chunk.row0, chunk.rows + 2 * h,
-                        chunk.col0, chunk.cols + 2 * h,
-                        lv.cols + 2 * h, self.elem)
-
-    def data_down(self, ctx: ExecutionContext, child_ctx: ExecutionContext,
-                  chunk) -> None:
-        sys_ = ctx.system
+    def child_problem(self, ctx: ExecutionContext, chunk,
+                      bufs: dict) -> HotspotLevel:
         lv: HotspotLevel = ctx.payload
-        pay = child_ctx.payload
-        h = lv.halo
-        src_off, prow, row_bytes, src_stride = self._block_window(lv, chunk)
-        for name, parent in (("t", lv.t_pad), ("p", lv.p_pad)):
-            sys_.move_2d(pay[name], parent, rows=prow,
-                         row_bytes=row_bytes,
-                         src_offset=src_off,
-                         src_stride=src_stride,
-                         dst_offset=0, dst_stride=row_bytes,
-                         label=f"{name} block down")
-        sub_edges = lv.edges.sub_block(
-            chunk.row0, chunk.row1, chunk.col0, chunk.col1,
-            lv.rows, lv.cols)
-        child_ctx.payload = HotspotLevel(
-            t_pad=pay["t"], p_pad=pay["p"], out=pay["o"],
-            rows=chunk.rows, cols=chunk.cols, halo=h, edges=sub_edges)
-        child_ctx.scratch["raw_payload"] = pay
-
-    def prefetch_hints(self, ctx: ExecutionContext, chunks) -> Iterable:
-        """Upcoming padded-block windows, in chunk order: for each block
-        the temperature window (restaged every pass, so usually a miss)
-        and the power window (immutable across passes, so a repeat
-        customer for the cache)."""
-        lv: HotspotLevel = ctx.payload
-        plan: _PassPlan = ctx.scratch["plan"]
-        children = ctx.node.children
-        hints = []
-        for chunk in chunks:
-            child = children[(chunk.m * plan.tiles_n + chunk.n)
-                             % len(children)]
-            off, prow, row_bytes, stride = self._block_window(lv, chunk)
-            for parent in (lv.t_pad, lv.p_pad):
-                hints.append((child, FetchSpec(
-                    parent, offset=off, rows=prow, row_bytes=row_bytes,
-                    stride=stride)))
-        return hints
+        return HotspotLevel(
+            t_pad=bufs["t"], p_pad=bufs["p"], out=bufs["out"],
+            rows=chunk.rows, cols=chunk.cols, halo=lv.halo,
+            edges=lv.edges.sub_block(chunk.row0, chunk.row1, chunk.col0,
+                                     chunk.col1, lv.rows, lv.cols))
 
     def compute_task(self, ctx: ExecutionContext) -> None:
         lv: HotspotLevel = ctx.payload
@@ -348,32 +288,6 @@ class HotspotApp(NorthupProgram):
                         params=self.params, halo=lv.halo, edges=lv.edges,
                         label=label),
                     label=label)
-
-    def data_up(self, ctx: ExecutionContext, child_ctx: ExecutionContext,
-                chunk) -> None:
-        sys_ = ctx.system
-        lv: HotspotLevel = ctx.payload
-        pay = child_ctx.scratch["raw_payload"]
-        elem = self.elem
-        sys_.move_2d(lv.out, pay["o"], rows=chunk.rows,
-                     row_bytes=chunk.cols * elem,
-                     src_offset=0, src_stride=chunk.cols * elem,
-                     dst_offset=(chunk.row0 * lv.cols + chunk.col0) * elem,
-                     dst_stride=lv.cols * elem,
-                     label="block up")
-
-    def teardown_buffers(self, ctx, child_ctx, chunk) -> None:
-        pass  # pooled; released in after_level
-
-    def after_level(self, ctx: ExecutionContext) -> None:
-        plan: _PassPlan | None = ctx.scratch.get("plan")
-        if plan is None:
-            return
-        for pool in plan.pools.values():
-            for bufs in pool.sets:
-                for h in bufs.values():
-                    ctx.system.release(h)
-            pool.sets.clear()
 
     # -- results ---------------------------------------------------------
 

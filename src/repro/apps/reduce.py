@@ -25,11 +25,10 @@ from repro.compute.processor import KernelCost, ProcessorKind
 from repro.core.buffers import BufferHandle
 from repro.core.context import ExecutionContext
 from repro.core.decomposition import Range1D, fit_row_chunks
-from repro.core.program import NorthupProgram
+from repro.core.program import WRITE, NorthupProgram, Window
 from repro.core.system import System
 from repro.errors import ConfigError
 from repro.exec.base import Binding, kernel_spec
-from repro.topology.node import TreeNode
 from repro.workloads.matrices import (load_bands, random_dense,
                                       random_dense_bands)
 
@@ -116,36 +115,25 @@ class ReduceApp(NorthupProgram):
         lv: ReduceLevel = ctx.payload
         child = ctx.first_child()
         budget = int(child.free * CAPACITY_SAFETY)
-        # Two chunk buffers (pipelining) + the partials array.
+        # Two chunk buffers (pipelining) + the partials array, which is
+        # allocated now so the chunks' windows can map their slots.
         chunks = fit_row_chunks(lv.n, row_bytes=4, budget_bytes=budget,
                                 copies=2)
-        ctx.scratch["num_chunks"] = len(chunks)
+        ctx.scratch["partials"] = ctx.system.alloc(len(chunks) * 8, child,
+                                                   label="partials")
         return chunks
 
-    def setup_buffers(self, ctx: ExecutionContext, child: TreeNode,
-                      chunk: Range1D) -> dict:
-        sys_ = ctx.system
-        plan = ctx.scratch
-        if "partials" not in plan:
-            plan["partials"] = sys_.alloc(plan["num_chunks"] * 8, child,
-                                          label="partials")
-        # Chunk buffers are variable-size at the tail: allocate fresh per
-        # chunk (the budget reserves room for two).
-        buf = sys_.alloc(chunk.size * 4, child, label=f"chunk{chunk.index}")
-        out = sys_.map_region(plan["partials"], chunk.index * 8, 8,
-                              label=f"partial{chunk.index}")
-        return {"data": buf, "out": out}
-
-    def data_down(self, ctx: ExecutionContext, child_ctx: ExecutionContext,
-                  chunk: Range1D) -> None:
-        sys_ = ctx.system
+    def access(self, ctx: ExecutionContext, chunk: Range1D) -> list[Window]:
+        """The chunk moves down; its partial is a view of the child's
+        partials array, which stays there until the level-end combine."""
         lv: ReduceLevel = ctx.payload
-        pay = child_ctx.payload
-        sys_.move_down(pay["data"], lv.data, chunk.size * 4,
-                       src_offset=chunk.start * 4, label="chunk down")
-        child_ctx.payload = ReduceLevel(data=pay["data"], out=pay["out"],
-                                        n=chunk.size)
-        child_ctx.scratch["raw_payload"] = pay
+        return [Window.span("data", lv.data, chunk.start * 4, chunk.size * 4),
+                Window.span("out", ctx.scratch["partials"], chunk.index * 8,
+                            8, WRITE)]
+
+    def child_problem(self, ctx: ExecutionContext, chunk: Range1D,
+                      bufs: dict) -> ReduceLevel:
+        return ReduceLevel(data=bufs["data"], out=bufs["out"], n=chunk.size)
 
     def compute_task(self, ctx: ExecutionContext) -> None:
         lv: ReduceLevel = ctx.payload
@@ -163,17 +151,6 @@ class ReduceApp(NorthupProgram):
                         op=self.op, label=label),
                     label=label)
 
-    def data_up(self, ctx: ExecutionContext, child_ctx: ExecutionContext,
-                chunk: Range1D) -> None:
-        pass  # partials stay at the child until the level-end combine
-
-    def teardown_buffers(self, ctx: ExecutionContext,
-                         child_ctx: ExecutionContext, chunk: Range1D) -> None:
-        sys_ = ctx.system
-        pay = child_ctx.scratch["raw_payload"]
-        sys_.release(pay["out"])   # the mapped partial slot
-        sys_.release(pay["data"])
-
     def pipeline_window(self, ctx: ExecutionContext, chunks: list) -> int:
         """Chunks fold into disjoint mapped partial slots and the chunk
         sizing reserves room for two chunk buffers (``copies=2``)."""
@@ -183,13 +160,10 @@ class ReduceApp(NorthupProgram):
         """Combine the partials and move the single value up."""
         sys_ = ctx.system
         lv: ReduceLevel = ctx.payload
-        plan = ctx.scratch
-        partials: BufferHandle | None = plan.get("partials")
-        if partials is None:
-            return
+        partials: BufferHandle = ctx.scratch.pop("partials")
         child = ctx.first_child()
         result = sys_.alloc(8, child, label="combined")
-        num = plan["num_chunks"]
+        num = partials.nbytes // 8
         if child.processors:
             sys_.launch(child.processors[0],
                         KernelCost(flops=float(num), bytes_read=num * 8.0,
@@ -214,7 +188,6 @@ class ReduceApp(NorthupProgram):
         sys_.move_up(lv.out, result, 8, label="result up")
         sys_.release(result)
         sys_.release(partials)
-        plan.pop("partials", None)
 
     # -- results ---------------------------------------------------------
 

@@ -29,7 +29,7 @@ from repro.compute.processor import KernelCost, ProcessorKind
 from repro.core.buffers import BufferHandle
 from repro.core.context import ExecutionContext
 from repro.core.decomposition import Range1D, fit_row_chunks
-from repro.core.program import NorthupProgram
+from repro.core.program import UPDATE, NorthupProgram, Window
 from repro.core.system import System
 from repro.errors import ConfigError
 from repro.exec import Binding, kernel_spec
@@ -99,11 +99,13 @@ class SortApp(NorthupProgram):
         # sized by the smallest memory on the descent path -- the
         # external-sort rule "run length = sort memory".  Inner levels
         # then see data that already fits their child and pass it
-        # through whole.
+        # through whole -- as long as cache-resident bytes count as
+        # free, or a full cache would split a run at an inner level
+        # into pieces sorted apart.
         budget = None
         node: TreeNode | None = ctx.first_child()
         while node is not None:
-            free = int(node.free * CAPACITY_SAFETY)
+            free = int(self.system.free_for_planning(node) * CAPACITY_SAFETY)
             budget = free if budget is None else min(budget, free)
             node = node.children[0] if node.children else None
         chunks = fit_row_chunks(lv.n, row_bytes=ELEM, budget_bytes=budget,
@@ -112,19 +114,15 @@ class SortApp(NorthupProgram):
             self.runs = chunks
         return chunks
 
-    def setup_buffers(self, ctx: ExecutionContext, child: TreeNode,
-                      chunk: Range1D) -> dict:
-        return {"buf": ctx.system.alloc(chunk.size * ELEM, child,
-                                        label=f"run{chunk.index}")}
-
-    def data_down(self, ctx: ExecutionContext, child_ctx: ExecutionContext,
-                  chunk: Range1D) -> None:
+    def access(self, ctx: ExecutionContext, chunk: Range1D) -> list[Window]:
+        """A run is sorted in place: moved down and back up."""
         lv: SortLevel = ctx.payload
-        pay = child_ctx.payload
-        ctx.system.move_down(pay["buf"], lv.data, chunk.size * ELEM,
-                             src_offset=chunk.start * ELEM, label="run down")
-        child_ctx.payload = SortLevel(data=pay["buf"], n=chunk.size)
-        child_ctx.scratch["raw_payload"] = pay
+        return [Window.span("run", lv.data, chunk.start * ELEM,
+                            chunk.size * ELEM, UPDATE)]
+
+    def child_problem(self, ctx: ExecutionContext, chunk: Range1D,
+                      bufs: dict) -> SortLevel:
+        return SortLevel(data=bufs["run"], n=chunk.size)
 
     def compute_task(self, ctx: ExecutionContext) -> None:
         lv: SortLevel = ctx.payload
@@ -141,18 +139,6 @@ class SortApp(NorthupProgram):
                                        count=lv.n * ELEM),
                         label=f"sort {lv.n}"),
                     label=f"sort {lv.n}")
-
-    def data_up(self, ctx: ExecutionContext, child_ctx: ExecutionContext,
-                chunk: Range1D) -> None:
-        lv: SortLevel = ctx.payload
-        pay = child_ctx.scratch["raw_payload"]
-        ctx.system.move_up(lv.data, pay["buf"], chunk.size * ELEM,
-                           dst_offset=chunk.start * ELEM, label="run up")
-
-    def teardown_buffers(self, ctx: ExecutionContext,
-                         child_ctx: ExecutionContext,
-                         chunk: Range1D) -> None:
-        ctx.system.release(child_ctx.scratch["raw_payload"]["buf"])
 
     def pipeline_window(self, ctx: ExecutionContext, chunks: list) -> int:
         """Runs are disjoint slices of the parent array and the chunk

@@ -22,14 +22,13 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.cache.spec import FetchSpec
 from repro.compute.kernels.spmv import (CSRMatrix, bin_rows, binning_cost,
                                         spmv, spmv_block, spmv_cost)
 from repro.compute.processor import ProcessorKind
 from repro.core.buffers import BufferHandle
 from repro.core.context import ExecutionContext
 from repro.core.decomposition import Range1D, split_even, split_rows_by_nnz
-from repro.core.program import NorthupProgram
+from repro.core.program import WRITE, NorthupProgram, Window
 from repro.core.system import System
 from repro.errors import CapacityError, ConfigError
 from repro.exec import Binding, kernel_spec
@@ -177,66 +176,44 @@ class SpmvApp(NorthupProgram):
         children = ctx.node.children
         return children[shard.index % len(children)]
 
-    def setup_buffers(self, ctx: ExecutionContext, child: TreeNode,
-                      shard: Range1D) -> dict:
-        sys_ = ctx.system
+    def access(self, ctx: ExecutionContext, shard: Range1D) -> list[Window]:
+        """The shard's three CSR slices move down (an empty shard's
+        col_id/data windows get a one-byte buffer and move nothing);
+        its y slice moves up."""
         lv: SpmvLevel = ctx.payload
-        rows = shard.size
         lo = int(lv.row_ptr_np[shard.start])
-        hi = int(lv.row_ptr_np[shard.stop])
-        nnz = hi - lo
-        return {
-            "row_ptr": sys_.alloc((rows + 1) * 8, child, label="row_ptr"),
-            "col_id": sys_.alloc(max(1, nnz * 4), child, label="col_id"),
-            "data": sys_.alloc(max(1, nnz * 4), child, label="data"),
-            "y": sys_.alloc(rows * 4, child, label="y"),
-            "lo": lo, "nnz": nnz,
-        }
+        nnz = int(lv.row_ptr_np[shard.stop]) - lo
+        return [Window.span("row_ptr", lv.row_ptr, shard.start * 8,
+                            (shard.size + 1) * 8),
+                Window.span("col_id", lv.col_id, lo * 4, nnz * 4),
+                Window.span("data", lv.data, lo * 4, nnz * 4),
+                Window.span("y", lv.y, shard.start * 4, shard.size * 4,
+                            WRITE)]
 
-    def data_down(self, ctx: ExecutionContext, child_ctx: ExecutionContext,
-                  shard: Range1D) -> None:
-        sys_ = ctx.system
+    def child_problem(self, ctx: ExecutionContext, shard: Range1D,
+                      bufs: dict) -> SpmvLevel:
         lv: SpmvLevel = ctx.payload
-        pay = child_ctx.payload
-        rows, lo, nnz = shard.size, pay["lo"], pay["nnz"]
-        sys_.move_down(pay["row_ptr"], lv.row_ptr, (rows + 1) * 8,
-                       src_offset=shard.start * 8, label="row_ptr down")
-        if nnz:
-            sys_.move_down(pay["col_id"], lv.col_id, nnz * 4,
-                           src_offset=lo * 4, label="col_id down")
-            sys_.move_down(pay["data"], lv.data, nnz * 4,
-                           src_offset=lo * 4, label="data down")
+        lo = int(lv.row_ptr_np[shard.start])
         # Rebase the shard's row_ptr (host-side metadata fix-up).
         local_ptr = lv.row_ptr_np[shard.start:shard.stop + 1] - lo
-        sys_.preload(pay["row_ptr"], local_ptr.astype(np.int64))
-        child_ctx.payload = SpmvLevel(
-            row_ptr=pay["row_ptr"], col_id=pay["col_id"], data=pay["data"],
-            x=self._x_by_node[child_ctx.node.node_id], y=pay["y"],
-            row_ptr_np=local_ptr, nrows=rows, nnz=nnz)
-        child_ctx.scratch["raw_payload"] = pay
+        ctx.system.preload(bufs["row_ptr"], local_ptr.astype(np.int64))
+        child_id = bufs["y"].node_id
+        return SpmvLevel(
+            row_ptr=bufs["row_ptr"], col_id=bufs["col_id"],
+            data=bufs["data"], x=self._x_by_node[child_id],
+            y=bufs["y"], row_ptr_np=local_ptr, nrows=shard.size,
+            nnz=int(local_ptr[-1]))
 
-    def prefetch_hints(self, ctx: ExecutionContext, chunks) -> Iterable:
-        """The shard slices of this sweep and of every remaining sweep,
-        in access order.  Folding the later sweeps in lets the Belady
-        oracle see that a shard evicted mid-sweep comes straight back
-        next sweep -- the cyclic pattern plain LRU is worst at."""
+    def prefetch_hints(self, ctx: ExecutionContext,
+                       hints: list) -> list | None:
+        """Root level only: this sweep's shard slices and those of every
+        remaining sweep, in access order.  Folding the later sweeps in
+        lets the Belady oracle see that a shard evicted mid-sweep comes
+        straight back next sweep -- the cyclic pattern plain LRU is
+        worst at."""
         if not ctx.node.is_root:
             return None
-        lv: SpmvLevel = ctx.payload
-        children = ctx.node.children
-        sweep = []
-        for shard in chunks:
-            child = children[shard.index % len(children)]
-            lo = int(lv.row_ptr_np[shard.start])
-            nnz = int(lv.row_ptr_np[shard.stop]) - lo
-            sweep.append((child, FetchSpec.contiguous(
-                lv.row_ptr, shard.start * 8, (shard.size + 1) * 8)))
-            if nnz:
-                sweep.append((child, FetchSpec.contiguous(
-                    lv.col_id, lo * 4, nnz * 4)))
-                sweep.append((child, FetchSpec.contiguous(
-                    lv.data, lo * 4, nnz * 4)))
-        return sweep * (self.iterations - self._iteration)
+        return hints * (self.iterations - self._iteration)
 
     def compute_task(self, ctx: ExecutionContext) -> None:
         lv: SpmvLevel = ctx.payload
@@ -273,21 +250,6 @@ class SpmvApp(NorthupProgram):
                         row_ptr=lv.row_ptr_np, ncols=self.csr.ncols,
                         blocks=blocks, label=label),
                     label=label)
-
-    def data_up(self, ctx: ExecutionContext, child_ctx: ExecutionContext,
-                shard: Range1D) -> None:
-        sys_ = ctx.system
-        lv: SpmvLevel = ctx.payload
-        pay = child_ctx.scratch["raw_payload"]
-        sys_.move_up(lv.y, pay["y"], shard.size * 4,
-                     dst_offset=shard.start * 4, label="y up")
-
-    def teardown_buffers(self, ctx: ExecutionContext,
-                         child_ctx: ExecutionContext, shard: Range1D) -> None:
-        sys_ = ctx.system
-        pay = child_ctx.scratch["raw_payload"]
-        for key in ("row_ptr", "col_id", "data", "y"):
-            sys_.release(pay[key])
 
     def pipeline_window(self, ctx: ExecutionContext, chunks: list) -> int:
         """Shards touch disjoint row ranges and the shard sizing

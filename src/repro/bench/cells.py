@@ -283,14 +283,12 @@ def _ablation_gemm_reuse() -> list[dict]:
     Tile shape is held fixed across the two variants so the comparison
     isolates the caching itself, not the chooser's different plans.
     """
-    from repro.apps.gemm import GemmTiles, choose_gemm_tiles
+    from repro.apps.gemm import choose_gemm_tiles
     from repro.cache.manager import CacheConfig
     n = SCALE.gemm_n
-    chosen = choose_gemm_tiles(
+    tiles = choose_gemm_tiles(
         n, n, n, elem_size=4,
-        budget_bytes=int(configs.STAGING_BYTES * 0.9), depth=2,
-        prefer_reuse=True)
-    tiles = GemmTiles(tm=chosen.tm, tn=chosen.tn, tk=chosen.tk, reuse=True)
+        budget_bytes=int(configs.STAGING_BYTES * 0.9), depth=2)
     rows = []
     for cached in (True, False):
         system = System(_apu_tree_for("gemm", "ssd"),

@@ -1,9 +1,11 @@
 """The prefetch engine: lookahead fetches driven by the decomposition.
 
 Applications already *know* their future transfers -- the decomposition
-enumerates every chunk before any of them moves.  The engine takes that
-plan as per-child ordered lists of :class:`~repro.cache.spec.FetchSpec`
-(:meth:`repro.core.program.NorthupProgram.prefetch_hints`), and on every
+enumerates every chunk, and each chunk declares its windows, before any
+of them moves.  The engine takes that plan as per-child ordered lists of
+:class:`~repro.cache.spec.FetchSpec` (every ``read`` and ``cached``
+window of the level, paired with the child its chunk goes to; see
+:meth:`repro.core.program.NorthupProgram.prefetch_hints`), and on every
 cache consult issues up to ``lookahead`` of the next planned fetches
 into the node's cache.  The transfers are charged on the real edge
 resources with only the *source* readiness as a dependency, so the
@@ -62,8 +64,8 @@ class PrefetchEngine:
         """Install a level's plan from its lowered task graph.
 
         The lowering pass (:func:`repro.plan.lower.lower_level`)
-        attaches the program's hints -- the compatibility shim -- to
-        ``graph.meta["prefetch_hints"]``; the graph's ``move_down``
+        attaches the level's hints, derived from its declared windows,
+        to ``graph.meta["prefetch_hints"]``; the graph's ``move_down``
         nodes say which children actually receive transfers.  Hints
         aimed at a child no ``move_down`` node targets are dropped
         (they would poison the Belady ranking with fetches that never

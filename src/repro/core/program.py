@@ -3,9 +3,15 @@
 A :class:`NorthupProgram` expresses an application as the paper's
 ``myfunction``: check for a leaf, otherwise decompose, set up buffers on
 the next level, move each chunk down, spawn recursively, and move
-results back up.  Applications implement the hooks; the driver *lowers*
-each level into a task graph (:mod:`repro.plan`) and hands it to a
-pluggable scheduler (:mod:`repro.core.scheduler`) -- pass one via
+results back up.  Applications do not write that lifecycle out: each
+declares what a chunk reads and writes (:meth:`~NorthupProgram.access`,
+a list of :class:`Window` objects over the level's buffers), and the
+driver *lowers* each level into a task graph (:mod:`repro.plan`) whose
+steps are derived from the windows -- Listing 3's ``data_down`` is the
+``read``/``cached``/``update`` windows moved down, its ``data_up`` the
+``write``/``update`` windows moved up, and the child buffers are
+allocated before and released after.  A pluggable scheduler
+(:mod:`repro.core.scheduler`) executes the graph -- pass one via
 ``program.run(system, scheduler=...)``.
 
 There is one execution path and it is *resumable*: ``steps()`` is a
@@ -17,20 +23,54 @@ it opens the run's root span, runs :meth:`~NorthupProgram.phases`
 between ``before_run`` and ``after_run``, and always ends the run.  Apps
 with their own phase loops (sort's merge, HotSpot's passes, SpMV's
 sweeps) override ``phases``, whose default is one recursion.
-
-The hooks intentionally mirror Listing 3's helper names
-(``compute_task``, ``setup_buffers``, ``data_down``, ``data_up``) so a
-reader can put the paper and an app module side by side.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
+from repro.core.buffers import BufferHandle
 from repro.core.context import ExecutionContext, root_context
 from repro.core.system import System
 from repro.topology.node import TreeNode
+
+#: Window modes: ``read`` is moved down, ``cached`` is a
+#: :meth:`~repro.core.system.System.fetch_down` lease, ``write`` is
+#: moved up, ``update`` is moved down and up.
+READ, CACHED, WRITE, UPDATE = "read", "cached", "write", "update"
+
+
+class Window(NamedTuple):
+    """One window of a buffer a chunk touches: ``rows`` runs of
+    ``row_bytes`` every ``stride`` bytes from ``offset`` of ``parent``
+    (the tuple :func:`~repro.core.decomposition.window2d` returns), in
+    one of the four modes.
+
+    The child buffer for it is named ``name``.  ``ring`` > 0 puts it in
+    a per-child ring of that depth instead of a per-chunk buffer (a
+    pipeline's buffer sets).  A window over a buffer that already lives
+    on the child is a mapped view of it: nothing moves.
+    """
+
+    name: str
+    parent: BufferHandle
+    offset: int
+    rows: int
+    row_bytes: int
+    stride: int
+    mode: str = READ
+    ring: int = 0
+
+    @classmethod
+    def span(cls, name: str, parent: BufferHandle, offset: int,
+             nbytes: int, mode: str = READ) -> "Window":
+        """The one-row window of ``nbytes`` at ``offset``."""
+        return cls(name, parent, offset, 1, nbytes, nbytes, mode)
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows * self.row_bytes
 
 
 def drive(steps):
@@ -50,14 +90,22 @@ class NorthupProgram(ABC):
 
     * :meth:`decompose` -- yield chunk descriptors for the current level
       (anything hashable/printable; apps use tiles, row ranges, shards);
-    * :meth:`setup_buffers` -- allocate next-level buffers for a chunk
-      and return the payload handed to the child context;
-    * :meth:`data_down` -- move the chunk's data to the child node;
+    * :meth:`access` -- the windows a chunk reads and writes;
+    * :meth:`child_problem` -- the child level's payload, built from the
+      chunk's child buffers (default: the buffers by window name);
     * :meth:`compute_task` -- leaf computation;
-    * :meth:`data_up` -- move results back to the parent;
-    * optionally :meth:`teardown_buffers` (defaults to releasing every
-      handle in a payload dict) and :meth:`select_child` (defaults to
-      the first child, Listing 3's ``get_children_list()[0]``).
+    * optionally :meth:`select_child` (defaults to the first child,
+      Listing 3's ``get_children_list()[0]``).
+
+    The per-chunk lifecycle is derived from the windows
+    (:class:`repro.plan.lower.LevelWindows`): every window gets a child
+    buffer at setup -- allocated, taken from its ring, mapped, or
+    carried over -- and ``read``/``update`` windows are moved down,
+    ``cached`` windows leased with ``fetch_down``, ``write``/``update``
+    windows moved up, and the buffers released once the chunk is done.
+    A ``write``/``update`` window that the next chunk on the same child
+    declares again stays resident in between (GEMM's C block carried
+    across its k loop).
     """
 
     # -- hooks -------------------------------------------------------------
@@ -66,24 +114,22 @@ class NorthupProgram(ABC):
     def decompose(self, ctx: ExecutionContext) -> Iterable[Any]:
         """Chunk descriptors for this level (Listing 3's (m, n) loop)."""
 
-    @abstractmethod
-    def setup_buffers(self, ctx: ExecutionContext, child: TreeNode,
-                      chunk: Any) -> Any:
-        """Allocate child-level buffers; returns the child payload."""
+    def access(self, ctx: ExecutionContext, chunk: Any) -> Iterable[Window]:
+        """The chunk's windows, in the order their buffers are set up,
+        moved and released.  Called once per chunk while the level is
+        lowered, so it must be charge-free.  Default: none."""
+        return ()
 
-    @abstractmethod
-    def data_down(self, ctx: ExecutionContext, child_ctx: ExecutionContext,
-                  chunk: Any) -> None:
-        """Move the chunk's inputs from ``ctx.node`` to the child."""
+    def child_problem(self, ctx: ExecutionContext, chunk: Any,
+                      bufs: dict[str, BufferHandle]) -> Any:
+        """The child context's payload, built once the chunk's windows
+        have moved down; ``bufs`` maps window names to child buffers.
+        Default: ``bufs`` itself."""
+        return bufs
 
     @abstractmethod
     def compute_task(self, ctx: ExecutionContext) -> None:
         """Leaf computation on the processor(s) at ``ctx.node``."""
-
-    @abstractmethod
-    def data_up(self, ctx: ExecutionContext, child_ctx: ExecutionContext,
-                chunk: Any) -> None:
-        """Move the chunk's results from the child back to ``ctx.node``."""
 
     def select_child(self, ctx: ExecutionContext, chunk: Any) -> TreeNode:
         """Which child receives this chunk.  Default: the first child.
@@ -93,30 +139,14 @@ class NorthupProgram(ABC):
         """
         return ctx.first_child()
 
-    def teardown_buffers(self, ctx: ExecutionContext,
-                         child_ctx: ExecutionContext, chunk: Any) -> None:
-        """Release the chunk's child-level buffers.
-
-        Default: release every :class:`BufferHandle` reachable in the
-        payload, recursing through nested dicts, lists and tuples (a
-        dict-of-dict payload releases just like a flat one).  Apps that
-        cache buffers across chunks (the GEMM row-shard reuse) override
-        this.
-        """
-        from repro.plan.graph import collect_handles
-
-        for h in collect_handles(child_ctx.payload):
-            if not h.released:
-                ctx.system.release(h)
-
     def prefetch_hints(self, ctx: ExecutionContext,
-                       chunks: list[Any]) -> Iterable[tuple] | None:
-        """Optional: this level's upcoming parent->child region fetches.
+                       hints: list[tuple]) -> Iterable[tuple] | None:
+        """This level's upcoming parent->child region fetches.
 
-        Return ``(child_node, FetchSpec)`` pairs in program order (build
-        the specs with :class:`repro.cache.spec.FetchSpec`, describing
-        regions exactly as the ``data_down`` moves will), or None (the
-        default) for no hints.  The lowering pass asks once per level,
+        ``hints`` are derived from the windows: every ``read`` and
+        ``cached`` window as a ``(child_node, FetchSpec)`` pair, in
+        program order; return them (the default), a different list, or
+        None for no hints.  The lowering pass asks once per level,
         whatever the cache mode, and hands the list to two consumers:
 
         * :meth:`System.will_need`: physical read-ahead.  A file-backed
@@ -129,7 +159,7 @@ class NorthupProgram(ABC):
 
         A hint that no move follows is harmless to both.
         """
-        return None
+        return hints
 
     def pipeline_window(self, ctx: ExecutionContext,
                         chunks: list[Any]) -> int:
@@ -139,7 +169,7 @@ class NorthupProgram(ABC):
         before overlapping chunks: returning W > 1 declares that (a)
         the level's buffer budget accommodates W chunks in flight and
         (b) chunks are independent apart from the buffer overlaps the
-        lowering pass can see in their payload handles.  The default,
+        lowering pass can see in their child buffers.  The default,
         1, keeps every level serial -- the eager memory footprint and
         ordering.  Apps that already provision double buffers
         (per-chunk allocation budgeted for two copies) override this to
@@ -163,10 +193,8 @@ class NorthupProgram(ABC):
         yield from self.recurse(ctx)
 
     def after_level(self, ctx: ExecutionContext) -> None:
-        """Called after a level finishes its chunk loop.
-
-        Apps that cache buffers across chunks (the GEMM row-shard reuse
-        of Section IV-A) release the stragglers here."""
+        """Called after a level finishes its chunk loop, before its
+        rings are released (Reduce combines its partials here)."""
 
     # -- the driver (Listing 3's myfunction) ----------------------------------
 

@@ -768,8 +768,9 @@ class System:
     def will_need(self, hints) -> None:
         """Physical read-ahead advice for a level's upcoming fetches.
 
-        ``hints`` are the ``(child_node, FetchSpec)`` pairs of
-        :meth:`NorthupProgram.prefetch_hints`, in program order; each
+        ``hints`` are a level's ``(child_node, FetchSpec)`` pairs, in
+        program order: its ``read`` and ``cached`` windows, as
+        :meth:`NorthupProgram.prefetch_hints` passes them on; each
         source device's backend is told the windows it is about to be
         read from (:meth:`~repro.memory.backends.DataBackend.advise`),
         so a file backend can read chunk k+1 while chunk k computes --

@@ -14,7 +14,8 @@ One duplex pipe per worker carries these messages:
 
 Every message, in both directions, travels as one byte stream written
 by :func:`write` from the iovecs :func:`encode` builds and read by
-:func:`recv_message`: an 8-byte length, the *header frame*
+:func:`recv_message`: an 8-byte word of a 4-byte magic and the 4-byte
+length of the *header frame*
 ``pickle((head, [sizes]))`` -- ``head`` is the protocol-5 pickle of the
 message with its array payloads of :data:`OUT_OF_BAND_MIN` bytes and
 more taken out of band -- and then the raw out-of-band buffers back to
@@ -24,7 +25,8 @@ buffer straight in the array ``take`` supplies, which the unpickled
 array then wraps.  No frame is copied between the pipe and its final
 buffer, and small arrays ride in the header frame.  A peer gone
 mid-message is :class:`EOFError`; bytes that are not a message are
-:class:`pickle.UnpicklingError`.
+:class:`pickle.UnpicklingError` -- a stream that lost or repeated bytes
+fails at the next magic instead of waiting on a plausible length.
 
 Determinism does not come from the wire: acks arrive in any order and
 are stashed; the :class:`~repro.exec.ledger.PendingLedger` merges
@@ -51,8 +53,11 @@ SHUTDOWN = "shutdown"
 #: fill (measured when each buffer was a pipe message of its own).
 OUT_OF_BAND_MIN = 8192
 
-#: The length prefix of a message's header frame.
-_LENGTH = struct.Struct("!Q")
+#: The word before a message's header frame: magic, frame length.
+_LENGTH = struct.Struct("!4sI")
+_MAGIC = b"NrtH"
+#: The longest header frame the length word can carry.
+FRAME_MAX = 2 ** 32 - 1
 
 #: Most iovecs one ``readv``/``writev`` call takes.
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
@@ -76,7 +81,10 @@ def encode(obj) -> tuple[list, int]:
     head = pickle.dumps(obj, protocol=5, buffer_callback=out_of_band)
     sizes = [r.nbytes for r in raws]
     frame = pickle.dumps((head, sizes), protocol=5)
-    return ([_LENGTH.pack(len(frame)), frame, *raws],
+    if len(frame) > FRAME_MAX:
+        raise ValueError(f"header frame of {len(frame)} bytes exceeds "
+                         f"the {FRAME_MAX}-byte limit")
+    return ([_LENGTH.pack(_MAGIC, len(frame)), frame, *raws],
             _LENGTH.size + len(frame) + sum(sizes))
 
 
@@ -131,8 +139,12 @@ def recv_message(conn, take=_fresh) -> tuple:
     fd = conn.fileno()
     length = bytearray(_LENGTH.size)
     _transfer(os.readv, fd, [length])
+    magic, size = _LENGTH.unpack(length)
+    if magic != _MAGIC:
+        raise pickle.UnpicklingError(
+            f"not a dist message: bad magic {bytes(length)!r}")
     with _corrupt():
-        frame = _fresh(*_LENGTH.unpack(length))
+        frame = _fresh(size)
     _transfer(os.readv, fd, [frame])
     with _corrupt():
         head, sizes = pickle.loads(frame)

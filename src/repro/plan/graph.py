@@ -299,26 +299,3 @@ def overlapping_handles(a: Iterable, b: Iterable) -> bool:
             if h.base_offset < hi and lo < h.base_offset + h.nbytes:
                 return True
     return False
-
-
-def collect_handles(payload: Any, out: list | None = None) -> list:
-    """Every :class:`~repro.core.buffers.BufferHandle` reachable inside
-    ``payload``, recursing through dicts, lists and tuples.
-
-    Shared by the default ``teardown_buffers`` (so nested payload
-    containers release correctly) and by the lowering pass's buffer-
-    hazard detection.
-    """
-    from repro.core.buffers import BufferHandle
-
-    if out is None:
-        out = []
-    if isinstance(payload, BufferHandle):
-        out.append(payload)
-    elif isinstance(payload, dict):
-        for value in payload.values():
-            collect_handles(value, out)
-    elif isinstance(payload, (list, tuple)):
-        for value in payload:
-            collect_handles(value, out)
-    return out

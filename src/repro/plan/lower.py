@@ -2,22 +2,25 @@
 
 :func:`lower_level` performs the *control* half of what the eager
 driver used to do inline -- open the level's ``divide`` span,
-decompose, enqueue, and hand the program's fetch hints to the
-read-ahead and the cache -- and then, instead of executing the
-per-chunk hooks, records them as :class:`~repro.plan.graph.TaskNode`
-thunks wired with explicit dependency edges.  The returned
-:class:`LevelPlan` is what a scheduler executes, and it is the level's
-task queue (Section III-C, Listing 1's ``work_queue``): it is anchored
-at its tree node (``TreeNode.plan``) and each chunk's progress state
-is read off its nodes' states (:meth:`LevelPlan.state_counts`).
+decompose, enqueue, and hand the level's fetch hints to the read-ahead
+and the cache -- and then, instead of executing the per-chunk steps,
+records them as :class:`~repro.plan.graph.TaskNode` thunks wired with
+explicit dependency edges.  The steps themselves are derived from the
+windows the program declares for each chunk
+(:meth:`~repro.core.program.NorthupProgram.access`) by
+:class:`LevelWindows`, which the graph-free oracle runs too.  The
+returned :class:`LevelPlan` is what a scheduler executes, and it is the
+level's task queue (Section III-C, Listing 1's ``work_queue``): it is
+anchored at its tree node (``TreeNode.plan``) and each chunk's progress
+state is read off its nodes' states (:meth:`LevelPlan.state_counts`).
 
 Lowering is *lazy and hierarchical* (the HPVM shape): a ``compute``
 node for a non-leaf child does not expand the child level up front --
 its thunk steps ``program.recurse(child_ctx)``, which lowers and drains
 the nested level when (and only when) the node is dispatched.  This is
-forced by the programming model, not a shortcut: every app materialises
-the child payload inside ``data_down``/``setup_buffers``, so a child
-level's ``decompose`` cannot run until its parent chunk is staged.
+forced by the programming model, not a shortcut: a child level's
+windows are over the child buffers its parent chunk staged, so its
+``decompose`` cannot run until that chunk is staged.
 
 The lowering contract (what makes in-order replay bit-identical to the
 old eager driver):
@@ -25,28 +28,31 @@ old eager driver):
 * every timeline charge the eager driver made is made here in the same
   order -- the level prologue charges during lowering, the per-chunk
   charges inside node thunks;
-* node thunks contain the hook calls verbatim, wrapped in the same
-  observability spans;
-* hoisted work (``select_child``, graph construction) is charge-free
-  and side-effect-free on the system;
+* node thunks run the derived steps, wrapped in the same observability
+  spans;
+* hoisted work (``select_child``, ``access``, graph construction) is
+  charge-free and side-effect-free on the system;
 * ``graph.nodes`` is the eager execution order, so replaying it
   depth-first *is* the eager schedule.
 
 Buffer-hazard edges are discovered dynamically: only once chunk k's
-``setup`` thunk has produced its payload do we know which byte windows
-it owns, so the thunk compares them against every still-in-flight
-earlier chunk and adds ``buffer`` edges (earlier combine -> this
-move_down) before its own ``move_down`` can be dispatched.
+``setup`` thunk has produced its buffers do we know which byte windows
+it owns (ring sets rotate, carried buffers hand over), so the thunk
+compares them against every still-in-flight earlier chunk and adds
+``buffer`` edges (earlier combine -> this move_down) before its own
+``move_down`` can be dispatched.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from repro.cache.spec import FetchSpec
+from repro.core.program import CACHED, READ, UPDATE, WRITE
 from repro.errors import SchedulerError
 from repro.plan.graph import (BUFFER, CHAIN, COMBINE, COMPUTE, MOVE_DOWN,
                               MOVE_UP, QUEUE, SETUP, WINDOW, TaskGraph,
-                              TaskNode, collect_handles, overlapping_handles)
+                              TaskNode, overlapping_handles)
 
 
 #: A chunk's progress state once each stage has finished, latest stage
@@ -57,16 +63,191 @@ CHUNK_STATES = ("queued", "moving", "resident", "computed", "done")
 
 
 class _ChunkRecord:
-    """Execution-time state of one chunk shared by its five thunks."""
+    """One chunk: its child, its declared windows and the lifecycle
+    state its steps share."""
 
-    __slots__ = ("chunk", "child", "child_ctx", "handles", "nodes")
+    __slots__ = ("chunk", "child", "windows", "prev", "ring_slot",
+                 "carried_in", "carried_out", "bufs", "child_ctx",
+                 "handles", "nodes")
 
-    def __init__(self, chunk: Any, child) -> None:
+    def __init__(self, chunk: Any, child, windows: tuple) -> None:
         self.chunk = chunk
         self.child = child
+        self.windows = windows
+        #: The previous chunk on the same child (carries hand over).
+        self.prev: _ChunkRecord | None = None
+        #: How many earlier chunks of the level went to the same child.
+        self.ring_slot = 0
+        self.carried_in: frozenset = frozenset()
+        self.carried_out: frozenset = frozenset()
+        self.bufs: dict = {}
         self.child_ctx = None
         self.handles: list | None = None
         self.nodes: dict[str, TaskNode] = {}
+
+
+def _same_window(a, b) -> bool:
+    return a.name == b.name and a.parent is b.parent and a[2:6] == b[2:6]
+
+
+def _is_view(rec: _ChunkRecord, w) -> bool:
+    """A window over a buffer already on the chunk's child is mapped,
+    never moved."""
+    return w.parent.node_id == rec.child.node_id
+
+
+class LevelWindows:
+    """A level's declared chunk windows and the buffer lifecycle derived
+    from them: the steps both the lowered graph's thunks and the
+    graph-free oracle (``tests/reference/eager.py``) run per chunk.
+
+    Construction is charge-free: it asks ``select_child`` and ``access``
+    once per chunk, links each chunk to the previous one on the same
+    child (a ``write``/``update`` window both declare is *carried*:
+    neither moved up, released, allocated nor moved down in between),
+    and sizes each ring by the level's largest window of its name.
+    """
+
+    def __init__(self, program, ctx, chunks: list) -> None:
+        self.program = program
+        self.ctx = ctx
+        self.records: list[_ChunkRecord] = []
+        self.ring_bytes: dict[str, int] = {}
+        #: child node id -> ring sets (window name -> buffer), in the
+        #: order the children first took a chunk.
+        self.rings: dict[int, list[dict]] = {}
+        last: dict[int, _ChunkRecord] = {}
+        for chunk in chunks:
+            child = program.select_child(ctx, chunk)
+            if child.parent is not ctx.node:
+                raise SchedulerError(
+                    f"select_child returned node {child.node_id}, not a "
+                    f"child of {ctx.node.node_id}")
+            rec = _ChunkRecord(chunk, child, tuple(program.access(ctx, chunk)))
+            prev = last.get(child.node_id)
+            if prev is not None:
+                rec.prev = prev
+                rec.ring_slot = prev.ring_slot + 1
+                rec.carried_in = prev.carried_out = frozenset(
+                    w.name for w in rec.windows
+                    if w.mode in (WRITE, UPDATE) and not w.ring
+                    and any(_same_window(w, p) for p in prev.windows))
+            last[child.node_id] = rec
+            for w in rec.windows:
+                if w.ring:
+                    self.ring_bytes[w.name] = max(
+                        self.ring_bytes.get(w.name, 0), w.nbytes)
+            self.records.append(rec)
+
+    def hints(self) -> list[tuple]:
+        """Every ``read`` and ``cached`` window as ``(child, FetchSpec)``
+        in program order (the default prefetch hints)."""
+        return [(rec.child, FetchSpec(w.parent, w.offset, w.rows,
+                                      w.row_bytes, w.stride))
+                for rec in self.records for w in rec.windows
+                if w.mode in (READ, CACHED) and w.nbytes
+                and not _is_view(rec, w)]
+
+    def setup(self, rec: _ChunkRecord) -> None:
+        """Give every window but the ``cached`` ones a child buffer, in
+        declaration order, and spawn the child context."""
+        system, child = self.ctx.system, rec.child
+        bufs = rec.bufs
+        for w in rec.windows:
+            if w.ring:
+                sets = self.rings.get(child.node_id) or self._ring(rec)
+                bufs[w.name] = sets[rec.ring_slot % len(sets)][w.name]
+            elif w.name in rec.carried_in:
+                bufs[w.name] = rec.prev.bufs[w.name]
+            elif _is_view(rec, w):
+                bufs[w.name] = system.map_region(w.parent, w.offset,
+                                                 w.nbytes, label=w.name)
+            elif w.mode != CACHED:
+                bufs[w.name] = system.alloc(max(1, w.nbytes), child,
+                                            label=w.name)
+        rec.handles = list(bufs.values())
+        rec.child_ctx = self.ctx.descend(child, chunk=rec.chunk, payload=bufs)
+
+    def _ring(self, rec: _ChunkRecord) -> list[dict]:
+        """Allocate the child's whole ring at its first chunk: as many
+        sets of the ring windows as the deepest ring declared."""
+        named = [w for w in rec.windows if w.ring]
+        sets = self.rings[rec.child.node_id] = [
+            {w.name: self.ctx.system.alloc(self.ring_bytes[w.name],
+                                           rec.child, label=w.name)
+             for w in named}
+            for _ in range(max(w.ring for w in named))]
+        return sets
+
+    def move_down(self, rec: _ChunkRecord) -> None:
+        """Lease the ``cached`` windows, move the ``read``/``update``
+        ones down, then build the child problem."""
+        system, bufs = self.ctx.system, rec.bufs
+        for w in rec.windows:
+            if w.mode == CACHED:
+                bufs[w.name] = system.fetch_down(
+                    rec.child, w.parent, rows=w.rows, row_bytes=w.row_bytes,
+                    src_offset=w.offset, src_stride=w.stride,
+                    label=f"{w.name} down")
+            elif w.mode in (READ, UPDATE) and _moves(rec, w) \
+                    and w.name not in rec.carried_in:
+                if w.rows == 1 and w.stride == w.row_bytes:
+                    system.move_down(bufs[w.name], w.parent, w.nbytes,
+                                     src_offset=w.offset,
+                                     label=f"{w.name} down")
+                else:
+                    system.move_2d(bufs[w.name], w.parent, rows=w.rows,
+                                   row_bytes=w.row_bytes,
+                                   src_offset=w.offset, src_stride=w.stride,
+                                   dst_offset=0, dst_stride=w.row_bytes,
+                                   label=f"{w.name} down")
+        rec.child_ctx.payload = self.program.child_problem(
+            self.ctx, rec.chunk, bufs)
+
+    def move_up(self, rec: _ChunkRecord) -> None:
+        """Move the ``write``/``update`` windows up, except those the
+        next chunk on the child carries on."""
+        system, bufs = self.ctx.system, rec.bufs
+        for w in rec.windows:
+            if w.mode in (WRITE, UPDATE) and _moves(rec, w) \
+                    and w.name not in rec.carried_out:
+                if w.rows == 1 and w.stride == w.row_bytes:
+                    system.move_up(w.parent, bufs[w.name], w.nbytes,
+                                   dst_offset=w.offset, label=f"{w.name} up")
+                else:
+                    system.move_2d(w.parent, bufs[w.name], rows=w.rows,
+                                   row_bytes=w.row_bytes, src_offset=0,
+                                   src_stride=w.row_bytes,
+                                   dst_offset=w.offset, dst_stride=w.stride,
+                                   label=f"{w.name} up")
+
+    def release(self, rec: _ChunkRecord) -> None:
+        """End the chunk's leases and release its buffers: views first,
+        then the rest in declaration order; ring buffers and carried
+        windows stay."""
+        system, bufs = self.ctx.system, rec.bufs
+        for w in rec.windows:
+            if _is_view(rec, w):
+                system.release(bufs[w.name])
+        for w in rec.windows:
+            if w.mode == CACHED:
+                system.fetch_release(bufs[w.name])
+            elif not (w.ring or w.name in rec.carried_out
+                      or _is_view(rec, w)):
+                system.release(bufs[w.name])
+
+    def release_rings(self) -> None:
+        """Release every ring, child by child, set by set."""
+        for sets in self.rings.values():
+            for bufs in sets:
+                for handle in bufs.values():
+                    self.ctx.system.release(handle)
+        self.rings.clear()
+
+
+def _moves(rec: _ChunkRecord, w) -> bool:
+    """Neither an empty window nor a view ever moves."""
+    return w.nbytes > 0 and not _is_view(rec, w)
 
 
 class LevelPlan:
@@ -82,12 +263,13 @@ class LevelPlan:
     """
 
     def __init__(self, program, ctx, graph: TaskGraph, divide_span,
-                 records: list[_ChunkRecord]) -> None:
+                 windows: LevelWindows) -> None:
         self.program = program
         self.ctx = ctx
         self.graph = graph
         self.divide_span = divide_span
-        self.records = records
+        self.windows = windows
+        self.records = windows.records
         #: Chunks whose transfers a prefetch plan covers (all or none).
         self.prefetch_planned = 0
         #: Chunks whose setup produced buffers and whose combine has not
@@ -127,12 +309,14 @@ class LevelPlan:
             yield from self.execute(node)
 
     def finish(self) -> None:
-        """The level epilogue (only on success, like the eager driver)."""
+        """The level epilogue (only on success, like the eager driver):
+        the program's ``after_level``, then the rings go."""
         if not self.graph.complete:
             raise SchedulerError(
                 f"level at node {self.graph.tree_node} finished with "
                 f"{self.graph.remaining} unexecuted task(s)")
         self.program.after_level(self.ctx)
+        self.windows.release_rings()
 
     def close(self) -> None:
         """Close the level's divide span (always, error or not)."""
@@ -167,27 +351,22 @@ def lower_level(program, ctx, *, window=1) -> LevelPlan:
         if window < 1:
             raise SchedulerError(f"pipeline window must be >= 1, got {window}")
         graph.meta["window"] = window
-        records: list[_ChunkRecord] = []
-        plan = LevelPlan(program, ctx, graph, divide_span, records)
+        windows = LevelWindows(program, ctx, chunks)
+        records = windows.records
+        plan = LevelPlan(program, ctx, graph, divide_span, windows)
         ctx.node.plan = plan
 
-        for index, chunk in enumerate(chunks):
-            child = program.select_child(ctx, chunk)
-            if child.parent is not ctx.node:
-                raise SchedulerError(
-                    f"select_child returned node {child.node_id}, not a "
-                    f"child of {ctx.node.node_id}")
-            rec = _ChunkRecord(chunk, child)
-            records.append(rec)
-            label = repr(chunk)
+        for index, rec in enumerate(records):
+            label = repr(rec.chunk)
+            child_id = rec.child.node_id
             setup = graph.add_node(SETUP, chunk_index=index,
-                                   tree_node=child.node_id, label=label)
+                                   tree_node=child_id, label=label)
             move_down = graph.add_node(MOVE_DOWN, chunk_index=index,
-                                       tree_node=child.node_id, label=label)
+                                       tree_node=child_id, label=label)
             compute = graph.add_node(COMPUTE, chunk_index=index,
-                                     tree_node=child.node_id, label=label)
+                                     tree_node=child_id, label=label)
             move_up = graph.add_node(MOVE_UP, chunk_index=index,
-                                     tree_node=child.node_id, label=label)
+                                     tree_node=child_id, label=label)
             combine = graph.add_node(COMBINE, chunk_index=index,
                                      tree_node=ctx.node.node_id, label=label)
             rec.nodes = {SETUP: setup, MOVE_DOWN: move_down,
@@ -199,7 +378,7 @@ def lower_level(program, ctx, *, window=1) -> LevelPlan:
             graph.add_edge(move_up, combine, CHAIN)
             if index:
                 prev = records[index - 1].nodes
-                # Queue order: setups rotate shared pools / allocate in
+                # Queue order: setups rotate shared rings / allocate in
                 # a deterministic order; combines fold deterministically.
                 graph.add_edge(prev[SETUP], setup, QUEUE)
                 graph.add_edge(prev[COMBINE], combine, QUEUE)
@@ -208,12 +387,12 @@ def lower_level(program, ctx, *, window=1) -> LevelPlan:
                                setup, WINDOW)
             _install_thunks(plan, rec)
 
-        # The program's hints are collected once per level, whatever the
-        # cache mode.  They feed the physical read-ahead (wall-clock
-        # only, nothing charged) and, with the cache in full mode, the
+        # The hints are collected once per level, whatever the cache
+        # mode.  They feed the physical read-ahead (wall-clock only,
+        # nothing charged) and, with the cache in full mode, the
         # prefetch engine, which cross-checks them against the
         # move_down targets of the graph they ride on.
-        hints = program.prefetch_hints(ctx, chunks)
+        hints = program.prefetch_hints(ctx, windows.hints())
         if hints is not None:
             hints = list(hints)
             system.will_need(hints)
@@ -235,11 +414,10 @@ def lower_level(program, ctx, *, window=1) -> LevelPlan:
 def _install_thunks(plan: LevelPlan, rec: _ChunkRecord) -> None:
     """Install the five executable bodies for one chunk.
 
-    Each thunk is the corresponding slice of the old eager loop --
-    identical hook calls and spans, and therefore identical timeline
-    charges.
+    Each thunk is one derived step of :class:`LevelWindows` (the one
+    the graph-free oracle runs inline) wrapped in its span.
     """
-    program, ctx = plan.program, plan.ctx
+    ctx, windows = plan.ctx, plan.windows
     obs = ctx.system.obs
     graph = plan.graph
 
@@ -249,17 +427,14 @@ def _install_thunks(plan: LevelPlan, rec: _ChunkRecord) -> None:
     def setup_thunk() -> None:
         span = obs.open("setup", node_id=child.node_id)
         try:
-            payload = program.setup_buffers(ctx, child, rec.chunk)
-            rec.child_ctx = ctx.descend(child, chunk=rec.chunk,
-                                        payload=payload)
+            windows.setup(rec)
         finally:
             obs.close(span)
         nodes[SETUP].span_id = span.span_id
-        # Buffer hazards: this chunk's windows vs every earlier chunk
+        # Buffer hazards: this chunk's buffers vs every earlier chunk
         # still holding buffers.  Physical byte movement is eager at
         # dispatch, so an overlap means our move_down must wait for the
         # earlier chunk to finish with those bytes (its combine).
-        rec.handles = collect_handles(payload)
         if rec.handles:
             # Setups run in chunk order (queue edges), so `holding` is
             # the earlier chunks, in order, minus those that combined.
@@ -275,7 +450,7 @@ def _install_thunks(plan: LevelPlan, rec: _ChunkRecord) -> None:
     def move_down_thunk() -> None:
         span = obs.open("move_down", node_id=child.node_id)
         try:
-            program.data_down(ctx, rec.child_ctx, rec.chunk)
+            windows.move_down(rec)
         finally:
             obs.close(span)
         nodes[MOVE_DOWN].span_id = span.span_id
@@ -284,14 +459,14 @@ def _install_thunks(plan: LevelPlan, rec: _ChunkRecord) -> None:
         # The first span recurse opens (leaf "compute" or nested
         # "divide") is this node's span: 1:1 node <-> span mapping.
         next_span = len(obs.spans) if obs.enabled else None
-        yield from program.recurse(rec.child_ctx)
+        yield from plan.program.recurse(rec.child_ctx)
         if next_span is not None and len(obs.spans) > next_span:
             nodes[COMPUTE].span_id = next_span
 
     def move_up_thunk() -> None:
         span = obs.open("move_up", node_id=child.node_id)
         try:
-            program.data_up(ctx, rec.child_ctx, rec.chunk)
+            windows.move_up(rec)
         finally:
             obs.close(span)
         nodes[MOVE_UP].span_id = span.span_id
@@ -299,7 +474,7 @@ def _install_thunks(plan: LevelPlan, rec: _ChunkRecord) -> None:
     def combine_thunk() -> None:
         span = obs.open("combine", node_id=ctx.node.node_id)
         try:
-            program.teardown_buffers(ctx, rec.child_ctx, rec.chunk)
+            windows.release(rec)
         finally:
             obs.close(span)
         nodes[COMBINE].span_id = span.span_id

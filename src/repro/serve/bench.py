@@ -71,7 +71,7 @@ def job_mix(sizes: dict) -> list[tuple[JobSpec, float]]:
     gemm_mouse = JobSpec(
         "gemm", tenant="acme", priority=0, label="mouse",
         params=dict(m=g["m"], k=g["k"], n=g["n"], seed=3,
-                    force_tiles=(g["tile"], g["tile"], g["k"], True)))
+                    force_tiles=(g["tile"], g["tile"], g["k"])))
     sort_mouse = JobSpec("sort", tenant="beta", priority=0, label="mouse",
                          params=dict(n=sizes["sort_n"], seed=7))
     spmv_mouse = JobSpec("spmv", tenant="beta", priority=0, label="mouse",
@@ -91,7 +91,7 @@ def elephant_spec(sizes: dict) -> JobSpec:
     return JobSpec(
         "gemm", tenant="acme", priority=0, label="elephant",
         params=dict(m=e["m"], k=e["k"], n=e["n"], seed=3,
-                    force_tiles=(e["tile"], e["tile"], e["k"], True)))
+                    force_tiles=(e["tile"], e["tile"], e["k"])))
 
 
 def build_stream(sizes: dict, *, seed: int) -> list:

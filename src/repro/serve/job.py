@@ -100,7 +100,9 @@ def _build_gemm(system, p: dict):
     from repro.apps.gemm import GemmApp, GemmTiles
     tiles = p.pop("force_tiles", None)
     if tiles is not None and not isinstance(tiles, GemmTiles):
-        tiles = GemmTiles(*tiles)
+        # (tm, tn, tk); a trailing field of the old four-field spelling
+        # (the reuse flag, always True) is ignored.
+        tiles = GemmTiles(*tiles[:3])
     return GemmApp(system, force_tiles=tiles, **p)
 
 

@@ -26,7 +26,7 @@ def run_gemm(tree, **kw):
 def test_tile_chooser_prefers_full_k_reuse():
     t = choose_gemm_tiles(256, 256, 256, elem_size=4,
                           budget_bytes=4 * MB, depth=2)
-    assert t.reuse and t.tk == 256
+    assert t.tk == 256
     assert t.tm == t.tn
     assert t.tm % 8 == 0
 
@@ -35,7 +35,7 @@ def test_tile_chooser_budget_respected():
     t = choose_gemm_tiles(512, 512, 512, elem_size=4,
                           budget_bytes=600 * KB, depth=2)
     resident = (t.tm * 512 + 2 * 512 * t.tn + 2 * t.tm * t.tn) * 4 \
-        if t.reuse else 2 * (t.tm * t.tk + t.tk * t.tn + t.tm * t.tn) * 4
+        if t.tk == 512 else 2 * (t.tm * t.tk + t.tk * t.tn + t.tm * t.tn) * 4
     assert resident <= 600 * KB
 
 
@@ -43,7 +43,6 @@ def test_tile_chooser_falls_back_to_k_split():
     # Budget too small for any full-k strip: must split k.
     t = choose_gemm_tiles(4096, 4096, 4096, elem_size=4,
                           budget_bytes=64 * KB, depth=2)
-    assert not t.reuse
     assert t.tk < 4096
 
 
@@ -128,8 +127,7 @@ def test_gemm_reuse_reduces_read_traffic():
                       cache=cache_cfg)
         try:
             app = GemmApp(sys_, m=128, k=128, n=128, seed=2,
-                          force_tiles=GemmTiles(tm=32, tn=32, tk=128,
-                                                reuse=True))
+                          force_tiles=GemmTiles(tm=32, tn=32, tk=128))
             app.run(sys_)
             np.testing.assert_allclose(app.result(), app.reference(),
                                        rtol=1e-3, atol=1e-4)
@@ -175,8 +173,7 @@ def test_gemm_pipelining_reduces_makespan():
         try:
             app = GemmApp(sys_, m=128, k=128, n=128, seed=2,
                           pipeline_depth=depth,
-                          force_tiles=GemmTiles(tm=32, tn=32, tk=128,
-                                                reuse=True))
+                          force_tiles=GemmTiles(tm=32, tn=32, tk=128))
             app.run(sys_)
             np.testing.assert_allclose(app.result(), app.reference(),
                                        rtol=1e-3, atol=1e-4)

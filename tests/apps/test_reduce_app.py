@@ -42,7 +42,7 @@ def test_reduction_many_chunks():
         from repro.sim.trace import Phase
         chunk_loads = [iv for iv in sys_.timeline.trace
                        if iv.phase is Phase.IO_READ
-                       and iv.label == "chunk down"]
+                       and iv.label == "data down"]
         assert len(chunk_loads) > 20
         # The only upward traffic is the single 8-byte result.
         ups = [iv for iv in sys_.timeline.trace

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps import GemmApp, HotspotApp, ReduceApp, SortApp, SpmvApp
 from repro.compute.processor import KernelCost, ProcessorKind
-from repro.core.program import NorthupProgram
+from repro.core.program import WRITE, NorthupProgram, Window
 from repro.core.system import System
 from repro.exec.base import Binding, kernel_spec
 from repro.errors import SchedulerError
@@ -27,27 +27,23 @@ class DoublingProgram(NorthupProgram):
         self.input = system.alloc(n, root, label="in")
         self.output = system.alloc(n, root, label="out")
         system.preload(self.input, (np.arange(n) % 100).astype(np.uint8))
-        self.calls = {"decompose": 0, "setup": 0, "down": 0, "compute": 0,
-                      "up": 0}
+        self.calls = {"decompose": 0, "access": 0, "child": 0,
+                      "compute": 0}
 
     def decompose(self, ctx):
         self.calls["decompose"] += 1
         size = self.n // self.num_chunks
         return [(i, i * size, size) for i in range(self.num_chunks)]
 
-    def setup_buffers(self, ctx, child, chunk):
-        self.calls["setup"] += 1
-        _i, _off, size = chunk
-        return {
-            "in": ctx.system.alloc(size, child, label="chunk-in"),
-            "out": ctx.system.alloc(size, child, label="chunk-out"),
-        }
-
-    def data_down(self, ctx, child_ctx, chunk):
-        self.calls["down"] += 1
+    def access(self, ctx, chunk):
+        self.calls["access"] += 1
         _i, off, size = chunk
-        ctx.system.move_down(child_ctx.payload["in"], self.input, size,
-                             src_offset=off)
+        return [Window.span("in", self.input, off, size),
+                Window.span("out", self.output, off, size, WRITE)]
+
+    def child_problem(self, ctx, chunk, bufs):
+        self.calls["child"] += 1
+        return bufs
 
     def compute_task(self, ctx):
         self.calls["compute"] += 1
@@ -61,12 +57,6 @@ class DoublingProgram(NorthupProgram):
                         kernels.double,
                         Binding.read("data", bufs["in"], np.uint8),
                         Binding.update("out", bufs["out"], np.uint8)))
-
-    def data_up(self, ctx, child_ctx, chunk):
-        self.calls["up"] += 1
-        _i, off, size = chunk
-        ctx.system.move_up(self.output, child_ctx.payload["out"], size,
-                           dst_offset=off)
 
 
 @pytest.fixture
@@ -88,8 +78,8 @@ def test_program_computes_correct_result(apu_system):
 def test_program_hook_call_counts(apu_system):
     prog = DoublingProgram(apu_system, n=4096, chunks=4)
     prog.run(apu_system)
-    assert prog.calls == {"decompose": 1, "setup": 4, "down": 4,
-                          "compute": 4, "up": 4}
+    assert prog.calls == {"decompose": 1, "access": 4, "child": 4,
+                          "compute": 4}
 
 
 def test_program_releases_chunk_buffers(apu_system):
@@ -136,16 +126,7 @@ def test_multi_branch_select_child():
                     seen_children.append(choice.node_id)
                 return choice
 
-            def setup_buffers(self, ctx, child, chunk):
-                return None
-
-            def data_down(self, ctx, child_ctx, chunk):
-                pass
-
             def compute_task(self, ctx):
-                pass
-
-            def data_up(self, ctx, child_ctx, chunk):
                 pass
 
         class Only3(Spread):
@@ -163,89 +144,16 @@ def test_multi_branch_select_child():
         sys_.close()
 
 
-def test_teardown_handles_varied_payload_shapes(apu_system):
-    released = []
-    orig_release = apu_system.release
-
-    def spy(handle):
-        released.append(handle.buffer_id)
-        orig_release(handle)
-
-    apu_system.release = spy
-
-    class ListPayload(DoublingProgram):
-        def setup_buffers(self, ctx, child, chunk):
-            self.calls["setup"] += 1
-            _i, _off, size = chunk
-            return [ctx.system.alloc(size, child, label="a"),
-                    ctx.system.alloc(size, child, label="b")]
-
-        def data_down(self, ctx, child_ctx, chunk):
-            self.calls["down"] += 1
-            _i, off, size = chunk
-            ctx.system.move_down(child_ctx.payload[0], self.input, size,
-                                 src_offset=off)
-
-        def compute_task(self, ctx):
-            self.calls["compute"] += 1
-
-        def data_up(self, ctx, child_ctx, chunk):
-            self.calls["up"] += 1
-
-    prog = ListPayload(apu_system, n=1024, chunks=2)
-    prog.run(apu_system)
-    assert len(released) == 4  # two handles per chunk, two chunks
-
-
-def test_teardown_releases_nested_payload_containers(apu_system):
-    """Regression: handles buried in nested dicts/lists/tuples must be
-    released by the default teardown, not leaked."""
-    released = []
-    orig_release = apu_system.release
-
-    def spy(handle):
-        released.append(handle.buffer_id)
-        orig_release(handle)
-
-    apu_system.release = spy
-
-    class NestedPayload(DoublingProgram):
-        def setup_buffers(self, ctx, child, chunk):
-            self.calls["setup"] += 1
-            _i, _off, size = chunk
-            return {"io": {"in": ctx.system.alloc(size, child, label="a")},
-                    "scratch": [(ctx.system.alloc(size, child, label="b"),
-                                 "meta"),
-                                [ctx.system.alloc(size, child, label="c")]]}
-
-        def data_down(self, ctx, child_ctx, chunk):
-            self.calls["down"] += 1
-            _i, off, size = chunk
-            ctx.system.move_down(child_ctx.payload["io"]["in"], self.input,
-                                 size, src_offset=off)
-
-        def compute_task(self, ctx):
-            self.calls["compute"] += 1
-
-        def data_up(self, ctx, child_ctx, chunk):
-            self.calls["up"] += 1
-
-    prog = NestedPayload(apu_system, n=1024, chunks=2)
-    prog.run(apu_system)
-    assert len(released) == 6  # three handles per chunk, two chunks
-    assert apu_system.registry.live_count == 2  # only input/output remain
-
-
 def test_level_queue_tracks_chunk_progress(apu_system):
     """Listing 1's work queues: n chunks -> n chunk chains in the
     level's plan, read as moving/resident/... and all done at the end."""
     observed = {}
 
     class Watcher(DoublingProgram):
-        def data_down(self, ctx, child_ctx, chunk):
+        def child_problem(self, ctx, chunk, bufs):
             counts = ctx.node.plan.state_counts()
             observed.setdefault("during_down", []).append(counts["moving"])
-            super().data_down(ctx, child_ctx, chunk)
+            return super().child_problem(ctx, chunk, bufs)
 
         def compute_task(self, ctx):
             counts = ctx.parent_ctx.node.plan.state_counts()

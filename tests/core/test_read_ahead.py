@@ -126,9 +126,9 @@ def test_hints_are_collected_once_per_level_in_every_cache_mode(
     calls = []
     real = HotspotApp.prefetch_hints
     monkeypatch.setattr(HotspotApp, "prefetch_hints",
-                        lambda self, ctx, chunks: (
+                        lambda self, ctx, hints: (
                             calls.append(ctx.node.node_id),
-                            real(self, ctx, chunks))[1])
+                            real(self, ctx, hints))[1])
     seen = []
     monkeypatch.setattr(System, "will_need",
                         lambda self, hints: seen.append(len(hints)))
@@ -227,11 +227,11 @@ def test_end_run_cancels_advice_and_close_stops_the_reader(
 class _Exploding(GemmApp):
     fuse = 3
 
-    def data_down(self, ctx, child_ctx, chunk):
+    def child_problem(self, ctx, chunk, bufs):
         self.fuse -= 1
         if self.fuse < 0:
             raise RuntimeError("mid-level failure")
-        super().data_down(ctx, child_ctx, chunk)
+        return super().child_problem(ctx, chunk, bufs)
 
 
 def test_a_run_that_raised_mid_level_leaves_no_reader(

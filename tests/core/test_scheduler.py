@@ -50,16 +50,7 @@ class Chunks(NorthupProgram):
     def decompose(self, ctx):
         return list(range(self.n))
 
-    def setup_buffers(self, ctx, child, chunk):
-        return None
-
-    def data_down(self, ctx, child_ctx, chunk):
-        pass
-
     def compute_task(self, ctx):
-        pass
-
-    def data_up(self, ctx, child_ctx, chunk):
         pass
 
 

@@ -256,12 +256,12 @@ def test_a_peer_closing_mid_message_is_end_of_file(where):
 
 
 def _framed(frame):
-    return struct.pack("!Q", len(frame)) + frame
+    return protocol._LENGTH.pack(protocol._MAGIC, len(frame)) + frame
 
 
 @pytest.mark.parametrize("data", [
     _framed(b"\x80\x05not a pickle!!"),
-    struct.pack("!Q", 2 ** 62),                 # no frame is that long
+    struct.pack("!Q", 2 ** 62),                 # no magic, no message
     _framed(pickle.dumps(42, protocol=5)[:5]),  # a truncated pickle
     _framed(pickle.dumps(42, protocol=5)),      # not (head, sizes)
     _framed(pickle.dumps((b"head", [-1]), protocol=5)),
@@ -270,6 +270,38 @@ def _framed(frame):
 def test_bytes_that_are_not_a_message_raise_a_typed_error(data):
     with pytest.raises(pickle.UnpicklingError, match="not a dist message"):
         _recv_from(data)
+
+
+def test_a_stream_that_lost_a_byte_fails_at_the_next_message():
+    """One byte dropped inside a message's last buffer: the receiver
+    reads that message one byte long into the next, whose word then
+    starts one byte late.  Unchecked, its bytes read as a plausible
+    frame length and the receive waits for bytes that never come."""
+    arrays = [np.full(4096, i + 1.0) for i in range(3)]
+    first, starts = _wire(arrays)
+    cut = starts[2] + 100
+    second, _starts = _wire({"ok": np.arange(4.0)})
+    a, b = socket.socketpair()
+    outcome = []
+
+    def receive():
+        try:
+            recv_message(b)
+            recv_message(b)
+        except Exception as exc:
+            outcome.append(exc)
+    t = threading.Thread(target=receive, daemon=True)
+    try:
+        a.sendall(first[:cut] + first[cut + 1:] + second)
+        t.start()
+        t.join(1.0)
+        assert not t.is_alive(), "the receive blocked on a bad length"
+    finally:
+        a.close()
+        b.close()
+    assert len(outcome) == 1
+    assert isinstance(outcome[0], pickle.UnpicklingError)
+    assert "not a dist message: bad magic" in str(outcome[0])
 
 
 # -- eager ack drain ---------------------------------------------------------
@@ -413,6 +445,19 @@ def test_an_unpicklable_grant_fails_its_submit_and_spares_the_worker():
         got = ex.wait(ticket).outputs["y"]
         assert got.tobytes() == (y + 2.0 * x).tobytes()
         ex.release(ticket)
+    assert dist_residue() == []
+
+
+def test_an_oversized_header_frame_fails_its_submit(monkeypatch):
+    monkeypatch.setattr(protocol, "FRAME_MAX", 4096)
+    with DistExecutor(workers=1, join_timeout=10.0) as ex:
+        with pytest.raises(ExecError, match=r"\(big kwargs\).*ValueError: "
+                                            r"header frame of \d+ bytes "
+                                            r"exceeds the 4096-byte limit"):
+            ex.submit(fn_ref(kernels.fill),
+                      [("out", np.zeros(8, np.float32), True)],
+                      {"value": 1.0, "pad": b"x" * 8192},
+                      label="big kwargs")
     assert dist_residue() == []
 
 

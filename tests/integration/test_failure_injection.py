@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.apps.gemm import GemmApp
-from repro.core.program import NorthupProgram
+from repro.core.program import NorthupProgram, Window
 from repro.core.system import System
 from repro.errors import (AllocationError, CapacityError, NorthupError,
                           TransferError)
@@ -41,19 +41,19 @@ def test_system_usable_after_failed_run(system):
     system able to serve new work."""
 
     class Exploding(NorthupProgram):
+        def __init__(self):
+            self.src = system.alloc(1024, system.tree.root)
+
         def decompose(self, ctx):
             return [0]
 
-        def setup_buffers(self, ctx, child, chunk):
-            return {"buf": ctx.system.alloc(1024, child)}
+        def access(self, ctx, chunk):
+            return [Window.span("buf", self.src, 0, 1024)]
 
-        def data_down(self, ctx, child_ctx, chunk):
+        def child_problem(self, ctx, chunk, bufs):
             raise RuntimeError("injected fault")
 
         def compute_task(self, ctx):
-            pass
-
-        def data_up(self, ctx, child_ctx, chunk):
             pass
 
     with pytest.raises(RuntimeError, match="injected fault"):
@@ -75,17 +75,11 @@ def test_failed_run_leaves_level_queue_evidence(system):
         def decompose(self, ctx):
             return [0, 1, 2]
 
-        def setup_buffers(self, ctx, child, chunk):
-            return None
-
-        def data_down(self, ctx, child_ctx, chunk):
+        def child_problem(self, ctx, chunk, bufs):
             if chunk == 1:
                 raise RuntimeError("boom")
 
         def compute_task(self, ctx):
-            pass
-
-        def data_up(self, ctx, child_ctx, chunk):
             pass
 
     with pytest.raises(RuntimeError):
@@ -126,12 +120,12 @@ def test_oversized_single_tile_fails_loudly(system):
                   force_tiles=None)
     # Force tiles larger than the 64 KB staging buffer.
     from repro.apps.gemm import GemmTiles
-    app.force_tiles = GemmTiles(tm=8, tn=8, tk=8, reuse=True)
+    app.force_tiles = GemmTiles(tm=8, tn=8, tk=8)
     app.run(system)  # 8x8 fits; now inject an absurd tile on a big problem
     app.release_root_buffers()
 
     big = GemmApp(system, m=512, k=512, n=512, seed=1,
-                  force_tiles=GemmTiles(tm=512, tn=512, tk=512, reuse=True))
+                  force_tiles=GemmTiles(tm=512, tn=512, tk=512))
     with pytest.raises(CapacityError):
         big.run(system)
 

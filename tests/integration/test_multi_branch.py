@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.compute.processor import KernelCost, ProcessorKind
-from repro.core.program import NorthupProgram
+from repro.core.program import WRITE, NorthupProgram, Window
 from repro.core.system import System
 from repro.exec.base import Binding, kernel_spec
 from repro.memory.units import KB, MB
@@ -37,15 +37,10 @@ class BranchSpread(NorthupProgram):
         kids = ctx.node.children
         return kids[chunk[0] % len(kids)] if self.spread else kids[0]
 
-    def setup_buffers(self, ctx, child, chunk):
-        _i, _off, size = chunk
-        return {"in": ctx.system.alloc(size, child),
-                "out": ctx.system.alloc(size, child)}
-
-    def data_down(self, ctx, child_ctx, chunk):
+    def access(self, ctx, chunk):
         _i, off, size = chunk
-        ctx.system.move_down(child_ctx.payload["in"], self.input, size,
-                             src_offset=off)
+        return [Window.span("in", self.input, off, size),
+                Window.span("out", self.output, off, size, WRITE)]
 
     def compute_task(self, ctx):
         sys_, bufs = ctx.system, ctx.payload
@@ -61,10 +56,6 @@ class BranchSpread(NorthupProgram):
                         Binding.read("data", bufs["in"], np.uint8),
                         Binding.update("out", bufs["out"], np.uint8)))
 
-    def data_up(self, ctx, child_ctx, chunk):
-        _i, off, size = chunk
-        ctx.system.move_up(self.output, child_ctx.payload["out"], size,
-                           dst_offset=off)
 
 
 def run(spread):

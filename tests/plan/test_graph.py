@@ -7,7 +7,7 @@ import pytest
 from repro.errors import SchedulerError
 from repro.plan.graph import (BUFFER, CHAIN, COMBINE, COMPUTE, MOVE_DOWN,
                               MOVE_UP, QUEUE, SETUP, STAGE_RANK, TaskGraph,
-                              collect_handles, overlapping_handles)
+                              overlapping_handles)
 
 
 def chain_of(kinds):
@@ -107,26 +107,3 @@ def test_overlapping_handles_byte_windows():
     assert not overlapping_handles(a, [_h(1, 8, 0, 100)])   # other alloc
     assert not overlapping_handles(a, [_h(2, 7, 0, 100)])   # other node
     assert not overlapping_handles([], a) and not overlapping_handles(a, [])
-
-
-def test_collect_handles_recurses_containers():
-    from repro.core.system import System
-    from repro.memory.units import MB
-    from repro.topology.builders import apu_two_level
-
-    system = System(apu_two_level(storage_capacity=8 * MB,
-                                  staging_bytes=1 * MB))
-    try:
-        leaf = system.tree.leaves()[0]
-        h1 = system.alloc(1024, leaf, label="a")
-        h2 = system.alloc(1024, leaf, label="b")
-        h3 = system.alloc(1024, leaf, label="c")
-        payload = {"flat": h1,
-                   "nested": {"pair": (h2, "not-a-handle")},
-                   "rows": [[h3], 42]}
-        got = collect_handles(payload)
-        assert sorted(h.buffer_id for h in got) == sorted(
-            h.buffer_id for h in (h1, h2, h3))
-        assert collect_handles("nothing here") == []
-    finally:
-        system.close()

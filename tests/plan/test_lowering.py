@@ -124,34 +124,23 @@ def test_buffer_edges_come_only_from_chunks_still_holding_buffers():
     windows it overlaps *and* whose combine has not run yet -- the set
     the setup thunk tracks instead of re-walking every earlier chunk."""
     from repro.core.context import root_context
-    from repro.core.program import NorthupProgram
+    from repro.core.program import WRITE, NorthupProgram, Window
     from repro.plan.graph import BUFFER
     from repro.plan.lower import lower_level
 
     class Pooled(NorthupProgram):
-        """Five chunks rotating over two preallocated leaf buffers."""
+        """Five chunks rotating over a two-deep ring of leaf buffers."""
 
         def __init__(self, system):
-            leaf = system.tree.root.children[0]
-            self.pool = [system.alloc(64, leaf, label=f"pool{i}")
-                         for i in range(2)]
+            self.out = system.alloc(5 * 64, system.tree.root, label="out")
 
         def decompose(self, ctx):
             return list(range(5))
 
-        def setup_buffers(self, ctx, child, chunk):
-            return {"buf": self.pool[chunk % 2]}
-
-        def data_down(self, ctx, child_ctx, chunk):
-            pass
+        def access(self, ctx, chunk):
+            return [Window("buf", self.out, chunk * 64, 1, 64, 64, WRITE, 2)]
 
         def compute_task(self, ctx):
-            pass
-
-        def data_up(self, ctx, child_ctx, chunk):
-            pass
-
-        def teardown_buffers(self, ctx, child_ctx, chunk):
             pass
 
     system = System(apu_two_level())
@@ -164,10 +153,10 @@ def test_buffer_edges_come_only_from_chunks_still_holding_buffers():
 
         run(0, SETUP)
         run(1, SETUP)
-        run(2, SETUP)                   # shares pool[0] with chunk 0
+        run(2, SETUP)                   # shares ring set 0 with chunk 0
         run(0, MOVE_DOWN, COMPUTE, MOVE_UP, COMBINE)
-        run(3, SETUP)                   # shares pool[1] with chunk 1
-        run(4, SETUP)                   # pool[0]: chunk 0 is done, 2 is not
+        run(3, SETUP)                   # shares ring set 1 with chunk 1
+        run(4, SETUP)                   # set 0: chunk 0 is done, 2 is not
         edges = [(s.kind, s.chunk_index, d.kind, d.chunk_index)
                  for s, d, k in plan.graph.edges() if k == BUFFER]
         assert edges == [(COMBINE, 0, MOVE_DOWN, 2),

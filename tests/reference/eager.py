@@ -9,7 +9,7 @@ level makes; per-chunk progress states belong to the lowered graph
 """
 
 from repro.core.scheduler import Scheduler
-from repro.errors import SchedulerError
+from repro.plan.lower import LevelWindows
 
 
 class EagerScheduler(Scheduler):
@@ -19,7 +19,9 @@ class EagerScheduler(Scheduler):
     exactly as ``NorthupProgram.recurse`` did before the plan/execute
     split.  The scheduler-equivalence suite runs every app under this
     and under :class:`InOrderScheduler` and asserts identical makespans
-    and result bytes.
+    and result bytes.  Its per-chunk steps are the lowered graph's:
+    :class:`~repro.plan.lower.LevelWindows` derives both from the
+    program's declared windows.
     """
 
     def execute_level(self, program, ctx):
@@ -30,44 +32,35 @@ class EagerScheduler(Scheduler):
             ctx.system.charge_runtime(len(chunks), label="enqueue tasks")
             divide_span.annotate("chunks", len(chunks))
             divide_span.annotate("exec_backend", ctx.system.executor.name)
+            windows = LevelWindows(program, ctx, chunks)
             if ctx.system.cache.transparent:
-                hints = program.prefetch_hints(ctx, chunks)
+                hints = program.prefetch_hints(ctx, windows.hints())
                 if hints is not None:
                     planned = ctx.system.cache.engine.plan_level(ctx.node,
                                                                  hints)
                     if planned:
                         ctx.system.charge_runtime(1, label="prefetch plan")
                         divide_span.annotate("prefetch_planned", planned)
-            for chunk in chunks:
-                child = program.select_child(ctx, chunk)
-                if child.parent is not ctx.node:
-                    raise SchedulerError(
-                        f"select_child returned node {child.node_id}, not a "
-                        f"child of {ctx.node.node_id}")
-                span = obs.open("setup", node_id=child.node_id)
-                try:
-                    payload = program.setup_buffers(ctx, child, chunk)
-                    child_ctx = ctx.descend(child, chunk=chunk,
-                                            payload=payload)
-                finally:
-                    obs.close(span)
-                span = obs.open("move_down", node_id=child.node_id)
-                try:
-                    program.data_down(ctx, child_ctx, chunk)
-                finally:
-                    obs.close(span)
-                yield from program.recurse(child_ctx)
-                span = obs.open("move_up", node_id=child.node_id)
-                try:
-                    program.data_up(ctx, child_ctx, chunk)
-                finally:
-                    obs.close(span)
-                span = obs.open("combine", node_id=ctx.node.node_id)
-                try:
-                    program.teardown_buffers(ctx, child_ctx, chunk)
-                finally:
-                    obs.close(span)
+            for rec in windows.records:
+                node_id = rec.child.node_id
+                for kind, step in (("setup", windows.setup),
+                                   ("move_down", windows.move_down)):
+                    span = obs.open(kind, node_id=node_id)
+                    try:
+                        step(rec)
+                    finally:
+                        obs.close(span)
+                yield from program.recurse(rec.child_ctx)
+                for kind, step, node_id in (
+                        ("move_up", windows.move_up, node_id),
+                        ("combine", windows.release, ctx.node.node_id)):
+                    span = obs.open(kind, node_id=node_id)
+                    try:
+                        step(rec)
+                    finally:
+                        obs.close(span)
             program.after_level(ctx)
+            windows.release_rings()
             # Same level-boundary settle as the graph schedulers.
             ctx.system.drain_exec()
         finally:

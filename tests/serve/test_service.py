@@ -15,7 +15,7 @@ from repro.serve import (Arrival, JobService, JobSpec, JobState, ServeConfig,
 
 MOUSE_SPECS = [
     JobSpec("gemm", tenant="acme", params=dict(
-        m=48, k=48, n=48, seed=3, force_tiles=(32, 32, 48, True))),
+        m=48, k=48, n=48, seed=3, force_tiles=(32, 32, 48))),
     JobSpec("sort", tenant="beta", params=dict(n=20_000, seed=7)),
     JobSpec("spmv", tenant="beta", params=dict(nrows=512, seed=11)),
     JobSpec("hotspot", tenant="gamma", priority=1, params=dict(
