@@ -196,6 +196,8 @@ class GemmApp(NorthupProgram):
         the no-reuse behaviour for the ablation).
     """
 
+    root_buffers = ("a_root", "b_root", "c_root")
+
     def __init__(self, system: System, *, m: int, k: int, n: int,
                  seed: int = 0, pipeline_depth: int = 2,
                  force_tiles: GemmTiles | None = None) -> None:
@@ -318,9 +320,3 @@ class GemmApp(NorthupProgram):
         """The host reference; the operands are drawn again from the seed."""
         return (random_dense(self.m, self.k, seed=self.seed)
                 @ random_dense(self.k, self.n, seed=self.seed + 1))
-
-    def release_root_buffers(self) -> None:
-        """Free the root-level buffers this app allocated."""
-        for h in (self.a_root, self.b_root, self.c_root):
-            if not h.released:
-                self.system.release(h)

@@ -112,6 +112,8 @@ class HotspotApp(NorthupProgram):
         on this.
     """
 
+    root_buffers = ("t_pad_root", "p_pad_root", "out_root")
+
     def __init__(self, system: System, *, n: int, iterations: int = 1,
                  steps_per_pass: int = 1, pipeline_depth: int = 2,
                  seed: int = 0, force_tile: int | None = None,
@@ -235,8 +237,8 @@ class HotspotApp(NorthupProgram):
     def pipeline_window(self, ctx: ExecutionContext, chunks: list) -> int:
         """Blocks are independent and every child's ring holds
         ``pipeline_depth`` buffer sets, so that many chunks per child
-        may be in flight; set reuse beyond the window is fenced by the
-        lowering pass's buffer-hazard edges."""
+        may be in flight: a block reuses the set of the block one window
+        back, which the window edge orders, so no buffer edge is due."""
         return self.pipeline_depth * max(1, len(ctx.node.children))
 
     def access(self, ctx: ExecutionContext, chunk) -> list[Window]:
@@ -302,9 +304,3 @@ class HotspotApp(NorthupProgram):
         return hotspot_run(thermal.initial_temperature(n, n, seed=seed),
                            thermal.power_grid(n, n, seed=seed + 1),
                            self.params, self.iterations)
-
-    def release_root_buffers(self) -> None:
-        """Free the root-level buffers this app allocated."""
-        for h in (self.t_pad_root, self.p_pad_root, self.out_root):
-            if not h.released:
-                self.system.release(h)

@@ -88,6 +88,8 @@ class ReduceApp(NorthupProgram):
     for.
     """
 
+    root_buffers = ("data_root", "out_root")
+
     def __init__(self, system: System, *, n: int, op: str = "sum",
                  seed: int = 0) -> None:
         if op not in OPS:
@@ -199,9 +201,3 @@ class ReduceApp(NorthupProgram):
         """The host reference: one fold over the input, drawn again."""
         return float(_fold(random_dense(self.n, 1, seed=self.seed).ravel(),
                            self.op))
-
-    def release_root_buffers(self) -> None:
-        """Free the root-level buffers this app allocated."""
-        for h in (self.data_root, self.out_root):
-            if not h.released:
-                self.system.release(h)

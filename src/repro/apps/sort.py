@@ -31,7 +31,7 @@ from repro.core.context import ExecutionContext
 from repro.core.decomposition import Range1D, fit_row_chunks
 from repro.core.program import UPDATE, NorthupProgram, Window
 from repro.core.system import System
-from repro.errors import ConfigError
+from repro.errors import ConfigError, UnsortedRunError
 from repro.exec import Binding, kernel_spec
 from repro.topology.node import TreeNode
 from repro.workloads.matrices import load_bands, row_bands
@@ -71,6 +71,8 @@ class SortApp(NorthupProgram):
     n:
         Element count; the vector lives at the tree root.
     """
+
+    root_buffers = ("data_root", "scratch_root")
 
     def __init__(self, system: System, *, n: int, seed: int = 0) -> None:
         if n < 1:
@@ -242,20 +244,25 @@ class SortApp(NorthupProgram):
                 parts.append(h[:take])
                 heads[i] = h[take:]
             size = sum(p.size for p in parts)
-            if size:
-                # Concatenate and sort in the output buffer itself.
-                merged, in_place = sys_.host_array(
-                    out_buf, np.float32, count=size * ELEM, writable=True)
-                np.concatenate(parts, out=merged)
-                merged.sort()
-                if not in_place:
-                    sys_.preload(out_buf, merged)
-                sys_.launch(proc, merge_cost(size, k),
-                            reads=tuple(in_bufs), writes=(out_buf,),
-                            label=f"merge {size}")
-                sys_.move_up(dst, out_buf, size * ELEM,
-                             dst_offset=write_pos * ELEM, label="merge flush")
-                write_pos += size
+            if not size:
+                # Sorted heads always take something: the bound is one
+                # head's last element.
+                raise UnsortedRunError(
+                    f"merge of runs {[(r.start, r.stop) for r in group]} "
+                    f"took nothing at element {write_pos}: a run is unsorted")
+            # Concatenate and sort in the output buffer itself.
+            merged, in_place = sys_.host_array(
+                out_buf, np.float32, count=size * ELEM, writable=True)
+            np.concatenate(parts, out=merged)
+            merged.sort()
+            if not in_place:
+                sys_.preload(out_buf, merged)
+            sys_.launch(proc, merge_cost(size, k),
+                        reads=tuple(in_bufs), writes=(out_buf,),
+                        label=f"merge {size}")
+            sys_.move_up(dst, out_buf, size * ELEM,
+                         dst_offset=write_pos * ELEM, label="merge flush")
+            write_pos += size
             for i in range(k):
                 if not heads[i].size and cursors[i] < ends[i]:
                     refill(i)
@@ -290,9 +297,3 @@ class SortApp(NorthupProgram):
     def reference(self) -> np.ndarray:
         """``np.sort`` of the input, drawn again from the seed."""
         return np.sort(np.concatenate([b for _, b in self._input_bands()]))
-
-    def release_root_buffers(self) -> None:
-        """Free the root-level buffers this app allocated."""
-        for h in (self.data_root, self.scratch_root):
-            if not h.released:
-                self.system.release(h)

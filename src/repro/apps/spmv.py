@@ -74,6 +74,9 @@ class SpmvApp(NorthupProgram):
         cache's policies differ most on.
     """
 
+    root_buffers = ("row_ptr_root", "col_id_root", "data_root", "x_root",
+                    "y_root")
+
     def __init__(self, system: System, *, matrix: CSRMatrix,
                  seed: int = 0, block_nnz: int = 1024,
                  shard_strategy: str = "nnz", iterations: int = 1) -> None:
@@ -272,10 +275,3 @@ class SpmvApp(NorthupProgram):
     def reference(self) -> np.ndarray:
         """The NumPy/host reference the tests compare against."""
         return spmv(self.csr, self.x_np)
-
-    def release_root_buffers(self) -> None:
-        """Free the root-level buffers this app allocated."""
-        for h in (self.row_ptr_root, self.col_id_root, self.data_root,
-                  self.x_root, self.y_root):
-            if not h.released:
-                self.system.release(h)

@@ -168,8 +168,9 @@ class NorthupProgram(ABC):
         The :class:`~repro.core.scheduler.PipelinedScheduler` asks this
         before overlapping chunks: returning W > 1 declares that (a)
         the level's buffer budget accommodates W chunks in flight and
-        (b) chunks are independent apart from the buffer overlaps the
-        lowering pass can see in their child buffers.  The default,
+        (b) chunks are independent apart from the child buffers their
+        windows share (a ring slot, a carried window, an overlapping
+        view), which lowering orders with ``buffer`` edges.  The default,
         1, keeps every level serial -- the eager memory footprint and
         ordering.  Apps that already provision double buffers
         (per-chunk allocation budgeted for two copies) override this to
@@ -270,3 +271,14 @@ class NorthupProgram(ABC):
             system.end_run()
             system.obs.close(root_span)
         return ctx
+
+    #: Attribute names of the root buffers the program allocated, in
+    #: the order :meth:`release_root_buffers` frees them.
+    root_buffers: tuple[str, ...] = ()
+
+    def release_root_buffers(self) -> None:
+        """Free the root-level buffers this program allocated."""
+        for name in self.root_buffers:
+            handle = getattr(self, name)
+            if not handle.released:
+                self.system.release(handle)

@@ -10,8 +10,10 @@ The per-level task queue is the lowered graph itself
 (:class:`~repro.plan.lower.LevelPlan`): each chunk's five node states
 say whether it is queued, moving, resident, computed or done
 (:meth:`~repro.plan.lower.LevelPlan.state_counts`), and its
-``window`` edges bound how many chunks hold buffers at once.  The
-**schedulers** here choose the dispatch order.
+``window`` edges bound how many chunks hold buffers at once.  Every
+edge, the ``buffer`` hazards included, exists before the first node
+runs, so a node that became ready stays ready until it is dispatched.
+The **schedulers** here choose the dispatch order.
 :class:`InOrderScheduler` lowers each level and replays the graph
 depth-first in program order; :class:`PipelinedScheduler` dispatches
 ready nodes by stage priority, overlapping chunk k+1's ``move_down``
@@ -109,7 +111,8 @@ class PipelinedScheduler(Scheduler):
     :meth:`~repro.core.program.NorthupProgram.pipeline_window` declares
     how many chunks may hold buffers at once (the level's memory
     budget, and an independence assertion for everything outside the
-    buffer-hazard edges).
+    buffer-hazard edges).  Each node enters the heap once, when its
+    last predecessor finishes, and is dispatched as popped.
     """
 
     def level_window(self, program, ctx, chunks: list) -> int:
@@ -125,11 +128,6 @@ class PipelinedScheduler(Scheduler):
         while heap:
             _rank, _chunk, nid = heapq.heappop(heap)
             node = graph.nodes[nid]
-            # A buffer edge discovered after this entry was pushed can
-            # retract readiness; the node re-enters the heap when the
-            # late predecessor completes.
-            if not graph.is_ready(node):
-                continue
             yield from plan.execute(node)
             for succ_id in node.succs:
                 succ = graph.nodes[succ_id]

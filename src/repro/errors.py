@@ -63,6 +63,11 @@ class SchedulerError(NorthupError):
     task re-submission, pop from a foreign queue, ...)."""
 
 
+class UnsortedRunError(NorthupError):
+    """A merge pass made no progress: one of the runs it merges is not
+    sorted, which only a fault in run formation can cause."""
+
+
 class KernelError(NorthupError):
     """A compute kernel was invoked with invalid arguments (shape
     mismatch, wrong dtype, non-finite coefficients, ...)."""

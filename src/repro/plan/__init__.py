@@ -8,11 +8,11 @@ it.  Executors live in :mod:`repro.core.scheduler`.
 
 from repro.plan.graph import (BUFFER, CHAIN, COMBINE, COMPUTE, MOVE_DOWN,
                               MOVE_UP, QUEUE, SETUP, STAGE_RANK, WINDOW,
-                              TaskGraph, TaskNode, overlapping_handles)
+                              TaskGraph, TaskNode)
 from repro.plan.lower import LevelPlan, LevelWindows, lower_level
 
 __all__ = [
     "BUFFER", "CHAIN", "COMBINE", "COMPUTE", "MOVE_DOWN", "MOVE_UP",
     "QUEUE", "SETUP", "STAGE_RANK", "WINDOW", "TaskGraph", "TaskNode",
-    "LevelPlan", "LevelWindows", "lower_level", "overlapping_handles",
+    "LevelPlan", "LevelWindows", "lower_level",
 ]

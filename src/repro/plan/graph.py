@@ -22,8 +22,9 @@ order matters:
 * ``queue``  -- queue order between chunks (setups rotate shared buffer
   pools in order, combines fold deterministically);
 * ``buffer`` -- a buffer hazard: the destination chunk overwrites or
-  reads bytes a predecessor chunk still owns (WAR/RAW across chunks,
-  detected from payload handle windows at lowering time);
+  reads bytes a predecessor chunk still owns (WAR/RAW across chunks:
+  a ring slot, a carried window or an overlapping mapped view, derived
+  from the declared windows at lowering time);
 * ``window`` -- an in-flight capacity cap: at most W chunks may hold
   buffers simultaneously (the level's memory budget).
 
@@ -138,11 +139,12 @@ class TaskGraph:
     .InOrderScheduler` replays it directly.  Dynamic executors instead
     drain the graph through :meth:`ready` / :meth:`mark_done`.
 
-    The ready frontier is incremental: a node counts its unfinished
-    predecessors (``unmet``) and ``_ready`` holds the sorted ids of
-    pending nodes with none.  ``mark_done`` inserts the successors it
-    unblocks and a late ``add_edge`` from an unfinished source retracts
-    its target, so :meth:`is_ready` is O(1) and a grant O(log frontier).
+    Every edge is added while the graph is built, before any node
+    runs, so a frontier node never loses its readiness.  The ready
+    frontier is incremental: a node counts its unfinished predecessors
+    (``unmet``) and ``_ready`` holds the sorted ids of pending nodes
+    with none.  ``mark_done`` inserts the successors it unblocks, so
+    :meth:`is_ready` is O(1) and a grant O(log frontier).
     """
 
     def __init__(self, *, level: int = -1, tree_node: int = -1) -> None:
@@ -170,28 +172,24 @@ class TaskGraph:
         """Add ``src -> dst``; returns False when the edge (any kind)
         already exists or would be a self-loop.
 
-        Edges may be added while the graph is executing -- lowering
-        discovers ``buffer`` hazards only once a chunk's payload
-        handles exist -- but only toward nodes that have not started
-        (adding a predecessor to a running/done node is a scheduler
-        bug and raises).
+        Edges are added only while the graph is built: an edge touching
+        a node that has started is a scheduler bug and raises.
         """
         if kind not in EDGE_KINDS:
             raise SchedulerError(
                 f"unknown edge kind {kind!r}; expected one of {EDGE_KINDS}")
         if src is dst or dst.node_id in src.succs:
             return False
-        if dst.state != PENDING:
+        if src.state != PENDING or dst.state != PENDING:
             raise SchedulerError(
-                f"cannot add {kind} edge into {dst!r}: it already "
-                f"{dst.state}")
+                f"cannot add {kind} edge {src!r} -> {dst!r}: a node of "
+                f"it has already started")
         src.succs[dst.node_id] = kind
         dst.preds[src.node_id] = kind
         self._edges += 1
-        if src.state != DONE:
-            if not dst.unmet:               # was dispatchable: retract it
-                del self._ready[bisect_left(self._ready, dst.node_id)]
-            dst.unmet += 1
+        if not dst.unmet:                   # no longer dispatchable
+            del self._ready[bisect_left(self._ready, dst.node_id)]
+        dst.unmet += 1
         return True
 
     # -- execution bookkeeping ---------------------------------------------
@@ -281,21 +279,3 @@ class TaskGraph:
             "critical_depth": self.critical_depth(),
         }
 
-
-def overlapping_handles(a: Iterable, b: Iterable) -> bool:
-    """True when any handle window in ``a`` shares bytes with one in ``b``.
-
-    Handles are compared by device allocation -- ``(node_id, alloc_id)``
-    -- and byte window ``[base_offset, base_offset + nbytes)``, so two
-    mapped windows of one allocation (Reduce's per-chunk partial slots)
-    only collide when their ranges actually intersect.
-    """
-    windows: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for h in a:
-        windows.setdefault((h.node_id, h.alloc_id), []).append(
-            (h.base_offset, h.base_offset + h.nbytes))
-    for h in b:
-        for lo, hi in windows.get((h.node_id, h.alloc_id), ()):
-            if h.base_offset < hi and lo < h.base_offset + h.nbytes:
-                return True
-    return False

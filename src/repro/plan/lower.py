@@ -35,12 +35,12 @@ old eager driver):
 * ``graph.nodes`` is the eager execution order, so replaying it
   depth-first *is* the eager schedule.
 
-Buffer-hazard edges are discovered dynamically: only once chunk k's
-``setup`` thunk has produced its buffers do we know which byte windows
-it owns (ring sets rotate, carried buffers hand over), so the thunk
-compares them against every still-in-flight earlier chunk and adds
-``buffer`` edges (earlier combine -> this move_down) before its own
-``move_down`` can be dispatched.
+Every edge is added here, before any node runs.  ``buffer`` edges come
+from the declared windows too: a chunk's setup buffer can share bytes
+with an earlier chunk's only through a ring slot, a carried window or
+an overlapping mapped view (a fresh ``alloc`` aliases nothing), so
+chunk k's ``move_down`` waits for the ``combine`` of the latest such
+chunk inside the window (:meth:`LevelWindows.hazard`).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.core.program import CACHED, READ, UPDATE, WRITE
 from repro.errors import SchedulerError
 from repro.plan.graph import (BUFFER, CHAIN, COMBINE, COMPUTE, MOVE_DOWN,
                               MOVE_UP, QUEUE, SETUP, WINDOW, TaskGraph,
-                              TaskNode, overlapping_handles)
+                              TaskNode)
 
 
 #: A chunk's progress state once each stage has finished, latest stage
@@ -67,7 +67,7 @@ class _ChunkRecord:
     state its steps share."""
 
     __slots__ = ("chunk", "child", "windows", "prev", "ring_slot",
-                 "carried_in", "carried_out", "bufs", "child_ctx",
+                 "carried_in", "carried_out", "extents", "bufs", "child_ctx",
                  "handles", "nodes")
 
     def __init__(self, chunk: Any, child, windows: tuple) -> None:
@@ -80,6 +80,9 @@ class _ChunkRecord:
         self.ring_slot = 0
         self.carried_in: frozenset = frozenset()
         self.carried_out: frozenset = frozenset()
+        #: Window name -> ``(slab, lo, hi)``: the bytes its setup buffer
+        #: may share with another chunk's (see :meth:`LevelWindows.hazard`).
+        self.extents: dict = {}
         self.bufs: dict = {}
         self.child_ctx = None
         self.handles: list | None = None
@@ -105,7 +108,8 @@ class LevelWindows:
     once per chunk, links each chunk to the previous one on the same
     child (a ``write``/``update`` window both declare is *carried*:
     neither moved up, released, allocated nor moved down in between),
-    and sizes each ring by the level's largest window of its name.
+    and sizes each ring by the level's largest window of its name.  It
+    also records where each chunk's buffers live (:meth:`hazard`).
     """
 
     def __init__(self, program, ctx, chunks: list) -> None:
@@ -117,6 +121,8 @@ class LevelWindows:
         #: order the children first took a chunk.
         self.rings: dict[int, list[dict]] = {}
         last: dict[int, _ChunkRecord] = {}
+        #: child node id -> ring depth, fixed by its first ring chunk.
+        depth: dict[int, int] = {}
         for chunk in chunks:
             child = program.select_child(ctx, chunk)
             if child.parent is not ctx.node:
@@ -137,7 +143,25 @@ class LevelWindows:
                 if w.ring:
                     self.ring_bytes[w.name] = max(
                         self.ring_bytes.get(w.name, 0), w.nbytes)
+                    depth.setdefault(child.node_id, max(
+                        v.ring for v in rec.windows))
+            rec.extents = _extents(rec, depth.get(child.node_id))
             self.records.append(rec)
+
+    def hazard(self, k: int, window: int) -> int | None:
+        """The most recent chunk j, ``k - window < j < k``, one of whose
+        setup buffers shares bytes with one of chunk k's, or None.
+
+        Chunk k's setup waits for ``combine(k - window)`` and combines
+        run in order, so only those chunks can still hold their buffers
+        when k sets up, and an edge from the latest one orders the rest.
+        """
+        mine = self.records[k].extents.values()
+        for j in range(k - 1, max(k - window, -1), -1):
+            for slab, lo, hi in self.records[j].extents.values():
+                if any(s == slab and l < hi and lo < h for s, l, h in mine):
+                    return j
+        return None
 
     def hints(self) -> list[tuple]:
         """Every ``read`` and ``cached`` window as ``(child, FetchSpec)``
@@ -227,7 +251,7 @@ class LevelWindows:
         windows stay."""
         system, bufs = self.ctx.system, rec.bufs
         for w in rec.windows:
-            if _is_view(rec, w):
+            if _is_view(rec, w) and w.name not in rec.carried_out:
                 system.release(bufs[w.name])
         for w in rec.windows:
             if w.mode == CACHED:
@@ -243,6 +267,27 @@ class LevelWindows:
                 for handle in bufs.values():
                     self.ctx.system.release(handle)
         self.rings.clear()
+
+
+def _extents(rec: _ChunkRecord, depth: int | None) -> dict:
+    """Where :meth:`LevelWindows.setup` will put each window, in its own
+    order of precedence: a ring set's buffer, the previous chunk's
+    carried buffer, a mapped view's byte range of its allocation, or a
+    fresh allocation that only a later carry can share."""
+    extents = {}
+    for w in rec.windows:
+        if w.ring:
+            extents[w.name] = (("ring", rec.child.node_id,
+                                rec.ring_slot % depth, w.name), 0, 1)
+        elif w.name in rec.carried_in:
+            extents[w.name] = rec.prev.extents[w.name]
+        elif _is_view(rec, w):
+            lo = w.parent.base_offset + w.offset
+            extents[w.name] = ((w.parent.node_id, w.parent.alloc_id),
+                               lo, lo + w.nbytes)
+        elif w.mode != CACHED:
+            extents[w.name] = (("alloc", id(rec), w.name), 0, 1)
+    return extents
 
 
 def _moves(rec: _ChunkRecord, w) -> bool:
@@ -272,9 +317,6 @@ class LevelPlan:
         self.records = windows.records
         #: Chunks whose transfers a prefetch plan covers (all or none).
         self.prefetch_planned = 0
-        #: Chunks whose setup produced buffers and whose combine has not
-        #: run: the only ones a later chunk can have a hazard with.
-        self.holding: list[_ChunkRecord] = []
 
     def state_counts(self) -> dict[str, int]:
         """``state -> chunk count`` over :data:`CHUNK_STATES`: a chunk
@@ -385,6 +427,10 @@ def lower_level(program, ctx, *, window=1) -> LevelPlan:
             if index >= window:
                 graph.add_edge(records[index - window].nodes[COMBINE],
                                setup, WINDOW)
+            aliased = windows.hazard(index, window)
+            if aliased is not None:
+                graph.add_edge(records[aliased].nodes[COMBINE], move_down,
+                               BUFFER)
             _install_thunks(plan, rec)
 
         # The hints are collected once per level, whatever the cache
@@ -414,46 +460,14 @@ def lower_level(program, ctx, *, window=1) -> LevelPlan:
 def _install_thunks(plan: LevelPlan, rec: _ChunkRecord) -> None:
     """Install the five executable bodies for one chunk.
 
-    Each thunk is one derived step of :class:`LevelWindows` (the one
-    the graph-free oracle runs inline) wrapped in its span.
+    Each thunk but ``compute`` is one derived step of
+    :class:`LevelWindows` (the one the graph-free oracle runs inline)
+    wrapped in a span named for its node, at the node's tree node.
     """
-    ctx, windows = plan.ctx, plan.windows
-    obs = ctx.system.obs
-    graph = plan.graph
-
-    nodes = rec.nodes
-    child = rec.child
-
-    def setup_thunk() -> None:
-        span = obs.open("setup", node_id=child.node_id)
-        try:
-            windows.setup(rec)
-        finally:
-            obs.close(span)
-        nodes[SETUP].span_id = span.span_id
-        # Buffer hazards: this chunk's buffers vs every earlier chunk
-        # still holding buffers.  Physical byte movement is eager at
-        # dispatch, so an overlap means our move_down must wait for the
-        # earlier chunk to finish with those bytes (its combine).
-        if rec.handles:
-            # Setups run in chunk order (queue edges), so `holding` is
-            # the earlier chunks, in order, minus those that combined.
-            holding = [earlier for earlier in plan.holding
-                       if not earlier.nodes[COMBINE].executed]
-            for earlier in holding:
-                if overlapping_handles(earlier.handles, rec.handles):
-                    graph.add_edge(earlier.nodes[COMBINE], nodes[MOVE_DOWN],
-                                   BUFFER)
-            holding.append(rec)
-            plan.holding = holding
-
-    def move_down_thunk() -> None:
-        span = obs.open("move_down", node_id=child.node_id)
-        try:
-            windows.move_down(rec)
-        finally:
-            obs.close(span)
-        nodes[MOVE_DOWN].span_id = span.span_id
+    obs, windows, nodes = plan.ctx.system.obs, plan.windows, rec.nodes
+    for kind, step in ((SETUP, windows.setup), (MOVE_DOWN, windows.move_down),
+                       (MOVE_UP, windows.move_up), (COMBINE, windows.release)):
+        nodes[kind].thunk = _spanned(obs, nodes[kind], step, rec)
 
     def compute_thunk():
         # The first span recurse opens (leaf "compute" or nested
@@ -463,24 +477,16 @@ def _install_thunks(plan: LevelPlan, rec: _ChunkRecord) -> None:
         if next_span is not None and len(obs.spans) > next_span:
             nodes[COMPUTE].span_id = next_span
 
-    def move_up_thunk() -> None:
-        span = obs.open("move_up", node_id=child.node_id)
-        try:
-            windows.move_up(rec)
-        finally:
-            obs.close(span)
-        nodes[MOVE_UP].span_id = span.span_id
-
-    def combine_thunk() -> None:
-        span = obs.open("combine", node_id=ctx.node.node_id)
-        try:
-            windows.release(rec)
-        finally:
-            obs.close(span)
-        nodes[COMBINE].span_id = span.span_id
-
-    nodes[SETUP].thunk = setup_thunk
-    nodes[MOVE_DOWN].thunk = move_down_thunk
     nodes[COMPUTE].thunk = compute_thunk
-    nodes[MOVE_UP].thunk = move_up_thunk
-    nodes[COMBINE].thunk = combine_thunk
+
+
+def _spanned(obs, node: TaskNode, step, rec: _ChunkRecord):
+    """A thunk running ``step(rec)`` inside a span named for ``node``."""
+    def thunk() -> None:
+        span = obs.open(node.kind, node_id=node.tree_node)
+        try:
+            step(rec)
+        finally:
+            obs.close(span)
+        node.span_id = span.span_id
+    return thunk

@@ -15,10 +15,9 @@ cross-partition edges are the inter-chunk ones (``queue`` folds,
 ``combine`` handoffs the network must carry.  Rows and span
 annotations name this strategy ``"chunk"``.
 
-Boundary edges recorded here are the *static* plan (``describe
---dist`` and the bench read them); ``buffer`` hazards are discovered
-dynamically while the graph executes, so the runner re-checks each
-node's live predecessor set at dispatch time.
+A level's graph is complete once lowered, ``buffer`` hazards
+included, so the boundary edges recorded here (``describe --dist`` and
+the bench read them) are every edge that crosses a partition.
 """
 
 from __future__ import annotations

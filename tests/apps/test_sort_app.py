@@ -1,13 +1,17 @@
 """Tests for the out-of-core external merge sort."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.sort import SortApp, merge_cost
+from repro.core.context import root_context
+from repro.core.decomposition import Range1D
 from repro.core.system import System
-from repro.errors import ConfigError
+from repro.errors import ConfigError, UnsortedRunError
 from repro.memory.units import KB, MB
 from repro.topology.builders import (apu_two_level, discrete_gpu_three_level,
                                      in_memory_single_level)
@@ -114,6 +118,35 @@ def test_sort_with_duplicates():
         sys_.preload(app.data_root, data)
         app.run(sys_)
         np.testing.assert_array_equal(app.result(), np.sort(data))
+    finally:
+        sys_.close()
+
+
+def test_merge_of_an_unsorted_run_raises_instead_of_spinning():
+    """Two descending runs, each longer than a merge block: no head can
+    take anything up to the bound, so the merge must fail, not spin.
+    It runs on a daemon thread so a spinning merge fails the join."""
+    half = 20_000
+    sys_ = System(apu_two_level(staging_bytes=160 * KB))
+    try:
+        app = SortApp(sys_, n=2 * half, seed=1)
+        sys_.preload(app.data_root,
+                     np.arange(2 * half, 0, -1, dtype=np.float32))
+        app.runs = [Range1D(index=0, start=0, stop=half),
+                    Range1D(index=1, start=half, stop=2 * half)]
+        raised = []
+
+        def merge():
+            try:
+                app._merge_runs(root_context(sys_))
+            except UnsortedRunError as exc:
+                raised.append(exc)
+        worker = threading.Thread(target=merge, daemon=True)
+        worker.start()
+        worker.join(30)
+        assert not worker.is_alive(), "the merge spins on an unsorted run"
+        assert len(raised) == 1
+        assert "(0, 20000), (20000, 40000)" in str(raised[0])
     finally:
         sys_.close()
 

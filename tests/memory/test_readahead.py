@@ -584,13 +584,18 @@ def test_a_dead_reader_never_hangs_a_read_and_restarts(tmp_path, low_floor):
         real = a.readahead._read
         a.readahead._read = lambda win, buf: 1 // 0
         a.advise([(1, 0, 1, 1024, 1024), (1, 1024, 1, 1024, 1024)])
+        # Nothing but the reader takes window 1 before the first read:
+        # it must have tried it and died before the coordinator looks.
+        a.readahead._thread.join(5)
+        assert not a.readahead._thread.is_alive()
         out = np.empty(1024, dtype=np.uint8)
         with _within(10):
             a.read_into(1, 0, out)
             np.testing.assert_array_equal(out, expect[:1024])
             a.read_into(1, 1024, out)            # nobody will ever read it
             np.testing.assert_array_equal(out, expect[1024:2048])
-        a.readahead._thread.join(5)
+        c = a.readahead.counts
+        assert (c["failed"], c["late"]) == (1, 1)
         assert not _io_threads()
         a.readahead._read = real
         a.advise([(1, 2048, 1, 1024, 1024)])     # a fresh thread

@@ -1,11 +1,9 @@
 """The incremental ready frontier equals the brute-force scan it
-replaced, under random DAGs, random legal execution orders and late
-``add_edge`` calls."""
+replaced, under random DAGs and random legal execution orders."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.plan.graph import (BUFFER, CHAIN, COMPUTE, DONE, PENDING,
-                              TaskGraph)
+from repro.plan.graph import CHAIN, COMPUTE, DONE, PENDING, TaskGraph
 
 
 def scan(graph):
@@ -35,25 +33,16 @@ def test_frontier_matches_rescan(data):
         graph.add_edge(nodes[a], nodes[b], CHAIN)
         check(graph)
     running: list = []
-    late_budget = 8
     while not graph.complete:
         moves = ["run"] * bool(graph.ready()) + ["finish"] * bool(running)
-        # A late edge may start anywhere (pending, running or done
-        # source) but must point forward at a node still pending.
-        late = [(a, b) for a, b in pairs if nodes[b].state == PENDING]
-        moves += ["edge"] * bool(late and late_budget)
         move = data.draw(st.sampled_from(moves), label="move")
         if move == "run":
             node = data.draw(st.sampled_from(graph.ready()))
             graph.mark_running(node)
             running.append(node)
-        elif move == "finish":
+        else:
             node = data.draw(st.sampled_from(running))
             running.remove(node)
             graph.mark_done(node)
-        else:
-            late_budget -= 1
-            a, b = data.draw(st.sampled_from(late))
-            graph.add_edge(nodes[a], nodes[b], BUFFER)
         check(graph)
     assert graph.ready() == [] and not running

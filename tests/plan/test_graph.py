@@ -6,8 +6,8 @@ import pytest
 
 from repro.errors import SchedulerError
 from repro.plan.graph import (BUFFER, CHAIN, COMBINE, COMPUTE, MOVE_DOWN,
-                              MOVE_UP, QUEUE, SETUP, STAGE_RANK, TaskGraph,
-                              overlapping_handles)
+                              MOVE_UP, QUEUE, SETUP, STAGE_RANK, TaskGraph)
+from tests.reference.hazards import overlapping_handles
 
 
 def chain_of(kinds):
@@ -63,7 +63,8 @@ def test_dispatch_before_deps_raises():
 
 
 def test_late_edge_into_started_node_raises():
-    """Dynamic (buffer-hazard) edges may only target pending nodes."""
+    """Every edge is added at lowering: one touching a node that has
+    started raises, whichever end it is."""
     g = TaskGraph()
     a, b, c = g.add_node(SETUP), g.add_node(MOVE_DOWN), g.add_node(COMPUTE)
     g.mark_running(a)
@@ -71,7 +72,9 @@ def test_late_edge_into_started_node_raises():
     g.mark_running(b)
     with pytest.raises(SchedulerError):
         g.add_edge(c, b, BUFFER)
-    assert g.add_edge(b, c, BUFFER)         # pending target is fine
+    with pytest.raises(SchedulerError):
+        g.add_edge(b, c, BUFFER)
+    assert g.edge_count == 0
 
 
 def test_critical_depth_and_stats():

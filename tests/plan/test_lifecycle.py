@@ -1,7 +1,9 @@
 """The derived chunk lifecycle, app by app: every app on three trees
 under both graph schedulers, with the cache in full mode, computes its
-reference answer, leaves no child-level buffer behind, and hints only
-children that its chunks move down to."""
+reference answer, leaves no child-level buffer behind, hints only
+children that its chunks move down to, and runs on graphs that were
+complete at lowering: no edge is added during a drain, and every buffer
+overlap the old dynamic scan finds is ordered by a static edge."""
 
 import numpy as np
 import pytest
@@ -12,9 +14,12 @@ from repro.cache.prefetch import PrefetchEngine
 from repro.core.scheduler import InOrderScheduler, PipelinedScheduler
 from repro.core.system import System
 from repro.memory.units import KB
+from repro.plan import lower
+from repro.plan.graph import BUFFER, MOVE_DOWN
 from repro.topology.builders import (apu_two_level, discrete_gpu_three_level,
                                      dual_branch_apu)
 from repro.workloads.sparse import preset
+from tests.reference.hazards import dynamic_hazards
 
 APPS = {
     "reduce": lambda s: ReduceApp(s, n=60_000, op="l2", seed=3),
@@ -38,6 +43,34 @@ TREES = {
 SCHEDULERS = {"inorder": InOrderScheduler, "pipelined": PipelinedScheduler}
 
 
+def _watch_plans(monkeypatch) -> list:
+    """Record each lowered plan with its edge count, and after every
+    real setup run the old hazard scan against the static edges."""
+    lowered = []
+    real_lower, real_setup = lower.lower_level, lower.LevelWindows.setup
+
+    def lower_level(program, ctx, **kw):
+        plan = real_lower(program, ctx, **kw)
+        lowered.append((plan, plan.graph.edge_count))
+        return plan
+
+    def setup(self, rec):
+        real_setup(self, rec)
+        plan = next(p for p, _ in reversed(lowered) if p.windows is self)
+        graph, k = plan.graph, self.records.index(rec)
+        # Combines run in order: an edge from a later chunk j' >= j
+        # orders chunk j too, and the window edges order the rest.
+        linked = [graph.nodes[p].chunk_index
+                  for p, kind in rec.nodes[MOVE_DOWN].preds.items()
+                  if kind == BUFFER]
+        for j in dynamic_hazards(self.records, k):
+            assert k - j >= graph.meta["window"] \
+                or any(i >= j for i in linked), (j, k, linked)
+    monkeypatch.setattr(lower, "lower_level", lower_level)
+    monkeypatch.setattr(lower.LevelWindows, "setup", setup)
+    return lowered
+
+
 @pytest.mark.parametrize("sched", sorted(SCHEDULERS))
 @pytest.mark.parametrize("tree", sorted(TREES))
 @pytest.mark.parametrize("app", sorted(APPS))
@@ -51,6 +84,7 @@ def test_derived_lifecycle(app, tree, sched, monkeypatch):
         dropped.append(graph.meta.get("prefetch_hints_dropped", 0))
         return count
     monkeypatch.setattr(PrefetchEngine, "plan_from_graph", spy)
+    lowered = _watch_plans(monkeypatch)
 
     system = System(TREES[tree](), cache=CacheConfig(mode="full"))
     try:
@@ -62,6 +96,8 @@ def test_derived_lifecycle(app, tree, sched, monkeypatch):
         assert [h for h in system.registry.live_handles()
                 if h.node_id != root] == []
         assert dropped and not any(dropped)
+        assert lowered and all(plan.graph.edge_count == edges
+                               for plan, edges in lowered)
         # Sort's only window is ``update``: nothing to hint.
         assert (sum(planned) > 0) == (app != "sort")
         if (app, tree) == ("gemm_ksplit", "dgpu"):

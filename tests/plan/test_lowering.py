@@ -120,9 +120,10 @@ def test_gemm_pins_a_serial_window():
 
 
 def test_buffer_edges_come_only_from_chunks_still_holding_buffers():
-    """A chunk's move_down waits for exactly the earlier chunks whose
-    windows it overlaps *and* whose combine has not run yet -- the set
-    the setup thunk tracks instead of re-walking every earlier chunk."""
+    """Lowering alone wires every buffer hazard: a chunk's move_down
+    waits for the most recent earlier chunk inside the window whose
+    buffer it reuses -- here the ring set it shares -- before any node
+    runs, and draining the graph adds no edge."""
     from repro.core.context import root_context
     from repro.core.program import WRITE, NorthupProgram, Window
     from repro.plan.graph import BUFFER
@@ -146,22 +147,53 @@ def test_buffer_edges_come_only_from_chunks_still_holding_buffers():
     system = System(apu_two_level())
     try:
         plan = lower_level(Pooled(system), root_context(system), window=5)
-
-        def run(chunk, *kinds):
-            for kind in kinds:
-                drive(plan.execute(plan.records[chunk].nodes[kind]))
-
-        run(0, SETUP)
-        run(1, SETUP)
-        run(2, SETUP)                   # shares ring set 0 with chunk 0
-        run(0, MOVE_DOWN, COMPUTE, MOVE_UP, COMBINE)
-        run(3, SETUP)                   # shares ring set 1 with chunk 1
-        run(4, SETUP)                   # set 0: chunk 0 is done, 2 is not
         edges = [(s.kind, s.chunk_index, d.kind, d.chunk_index)
                  for s, d, k in plan.graph.edges() if k == BUFFER]
+        # Chunk 4 reuses chunk 0's set too; chunk 2's combine orders it.
         assert edges == [(COMBINE, 0, MOVE_DOWN, 2),
                          (COMBINE, 1, MOVE_DOWN, 3),
                          (COMBINE, 2, MOVE_DOWN, 4)]
+        count = plan.graph.edge_count
+        drive(plan.run_in_order())
+        assert plan.graph.complete and plan.graph.edge_count == count
         plan.close()
+    finally:
+        system.close()
+
+
+def test_a_carried_view_stays_mapped_until_its_last_chunk():
+    """Two chunks on one child declare the same ``write`` view: it is
+    carried, so the first chunk's combine must not unmap it, and the
+    graph orders the second chunk's move_down after that combine."""
+    from repro.core.context import root_context
+    from repro.core.program import WRITE, NorthupProgram, Window
+    from repro.plan.graph import BUFFER
+    from repro.plan.lower import lower_level
+
+    class CarriedView(NorthupProgram):
+        def __init__(self, system):
+            self.acc = system.alloc(64, system.tree.root.children[0],
+                                    label="acc")
+
+        def decompose(self, ctx):
+            return [0, 1]
+
+        def access(self, ctx, chunk):
+            return [Window.span("out", self.acc, 0, 64, WRITE)]
+
+        def compute_task(self, ctx):
+            pass
+
+    system = System(apu_two_level())
+    try:
+        program = CarriedView(system)
+        plan = lower_level(program, root_context(system), window=2)
+        assert [(s.chunk_index, d.chunk_index)
+                for s, d, k in plan.graph.edges() if k == BUFFER] == [(0, 1)]
+        drive(plan.run_in_order())
+        plan.finish()
+        plan.close()
+        assert [h.label for h in system.registry.live_handles()
+                if h.mapped_from is program.acc] == []
     finally:
         system.close()

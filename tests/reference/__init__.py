@@ -6,6 +6,8 @@ can assert the replacement is bit-identical to it; nothing under
 
 * :mod:`tests.reference.eager` -- the graph-free chunk-loop driver
   (oracle for the lowering contract).
+* :mod:`tests.reference.hazards` -- the setup step's scan for buffer
+  overlaps with earlier chunks (oracle for the static ``buffer`` edges).
 * :mod:`tests.reference.random_order` -- a seeded random topological
   order over the lowered graph (any edge-respecting order is exact).
 * :mod:`tests.reference.naive_slot` -- the linear-scan timeline slot
