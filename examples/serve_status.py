@@ -3,10 +3,9 @@
 
 Twelve jobs from three tenants (eleven mice and one elephant GEMM) are
 served under fair share while the service answers ``/status``,
-``/metrics`` and ``/healthz`` over HTTP -- point ``python -m repro top
-URL`` at it to watch.  The final ``/status`` document is fetched through
-the socket and written next to one RunReport per served job, so it can
-be gated against a declarative SLO policy:
+``/metrics`` and ``/healthz`` over HTTP.  The final ``/status`` document
+is fetched through the socket and written next to one RunReport per
+served job, so it can be gated against a declarative SLO policy:
 
     python examples/serve_status.py out/
     python -m repro regress --slo examples/slo_ci.json out/status.json

@@ -6,7 +6,6 @@ Subcommands::
     python -m repro regress BASE NEW     # exact gate on committed figures
     python -m repro experiment run NAME  # declarative scenario harness
     python -m repro describe --plan      # dump lowered task graphs etc.
-    python -m repro top URL              # live dashboard over /status
 
 See ``--help`` on each.  Without one of these subcommands this text is
 printed and the exit status is 2.
@@ -20,7 +19,6 @@ _COMMANDS = {
     "regress": ("repro.obs.regress", "main"),
     "experiment": ("repro.tools.experiment.cli", "main"),
     "describe": ("repro.tools.describe", "main"),
-    "top": ("repro.obs.live", "top_main"),
 }
 
 

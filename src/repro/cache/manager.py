@@ -345,6 +345,10 @@ class CacheManager:
                          spec.row_bytes)
         spec.src.note_read(end)
         block.handle.note_write(end)
+        if system.executor.asynchronous:
+            system._note_fill(spec.src, spec.offset, spec.stride,
+                              block.handle, 0, spec.row_bytes, spec.rows,
+                              spec.row_bytes)
 
     # -- leases (System.fetch_down / fetch_release) ----------------------
 

@@ -123,12 +123,16 @@ class BufferTimes:
     version it copied from and treats a mismatch as staleness, so a
     rewritten source (e.g. a restaged HotSpot grid) can never serve a
     stale hit.  Coarse (whole-buffer) invalidation is conservative but
-    always correct.
+    always correct.  It is also the slab's *write generation*: ``fill``
+    is the file window the bytes were last packed from, valid while
+    both sides' versions are the ones it records
+    (:meth:`repro.core.system.System._describe`).
     """
 
     ready_at: float = 0.0
     last_read_end: float = 0.0
     version: int = 0
+    fill: tuple | None = None
 
     def reset(self) -> None:
         # A time reset is not a content change: ``version`` survives so

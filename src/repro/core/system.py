@@ -38,6 +38,7 @@ from repro.exec.base import Executor, KernelSpec, effective_cpu_count, \
     make_executor, resolve_kernel
 from repro.exec.inline import InlineExecutor
 from repro.exec.ledger import MergeTarget, PendingLedger
+from repro.exec.pool import FileWindow
 from repro.memory.device import StorageKind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_OBSERVER, Observer
@@ -492,6 +493,9 @@ class System:
                        dst_offset, dst_stride, rows, row_bytes)
         src.note_read(end)
         dst.note_write(end)
+        if self.executor.asynchronous:
+            self._note_fill(src, src_offset, src_stride, dst, dst_offset,
+                            dst_stride, rows, row_bytes)
         self.charge_runtime(2)
         if ncache is not None:
             self._cache_admit(ncache, spec, dst, dst_offset, dst_stride, end)
@@ -567,6 +571,7 @@ class System:
                                        dst.base_offset + dst_offset, nbytes)
         dst_node.device.write(dst.alloc_id, dst.base_offset + dst_offset,
                               transform.apply(payload))
+        dst.bump_version()      # no longer the moved window's bytes
         if transform.cost_factor > 0:
             dev = dst_node.device.spec
             duration = (dev.latency + transform.cost_factor * nbytes
@@ -1006,7 +1011,18 @@ class System:
         arrays = []
         merges = []
         write_slabs = set()
+        root_reads = set()
         for b, slab in zip(spec.bindings, slabs):
+            described = None if b.writable else self._describe(b)
+            if described is not None:
+                # The worker reads the root window itself: nothing is
+                # snapshotted or shipped, and the root slab stays a
+                # pending read of this kernel until it retires.
+                window, root = described
+                arrays.append((b.name, window, False))
+                root_reads.add(root)
+                ex.stats.described += 1
+                continue
             arr = self._snapshot_binding(b, ex)
             arrays.append((b.name, arr, b.writable))
             if b.writable:
@@ -1028,9 +1044,52 @@ class System:
         ticket = ex.submit(spec.fn_ref, arrays, spec.kwargs,
                            label=spec.label)
         led.add_kernel(executor=ex, ticket=ticket, writes=write_slabs,
-                       merges=merges, deps=deps, label=spec.label)
+                       merges=merges, deps=deps, reads=root_reads,
+                       label=spec.label)
         ex.stats.dispatch_seconds += time.perf_counter() - t0 - (
             ex.stats.budget_wait_seconds - waited)
+
+    def _note_fill(self, src: BufferHandle, src_offset: int,
+                   src_stride: int, dst: BufferHandle, dst_offset: int,
+                   dst_stride: int, rows: int, row_bytes: int) -> None:
+        """Provenance for pool dispatch, recorded right after a move's
+        version bump: ``dst`` holds the window of ``src`` packed, for as
+        long as neither slab's version (its write generation) moves."""
+        if rows == 1 or dst_stride == row_bytes:
+            dst.times.fill = (src, src.version, src.base_offset + src_offset,
+                              src_stride if rows > 1 else row_bytes,
+                              dst.base_offset + dst_offset, rows, row_bytes,
+                              dst.version)
+
+    def _describe(self, b) -> tuple[FileWindow, tuple[int, int]] | None:
+        """A read binding as the root file window its bytes are an
+        unmodified copy of, and that file's slab; ``None`` when no such
+        window is on record (the bytes are snapshotted then)."""
+        h = b.handle
+        fill = h.times.fill
+        if fill is None:
+            return None
+        src, src_gen, at, stride, base, rows, row_bytes, gen = fill
+        n = b.nbytes
+        rel = h.base_offset + b.offset - base
+        if h.version != gen or src.version != src_gen or src.released \
+                or n <= 0 or rel < 0 or rel + n > rows * row_bytes:
+            return None
+        if rows == 1 or stride == row_bytes:
+            window = (at + rel, 1, n, n)
+        elif rel % row_bytes or n % row_bytes:
+            return None
+        else:
+            window = (at + rel // row_bytes * stride, n // row_bytes,
+                      row_bytes, stride)
+        lo, rows, row_bytes, stride = window
+        path = self.node_of(src).device.backend.path_of(
+            src.alloc_id, lo, lo + (rows - 1) * stride + row_bytes)
+        if path is None:
+            return None
+        shape = b.shape or (n // np.dtype(b.dtype).itemsize,)
+        return (FileWindow(path, *window, b.dtype, shape),
+                (src.node_id, src.alloc_id))
 
     def _snapshot_binding(self, b, ex: Executor) -> np.ndarray:
         """An owned, writable copy of a binding's current bytes, built

@@ -2,10 +2,13 @@
 
 :class:`DistExecutor` slots behind the :class:`~repro.exec.base.Executor`
 interface like any other backend -- ``make_executor("dist")`` -- but
-models a share-nothing cluster: every operand crosses to its worker as
-a framed message (:mod:`repro.dist.protocol`), and writable outputs
-travel back the same way.  No shared memory, no shared file
-descriptors: the pipes *are* the network.
+models a cluster that shares the network plus read-only root storage:
+every operand crosses to its worker as a framed message
+(:mod:`repro.dist.protocol`) -- an unmodified copy of a root file
+window as the window (:class:`~repro.exec.pool.FileWindow`), which the
+worker reads itself -- and writable outputs travel back the same way.
+No shared memory, no shared file descriptors: the pipes are the
+network.
 
 Each worker's pipe is served by a **thread pair**.  The sender thread
 writes grants ``submit`` encoded (so a grant that cannot be pickled
@@ -125,11 +128,12 @@ class DistExecutor(WorkerPool):
         # sent; the caller's own arrays never enter it.
         staged = []
         for _name, arr, _writable in arrays:
-            buf = self._lent.pop(
-                id(arr if arr.base is None else arr.base), None)
-            if buf is not None:
-                staged.append(buf)
-        rec.nbytes = sum(arr.nbytes for _name, arr, _w in arrays)
+            if isinstance(arr, np.ndarray):     # not a FileWindow
+                rec.nbytes += arr.nbytes
+                buf = self._lent.pop(
+                    id(arr if arr.base is None else arr.base), None)
+                if buf is not None:
+                    staged.append(buf)
         # Encoded before ``_file`` gives it this ticket, so that a grant
         # which cannot be pickled never enters the book.
         grant = TaskGrant(ticket=self._next + 1, fn_ref=ref,

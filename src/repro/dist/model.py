@@ -54,6 +54,9 @@ class DistProjection:
     #: Busy seconds per worker lane.
     lane_busy_s: list[float] = field(default_factory=list)
     shipments: int = 0
+    #: Virtual payload bytes of the shipments: a projection of what
+    #: crosses partitions, not the live ``ExecStats.bytes_in`` (which
+    #: root windows read by the worker do not count toward).
     shipped_bytes: int = 0
     net_seconds: float = 0.0
     boundary_edges: int = 0

@@ -163,7 +163,8 @@ class TaskGrant:
     fn_ref: str
     #: ``(name, array, writable)`` operand triples; arrays are owned
     #: snapshots whose bytes travel out of band (the slab shipment
-    #: down).
+    #: down), a read-only root window travels as its
+    #: :class:`~repro.exec.pool.FileWindow`.
     operands: list
     kwargs: dict = field(default_factory=dict)
     label: str = ""

@@ -4,9 +4,12 @@ Each worker owns one end of a duplex pipe and drains
 :class:`~repro.dist.protocol.TaskGrant` messages until the
 :data:`~repro.dist.protocol.SHUTDOWN` sentinel (or pipe EOF) arrives.
 Operand arrays arrive with the grant, read straight into the arrays the
-kernel gets (message passing, not shared memory: these workers model
-machines that share nothing but the network), the pool core's kernel
-body (:func:`~repro.exec.pool.run_kernel`) runs the kernel over them,
+kernel gets, and root file windows arrive as
+:class:`~repro.exec.pool.FileWindow` descriptors the worker reads on a
+descriptor of its own (message passing, not shared memory: these
+workers model machines that share the network plus read-only root
+storage); the pool core's kernel body
+(:func:`~repro.exec.pool.run_kernel`) runs the kernel over them,
 and writable outputs travel back with the
 :class:`~repro.exec.pool.CompletionAck`.  A kernel exception travels
 back as a formatted traceback; the worker survives.

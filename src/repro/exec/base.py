@@ -164,9 +164,13 @@ class ExecStats:
     budget_waits: int = 0
     budget_wait_seconds: float = 0.0
     merge_seconds: float = 0.0      # result read-back into device buffers
-    #: Operand bytes handed to workers; on ``dist``, the array bytes
-    #: actually shipped down the pipes (framing overhead excluded).
+    #: Operand bytes shipped to workers: snapshot arrays only (on
+    #: ``dist`` the array bytes down the pipes, framing excluded); a
+    #: described operand's bytes are read by the worker, not shipped.
     bytes_in: int = 0
+    #: Read operands sent as root file windows
+    #: (:class:`~repro.exec.pool.FileWindow`) instead of snapshots.
+    described: int = 0
     bytes_out: int = 0
     worker_busy: dict[str, float] = field(default_factory=dict)
     worker_tasks: dict[str, int] = field(default_factory=dict)

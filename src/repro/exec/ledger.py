@@ -8,9 +8,11 @@ also covers mapped-window aliases) and enforces the discipline that
 makes final bytes identical to inline execution:
 
 * a **kernel op** is a dispatched :class:`~repro.exec.base.KernelSpec`
-  whose writable snapshots still await merging.  Its *read* slabs are
-  settled at submit time (writers drained, bytes snapshotted), so only
-  its write slabs stay pending;
+  whose writable snapshots still await merging.  Its snapshotted read
+  slabs are settled at submit time (writers drained, bytes copied), so
+  only its write slabs stay pending -- and the root slabs it reads
+  through file windows, which its worker reads later: a write or
+  release of one orders behind the kernel;
 * a **copy op** is a transfer the runtime deferred because it conflicts
   with pending work (e.g. ``move_up`` reading a kernel's output slab,
   or overwriting a slab a deferred copy still reads).  Deferring the
@@ -78,9 +80,9 @@ class _Op:
 class _KernelOp(_Op):
     __slots__ = ("executor", "ticket", "merges", "label")
 
-    def __init__(self, seq, writes, deps, *, executor, ticket, merges,
-                 label="") -> None:
-        super().__init__(seq, frozenset(), writes, deps)
+    def __init__(self, seq, reads, writes, deps, *, executor, ticket,
+                 merges, label="") -> None:
+        super().__init__(seq, reads, writes, deps)
         self.executor = executor
         self.ticket = ticket
         self.merges = merges
@@ -151,12 +153,12 @@ class PendingLedger:
         return [found[s] for s in sorted(found)]
 
     def add_kernel(self, *, executor, ticket, writes, merges, deps,
-                   label: str = "") -> None:
+                   reads=(), label: str = "") -> None:
         self._seq += 1
         self.kernels += 1
-        op = _KernelOp(self._seq, frozenset(writes), list(deps),
-                       executor=executor, ticket=ticket, merges=merges,
-                       label=label)
+        op = _KernelOp(self._seq, frozenset(reads), frozenset(writes),
+                       list(deps), executor=executor, ticket=ticket,
+                       merges=merges, label=label)
         self._register(op)
 
     def defer_copy(self, run: Callable, *, reads, writes, deps) -> None:

@@ -11,17 +11,22 @@ text for every error, dead-worker handling, the ``join_timeout``-bounded
 ``wait``, reply ingestion, ``close`` and the residue walk
 (:func:`pool_residue`); the one in-flight snapshot budget
 (:data:`SEGMENT_BUDGET_BYTES`, :meth:`WorkerPool._await_budget`); and
-the worker-side kernel body (:func:`run_kernel`).  A transport supplies
-its data plane through the hooks at the end of :class:`WorkerPool`.
+the worker-side kernel body (:func:`run_kernel`), whose one
+operand-materialising step takes what a grant carried -- an array, a
+``shm`` segment reference, or a :class:`FileWindow` the worker reads
+from root storage itself.  A transport supplies its data plane through
+the hooks at the end of :class:`WorkerPool`.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import time
 import traceback
 from dataclasses import dataclass, field
 from time import perf_counter_ns
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from repro.errors import ConfigError
 from repro.exec.base import ExecError, Executor, TaskResult, \
     default_exec_workers, resolve_kernel
 from repro.lifecycle import live, track
+from repro.memory.backends import FileBackend
 
 
 #: The one bound on the snapshot bytes a pool holds for tickets in
@@ -66,13 +72,46 @@ class CompletionAck:
     telemetry: list | None = None
 
 
+class FileWindow(NamedTuple):
+    """A read-only operand a grant carries as a place instead of bytes:
+    ``rows`` runs of ``row_bytes``, ``stride`` apart from ``offset`` of
+    the root file at ``path``, typed as ``dtype`` / ``shape``."""
+
+    path: str
+    offset: int
+    rows: int
+    row_bytes: int
+    stride: int
+    dtype: str
+    shape: tuple
+
+    def read(self) -> np.ndarray:
+        """The window, packed, read on a descriptor of this process's
+        own; a file that ends inside it raises, never reads as zeros."""
+        out = np.empty((self.rows, self.row_bytes), np.uint8)
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            whole = FileBackend._gather_fd(fd, self.offset, self.rows,
+                                           self.row_bytes, self.stride, out)
+        finally:
+            os.close(fd)
+        if not whole:
+            raise OSError(f"{self.path} ends inside the {self.rows} x "
+                          f"{self.row_bytes} B window at offset "
+                          f"{self.offset}")
+        return out.reshape(-1).view(self.dtype).reshape(self.shape)
+
+
 def run_kernel(ref: str, operands, kwargs: dict, ticket: int, buf,
-               t_start: int) -> tuple[float, str | None, dict | None]:
+               t_start: int, attach=None) -> tuple[float, str | None,
+                                                   dict | None]:
     """The worker-side body of one ticket, shared by both worker loops.
 
-    Resolves ``ref``, locks the read-only ones of the ``(name, array,
-    writable)`` ``operands`` (consumed inside the error guard, so a
-    failed attach reports like a kernel failure) and runs the kernel.
+    Resolves ``ref``, materialises the ``(name, value, writable)``
+    ``operands`` -- an array as it is, a :class:`FileWindow` read from
+    its file, anything else a segment reference ``attach`` maps --
+    inside the error guard, so a failed attach or read reports like a
+    kernel failure; locks the read-only ones and runs the kernel.
     Returns ``(seconds since t_start, traceback or None, phases)``;
     with a telemetry ``buf`` it records the setup / kernel spans and
     the rss, else ``phases`` is ``None``.
@@ -83,6 +122,10 @@ def run_kernel(ref: str, operands, kwargs: dict, ticket: int, buf,
         args = {}
         nbytes = 0
         for name, arr, writable in operands:
+            if isinstance(arr, FileWindow):
+                arr = arr.read()
+            elif not isinstance(arr, np.ndarray):
+                arr = attach(arr)
             if not writable:
                 arr = arr.view()
                 arr.flags.writeable = False
@@ -450,5 +493,5 @@ def pool_residue(kind: type, extra=()) -> list[str]:
     return sorted(out + telemetry_residue(kind.name))
 
 
-__all__ = ["CompletionAck", "SEGMENT_BUDGET_BYTES", "WorkerPool",
-           "pool_context", "pool_residue", "run_kernel"]
+__all__ = ["CompletionAck", "FileWindow", "SEGMENT_BUDGET_BYTES",
+           "WorkerPool", "pool_context", "pool_residue", "run_kernel"]

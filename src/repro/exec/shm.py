@@ -18,7 +18,8 @@ its kernel acks.  On the ack the ticket's *read-only* segments return
 to the free list at once -- no one will read them again -- while
 writable ones stay with the ticket until ``release`` after the merge.
 Operands that did not come from ``stage`` are copied into a segment at
-``submit`` and follow the same path from there.
+``submit`` and follow the same path from there; a
+:class:`~repro.exec.pool.FileWindow` operand takes no segment at all.
 
 Live segment bytes are bounded by the pools' one in-flight budget,
 :data:`~repro.exec.pool.SEGMENT_BUDGET_BYTES`: past it, taking a
@@ -57,8 +58,8 @@ import numpy as np
 
 from repro.exec import pool as core
 from repro.exec.base import ExecError
-from repro.exec.pool import CompletionAck, WorkerPool, pool_context, \
-    pool_residue
+from repro.exec.pool import CompletionAck, FileWindow, WorkerPool, \
+    pool_context, pool_residue
 from repro.exec.worker import worker_main
 
 #: Prefix of every segment this process creates; the residue test and
@@ -216,7 +217,11 @@ class SharedMemExecutor(WorkerPool):
     def submit(self, ref, arrays, kwargs, label=""):
         self._pump(0)
         rec = self._new_ticket(label)
+        descriptors = []
         for name, arr, writable in arrays:
+            if isinstance(arr, FileWindow):     # the worker reads it
+                descriptors.append((name, arr, False))
+                continue
             # An operand built in a ``stage`` buffer already sits in
             # its segment; anything else (the caller's own array, a
             # slice of a staged buffer) is copied into one.
@@ -233,12 +238,12 @@ class SharedMemExecutor(WorkerPool):
                     self._pool.give(lent[1])
             rec.buffers.append(_Operand(name, seg, arr.shape,
                                         arr.dtype.str, writable))
+            descriptors.append((name, (seg.name, arr.shape, arr.dtype.str),
+                                writable))
             self.stats.bytes_in += arr.nbytes
         ticket = self._file(rec)
         if self.telemetry is not None:
             self.telemetry.note_grant_sent(ticket)
-        descriptors = [tuple(op._replace(seg=op.seg.name))
-                       for op in rec.buffers]
         self._tasks.put((ticket, ref, descriptors, kwargs,
                          self._pool.unlinked))
         return ticket

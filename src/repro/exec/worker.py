@@ -1,9 +1,10 @@
 """Worker-process loop of :class:`~repro.exec.shm.SharedMemExecutor`.
 
 Each worker drains the pool's shared task queue of ``(task_id, fn_ref,
-descriptors, kwargs, unlinked)`` tuples, maps the named
-``multiprocessing.shared_memory`` segments as typed NumPy arrays and
-runs the pool core's kernel body (:func:`~repro.exec.pool.run_kernel`).
+descriptors, kwargs, unlinked)`` tuples and runs the pool core's kernel
+body (:func:`~repro.exec.pool.run_kernel`), which maps each named
+``multiprocessing.shared_memory`` segment as a typed NumPy array and
+reads each :class:`~repro.exec.pool.FileWindow` from its root file.
 
 Workers never *own* segments: the parent creates, recycles and unlinks
 them.  Attaching registers the name with the ``resource_tracker``
@@ -91,11 +92,12 @@ def worker_main(worker_id: int, conn, tasks,
             seen_unlinked = unlinked
             while cache:
                 cache.popitem()[1].close()
-        operands = ((name, np.ndarray(shape, dtype=dtype, buffer=_attach(
-            cache, seg_name, buf, task_id).buf), writable)
-            for name, seg_name, shape, dtype, writable in descriptors)
-        seconds, err, phases = run_kernel(ref, operands, kwargs, task_id,
-                                          buf, t_recv)
+        def attach(seg_ref, task_id=task_id):
+            seg_name, shape, dtype = seg_ref
+            return np.ndarray(shape, dtype=dtype, buffer=_attach(
+                cache, seg_name, buf, task_id).buf)
+        seconds, err, phases = run_kernel(ref, descriptors, kwargs, task_id,
+                                          buf, t_recv, attach)
         conn.send((task_id, worker_id, seconds, err, phases,
                    buf.drain() if buf is not None else None))
     for seg in cache.values():

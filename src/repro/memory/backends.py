@@ -183,6 +183,12 @@ class DataBackend(ABC):
         """Write out any bytes held back from the backing storage, so
         it is current.  Default: nothing is held back."""
 
+    def path_of(self, alloc_id: int, lo: int, hi: int) -> str | None:
+        """The file another process can read ``alloc_id``'s bytes
+        ``[lo, hi)`` from, current on disk, or ``None``: the bytes live
+        in this process's memory (the default)."""
+        return None
+
     # -- shared validation -------------------------------------------------
 
     def _check_range(self, alloc_id: int, offset: int, nbytes: int,
@@ -864,6 +870,14 @@ class FileBackend(DataBackend):
         if band is not None and band[0][0] == alloc_id \
                 and band[0][1] < hi and lo < band[0][1] + band[1].size:
             self.flush()
+
+    def path_of(self, alloc_id: int, lo: int, hi: int) -> str | None:
+        """The buffer's file, once a dirty row band over ``[lo, hi)``
+        is written out; ``None`` for a destroyed buffer."""
+        if alloc_id not in self._paths:
+            return None
+        self._flush_over(alloc_id, lo, hi)
+        return self._paths[alloc_id]
 
     def flush(self) -> None:
         """Write the dirty row band out (up to the end of its file):

@@ -19,7 +19,7 @@ its results:
   NTP-style clock alignment, and merged Perfetto tracks next to the
   virtual timeline.
 * :mod:`repro.obs.live` + :mod:`repro.obs.health` -- the live serve
-  status endpoint / ``repro top`` TUI, worker watchdog, and
+  status endpoint, worker watchdog, and
   declarative :class:`~repro.obs.health.SLOPolicy` objectives.
 
 Everything is zero-cost when disabled: ``System(observe=False)``

@@ -1,4 +1,4 @@
-"""Live serve status: an HTTP snapshot endpoint and the ``top`` TUI.
+"""Live serve status: an HTTP snapshot endpoint.
 
 :class:`StatusServer` wraps any zero-argument snapshot callable (in
 practice :meth:`repro.serve.service.JobService.status`) in a stdlib
@@ -12,8 +12,7 @@ practice :meth:`repro.serve.service.JobService.status`) in a stdlib
 The snapshot callable runs on the HTTP thread while the service loop
 mutates its state; snapshots therefore only read GIL-atomic aggregates
 (dict copies, list lengths) -- ``JobService.status`` is written to that
-rule.  ``python -m repro top URL`` polls the endpoint and renders a
-terminal dashboard.
+rule.
 
 Every live server is tracked by the :mod:`repro.lifecycle` ``atexit``
 reaper, so a crashed serve run never leaves a bound port --
@@ -22,11 +21,8 @@ reaper, so a crashed serve run never leaves a bound port --
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import threading
-import time
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -133,98 +129,5 @@ def fetch_status(url: str, timeout: float = 5.0) -> dict:
         return json.load(resp)
 
 
-# -- the TUI -----------------------------------------------------------------
-
-def _bar(frac: float, width: int = 20) -> str:
-    frac = min(1.0, max(0.0, frac))
-    fill = int(round(frac * width))
-    return "#" * fill + "." * (width - fill)
-
-
-def render_top(status: dict) -> str:
-    """One dashboard frame from a /status snapshot."""
-    service = status.get("service", {})
-    lines = [
-        f"repro top -- {status.get('schema', '?')}  "
-        f"policy={service.get('policy', '?')}  "
-        f"uptime={service.get('uptime_s', 0.0):.1f}s",
-        f"jobs: {service.get('live_jobs', 0)} live  "
-        f"{service.get('pending_jobs', 0)} pending  "
-        f"{service.get('finished_jobs', 0)} finished  "
-        f"{service.get('rejected_jobs', 0)} rejected  "
-        f"grants={service.get('grants', 0)}",
-        f"latency (virtual): p50 {service.get('p50_latency_s', 0.0):.6f}s  "
-        f"p99 {service.get('p99_latency_s', 0.0):.6f}s",
-        "",
-    ]
-    tenants = status.get("tenants", {})
-    if tenants:
-        lines.append(f"{'tenant':<10} {'live':>4} {'done':>5} "
-                     f"{'p50 lat':>10} {'p99 lat':>10} {'busy share':>22}")
-        for name, row in sorted(tenants.items()):
-            share = row.get("busy_share", 0.0)
-            lines.append(
-                f"{name:<10} {row.get('live', 0):>4} "
-                f"{row.get('finished', 0):>5} "
-                f"{row.get('p50_latency_s', 0.0):>10.6f} "
-                f"{row.get('p99_latency_s', 0.0):>10.6f} "
-                f"[{_bar(share, 14)}] {share:>5.1%}")
-        lines.append("")
-    workers = (status.get("workers_summary") or {}).get("workers") or {}
-    health = (status.get("health") or {}).get("workers") or {}
-    if workers:
-        lines.append(f"{'worker':<8} {'tasks':>5} {'busy s':>9} "
-                     f"{'util':>22} {'state':>8}")
-        for name, row in sorted(workers.items()):
-            util = row.get("utilization", 0.0)
-            state = health.get(name, {}).get("state", "-")
-            lines.append(
-                f"{name:<8} {row.get('tasks', 0):>5} "
-                f"{row.get('busy_s', 0.0):>9.3f} "
-                f"[{_bar(util, 14)}] {util:>5.1%} {state:>8}")
-        lines.append("")
-    pool = status.get("shm_pool") or {}
-    if pool:
-        lines.append(f"shm pool: {pool.get('segments', 0)} segments "
-                     f"({pool.get('reused', 0)} reuses, "
-                     f"{pool.get('free', 0)} free)")
-    return "\n".join(lines)
-
-
-def top_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro top",
-        description="Live terminal dashboard over a serve status "
-                    "endpoint.")
-    parser.add_argument("url", help="status server URL, e.g. "
-                                    "http://127.0.0.1:8642")
-    parser.add_argument("--interval", type=float, default=1.0,
-                        help="refresh period in seconds (default 1)")
-    parser.add_argument("--once", action="store_true",
-                        help="render a single frame and exit")
-    parser.add_argument("--raw", action="store_true",
-                        help="print the JSON snapshot instead of the "
-                             "dashboard")
-    args = parser.parse_args(argv)
-    try:
-        while True:
-            try:
-                status = fetch_status(args.url)
-            except OSError as exc:
-                print(f"cannot reach {args.url}: {exc}", file=sys.stderr)
-                return 1
-            if args.raw:
-                print(json.dumps(status, indent=2, sort_keys=True))
-            else:
-                if not args.once:
-                    sys.stdout.write("\x1b[2J\x1b[H")   # clear screen
-                print(render_top(status))
-            if args.once:
-                return 0
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-
-
 __all__ = ["STATUS_SCHEMA", "StatusServer", "status_residue",
-           "fetch_status", "render_top", "top_main"]
+           "fetch_status"]

@@ -63,8 +63,3 @@ class AdmissionController:
                 kept.append(job)
         self.pending = kept
         return admitted
-
-    def describe(self) -> str:
-        return (f"pending={len(self.pending)}/{self.max_pending} "
-                f"admitted={self.admitted} rejected={self.rejected} "
-                f"max_live_per_tenant={self.max_live_per_tenant}")

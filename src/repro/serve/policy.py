@@ -51,9 +51,6 @@ class SchedulingPolicy:
     def select(self, offers: list[Job]) -> Job:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.name
-
 
 class FifoPolicy(SchedulingPolicy):
     """Earliest-admitted offering job first."""
@@ -108,10 +105,6 @@ class FairSharePolicy(SchedulingPolicy):
         return min(offers, key=lambda j: (
             self._pass[j.tenant] + self._offset[j.tenant], j.tenant, j.seq))
 
-    def describe(self) -> str:
-        shares = " ".join(f"{t}={p:.6f}" for t, p in sorted(self._pass.items()))
-        return f"{self.name} ({shares})" if shares else self.name
-
 
 class PriorityPolicy(SchedulingPolicy):
     """Strict priority classes, fair-share within each class.
@@ -137,9 +130,6 @@ class PriorityPolicy(SchedulingPolicy):
         top = max(j.spec.priority for j in offers)
         return self._fair.select(
             [j for j in offers if j.spec.priority == top])
-
-    def describe(self) -> str:
-        return f"{self.name} over {self._fair.describe()}"
 
 
 def make_policy(name: str, *, quotas=None, seed: int = 0) -> SchedulingPolicy:

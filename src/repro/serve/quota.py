@@ -96,14 +96,3 @@ class QuotaLedger:
         if quota is None or quota.weight <= 0:
             return 1.0
         return quota.weight
-
-    def describe(self) -> list[str]:
-        """Human-readable per-tenant lines (``JobService.describe()``)."""
-        lines = []
-        for tenant in sorted(self.quotas):
-            q = self.quotas[tenant]
-            cap = "uncapped" if q.alloc_bytes is None else f"{q.alloc_bytes}"
-            lines.append(
-                f"{tenant}: alloc_cap={cap} used={self.used(tenant)} "
-                f"cache_reservation={q.cache_reservation} weight={q.weight}")
-        return lines

@@ -319,7 +319,7 @@ class JobService:
                           labels={"tenant": tenant})
 
     def status(self) -> dict:
-        """Live snapshot for the status endpoint / ``repro top``.
+        """Live snapshot for the status endpoint.
 
         Runs on the HTTP thread while the event loop mutates state, so
         it only reads GIL-atomic aggregates: list copies taken once,
@@ -416,38 +416,3 @@ class JobService:
     def results(self) -> list[JobResult]:
         return [JobResult.of(j) for j in
                 sorted(self.finished, key=lambda j: j.seq)]
-
-    def describe(self) -> str:
-        """Human-readable runtime state; ``examples/serve_status.py``
-        serves its machine-readable twin, the ``/status`` document."""
-        lines = [
-            f"policy: {self.policy.describe()}",
-            f"admission: {self.admission.describe()}",
-            f"executor: {self.system.executor.describe()}",
-            f"virtual now: {self.now:.6f}s  grants: {self.grants}",
-        ]
-        if self.quotas is not None:
-            lines.append("tenant quotas:")
-            lines.extend(f"  {line}" for line in self.quotas.describe())
-        else:
-            lines.append("tenant quotas: (none)")
-        if self.live:
-            lines.append("live jobs:")
-            for job in self.live:
-                offered = len(job.gate.ready or ())
-                lines.append(
-                    f"  {job.job_id} tenant={job.tenant} "
-                    f"grants={job.grants} busy={job.busy_vt:.6f}s "
-                    f"offering={offered} node(s)")
-        pending = list(self.admission.pending)
-        if pending:
-            lines.append("pending jobs:")
-            lines.extend(f"  {j.job_id} tenant={j.tenant} "
-                         f"submitted@{j.submit_vt:.6f}s" for j in pending)
-        if self.tenant_busy:
-            total = sum(self.tenant_busy.values())
-            lines.append("tenant busy share:")
-            lines.extend(
-                f"  {t}: {b:.6f}s ({b / total:.1%})"
-                for t, b in sorted(self.tenant_busy.items()))
-        return "\n".join(lines)

@@ -7,8 +7,10 @@ ledger replays merged kernel outputs and deferred copies in submission
 order, so no backend may change a result byte.  The suite runs all
 four paper apps (GEMM, HotSpot, SpMV, sort -- sort's merge sizing is
 capacity-feedback-sensitive, which is exactly what the zombie-free
-capacity credit keeps identical) against the inline reference, then
-repeats the check under the serve layer.
+capacity credit keeps identical) against the inline reference, on an
+in-memory root and on a file root -- where the pools read the
+read-only operands from the root file themselves instead of receiving
+snapshots -- then repeats the check under the serve layer.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ import pytest
 
 from repro.core.system import System
 from repro.exec import EXEC_BACKENDS, shm_residue
+from repro.memory.backends import FileBackend
 from repro.memory.units import KB, MB
 from repro.topology.builders import apu_two_level
 from repro.workloads.sparse import powerlaw_rows
@@ -48,35 +51,54 @@ def _sort(sys_):
 
 
 CASES = {
-    "gemm": (_gemm, lambda: apu_two_level(storage_capacity=8 * MB,
-                                          staging_bytes=256 * KB)),
-    "hotspot": (_hotspot, lambda: apu_two_level(storage_capacity=16 * MB,
-                                                staging_bytes=128 * KB)),
-    "spmv": (_spmv, lambda: apu_two_level(storage_capacity=16 * MB,
-                                          staging_bytes=128 * KB)),
-    "sort": (_sort, lambda: apu_two_level(storage_capacity=16 * MB,
-                                          staging_bytes=128 * KB)),
+    "gemm": (_gemm, lambda **kw: apu_two_level(storage_capacity=8 * MB,
+                                               staging_bytes=256 * KB, **kw)),
+    "hotspot": (_hotspot, lambda **kw: apu_two_level(
+        storage_capacity=16 * MB, staging_bytes=128 * KB, **kw)),
+    "spmv": (_spmv, lambda **kw: apu_two_level(storage_capacity=16 * MB,
+                                               staging_bytes=128 * KB, **kw)),
+    "sort": (_sort, lambda **kw: apu_two_level(storage_capacity=16 * MB,
+                                               staging_bytes=128 * KB, **kw)),
 }
 
+#: Read operands a file-rooted pool run describes: every read binding
+#: but sort's (all of its bindings are ``update``).
+DESCRIBES = {"gemm": True, "hotspot": True, "spmv": True, "sort": False}
 
-def _run(name, backend):
+
+def _run(name, backend, root=""):
     make_app, make_tree = CASES[name]
-    sys_ = System(make_tree(), executor=backend)
+    sys_ = System(make_tree() if not root else make_tree(
+        storage_backend=FileBackend(str(root))), executor=backend)
     try:
         app = make_app(sys_)
         app.run(sys_)
         digest = hashlib.sha256(
             np.ascontiguousarray(app.result()).tobytes()).hexdigest()
-        return digest, sys_.makespan(), len(sys_.timeline.trace)
+        return (digest, sys_.makespan(), len(sys_.timeline.trace),
+                sys_.executor.stats.described)
     finally:
         sys_.close()
 
 
-@pytest.mark.parametrize("backend", ASYNC_BACKENDS)
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_backend_matches_inline(name, backend):
-    ref_digest, ref_makespan, ref_intervals = _run(name, "inline")
-    digest, makespan, intervals = _run(name, backend)
+@pytest.mark.parametrize("name, backend, root", [
+    pytest.param(name, backend, root,
+                 id=f"{name}-{backend}" + ("-file" if root else ""))
+    for root in ("", "file") for name in sorted(CASES)
+    for backend in ASYNC_BACKENDS])
+def test_backend_matches_inline(name, backend, root, tmp_path):
+    """Each app on each pool, on a ``MemBackend`` root (ids
+    ``name-backend``) and a ``FileBackend`` one (``name-backend-file``)
+    against the inline run on the same kind of root."""
+    ref_digest, ref_makespan, ref_intervals, _ = _run(
+        name, "inline", root and tmp_path / "inline")
+    digest, makespan, intervals, described = _run(
+        name, backend, root and tmp_path / backend)
+    if root:
+        assert (described > 0) == DESCRIBES[name], (
+            f"{name} under {backend!r} described {described} operands")
+    else:
+        assert described == 0
     assert digest == ref_digest, (
         f"{name} under {backend!r} changed the result bytes")
     assert makespan == ref_makespan, (

@@ -101,8 +101,13 @@ def test_acks_are_consumed_without_anyone_calling_wait(tmp_path):
         x = _staged(ex, np.zeros(1024))
         ticket = ex.submit(fn_ref(kernels.touch), [("x", x, False)],
                            {"path": str(marker)})
-        assert _eventually(marker.exists)
-        time.sleep(0.05)                # the ack follows the kernel
+        # The worker's pipe carries the claim, then the ack: take the
+        # claim the way the pool does, then wait for the ack to land.
+        conn = ex._conns[0]
+        assert conn.poll(10)
+        ex._ingest(0, conn.recv())
+        assert conn.poll(10)            # the ack follows the kernel
+        assert marker.exists()
         assert ex._unacked() == [ticket]  # ... and nobody has read it yet
         again = ex.stage(x.nbytes)      # any touch drains the replies
         assert not ex._unacked()

@@ -24,13 +24,12 @@ def test_readme_snippet_runs(index, capsys):
 
 
 def test_module_entrypoint():
-    """``python -m repro`` without a subcommand prints the five
+    """``python -m repro`` without a subcommand prints the four
     subcommands and exits 2."""
     import subprocess
     import sys
     proc = subprocess.run([sys.executable, "-m", "repro"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
-    for command in ("report", "regress", "experiment run", "describe",
-                    "top"):
+    for command in ("report", "regress", "experiment run", "describe"):
         assert f"python -m repro {command}" in proc.stderr

@@ -1,6 +1,6 @@
 """The live status plane: HTTP endpoints over any snapshot callable,
-the serve integration (``JobService.status`` + ``start_status_server``)
-and the ``repro top`` renderer."""
+and the serve integration (``JobService.status`` +
+``start_status_server``)."""
 
 import json
 import urllib.error
@@ -9,7 +9,7 @@ import urllib.request
 import pytest
 
 from repro.obs.live import (STATUS_SCHEMA, StatusServer, fetch_status,
-                            render_top, status_residue, top_main)
+                            status_residue)
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -78,28 +78,6 @@ def test_healthz_flips_503_on_wedged_worker_or_broken_snapshot():
         srv.close()
 
 
-def test_render_top_shows_every_section():
-    frame = render_top(_doc())
-    assert STATUS_SCHEMA in frame and "policy=fair" in frame
-    assert "2 live" in frame and "grants=99" in frame
-    assert "acme" in frame and "w0" in frame and "healthy" in frame
-    assert "shm pool: 3 segments" in frame
-    # Sparse docs render without blowing up.
-    assert "policy=?" in render_top({})
-
-
-def test_top_main_once_raw_and_unreachable(capsys):
-    with StatusServer(_doc) as srv:
-        assert top_main([srv.url, "--once", "--raw"]) == 0
-        out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == STATUS_SCHEMA
-        assert top_main([srv.url, "--once"]) == 0
-        assert "repro top" in capsys.readouterr().out
-        dead_url = srv.url
-    assert top_main([dead_url, "--once"]) == 1
-    assert "cannot reach" in capsys.readouterr().err
-
-
 # -- the serve integration ---------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -164,7 +142,7 @@ def test_job_service_status_server_lifecycle(served):
 
 def test_status_board_idle_document():
     """A service that has served nothing yet still answers /status with
-    a schema-valid, empty document (what ``repro top`` shows at start)."""
+    a schema-valid, empty document."""
     from repro.bench import configs
     from repro.core.system import System
     from repro.serve import JobService
