@@ -726,25 +726,30 @@ class FileBackend(DataBackend):
     # The raw reads below take an explicit descriptor and touch no
     # backend state: the public methods pass the pooled one, the
     # read-ahead thread one of its own.  Each returns whether the file
-    # covered the whole request.
+    # covered the whole request; when it did not, the public methods
+    # raise (see :meth:`_short_read`).
 
     @staticmethod
     def _pread_into(fd: int, offset: int, out: np.ndarray) -> bool:
         """One positioned read straight into ``out`` (uint8, C-contiguous,
-        any shape).  A short read (defensive; files are sized at create)
-        leaves the sparse-tail semantics intact: the unread remainder
-        reads as zero."""
-        got = os.preadv(fd, [out], offset)
-        if got < out.size:
-            out.reshape(-1)[got:] = 0
-            return False
-        return True
+        any shape); False when the file ends first."""
+        return os.preadv(fd, [out], offset) == out.size
+
+    def _short_read(self, alloc_id: int, fd: int, offset: int,
+                    nbytes: int) -> TransferError:
+        """The error for a read the file ends inside of (cut outside)."""
+        return TransferError(
+            f"read of buffer {alloc_id} ({self._paths[alloc_id]}) at offset "
+            f"{offset}: the file ends at byte {os.fstat(fd).st_size}, inside "
+            f"the {nbytes} bytes asked for")
 
     def read(self, alloc_id: int, offset: int, nbytes: int) -> np.ndarray:
         self._check_range(alloc_id, offset, nbytes, self.size_of(alloc_id))
         self._flush_over(alloc_id, offset, offset + nbytes)
         out = np.empty(nbytes, dtype=np.uint8)
-        self._pread_into(self._fd(alloc_id), offset, out)
+        fd = self._fd(alloc_id)
+        if not self._pread_into(fd, offset, out):
+            raise self._short_read(alloc_id, fd, offset, nbytes)
         return out
 
     def _span_is_dense(self, rows: int, row_bytes: int, span: int) -> bool:
@@ -761,8 +766,9 @@ class FileBackend(DataBackend):
         if self.readahead.pending and self._serve_ahead(
                 (alloc_id, *window_key(offset, rows, row_bytes, stride)), out):
             return
-        self._gather_fd(self._fd(alloc_id), offset, rows, row_bytes, stride,
-                        out)
+        fd = self._fd(alloc_id)
+        if not self._gather_fd(fd, offset, rows, row_bytes, stride, out):
+            raise self._short_read(alloc_id, fd, offset, span)
 
     @staticmethod
     def _gather_fd(fd: int, offset: int, rows: int, row_bytes: int,
@@ -771,35 +777,26 @@ class FileBackend(DataBackend):
         caller): one positioned read for a dense window into a
         C-contiguous ``out``, else one strided ``np.copyto`` per read-only
         shared map (coherent with ``pwrite``) of :data:`MAP_BAND_BYTES`
-        of span, mapped only up to the file's end; bytes past it read
-        as zero, as after a short read."""
+        of span.  False when the file ends inside the window (what
+        ``out`` then holds is undefined); a gapped window is then not
+        mapped at all, as a map past the end would fault."""
         if (rows == 1 or stride == row_bytes) and out.flags.c_contiguous:
             return FileBackend._pread_into(fd, offset, out)
         stride = row_bytes if rows == 1 else stride
-        end = os.fstat(fd).st_size
+        if offset + (rows - 1) * stride + row_bytes > os.fstat(fd).st_size:
+            return False
         per_band = max(1, MAP_BAND_BYTES // stride)
         for r0 in range(0, rows, per_band):
             n = min(rows - r0, per_band)
             lo = offset + r0 * stride
-            hi = min(lo + (n - 1) * stride + row_bytes, end)
-            if hi <= lo:
-                out[r0:] = 0
-                return False
             base = lo - lo % mmap.ALLOCATIONGRANULARITY
-            with mmap.mmap(fd, hi - base, prot=mmap.PROT_READ,
-                           offset=base) as mapped:
+            with mmap.mmap(fd, lo - base + (n - 1) * stride + row_bytes,
+                           prot=mmap.PROT_READ, offset=base) as mapped:
                 src = np.frombuffer(mapped, np.uint8)
-                whole = min(n, max(0, hi - lo - row_bytes + stride) // stride)
-                np.copyto(out[r0:r0 + whole], _strided_2d(
-                    src, lo - base, whole, row_bytes, stride))
-                if whole < n:        # the file ends in this band
-                    at = lo - base + whole * stride
-                    out[r0 + whole:] = 0
-                    out[r0 + whole, :max(0, src.size - at)] = src[at:]
+                np.copyto(out[r0:r0 + n],
+                          _strided_2d(src, lo - base, n, row_bytes, stride))
                 # Every view of the map goes before the map closes.
                 del src
-            if whole < n:
-                return False
         return True
 
     def scatter_2d(self, alloc_id: int, offset: int, rows: int, row_bytes: int,
@@ -882,21 +879,22 @@ class FileBackend(DataBackend):
     def flush(self) -> None:
         """Write the dirty row band out (up to the end of its file):
         alone when its tiles covered every column, else over the file's
-        bytes in the other columns.  A failed write raises here, and the
-        band is gone either way."""
+        bytes in the other columns.  A failed read or write raises here,
+        and the band is gone either way."""
         band, self._band = self._band, None
         if band is None:
             return
         (alloc_id, base, _, _), grid, written = band
         fd = self._fd(alloc_id)
+        flat = grid.reshape(-1)[:self._sizes[alloc_id] - base]
         whole = bool(written.all())
         if not whole:
-            old = np.empty_like(grid)
-            self._pread_into(fd, base, old)
-            np.copyto(grid, old, where=~written)
+            old = np.empty_like(flat)
+            if not self._pread_into(fd, base, old):
+                raise self._short_read(alloc_id, fd, base, old.size)
+            np.copyto(flat, old, where=~np.resize(written, flat.size))
         self.bands["whole" if whole else "merged"] += 1
-        self._pwrite(alloc_id, fd,
-                     grid.reshape(-1)[:self._sizes[alloc_id] - base], base)
+        self._pwrite(alloc_id, fd, flat, base)
 
     # -- read-ahead ------------------------------------------------------------
 
@@ -943,8 +941,8 @@ class FileBackend(DataBackend):
     def _read_ahead(self, win: _Window, buf: np.ndarray) -> bool:
         """Reader-thread body: fetch ``win`` packed row-major into
         ``buf`` through a descriptor of the reader's own.  False when
-        the file ended inside the window -- the caller then reads it
-        itself, as it would have."""
+        the file ends inside the window, which then fails: the
+        coordinator reads it itself and raises, as it would have."""
         _, offset, rows, row_bytes, stride = win.key
         fd = os.open(win.path, os.O_RDONLY)
         try:

@@ -23,29 +23,11 @@ work-stealing study (Figure 11) uses list scheduling over work queues
 
 Indexed scheduling
 ------------------
-The original slot kept a sorted interval list and ran a linear gap scan
-per charge -- quadratic as bookings accumulate, which put the framework
-itself on the critical path of large runs.  :class:`_Slot` keeps
-parallel ``starts``/``ends`` arrays plus three accelerators that preserve
-**bit-identical placements** with respect to that linear scan:
-
-* an O(1) append fast path for the dominant ``ready >= free_at`` case;
-* a bisect that skips every booking ending at or before ``ready``
-  (placements provably unchanged -- such bookings can neither move the
-  scan's candidate nor change its early-return value);
-* a *remembered tight run*: what the last scan to get through proved,
-  "no gap between bookings ``lo..hi`` admits a request of ``d`` or
-  longer".  A later request at least that long steps over the run: the
-  scan's comparison is monotone in the duration, so the step cannot
-  change a placement, and an insert only replaces a gap by two shorter
-  ones, so the run survives backfill (it shifts or grows by one).  A
-  scan that walks on past the run extends it, so a dense host lane and
-  a saturated channel whose gaps are all too short both cost O(1) per
-  charge (DESIGN.md, "Indexed scheduling", has the argument in full).
-
-The naive reference implementation is retained verbatim in
-``tests/reference/naive_slot.py``; the tier-1 equivalence suite replays
-randomized workloads through both and asserts identical placements.
+:class:`_Slot` returns exactly what the linear gap scan kept in
+``tests/reference/naive_slot.py`` returns: each booking stores its
+*fit*, the longest request its gap admits by the scan's own comparison,
+and blocks know their largest fit, so a search skips what cannot host
+it, for any mix of durations (DESIGN.md, "Indexed scheduling").
 
 Observability
 -------------
@@ -60,6 +42,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from math import inf, nextafter
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from repro.errors import SimulationError
@@ -68,117 +52,161 @@ from repro.sim.trace import Phase, Trace
 #: Gaps shorter than this are not worth modelling (scheduling epsilon).
 _EPS = 1e-12
 
+#: A block of bookings splits in halves when it grows past this.
+_BLOCK = 64
+
+_last = itemgetter(-1)
+
+
+def _fit(peak: float, start: float) -> float:
+    """The largest float ``d`` with ``peak + d <= start + _EPS`` (sums
+    round past it half a spacing up; the loops take a step at most)."""
+    limit = start + _EPS
+    d = (limit - peak) + (nextafter(limit, inf) - limit) / 2
+    while peak + d > limit:
+        d = nextafter(d, -inf)
+    while peak + (up := nextafter(d, inf)) <= limit:
+        d = up
+    return d
+
 
 class _Slot:
-    """One serially-occupied lane: sorted ``starts``/``ends`` arrays with
-    an append fast path and a remembered run of tight gaps."""
+    """One serially-occupied lane: bookings sorted by start, in blocks,
+    each with ``start``, ``end``, ``peak`` (latest end so far), ``fit``
+    (:func:`_fit` of the peak before it and its start; ``-inf`` first)
+    and ``suf`` (largest fit from it to its block's end).  ``tails[b]``:
+    largest fit from block ``b`` on; ``free_at``: latest end of all."""
 
-    __slots__ = ("starts", "ends", "_tight")
+    __slots__ = ("starts", "ends", "peaks", "fits", "sufs", "tails",
+                 "free_at", "booked")
 
     def __init__(self) -> None:
-        self.starts: list[float] = []
-        self.ends: list[float] = []
-        #: ``(d, lo, hi, end)``: what a gap search proved and inserts
-        #: cannot undo.  A search for ``d`` or longer that reaches
-        #: booking ``lo`` is refused by every gap up to booking ``hi``
-        #: and steps over them to ``end``, their latest end.  Starts
-        #: as the empty run.
-        self._tight = (float("inf"), 0, 0, 0.0)
+        self.starts, self.ends, self.peaks = [[]], [[]], [[]]
+        self.fits, self.sufs = [[]], [[]]
+        self.tails, self.free_at, self.booked = [-inf, -inf], -inf, 0
 
     def earliest_gap(self, ready: float, duration: float) -> float:
-        """Earliest start >= ready with ``duration`` of idle time.
-
-        Result is bit-identical to the naive linear scan the
-        equivalence suite keeps as its oracle.
-        """
-        ends = self.ends
-        n = len(ends)
-        if n == 0 or ready >= ends[-1]:
-            # Append fast path: every booking ends at or before ready.
+        """Earliest start >= ready with ``duration`` of idle time."""
+        if ready >= self.free_at:
             return ready
-        starts = self.starts
-        # Bookings with end <= ready never move the candidate and any
-        # early return they could take yields `ready`, which the first
-        # surviving booking's check reproduces (starts are sorted).
-        i = bisect_right(ends, ready)
-        if ready + duration <= starts[i] + _EPS:
+        # Up to the first booking whose peak passes `ready`, the scan's
+        # candidate is `ready`; a gap it finds there is found again at it.
+        peaks = self.peaks
+        b = 0 if ready < peaks[0][-1] else bisect_right(peaks, ready, 1,
+                                                          key=_last)
+        k = bisect_right(row := peaks[b], ready)
+        if ready + duration <= self.starts[b][k] + _EPS:
             return ready
-        # From here the candidate is the end of the booking before the
-        # gap under test: a refusal says something about the gap alone.
-        candidate = ends[i] if ends[i] > ready else ready
-        d, lo, hi, run_end = kept = self._tight
-        covered = hi - lo
-        if duration < d or i > hi:
-            # The remembered run is no help (it may admit something this
-            # short, or lies behind us): scan from the empty run at `i`.
-            d, lo, hi, run_end = duration, i, i, candidate
-        tight = True    # every gap walked below refuses `d` as well
-        for j in range(i + 1, lo + 1):
-            limit = starts[j] + _EPS
-            if candidate + duration <= limit:
-                return candidate
-            if candidate + d <= limit:
-                tight = False
-            e = ends[j]
-            if e > candidate:
-                candidate = e
-        if run_end > candidate:
-            candidate = run_end
-        last = n - 1
-        for j in range(hi + 1, n):
-            limit = starts[j] + _EPS
-            if candidate + duration <= limit:
-                last = j - 1
-                break
-            if candidate + d <= limit:
-                tight = False
-            e = ends[j]
-            if e > candidate:
-                candidate = e
-        # Gaps (lo, last] all refused `duration`, and `d` too if still
-        # tight.  The longer run is kept (this one on a tie); a shorter
-        # one takes its length off the run it could not use, so a run
-        # nothing starts in any more fades instead of staying for good.
-        lo = min(i, lo)
-        if last - lo >= covered:
-            self._tight = (d if tight else duration, lo, last, candidate)
-        else:
-            d, kept_lo, hi, run_end = kept
-            self._tight = (d, kept_lo + last - lo, hi, run_end)
-        return candidate
+        # After it, booking j takes the peak of j - 1 iff its fit admits.
+        j = k + 1
+        sufs = self.sufs
+        if j == len(row) or sufs[b][j] < duration:
+            if self.tails[b + 1] < duration:
+                return self.free_at
+            b = next(c for c in range(b + 1, len(sufs))
+                     if sufs[c][0] >= duration)
+            row = peaks[b]
+            j = 0
+        fits = self.fits[b]
+        while fits[j] < duration:
+            j += 1
+        return row[j - 1] if j else peaks[b - 1][-1]
 
     def occupy(self, start: float, duration: float) -> None:
         """Insert ``[start, start + duration)``; the caller must have
         obtained ``start`` from :meth:`earliest_gap`."""
         end = start + duration
-        starts, ends = self.starts, self.ends
-        n = len(starts)
-        lo = bisect_left(starts, start)
-        if lo > 0 and ends[lo - 1] > start + _EPS:
+        starts = self.starts
+        b = len(starts) - 1
+        row = starts[b]
+        if row and start <= row[-1]:
+            return self._insert(start, end)
+        # Appended: only the suffix maxima and tails its fit passes rise.
+        ends = self.ends[b]
+        if row and ends[-1] > start + _EPS:
             raise SimulationError("slot overlap: gap search bypassed")
-        if lo < n and end > starts[lo] + _EPS:
+        peak = self.free_at
+        fit = _fit(peak, start) if row else -inf
+        if end > peak:
+            peak = self.free_at = end
+        row.append(start)
+        ends.append(end)
+        self.peaks[b].append(peak)
+        self.fits[b].append(fit)
+        suf = self.sufs[b]
+        suf.append(fit)
+        self.booked += 1
+        k = len(suf) - 1
+        while k > 0 and suf[k - 1] < fit:
+            k -= 1
+            suf[k] = fit
+        tails, x = self.tails, b
+        while k == 0 <= x and tails[x] < fit:
+            tails[x] = fit
+            x -= 1
+        if len(row) > _BLOCK:
+            self._split(b)
+
+    def _insert(self, start: float, end: float) -> None:
+        """Backfill a booking; re-derive the next fit, the one after each
+        peak it lifts (only sub-``_EPS`` bookings lift any), then suffix
+        maxima and tails backwards."""
+        starts, peaks, fits = self.starts, self.peaks, self.fits
+        b = bisect_left(starts, start, key=_last)
+        k = bisect_left(row := starts[b], start)
+        before = peak = -inf
+        if k:
+            before, peak = self.ends[b][k - 1], peaks[b][k - 1]
+        elif b:
+            before, peak = self.ends[b - 1][-1], peaks[b - 1][-1]
+        if before > start + _EPS or end > row[k] + _EPS:
             raise SimulationError("slot overlap: gap search bypassed")
-        if lo == n:
-            starts.append(start)
-            ends.append(end)
-        else:
-            starts.insert(lo, start)
-            ends.insert(lo, end)
-            # A backfill insert only splits a gap in two shorter ones,
-            # so the tight run survives: it shifts, or grows by one.
-            d, run_lo, run_hi, run_end = self._tight
-            if lo <= run_lo:
-                self._tight = (d, run_lo + 1, run_hi + 1, run_end)
-            elif lo <= run_hi:
-                self._tight = (d, run_lo, run_hi + 1, max(run_end, end))
+        fit = -inf if peak == -inf else _fit(peak, start)
+        peak = max(peak, end)
+        for rows, value in ((starts, start), (self.ends, end), (peaks, peak),
+                            (fits, fit), (self.sufs, fit)):
+            rows[b].insert(k, value)
+        self.booked += 1
+        self.free_at = max(self.free_at, end)
+        c, j = b, k
+        while j + 1 < len(starts[c]) or c + 1 < len(starts):
+            c, j = (c, j + 1) if j + 1 < len(starts[c]) else (c + 1, 0)
+            fits[c][j] = _fit(peak, starts[c][j])
+            if peaks[c][j] >= peak:
+                break
+            peaks[c][j] = peak
+        for x in range(c, b, -1):
+            self._suffix(x, j)
+            j = len(fits[x - 1]) - 1
+        self._suffix(b, j, k)
+        sufs, tails = self.sufs, self.tails
+        top = tails[c + 1]
+        for x in range(c, -1, -1):
+            top = max(top, sufs[x][0])
+            if x < b and tails[x] == top:
+                break
+            tails[x] = top
+        if len(row) > _BLOCK:
+            self._split(b)
 
-    @property
-    def booked(self) -> int:
-        return len(self.starts)
+    def _split(self, b: int) -> None:
+        h = len(self.starts[b]) // 2
+        for rows in (self.starts, self.ends, self.peaks, self.fits, self.sufs):
+            rows[b:b + 1] = [rows[b][:h], rows[b][h:]]
+        self._suffix(b, h - 1)
+        self.tails.insert(b + 1, max(self.sufs[b + 1][0], self.tails[b + 1]))
 
-    @property
-    def free_at(self) -> float:
-        return self.ends[-1] if self.ends else 0.0
+    def _suffix(self, b: int, j: int, k: int = 0) -> None:
+        """Block ``b``'s suffix maxima from ``j`` down (below ``k``, until
+        one comes out as it was)."""
+        row, suf = self.fits[b], self.sufs[b]
+        top = suf[j + 1] if j + 1 < len(suf) else -inf
+        for i in range(j, -1, -1):
+            if row[i] > top:
+                top = row[i]
+            if i < k and suf[i] == top:
+                return
+            suf[i] = top
 
 
 class Resource:
@@ -229,16 +257,8 @@ class Resource:
         """Bookings on the lane (charge_path's pass bound)."""
         return self._slot.booked
 
-    @property
-    def free_at(self) -> float:
-        """Time after which the lane has no further bookings."""
-        return self._slot.free_at
-
     def reset(self) -> None:
         self._slot = self._slot_cls()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Resource({self.name!r}, free_at={self.free_at})"
 
 
 @dataclass
@@ -309,35 +329,20 @@ class Timeline:
     def charge_batch(self, resource: str | Resource, ops: Iterable[BatchOp],
                      phase: Phase, *, label: str = "",
                      nbytes: int = 0) -> list[Completion]:
-        """Charge a whole sweep of operations on one resource in one
-        call.
+        """Charge a whole sweep of operations on one resource, resolved
+        once.
 
         ``ops`` yields ``(duration, ready)`` pairs, optionally extended
         to ``(duration, ready, label)`` or ``(duration, ready, label,
         nbytes)``; omitted fields fall back to the call-level defaults.
         Placements and trace order are exactly those of the equivalent
-        sequence of :meth:`charge` calls -- the batch only removes the
-        per-operation resolution and dispatch overhead (the paper's
-        Section V-B bookkeeping budget).
+        sequence of :meth:`charge` calls.
         """
         res = resource if isinstance(resource, Resource) else self.resource(resource)
-        reserve = res.reserve
-        record = self.trace.record_raw
-        name = res.name
-        floor = self.floor
-        out = []
-        for op in ops:
-            k = len(op)
-            duration, ready = op[0], op[1]
-            if floor > ready:
-                ready = floor
-            op_label = op[2] if k > 2 else label
-            op_nbytes = op[3] if k > 3 else nbytes
-            start = reserve(ready, duration)
-            end = start + duration
-            record(start, end, phase, name, op_label, op_nbytes)
-            out.append(Completion(start=start, end=end))
-        return out
+        return [self.charge(res, op[0], phase, ready=op[1],
+                            label=op[2] if len(op) > 2 else label,
+                            nbytes=op[3] if len(op) > 3 else nbytes)
+                for op in ops]
 
     def _resolve_path(self, resources: Sequence[str | Resource]) -> list[Resource]:
         resolved = [r if isinstance(r, Resource) else self.resource(r)
@@ -415,11 +420,8 @@ class Timeline:
         ``ops`` has the :meth:`charge_batch` shape.  The member
         resources are resolved once; each operation is then negotiated
         and booked in sequence, so placements and trace order match the
-        equivalent loop of :meth:`charge_path` calls exactly.  This is
-        the charging path of pipelined chunk sweeps
-        (:meth:`repro.core.system.System.move_down_batch` and the cache
-        prefetch engine): one Python round-trip per sweep instead of
-        one per chunk.
+        equivalent loop of :meth:`charge_path` calls exactly
+        (:meth:`repro.core.system.System.move_down_batch` charges so).
         """
         resolved = self._resolve_path(resources)
         joined = "+".join(r.name for r in resolved)

@@ -161,26 +161,38 @@ def test_pooled_fd_out_of_bounds_still_raises(tmp_path):
     b.close()
 
 
-def test_pooled_fd_sparse_tail_reads_zero(tmp_path):
-    """A file shorter than its declared size (sparse tail / external
-    truncation) reads as zeros past EOF on every read path."""
+def test_a_truncated_file_raises_on_every_read_path(tmp_path):
+    """A 16 KiB buffer whose file is cut to 1,000 B behind the
+    backend's back: every read that reaches past the cut raises a
+    TransferError naming the buffer, its file and the offset, instead of
+    handing back zeros; reads inside what is left still work."""
     b = FileBackend(str(tmp_path / "s"))
-    b.create(1, 64)
-    b.write(1, 0, np.arange(8, dtype=np.uint8))
-    path = next((tmp_path / "s").glob("buf_*.bin"))
-    os.truncate(path, 8)  # chop the zero tail off behind the backend's back
-    out = b.read(1, 0, 64)
-    np.testing.assert_array_equal(out[:8], np.arange(8, dtype=np.uint8))
-    assert out[8:].sum() == 0
-    into = np.full(32, 0xFF, dtype=np.uint8)
-    b.read_into(1, 4, into)
-    np.testing.assert_array_equal(into[:4], np.arange(4, 8, dtype=np.uint8))
-    assert into[4:].sum() == 0
-    gathered = np.full((4, 8), 0xFF, dtype=np.uint8)
-    b.gather_2d(1, 0, rows=4, row_bytes=8, stride=16, out=gathered)
-    np.testing.assert_array_equal(gathered[0], np.arange(8, dtype=np.uint8))
-    assert gathered[1:].sum() == 0
-    b.close()
+    try:
+        payload = np.arange(16 * 1024, dtype=np.uint32).astype(np.uint8)
+        b.create(1, payload.size)
+        b.write(1, 0, payload)
+        path = b._paths[1]
+        os.truncate(path, 1000)
+        reads = {
+            "read": lambda: b.read(1, 0, 4096),
+            "read_into": lambda: b.read_into(1, 996, np.empty(8, np.uint8)),
+            "dense gather": lambda: b.gather_2d(
+                1, 512, 4, 256, 256, np.empty((4, 256), np.uint8)),
+            "gapped gather": lambda: b.gather_2d(
+                1, 0, 4, 200, 300, np.empty((4, 200), np.uint8)),
+        }
+        for name, read in reads.items():
+            with pytest.raises(TransferError) as info:
+                read()
+            message = str(info.value)
+            assert "buffer 1" in message and path in message, name
+            assert "offset" in message and "1000" in message, name
+        np.testing.assert_array_equal(b.read(1, 0, 1000), payload[:1000])
+        inside = np.empty((3, 200), np.uint8)
+        b.gather_2d(1, 0, 3, 200, 300, inside)
+        np.testing.assert_array_equal(inside[2], payload[600:800])
+    finally:
+        b.close()
 
 
 def test_sync_writes_fsync_on_pooled_fd(tmp_path, monkeypatch):

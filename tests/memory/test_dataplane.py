@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import repro.memory.backends as backends_mod
 from repro.core.buffers import ArrayPool
 from repro.core.system import System
+from repro.errors import TransferError
 from repro.memory.backends import FileBackend, MemBackend
 from repro.memory.device import Device, DeviceSpec, StorageKind
 from repro.topology.builders import apu_two_level
@@ -188,10 +189,33 @@ def test_mapped_gather_matches_a_memory_oracle(rows, row_bytes, gap, offset,
             mb.close()
 
 
-def test_a_gathered_row_the_file_ends_in_reads_zero_past_the_end(tmp_path):
+def test_a_root_file_cut_behind_the_runtime_raises_on_the_coordinator(
+        tmp_path):
+    """A 16 KiB root whose file is cut to 1,000 B: moving it to staging
+    and fetching it raise, naming the buffer's file, instead of reading
+    the 3,846 floats past the cut as zeros."""
+    system = System(apu_two_level(storage_backend=FileBackend(
+        str(tmp_path / "root"))))
+    try:
+        data = np.arange(4096, dtype=np.float32)
+        root = system.alloc(data.nbytes, system.tree.root, label="root")
+        system.preload(root, data)
+        path = system.node_of(root).device.backend.path_of(
+            root.alloc_id, 0, data.nbytes)
+        os.truncate(path, 1000)
+        staging = system.alloc(data.nbytes, system.tree.leaves()[0])
+        with pytest.raises(TransferError, match=path):
+            system.move_down(staging, root, data.nbytes)
+        with pytest.raises(TransferError, match=path):
+            system.fetch(root, np.float32)
+    finally:
+        system.close()
+
+
+def test_a_gapped_gather_the_file_ends_inside_raises(tmp_path):
     """A file truncated behind the backend's back: the mapped gather
-    maps only up to its end (no SIGBUS), keeps the bytes of the row the
-    end falls in, zero-fills the rest and reports the read short."""
+    maps nothing past its end (no SIGBUS) and reports the window short,
+    and gather_2d raises; windows that end before the cut still read."""
     b = FileBackend(str(tmp_path / "s"))
     try:
         payload = np.random.default_rng(9).integers(0, 256, 64 * 1024,
@@ -202,21 +226,18 @@ def test_a_gathered_row_the_file_ends_in_reads_zero_past_the_end(tmp_path):
         os.truncate(b._paths[1], offset + 5 * stride + 1000)
         want = np.lib.stride_tricks.as_strided(
             payload[offset:], (rows, row_bytes), (stride, 1)).copy()
-        want[5, 1000:] = 0
-        want[6:] = 0
-        got = np.full((rows, row_bytes), 0xAB, np.uint8)
-        b.gather_2d(1, offset, rows, row_bytes, stride, got)
-        np.testing.assert_array_equal(got, want)
-        got[:] = 0xAB
+        got = np.empty((rows, row_bytes), np.uint8)
+        with pytest.raises(TransferError, match="buffer 1"):
+            b.gather_2d(1, offset, rows, row_bytes, stride, got)
         with mock.patch.object(backends_mod, "MAP_BAND_BYTES", 2 * stride):
             assert not b._gather_fd(b._fd(1), offset, rows, row_bytes,
                                     stride, got)
-        np.testing.assert_array_equal(got, want)
-        assert b._gather_fd(b._fd(1), offset, 5, row_bytes, stride, got[:5])
+            assert b._gather_fd(b._fd(1), offset, 5, row_bytes, stride,
+                                got[:5])
+        np.testing.assert_array_equal(got[:5], want[:5])
         os.truncate(b._paths[1], 0)
         assert not b._gather_fd(b._fd(1), offset, rows, row_bytes, stride,
                                 got)
-        assert not got.any()
     finally:
         b.close()
 

@@ -107,6 +107,29 @@ def test_partial_coverage_keeps_the_gap_bytes(b):
     assert b.bands == {"whole": 0, "merged": 2}
 
 
+def test_a_band_past_the_end_merges_only_the_files_bytes(tmp_path):
+    """A band whose last row runs past the buffer's end reads back only
+    the bytes the file has; a file cut shorter still raises."""
+    b = FileBackend(str(tmp_path / "f"))
+    try:
+        size = ROWS * STRIDE - 16
+        old = np.random.default_rng(4).integers(0, 256, size, np.uint8)
+        b.create(1, size)
+        b.write(1, 0, old)
+        b.scatter_2d(1, 16, ROWS, 16, STRIDE, _tile(7))
+        b.flush()
+        want = np.concatenate([old, np.zeros(16, np.uint8)])
+        want.reshape(ROWS, STRIDE)[:, 16:32] = 7
+        np.testing.assert_array_equal(_on_disk(b, 1), want[:size])
+        assert b.bands == {"whole": 0, "merged": 1}
+        b.scatter_2d(1, 16, ROWS, 16, STRIDE, _tile(8))
+        os.truncate(b._paths[1], 100)
+        with pytest.raises(TransferError, match="ends at byte 100"):
+            b.flush()
+    finally:
+        b.close()
+
+
 def test_advice_over_a_dirty_band_is_served_fresh_bytes(b, monkeypatch):
     monkeypatch.setattr(backends_mod, "READAHEAD_MIN_BYTES", 16)
     want = _band(b, 1, 0, [0, 16, 32])

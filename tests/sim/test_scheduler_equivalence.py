@@ -8,10 +8,10 @@ indexed scheduler is a pure wall-clock optimisation.
 
 Workloads deliberately mix the regimes the index special-cases:
 monotone ready times (append fast path), zero ready on a dense schedule
-and on a saturated channel whose gaps are all too short (the remembered
-tight run), zero/epsilon durations, backfill into old gaps (bisect skip,
-and inserts that land inside the tight run) and multi-resource path
-negotiation.
+and on a saturated channel whose gaps are all too short (block skips),
+zero, epsilon and sub-epsilon durations (bookings that end past the next
+start, so ends are not sorted), backfill into old gaps and
+multi-resource path negotiation.
 """
 
 import random
@@ -78,7 +78,9 @@ def _apply(timeline: Timeline, i: int, op: tuple) -> bool:
     return True
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 2019])
+# 73, 119, 163 and 382 each book a sub-epsilon interval that ends past
+# a later start, so the bookings' ends are not sorted.
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 73, 119, 163, 382, 2019])
 def test_indexed_matches_naive_reference(seed):
     ops = _random_ops(random.Random(seed), 400)
     indexed, naive = Timeline(), naive_timeline()
@@ -169,30 +171,109 @@ def _replay(slot, ops) -> list[float]:
     return placed
 
 
+def _probe(slot, ops) -> list[float]:
+    """The slot's answer to every request of ``ops`` once more, and to
+    a zero-length and an oversized one at each ready time."""
+    return [slot.earliest_gap(ready, d) for ready, duration in ops
+            for d in (0.0, duration, 1.0)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 7, 11])
 def test_saturated_channel_matches_naive_reference(seed):
     ops = _saturated_channel_ops(random.Random(seed), 300)
     indexed, naive = _Slot(), NaiveSlot()
-    assert _replay(indexed, ops) == _replay(naive, ops)
-    assert list(zip(indexed.starts, indexed.ends)) == naive.busy
-    # The shape is the one intended: most searches land at the tail.
-    _d, lo, hi, _end = indexed._tight
-    assert hi - lo > len(ops) // 2
+    placed = _replay(naive, ops)
+    assert _replay(indexed, ops) == placed
+    assert _probe(indexed, ops) == _probe(naive, ops)
+    # The shape is the one intended: most searches start before the
+    # channel's end and find no gap until it.
+    ends = [0.0]
+    for (_ready, duration), start in zip(ops, placed):
+        ends.append(max(ends[-1], start + duration))
+    at_tail = sum(ready < end == start for (ready, _d), start, end
+                  in zip(ops, placed, ends))
+    assert at_tail > len(ops) // 2
+
+
+def _sub_eps_ops(rng: random.Random, n_ops: int) -> list[tuple]:
+    """``(ready, duration)`` requests around and below the scheduling
+    epsilon: zero-length and sub-epsilon bookings, equal starts and
+    ready times on a coarse grid, so bookings touch, nest and overlap
+    by less than epsilon."""
+    return [(rng.choice((0.0, rng.uniform(0.0, 1e-9), rng.uniform(0.0, 1.0),
+                         rng.uniform(-1e-12, 1e-12),
+                         round(rng.uniform(0.0, 1.0), 3))),
+             rng.choice((0.0, 1e-13, 5e-13, 1e-12, 2e-12,
+                         rng.uniform(0.0, 1e-3), rng.uniform(0.0, 1e-11))))
+            for _ in range(n_ops)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sub_epsilon_bookings_match_naive_reference(seed):
+    """Every search, and every overlap the insert guard rejects, agree
+    with the oracle when bookings are shorter than epsilon."""
+    indexed, naive = _Slot(), NaiveSlot()
+    for ready, duration in _sub_eps_ops(random.Random(seed), 600):
+        start = naive.earliest_gap(ready, duration)
+        assert indexed.earliest_gap(ready, duration) == start
+        try:
+            naive.occupy(start, duration)
+        except SimulationError:
+            with pytest.raises(SimulationError):
+                indexed.occupy(start, duration)
+        else:
+            indexed.occupy(start, duration)
+    assert indexed.booked == naive.booked
+
+
+def _search_cost(ops) -> float:
+    """Best of 5 wall times to replay ``ops`` on a fresh indexed slot."""
+    best = float("inf")
+    for _ in range(5):
+        slot = _Slot()
+        t0 = time.perf_counter()
+        _replay(slot, ops)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def test_saturated_channel_search_cost_is_linear_in_bookings():
     """4x the bookings costs < 8x the time (min of 5): the early-ready
-    searches step over the tight run instead of re-walking it, which
-    made the replay quadratic (16x)."""
-    def cost(bookings: int) -> float:
-        ops = _saturated_channel_ops(random.Random(3), bookings)
-        best = float("inf")
-        for _ in range(5):
-            slot = _Slot()
-            t0 = time.perf_counter()
-            _replay(slot, ops)
-            best = min(best, time.perf_counter() - t0)
-        return best
+    searches skip the blocks no gap of theirs fits instead of re-walking
+    the channel, which made the replay quadratic (16x)."""
+    small = _search_cost(_saturated_channel_ops(random.Random(3), 400))
+    large = _search_cost(_saturated_channel_ops(random.Random(3), 1600))
+    assert large < 8 * small, (small, large)
 
-    small, large = cost(400), cost(1600)
+
+def _dense_host_ops(rng: random.Random, bookings: int) -> list[tuple]:
+    """``(ready, duration)`` requests in the shape of the serve layer's
+    host lane: three live jobs, each charging runtime costs of mixed
+    length from its own admission floor, and now and then a new job
+    admitted before or past the end of the work charged so far."""
+    ops = []
+    work = 0.0
+    floors = [0.0] * 3
+    for _ in range(bookings):
+        job = rng.randrange(len(floors))
+        if rng.random() < 0.05:
+            floors[job] = max(0.0, work + rng.uniform(-700e-6, 1100e-6))
+        duration = rng.choice((0.5e-6, 0.5e-6, 1e-6, 5e-6, 120e-6))
+        work = max(work, floors[job]) + duration
+        ops.append((floors[job], duration))
+    return ops
+
+
+def test_dense_host_lane_matches_naive_reference():
+    ops = _dense_host_ops(random.Random(5), 1200)
+    indexed, naive = _Slot(), NaiveSlot()
+    assert _replay(indexed, ops) == _replay(naive, ops)
+    assert _probe(indexed, ops) == _probe(naive, ops)
+
+
+def test_dense_host_lane_search_cost_is_linear_in_bookings():
+    """4x the bookings costs < 8x the time (min of 5) when searches of
+    mixed lengths from several floors walk a dense lane."""
+    small = _search_cost(_dense_host_ops(random.Random(3), 1000))
+    large = _search_cost(_dense_host_ops(random.Random(3), 4000))
     assert large < 8 * small, (small, large)
