@@ -106,7 +106,7 @@ class _WriteBack:
     dst: BufferHandle
     dst_offset: int
     nbytes: int
-    resources: list[str]
+    resources: tuple[str, ...]
     duration: float
     phase: Phase
     ready: float
@@ -174,7 +174,7 @@ class CacheManager:
                     self.system, "current_tenant", "")
                 cache.victim_guard = self._make_victim_guard(cache)
                 cache.release_hook = getattr(
-                    self.system, "release_cache_block", None)
+                    self.system, "release_storage", None)
                 self._caches[node.node_id] = cache
         return self._caches[node.node_id]
 
@@ -258,7 +258,6 @@ class CacheManager:
                                node_id=node.node_id)
         try:
             self._fill_block(node, src_node, spec, block,
-                             system._edge_path(src_node, node),
                              label or f"cache-{tag}:"
                                       f"{spec.src.label or spec.src.buffer_id}")
             system.charge_runtime(1)
@@ -270,48 +269,22 @@ class CacheManager:
 
     def prefetch_batch(self, node: TreeNode, window: list[FetchSpec],
                        lookahead: int) -> int:
-        """Issue up to ``lookahead`` planned fetches for ``node`` in one
-        call (the prefetch engine's lookahead loop, hoisted down here).
-
-        Residency and admission decisions run per spec in window order
-        -- one admission's eviction can legitimately turn the next
-        entry's lookup into a miss -- but the cache, source paths and
-        attribute lookups are resolved once for the whole sweep, and
-        every charge is made in exactly the per-spec order the
-        one-call-per-spec loop used, so virtual results are
-        bit-identical.  Returns the number of fetches issued.
-        """
+        """Issue up to ``lookahead`` planned fetches for ``node``: a loop
+        of :meth:`fetch_into_cache` over ``window`` in order, skipping
+        specs whose source is released or that are already resident,
+        and stopping at the first the cache cannot admit (trying further
+        entries would thrash).  Returns the number of fetches issued."""
         cache = self.node_cache(node)
         if cache is None:
             return 0
-        system = self.system
-        lookup = cache.lookup
-        admit = cache.admit
-        paths: dict[int, list] = {}
         issued = 0
         for spec in window:
             if issued >= lookahead:
                 break
-            if spec.src.released or lookup(spec) is not None:
+            if spec.src.released or cache.lookup(spec) is not None:
                 continue
-            src_node = system.node_of(spec.src)
-            path = paths.get(src_node.node_id)
-            if path is None:
-                self._check_fill_source(node, src_node)
-                path = system._edge_path(src_node, node)
-                paths[src_node.node_id] = path
-            block = admit(spec, prefetched=True)
-            if block is None:
-                break  # no room; trying further entries would thrash
-            span = system.obs.open("prefetch", node_id=node.node_id)
-            try:
-                self._fill_block(node, src_node, spec, block, path,
-                                 f"cache-prefetch:"
-                                 f"{spec.src.label or spec.src.buffer_id}")
-                system.charge_runtime(1)
-            finally:
-                system.obs.close(span)
-            cache.stats.prefetch_issued += 1
+            if self.fetch_into_cache(node, spec, prefetched=True) is None:
+                break
             issued += 1
         return issued
 
@@ -323,32 +296,17 @@ class CacheManager:
                 f"ancestor of node {node.node_id}")
 
     def _fill_block(self, node: TreeNode, src_node: TreeNode,
-                    spec: FetchSpec, block: CacheBlock,
-                    edge_path: list, label: str) -> None:
-        """Charge block setup plus the edge transfers for one admitted
-        block and move its bytes; shared by demand fills and the batched
-        prefetch sweep."""
+                    spec: FetchSpec, block: CacheBlock, label: str) -> None:
+        """Charge block setup, then copy the source window packed
+        row-major into the admitted block through the one timed copy."""
         from repro.core.system import SETUP_COST
         system = self.system
         system.timeline.charge(
             "host", SETUP_COST[node.device.kind], Phase.SETUP,
             label=f"cache-alloc@{node.node_id}")
-        end = spec.src.ready_at
-        for edge_src, edge_dst in edge_path:
-            done = system._charge_edge(edge_src, edge_dst, spec.nbytes,
-                                       ready=end, label=label)
-            end = done.end
-        # Physical fill: the source window lands packed row-major in the
-        # block, as one vectored transfer.
-        system._transfer(src_node, spec.src, spec.offset, spec.stride, node,
-                         block.handle, 0, spec.row_bytes, spec.rows,
-                         spec.row_bytes)
-        spec.src.note_read(end)
-        block.handle.note_write(end)
-        if system.executor.asynchronous:
-            system._note_fill(spec.src, spec.offset, spec.stride,
-                              block.handle, 0, spec.row_bytes, spec.rows,
-                              spec.row_bytes)
+        system._copy(src_node, spec.src, spec.offset, spec.stride, node,
+                     block.handle, 0, spec.row_bytes, spec.rows,
+                     spec.row_bytes, spec.src.ready_at, label)
 
     # -- leases (System.fetch_down / fetch_release) ----------------------
 
@@ -389,26 +347,17 @@ class CacheManager:
                  label: str) -> "MoveResult":
         """Move the bytes of a child->parent transfer now, but record the
         virtual charge as an IOU instead of issuing it."""
-        from repro.core.system import MoveResult, _transfer_phase
+        from repro.core.system import MoveResult
         system = self.system
         src_node, dst_node = system.node_of(src), system.node_of(dst)
-        link = src_node.uplink
-        assert link is not None
-        bw = min(src_node.device.spec.read_bw, link.bandwidth,
-                 dst_node.device.spec.write_bw)
-        duration = (src_node.device.spec.latency + link.latency
-                    + dst_node.device.spec.latency + nbytes / bw)
-        resources = list(dict.fromkeys(
-            [src_node.device.read_resource, link.resource_name("up"),
-             dst_node.device.write_resource]))
+        resources, phase, latency, bw = system._edge_plan(src_node, dst_node)
         stats = self._wb_stats_for(src_node)
         key = (dst.buffer_id, dst_offset, nbytes)
         if key in self._writebacks:
             stats.writebacks_absorbed += 1
         wb = _WriteBack(
             src=src, dst=dst, dst_offset=dst_offset, nbytes=nbytes,
-            resources=resources, duration=duration,
-            phase=_transfer_phase(src_node.device.kind, dst_node.device.kind),
+            resources=resources, duration=latency + nbytes / bw, phase=phase,
             ready=src.ready_at, label=label or "write-back")
         self._writebacks[key] = wb
         stats.writebacks_deferred += 1

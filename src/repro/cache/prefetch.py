@@ -122,14 +122,9 @@ class PrefetchEngine:
         self.issue(node)
 
     def issue(self, node: TreeNode) -> None:
-        """Issue up to ``lookahead`` planned fetches for ``node``.
-
-        The whole lookahead sweep is one
-        :meth:`~repro.cache.manager.CacheManager.prefetch_batch` call:
-        residency checks and admissions still run per plan entry (in
-        order), but path resolution and cache lookups are hoisted out
-        of the loop.
-        """
+        """Issue up to ``lookahead`` planned fetches for ``node``
+        (:meth:`~repro.cache.manager.CacheManager.prefetch_batch`, a
+        loop of demand-style fills over the plan's head in order)."""
         plan = self._plans.get(node.node_id)
         if not plan:
             return

@@ -394,26 +394,16 @@ class System:
         node = self.node_of(handle)
         self.registry.unregister(handle)
         if not handle.is_mapped:
-            slab = (node.node_id, handle.alloc_id)
-            if self._ledger.active and self._ledger.has_pending(slab):
-                # Zombie: capacity is credited now (so free-space
-                # queries and later allocations see the logical release
-                # exactly as the inline path would), but the backing
-                # bytes survive until the slab's pending executor work
-                # retires.
-                alloc_id = handle.alloc_id
-                node.device.release_capacity(alloc_id)
-                self._ledger.defer_free(
-                    slab, lambda: node.device.destroy_storage(alloc_id))
-            else:
-                node.device.release(handle.alloc_id)
+            self.release_storage(node, handle)
         self.charge_runtime(1)
 
-    def release_cache_block(self, node: TreeNode, handle: BufferHandle) -> None:
-        """Release a cache block's storage, honouring pending executor
-        work on its slab (the cache's eviction hook): capacity is
-        credited immediately, the bytes survive until any deferred copy
-        still reading them retires."""
+    def release_storage(self, node: TreeNode, handle: BufferHandle) -> None:
+        """Free the storage behind ``handle`` on ``node`` (:meth:`release`
+        and the cache's eviction hook).  A slab with pending executor
+        work turns zombie: capacity is credited now (so free-space
+        queries and later allocations see the logical release exactly as
+        the inline path would), but the backing bytes survive until that
+        work retires."""
         slab = (node.node_id, handle.alloc_id)
         if self._ledger.active and self._ledger.has_pending(slab):
             alloc_id = handle.alloc_id
@@ -484,11 +474,25 @@ class System:
             if served is not None:
                 return served
 
-        start, end, hops = self._charge_move(
-            src_node, dst_node, nbytes,
+        start, end, hops = self._copy(
+            src_node, src, src_offset, src_stride, dst_node, dst, dst_offset,
+            dst_stride, rows, row_bytes,
             max(src.ready_at, dst.last_read_end), label)
+        self.charge_runtime(2)
+        if ncache is not None:
+            self._cache_admit(ncache, spec, dst, dst_offset, dst_stride, end)
+        return MoveResult(start=start, end=end, nbytes=nbytes, hops=hops)
 
-        # Physical byte movement (eager; virtual time already charged).
+    def _copy(self, src_node: TreeNode, src: BufferHandle, src_offset: int,
+              src_stride: int, dst_node: TreeNode, dst: BufferHandle,
+              dst_offset: int, dst_stride: int, rows: int, row_bytes: int,
+              ready: float, label: str) -> tuple[float, float, int]:
+        """The one timed copy (Listing 4's ``move_data``) behind every
+        move and cache fill: charge the path from ``ready``, move the
+        window's bytes, stamp both handles and record the fill's
+        provenance.  Returns ``(start, end, hops)``."""
+        start, end, hops = self._charge_move(src_node, dst_node,
+                                             rows * row_bytes, ready, label)
         self._transfer(src_node, src, src_offset, src_stride, dst_node, dst,
                        dst_offset, dst_stride, rows, row_bytes)
         src.note_read(end)
@@ -496,10 +500,7 @@ class System:
         if self.executor.asynchronous:
             self._note_fill(src, src_offset, src_stride, dst, dst_offset,
                             dst_stride, rows, row_bytes)
-        self.charge_runtime(2)
-        if ncache is not None:
-            self._cache_admit(ncache, spec, dst, dst_offset, dst_stride, end)
-        return MoveResult(start=start, end=end, nbytes=nbytes, hops=hops)
+        return start, end, hops
 
     def _charge_move(self, src_node: TreeNode, dst_node: TreeNode,
                      nbytes: int, ready: float,
@@ -508,25 +509,33 @@ class System:
         device, or each tree edge between the nodes in turn -- and
         return ``(start, end, hops)``."""
         if src_node is dst_node:
-            dev = src_node.device
-            duration = dev.spec.latency + nbytes / min(dev.spec.read_bw,
-                                                       dev.spec.write_bw)
-            done = self.timeline.charge_path(
-                [dev.read_resource] if dev.read_resource == dev.write_resource
-                else [dev.read_resource, dev.write_resource],
-                duration, Phase.MEM_COPY, ready=ready, label=label,
-                nbytes=nbytes)
+            done = self._charge_local(src_node, nbytes, nbytes, ready, label)
             return done.start, done.end, 1
         start, end, hops = None, ready, 0
         for edge_src, edge_dst in self._edge_path(src_node, dst_node):
-            done = self._charge_edge(edge_src, edge_dst, nbytes,
-                                     ready=end, label=label)
+            resources, phase, latency, bw = self._edge_plan(edge_src, edge_dst)
+            done = self.timeline.charge_path(resources, latency + nbytes / bw,
+                                             phase, ready=end, label=label,
+                                             nbytes=nbytes)
             if start is None:
                 start = done.start
             end = done.end
             hops += 1
         assert start is not None
         return start, end, hops
+
+    def _charge_local(self, node: TreeNode, work: float, nbytes: int,
+                      ready: float, label: str) -> Completion:
+        """Charge a pass over ``work`` bytes on one device's read and
+        write side: a local copy, or a layout rewrite in place."""
+        dev = node.device
+        duration = dev.spec.latency + work / min(dev.spec.read_bw,
+                                                 dev.spec.write_bw)
+        return self.timeline.charge_path(
+            [dev.read_resource] if dev.read_resource == dev.write_resource
+            else [dev.read_resource, dev.write_resource],
+            duration, Phase.MEM_COPY, ready=ready, label=label,
+            nbytes=nbytes)
 
     def map_region(self, handle: BufferHandle, offset: int, nbytes: int, *,
                    label: str = "") -> BufferHandle:
@@ -573,15 +582,9 @@ class System:
                               transform.apply(payload))
         dst.bump_version()      # no longer the moved window's bytes
         if transform.cost_factor > 0:
-            dev = dst_node.device.spec
-            duration = (dev.latency + transform.cost_factor * nbytes
-                        / min(dev.read_bw, dev.write_bw))
-            resources = [dst_node.device.read_resource]
-            if dst_node.device.write_resource != dst_node.device.read_resource:
-                resources.append(dst_node.device.write_resource)
-            done = self.timeline.charge_path(
-                resources, duration, Phase.MEM_COPY, ready=result.end,
-                label=f"layout:{type(transform).__name__}", nbytes=nbytes)
+            done = self._charge_local(
+                dst_node, transform.cost_factor * nbytes, nbytes, result.end,
+                f"layout:{type(transform).__name__}")
             dst.note_write(done.end)
             return MoveResult(start=result.start, end=done.end,
                               nbytes=nbytes, hops=result.hops)
@@ -597,86 +600,12 @@ class System:
                          src_offset=src_offset, label=label, cache=cache)
 
     def move_down_batch(self, moves: Sequence[BatchMove]) -> list[MoveResult]:
-        """``move_data_down`` for a whole pre-planned chunk sweep.
-
-        Runs of moves sharing one tree edge are charged through a single
-        :meth:`~repro.sim.timeline.Timeline.charge_path_batch` call, so a
-        pipelined sweep pays one resolution/dispatch round-trip per run
-        instead of one per chunk.  Placements are exactly those of the
-        equivalent loop of :meth:`move_down` calls, with two deliberate
-        differences: runtime bookkeeping is charged as one aggregate
-        interval at the end (same total ops, fewer trace rows), and the
-        sweep never consults the transparent cache -- with the cache in
-        "full" mode it degenerates to sequential :meth:`move_down` calls,
-        because per-move hit/miss decisions cannot be batched.
-
-        A move that reads a buffer a pending move writes, or overwrites
-        one a pending move reads, closes the current run first, so
-        ``ready`` times thread through exactly as in the sequential
-        loop.
-        """
-        if not moves:
-            return []
-        if self.cache.transparent:
-            return [self.move_down(m.dst, m.src, m.nbytes,
-                                   dst_offset=m.dst_offset,
-                                   src_offset=m.src_offset, label=m.label)
-                    for m in moves]
-        results: list[MoveResult] = []
-        pending: list[BatchMove] = []
-        pending_nodes: tuple[TreeNode, TreeNode] | None = None
-        # id() of the BufferTimes pending moves read (sources) and write
-        # (destinations); stamped only at flush, so a later move that
-        # reads a pending write (RAW) or overwrites a pending read (WAR)
-        # must close the run first.  Shared sources (one staging buffer
-        # fanned to many chunks) and repeated writes to one destination
-        # need no flush: neither changes any later move's ready time.
-        pending_read: set[int] = set()
-        pending_written: set[int] = set()
-
-        def flush_run() -> None:
-            nonlocal pending_nodes
-            if not pending:
-                return
-            src_node, dst_node = pending_nodes
-            resources, phase, latency, bw = self._edge_plan(src_node, dst_node)
-            ops = [(latency + m.nbytes / bw,
-                    max(m.src.ready_at, m.dst.last_read_end),
-                    m.label, m.nbytes) for m in pending]
-            done = self.timeline.charge_path_batch(resources, ops, phase)
-            for m, c in zip(pending, done):
-                self._transfer(src_node, m.src, m.src_offset, m.nbytes,
-                               dst_node, m.dst, m.dst_offset, m.nbytes, 1,
-                               m.nbytes)
-                m.src.note_read(c.end)
-                m.dst.note_write(c.end)
-                results.append(MoveResult(start=c.start, end=c.end,
-                                          nbytes=m.nbytes, hops=1))
-            pending.clear()
-            pending_nodes = None
-            pending_read.clear()
-            pending_written.clear()
-
-        for m in moves:
-            self.registry.check_live(m.src)
-            self.registry.check_live(m.dst)
-            self.cache.flush_handle(m.src)
-            self.cache.flush_handle(m.dst)
-            _check_window(m.src, m.src_offset, m.nbytes, m.dst, m.dst_offset,
-                          m.nbytes, 1, m.nbytes)
-            src_node, dst_node = self.node_of(m.src), self.node_of(m.dst)
-            self._assert_adjacent(src_node, dst_node, expect_down=True)
-            if pending and (pending_nodes != (src_node, dst_node)
-                            or id(m.src.times) in pending_written
-                            or id(m.dst.times) in pending_read):
-                flush_run()
-            pending.append(m)
-            pending_nodes = (src_node, dst_node)
-            pending_read.add(id(m.src.times))
-            pending_written.add(id(m.dst.times))
-        flush_run()
-        self.charge_runtime(2 * len(moves), label="move_down_batch")
-        return results
+        """``move_data_down`` for a pre-planned chunk sweep: a loop of
+        :meth:`move_down`, one call per element, in order."""
+        return [self.move_down(m.dst, m.src, m.nbytes,
+                               dst_offset=m.dst_offset,
+                               src_offset=m.src_offset, label=m.label)
+                for m in moves]
 
     def move_up(self, dst: BufferHandle, src: BufferHandle, nbytes: int, *,
                 dst_offset: int = 0, src_offset: int = 0,
@@ -918,14 +847,6 @@ class System:
             plan = (tuple(dict.fromkeys(resources)), phase, latency, bw)
             self._edge_plans[key] = plan
         return plan
-
-    def _charge_edge(self, src: TreeNode, dst: TreeNode, nbytes: int, *,
-                     ready: float, label: str) -> Completion:
-        """Charge one parent<->child hop on its physical resources."""
-        resources, phase, latency, bw = self._edge_plan(src, dst)
-        return self.timeline.charge_path(resources, latency + nbytes / bw,
-                                         phase, ready=ready, label=label,
-                                         nbytes=nbytes)
 
     # -- compute -----------------------------------------------------------
 

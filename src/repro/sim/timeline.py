@@ -75,7 +75,9 @@ class _Slot:
     each with ``start``, ``end``, ``peak`` (latest end so far), ``fit``
     (:func:`_fit` of the peak before it and its start; ``-inf`` first)
     and ``suf`` (largest fit from it to its block's end).  ``tails[b]``:
-    largest fit from block ``b`` on; ``free_at``: latest end of all."""
+    largest fit from block ``b`` up to the last block, which searches
+    read themselves, so an append raises no ``tails``; ``free_at``:
+    latest end of all."""
 
     __slots__ = ("starts", "ends", "peaks", "fits", "sufs", "tails",
                  "free_at", "booked")
@@ -101,7 +103,8 @@ class _Slot:
         j = k + 1
         sufs = self.sufs
         if j == len(row) or sufs[b][j] < duration:
-            if self.tails[b + 1] < duration:
+            if self.tails[b + 1] < duration and (
+                    b + 1 == len(sufs) or sufs[-1][0] < duration):
                 return self.free_at
             b = next(c for c in range(b + 1, len(sufs))
                      if sufs[c][0] >= duration)
@@ -121,7 +124,7 @@ class _Slot:
         row = starts[b]
         if row and start <= row[-1]:
             return self._insert(start, end)
-        # Appended: only the suffix maxima and tails its fit passes rise.
+        # Appended: only the suffix maxima its fit passes rise.
         ends = self.ends[b]
         if row and ends[-1] > start + _EPS:
             raise SimulationError("slot overlap: gap search bypassed")
@@ -140,10 +143,6 @@ class _Slot:
         while k > 0 and suf[k - 1] < fit:
             k -= 1
             suf[k] = fit
-        tails, x = self.tails, b
-        while k == 0 <= x and tails[x] < fit:
-            tails[x] = fit
-            x -= 1
         if len(row) > _BLOCK:
             self._split(b)
 
@@ -180,6 +179,7 @@ class _Slot:
             j = len(fits[x - 1]) - 1
         self._suffix(b, j, k)
         sufs, tails = self.sufs, self.tails
+        c = min(c, len(sufs) - 2)       # the last block stays out of tails
         top = tails[c + 1]
         for x in range(c, -1, -1):
             top = max(top, sufs[x][0])
@@ -194,7 +194,16 @@ class _Slot:
         for rows in (self.starts, self.ends, self.peaks, self.fits, self.sufs):
             rows[b:b + 1] = [rows[b][:h], rows[b][h:]]
         self._suffix(b, h - 1)
-        self.tails.insert(b + 1, max(self.sufs[b + 1][0], self.tails[b + 1]))
+        tails = self.tails
+        if b + 2 < len(self.starts):
+            tails.insert(b + 1, max(self.sufs[b + 1][0], tails[b + 1]))
+            return
+        # The last block split: its first half joins tails.
+        tails.insert(b + 1, -inf)
+        top = self.sufs[b][0]
+        while b >= 0 and tails[b] < top:
+            tails[b] = top
+            b -= 1
 
     def _suffix(self, b: int, j: int, k: int = 0) -> None:
         """Block ``b``'s suffix maxima from ``j`` down (below ``k``, until
@@ -344,13 +353,6 @@ class Timeline:
                             nbytes=op[3] if len(op) > 3 else nbytes)
                 for op in ops]
 
-    def _resolve_path(self, resources: Sequence[str | Resource]) -> list[Resource]:
-        resolved = [r if isinstance(r, Resource) else self.resource(r)
-                    for r in resources]
-        if not resolved:
-            raise SimulationError("charge_path needs at least one resource")
-        return resolved
-
     def _negotiate(self, resolved: list[Resource], duration: float,
                    ready: float) -> float:
         """Find the earliest start every resource can host.
@@ -380,10 +382,21 @@ class Timeline:
                     f"{passes} passes (bound {max_passes}) for "
                     f"duration={duration} ready={ready}, stuck at t={start}")
 
-    def _book_path(self, resolved: list[Resource], joined: str,
-                   duration: float, ready: float, phase: Phase, label: str,
-                   nbytes: int) -> Completion:
-        """Negotiate, book and record one multi-resource operation."""
+    def charge_path(self, resources: Sequence[str | Resource], duration: float,
+                    phase: Phase, *, ready: float = 0.0, label: str = "",
+                    nbytes: int = 0) -> Completion:
+        """Charge one operation that occupies several resources at once.
+
+        Used for transfers that hold both endpoints (e.g. a DMA from the
+        SSD into DRAM holds the SSD read channel and the memory bus).
+        The start time is negotiated so every resource is free for the
+        full duration.
+        """
+        resolved = [r if isinstance(r, Resource) else self.resource(r)
+                    for r in resources]
+        if not resolved:
+            raise SimulationError("charge_path needs at least one resource")
+        joined = "+".join(r.name for r in resolved)
         if duration < 0:
             raise SimulationError(
                 f"negative duration {duration} on path [{joined}]")
@@ -396,38 +409,15 @@ class Timeline:
         self.trace.record_raw(start, end, phase, joined, label, nbytes)
         return Completion(start=start, end=end)
 
-    def charge_path(self, resources: Sequence[str | Resource], duration: float,
-                    phase: Phase, *, ready: float = 0.0, label: str = "",
-                    nbytes: int = 0) -> Completion:
-        """Charge one operation that occupies several resources at once.
-
-        Used for transfers that hold both endpoints (e.g. a DMA from the
-        SSD into DRAM holds the SSD read channel and the memory bus).
-        The start time is negotiated so every resource is free for the
-        full duration.
-        """
-        resolved = self._resolve_path(resources)
-        return self._book_path(resolved, "+".join(r.name for r in resolved),
-                               duration, ready, phase, label, nbytes)
-
     def charge_path_batch(self, resources: Sequence[str | Resource],
                           ops: Iterable[BatchOp], phase: Phase, *,
                           label: str = "",
                           nbytes: int = 0) -> list[Completion]:
-        """Charge a sweep of multi-resource operations over one fixed
-        path in a single call.
-
-        ``ops`` has the :meth:`charge_batch` shape.  The member
-        resources are resolved once; each operation is then negotiated
-        and booked in sequence, so placements and trace order match the
-        equivalent loop of :meth:`charge_path` calls exactly
-        (:meth:`repro.core.system.System.move_down_batch` charges so).
-        """
-        resolved = self._resolve_path(resources)
-        joined = "+".join(r.name for r in resolved)
-        return [self._book_path(resolved, joined, op[0], op[1], phase,
-                                op[2] if len(op) > 2 else label,
-                                op[3] if len(op) > 3 else nbytes)
+        """A loop of :meth:`charge_path` over one fixed path; ``ops`` has
+        the :meth:`charge_batch` shape."""
+        return [self.charge_path(resources, op[0], phase, ready=op[1],
+                                 label=op[2] if len(op) > 2 else label,
+                                 nbytes=op[3] if len(op) > 3 else nbytes)
                 for op in ops]
 
     def makespan(self) -> float:

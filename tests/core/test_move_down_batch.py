@@ -57,8 +57,7 @@ def test_batch_matches_sequential_loop(apu):
         assert [(r.start, r.end, r.nbytes, r.hops) for r in batch] == \
             [(r.start, r.end, r.nbytes, r.hops) for r in loop]
         assert _non_runtime_rows(batch_sys) == loop_rows
-        # Runtime bookkeeping: same total ops and busy seconds, charged
-        # as one aggregate interval instead of one per move.
+        # Runtime bookkeeping: same total ops and busy seconds.
         assert batch_sys.runtime_ops == loop_ops
         assert batch_sys.timeline.trace.by_phase()[Phase.RUNTIME] == \
             pytest.approx(loop_runtime)

@@ -6,7 +6,8 @@ itself.
 Covered here on both pools: a root window written (moved into,
 preloaded, released) after the grant is dispatched leaves the kernel
 seeing the bytes it had at dispatch; a staging buffer touched after its
-fill falls back to a snapshot; and a root file that is truncated or
+fill falls back to a snapshot; every fill route (a move, a batched move
+sweep, a cache fill) records what it copied; and a root file that is truncated or
 removed behind the runtime's back fails the kernel with a typed error
 naming the task-graph node and the file -- never wrong bytes, never a
 hang, nothing left behind.
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.compute.processor import KernelCost
-from repro.core.system import System
+from repro.core.system import BatchMove, System
 from repro.dist.executor import dist_residue
 from repro.exec import Binding, ExecError, kernel_spec, shm_residue
 from repro.memory.backends import FileBackend
@@ -88,6 +89,36 @@ def test_a_root_write_after_dispatch_leaves_the_kernel_the_old_bytes(
     assert np.array_equal(system.fetch(out, np.float32), OLD)
     if write != "release":
         assert np.array_equal(system.fetch(root, np.float32), NEW)
+
+
+# -- every fill route records its provenance ------------------------------
+
+@pytest.mark.parametrize("route", ["move_down_batch", "fetch_down"])
+def test_every_fill_route_describes_the_root_window(system, route):
+    leaf = system.tree.leaves()[0]
+    root = system.alloc(OLD.nbytes, system.tree.root, label="root")
+    system.preload(root, OLD)
+    if route == "move_down_batch":
+        staging = system.alloc(OLD.nbytes, leaf, label="staging")
+        half = OLD.nbytes // 2
+        system.move_down_batch([
+            BatchMove(staging, root, half),
+            BatchMove(staging, root, half, dst_offset=half, src_offset=half)])
+        view = system.map_region(staging, half, half)
+    else:                       # a cache fill of the explicit cache
+        staging = system.fetch_down(leaf, root, nbytes=OLD.nbytes)
+        view = staging
+    out = system.alloc(view.nbytes, leaf)
+    n = view.nbytes // 4
+    spec = kernel_spec(kernels.axpy,
+                       Binding.read("x", view, np.float32, (n,)),
+                       Binding.update("y", out, np.float32, (n,)),
+                       alpha=1.0)
+    system.launch(leaf.processor_named("gpu-apu"),
+                  KernelCost(flops=1e3, bytes_read=0), reads=(view,),
+                  writes=(out,), kernel=spec)
+    assert system.executor.stats.described == 1
+    assert np.array_equal(system.fetch(out, np.float32), OLD[N - n:])
 
 
 # -- a staging buffer touched after its fill ------------------------------

@@ -277,3 +277,45 @@ def test_dense_host_lane_search_cost_is_linear_in_bookings():
     small = _search_cost(_dense_host_ops(random.Random(3), 1000))
     large = _search_cost(_dense_host_ops(random.Random(3), 4000))
     assert large < 8 * small, (small, large)
+
+
+def _growing_gap_cost(bookings: int) -> float:
+    """Best of 5 wall times to append ``bookings`` 1 us bookings on a
+    fresh slot, each after a gap 0.01% longer than the one before, with
+    one search from t=0 after each: every appended fit is the largest
+    of the lane."""
+    best = float("inf")
+    for _ in range(5):
+        slot = _Slot()
+        t0 = time.perf_counter()
+        gap, at = 1e-6, 0.0
+        for _ in range(bookings):
+            at += gap
+            slot.occupy(slot.earliest_gap(at, 1e-6), 1e-6)
+            at += 1e-6
+            slot.earliest_gap(0.0, 1e-6)
+            gap *= 1.0001
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_growing_gap_lane_matches_naive_reference():
+    ops, gap, at = [], 1e-6, 0.0
+    for i in range(500):
+        at += gap
+        ops.append((at, 1e-6))
+        ops.append((0.0, gap * (1.0 + i % 3) / 2))   # a backfill or a miss
+        at += 1e-6
+        gap *= 1.01
+    indexed, naive = _Slot(), NaiveSlot()
+    assert _replay(indexed, ops) == _replay(naive, ops)
+    assert _probe(indexed, ops) == _probe(naive, ops)
+
+
+def test_growing_gap_append_cost_is_linear_in_bookings():
+    """4x the bookings costs < 8x the time (min of 5) when every
+    append's fit is the lane's largest: an append leaves the block
+    maxima of the earlier blocks alone instead of raising them all."""
+    small = _growing_gap_cost(5000)
+    large = _growing_gap_cost(20000)
+    assert large < 8 * small, (small, large)
