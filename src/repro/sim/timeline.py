@@ -76,8 +76,8 @@ class _Slot:
     (:func:`_fit` of the peak before it and its start; ``-inf`` first)
     and ``suf`` (largest fit from it to its block's end).  ``tails[b]``:
     largest fit from block ``b`` up to the last block, which searches
-    read themselves, so an append raises no ``tails``; ``free_at``:
-    latest end of all."""
+    read themselves: an append raises ``tails`` only when it splits that
+    block (O(blocks) on a growing-gap lane); ``free_at``: latest end."""
 
     __slots__ = ("starts", "ends", "peaks", "fits", "sufs", "tails",
                  "free_at", "booked")

@@ -93,32 +93,58 @@ def test_a_root_write_after_dispatch_leaves_the_kernel_the_old_bytes(
 
 # -- every fill route records its provenance ------------------------------
 
+def _batch_filled(sys_, leaf, root):
+    """A staging copy of ``root`` filled by two half moves in one batch."""
+    staging = sys_.alloc(OLD.nbytes, leaf, label="staging")
+    half = OLD.nbytes // 2
+    sys_.move_down_batch([
+        BatchMove(staging, root, half),
+        BatchMove(staging, root, half, dst_offset=half, src_offset=half)])
+    return staging
+
+
+def _read_into_out(sys_, leaf, view):
+    """Launch ``out = view`` on the leaf's GPU; returns ``out`` and its
+    float count."""
+    out = sys_.alloc(view.nbytes, leaf)
+    n = view.nbytes // 4
+    spec = kernel_spec(kernels.axpy,
+                       Binding.read("x", view, np.float32, (n,)),
+                       Binding.update("y", out, np.float32, (n,)),
+                       alpha=1.0)
+    sys_.launch(leaf.processor_named("gpu-apu"),
+                KernelCost(flops=1e3, bytes_read=0), reads=(view,),
+                writes=(out,), kernel=spec)
+    return out, n
+
+
 @pytest.mark.parametrize("route", ["move_down_batch", "fetch_down"])
 def test_every_fill_route_describes_the_root_window(system, route):
     leaf = system.tree.leaves()[0]
     root = system.alloc(OLD.nbytes, system.tree.root, label="root")
     system.preload(root, OLD)
     if route == "move_down_batch":
-        staging = system.alloc(OLD.nbytes, leaf, label="staging")
-        half = OLD.nbytes // 2
-        system.move_down_batch([
-            BatchMove(staging, root, half),
-            BatchMove(staging, root, half, dst_offset=half, src_offset=half)])
-        view = system.map_region(staging, half, half)
+        # Only the window of the last fill: a buffer keeps one fill
+        # record, so the whole buffer is snapshotted (the xfail below).
+        staging = _batch_filled(system, leaf, root)
+        view = system.map_region(staging, OLD.nbytes // 2, OLD.nbytes // 2)
     else:                       # a cache fill of the explicit cache
-        staging = system.fetch_down(leaf, root, nbytes=OLD.nbytes)
-        view = staging
-    out = system.alloc(view.nbytes, leaf)
-    n = view.nbytes // 4
-    spec = kernel_spec(kernels.axpy,
-                       Binding.read("x", view, np.float32, (n,)),
-                       Binding.update("y", out, np.float32, (n,)),
-                       alpha=1.0)
-    system.launch(leaf.processor_named("gpu-apu"),
-                  KernelCost(flops=1e3, bytes_read=0), reads=(view,),
-                  writes=(out,), kernel=spec)
+        view = system.fetch_down(leaf, root, nbytes=OLD.nbytes)
+    out, n = _read_into_out(system, leaf, view)
     assert system.executor.stats.described == 1
     assert np.array_equal(system.fetch(out, np.float32), OLD[N - n:])
+
+
+@pytest.mark.xfail(strict=True, reason="BufferTimes.fill keeps only the "
+                   "last fill, so a buffer filled by two moves is "
+                   "snapshotted when read whole")
+def test_a_buffer_filled_by_two_moves_is_described_whole(system):
+    leaf = system.tree.leaves()[0]
+    root = system.alloc(OLD.nbytes, system.tree.root, label="root")
+    system.preload(root, OLD)
+    out, _ = _read_into_out(system, leaf, _batch_filled(system, leaf, root))
+    assert np.array_equal(system.fetch(out, np.float32), OLD)
+    assert system.executor.stats.described == 1
 
 
 # -- a staging buffer touched after its fill ------------------------------
