@@ -284,7 +284,7 @@ class System:
     def _transfer(self, src_node: TreeNode, src: BufferHandle,
                   src_offset: int, src_stride: int, dst_node: TreeNode,
                   dst: BufferHandle, dst_offset: int, dst_stride: int,
-                  rows: int, row_bytes: int) -> None:
+                  rows: int, row_bytes: int, *, fill: bool = False) -> None:
         """Move one window -- ``rows`` runs of ``row_bytes``, a
         contiguous range being one row -- between two handles' backends
         as one vectored transfer, charging wall time.  Virtual time is
@@ -296,17 +296,28 @@ class System:
         reads a slab an async kernel will merge into, or touches a slab
         a deferred copy still needs), it is deferred behind those ops
         instead of draining them -- that deferral is what keeps several
-        chunk chains in flight across workers."""
+        chunk chains in flight across workers.  A packed ``fill``
+        (:meth:`_copy`) from a window another process can read in its
+        file is always deferred, as a fill op (:mod:`repro.exec.ledger`)
+        that drops the earlier fills it covers."""
         args = (src_node, src, src_offset, src_stride, dst_node, dst,
                 dst_offset, dst_stride, rows, row_bytes)
-        if self._ledger.active:
+        span = None
+        if fill:
+            at, lo = src.base_offset + src_offset, dst.base_offset + dst_offset
+            end = at + (rows - 1) * src_stride + row_bytes
+            if src_node.device.backend.path_of(src.alloc_id, at, end):
+                span = (lo, lo + rows * row_bytes)
+        if self._ledger.active or span:
             sslab = (src_node.node_id, src.alloc_id)
             dslab = (dst_node.node_id, dst.alloc_id)
+            if span:
+                self._ledger.drop_fills((dslab,), within=span)
             deps = self._ledger.conflicting(reads=(sslab,), writes=(dslab,))
-            if deps:
+            if deps or span:
                 self._ledger.defer_copy(lambda: self._transfer_now(*args),
                                         reads=(sslab,), writes=(dslab,),
-                                        deps=deps)
+                                        deps=deps, fill=span)
                 return
         self._transfer_now(*args)
 
@@ -340,28 +351,17 @@ class System:
         try:
             alloc_id = n.device.allocate(nbytes)
         except CapacityError:
-            # Zombie slabs already credited their capacity at release
-            # time, so this retry only matters as a safety net (e.g. a
-            # backend with true physical arenas); settling them is
-            # still cheaper than evicting cached bytes the program may
-            # want.
-            alloc_id = None
-            if self._ledger.active and self._ledger.drain_zombies(n.node_id):
-                try:
-                    alloc_id = n.device.allocate(nbytes)
-                except CapacityError:
-                    alloc_id = None
-            if alloc_id is None:
-                if not self.cache.reclaim(n, nbytes):
-                    # Eviction alone cannot make room.  When the bytes
-                    # exist but live buffers checkerboard the arena,
-                    # compact it as a last resort: handles address
-                    # storage by allocation id, so relocation is pure
-                    # offset bookkeeping and no data moves.
-                    if not n.device.allocator.would_fit_compacted(nbytes):
-                        raise
-                    self.charge_runtime(n.device.compact())
-                alloc_id = n.device.allocate(nbytes)
+            # Zombie slabs credited their capacity at release, so evict
+            # cached blocks.  When that cannot make room but the bytes
+            # exist while live buffers checkerboard the arena, compact
+            # it as a last resort: handles address storage by
+            # allocation id, so relocation is pure offset bookkeeping
+            # and no data moves.
+            if not self.cache.reclaim(n, nbytes):
+                if not n.device.allocator.would_fit_compacted(nbytes):
+                    raise
+                self.charge_runtime(n.device.compact())
+            alloc_id = n.device.allocate(nbytes)
         handle = self.registry.register(node_id=n.node_id, nbytes=nbytes,
                                         alloc_id=alloc_id, label=label)
         if self.tenant_quotas is not None:
@@ -399,13 +399,16 @@ class System:
 
     def release_storage(self, node: TreeNode, handle: BufferHandle) -> None:
         """Free the storage behind ``handle`` on ``node`` (:meth:`release`
-        and the cache's eviction hook).  A slab with pending executor
-        work turns zombie: capacity is credited now (so free-space
-        queries and later allocations see the logical release exactly as
-        the inline path would), but the backing bytes survive until that
-        work retires."""
+        and the cache's eviction hook).  Fills into the slab that no
+        pending op reads are dropped.  A slab with other pending
+        executor work turns zombie: capacity is credited now (so
+        free-space queries and later allocations see the logical release
+        exactly as the inline path would), but the backing bytes survive
+        until that work retires."""
         slab = (node.node_id, handle.alloc_id)
-        if self._ledger.active and self._ledger.has_pending(slab):
+        if self._ledger.active:
+            self._ledger.drop_fills((slab,))
+        if self._ledger.has_pending(slab):
             alloc_id = handle.alloc_id
             node.device.release_capacity(alloc_id)
             self._ledger.defer_free(
@@ -488,18 +491,19 @@ class System:
               dst_offset: int, dst_stride: int, rows: int, row_bytes: int,
               ready: float, label: str) -> tuple[float, float, int]:
         """The one timed copy (Listing 4's ``move_data``) behind every
-        move and cache fill: charge the path from ``ready``, move the
-        window's bytes, stamp both handles and record the fill's
-        provenance.  Returns ``(start, end, hops)``."""
+        move and cache fill: charge the path from ``ready``, stamp both
+        handles, record the fill's provenance and move the window's
+        bytes -- lazily under a pool executor (:meth:`_transfer`).
+        Returns ``(start, end, hops)``."""
         start, end, hops = self._charge_move(src_node, dst_node,
                                              rows * row_bytes, ready, label)
-        self._transfer(src_node, src, src_offset, src_stride, dst_node, dst,
-                       dst_offset, dst_stride, rows, row_bytes)
         src.note_read(end)
         dst.note_write(end)
-        if self.executor.asynchronous:
-            self._note_fill(src, src_offset, src_stride, dst, dst_offset,
-                            dst_stride, rows, row_bytes)
+        self._transfer(src_node, src, src_offset, src_stride, dst_node, dst,
+                       dst_offset, dst_stride, rows, row_bytes,
+                       fill=self.executor.asynchronous and self._note_fill(
+                           src, src_offset, src_stride, dst, dst_offset,
+                           dst_stride, rows, row_bytes))
         return start, end, hops
 
     def _charge_move(self, src_node: TreeNode, dst_node: TreeNode,
@@ -808,20 +812,14 @@ class System:
 
     def _edge_path(self, src: TreeNode,
                    dst: TreeNode) -> list[tuple[TreeNode, TreeNode]]:
-        """Consecutive (from, to) node pairs along the tree path."""
-        lca = self.tree.lowest_common_ancestor(src, dst)
-        up = []
-        cur = src
-        while cur is not lca:
-            up.append((cur, cur.parent))
-            cur = cur.parent
-        down_nodes = []
-        cur = dst
-        while cur is not lca:
-            down_nodes.append(cur)
-            cur = cur.parent
-        down = [(b.parent, b) for b in reversed(down_nodes)]
-        return up + down
+        """Consecutive (from, to) node pairs along the tree path: up to
+        the lowest common ancestor, then down."""
+        up, down = src.path_to_root(), dst.path_to_root()
+        while up and down and up[-1] is down[-1]:
+            up.pop()
+            down.pop()
+        return ([(n, n.parent) for n in up]
+                + [(n.parent, n) for n in reversed(down)])
 
     def _edge_plan(self, src: TreeNode,
                    dst: TreeNode) -> tuple[tuple[str, ...], Phase, float, float]:
@@ -901,40 +899,39 @@ class System:
         """Route a kernel spec to the compute backend.
 
         Inline backends execute in place over buffer views.
-        Asynchronous backends snapshot every binding's current bytes
+        Asynchronous backends describe what read bindings they can as
+        root file windows (:meth:`_describe`), snapshot every other
+        binding's current bytes after settling its pending writers
         (outputs included: an ``inout`` accumulator needs its prior
-        contents, and untouched window bytes must merge back
-        unchanged), submit, and register the
-        pending merge with the ledger keyed on the output slabs."""
+        contents, and untouched window bytes must merge back unchanged;
+        a described binding's lazy fill stays pending), submit, and
+        register the pending merge with the ledger keyed on the output
+        slabs."""
         ex = self.executor
         led = self._ledger
         if ex.telemetry is not None:
             # Bind the ambient virtual span: merged physical traces
             # join kernel records back to it (0 = no active span).
             ex.telemetry.current_span = self.obs.current.span_id
-        if not ex.asynchronous:
-            if led.active:
-                slabs = [(b.handle.node_id, b.handle.alloc_id)
-                         for b in spec.bindings]
-                led.complete_writers(slabs)
-                led.complete_all([s for b, s in zip(spec.bindings, slabs)
-                                  if b.writable])
+        if not ex.asynchronous:  # nothing is ever pending then
             self._run_kernel_inline(spec)
             return
         t0 = time.perf_counter()
         waited = ex.stats.budget_wait_seconds
         slabs = [(b.handle.node_id, b.handle.alloc_id)
                  for b in spec.bindings]
+        windows = [None if b.writable else self._describe(b)
+                   for b in spec.bindings]
         if led.active:
-            # The snapshot must capture the bytes the inline path would
-            # have seen: settle pending writers of every binding first.
-            led.complete_writers(slabs)
+            # A snapshot must capture the bytes the inline path would
+            # have seen: settle pending writers of its binding first.
+            led.settle(reads=[s for s, w in zip(slabs, windows)
+                              if w is None])
         arrays = []
         merges = []
         write_slabs = set()
         root_reads = set()
-        for b, slab in zip(spec.bindings, slabs):
-            described = None if b.writable else self._describe(b)
+        for b, slab, described in zip(spec.bindings, slabs, windows):
             if described is not None:
                 # The worker reads the root window itself: nothing is
                 # snapshotted or shipped, and the root slab stays a
@@ -965,22 +962,32 @@ class System:
         ticket = ex.submit(spec.fn_ref, arrays, spec.kwargs,
                            label=spec.label)
         led.add_kernel(executor=ex, ticket=ticket, writes=write_slabs,
-                       merges=merges, deps=deps, reads=root_reads,
-                       label=spec.label)
+                       merges=merges, deps=deps, reads=root_reads)
         ex.stats.dispatch_seconds += time.perf_counter() - t0 - (
             ex.stats.budget_wait_seconds - waited)
 
     def _note_fill(self, src: BufferHandle, src_offset: int,
                    src_stride: int, dst: BufferHandle, dst_offset: int,
-                   dst_stride: int, rows: int, row_bytes: int) -> None:
+                   dst_stride: int, rows: int, row_bytes: int) -> bool:
         """Provenance for pool dispatch, recorded right after a move's
         version bump: ``dst`` holds the window of ``src`` packed, for as
-        long as neither slab's version (its write generation) moves."""
-        if rows == 1 or dst_stride == row_bytes:
-            dst.times.fill = (src, src.version, src.base_offset + src_offset,
-                              src_stride if rows > 1 else row_bytes,
-                              dst.base_offset + dst_offset, rows, row_bytes,
-                              dst.version)
+        long as neither slab's version (its write generation) moves.  A
+        contiguous fill continuing the recorded one in both buffers
+        extends it.  Returns whether the fill was packed."""
+        if rows != 1 and dst_stride != row_bytes:
+            return False
+        at, base = src.base_offset + src_offset, dst.base_offset + dst_offset
+        if rows == 1 or src_stride == row_bytes:   # contiguous: one row
+            rows, row_bytes = 1, rows * row_bytes
+            if dst.times.fill:
+                src0, gen0, at0, _, base0, rows0, n0, ver0 = dst.times.fill
+                if rows0 == 1 and src0.times is src.times and (
+                        gen0, ver0, at0 + n0, base0 + n0) == (
+                        src.version, dst.version - 1, at, base):
+                    at, base, row_bytes = at0, base0, n0 + row_bytes
+        dst.times.fill = (src, src.version, at, src_stride, base, rows,
+                          row_bytes, dst.version)
+        return True
 
     def _describe(self, b) -> tuple[FileWindow, tuple[int, int]] | None:
         """A read binding as the root file window its bytes are an
@@ -996,7 +1003,7 @@ class System:
         if h.version != gen or src.version != src_gen or src.released \
                 or n <= 0 or rel < 0 or rel + n > rows * row_bytes:
             return None
-        if rows == 1 or stride == row_bytes:
+        if rows == 1:
             window = (at + rel, 1, n, n)
         elif rel % row_bytes or n % row_bytes:
             return None
@@ -1004,13 +1011,16 @@ class System:
             window = (at + rel // row_bytes * stride, n // row_bytes,
                       row_bytes, stride)
         lo, rows, row_bytes, stride = window
+        root = (src.node_id, src.alloc_id)
+        # Root writes the fill follows land before path_of writes out a
+        # dirty band over the window and the worker reads the file.
+        self._ledger.settle(reads=(root,))
         path = self.node_of(src).device.backend.path_of(
             src.alloc_id, lo, lo + (rows - 1) * stride + row_bytes)
         if path is None:
             return None
         shape = b.shape or (n // np.dtype(b.dtype).itemsize,)
-        return (FileWindow(path, *window, b.dtype, shape),
-                (src.node_id, src.alloc_id))
+        return FileWindow(path, *window, b.dtype, shape), root
 
     def _snapshot_binding(self, b, ex: Executor) -> np.ndarray:
         """An owned, writable copy of a binding's current bytes, built
@@ -1039,18 +1049,14 @@ class System:
         fn = resolve_kernel(spec.fn_ref)
         ex.stats.submitted += 1
         ex.stats.dispatch_seconds += time.perf_counter() - t0
-        tel = ex.telemetry
-        if tel is None:
-            t1 = time.perf_counter()
-            fn(**args, **spec.kwargs)
-            ex.stats.note_done("main", time.perf_counter() - t1)
-        else:
-            k0 = time.perf_counter_ns()
-            fn(**args, **spec.kwargs)
-            k1 = time.perf_counter_ns()
-            ex.stats.note_done("main", (k1 - k0) / 1e9)
-            tel.note_inline("main", "kernel", k0, k1,
-                            nbytes=sum(a.nbytes for a in args.values()))
+        k0 = time.perf_counter_ns()
+        fn(**args, **spec.kwargs)
+        k1 = time.perf_counter_ns()
+        ex.stats.note_done("main", (k1 - k0) / 1e9)
+        if ex.telemetry is not None:
+            ex.telemetry.note_inline(
+                "main", "kernel", k0, k1,
+                nbytes=sum(a.nbytes for a in args.values()))
         for b, arr in writebacks:
             self.preload(b.handle, arr, b.offset)
 
@@ -1081,13 +1087,9 @@ class System:
         """Order an untimed host access behind pending executor work on
         the handle's slab: reads need pending writers settled, writes
         need pending readers too."""
-        if not self._ledger.active:
-            return
-        slab = (handle.node_id, handle.alloc_id)
-        if for_write:
-            self._ledger.complete_all((slab,))
-        else:
-            self._ledger.complete_writers((slab,))
+        if self._ledger.active:
+            slab = ((handle.node_id, handle.alloc_id),)
+            self._ledger.settle(reads=slab, writes=slab if for_write else ())
 
     # -- untimed host access -------------------------------------------------
 
@@ -1217,12 +1219,15 @@ class System:
                       help_text="kernel wall seconds per pool worker")
             reg.gauge("exec_worker_tasks", ex.stats.worker_tasks[worker],
                       labels=wlabels)
-        reg.gauge("exec_deferred_copies", self._ledger.deferred_copies,
-                  labels=xlabels,
-                  help_text="transfers deferred behind pending async work")
-        reg.gauge("exec_zombie_frees", self._ledger.zombie_frees,
-                  labels=xlabels,
-                  help_text="releases whose physical free was deferred")
+        for name, help_text in (
+                ("deferred_copies", "transfers deferred behind pending "
+                                    "async work"),
+                ("fills_deferred", "lazy staging fills registered"),
+                ("fills_dropped", "lazy staging fills dropped unread"),
+                ("zombie_frees", "releases whose physical free was "
+                                 "deferred")):
+            reg.gauge(f"exec_{name}", getattr(self._ledger, name),
+                      labels=xlabels, help_text=help_text)
         trace = self.timeline.trace
         reg.gauge("trace_intervals", len(trace))
         reg.gauge("virtual_makespan_seconds", self.timeline.makespan())
@@ -1233,29 +1238,20 @@ class System:
             reg.gauge("virtual_bytes_moved", nbytes,
                       labels={"phase": phase.value})
         for nid, stats in self.cache.stats_by_node().items():
-            labels = {"node": str(nid)}
-            reg.gauge("cache_hits", stats.hits, labels=labels)
-            reg.gauge("cache_misses", stats.misses, labels=labels)
-            reg.gauge("cache_hit_bytes", stats.hit_bytes, labels=labels)
-            reg.gauge("cache_miss_bytes", stats.miss_bytes, labels=labels)
-            reg.gauge("cache_evictions", stats.evictions, labels=labels)
-            reg.gauge("cache_admissions", stats.admissions, labels=labels)
-            reg.gauge("cache_prefetch_issued", stats.prefetch_issued,
-                      labels=labels)
-            reg.gauge("cache_prefetch_used", stats.prefetch_used,
-                      labels=labels)
-            reg.gauge("cache_prefetch_wasted", stats.prefetch_wasted,
-                      labels=labels)
-            reg.gauge("cache_writebacks_deferred", stats.writebacks_deferred,
-                      labels=labels)
+            for name in ("hits", "misses", "hit_bytes", "miss_bytes",
+                         "evictions", "admissions", "prefetch_issued",
+                         "prefetch_used", "prefetch_wasted",
+                         "writebacks_deferred"):
+                reg.gauge(f"cache_{name}", getattr(stats, name),
+                          labels={"node": str(nid)})
         for node in self.tree.nodes():
             labels = {"node": str(node.node_id)}
             backend = node.device.backend
             fds = getattr(backend, "_fds", None)
             if fds is not None and hasattr(fds, "opens"):
-                reg.gauge("fd_pool_opens", fds.opens, labels=labels)
-                reg.gauge("fd_pool_hits", fds.hits, labels=labels)
-                reg.gauge("fd_pool_evictions", fds.evictions, labels=labels)
+                for name in ("opens", "hits", "evictions"):
+                    reg.gauge(f"fd_pool_{name}", getattr(fds, name),
+                              labels=labels)
             ahead = getattr(backend, "readahead", None)
             if ahead is not None:
                 for outcome, count in ahead.counts.items():
@@ -1274,12 +1270,10 @@ class System:
                               help_text="row bands written, whole or merged")
             pool = getattr(backend, "pool", None)
             if pool is not None and hasattr(pool, "reuses"):
-                reg.gauge("array_pool_reuses", pool.reuses, labels=labels)
-                reg.gauge("array_pool_fresh", pool.fresh, labels=labels)
-                reg.gauge("array_pool_retired", pool.retired, labels=labels)
-                reg.gauge("array_pool_dropped", pool.dropped, labels=labels)
-                reg.gauge("array_pool_held_bytes", pool.held_bytes,
-                          labels=labels)
+                for name in ("reuses", "fresh", "retired", "dropped",
+                             "held_bytes"):
+                    reg.gauge(f"array_pool_{name}", getattr(pool, name),
+                              labels=labels)
             plan = node.plan
             if plan is not None:
                 qlabels = {"node": str(node.node_id),
@@ -1316,10 +1310,11 @@ class System:
 
     def close(self) -> None:
         """Release every device backend (tree ownership); pending
-        executor work settles first and a system-owned executor pool is
-        shut down -- the pool and the backends also when that drain
-        raises (a failed kernel ticket)."""
+        executor work settles first (unread fills are dropped) and a
+        system-owned executor pool is shut down -- the pool and the
+        backends also when that drain raises (a failed kernel ticket)."""
         try:
+            self._ledger.drop_fills()
             self.drain_exec()
         finally:
             try:

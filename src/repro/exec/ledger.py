@@ -18,11 +18,16 @@ makes final bytes identical to inline execution:
   or overwriting a slab a deferred copy still reads).  Deferring the
   copy -- instead of draining -- is what lets several chunk chains stay
   in flight across workers;
+* a **fill op** is a copy op staging a packed root file window, which
+  a pool kernel may read from the file instead, deferred although
+  nothing conflicts.  A reader of its destination (snapshot, host read,
+  move or cache hit out of it, settling write), a writer over its
+  source (ordered behind it) or a drain runs it.  While no pending op
+  reads its destination slab it is dropped unrun -- no I/O -- when the
+  slab is released, a new fill covers its range, or at close;
 * a **deferred free** ("zombie") is a released handle whose slab still
   has pending ops: the logical release happened, the physical
   ``device.release`` fires when the slab's last pending op retires.
-  :meth:`drain_zombies` settles them on demand when an allocation hits
-  the capacity wall.
 
 Ops retire in submission order along every dependency chain (deps are
 always earlier ops), so per-slab writes replay exactly as the inline
@@ -64,6 +69,7 @@ class MergeTarget:
 
 class _Op:
     __slots__ = ("seq", "reads", "writes", "deps", "done")
+    fill = None   # a fill op's destination byte range ``(lo, hi)``
 
     def __init__(self, seq: int, reads: frozenset, writes: frozenset,
                  deps: list) -> None:
@@ -73,20 +79,16 @@ class _Op:
         self.deps = deps
         self.done = False
 
-    def execute(self, ledger: "PendingLedger") -> None:
-        raise NotImplementedError
-
 
 class _KernelOp(_Op):
-    __slots__ = ("executor", "ticket", "merges", "label")
+    __slots__ = ("executor", "ticket", "merges")
 
     def __init__(self, seq, reads, writes, deps, *, executor, ticket,
-                 merges, label="") -> None:
+                 merges) -> None:
         super().__init__(seq, reads, writes, deps)
         self.executor = executor
         self.ticket = ticket
         self.merges = merges
-        self.label = label
 
     def execute(self, ledger: "PendingLedger") -> None:
         ex = self.executor
@@ -102,11 +104,13 @@ class _KernelOp(_Op):
 
 
 class _CopyOp(_Op):
-    __slots__ = ("run",)
+    __slots__ = ("run", "fill")
 
-    def __init__(self, seq, reads, writes, deps, run: Callable) -> None:
+    def __init__(self, seq, reads, writes, deps, run: Callable,
+                 fill=None) -> None:
         super().__init__(seq, reads, writes, deps)
         self.run = run
+        self.fill = fill
 
     def execute(self, ledger: "PendingLedger") -> None:
         self.run()
@@ -121,6 +125,8 @@ class PendingLedger:
     _seq: int = 0
     # counters (metrics collector reads them)
     deferred_copies: int = 0
+    fills_deferred: int = 0
+    fills_dropped: int = 0
     kernels: int = 0
     merged: int = 0
     zombie_frees: int = 0
@@ -153,20 +159,35 @@ class PendingLedger:
         return [found[s] for s in sorted(found)]
 
     def add_kernel(self, *, executor, ticket, writes, merges, deps,
-                   reads=(), label: str = "") -> None:
+                   reads=()) -> None:
         self._seq += 1
         self.kernels += 1
-        op = _KernelOp(self._seq, frozenset(reads), frozenset(writes),
-                       list(deps), executor=executor, ticket=ticket,
-                       merges=merges, label=label)
-        self._register(op)
+        self._register(_KernelOp(
+            self._seq, frozenset(reads), frozenset(writes), list(deps),
+            executor=executor, ticket=ticket, merges=merges))
 
-    def defer_copy(self, run: Callable, *, reads, writes, deps) -> None:
+    def defer_copy(self, run: Callable, *, reads, writes, deps,
+                   fill: tuple[int, int] | None = None) -> None:
+        """``fill``, the destination byte range, makes a fill op."""
         self._seq += 1
-        self.deferred_copies += 1
-        op = _CopyOp(self._seq, frozenset(reads), frozenset(writes),
-                     list(deps), run)
-        self._register(op)
+        self.deferred_copies += fill is None
+        self.fills_deferred += fill is not None
+        self._register(_CopyOp(self._seq, frozenset(reads),
+                               frozenset(writes), list(deps), run, fill))
+
+    def drop_fills(self, slabs=None, within=(0, float("inf"))) -> None:
+        """Retire unrun the fill ops into ``slabs`` (all when None)
+        that lie inside the byte range ``within``, unless a pending op
+        reads the slab: nothing could see what they would stage."""
+        for slab in list(self._by_slab) if slabs is None else slabs:
+            ops = self._by_slab.get(slab, ())
+            if not any(slab in op.reads for op in ops):
+                for op in [op for op in ops if op.fill and slab in op.writes
+                           and within[0] <= op.fill[0]
+                           and op.fill[1] <= within[1]]:
+                    op.done = True
+                    self.fills_dropped += 1
+                    self._retire(op)
 
     def defer_free(self, slab: Slab, release: Callable) -> None:
         """Register a zombie: ``release`` fires when ``slab``'s last
@@ -204,16 +225,10 @@ class PendingLedger:
                     self.zombie_frees += 1
                     release()
 
-    def complete_writers(self, slabs) -> None:
-        """Settle pending writers of ``slabs`` (a reader needs current
-        bytes)."""
-        for op in self.conflicting(reads=tuple(slabs)):
-            self.complete(op)
-
-    def complete_all(self, slabs) -> None:
-        """Settle every pending op touching ``slabs`` (a writer must
-        order behind pending readers and writers alike)."""
-        for op in self.conflicting(writes=tuple(slabs)):
+    def settle(self, *, reads=(), writes=()) -> None:
+        """Complete what :meth:`conflicting` names: a reader needs
+        current bytes, a writer orders behind readers and writers."""
+        for op in self.conflicting(reads=reads, writes=writes):
             self.complete(op)
 
     def drain_all(self) -> None:
@@ -228,13 +243,3 @@ class PendingLedger:
                 break
             for seq in sorted(pending):
                 self.complete(pending[seq])
-
-    def drain_zombies(self, node_id: int) -> bool:
-        """Settle every slab with a deferred free on ``node_id``,
-        releasing its storage.  Returns True when anything was freed
-        (the allocator retries after that)."""
-        slabs = [s for s in self._frees if s[0] == node_id]
-        if not slabs:
-            return False
-        self.complete_all(slabs)
-        return True

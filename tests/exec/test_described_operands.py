@@ -11,9 +11,15 @@ sweep, a cache fill) records what it copied; and a root file that is truncated o
 removed behind the runtime's back fails the kernel with a typed error
 naming the task-graph node and the file -- never wrong bytes, never a
 hang, nothing left behind.
+
+The fill itself is lazy: the coordinator reads the root window only
+when something reads the staged copy (a host fetch, a write over the
+root, a drain), and drops it unread on a release, a covering refill or
+close; the root backend's read bytes show which.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +27,7 @@ import pytest
 from repro.compute.processor import KernelCost
 from repro.core.system import BatchMove, System
 from repro.dist.executor import dist_residue
+from repro.errors import TransferError
 from repro.exec import Binding, ExecError, kernel_spec, shm_residue
 from repro.memory.backends import FileBackend
 from repro.memory.units import MB
@@ -51,6 +58,27 @@ def _staged(sys_):
     staging = sys_.alloc(OLD.nbytes, leaf, label="staging")
     sys_.move_down(staging, root, OLD.nbytes)
     return leaf, root, staging
+
+
+def _count_root_reads(sys_):
+    """A one-element list counting the bytes the coordinator reads from
+    the root's file backend from now on."""
+    backend = sys_.tree.root.device.backend
+    count = [0]
+
+    def counted(name, nbytes):
+        method = getattr(backend, name)
+
+        def wrapper(*args):
+            count[0] += nbytes(*args)
+            return method(*args)
+        setattr(backend, name, wrapper)
+
+    counted("read", lambda alloc_id, offset, nbytes: nbytes)
+    counted("read_into", lambda alloc_id, offset, out: out.nbytes)
+    counted("gather_2d", lambda alloc_id, offset, rows, row_bytes, *_:
+            rows * row_bytes)
+    return count
 
 
 def _launch_copy(sys_, leaf, src, *, seconds=0.0, view=None):
@@ -124,27 +152,25 @@ def test_every_fill_route_describes_the_root_window(system, route):
     root = system.alloc(OLD.nbytes, system.tree.root, label="root")
     system.preload(root, OLD)
     if route == "move_down_batch":
-        # Only the window of the last fill: a buffer keeps one fill
-        # record, so the whole buffer is snapshotted (the xfail below).
-        staging = _batch_filled(system, leaf, root)
-        view = system.map_region(staging, OLD.nbytes // 2, OLD.nbytes // 2)
+        view = _batch_filled(system, leaf, root)
     else:                       # a cache fill of the explicit cache
         view = system.fetch_down(leaf, root, nbytes=OLD.nbytes)
-    out, n = _read_into_out(system, leaf, view)
+    out, _ = _read_into_out(system, leaf, view)
     assert system.executor.stats.described == 1
-    assert np.array_equal(system.fetch(out, np.float32), OLD[N - n:])
+    assert np.array_equal(system.fetch(out, np.float32), OLD)
 
 
-@pytest.mark.xfail(strict=True, reason="BufferTimes.fill keeps only the "
-                   "last fill, so a buffer filled by two moves is "
-                   "snapshotted when read whole")
 def test_a_buffer_filled_by_two_moves_is_described_whole(system):
     leaf = system.tree.leaves()[0]
     root = system.alloc(OLD.nbytes, system.tree.root, label="root")
     system.preload(root, OLD)
+    reads = _count_root_reads(system)
     out, _ = _read_into_out(system, leaf, _batch_filled(system, leaf, root))
     assert np.array_equal(system.fetch(out, np.float32), OLD)
     assert system.executor.stats.described == 1
+    # The two contiguous fills extend one record; neither was forced.
+    assert system._ledger.fills_deferred == 2
+    assert reads[0] == 0
 
 
 # -- a staging buffer touched after its fill ------------------------------
@@ -219,3 +245,118 @@ def test_a_root_file_gone_behind_the_runtime_fails_the_kernel_by_name(
     assert path in str(err.value)
     # No bytes merged: ``out`` still holds what it was preloaded with.
     assert not system.fetch(out, np.float32).any()
+
+
+# -- lazy fills: a staged copy is made only when something reads it --------
+
+def _fills(sys_):
+    return sys_._ledger.fills_deferred, sys_._ledger.fills_dropped
+
+
+def test_a_host_fetch_of_the_staged_buffer_reads_the_root_window(system):
+    reads = _count_root_reads(system)
+    _, _, staging = _staged(system)
+    assert reads[0] == 0
+    assert np.array_equal(system.fetch(staging, np.float32), OLD)
+    assert reads[0] == OLD.nbytes
+    assert _fills(system) == (1, 0)
+
+
+@pytest.mark.parametrize("write", ["preload", "move_up"])
+def test_a_root_write_after_the_fill_leaves_the_staged_copy_the_old_bytes(
+        system, write):
+    reads = _count_root_reads(system)
+    leaf, root, staging = _staged(system)
+    if write == "preload":      # settles the root: the fill runs first
+        system.preload(root, NEW)
+    else:                       # deferred behind the fill
+        other = system.alloc(NEW.nbytes, leaf)
+        system.preload(other, NEW)
+        system.move_up(root, other, NEW.nbytes)
+    assert np.array_equal(system.fetch(staging, np.float32), OLD)
+    assert np.array_equal(system.fetch(root, np.float32), NEW)
+    assert reads[0] == 2 * OLD.nbytes        # the fill, then the fetch
+    assert _fills(system) == (1, 0)
+
+
+def test_a_release_drops_the_fill_unread(system):
+    reads = _count_root_reads(system)
+    _, _, staging = _staged(system)
+    system.release(staging)
+    assert _fills(system) == (1, 1)
+    assert not system._ledger.active
+    system.drain_exec()
+    assert reads[0] == 0
+
+
+def test_a_covering_refill_drops_the_first_fill(system):
+    reads = _count_root_reads(system)
+    leaf, root, staging = _staged(system)
+    other = system.alloc(NEW.nbytes, system.tree.root)
+    system.preload(other, NEW)
+    system.move_down(staging, other, NEW.nbytes)
+    assert _fills(system) == (2, 1)
+    assert np.array_equal(system.fetch(staging, np.float32), NEW)
+    assert reads[0] == NEW.nbytes
+
+
+def test_a_described_kernel_leaves_its_fill_unrun_until_the_drain(system):
+    reads = _count_root_reads(system)
+    leaf, root, staging = _staged(system)
+    out = _launch_copy(system, leaf, staging)
+    assert system.executor.stats.described == 1
+    assert np.array_equal(system.fetch(out, np.float32), OLD)
+    assert system._ledger.has_pending((staging.node_id, staging.alloc_id))
+    assert reads[0] == 0
+    system.drain_exec()         # what a level end does
+    assert reads[0] == OLD.nbytes
+    assert _fills(system) == (1, 0)
+    assert np.array_equal(system.fetch(staging, np.float32), OLD)
+
+
+def test_the_ledger_is_empty_after_end_run(system):
+    reads = _count_root_reads(system)
+    leaf, root, staging = _staged(system)
+    _launch_copy(system, leaf, staging)
+    system.end_run()
+    assert not system._ledger.active
+    assert reads[0] == OLD.nbytes
+    assert _fills(system) == (1, 0)
+    assert np.array_equal(system.fetch(staging, np.float32), OLD)
+
+
+def _truncate_root(sys_, root):
+    path = sys_.node_of(root).device.backend.path_of(
+        root.alloc_id, 0, OLD.nbytes)
+    os.truncate(path, 1000)
+    return path
+
+
+@pytest.mark.parametrize("executor", ["shm", "dist"])
+def test_an_unread_fill_from_a_truncated_root_is_dropped_at_close(
+        tmp_path, executor):
+    fds = set(os.listdir("/proc/self/fd"))
+    threads = set(threading.enumerate())
+    sys_ = System(apu_two_level(
+        storage_capacity=16 * MB, staging_bytes=4 * MB,
+        storage_backend=FileBackend(str(tmp_path / "root"))),
+        executor=executor)
+    reads = _count_root_reads(sys_)
+    _, root, _ = _staged(sys_)
+    _truncate_root(sys_, root)
+    sys_.close()
+    assert reads[0] == 0
+    assert _fills(sys_) == (1, 1)
+    assert shm_residue() == [] and dist_residue() == []
+    assert set(os.listdir("/proc/self/fd")) <= fds
+    assert set(threading.enumerate()) <= threads
+
+
+def test_a_fetch_of_a_fill_from_a_truncated_root_names_the_file(system):
+    _, root, staging = _staged(system)
+    path = _truncate_root(system, root)
+    with pytest.raises(TransferError) as err:
+        system.fetch(staging, np.float32)
+    assert path in str(err.value)
+    assert _fills(system) == (1, 0)
+    assert not system._ledger.active

@@ -76,25 +76,10 @@ def test_defer_free_requires_pending_ops():
         led.defer_free((1, 1), lambda: None)
 
 
-def test_drain_zombies_settles_only_the_requested_node():
-    led = PendingLedger()
-    freed = []
-    near, far = (1, 1), (2, 1)
-    led.defer_copy(lambda: None, reads=[], writes=[near], deps=[])
-    led.defer_copy(lambda: None, reads=[], writes=[far], deps=[])
-    led.defer_free(near, lambda: freed.append("near"))
-    led.defer_free(far, lambda: freed.append("far"))
-    assert led.drain_zombies(1) is True
-    assert freed == ["near"]
-    assert led.drain_zombies(1) is False   # nothing left on node 1
-    led.drain_all()
-    assert freed == ["near", "far"]
-
-
 # -- out-of-submission-order settles -----------------------------------------
 #
-# A consumer may settle any pending op first (fetch of a late chunk,
-# capacity-wall zombie drain); the dependency chains must still replay
+# A consumer may settle any pending op first (a fetch of a late
+# chunk); the dependency chains must still replay
 # every earlier effect in submission order before the requested one.
 
 def test_completing_last_op_first_replays_chain_in_submission_order():
