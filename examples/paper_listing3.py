@@ -4,9 +4,15 @@
 This example writes a Northup program against the module-level
 functional API (`repro.core.api`) so that it reads like the paper's
 pseudocode: `get_cur_treenode()`, `alloc(size, node)`,
-`move_data_down(...)`, `northup_spawn` (here: `ctx.descend` +
-recursion), `move_data_up(...)`.  The "algorithm" scales a matrix by 2
-chunk by chunk -- deliberately trivial so the structure is the star.
+`move_data_down(...)`, `northup_spawn(myfunction, ...)`,
+`move_data_up(...)`.  The "algorithm" scales a matrix by 2 chunk by
+chunk -- deliberately trivial so the structure is the star.
+
+One step sits elsewhere than in the listing: `move_data_up` moves from
+the child side (the current node is the source), so the spawned call
+moves its result up at the end of its own leaf step, where the listing
+calls `data_up()` in the parent after the spawn returns.  The charges
+and bytes are the same, in the same order.
 
 Run:  python examples/paper_listing3.py
 """
@@ -22,6 +28,8 @@ from repro.topology.builders import apu_two_level
 
 CHUNKS_X, CHUNKS_Y = 2, 2          # the (m, n) loop bounds
 N = 64                             # matrix edge
+CHUNK_ROWS, CHUNK_COLS = N // CHUNKS_X, N // CHUNKS_Y
+CHUNK_BYTES = CHUNK_ROWS * CHUNK_COLS * 4
 
 
 def scale_by_2(data, out):
@@ -48,46 +56,41 @@ def compute_task(system, buffers):
         raise RuntimeError("expected a GPU at the leaf")
 
 
-def myfunction(system, ctx, inp, out):
-    """Listing 3's myfunction: recursive, level-checked, chunked."""
-    with api.use_context(ctx):
-        if api.get_level() == api.get_max_treelevel():
-            # Leaf: ctx.payload holds the buffers the parent set up.
-            compute_task(system, ctx.payload)
-            return
+def index(m, n):
+    """Listing 3's index(m, n): the byte offset of chunk (m, n)."""
+    return (m * CHUNK_ROWS * N + n * CHUNK_COLS) * 4
 
-        node = api.get_cur_treenode()
-        chunk_rows = N // CHUNKS_X
-        chunk_cols = N // CHUNKS_Y
-        chunk_bytes = chunk_rows * chunk_cols * 4
-        for m in range(CHUNKS_X):
-            for n in range(CHUNKS_Y):
-                # setup_buffer(): allocate on the child node.
-                child = api.get_children_list(node.node_id)[0]
-                buffers = {
-                    "in": api.alloc(chunk_bytes, child.node_id),
-                    "out": api.alloc(chunk_bytes, child.node_id),
-                }
-                # data_down(): move this chunk to the child.  index(m, n)
-                # locates the chunk; rows are moved with a 2-D copy.
-                system.move_2d(buffers["in"], inp, rows=chunk_rows,
-                               row_bytes=chunk_cols * 4,
-                               src_offset=(m * chunk_rows * N
-                                           + n * chunk_cols) * 4,
-                               src_stride=N * 4,
-                               dst_offset=0, dst_stride=chunk_cols * 4)
-                # northup_spawn(myfunction(...)):
-                child_ctx = ctx.descend(child, chunk=(m, n), payload=buffers)
-                myfunction(system, child_ctx, inp, out)
-                # data_up(): move the result back to this level.
-                system.move_2d(out, buffers["out"], rows=chunk_rows,
-                               row_bytes=chunk_cols * 4,
-                               src_offset=0, src_stride=chunk_cols * 4,
-                               dst_offset=(m * chunk_rows * N
-                                           + n * chunk_cols) * 4,
-                               dst_stride=N * 4)
-                for handle in buffers.values():
-                    api.release(handle)
+
+def myfunction(ctx, system, inp, out):
+    """Listing 3's myfunction: recursive, level-checked, chunked.
+    ``northup_spawn`` makes ``ctx`` the ambient context."""
+    if api.get_level() == api.get_max_treelevel():
+        # Leaf: ctx.payload holds the buffers the parent set up.
+        compute_task(system, ctx.payload)
+        # data_up(): move the result back to the parent level.
+        api.move_data_up(out, ctx.payload["out"], CHUNK_BYTES,
+                         index(*ctx.chunk), rows=CHUNK_ROWS,
+                         dst_stride=N * 4)
+        return
+
+    node = api.get_cur_treenode()
+    for m in range(CHUNKS_X):
+        for n in range(CHUNKS_Y):
+            # setup_buffer(): allocate on the child node.
+            child = api.get_children_list(node.node_id)[0]
+            buffers = {
+                "in": api.alloc(CHUNK_BYTES, child.node_id),
+                "out": api.alloc(CHUNK_BYTES, child.node_id),
+            }
+            # data_down(): move this chunk to the child, its rows as
+            # one 2-D copy.
+            api.move_data_down(buffers["in"], inp, CHUNK_BYTES, 0, 0,
+                               src_offset=index(m, n), rows=CHUNK_ROWS,
+                               src_stride=N * 4)
+            api.northup_spawn(myfunction, child, system, inp, out,
+                              chunk=(m, n), payload=buffers)
+            for handle in buffers.values():
+                api.release(handle)
 
 
 def main() -> None:
@@ -101,7 +104,7 @@ def main() -> None:
             out = api.alloc(matrix.nbytes, root.node_id, label="output")
             system.preload(inp, matrix)
 
-            myfunction(system, root_ctx, inp, out)
+            myfunction(root_ctx, system, inp, out)
 
             result = system.fetch(out, np.float32, shape=(N, N))
             assert np.array_equal(result, 2.0 * matrix)

@@ -165,7 +165,6 @@ class HotspotApp(NorthupProgram):
                 out=self.out_root, rows=self.n, cols=self.n,
                 halo=self.halo, edges=ChipEdges.whole_chip())
             yield from self.recurse(ctx)
-            ctx.system.cache.flush_all()
 
     def _store_padded(self, handle: BufferHandle, bands) -> None:
         """Write ``(first_row, block)`` bands of the ``n x n`` field into

@@ -9,7 +9,9 @@ the same source region costs only bookkeeping:
 * :class:`~repro.cache.manager.CacheManager` -- one per
   :class:`~repro.core.system.System`; owns a
   :class:`~repro.cache.block.NodeCache` per non-root memory node and
-  the write-back ledger for deferred up-transfers.
+  runs every consult of them: the pinned lease behind
+  ``System.fetch_down`` and the transparent consult/admit pair around
+  a ``full``-mode move.
 * :mod:`~repro.cache.policy` -- pluggable eviction: LRU, LFU,
   cost-aware (cheapest-to-refetch given the uplink bandwidth), and a
   Belady oracle that consults the prefetch plan for an upper bound.

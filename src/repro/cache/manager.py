@@ -1,9 +1,14 @@
 """The cache manager: one per :class:`~repro.core.system.System`.
 
 Owns a lazily-created :class:`~repro.cache.block.NodeCache` for every
-non-root memory node, the :class:`~repro.cache.prefetch.PrefetchEngine`,
-the write-back ledger for deferred ``move_data_up`` charges, and the
-lease table behind ``System.fetch_down`` / ``System.fetch_release``.
+non-root memory node, the :class:`~repro.cache.prefetch.PrefetchEngine`
+and the lease table behind ``System.fetch_down`` /
+``System.fetch_release``, and runs every consult of the cache through
+two front doors: :meth:`CacheManager.lease` (a pinned fetch) and the
+:meth:`CacheManager.consult` / :meth:`CacheManager.admit` pair around a
+transparent move.  Both share one hit step, so the consult order --
+count, touch, hit charge, consume before admission, issue -- is known
+here only.
 
 Modes
 -----
@@ -20,15 +25,6 @@ Modes
     consults the destination node's cache (a hit replaces the transfer
     with a bookkeeping charge) and admits on miss, and the prefetch
     engine issues lookahead fetches from the decomposition plan.
-
-Write policy
-------------
-``through`` charges every ``move_data_up`` immediately (the existing
-behaviour).  ``back`` defers the virtual charge as an IOU keyed by the
-destination region; re-dirtying the same region before a flush absorbs
-the previous IOU (that transfer never happens), and the ledger flushes
-when either endpoint is next read, released, or at end of run.  Physical
-bytes always move eagerly, so results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -48,10 +44,10 @@ from repro.sim.trace import Phase
 from repro.topology.node import TreeNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.system import MoveResult, System
+    from repro.core.system import System
+    from repro.sim.timeline import Completion
 
 CACHE_MODES = ("off", "explicit", "full")
-WRITE_POLICIES = ("through", "back")
 
 #: Host-side bookkeeping cost of serving a cache hit (a map lookup and a
 #: couple of counter updates -- same order as RUNTIME_OP_COST).
@@ -66,51 +62,26 @@ class CacheConfig:
     mode: str = "explicit"
     #: Eviction policy name (see :func:`repro.cache.policy.make_policy`).
     policy: str = "lru"
-    #: "through" (charge up-moves immediately) | "back" (defer as IOUs).
-    write_policy: str = "through"
     #: Planned fetches issued ahead of each demand access (0 disables).
     lookahead: int = 2
     #: Fraction of a node's capacity the cache may occupy.  Cached bytes
     #: always yield to application allocations (reclaim-on-demand).
     capacity_fraction: float = 0.5
-    #: Virtual seconds charged on the host for serving a hit.
-    hit_cost: float = HIT_COST
 
     def __post_init__(self) -> None:
         if self.mode not in CACHE_MODES:
             raise ConfigError(
                 f"unknown cache mode {self.mode!r}; choose from {CACHE_MODES}")
-        if self.write_policy not in WRITE_POLICIES:
-            raise ConfigError(
-                f"unknown write policy {self.write_policy!r}; choose from "
-                f"{WRITE_POLICIES}")
         if self.lookahead < 0:
             raise ConfigError(f"negative lookahead {self.lookahead}")
         if not 0.0 <= self.capacity_fraction <= 1.0:
             raise ConfigError(
                 f"capacity_fraction {self.capacity_fraction} outside [0, 1]")
-        if self.hit_cost < 0:
-            raise ConfigError(f"negative hit_cost {self.hit_cost}")
         make_policy(self.policy)  # validate eagerly
 
     @staticmethod
     def disabled() -> "CacheConfig":
         return CacheConfig(mode="off")
-
-
-@dataclass
-class _WriteBack:
-    """One deferred up-transfer: the charge it would have made."""
-
-    src: BufferHandle
-    dst: BufferHandle
-    dst_offset: int
-    nbytes: int
-    resources: tuple[str, ...]
-    duration: float
-    phase: Phase
-    ready: float
-    label: str
 
 
 class CacheManager:
@@ -130,9 +101,6 @@ class CacheManager:
         #: serve mode.  Scoped end-of-run cleanup drops only the
         #: finishing job's leases, leaving concurrent jobs' pins alone.
         self._lease_scope: dict[int, str | None] = {}
-        self._writebacks: dict[tuple, _WriteBack] = {}
-        #: write-back counters for nodes without a cache of their own.
-        self._wb_stats = CacheStats()
 
     # -- mode flags ------------------------------------------------------
 
@@ -144,10 +112,6 @@ class CacheManager:
     def transparent(self) -> bool:
         """Should raw ``move``/``move_2d`` consult the cache?"""
         return self.config.mode == "full"
-
-    @property
-    def writeback(self) -> bool:
-        return self.enabled and self.config.write_policy == "back"
 
     # -- per-node caches -------------------------------------------------
 
@@ -223,14 +187,113 @@ class CacheManager:
         cache = self._caches.get(node.node_id)
         return cache is not None and cache.reclaim(nbytes)
 
-    # -- accounting helpers ---------------------------------------------
+    # -- the front doors --------------------------------------------------
 
-    def count_hit(self, cache: NodeCache, nbytes: int) -> None:
+    def lease(self, node: TreeNode, spec: FetchSpec,
+              label: str) -> BufferHandle:
+        """``System.fetch_down``'s consult: a pinned handle holding
+        ``spec``'s window on ``node``.  A hit leases the resident block;
+        a miss fills a block (:meth:`fetch_into_cache`) and leases it.
+        With no cache, or no room even after eviction, the window is
+        staged in a plain buffer that ``fetch_release`` frees again."""
+        cache = self.node_cache(node)
+        block = None if cache is None else cache.lookup(spec)
+        if block is not None:
+            self._hit(cache, block, node, spec, label)
+        elif cache is not None:
+            self._count_miss(cache, spec.nbytes)
+            # Consume this access's plan entry before admission so the
+            # policy ranks the incoming block by its next use.
+            self.engine.consume(node.node_id, spec.key)
+            block = self.fetch_into_cache(node, spec, label=label)
+            if block is not None:
+                cache.touch(block)  # demand admission is an access
+                self.engine.issue(node)
+        if block is not None:
+            cache.pin(block)
+            return self._lease(block.handle, cache, block)
+        system = self.system
+        src = spec.src
+        handle = system.alloc(
+            spec.nbytes, node,
+            label=label or f"fetch:{src.label or src.buffer_id}")
+        system.move_2d(handle, src, rows=spec.rows, row_bytes=spec.row_bytes,
+                       src_offset=spec.offset, src_stride=spec.stride,
+                       dst_offset=0, dst_stride=spec.row_bytes, label=label,
+                       cache=False)
+        return self._lease(handle, None, handle)
+
+    def consult(self, src_node: TreeNode, dst_node: TreeNode,
+                dst: BufferHandle, spec: FetchSpec, dst_offset: int,
+                dst_stride: int,
+                label: str) -> tuple[Completion | None, NodeCache | None]:
+        """The transparent (``full`` mode) consult of an ancestor ->
+        descendant move of ``spec``'s window into ``dst``: ``(completion,
+        None)`` on a hit, the block already copied into ``dst``; ``(None,
+        cache)`` on a miss, for :meth:`admit` once the caller has moved
+        the bytes; ``(None, None)`` when no cache applies."""
+        if src_node is dst_node or src_node not in dst_node.path_to_root():
+            return None, None
+        cache = self.node_cache(dst_node)
+        if cache is None:
+            return None, None
+        block = cache.lookup(spec)
+        if block is None:
+            self._count_miss(cache, spec.nbytes)
+            return None, cache
+        return self._hit(cache, block, dst_node, spec, label, dst,
+                         dst_offset, dst_stride), None
+
+    def admit(self, cache: NodeCache, spec: FetchSpec, dst: BufferHandle,
+              dst_offset: int, dst_stride: int, end: float) -> None:
+        """After a transparent miss moved the bytes into ``dst`` (done
+        at ``end``), admit the region by copying it locally into a
+        cache block."""
+        node = cache.node
+        # Consume this access's plan entry first: admission policies
+        # rank the incoming block by its *next* use.
+        self.engine.consume(node.node_id, spec.key)
+        block = cache.admit(spec)
+        if block is not None:
+            cache.touch(block)  # demand admission is an access
+            self._charge_setup(node)
+            bh = block.handle
+            self.system._transfer(node, dst, dst_offset, dst_stride, node,
+                                  bh, 0, spec.row_bytes, spec.rows,
+                                  spec.row_bytes)
+            bh.note_write(end)
+        self.engine.issue(node)
+
+    def _hit(self, cache: NodeCache, block: CacheBlock, node: TreeNode,
+             spec: FetchSpec, label: str, dst: BufferHandle | None = None,
+             dst_offset: int = 0, dst_stride: int = 0) -> Completion:
+        """The one hit step of both front doors: count, touch and charge
+        the host bookkeeping; for a transparent hit (``dst`` given) copy
+        the block out locally into ``dst`` and stamp both.  The prefetch
+        engine hears of the access last, since a prefetch it issues may
+        evict the block."""
+        system = self.system
         cache.stats.hits += 1
-        cache.stats.hit_bytes += nbytes
-        self.system.obs.count("cache_hits")
+        cache.stats.hit_bytes += spec.nbytes
+        system.obs.count("cache_hits")
+        cache.touch(block)
+        bh = block.handle
+        ready = 0.0 if dst is None else max(bh.ready_at, dst.last_read_end)
+        done = system.timeline.charge(
+            "host", HIT_COST, Phase.CACHE, ready=ready,
+            label=f"cache-hit:{label or spec.src.label or spec.src.buffer_id}",
+            nbytes=spec.nbytes)
+        if dst is not None:
+            system._transfer(node, bh, 0, spec.row_bytes, node, dst,
+                             dst_offset, dst_stride, spec.rows,
+                             spec.row_bytes)
+            bh.note_read(done.end)
+            dst.note_write(done.end)
+        system.charge_runtime(1)
+        self.engine.notify_access(node, spec)
+        return done
 
-    def count_miss(self, cache: NodeCache, nbytes: int) -> None:
+    def _count_miss(self, cache: NodeCache, nbytes: int) -> None:
         cache.stats.misses += 1
         cache.stats.miss_bytes += nbytes
         self.system.obs.count("cache_misses")
@@ -299,26 +362,24 @@ class CacheManager:
                     spec: FetchSpec, block: CacheBlock, label: str) -> None:
         """Charge block setup, then copy the source window packed
         row-major into the admitted block through the one timed copy."""
-        from repro.core.system import SETUP_COST
         system = self.system
-        system.timeline.charge(
-            "host", SETUP_COST[node.device.kind], Phase.SETUP,
-            label=f"cache-alloc@{node.node_id}")
+        self._charge_setup(node)
         system._copy(src_node, spec.src, spec.offset, spec.stride, node,
                      block.handle, 0, spec.row_bytes, spec.rows,
                      spec.row_bytes, spec.src.ready_at, label)
 
+    def _charge_setup(self, node: TreeNode) -> None:
+        """Charge a new block's setup on the host."""
+        from repro.core.system import SETUP_COST
+        self.system.timeline.charge(
+            "host", SETUP_COST[node.device.kind], Phase.SETUP,
+            label=f"cache-alloc@{node.node_id}")
+
     # -- leases (System.fetch_down / fetch_release) ----------------------
 
-    def lease_block(self, cache: NodeCache, block: CacheBlock) -> BufferHandle:
-        cache.pin(block)
-        self._leases[block.handle.buffer_id] = (cache, block)
-        self._lease_scope[block.handle.buffer_id] = getattr(
-            self.system, "serve_scope", None)
-        return block.handle
-
-    def lease_plain(self, handle: BufferHandle) -> BufferHandle:
-        self._leases[handle.buffer_id] = (None, handle)
+    def _lease(self, handle: BufferHandle, cache: NodeCache | None,
+               obj: CacheBlock | BufferHandle) -> BufferHandle:
+        self._leases[handle.buffer_id] = (cache, obj)
         self._lease_scope[handle.buffer_id] = getattr(
             self.system, "serve_scope", None)
         return handle
@@ -336,85 +397,28 @@ class CacheManager:
         else:
             cache.unpin(obj)
 
-    # -- write-back ledger -----------------------------------------------
+    # -- pinned by the layer tracer -------------------------------------
 
-    def _wb_stats_for(self, node: TreeNode) -> CacheStats:
-        cache = self.node_cache(node)
-        return self._wb_stats if cache is None else cache.stats
+    def defer_up(self, *args, **kwargs) -> None:
+        """Does nothing: kept, with its alias ``flush_all``, only because
+        ``benchmarks/perf/layers.py`` patches both by name; ROADMAP item
+        21(a) removes them."""
 
-    def defer_up(self, dst: BufferHandle, src: BufferHandle, nbytes: int, *,
-                 dst_offset: int, src_offset: int,
-                 label: str) -> "MoveResult":
-        """Move the bytes of a child->parent transfer now, but record the
-        virtual charge as an IOU instead of issuing it."""
-        from repro.core.system import MoveResult
-        system = self.system
-        src_node, dst_node = system.node_of(src), system.node_of(dst)
-        resources, phase, latency, bw = system._edge_plan(src_node, dst_node)
-        stats = self._wb_stats_for(src_node)
-        key = (dst.buffer_id, dst_offset, nbytes)
-        if key in self._writebacks:
-            stats.writebacks_absorbed += 1
-        wb = _WriteBack(
-            src=src, dst=dst, dst_offset=dst_offset, nbytes=nbytes,
-            resources=resources, duration=latency + nbytes / bw, phase=phase,
-            ready=src.ready_at, label=label or "write-back")
-        self._writebacks[key] = wb
-        stats.writebacks_deferred += 1
-        system._transfer(src_node, src, src_offset, nbytes, dst_node, dst,
-                         dst_offset, nbytes, 1, nbytes)
-        dst.bump_version()  # content changed; cached views are stale
-        system.charge_runtime(1)
-        return MoveResult(start=src.ready_at, end=src.ready_at,
-                          nbytes=nbytes, hops=0)
-
-    def flush_handle(self, handle: BufferHandle) -> None:
-        """Flush IOUs whose source or destination is ``handle`` (called
-        before a timed read/write of it and on release)."""
-        if not self._writebacks:
-            return
-        due = [k for k, wb in self._writebacks.items()
-               if handle.buffer_id in (wb.src.buffer_id, wb.dst.buffer_id)]
-        for k in due:
-            self._flush_one(self._writebacks.pop(k))
-
-    def flush_all(self) -> None:
-        for k in list(self._writebacks):
-            self._flush_one(self._writebacks.pop(k))
-
-    def _flush_one(self, wb: _WriteBack) -> None:
-        system = self.system
-        ready = max(wb.ready, wb.dst.last_read_end)
-        done = system.timeline.charge_path(wb.resources, wb.duration,
-                                           wb.phase, ready=ready,
-                                           label=wb.label, nbytes=wb.nbytes)
-        if not wb.src.released:
-            wb.src.note_read(done.end)
-        wb.dst.note_write(done.end)
-        stats = self._wb_stats_for(system.node_of(wb.src)) \
-            if not wb.src.released else self._wb_stats
-        stats.writebacks_flushed += 1
+    flush_all = defer_up
 
     # -- lifecycle hooks --------------------------------------------------
 
     def on_release(self, handle: BufferHandle) -> None:
-        """A buffer is being released: settle its IOUs and drop cached
-        copies sourced from it."""
-        self.flush_handle(handle)
+        """A buffer is being released: drop cached copies sourced from
+        it."""
         for cache in self._caches.values():
             if cache is not None:
                 cache.invalidate_source(handle.buffer_id)
 
-    def on_reset(self) -> None:
-        """Timeline reset between measured phases: pending IOU readiness
-        restarts at zero like every handle time."""
-        for wb in self._writebacks.values():
-            wb.ready = 0.0
-
     def end_run(self) -> None:
-        """End-of-run cleanup: drop leases, settle the ledger, release
-        every unpinned block, forget the prefetch plan.  Programs end
-        with the same live-buffer census they had before caching.
+        """End-of-run cleanup: drop leases, release every unpinned
+        block, forget the prefetch plan.  Programs end with the same
+        live-buffer census they had before caching.
 
         Under multi-tenant serving (``system.serve_scope`` set) the
         cleanup is *scoped*: only the finishing job's leases are
@@ -434,7 +438,6 @@ class CacheManager:
                     self.system.release(obj)
             else:
                 obj.pins = 0
-        self.flush_all()
         if scope is not None:
             return
         for cache in self._caches.values():
@@ -453,13 +456,12 @@ class CacheManager:
         for c in self._caches.values():
             if c is not None:
                 total.merge(c.stats)
-        total.merge(self._wb_stats)
         return total
 
     def describe(self) -> str:
         cfg = self.config
         lines = [f"cache: mode={cfg.mode} policy={cfg.policy} "
-                 f"write={cfg.write_policy} lookahead={cfg.lookahead} "
+                 f"lookahead={cfg.lookahead} "
                  f"capacity_fraction={cfg.capacity_fraction}"]
         for nid, c in sorted(self._caches.items()):
             if c is None:

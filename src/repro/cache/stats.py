@@ -27,9 +27,6 @@ class CacheStats:
     prefetch_issued: int = 0
     prefetch_used: int = 0
     prefetch_wasted: int = 0
-    writebacks_deferred: int = 0
-    writebacks_absorbed: int = 0
-    writebacks_flushed: int = 0
 
     @property
     def lookups(self) -> int:

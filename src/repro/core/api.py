@@ -152,11 +152,35 @@ def move_data(dst: BufferHandle, src: BufferHandle, size: int,
     return sys_.move(dst, src, size, dst_offset=offset, src_offset=src_offset)
 
 
+def _move_window(ctx: ExecutionContext, dst: BufferHandle,
+                 src: BufferHandle, size: int, offset: int, src_offset: int,
+                 rows: int, src_stride: int | None,
+                 dst_stride: int | None) -> MoveResult:
+    """``size`` bytes as ``rows`` equal runs through
+    :meth:`~repro.core.system.System.move_2d` (both strides default to
+    the packed row width); ``src`` must be on the current node."""
+    if src.node_id != ctx.node.node_id:
+        raise TransferError(
+            f"src buffer is on node {src.node_id}, not the current node "
+            f"{ctx.node.node_id}")
+    if rows < 1 or size % rows:
+        raise TransferError(f"{size} bytes do not split into {rows} rows")
+    row_bytes = size // rows
+    return ctx.system.move_2d(
+        dst, src, rows=rows, row_bytes=row_bytes, src_offset=src_offset,
+        src_stride=row_bytes if src_stride is None else src_stride,
+        dst_offset=offset,
+        dst_stride=row_bytes if dst_stride is None else dst_stride)
+
+
 def move_data_down(dst: BufferHandle, src: BufferHandle, size: int,
-                   offset: int = 0, i: int = 0, *,
-                   src_offset: int = 0) -> MoveResult:
+                   offset: int = 0, i: int = 0, *, src_offset: int = 0,
+                   rows: int = 1, src_stride: int | None = None,
+                   dst_stride: int | None = None) -> MoveResult:
     """``move_data_down(dst, src, size, offset, i)``: to the i-th child,
-    the current node acting as the parent."""
+    the current node acting as the parent.  ``rows`` (with the two
+    strides) moves a 2-D window: ``size`` bytes as ``rows`` runs of
+    ``size // rows``, as :meth:`~repro.core.system.System.move_2d`."""
     ctx = _ctx()
     children = ctx.node.children
     if not (0 <= i < len(children)):
@@ -167,14 +191,17 @@ def move_data_down(dst: BufferHandle, src: BufferHandle, size: int,
         raise TransferError(
             f"dst buffer is on node {dst.node_id}, not child {i} "
             f"(node {children[i].node_id})")
-    return ctx.system.move_down(dst, src, size, dst_offset=offset,
-                                src_offset=src_offset)
+    return _move_window(ctx, dst, src, size, offset, src_offset, rows,
+                        src_stride, dst_stride)
 
 
 def move_data_up(dst: BufferHandle, src: BufferHandle, size: int,
-                 offset: int = 0, *, src_offset: int = 0) -> MoveResult:
+                 offset: int = 0, *, src_offset: int = 0, rows: int = 1,
+                 src_stride: int | None = None,
+                 dst_stride: int | None = None) -> MoveResult:
     """``move_data_up(dst, src, size, offset)``: to the parent, the
-    current node acting as the child."""
+    current node acting as the child; ``rows`` and the strides as in
+    :func:`move_data_down`."""
     ctx = _ctx()
     parent = ctx.node.parent
     if parent is None:
@@ -183,5 +210,5 @@ def move_data_up(dst: BufferHandle, src: BufferHandle, size: int,
         raise TransferError(
             f"dst buffer is on node {dst.node_id}, not the parent "
             f"(node {parent.node_id})")
-    return ctx.system.move_up(dst, src, size, dst_offset=offset,
-                              src_offset=src_offset)
+    return _move_window(ctx, dst, src, size, offset, src_offset, rows,
+                        src_stride, dst_stride)

@@ -251,9 +251,9 @@ class NorthupProgram(ABC):
         Yields what the scheduler yields and resumes with what the
         stepper sends; closing it mid-run unwinds every ``finally``.
 
-        Always ends with cache cleanup (leases dropped, write-back IOUs
-        settled, unpinned blocks released), so a program finishes with
-        the same live-buffer census it would have had without caching.
+        Always ends with cache cleanup (leases dropped, unpinned blocks
+        released), so a program finishes with the same live-buffer
+        census it would have had without caching.
         """
         self._scheduler = scheduler
         ctx = root_context(system)
@@ -264,10 +264,9 @@ class NorthupProgram(ABC):
             yield from self.phases(ctx)
             self.after_run(ctx)
         finally:
-            # end_run's write-back flush intervals still attribute to
-            # the root span, so the span is closed after cleanup; it
-            # also settles pending executor work (deferred copies and
-            # async kernel merges) before cache teardown.
+            # The root span closes after cleanup, which settles
+            # pending executor work (deferred copies and async kernel
+            # merges) before cache teardown.
             system.end_run()
             system.obs.close(root_span)
         return ctx

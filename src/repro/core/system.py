@@ -460,8 +460,6 @@ class System:
         admission."""
         self.registry.check_live(src)
         self.registry.check_live(dst)
-        self.cache.flush_handle(src)
-        self.cache.flush_handle(dst)
         if rows == 1:
             src_stride = dst_stride = row_bytes
         _check_window(src, src_offset, src_stride, dst, dst_offset,
@@ -469,21 +467,22 @@ class System:
         nbytes = rows * row_bytes
         src_node, dst_node = self.node_of(src), self.node_of(dst)
 
-        spec = ncache = None
-        if cache and nbytes >= 1 and self._cacheable_down(src_node, dst_node):
+        spec = miss = None
+        if cache and nbytes >= 1 and self.cache.transparent:
             spec = FetchSpec(src, src_offset, rows, row_bytes, src_stride)
-            served, ncache = self._cache_consult(dst, spec, dst_offset,
-                                                 dst_stride, label)
-            if served is not None:
-                return served
+            hit, miss = self.cache.consult(src_node, dst_node, dst, spec,
+                                           dst_offset, dst_stride, label)
+            if hit is not None:
+                return MoveResult(start=hit.start, end=hit.end,
+                                  nbytes=nbytes, hops=0)
 
         start, end, hops = self._copy(
             src_node, src, src_offset, src_stride, dst_node, dst, dst_offset,
             dst_stride, rows, row_bytes,
             max(src.ready_at, dst.last_read_end), label)
         self.charge_runtime(2)
-        if ncache is not None:
-            self._cache_admit(ncache, spec, dst, dst_offset, dst_stride, end)
+        if miss is not None:
+            self.cache.admit(miss, spec, dst, dst_offset, dst_stride, end)
         return MoveResult(start=start, end=end, nbytes=nbytes, hops=hops)
 
     def _copy(self, src_node: TreeNode, src: BufferHandle, src_offset: int,
@@ -615,23 +614,9 @@ class System:
                 dst_offset: int = 0, src_offset: int = 0,
                 label: str = "") -> MoveResult:
         """``move_data_up``: child -> parent, asserting the direction.
-
-        Under ``CacheConfig(write_policy="back")`` the virtual charge is
-        deferred to the write-back ledger: bytes move now, the transfer
-        is charged when either endpoint is next read or released, and a
-        re-dirty of the same destination region before that absorbs the
-        earlier transfer entirely.
-        """
+        The transfer is charged at once (write-through)."""
         self._assert_adjacent(self.node_of(dst), self.node_of(src),
                               expect_down=True)
-        if self.cache.writeback:
-            self.registry.check_live(src)
-            self.registry.check_live(dst)
-            _check_window(src, src_offset, nbytes, dst, dst_offset, nbytes,
-                          1, nbytes)
-            return self.cache.defer_up(dst, src, nbytes,
-                                       dst_offset=dst_offset,
-                                       src_offset=src_offset, label=label)
         return self.move(dst, src, nbytes, dst_offset=dst_offset,
                          src_offset=src_offset, label=label)
 
@@ -670,38 +655,8 @@ class System:
             raise TransferError(
                 "fetch_down needs either nbytes or all of rows, row_bytes "
                 "and src_stride")
-        spec = FetchSpec(src, src_offset, *window)
-        cache = self.cache.node_cache(n)
-        if cache is not None:
-            block = cache.lookup(spec)
-            if block is not None:
-                self.cache.count_hit(cache, spec.nbytes)
-                cache.touch(block)
-                self.timeline.charge(
-                    "host", self.cache.config.hit_cost, Phase.CACHE,
-                    label=f"cache-hit:{label or src.label or src.buffer_id}",
-                    nbytes=spec.nbytes)
-                self.charge_runtime(1)
-                self.cache.engine.notify_access(n, spec)
-                return self.cache.lease_block(cache, block)
-            self.cache.count_miss(cache, spec.nbytes)
-            # Consume this access's plan entry before admission so the
-            # policy ranks the incoming block by its next use.
-            self.cache.engine.consume(n.node_id, spec.key)
-            block = self.cache.fetch_into_cache(n, spec, label=label)
-            if block is not None:
-                cache.touch(block)  # demand admission is an access
-                self.cache.engine.issue(n)
-                return self.cache.lease_block(cache, block)
-        # No cache (or no room even after eviction): plain staging copy,
-        # torn down again by fetch_release.
-        handle = self.alloc(spec.nbytes, n,
-                            label=label or f"fetch:{src.label or src.buffer_id}")
-        self.move_2d(handle, src, rows=spec.rows, row_bytes=spec.row_bytes,
-                     src_offset=spec.offset, src_stride=spec.stride,
-                     dst_offset=0, dst_stride=spec.row_bytes, label=label,
-                     cache=False)
-        return self.cache.lease_plain(handle)
+        return self.cache.lease(n, FetchSpec(src, src_offset, *window),
+                                label)
 
     def will_need(self, hints) -> None:
         """Physical read-ahead advice for a level's upcoming fetches.
@@ -739,68 +694,6 @@ class System:
         is released."""
         self.cache.release_lease(handle)
         self.charge_runtime(1)
-
-    def _cacheable_down(self, src_node: TreeNode, dst_node: TreeNode) -> bool:
-        """Transparent consults apply to ancestor->descendant moves in
-        "full" mode only."""
-        return (self.cache.transparent and src_node is not dst_node
-                and src_node in dst_node.path_to_root())
-
-    def _cache_consult(self, dst: BufferHandle, spec: FetchSpec,
-                       dst_offset: int, dst_stride: int, label: str):
-        """Try to serve a down-move from the destination node's cache.
-
-        Returns ``(MoveResult, None)`` on a hit; ``(None, cache)`` on a
-        miss (the caller performs the transfer, then admits via
-        :meth:`_cache_admit`); ``(None, None)`` when the node has no
-        cache.
-        """
-        dst_node = self.node_of(dst)
-        cache = self.cache.node_cache(dst_node)
-        if cache is None:
-            return None, None
-        block = cache.lookup(spec)
-        if block is None:
-            self.cache.count_miss(cache, spec.nbytes)
-            return None, cache
-        self.cache.count_hit(cache, spec.nbytes)
-        cache.touch(block)
-        src = spec.src
-        ready = max(block.handle.ready_at, dst.last_read_end)
-        done = self.timeline.charge(
-            "host", self.cache.config.hit_cost, Phase.CACHE, ready=ready,
-            label=f"cache-hit:{label or src.label or src.buffer_id}",
-            nbytes=spec.nbytes)
-        # Local copy block -> destination region; no edge is crossed.
-        bh = block.handle
-        self._transfer(dst_node, bh, 0, spec.row_bytes, dst_node, dst,
-                       dst_offset, dst_stride, spec.rows, spec.row_bytes)
-        bh.note_read(done.end)
-        dst.note_write(done.end)
-        self.charge_runtime(1)
-        self.cache.engine.notify_access(dst_node, spec)
-        return MoveResult(start=done.start, end=done.end,
-                          nbytes=spec.nbytes, hops=0), None
-
-    def _cache_admit(self, cache, spec: FetchSpec, dst: BufferHandle,
-                     dst_offset: int, dst_stride: int, end: float) -> None:
-        """After a transparent miss moved the bytes into ``dst``, admit
-        the region by copying it (locally) into a cache block."""
-        dst_node = self.node_of(dst)
-        # Consume this access's plan entry first: admission policies
-        # rank the incoming block by its *next* use.
-        self.cache.engine.consume(dst_node.node_id, spec.key)
-        block = cache.admit(spec)
-        if block is not None:
-            cache.touch(block)  # demand admission is an access
-            self.timeline.charge(
-                "host", SETUP_COST[dst_node.device.kind], Phase.SETUP,
-                label=f"cache-alloc@{dst_node.node_id}")
-            bh = block.handle
-            self._transfer(dst_node, dst, dst_offset, dst_stride, dst_node,
-                           bh, 0, spec.row_bytes, spec.rows, spec.row_bytes)
-            bh.note_write(end)
-        self.cache.engine.issue(dst_node)
 
     def _assert_adjacent(self, parent: TreeNode, child: TreeNode, *,
                          expect_down: bool) -> None:
@@ -871,7 +764,6 @@ class System:
         node = self.processor_node(proc)
         for h in (*reads, *writes):
             self.registry.check_live(h)
-            self.cache.flush_handle(h)
             if self.node_of(h) is not node:
                 raise TransferError(
                     f"kernel on {proc.name!r} (node {node.node_id}) cannot "
@@ -1038,14 +930,14 @@ class System:
         ex = self.executor
         t0 = time.perf_counter()
         args = {}
-        writebacks = []
+        copies_back = []
         for b in spec.bindings:
             arr, is_view = self.host_array(b.handle, b.dtype, b.shape,
                                            b.offset, b.count,
                                            writable=b.writable)
             args[b.name] = arr
             if b.writable and not is_view:
-                writebacks.append((b, arr))
+                copies_back.append((b, arr))
         fn = resolve_kernel(spec.fn_ref)
         ex.stats.submitted += 1
         ex.stats.dispatch_seconds += time.perf_counter() - t0
@@ -1057,7 +949,7 @@ class System:
             ex.telemetry.note_inline(
                 "main", "kernel", k0, k1,
                 nbytes=sum(a.nbytes for a in args.values()))
-        for b, arr in writebacks:
+        for b, arr in copies_back:
             self.preload(b.handle, arr, b.offset)
 
     def drain_exec(self) -> None:
@@ -1067,7 +959,7 @@ class System:
 
     def end_run(self) -> None:
         """End-of-run teardown: pending executor work settles, then the
-        cache drops leases and pays write-back IOUs.  Programs call this
+        cache drops its leases and unpinned blocks.  Programs call this
         (via :meth:`NorthupProgram.run`'s finally); the serve layer
         calls it per job with ``serve_scope`` set.  Then every backend
         writes out what it held back, so each file is current.
@@ -1240,8 +1132,7 @@ class System:
         for nid, stats in self.cache.stats_by_node().items():
             for name in ("hits", "misses", "hit_bytes", "miss_bytes",
                          "evictions", "admissions", "prefetch_issued",
-                         "prefetch_used", "prefetch_wasted",
-                         "writebacks_deferred"):
+                         "prefetch_used", "prefetch_wasted"):
                 reg.gauge(f"cache_{name}", getattr(stats, name),
                           labels={"node": str(nid)})
         for node in self.tree.nodes():
@@ -1287,15 +1178,11 @@ class System:
                               labels=dict(qlabels, state=state))
 
     def makespan(self) -> float:
-        """End-to-end virtual time of everything charged so far.
-        Settles any deferred write-backs first: IOUs are owed time."""
-        self.cache.flush_all()
+        """End-to-end virtual time of everything charged so far."""
         return self.timeline.makespan()
 
     def breakdown(self) -> Breakdown:
-        """Fold the trace into the per-category breakdown (deferred
-        write-backs are settled first)."""
-        self.cache.flush_all()
+        """Fold the trace into the per-category breakdown."""
         return profile_trace(self.timeline.trace)
 
     def reset_time(self) -> None:
@@ -1304,7 +1191,6 @@ class System:
         self.timeline.reset()
         self.obs.reset()
         self.runtime_ops = 0
-        self.cache.on_reset()
         for h in self.registry.live_handles():
             h.times.reset()
 

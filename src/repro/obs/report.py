@@ -93,10 +93,8 @@ class RunReport:
 
     @classmethod
     def from_system(cls, system, *, name: str = "run") -> "RunReport":
-        """Report on a system's recorded timeline (write-back IOUs are
-        settled first, like :meth:`System.breakdown`).  A telemetry-on
+        """Report on a system's recorded timeline.  A telemetry-on
         executor contributes its physical-plane summary."""
-        system.cache.flush_all()
         tel = getattr(getattr(system, "executor", None), "telemetry", None)
         if tel is not None and not tel.records:
             tel = None

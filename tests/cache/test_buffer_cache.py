@@ -35,13 +35,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         CacheConfig(policy="clairvoyant")
     with pytest.raises(ConfigError):
-        CacheConfig(write_policy="around")
-    with pytest.raises(ConfigError):
         CacheConfig(lookahead=-1)
     with pytest.raises(ConfigError):
         CacheConfig(capacity_fraction=1.5)
-    with pytest.raises(ConfigError):
-        CacheConfig(hit_cost=-1e-9)
+    with pytest.raises(TypeError):   # up-moves are always write-through
+        CacheConfig(write_policy="back")
     assert CacheConfig.disabled().mode == "off"
 
 

@@ -1,4 +1,5 @@
-"""Eviction-policy ordering, the prefetch engine, and write-back."""
+"""Eviction-policy ordering, the prefetch engine, and ``move_up``'s
+write-through charge."""
 
 import numpy as np
 import pytest
@@ -192,11 +193,7 @@ def test_prefetch_never_evicts():
         sys_.close()
 
 
-# -- write-back ----------------------------------------------------------
-
-def writeback_system():
-    return make_system(CacheConfig(write_policy="back", lookahead=0))
-
+# -- move_up ---------------------------------------------------------------
 
 def up_pair(sys_, nbytes=8 * KB, seed=4):
     """A child staging buffer with known bytes, and a root destination."""
@@ -214,103 +211,22 @@ def transfer_count(sys_):
                                 Phase.MEM_COPY)])
 
 
-def test_writeback_defers_charge_but_moves_bytes():
-    sys_ = writeback_system()
-    try:
-        src, dst = up_pair(sys_)
-        before = transfer_count(sys_)
-        res = sys_.move_up(dst, src, 8 * KB, dst_offset=8 * KB)
-        assert res.hops == 0 and res.start == res.end
-        assert transfer_count(sys_) == before  # charge deferred
-        # ... but the bytes are already physically at the root.
-        got = sys_.fetch(dst, np.uint8, count=32 * KB)
-        expected = sys_.fetch(src, np.uint8, count=8 * KB)
-        np.testing.assert_array_equal(got[8 * KB:16 * KB], expected)
-        st = sys_.cache.total_stats()
-        assert (st.writebacks_deferred, st.writebacks_flushed) == (1, 0)
-    finally:
-        sys_.close()
-
-
-def test_writeback_flush_on_release():
-    sys_ = writeback_system()
-    try:
-        src, dst = up_pair(sys_)
-        before = transfer_count(sys_)
-        sys_.move_up(dst, src, 8 * KB)
-        sys_.release(src)
-        assert transfer_count(sys_) == before + 1
-        st = sys_.cache.total_stats()
-        assert (st.writebacks_deferred, st.writebacks_flushed) == (1, 1)
-    finally:
-        sys_.close()
-
-
-def test_writeback_flush_on_timed_read():
-    sys_ = writeback_system()
-    try:
-        src, dst = up_pair(sys_)
-        sys_.move_up(dst, src, 8 * KB)
-        # A timed read of the destination must settle the IOU first.
-        child = sys_.tree.root.children[0]
-        down = sys_.alloc(8 * KB, child, label="down")
-        sys_.move(down, dst, 8 * KB)
-        st = sys_.cache.total_stats()
-        assert st.writebacks_flushed == 1
-    finally:
-        sys_.close()
-
-
-def test_writeback_absorbs_redirtied_region():
-    """Re-dirtying a region before any flush absorbs the earlier IOU:
-    that transfer never happens, which is the point of write-back."""
-    sys_ = writeback_system()
-    try:
-        src, dst = up_pair(sys_)
-        sys_.move_up(dst, src, 8 * KB, dst_offset=0)
-        sys_.move_up(dst, src, 8 * KB, dst_offset=0)
-        sys_.cache.flush_all()
-        st = sys_.cache.total_stats()
-        assert st.writebacks_deferred == 2
-        assert st.writebacks_absorbed == 1
-        assert st.writebacks_flushed == 1
-    finally:
-        sys_.close()
-
-
-def test_makespan_settles_writebacks():
-    sys_ = writeback_system()
-    try:
-        src, dst = up_pair(sys_)
-        before = transfer_count(sys_)
-        sys_.move_up(dst, src, 8 * KB)
-        ms = sys_.makespan()
-        assert transfer_count(sys_) == before + 1
-        assert ms > 0.0
-        assert sys_.cache.total_stats().writebacks_flushed == 1
-    finally:
-        sys_.close()
-
-
 def test_write_through_charges_immediately():
-    sys_ = make_system(CacheConfig(write_policy="through", lookahead=0))
+    sys_ = make_system(CacheConfig(lookahead=0))
     try:
         src, dst = up_pair(sys_)
         before = transfer_count(sys_)
         sys_.move_up(dst, src, 8 * KB)
         assert transfer_count(sys_) == before + 1
-        assert sys_.cache.total_stats().writebacks_deferred == 0
     finally:
         sys_.close()
 
 
-@pytest.mark.parametrize("policy", ["through", "back"])
-def test_write_policies_bit_identical(policy):
-    sys_ = make_system(CacheConfig(write_policy=policy, lookahead=0))
+def test_move_up_lands_bytes():
+    sys_ = make_system(CacheConfig(lookahead=0))
     try:
         src, dst = up_pair(sys_, seed=9)
         sys_.move_up(dst, src, 8 * KB, dst_offset=4 * KB)
-        sys_.cache.flush_all()
         got = sys_.fetch(dst, np.uint8, count=32 * KB)
         expected = sys_.fetch(src, np.uint8, count=8 * KB)
         np.testing.assert_array_equal(got[4 * KB:12 * KB], expected)

@@ -84,6 +84,28 @@ def test_move_data_down_validates_child_index(system):
             api.move_data_down(other, src, 64, 0, i=0)
 
 
+def test_move_data_windows_round_trip(system):
+    """A strided 2-D window down to the child and back up into another
+    place of a root buffer."""
+    matrix = np.arange(64, dtype=np.uint8).reshape(8, 8)
+    with api.northup_session(system) as root_ctx:
+        src = api.alloc(64, 0)
+        back = api.alloc(64, 0)
+        system.preload(src, matrix)
+        tile = api.alloc(16, 1)
+        # Rows 2-5, columns 4-7: four runs of 4 bytes, stride 8.
+        api.move_data_down(tile, src, 16, 0, 0, src_offset=2 * 8 + 4,
+                           rows=4, src_stride=8)
+        with api.use_context(root_ctx.descend(1)):
+            api.move_data_up(back, tile, 16, 0, rows=4, dst_stride=8)
+            with pytest.raises(TransferError, match="not the current node"):
+                api.move_data_up(back, src, 16)
+        with pytest.raises(TransferError, match="split into 3 rows"):
+            api.move_data_down(tile, src, 16, 0, 0, rows=3)
+        got = system.fetch(back, np.uint8, shape=(8, 8))
+        np.testing.assert_array_equal(got[:4, :4], matrix[2:6, 4:8])
+
+
 def test_move_data_up_from_root_rejected(system):
     with api.northup_session(system):
         a = api.alloc(64, 0)

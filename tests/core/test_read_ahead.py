@@ -7,7 +7,6 @@ import gc
 import hashlib
 import os
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -262,11 +261,12 @@ def _feeders():
             if t.name == "QueueFeederThread"]
 
 
-def _wait_for(predicate, seconds=5.0):
-    deadline = time.monotonic() + seconds
-    while not predicate() and time.monotonic() < deadline:
-        time.sleep(0.005)
-    return predicate()
+def _join_feeders(seconds=60.0):
+    """Join the feeder threads of closed queues (each closes its pipe's
+    ends before it returns); True when none is left."""
+    for thread in _feeders():
+        thread.join(seconds)
+    return not _feeders()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
@@ -280,7 +280,7 @@ def test_close_after_a_failed_kernel_releases_everything(
            executor="shm").close()               # resource tracker is up now
     gc.collect()
     # A closed queue's feeder thread closes the pipe's write end itself.
-    _wait_for(lambda: not _feeders())
+    assert _join_feeders()
     fds = _open_fds()
     backend = FileBackend(str(tmp_path / "s"))
     tree = apu_two_level(storage="ssd", storage_capacity=8 * MB,
@@ -305,8 +305,8 @@ def test_close_after_a_failed_kernel_releases_everything(
     assert not (tmp_path / "s").exists()
     del system, tree, backend
     gc.collect()
-    assert _wait_for(lambda: not _feeders() and _open_fds() == fds), \
-        (_open_fds(), fds)
+    assert _join_feeders()
+    assert _open_fds() == fds
 
 
 def test_tree_close_closes_every_device_when_one_raises(tmp_path):

@@ -10,7 +10,6 @@ advice.
 
 import os
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -27,16 +26,14 @@ from tests.hygiene import io_threads as _io_threads
 from tests.hygiene import within as _within
 
 
-def _settle(backend, seconds=5.0):
-    """Wait until the reader has nothing left it could start."""
+def _settle(backend, seconds=60.0):
+    """Wait until the reader has nothing left it could start (it
+    notifies the condition each time a read ends)."""
     ahead = backend.readahead
-    deadline = time.monotonic() + seconds
-    while time.monotonic() < deadline:
-        with ahead._cv:
-            if ahead._reading is None and ahead._next() is None:
-                return
-        time.sleep(0.0005)
-    raise AssertionError("reader never went idle")
+    with ahead._cv:
+        assert ahead._cv.wait_for(
+            lambda: ahead._reading is None and ahead._next() is None,
+            seconds), "reader never went idle"
 
 
 def _accounted(ahead):
