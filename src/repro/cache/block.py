@@ -85,11 +85,11 @@ class NodeCache:
         #: quotas are active; blocks the guard rejects are invisible to
         #: the eviction policy.
         self.victim_guard = None
-        #: Optional ``release_hook(node, handle)`` called instead of
-        #: ``device.release`` when a block's storage is dropped.  The
-        #: cache manager binds it to the system so a release can be
-        #: ordered behind pending compute-backend work (a deferred copy
-        #: still reading the block's bytes).
+        #: ``release_hook(node, handle)`` frees a dropped block's
+        #: storage.  The cache manager binds it to the exec layer's
+        #: front door, so a release is ordered behind pending
+        #: compute-backend work (a deferred copy still reading the
+        #: block's bytes).
         self.release_hook = None
 
     # -- queries ---------------------------------------------------------
@@ -235,8 +235,5 @@ class NodeCache:
             raise CacheError(
                 f"refusing to drop pinned cache block {block.spec.key}")
         self.registry.unregister(block.handle)
-        if self.release_hook is not None:
-            self.release_hook(self.node, block.handle)
-        else:
-            self.node.device.release(block.handle.alloc_id)
+        self.release_hook(self.node, block.handle)
         del self._blocks[block.key]

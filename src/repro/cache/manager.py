@@ -137,8 +137,7 @@ class CacheManager:
                 cache.tenant_source = lambda: getattr(
                     self.system, "current_tenant", "")
                 cache.victim_guard = self._make_victim_guard(cache)
-                cache.release_hook = getattr(
-                    self.system, "release_storage", None)
+                cache.release_hook = self.system.dispatch.release_storage
                 self._caches[node.node_id] = cache
         return self._caches[node.node_id]
 
@@ -258,9 +257,9 @@ class CacheManager:
             cache.touch(block)  # demand admission is an access
             self._charge_setup(node)
             bh = block.handle
-            self.system._transfer(node, dst, dst_offset, dst_stride, node,
-                                  bh, 0, spec.row_bytes, spec.rows,
-                                  spec.row_bytes)
+            self.system.dispatch.transfer(node, dst, dst_offset, dst_stride,
+                                          node, bh, 0, spec.row_bytes,
+                                          spec.rows, spec.row_bytes)
             bh.note_write(end)
         self.engine.issue(node)
 
@@ -284,9 +283,9 @@ class CacheManager:
             label=f"cache-hit:{label or spec.src.label or spec.src.buffer_id}",
             nbytes=spec.nbytes)
         if dst is not None:
-            system._transfer(node, bh, 0, spec.row_bytes, node, dst,
-                             dst_offset, dst_stride, spec.rows,
-                             spec.row_bytes)
+            system.dispatch.transfer(node, bh, 0, spec.row_bytes, node, dst,
+                                     dst_offset, dst_stride, spec.rows,
+                                     spec.row_bytes)
             bh.note_read(done.end)
             dst.note_write(done.end)
         system.charge_runtime(1)

@@ -126,7 +126,7 @@ class BufferTimes:
     always correct.  It is also the slab's *write generation*: ``fill``
     is the file window the bytes were last packed from, valid while
     both sides' versions are the ones it records
-    (:meth:`repro.core.system.System._describe`).
+    (:meth:`repro.exec.ledger.Dispatch._describe`).
     """
 
     ready_at: float = 0.0

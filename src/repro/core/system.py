@@ -22,7 +22,6 @@ likewise excludes input preprocessing from measured time.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,10 +34,9 @@ from repro.core.buffers import BufferHandle, BufferRegistry
 from repro.core.profiler import Breakdown, profile_trace
 from repro.errors import CacheError, CapacityError, TransferError
 from repro.exec.base import Executor, KernelSpec, effective_cpu_count, \
-    make_executor, resolve_kernel
+    make_executor
 from repro.exec.inline import InlineExecutor
-from repro.exec.ledger import MergeTarget, PendingLedger
-from repro.exec.pool import FileWindow
+from repro.exec.ledger import Dispatch
 from repro.memory.device import StorageKind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_OBSERVER, Observer
@@ -228,10 +226,10 @@ class System:
         #: are; pull-collectors bridge them in at snapshot time.
         self.metrics = MetricsRegistry()
         self.metrics.register_collector(self._collect_metrics)
-        #: Pending physical effects of asynchronous compute dispatch
-        #: (:mod:`repro.exec.ledger`).  Inert (and near-free to consult)
-        #: under the default inline executor.
-        self._ledger = PendingLedger()
+        #: The exec layer's front door (:mod:`repro.exec.ledger`): when
+        #: each physical byte lands.  A pass-through under the default
+        #: inline executor.
+        self.dispatch = Dispatch(self)
         self._own_executor = executor is None or isinstance(executor, str)
         if executor is None:
             executor = InlineExecutor()
@@ -278,59 +276,6 @@ class System:
         self.runtime_ops += ops
         self.timeline.charge("host", ops * RUNTIME_OP_COST, Phase.RUNTIME,
                              label=label)
-
-    # -- physical byte movement (the data plane) ---------------------------
-
-    def _transfer(self, src_node: TreeNode, src: BufferHandle,
-                  src_offset: int, src_stride: int, dst_node: TreeNode,
-                  dst: BufferHandle, dst_offset: int, dst_stride: int,
-                  rows: int, row_bytes: int, *, fill: bool = False) -> None:
-        """Move one window -- ``rows`` runs of ``row_bytes``, a
-        contiguous range being one row -- between two handles' backends
-        as one vectored transfer, charging wall time.  Virtual time is
-        the caller's business; this is Listing 4's physical half,
-        dispatched on the endpoint backend pair by
-        :meth:`~repro.memory.device.Device.copy_into_2d`.
-
-        When the transfer conflicts with pending executor work (it
-        reads a slab an async kernel will merge into, or touches a slab
-        a deferred copy still needs), it is deferred behind those ops
-        instead of draining them -- that deferral is what keeps several
-        chunk chains in flight across workers.  A packed ``fill``
-        (:meth:`_copy`) from a window another process can read in its
-        file is always deferred, as a fill op (:mod:`repro.exec.ledger`)
-        that drops the earlier fills it covers."""
-        args = (src_node, src, src_offset, src_stride, dst_node, dst,
-                dst_offset, dst_stride, rows, row_bytes)
-        span = None
-        if fill:
-            at, lo = src.base_offset + src_offset, dst.base_offset + dst_offset
-            end = at + (rows - 1) * src_stride + row_bytes
-            if src_node.device.backend.path_of(src.alloc_id, at, end):
-                span = (lo, lo + rows * row_bytes)
-        if self._ledger.active or span:
-            sslab = (src_node.node_id, src.alloc_id)
-            dslab = (dst_node.node_id, dst.alloc_id)
-            if span:
-                self._ledger.drop_fills((dslab,), within=span)
-            deps = self._ledger.conflicting(reads=(sslab,), writes=(dslab,))
-            if deps or span:
-                self._ledger.defer_copy(lambda: self._transfer_now(*args),
-                                        reads=(sslab,), writes=(dslab,),
-                                        deps=deps, fill=span)
-                return
-        self._transfer_now(*args)
-
-    def _transfer_now(self, src_node: TreeNode, src: BufferHandle,
-                      src_offset: int, src_stride: int, dst_node: TreeNode,
-                      dst: BufferHandle, dst_offset: int, dst_stride: int,
-                      rows: int, row_bytes: int) -> None:
-        t0 = time.perf_counter()
-        src_node.device.copy_into_2d(
-            dst_node.device, src.alloc_id, src.base_offset + src_offset,
-            src_stride, dst.alloc_id, dst.base_offset + dst_offset,
-            dst_stride, rows=rows, row_bytes=row_bytes)
-        self.wall.note(time.perf_counter() - t0, rows * row_bytes)
 
     # -- Table I: unified data management ------------------------------------
 
@@ -394,27 +339,8 @@ class System:
         node = self.node_of(handle)
         self.registry.unregister(handle)
         if not handle.is_mapped:
-            self.release_storage(node, handle)
+            self.dispatch.release_storage(node, handle)
         self.charge_runtime(1)
-
-    def release_storage(self, node: TreeNode, handle: BufferHandle) -> None:
-        """Free the storage behind ``handle`` on ``node`` (:meth:`release`
-        and the cache's eviction hook).  Fills into the slab that no
-        pending op reads are dropped.  A slab with other pending
-        executor work turns zombie: capacity is credited now (so
-        free-space queries and later allocations see the logical release
-        exactly as the inline path would), but the backing bytes survive
-        until that work retires."""
-        slab = (node.node_id, handle.alloc_id)
-        if self._ledger.active:
-            self._ledger.drop_fills((slab,))
-        if self._ledger.has_pending(slab):
-            alloc_id = handle.alloc_id
-            node.device.release_capacity(alloc_id)
-            self._ledger.defer_free(
-                slab, lambda: node.device.destroy_storage(alloc_id))
-        else:
-            node.device.release(handle.alloc_id)
 
     def move(self, dst: BufferHandle, src: BufferHandle, nbytes: int, *,
              dst_offset: int = 0, src_offset: int = 0,
@@ -491,18 +417,16 @@ class System:
               ready: float, label: str) -> tuple[float, float, int]:
         """The one timed copy (Listing 4's ``move_data``) behind every
         move and cache fill: charge the path from ``ready``, stamp both
-        handles, record the fill's provenance and move the window's
-        bytes -- lazily under a pool executor (:meth:`_transfer`).
-        Returns ``(start, end, hops)``."""
+        handles, then hand the bytes to the exec layer's front door
+        (:meth:`~repro.exec.ledger.Dispatch.transfer`).  Returns
+        ``(start, end, hops)``."""
         start, end, hops = self._charge_move(src_node, dst_node,
                                              rows * row_bytes, ready, label)
         src.note_read(end)
         dst.note_write(end)
-        self._transfer(src_node, src, src_offset, src_stride, dst_node, dst,
-                       dst_offset, dst_stride, rows, row_bytes,
-                       fill=self.executor.asynchronous and self._note_fill(
-                           src, src_offset, src_stride, dst, dst_offset,
-                           dst_stride, rows, row_bytes))
+        self.dispatch.transfer(src_node, src, src_offset, src_stride,
+                               dst_node, dst, dst_offset, dst_stride, rows,
+                               row_bytes, fill=True)
         return start, end, hops
 
     def _charge_move(self, src_node: TreeNode, dst_node: TreeNode,
@@ -577,7 +501,7 @@ class System:
         # The in-place rewrite reads and rewrites the destination bytes
         # directly: the move above may have been deferred behind
         # pending executor work, so settle the slab first.
-        self._exec_settle(dst, for_write=True)
+        self.dispatch.host_access(dst, for_write=True)
         dst_node = self.node_of(dst)
         payload = dst_node.device.read(dst.alloc_id,
                                        dst.base_offset + dst_offset, nbytes)
@@ -776,7 +700,7 @@ class System:
             ready = max(ready, h.last_read_end, h.ready_at)
         if kernel is not None:
             _check_bindings(kernel, reads, writes)
-            self._dispatch_kernel(kernel)
+            self.dispatch.launch(kernel)
         duration = proc.exec_time(cost) + extra_duration
         done = self.timeline.charge(proc.resource, duration, proc.phase,
                                     ready=ready, label=label or proc.name)
@@ -787,175 +711,10 @@ class System:
         self.charge_runtime(1)
         return done
 
-    def _dispatch_kernel(self, spec: KernelSpec) -> None:
-        """Route a kernel spec to the compute backend.
-
-        Inline backends execute in place over buffer views.
-        Asynchronous backends describe what read bindings they can as
-        root file windows (:meth:`_describe`), snapshot every other
-        binding's current bytes after settling its pending writers
-        (outputs included: an ``inout`` accumulator needs its prior
-        contents, and untouched window bytes must merge back unchanged;
-        a described binding's lazy fill stays pending), submit, and
-        register the pending merge with the ledger keyed on the output
-        slabs."""
-        ex = self.executor
-        led = self._ledger
-        if ex.telemetry is not None:
-            # Bind the ambient virtual span: merged physical traces
-            # join kernel records back to it (0 = no active span).
-            ex.telemetry.current_span = self.obs.current.span_id
-        if not ex.asynchronous:  # nothing is ever pending then
-            self._run_kernel_inline(spec)
-            return
-        t0 = time.perf_counter()
-        waited = ex.stats.budget_wait_seconds
-        slabs = [(b.handle.node_id, b.handle.alloc_id)
-                 for b in spec.bindings]
-        windows = [None if b.writable else self._describe(b)
-                   for b in spec.bindings]
-        if led.active:
-            # A snapshot must capture the bytes the inline path would
-            # have seen: settle pending writers of its binding first.
-            led.settle(reads=[s for s, w in zip(slabs, windows)
-                              if w is None])
-        arrays = []
-        merges = []
-        write_slabs = set()
-        root_reads = set()
-        for b, slab, described in zip(spec.bindings, slabs, windows):
-            if described is not None:
-                # The worker reads the root window itself: nothing is
-                # snapshotted or shipped, and the root slab stays a
-                # pending read of this kernel until it retires.
-                window, root = described
-                arrays.append((b.name, window, False))
-                root_reads.add(root)
-                ex.stats.described += 1
-                continue
-            arr = self._snapshot_binding(b, ex)
-            arrays.append((b.name, arr, b.writable))
-            if b.writable:
-                # The version bumps *now*, where the inline path's
-                # writable view would have bumped it: any cached copy
-                # is stale from this virtual instant, and host reads
-                # between submit and merge settle through the ledger.
-                b.handle.bump_version()
-                write_slabs.add(slab)
-                merges.append(MergeTarget(
-                    name=b.name, node=self.node_of(b.handle),
-                    alloc_id=b.handle.alloc_id,
-                    offset=b.handle.base_offset + b.offset,
-                    nbytes=arr.nbytes))
-        # Remaining pending ops on the output slabs (deferred copies
-        # that still read or write them) must retire before this
-        # kernel's merge lands.
-        deps = led.conflicting(writes=write_slabs)
-        ticket = ex.submit(spec.fn_ref, arrays, spec.kwargs,
-                           label=spec.label)
-        led.add_kernel(executor=ex, ticket=ticket, writes=write_slabs,
-                       merges=merges, deps=deps, reads=root_reads)
-        ex.stats.dispatch_seconds += time.perf_counter() - t0 - (
-            ex.stats.budget_wait_seconds - waited)
-
-    def _note_fill(self, src: BufferHandle, src_offset: int,
-                   src_stride: int, dst: BufferHandle, dst_offset: int,
-                   dst_stride: int, rows: int, row_bytes: int) -> bool:
-        """Provenance for pool dispatch, recorded right after a move's
-        version bump: ``dst`` holds the window of ``src`` packed, for as
-        long as neither slab's version (its write generation) moves.  A
-        contiguous fill continuing the recorded one in both buffers
-        extends it.  Returns whether the fill was packed."""
-        if rows != 1 and dst_stride != row_bytes:
-            return False
-        at, base = src.base_offset + src_offset, dst.base_offset + dst_offset
-        if rows == 1 or src_stride == row_bytes:   # contiguous: one row
-            rows, row_bytes = 1, rows * row_bytes
-            if dst.times.fill:
-                src0, gen0, at0, _, base0, rows0, n0, ver0 = dst.times.fill
-                if rows0 == 1 and src0.times is src.times and (
-                        gen0, ver0, at0 + n0, base0 + n0) == (
-                        src.version, dst.version - 1, at, base):
-                    at, base, row_bytes = at0, base0, n0 + row_bytes
-        dst.times.fill = (src, src.version, at, src_stride, base, rows,
-                          row_bytes, dst.version)
-        return True
-
-    def _describe(self, b) -> tuple[FileWindow, tuple[int, int]] | None:
-        """A read binding as the root file window its bytes are an
-        unmodified copy of, and that file's slab; ``None`` when no such
-        window is on record (the bytes are snapshotted then)."""
-        h = b.handle
-        fill = h.times.fill
-        if fill is None:
-            return None
-        src, src_gen, at, stride, base, rows, row_bytes, gen = fill
-        n = b.nbytes
-        rel = h.base_offset + b.offset - base
-        if h.version != gen or src.version != src_gen or src.released \
-                or n <= 0 or rel < 0 or rel + n > rows * row_bytes:
-            return None
-        if rows == 1:
-            window = (at + rel, 1, n, n)
-        elif rel % row_bytes or n % row_bytes:
-            return None
-        else:
-            window = (at + rel // row_bytes * stride, n // row_bytes,
-                      row_bytes, stride)
-        lo, rows, row_bytes, stride = window
-        root = (src.node_id, src.alloc_id)
-        # Root writes the fill follows land before path_of writes out a
-        # dirty band over the window and the worker reads the file.
-        self._ledger.settle(reads=(root,))
-        path = self.node_of(src).device.backend.path_of(
-            src.alloc_id, lo, lo + (rows - 1) * stride + row_bytes)
-        if path is None:
-            return None
-        shape = b.shape or (n // np.dtype(b.dtype).itemsize,)
-        return FileWindow(path, *window, b.dtype, shape), root
-
-    def _snapshot_binding(self, b, ex: Executor) -> np.ndarray:
-        """An owned, writable copy of a binding's current bytes, built
-        in a staging buffer of the executor."""
-        view = self.view_array(b.handle, b.dtype, b.shape, b.offset, b.count)
-        if view is None:
-            return self.fetch(b.handle, b.dtype, b.shape, b.offset, b.count)
-        arr = ex.stage(view.nbytes).view(view.dtype).reshape(view.shape)
-        np.copyto(arr, view)
-        return arr
-
-    def _run_kernel_inline(self, spec: KernelSpec) -> None:
-        """In-place execution over buffer views (a fetch/preload round
-        trip on view-less backends)."""
-        ex = self.executor
-        t0 = time.perf_counter()
-        args = {}
-        copies_back = []
-        for b in spec.bindings:
-            arr, is_view = self.host_array(b.handle, b.dtype, b.shape,
-                                           b.offset, b.count,
-                                           writable=b.writable)
-            args[b.name] = arr
-            if b.writable and not is_view:
-                copies_back.append((b, arr))
-        fn = resolve_kernel(spec.fn_ref)
-        ex.stats.submitted += 1
-        ex.stats.dispatch_seconds += time.perf_counter() - t0
-        k0 = time.perf_counter_ns()
-        fn(**args, **spec.kwargs)
-        k1 = time.perf_counter_ns()
-        ex.stats.note_done("main", (k1 - k0) / 1e9)
-        if ex.telemetry is not None:
-            ex.telemetry.note_inline(
-                "main", "kernel", k0, k1,
-                nbytes=sum(a.nbytes for a in args.values()))
-        for b, arr in copies_back:
-            self.preload(b.handle, arr, b.offset)
-
     def drain_exec(self) -> None:
         """Settle every pending executor effect: deferred copies run,
         kernel results merge (submission order), zombie slabs free."""
-        self._ledger.drain_all()
+        self.dispatch.drain()
 
     def end_run(self) -> None:
         """End-of-run teardown: pending executor work settles, then the
@@ -966,22 +725,12 @@ class System:
         Read-ahead advice (:meth:`will_need`) not yet used is cancelled,
         also when the run failed."""
         try:
-            self.drain_exec()
-            self.cache.end_run()
+            self.dispatch.end_run()
             for node in self.tree.nodes():
                 node.device.backend.flush()
         finally:
             for node in self.tree.nodes():
                 node.device.advise(())
-
-    def _exec_settle(self, handle: BufferHandle, *,
-                     for_write: bool = False) -> None:
-        """Order an untimed host access behind pending executor work on
-        the handle's slab: reads need pending writers settled, writes
-        need pending readers too."""
-        if self._ledger.active:
-            slab = ((handle.node_id, handle.alloc_id),)
-            self._ledger.settle(reads=slab, writes=slab if for_write else ())
 
     # -- untimed host access -------------------------------------------------
 
@@ -990,7 +739,7 @@ class System:
         """Write workload data into a buffer without charging time
         (input preprocessing is excluded from measurement, Section V-B)."""
         self.registry.check_live(handle)
-        self._exec_settle(handle, for_write=True)
+        self.dispatch.host_access(handle, for_write=True)
         arr = np.ascontiguousarray(arr)
         if offset < 0 or offset + arr.nbytes > handle.nbytes:
             raise TransferError(
@@ -1005,7 +754,7 @@ class System:
         """Read a buffer's contents as a typed array without charging
         time (result verification)."""
         self.registry.check_live(handle)
-        self._exec_settle(handle)
+        self.dispatch.host_access(handle)
         node = self.node_of(handle)
         count = self._host_window(handle, dtype, shape, offset, count)
         raw = node.device.read(handle.alloc_id, handle.base_offset + offset,
@@ -1047,7 +796,7 @@ class System:
         only valid while the handle is live.
         """
         self.registry.check_live(handle)
-        self._exec_settle(handle, for_write=writable)
+        self.dispatch.host_access(handle, for_write=writable)
         count = self._host_window(handle, dtype, shape, offset, count)
         node = self.node_of(handle)
         raw = node.device.try_view(handle.alloc_id,
@@ -1088,38 +837,6 @@ class System:
                   help_text="wall-clock seconds spent moving bytes")
         reg.gauge("wall_bytes_moved", self.wall.bytes_moved)
         reg.gauge("wall_ops", self.wall.ops)
-        ex = self.executor
-        xlabels = {"backend": ex.name}
-        reg.gauge("exec_workers", ex.workers, labels=xlabels)
-        reg.gauge("exec_tasks_submitted", ex.stats.submitted, labels=xlabels)
-        reg.gauge("exec_tasks_completed", ex.stats.completed, labels=xlabels)
-        reg.gauge("exec_dispatch_seconds", ex.stats.dispatch_seconds,
-                  labels=xlabels,
-                  help_text="submit-side snapshot/packing/queueing wall time")
-        reg.gauge("exec_budget_waits", ex.stats.budget_waits,
-                  labels=xlabels,
-                  help_text="stagings that waited for in-flight budget")
-        reg.gauge("exec_merge_seconds", ex.stats.merge_seconds,
-                  labels=xlabels,
-                  help_text="result read-back wall time (async backends)")
-        reg.gauge("exec_bytes_in", ex.stats.bytes_in, labels=xlabels)
-        reg.gauge("exec_bytes_out", ex.stats.bytes_out, labels=xlabels)
-        for worker in sorted(ex.stats.worker_busy):
-            wlabels = dict(xlabels, worker=worker)
-            reg.gauge("exec_worker_busy_seconds",
-                      ex.stats.worker_busy[worker], labels=wlabels,
-                      help_text="kernel wall seconds per pool worker")
-            reg.gauge("exec_worker_tasks", ex.stats.worker_tasks[worker],
-                      labels=wlabels)
-        for name, help_text in (
-                ("deferred_copies", "transfers deferred behind pending "
-                                    "async work"),
-                ("fills_deferred", "lazy staging fills registered"),
-                ("fills_dropped", "lazy staging fills dropped unread"),
-                ("zombie_frees", "releases whose physical free was "
-                                 "deferred")):
-            reg.gauge(f"exec_{name}", getattr(self._ledger, name),
-                      labels=xlabels, help_text=help_text)
         trace = self.timeline.trace
         reg.gauge("trace_intervals", len(trace))
         reg.gauge("virtual_makespan_seconds", self.timeline.makespan())
@@ -1200,8 +917,7 @@ class System:
         system-owned executor pool is shut down -- the pool and the
         backends also when that drain raises (a failed kernel ticket)."""
         try:
-            self._ledger.drop_fills()
-            self.drain_exec()
+            self.dispatch.close()
         finally:
             try:
                 if self._own_executor:

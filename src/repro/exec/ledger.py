@@ -1,11 +1,14 @@
-"""Pending-operation ledger: ordering physical bytes around async kernels.
+"""The exec layer's front door and its op book: when physical bytes land.
 
 Virtual time is charged synchronously, but with an asynchronous
 executor the *physical* effect of a compute node -- its merged output
-bytes -- lands later.  The ledger tracks every such pending effect per
-**slab** (one device allocation, keyed ``(node_id, alloc_id)``, which
-also covers mapped-window aliases) and enforces the discipline that
-makes final bytes identical to inline execution:
+bytes -- lands later.  :class:`Dispatch` is the one place that decides
+when a physical byte lands: the system's moves, kernel launches,
+releases, host accesses and drains each make one call into it.  Its op
+book, :class:`PendingLedger`, tracks every pending effect per **slab**
+(one device allocation, keyed ``(node_id, alloc_id)``, which also
+covers mapped-window aliases) and enforces the discipline that makes
+final bytes identical to inline execution:
 
 * a **kernel op** is a dispatched :class:`~repro.exec.base.KernelSpec`
   whose writable snapshots still await merging.  Its snapshotted read
@@ -38,9 +41,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+from repro.exec.base import resolve_kernel
+from repro.exec.pool import FileWindow
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.system import System
+    from repro.obs.metrics import MetricsRegistry
 
 #: One device allocation: ``(tree node id, device alloc id)``.
 Slab = tuple[int, int]
@@ -243,3 +253,328 @@ class PendingLedger:
                 break
             for seq in sorted(pending):
                 self.complete(pending[seq])
+
+
+def _note_fill(src, src_offset: int, src_stride: int, dst, dst_offset: int,
+               dst_stride: int, rows: int, row_bytes: int) -> bool:
+    """Provenance for pool dispatch, recorded right after a move's
+    version bump: ``dst`` holds the window of ``src`` packed, for as
+    long as neither slab's version (its write generation) moves.  A
+    contiguous fill continuing the recorded one in both buffers
+    extends it.  Returns whether the fill was packed."""
+    if rows != 1 and dst_stride != row_bytes:
+        return False
+    at, base = src.base_offset + src_offset, dst.base_offset + dst_offset
+    if rows == 1 or src_stride == row_bytes:   # contiguous: one row
+        rows, row_bytes = 1, rows * row_bytes
+        if dst.times.fill:
+            src0, gen0, at0, _, base0, rows0, n0, ver0 = dst.times.fill
+            if rows0 == 1 and src0.times is src.times and (
+                    gen0, ver0, at0 + n0, base0 + n0) == (
+                    src.version, dst.version - 1, at, base):
+                at, base, row_bytes = at0, base0, n0 + row_bytes
+    dst.times.fill = (src, src.version, at, src_stride, base, rows,
+                      row_bytes, dst.version)
+    return True
+
+
+class Dispatch:
+    """The exec layer's front door, one per
+    :class:`~repro.core.system.System`: the op book (:attr:`ledger`),
+    byte transfers and their deferral, lazy fills, zombie frees,
+    host-access settles, kernel dispatch, the drains and the ``exec_*``
+    metrics.  It holds the system the way the cache manager does and
+    reuses its host access (``view_array``/``fetch``/``preload``).
+    Under the inline executor nothing is ever pending: every call is a
+    straight pass-through."""
+
+    def __init__(self, system: "System") -> None:
+        self.system = system
+        self.ledger = PendingLedger()
+        system.metrics.register_collector(self._collect_metrics)
+
+    # -- physical byte movement ---------------------------------------------
+
+    def transfer(self, src_node, src, src_offset: int, src_stride: int,
+                 dst_node, dst, dst_offset: int, dst_stride: int, rows: int,
+                 row_bytes: int, *, fill: bool = False) -> None:
+        """Move one window -- ``rows`` runs of ``row_bytes``, a
+        contiguous range being one row -- between two handles' backends
+        as one vectored transfer, charging wall time.  Virtual time is
+        the caller's business; this is Listing 4's physical half,
+        dispatched on the endpoint backend pair by
+        :meth:`~repro.memory.device.Device.copy_into_2d`.
+
+        When the transfer conflicts with pending executor work (it
+        reads a slab an async kernel will merge into, or touches a slab
+        a deferred copy still needs), it is deferred behind those ops
+        instead of draining them -- that deferral is what keeps several
+        chunk chains in flight across workers.
+
+        ``fill`` marks the one timed copy's bytes: under a pool executor
+        its provenance is recorded (:func:`_note_fill`), and a packed
+        fill from a window another process can read in its file is
+        always deferred, as a fill op that drops the earlier fills it
+        covers."""
+        args = (src_node, src, src_offset, src_stride, dst_node, dst,
+                dst_offset, dst_stride, rows, row_bytes)
+        span = None
+        if fill and self.system.executor.asynchronous and _note_fill(
+                src, src_offset, src_stride, dst, dst_offset, dst_stride,
+                rows, row_bytes):
+            at, lo = src.base_offset + src_offset, dst.base_offset + dst_offset
+            end = at + (rows - 1) * src_stride + row_bytes
+            if src_node.device.backend.path_of(src.alloc_id, at, end):
+                span = (lo, lo + rows * row_bytes)
+        led = self.ledger
+        if led.active or span:
+            sslab = (src_node.node_id, src.alloc_id)
+            dslab = (dst_node.node_id, dst.alloc_id)
+            if span:
+                led.drop_fills((dslab,), within=span)
+            deps = led.conflicting(reads=(sslab,), writes=(dslab,))
+            if deps or span:
+                led.defer_copy(lambda: self._transfer_now(*args),
+                               reads=(sslab,), writes=(dslab,), deps=deps,
+                               fill=span)
+                return
+        self._transfer_now(*args)
+
+    def _transfer_now(self, src_node, src, src_offset: int, src_stride: int,
+                      dst_node, dst, dst_offset: int, dst_stride: int,
+                      rows: int, row_bytes: int) -> None:
+        t0 = time.perf_counter()
+        src_node.device.copy_into_2d(
+            dst_node.device, src.alloc_id, src.base_offset + src_offset,
+            src_stride, dst.alloc_id, dst.base_offset + dst_offset,
+            dst_stride, rows=rows, row_bytes=row_bytes)
+        self.system.wall.note(time.perf_counter() - t0, rows * row_bytes)
+
+    def release_storage(self, node, handle) -> None:
+        """Free the storage behind ``handle`` on ``node`` (a release or
+        a cache eviction).  Fills into the slab that no pending op reads
+        are dropped.  A slab with other pending executor work turns
+        zombie: capacity is credited now (so free-space queries and
+        later allocations see the logical release exactly as the inline
+        path would), but the backing bytes survive until that work
+        retires."""
+        led = self.ledger
+        slab = (node.node_id, handle.alloc_id)
+        if led.active:
+            led.drop_fills((slab,))
+        if led.has_pending(slab):
+            alloc_id = handle.alloc_id
+            node.device.release_capacity(alloc_id)
+            led.defer_free(slab, lambda: node.device.destroy_storage(alloc_id))
+        else:
+            node.device.release(handle.alloc_id)
+
+    def host_access(self, handle, *, for_write: bool = False) -> None:
+        """Order an untimed host access behind pending executor work on
+        the handle's slab: reads need pending writers settled, writes
+        need pending readers too."""
+        if self.ledger.active:
+            slab = ((handle.node_id, handle.alloc_id),)
+            self.ledger.settle(reads=slab, writes=slab if for_write else ())
+
+    # -- kernel dispatch ------------------------------------------------------
+
+    def launch(self, spec) -> None:
+        """Route a kernel spec to the compute backend.
+
+        Inline backends execute in place over buffer views.
+        Asynchronous backends describe what read bindings they can as
+        root file windows (:meth:`_describe`), snapshot every other
+        binding's current bytes after settling its pending writers
+        (outputs included: an ``inout`` accumulator needs its prior
+        contents, and untouched window bytes must merge back unchanged;
+        a described binding's lazy fill stays pending), submit, and
+        register the pending merge with the ledger keyed on the output
+        slabs."""
+        ex = self.system.executor
+        led = self.ledger
+        if ex.telemetry is not None:
+            # Bind the ambient virtual span: merged physical traces
+            # join kernel records back to it (0 = no active span).
+            ex.telemetry.current_span = self.system.obs.current.span_id
+        if not ex.asynchronous:  # nothing is ever pending then
+            self._run_inline(spec, ex)
+            return
+        t0 = time.perf_counter()
+        waited = ex.stats.budget_wait_seconds
+        slabs = [(b.handle.node_id, b.handle.alloc_id)
+                 for b in spec.bindings]
+        windows = [None if b.writable else self._describe(b)
+                   for b in spec.bindings]
+        if led.active:
+            # A snapshot must capture the bytes the inline path would
+            # have seen: settle pending writers of its binding first.
+            led.settle(reads=[s for s, w in zip(slabs, windows)
+                              if w is None])
+        arrays = []
+        merges = []
+        write_slabs = set()
+        root_reads = set()
+        for b, slab, described in zip(spec.bindings, slabs, windows):
+            if described is not None:
+                # The worker reads the root window itself: nothing is
+                # snapshotted or shipped, and the root slab stays a
+                # pending read of this kernel until it retires.
+                window, root = described
+                arrays.append((b.name, window, False))
+                root_reads.add(root)
+                ex.stats.described += 1
+                continue
+            arr = self._snapshot(b, ex)
+            arrays.append((b.name, arr, b.writable))
+            if b.writable:
+                # The version bumps *now*, where the inline path's
+                # writable view would have bumped it: any cached copy
+                # is stale from this virtual instant, and host reads
+                # between submit and merge settle through the ledger.
+                b.handle.bump_version()
+                write_slabs.add(slab)
+                merges.append(MergeTarget(
+                    name=b.name, node=self.system.node_of(b.handle),
+                    alloc_id=b.handle.alloc_id,
+                    offset=b.handle.base_offset + b.offset,
+                    nbytes=arr.nbytes))
+        # Remaining pending ops on the output slabs (deferred copies
+        # that still read or write them) must retire before this
+        # kernel's merge lands.
+        deps = led.conflicting(writes=write_slabs)
+        ticket = ex.submit(spec.fn_ref, arrays, spec.kwargs,
+                           label=spec.label)
+        led.add_kernel(executor=ex, ticket=ticket, writes=write_slabs,
+                       merges=merges, deps=deps, reads=root_reads)
+        ex.stats.dispatch_seconds += time.perf_counter() - t0 - (
+            ex.stats.budget_wait_seconds - waited)
+
+    def _describe(self, b) -> tuple[FileWindow, Slab] | None:
+        """A read binding as the root file window its bytes are an
+        unmodified copy of, and that file's slab; ``None`` when no such
+        window is on record (the bytes are snapshotted then)."""
+        h = b.handle
+        fill = h.times.fill
+        if fill is None:
+            return None
+        src, src_gen, at, stride, base, rows, row_bytes, gen = fill
+        n = b.nbytes
+        rel = h.base_offset + b.offset - base
+        if h.version != gen or src.version != src_gen or src.released \
+                or n <= 0 or rel < 0 or rel + n > rows * row_bytes:
+            return None
+        if rows == 1:
+            window = (at + rel, 1, n, n)
+        elif rel % row_bytes or n % row_bytes:
+            return None
+        else:
+            window = (at + rel // row_bytes * stride, n // row_bytes,
+                      row_bytes, stride)
+        lo, rows, row_bytes, stride = window
+        root = (src.node_id, src.alloc_id)
+        # Root writes the fill follows land before path_of writes out a
+        # dirty band over the window and the worker reads the file.
+        self.ledger.settle(reads=(root,))
+        path = self.system.node_of(src).device.backend.path_of(
+            src.alloc_id, lo, lo + (rows - 1) * stride + row_bytes)
+        if path is None:
+            return None
+        shape = b.shape or (n // np.dtype(b.dtype).itemsize,)
+        return FileWindow(path, *window, b.dtype, shape), root
+
+    def _snapshot(self, b, ex) -> np.ndarray:
+        """An owned, writable copy of a binding's current bytes, built
+        in a staging buffer of the executor."""
+        system = self.system
+        view = system.view_array(b.handle, b.dtype, b.shape, b.offset,
+                                 b.count)
+        if view is None:
+            return system.fetch(b.handle, b.dtype, b.shape, b.offset, b.count)
+        arr = ex.stage(view.nbytes).view(view.dtype).reshape(view.shape)
+        np.copyto(arr, view)
+        return arr
+
+    def _run_inline(self, spec, ex) -> None:
+        """In-place execution over buffer views (a fetch/preload round
+        trip on view-less backends)."""
+        system = self.system
+        t0 = time.perf_counter()
+        args = {}
+        copies_back = []
+        for b in spec.bindings:
+            arr, is_view = system.host_array(b.handle, b.dtype, b.shape,
+                                             b.offset, b.count,
+                                             writable=b.writable)
+            args[b.name] = arr
+            if b.writable and not is_view:
+                copies_back.append((b, arr))
+        fn = resolve_kernel(spec.fn_ref)
+        ex.stats.submitted += 1
+        ex.stats.dispatch_seconds += time.perf_counter() - t0
+        k0 = time.perf_counter_ns()
+        fn(**args, **spec.kwargs)
+        k1 = time.perf_counter_ns()
+        ex.stats.note_done("main", (k1 - k0) / 1e9)
+        if ex.telemetry is not None:
+            ex.telemetry.note_inline(
+                "main", "kernel", k0, k1,
+                nbytes=sum(a.nbytes for a in args.values()))
+        for b, arr in copies_back:
+            system.preload(b.handle, arr, b.offset)
+
+    # -- drains ---------------------------------------------------------------
+
+    def drain(self) -> None:
+        """Settle every pending effect: deferred copies run, kernel
+        results merge (submission order), zombie slabs free."""
+        self.ledger.drain_all()
+
+    def end_run(self) -> None:
+        """The end of a run: pending work settles, then the cache drops
+        its leases and unpinned blocks."""
+        self.drain()
+        self.system.cache.end_run()
+
+    def close(self) -> None:
+        """Drop the fills nothing reads, then settle the rest."""
+        self.ledger.drop_fills()
+        self.ledger.drain_all()
+
+    # -- reporting --------------------------------------------------------------
+
+    def _collect_metrics(self, reg: "MetricsRegistry") -> None:
+        """The executor's counters and the op book's, as ``exec_*``
+        gauges labelled with the backend."""
+        ex = self.system.executor
+        xlabels = {"backend": ex.name}
+        reg.gauge("exec_workers", ex.workers, labels=xlabels)
+        reg.gauge("exec_tasks_submitted", ex.stats.submitted, labels=xlabels)
+        reg.gauge("exec_tasks_completed", ex.stats.completed, labels=xlabels)
+        reg.gauge("exec_dispatch_seconds", ex.stats.dispatch_seconds,
+                  labels=xlabels,
+                  help_text="submit-side snapshot/packing/queueing wall time")
+        reg.gauge("exec_budget_waits", ex.stats.budget_waits,
+                  labels=xlabels,
+                  help_text="stagings that waited for in-flight budget")
+        reg.gauge("exec_merge_seconds", ex.stats.merge_seconds,
+                  labels=xlabels,
+                  help_text="result read-back wall time (async backends)")
+        reg.gauge("exec_bytes_in", ex.stats.bytes_in, labels=xlabels)
+        reg.gauge("exec_bytes_out", ex.stats.bytes_out, labels=xlabels)
+        for worker in sorted(ex.stats.worker_busy):
+            wlabels = dict(xlabels, worker=worker)
+            reg.gauge("exec_worker_busy_seconds",
+                      ex.stats.worker_busy[worker], labels=wlabels,
+                      help_text="kernel wall seconds per pool worker")
+            reg.gauge("exec_worker_tasks", ex.stats.worker_tasks[worker],
+                      labels=wlabels)
+        for name, help_text in (
+                ("deferred_copies", "transfers deferred behind pending "
+                                    "async work"),
+                ("fills_deferred", "lazy staging fills registered"),
+                ("fills_dropped", "lazy staging fills dropped unread"),
+                ("zombie_frees", "releases whose physical free was "
+                                 "deferred")):
+            reg.gauge(f"exec_{name}", getattr(self.ledger, name),
+                      labels=xlabels, help_text=help_text)

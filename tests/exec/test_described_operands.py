@@ -108,12 +108,13 @@ def test_a_root_write_after_dispatch_leaves_the_kernel_the_old_bytes(
         other = system.alloc(NEW.nbytes, leaf)
         system.preload(other, NEW)
         system.move_up(root, other, NEW.nbytes)
-        assert system._ledger.deferred_copies == 1
+        assert _gauge(system, "deferred_copies") == 1
     elif write == "preload":    # waits for the reading kernel
         system.preload(root, NEW)
     else:                       # the file outlives the reading kernel
         system.release(root)
-        assert system._ledger.has_pending((root.node_id, root.alloc_id))
+        assert system.dispatch.ledger.has_pending(
+            (root.node_id, root.alloc_id))
     assert np.array_equal(system.fetch(out, np.float32), OLD)
     if write != "release":
         assert np.array_equal(system.fetch(root, np.float32), NEW)
@@ -169,7 +170,7 @@ def test_a_buffer_filled_by_two_moves_is_described_whole(system):
     assert np.array_equal(system.fetch(out, np.float32), OLD)
     assert system.executor.stats.described == 1
     # The two contiguous fills extend one record; neither was forced.
-    assert system._ledger.fills_deferred == 2
+    assert _gauge(system, "fills_deferred") == 2
     assert reads[0] == 0
 
 
@@ -249,8 +250,13 @@ def test_a_root_file_gone_behind_the_runtime_fails_the_kernel_by_name(
 
 # -- lazy fills: a staged copy is made only when something reads it --------
 
+def _gauge(sys_, name):
+    """The ledger's ``exec_<name>`` gauge."""
+    return sys_.metrics.snapshot()[f"exec_{name}"][0]["value"]
+
+
 def _fills(sys_):
-    return sys_._ledger.fills_deferred, sys_._ledger.fills_dropped
+    return _gauge(sys_, "fills_deferred"), _gauge(sys_, "fills_dropped")
 
 
 def test_a_host_fetch_of_the_staged_buffer_reads_the_root_window(system):
@@ -284,7 +290,7 @@ def test_a_release_drops_the_fill_unread(system):
     _, _, staging = _staged(system)
     system.release(staging)
     assert _fills(system) == (1, 1)
-    assert not system._ledger.active
+    assert not system.dispatch.ledger.active
     system.drain_exec()
     assert reads[0] == 0
 
@@ -306,7 +312,8 @@ def test_a_described_kernel_leaves_its_fill_unrun_until_the_drain(system):
     out = _launch_copy(system, leaf, staging)
     assert system.executor.stats.described == 1
     assert np.array_equal(system.fetch(out, np.float32), OLD)
-    assert system._ledger.has_pending((staging.node_id, staging.alloc_id))
+    assert system.dispatch.ledger.has_pending(
+        (staging.node_id, staging.alloc_id))
     assert reads[0] == 0
     system.drain_exec()         # what a level end does
     assert reads[0] == OLD.nbytes
@@ -319,7 +326,7 @@ def test_the_ledger_is_empty_after_end_run(system):
     leaf, root, staging = _staged(system)
     _launch_copy(system, leaf, staging)
     system.end_run()
-    assert not system._ledger.active
+    assert not system.dispatch.ledger.active
     assert reads[0] == OLD.nbytes
     assert _fills(system) == (1, 0)
     assert np.array_equal(system.fetch(staging, np.float32), OLD)
@@ -359,4 +366,4 @@ def test_a_fetch_of_a_fill_from_a_truncated_root_names_the_file(system):
         system.fetch(staging, np.float32)
     assert path in str(err.value)
     assert _fills(system) == (1, 0)
-    assert not system._ledger.active
+    assert not system.dispatch.ledger.active

@@ -156,6 +156,11 @@ def sys_async():
     s.close()
 
 
+def _gauge(sys_, name):
+    """The ledger's ``exec_<name>`` gauge."""
+    return sys_.metrics.snapshot()[f"exec_{name}"][0]["value"]
+
+
 def _launch_fill(sys_, leaf, buf, n, value):
     gpu = leaf.processor_named("gpu-apu")
     spec = kernel_spec(kernels.fill,
@@ -170,7 +175,7 @@ def test_async_launch_defers_merge_until_read(sys_async):
     buf = sys_async.alloc(1024, leaf)
     sys_async.preload(buf, np.zeros(256, dtype=np.float32))
     _launch_fill(sys_async, leaf, buf, 256, 7.0)
-    led = sys_async._ledger
+    led = sys_async.dispatch.ledger
     assert led.kernels == 1
     assert led.active
     # fetch() is a settle hook: pending writers of the slab merge first.
@@ -187,15 +192,15 @@ def test_release_during_pending_work_credits_capacity_immediately(sys_async):
     sys_async.preload(buf, np.zeros(MB // 4, dtype=np.float32))
     _launch_fill(sys_async, leaf, buf, MB // 4, 3.0)
     assert leaf.free == free0 - 1 * MB
-    led = sys_async._ledger
+    led = sys_async.dispatch.ledger
     sys_async.release(buf)
     # Capacity comes back at logical release (apps size follow-on
     # blocks off node.free), even though the merge has not landed...
     assert leaf.free == free0
-    assert led.zombie_frees == 0
+    assert _gauge(sys_async, "zombie_frees") == 0
     # ...and the physical storage teardown fires at drain.
     sys_async.drain_exec()
-    assert led.zombie_frees == 1
+    assert _gauge(sys_async, "zombie_frees") == 1
     assert not led.active
 
 
@@ -207,7 +212,7 @@ def test_stacked_async_writers_merge_in_submission_order(sys_async):
     sys_async.preload(buf, np.zeros(256, dtype=np.float32))
     _launch_fill(sys_async, leaf, buf, 256, 3.0)
     _launch_fill(sys_async, leaf, buf, 256, 9.0)
-    led = sys_async._ledger
+    led = sys_async.dispatch.ledger
     assert led.kernels == 2
     out = sys_async.fetch(buf, np.float32)
     np.testing.assert_array_equal(out, np.full(256, 9.0, np.float32))
@@ -219,8 +224,8 @@ def test_end_run_settles_everything(sys_async):
     buf = sys_async.alloc(1024, leaf)
     sys_async.preload(buf, np.zeros(256, dtype=np.float32))
     _launch_fill(sys_async, leaf, buf, 256, 2.0)
-    assert sys_async._ledger.active
+    assert sys_async.dispatch.ledger.active
     sys_async.end_run()
-    assert not sys_async._ledger.active
+    assert not sys_async.dispatch.ledger.active
     np.testing.assert_array_equal(sys_async.fetch(buf, np.float32),
                                   np.full(256, 2.0, np.float32))
