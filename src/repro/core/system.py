@@ -35,7 +35,6 @@ from repro.core.profiler import Breakdown, profile_trace
 from repro.errors import CacheError, CapacityError, TransferError
 from repro.exec.base import Executor, KernelSpec, effective_cpu_count, \
     make_executor
-from repro.exec.inline import InlineExecutor
 from repro.exec.ledger import Dispatch
 from repro.memory.device import StorageKind
 from repro.obs.metrics import MetricsRegistry
@@ -227,17 +226,15 @@ class System:
         self.metrics = MetricsRegistry()
         self.metrics.register_collector(self._collect_metrics)
         #: The exec layer's front door (:mod:`repro.exec.ledger`): when
-        #: each physical byte lands.  A pass-through under the default
-        #: inline executor.
+        #: each physical byte lands.
         self.dispatch = Dispatch(self)
-        self._own_executor = executor is None or isinstance(executor, str)
-        if executor is None:
-            executor = InlineExecutor()
-        elif isinstance(executor, str):
+        self._own_executor = not isinstance(executor, Executor)
+        if self._own_executor:
             # Telemetry must be decided before the backend forks its
             # worker pool (the worker side buffers only when told at
             # spawn), so it rides into the factory.
-            executor = make_executor(executor, telemetry=telemetry)
+            executor = make_executor(executor or "inline",
+                                     telemetry=telemetry)
         #: The compute backend kernel specs dispatch through.
         self.executor: Executor = executor
         if telemetry:
@@ -498,20 +495,14 @@ class System:
         result = self.move(dst, src, nbytes, dst_offset=dst_offset,
                            src_offset=src_offset,
                            label=label or f"move+{type(transform).__name__}")
-        # The in-place rewrite reads and rewrites the destination bytes
-        # directly: the move above may have been deferred behind
-        # pending executor work, so settle the slab first.
-        self.dispatch.host_access(dst, for_write=True)
-        dst_node = self.node_of(dst)
-        payload = dst_node.device.read(dst.alloc_id,
-                                       dst.base_offset + dst_offset, nbytes)
-        dst_node.device.write(dst.alloc_id, dst.base_offset + dst_offset,
-                              transform.apply(payload))
-        dst.bump_version()      # no longer the moved window's bytes
+        # Untimed host access orders the rewrite behind a deferred move;
+        # preload bumps the version (no longer the moved window's bytes).
+        payload = self.fetch(dst, np.uint8, offset=dst_offset, count=nbytes)
+        self.preload(dst, transform.apply(payload), dst_offset)
         if transform.cost_factor > 0:
             done = self._charge_local(
-                dst_node, transform.cost_factor * nbytes, nbytes, result.end,
-                f"layout:{type(transform).__name__}")
+                self.node_of(dst), transform.cost_factor * nbytes, nbytes,
+                result.end, f"layout:{type(transform).__name__}")
             dst.note_write(done.end)
             return MoveResult(start=result.start, end=done.end,
                               nbytes=nbytes, hops=result.hops)

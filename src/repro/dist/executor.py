@@ -237,11 +237,6 @@ class DistExecutor(WorkerPool):
         self._lent.clear()
         self._pool.clear()
 
-    def describe(self) -> str:
-        dead = f", dead={sorted(self._dead)}" if self._dead else ""
-        return (f"{self.name}(workers={self.workers}, "
-                f"pin={self._pin}{dead})")
-
 
 def dist_residue() -> list[str]:
     """Live dist worker processes, pipe threads and open pipe ends,

@@ -1,8 +1,8 @@
 """``repro.exec``: pluggable compute backends for task-graph kernels.
 
 See :mod:`repro.exec.base` for the executor contract and
-:mod:`repro.exec.ledger` for how asynchronous results stay byte- and
-makespan-identical to the inline path.
+:mod:`repro.exec.ledger` for the dispatch front door that keeps
+asynchronous results byte- and makespan-identical to the inline path.
 """
 
 from repro.exec.base import (Binding, EXEC_BACKENDS, ExecError, ExecStats,
@@ -11,12 +11,12 @@ from repro.exec.base import (Binding, EXEC_BACKENDS, ExecError, ExecStats,
                              fn_ref, kernel_spec, make_executor,
                              resolve_kernel)
 from repro.exec.inline import InlineExecutor
-from repro.exec.ledger import MergeTarget, PendingLedger
+from repro.exec.ledger import PendingLedger
 from repro.exec.shm import SharedMemExecutor, shm_residue
 
 __all__ = [
     "Binding", "EXEC_BACKENDS", "ExecError", "ExecStats", "Executor",
-    "InlineExecutor", "KernelSpec", "MergeTarget", "PendingLedger",
+    "InlineExecutor", "KernelSpec", "PendingLedger",
     "SharedMemExecutor", "TaskResult",
     "default_exec_workers", "effective_cpu_count", "fn_ref",
     "kernel_spec", "make_executor", "resolve_kernel", "shm_residue",

@@ -188,8 +188,9 @@ class Executor(abc.ABC):
     The contract every backend honours:
 
     * :attr:`asynchronous` says who runs a launch's kernel: False (the
-      inline backend) means the System runs it in place, on its own
-      thread; True means a :class:`~repro.exec.pool.WorkerPool`'s
+      inline backend) means the dispatch front door
+      (:class:`~repro.exec.ledger.Dispatch`) runs it in place, on its
+      own thread; True means a :class:`~repro.exec.pool.WorkerPool`'s
       ``submit``/``wait``/``release`` round trip over snapshots;
     * :attr:`stats` counts every kernel either way, and
       :attr:`telemetry` (opt-in) records its wall-clock span;
@@ -246,7 +247,8 @@ class Executor(abc.ABC):
 
     # The asynchronous contract is the worker pools'
     # (:class:`~repro.exec.pool.WorkerPool`); a synchronous backend has
-    # the System run every kernel in place and takes no submits.
+    # the dispatch front door run every kernel in place and takes no
+    # submits.
 
     def submit(self, ref: str,
                arrays: list[tuple[str, np.ndarray, bool]],
@@ -275,9 +277,6 @@ class Executor(abc.ABC):
         self.closed = True
         if self.telemetry is not None:
             self.telemetry.close()
-
-    def describe(self) -> str:
-        return f"{self.name}(workers={self.workers})"
 
     def __enter__(self) -> "Executor":
         return self

@@ -1,7 +1,8 @@
 """The in-process executor, the default.
 
-With ``InlineExecutor`` the :class:`~repro.core.system.System` runs
-every launch's kernel spec synchronously over zero-copy buffer views
+With ``InlineExecutor`` the exec layer's dispatch front door
+(:class:`~repro.exec.ledger.Dispatch`) runs every launch's kernel spec
+synchronously over zero-copy buffer views
 (falling back to fetch/preload round trips on view-less backends), so
 no snapshots are taken, no pending operations enter the ledger, and
 wall-clock overhead is a couple of attribute checks per launch.  The
@@ -16,10 +17,7 @@ from repro.exec.base import Executor
 
 
 class InlineExecutor(Executor):
-    """Synchronous in-process execution (default backend)."""
+    """Synchronous in-process execution (default backend): one worker,
+    the caller's thread."""
 
     name = "inline"
-    asynchronous = False
-
-    def __init__(self, *, telemetry: bool = False) -> None:
-        super().__init__(workers=1, telemetry=telemetry)

@@ -56,74 +56,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Slab = tuple[int, int]
 
 
-@dataclass
-class MergeTarget:
-    """Where one writable snapshot merges back (registry-free: the
-    handle may already be a zombie by merge time)."""
-
-    name: str
-    node: object          # TreeNode
-    alloc_id: int
-    offset: int           # absolute (handle.base_offset folded in)
-    nbytes: int
-
-    def write(self, arr: np.ndarray) -> None:
-        dev = self.node.device
-        view = dev.try_view(self.alloc_id, self.offset, self.nbytes)
-        flat = np.ascontiguousarray(arr).view(np.uint8).reshape(-1)
-        if view is not None:
-            np.copyto(view, flat)
-        else:
-            dev.write(self.alloc_id, self.offset, flat)
-
-
 class _Op:
-    __slots__ = ("seq", "reads", "writes", "deps", "done")
-    fill = None   # a fill op's destination byte range ``(lo, hi)``
+    """One pending effect; ``run`` performs it (a kernel op's merges)."""
+
+    __slots__ = ("seq", "reads", "writes", "deps", "done", "run", "fill")
 
     def __init__(self, seq: int, reads: frozenset, writes: frozenset,
-                 deps: list) -> None:
+                 deps: list, run: Callable, fill=None) -> None:
         self.seq = seq
         self.reads = reads
         self.writes = writes
         self.deps = deps
         self.done = False
-
-
-class _KernelOp(_Op):
-    __slots__ = ("executor", "ticket", "merges")
-
-    def __init__(self, seq, reads, writes, deps, *, executor, ticket,
-                 merges) -> None:
-        super().__init__(seq, reads, writes, deps)
-        self.executor = executor
-        self.ticket = ticket
-        self.merges = merges
-
-    def execute(self, ledger: "PendingLedger") -> None:
-        ex = self.executor
-        result = ex.wait(self.ticket)
-        t0 = time.perf_counter()
-        try:
-            for target in self.merges:
-                target.write(result.outputs[target.name])
-        finally:
-            ex.release(self.ticket)
-            ex.stats.merge_seconds += time.perf_counter() - t0
-        ledger.merged += 1
+        self.run = run
+        self.fill = fill   # a fill op's destination byte range ``(lo, hi)``
 
 
 class _CopyOp(_Op):
-    __slots__ = ("run", "fill")
+    """A deferred transfer; a fill op when ``fill`` is set."""
 
-    def __init__(self, seq, reads, writes, deps, run: Callable,
-                 fill=None) -> None:
-        super().__init__(seq, reads, writes, deps)
-        self.run = run
-        self.fill = fill
-
-    def execute(self, ledger: "PendingLedger") -> None:
-        self.run()
+    __slots__ = ()
 
 
 @dataclass
@@ -168,13 +120,12 @@ class PendingLedger:
                     found[op.seq] = op
         return [found[s] for s in sorted(found)]
 
-    def add_kernel(self, *, executor, ticket, writes, merges, deps,
-                   reads=()) -> None:
+    def add_kernel(self, run: Callable, *, reads, writes, deps) -> None:
+        """``run`` waits for the kernel and merges its outputs."""
         self._seq += 1
         self.kernels += 1
-        self._register(_KernelOp(
-            self._seq, frozenset(reads), frozenset(writes), list(deps),
-            executor=executor, ticket=ticket, merges=merges))
+        self._register(_Op(self._seq, frozenset(reads), frozenset(writes),
+                           list(deps), run))
 
     def defer_copy(self, run: Callable, *, reads, writes, deps,
                    fill: tuple[int, int] | None = None) -> None:
@@ -215,7 +166,7 @@ class PendingLedger:
         for dep in op.deps:
             self.complete(dep)
         try:
-            op.execute(self)
+            op.run()
         finally:
             self._retire(op)
 
@@ -254,7 +205,6 @@ class PendingLedger:
             for seq in sorted(pending):
                 self.complete(pending[seq])
 
-
 def _note_fill(src, src_offset: int, src_stride: int, dst, dst_offset: int,
                dst_stride: int, rows: int, row_bytes: int) -> bool:
     """Provenance for pool dispatch, recorded right after a move's
@@ -279,21 +229,17 @@ def _note_fill(src, src_offset: int, src_stride: int, dst, dst_offset: int,
 
 
 class Dispatch:
-    """The exec layer's front door, one per
-    :class:`~repro.core.system.System`: the op book (:attr:`ledger`),
-    byte transfers and their deferral, lazy fills, zombie frees,
-    host-access settles, kernel dispatch, the drains and the ``exec_*``
-    metrics.  It holds the system the way the cache manager does and
-    reuses its host access (``view_array``/``fetch``/``preload``).
-    Under the inline executor nothing is ever pending: every call is a
-    straight pass-through."""
+    """The exec layer's front door, one per system: every decision about
+    when a physical byte lands, over the op book :attr:`ledger`, and the
+    ``exec_*`` metrics.  It reuses the system's host access; under the
+    inline executor every call is a pass-through."""
 
     def __init__(self, system: "System") -> None:
         self.system = system
         self.ledger = PendingLedger()
         system.metrics.register_collector(self._collect_metrics)
 
-    # -- physical byte movement ---------------------------------------------
+    # -- physical byte movement --------------------------------------------
 
     def transfer(self, src_node, src, src_offset: int, src_stride: int,
                  dst_node, dst, dst_offset: int, dst_stride: int, rows: int,
@@ -311,11 +257,10 @@ class Dispatch:
         instead of draining them -- that deferral is what keeps several
         chunk chains in flight across workers.
 
-        ``fill`` marks the one timed copy's bytes: under a pool executor
-        its provenance is recorded (:func:`_note_fill`), and a packed
-        fill from a window another process can read in its file is
-        always deferred, as a fill op that drops the earlier fills it
-        covers."""
+        A ``fill`` (the one timed copy) records its provenance under a
+        pool executor (:func:`_note_fill`); a packed one from a window
+        another process can read in its file is always deferred, as a
+        fill op that drops the earlier fills it covers."""
         args = (src_node, src, src_offset, src_stride, dst_node, dst,
                 dst_offset, dst_stride, rows, row_bytes)
         span = None
@@ -377,7 +322,7 @@ class Dispatch:
             slab = ((handle.node_id, handle.alloc_id),)
             self.ledger.settle(reads=slab, writes=slab if for_write else ())
 
-    # -- kernel dispatch ------------------------------------------------------
+    # -- kernel dispatch ---------------------------------------------------
 
     def launch(self, spec) -> None:
         """Route a kernel spec to the compute backend.
@@ -434,21 +379,39 @@ class Dispatch:
                 # between submit and merge settle through the ledger.
                 b.handle.bump_version()
                 write_slabs.add(slab)
-                merges.append(MergeTarget(
-                    name=b.name, node=self.system.node_of(b.handle),
-                    alloc_id=b.handle.alloc_id,
-                    offset=b.handle.base_offset + b.offset,
-                    nbytes=arr.nbytes))
+                # Registry-free: the handle may be a zombie by merge time.
+                merges.append((b.name, self.system.node_of(b.handle).device,
+                               b.handle.alloc_id,
+                               b.handle.base_offset + b.offset, arr.nbytes))
         # Remaining pending ops on the output slabs (deferred copies
         # that still read or write them) must retire before this
         # kernel's merge lands.
         deps = led.conflicting(writes=write_slabs)
         ticket = ex.submit(spec.fn_ref, arrays, spec.kwargs,
                            label=spec.label)
-        led.add_kernel(executor=ex, ticket=ticket, writes=write_slabs,
-                       merges=merges, deps=deps, reads=root_reads)
+        led.add_kernel(lambda: self._merge(ex, ticket, merges),
+                       reads=root_reads, writes=write_slabs, deps=deps)
         ex.stats.dispatch_seconds += time.perf_counter() - t0 - (
             ex.stats.budget_wait_seconds - waited)
+
+    def _merge(self, ex, ticket: int, merges: list) -> None:
+        """A kernel op's effect: wait for the pool kernel, then write
+        each output back where its writable snapshot came from."""
+        result = ex.wait(ticket)
+        t0 = time.perf_counter()
+        try:
+            for name, dev, alloc_id, offset, nbytes in merges:
+                view = dev.try_view(alloc_id, offset, nbytes)
+                flat = np.ascontiguousarray(
+                    result.outputs[name]).view(np.uint8).reshape(-1)
+                if view is not None:
+                    np.copyto(view, flat)
+                else:
+                    dev.write(alloc_id, offset, flat)
+        finally:
+            ex.release(ticket)
+            ex.stats.merge_seconds += time.perf_counter() - t0
+        self.ledger.merged += 1
 
     def _describe(self, b) -> tuple[FileWindow, Slab] | None:
         """A read binding as the root file window its bytes are an
@@ -486,13 +449,10 @@ class Dispatch:
     def _snapshot(self, b, ex) -> np.ndarray:
         """An owned, writable copy of a binding's current bytes, built
         in a staging buffer of the executor."""
-        system = self.system
-        view = system.view_array(b.handle, b.dtype, b.shape, b.offset,
-                                 b.count)
-        if view is None:
-            return system.fetch(b.handle, b.dtype, b.shape, b.offset, b.count)
-        arr = ex.stage(view.nbytes).view(view.dtype).reshape(view.shape)
-        np.copyto(arr, view)
+        now, _ = self.system.host_array(b.handle, b.dtype, b.shape, b.offset,
+                                        b.count)
+        arr = ex.stage(now.nbytes).view(now.dtype).reshape(now.shape)
+        np.copyto(arr, now)
         return arr
 
     def _run_inline(self, spec, ex) -> None:
@@ -523,7 +483,7 @@ class Dispatch:
         for b, arr in copies_back:
             system.preload(b.handle, arr, b.offset)
 
-    # -- drains ---------------------------------------------------------------
+    # -- drains ------------------------------------------------------------
 
     def drain(self) -> None:
         """Settle every pending effect: deferred copies run, kernel
@@ -541,7 +501,7 @@ class Dispatch:
         self.ledger.drop_fills()
         self.ledger.drain_all()
 
-    # -- reporting --------------------------------------------------------------
+    # -- reporting ---------------------------------------------------------
 
     def _collect_metrics(self, reg: "MetricsRegistry") -> None:
         """The executor's counters and the op book's, as ``exec_*``
