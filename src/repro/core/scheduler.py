@@ -69,7 +69,9 @@ class Scheduler:
             # Level boundary: pending compute-backend work for the
             # level's chunks (async kernel merges, deferred copies)
             # settles here, so a parent level starts from materialised
-            # bytes and the pending ledger stays bounded.  This is a
+            # bytes and the pending ledger stays bounded.  Lazy fills
+            # nothing has read wait for a reader or their slab's
+            # release (the cache teardown in end_run).  This is a
             # wall-clock sync point only -- virtual time was already
             # charged at dispatch.
             ctx.system.drain_exec()

@@ -703,18 +703,20 @@ class System:
         return done
 
     def drain_exec(self) -> None:
-        """Settle every pending executor effect: deferred copies run,
-        kernel results merge (submission order), zombie slabs free."""
+        """Settle pending executor kernels and copies: deferred copies
+        run, kernel results merge (submission order), zombie slabs
+        free.  Lazy fills nothing has read yet stay pending."""
         self.dispatch.drain()
 
     def end_run(self) -> None:
         """End-of-run teardown: pending executor work settles, then the
-        cache drops its leases and unpinned blocks.  Programs call this
-        (via :meth:`NorthupProgram.run`'s finally); the serve layer
-        calls it per job with ``serve_scope`` set.  Then every backend
-        writes out what it held back, so each file is current.
-        Read-ahead advice (:meth:`will_need`) not yet used is cancelled,
-        also when the run failed."""
+        cache drops its leases and unpinned blocks, dropping the unread
+        fills into them (:meth:`~repro.exec.ledger.Dispatch.end_run`).
+        Programs call this (via :meth:`NorthupProgram.run`'s finally);
+        the serve layer calls it per job with ``serve_scope`` set.  Then
+        every backend writes out what it held back, so each file is
+        current.  Read-ahead advice (:meth:`will_need`) not yet used is
+        cancelled, also when the run failed."""
         try:
             self.dispatch.end_run()
             for node in self.tree.nodes():

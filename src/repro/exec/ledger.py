@@ -25,9 +25,11 @@ final bytes identical to inline execution:
   a pool kernel may read from the file instead, deferred although
   nothing conflicts.  A reader of its destination (snapshot, host read,
   move or cache hit out of it, settling write), a writer over its
-  source (ordered behind it) or a drain runs it.  While no pending op
-  reads its destination slab it is dropped unrun -- no I/O -- when the
-  slab is released, a new fill covers its range, or at close;
+  source (ordered behind it) or the end of the run runs it; a level
+  drain leaves it.  While no pending op reads its destination slab it
+  is dropped unrun -- no I/O -- when the slab is released (a cache
+  block's at the end of the run), a new fill covers its range, or at
+  close;
 * a **deferred free** ("zombie") is a released handle whose slab still
   has pending ops: the logical release happened, the physical
   ``device.release`` fires when the slab's last pending op retires.
@@ -192,15 +194,15 @@ class PendingLedger:
         for op in self.conflicting(reads=reads, writes=writes):
             self.complete(op)
 
-    def drain_all(self) -> None:
-        """Settle everything, in submission order."""
-        while self._by_slab:
-            pending = {}
-            for ops in self._by_slab.values():
-                for op in ops:
-                    if not op.done:
-                        pending[op.seq] = op
-            if not pending:  # only retired stragglers left
+    def drain_all(self, *, fills: bool = True) -> None:
+        """Settle everything in submission order; ``fills=False`` leaves
+        the fill ops to their first reader, their slab's release or a
+        full drain."""
+        while True:
+            pending = {op.seq: op for ops in self._by_slab.values()
+                       for op in ops
+                       if not op.done and (fills or op.fill is None)}
+            if not pending:
                 break
             for seq in sorted(pending):
                 self.complete(pending[seq])
@@ -486,15 +488,18 @@ class Dispatch:
     # -- drains ------------------------------------------------------------
 
     def drain(self) -> None:
-        """Settle every pending effect: deferred copies run, kernel
-        results merge (submission order), zombie slabs free."""
-        self.ledger.drain_all()
+        """Settle every pending kernel and copy: deferred copies run,
+        kernel results merge (submission order), zombie slabs free.
+        Fills stay pending: nothing has read them yet."""
+        self.ledger.drain_all(fills=False)
 
     def end_run(self) -> None:
-        """The end of a run: pending work settles, then the cache drops
-        its leases and unpinned blocks."""
+        """The end of a run: kernels and copies settle, the cache drops
+        its leases and unpinned blocks -- whose releases drop the fills
+        into them unread -- and then the fills left run."""
         self.drain()
         self.system.cache.end_run()
+        self.ledger.drain_all()
 
     def close(self) -> None:
         """Drop the fills nothing reads, then settle the rest."""

@@ -14,8 +14,9 @@ hang, nothing left behind.
 
 The fill itself is lazy: the coordinator reads the root window only
 when something reads the staged copy (a host fetch, a write over the
-root, a drain), and drops it unread on a release, a covering refill or
-close; the root backend's read bytes show which.
+root, the end of the run), and drops it unread on a release (a cache
+block's at the end of the run), a covering refill or close; a level
+drain leaves it pending.  The root backend's read bytes show which.
 """
 
 import os
@@ -315,10 +316,40 @@ def test_a_described_kernel_leaves_its_fill_unrun_until_the_drain(system):
     assert system.dispatch.ledger.has_pending(
         (staging.node_id, staging.alloc_id))
     assert reads[0] == 0
-    system.drain_exec()         # what a level end does
-    assert reads[0] == OLD.nbytes
-    assert _fills(system) == (1, 0)
+    system.drain_exec()         # what a level end does: the fill stays
+    assert system.dispatch.ledger.has_pending(
+        (staging.node_id, staging.alloc_id))
+    assert reads[0] == 0
     assert np.array_equal(system.fetch(staging, np.float32), OLD)
+    assert reads[0] == OLD.nbytes       # the fetch ran it
+    assert _fills(system) == (1, 0)
+
+
+def _leased_read(sys_):
+    """A described kernel reads a lease of the root window; the lease
+    ends, a level drain and the run's end follow.  Returns ``out``."""
+    leaf = sys_.tree.leaves()[0]
+    root = sys_.alloc(OLD.nbytes, sys_.tree.root, label="root")
+    sys_.preload(root, OLD)
+    lease = sys_.fetch_down(leaf, root, nbytes=OLD.nbytes)
+    out = _launch_copy(sys_, leaf, lease)
+    sys_.fetch_release(lease)
+    sys_.drain_exec()
+    sys_.end_run()
+    return sys_.fetch(out, np.float32)
+
+
+def test_a_lease_only_a_described_kernel_read_is_dropped_at_end_run(
+        system, tmp_path):
+    reads = _count_root_reads(system)
+    got = _leased_read(system)
+    assert system.executor.stats.described == 1
+    assert _fills(system) == (1, 1)
+    assert reads[0] == 0
+    with System(apu_two_level(
+            storage_capacity=16 * MB, staging_bytes=4 * MB,
+            storage_backend=FileBackend(str(tmp_path / "inline")))) as ref:
+        assert np.array_equal(got, _leased_read(ref))
 
 
 def test_the_ledger_is_empty_after_end_run(system):
