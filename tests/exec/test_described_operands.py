@@ -33,7 +33,7 @@ from repro.exec import Binding, ExecError, kernel_spec, shm_residue
 from repro.memory.backends import FileBackend
 from repro.memory.units import MB
 from repro.topology.builders import apu_two_level
-from tests.exec import kernels
+from tests.exec import exec_gauge, kernels
 
 N = 4096                                  # float32 elements, 16 KiB
 OLD = np.arange(N, dtype=np.float32)
@@ -109,7 +109,7 @@ def test_a_root_write_after_dispatch_leaves_the_kernel_the_old_bytes(
         other = system.alloc(NEW.nbytes, leaf)
         system.preload(other, NEW)
         system.move_up(root, other, NEW.nbytes)
-        assert _gauge(system, "deferred_copies") == 1
+        assert exec_gauge(system, "deferred_copies") == 1
     elif write == "preload":    # waits for the reading kernel
         system.preload(root, NEW)
     else:                       # the file outlives the reading kernel
@@ -171,7 +171,7 @@ def test_a_buffer_filled_by_two_moves_is_described_whole(system):
     assert np.array_equal(system.fetch(out, np.float32), OLD)
     assert system.executor.stats.described == 1
     # The two contiguous fills extend one record; neither was forced.
-    assert _gauge(system, "fills_deferred") == 2
+    assert exec_gauge(system, "fills_deferred") == 2
     assert reads[0] == 0
 
 
@@ -251,13 +251,9 @@ def test_a_root_file_gone_behind_the_runtime_fails_the_kernel_by_name(
 
 # -- lazy fills: a staged copy is made only when something reads it --------
 
-def _gauge(sys_, name):
-    """The ledger's ``exec_<name>`` gauge."""
-    return sys_.metrics.snapshot()[f"exec_{name}"][0]["value"]
-
-
 def _fills(sys_):
-    return _gauge(sys_, "fills_deferred"), _gauge(sys_, "fills_dropped")
+    return (exec_gauge(sys_, "fills_deferred"),
+            exec_gauge(sys_, "fills_dropped"))
 
 
 def test_a_host_fetch_of_the_staged_buffer_reads_the_root_window(system):

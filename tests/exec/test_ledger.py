@@ -9,7 +9,7 @@ from repro.core.system import System
 from repro.exec import Binding, PendingLedger, kernel_spec
 from repro.memory.units import MB
 from repro.topology.builders import apu_two_level
-from tests.exec import kernels
+from tests.exec import exec_gauge, kernels
 
 
 # -- pure ledger semantics ---------------------------------------------------
@@ -156,11 +156,6 @@ def sys_async():
     s.close()
 
 
-def _gauge(sys_, name):
-    """The ledger's ``exec_<name>`` gauge."""
-    return sys_.metrics.snapshot()[f"exec_{name}"][0]["value"]
-
-
 def _launch_fill(sys_, leaf, buf, n, value):
     gpu = leaf.processor_named("gpu-apu")
     spec = kernel_spec(kernels.fill,
@@ -197,10 +192,10 @@ def test_release_during_pending_work_credits_capacity_immediately(sys_async):
     # Capacity comes back at logical release (apps size follow-on
     # blocks off node.free), even though the merge has not landed...
     assert leaf.free == free0
-    assert _gauge(sys_async, "zombie_frees") == 0
+    assert exec_gauge(sys_async, "zombie_frees") == 0
     # ...and the physical storage teardown fires at drain.
     sys_async.drain_exec()
-    assert _gauge(sys_async, "zombie_frees") == 1
+    assert exec_gauge(sys_async, "zombie_frees") == 1
     assert not led.active
 
 
