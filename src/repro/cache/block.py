@@ -77,9 +77,9 @@ class NodeCache:
         self._clock = 0
         self._seq = 0
         #: Callable returning the tenant to tag admissions with (the
-        #: cache manager binds it to the system's ambient tenant; None
-        #: means untagged single-tenant operation).
-        self.tenant_source = None
+        #: cache manager binds it to ``system.tenancy``; the default
+        #: leaves them untagged).
+        self.tenant_source = lambda: ""
         #: Optional eviction filter ``guard(block) -> bool`` (True =
         #: evictable).  Installed by the cache manager when tenant
         #: quotas are active; blocks the guard rejects are invisible to
@@ -174,8 +174,7 @@ class NodeCache:
         block = CacheBlock(spec=spec, handle=handle,
                            src_version=spec.src.version, seq=self._seq,
                            prefetched=prefetched,
-                           tenant=self.tenant_source()
-                           if self.tenant_source is not None else "")
+                           tenant=self.tenant_source())
         self._blocks[spec.key] = block
         self.stats.admissions += 1
         return block

@@ -30,6 +30,7 @@ Modes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from repro.cache.block import CacheBlock, NodeCache
@@ -52,6 +53,9 @@ CACHE_MODES = ("off", "explicit", "full")
 #: Host-side bookkeeping cost of serving a cache hit (a map lookup and a
 #: couple of counter updates -- same order as RUNTIME_OP_COST).
 HIT_COST = 0.5e-6
+
+#: The serving context read outside serving (``system.tenancy is None``).
+_NOT_SERVING = SimpleNamespace(quotas=None, tenant="", scope=None)
 
 
 @dataclass(frozen=True)
@@ -93,14 +97,13 @@ class CacheManager:
         self.config = config
         self.engine = PrefetchEngine(self)
         self._caches: dict[int, NodeCache | None] = {}
-        #: lease buffer_id -> (cache, block) for pinned cache blocks, or
-        #: (None, handle) for plain staging fetches (cache off / no room).
+        #: lease buffer_id -> (cache, block, scope) for pinned cache
+        #: blocks, or (None, handle, scope) for plain staging fetches
+        #: (cache off / no room); ``scope`` is the serving job's id.
         self._leases: dict[int, tuple[NodeCache | None,
-                                      CacheBlock | BufferHandle]] = {}
-        #: lease buffer_id -> owning serve scope (job id), None outside
-        #: serve mode.  Scoped end-of-run cleanup drops only the
-        #: finishing job's leases, leaving concurrent jobs' pins alone.
-        self._lease_scope: dict[int, str | None] = {}
+                                      CacheBlock | BufferHandle,
+                                      str | None]] = {}
+        system.metrics.register_collector(self._collect_metrics)
 
     # -- mode flags ------------------------------------------------------
 
@@ -134,8 +137,7 @@ class CacheManager:
                 cache = NodeCache(
                     node, self.system.registry, make_policy(self.config.policy),
                     max_bytes, ctx)
-                cache.tenant_source = lambda: getattr(
-                    self.system, "current_tenant", "")
+                cache.tenant_source = lambda: self._tenancy().tenant
                 cache.victim_guard = self._make_victim_guard(cache)
                 cache.release_hook = self.system.dispatch.release_storage
                 self._caches[node.node_id] = cache
@@ -151,19 +153,21 @@ class CacheManager:
         allowed.  Without a quota ledger the guard admits everything.
         """
         def guard(block: CacheBlock) -> bool:
-            quotas = getattr(self.system, "tenant_quotas", None)
-            if quotas is None or not block.tenant:
+            tenancy = self._tenancy()
+            if tenancy.quotas is None or not block.tenant \
+                    or block.tenant == tenancy.tenant:
                 return True
-            requester = getattr(self.system, "current_tenant", "")
-            if block.tenant == requester:
-                return True
-            reserved = quotas.cache_reservation(block.tenant)
+            reserved = tenancy.quotas.cache_reservation(block.tenant)
             if reserved <= 0:
                 return True
             cached = sum(b.nbytes for b in cache.blocks()
                          if b.tenant == block.tenant)
             return cached - block.nbytes >= reserved
         return guard
+
+    def _tenancy(self):
+        """The system's serving context, or :data:`_NOT_SERVING`."""
+        return self.system.tenancy or _NOT_SERVING
 
     def owns(self, handle: BufferHandle) -> bool:
         """Is ``handle`` the backing buffer of a cache block?  Such
@@ -378,19 +382,17 @@ class CacheManager:
 
     def _lease(self, handle: BufferHandle, cache: NodeCache | None,
                obj: CacheBlock | BufferHandle) -> BufferHandle:
-        self._leases[handle.buffer_id] = (cache, obj)
-        self._lease_scope[handle.buffer_id] = getattr(
-            self.system, "serve_scope", None)
+        self._leases[handle.buffer_id] = (cache, obj,
+                                          self._tenancy().scope)
         return handle
 
     def release_lease(self, handle: BufferHandle) -> None:
         entry = self._leases.pop(handle.buffer_id, None)
-        self._lease_scope.pop(handle.buffer_id, None)
         if entry is None:
             raise CacheError(
                 f"fetch_release of a handle that is not a live fetch lease: "
                 f"{handle!r}")
-        cache, obj = entry
+        cache, obj, _scope = entry
         if cache is None:
             self.system.release(obj)
         else:
@@ -419,19 +421,17 @@ class CacheManager:
         block, forget the prefetch plan.  Programs end with the same
         live-buffer census they had before caching.
 
-        Under multi-tenant serving (``system.serve_scope`` set) the
+        Under multi-tenant serving (a ``system.tenancy`` scope set) the
         cleanup is *scoped*: only the finishing job's leases are
         dropped, and resident blocks stay cached for the jobs still
         running -- a job's ``finally: end_run()`` must not zero another
         job's pins or drop its prefetch plan.
         """
-        scope = getattr(self.system, "serve_scope", None)
-        for buffer_id in list(self._leases):
-            if scope is not None and \
-                    self._lease_scope.get(buffer_id) != scope:
+        scope = self._tenancy().scope
+        for buffer_id, (cache, obj, owner) in list(self._leases.items()):
+            if scope is not None and owner != scope:
                 continue
-            cache, obj = self._leases.pop(buffer_id)
-            self._lease_scope.pop(buffer_id, None)
+            del self._leases[buffer_id]
             if cache is None:
                 if not obj.released:
                     self.system.release(obj)
@@ -446,9 +446,16 @@ class CacheManager:
 
     # -- reporting ---------------------------------------------------------
 
-    def stats_by_node(self) -> dict[int, CacheStats]:
-        return {nid: c.stats for nid, c in sorted(self._caches.items())
-                if c is not None}
+    def _collect_metrics(self, reg) -> None:
+        """The ``cache_*`` gauges, one series per node cache."""
+        for nid, c in sorted(self._caches.items()):
+            if c is None:
+                continue
+            for name in ("hits", "misses", "hit_bytes", "miss_bytes",
+                         "evictions", "admissions", "prefetch_issued",
+                         "prefetch_used", "prefetch_wasted"):
+                reg.gauge(f"cache_{name}", getattr(c.stats, name),
+                          labels={"node": str(nid)})
 
     def total_stats(self) -> CacheStats:
         total = CacheStats()

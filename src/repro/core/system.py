@@ -22,6 +22,7 @@ likewise excludes input preprocessing from measured time.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +36,7 @@ from repro.core.profiler import Breakdown, profile_trace
 from repro.errors import CacheError, CapacityError, TransferError
 from repro.exec.base import Executor, KernelSpec, effective_cpu_count, \
     make_executor
-from repro.exec.ledger import Dispatch
+from repro.exec.ledger import Dispatch, WallStats
 from repro.memory.device import StorageKind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_OBSERVER, Observer
@@ -112,27 +113,6 @@ def _transfer_phase(src: StorageKind, dst: StorageKind) -> Phase:
 
 
 @dataclass
-class WallStats:
-    """Wall-clock accounting of *physical* byte movement.
-
-    Virtual time is the experiment's clock; these numbers measure the
-    real work the host did moving bytes between backends.  With the
-    in-memory backend they cover array copies; with the file backend
-    they cover genuine filesystem I/O -- the out-of-core fidelity
-    evidence the file-backed integration tests assert on.
-    """
-
-    physical_seconds: float = 0.0
-    ops: int = 0
-    bytes_moved: int = 0
-
-    def note(self, seconds: float, nbytes: int) -> None:
-        self.physical_seconds += seconds
-        self.ops += 1
-        self.bytes_moved += nbytes
-
-
-@dataclass
 class MoveResult:
     """Timing of one (possibly multi-hop) data movement."""
 
@@ -205,26 +185,21 @@ class System:
         self.registry = BufferRegistry()
         self.runtime_ops = 0
         self.wall = WallStats()
-        #: Multi-tenant serving ambiance, duck-typed so the core never
-        #: imports :mod:`repro.serve`.  ``tenant_quotas`` is a ledger
-        #: with ``check``/``on_alloc``/``on_release``/
-        #: ``cache_reservation``; ``current_tenant`` tags allocations
-        #: and cache admissions with the job being executed;
-        #: ``serve_scope`` limits :meth:`CacheManager.end_run` teardown
-        #: to one job's leases.  All three are inert at their defaults.
-        self.tenant_quotas = None
-        self.current_tenant = ""
-        self.serve_scope = None
+        #: The serving context (``quotas``, ``tenant``, ``scope``; see
+        #: :class:`repro.serve.quota.Tenancy`), ``None`` outside serving:
+        #: duck-typed, so the core never imports :mod:`repro.serve`.
+        self.tenancy = None
         #: Causal span tracker (:mod:`repro.obs.spans`).  Spans are pure
         #: metadata over the trace -- virtual results are bit-identical
         #: with observability on or off.  ``observe=False`` installs the
         #: shared null observer: zero span allocations, same code path.
         self.obs = Observer(self.timeline.trace) if observe \
             else NULL_OBSERVER
-        #: Unified metrics registry.  Hot-path counters stay where they
-        #: are; pull-collectors bridge them in at snapshot time.
+        #: Unified metrics registry: each layer's pull-collector reads its
+        #: own counters at snapshot time (the tree's: backends, plans).
         self.metrics = MetricsRegistry()
         self.metrics.register_collector(self._collect_metrics)
+        self.metrics.register_collector(tree.collect_metrics)
         #: The exec layer's front door (:mod:`repro.exec.ledger`): when
         #: each physical byte lands.
         self.dispatch = Dispatch(self)
@@ -288,8 +263,9 @@ class System:
         always win over cached copies.
         """
         n = self._node(node)
-        if self.tenant_quotas is not None:
-            self.tenant_quotas.check(self.current_tenant, nbytes)
+        quotas = None if self.tenancy is None else self.tenancy.quotas
+        if quotas is not None:
+            quotas.check(self.tenancy.tenant, nbytes)
         try:
             alloc_id = n.device.allocate(nbytes)
         except CapacityError:
@@ -306,8 +282,8 @@ class System:
             alloc_id = n.device.allocate(nbytes)
         handle = self.registry.register(node_id=n.node_id, nbytes=nbytes,
                                         alloc_id=alloc_id, label=label)
-        if self.tenant_quotas is not None:
-            self.tenant_quotas.on_alloc(self.current_tenant, handle)
+        if quotas is not None:
+            quotas.on_alloc(self.tenancy.tenant, handle)
         done = self.timeline.charge("host", SETUP_COST[n.device.kind],
                                     Phase.SETUP, label=label or f"alloc@{n.node_id}")
         handle.note_write(done.end)  # zero-initialised content is valid
@@ -331,8 +307,8 @@ class System:
                 f"buffer #{handle.buffer_id} backs a cache block; release "
                 f"fetch leases with fetch_release instead")
         self.cache.on_release(handle)
-        if self.tenant_quotas is not None:
-            self.tenant_quotas.on_release(handle)
+        if self.tenancy is not None and self.tenancy.quotas is not None:
+            self.tenancy.quotas.on_release(handle)
         node = self.node_of(handle)
         self.registry.unregister(handle)
         if not handle.is_mapped:
@@ -513,7 +489,7 @@ class System:
                   label: str = "", cache: bool = True) -> MoveResult:
         """``move_data_down``: parent -> child, asserting the direction."""
         self._assert_adjacent(self.node_of(src), self.node_of(dst),
-                              expect_down=True)
+                              "move_down")
         return self.move(dst, src, nbytes, dst_offset=dst_offset,
                          src_offset=src_offset, label=label, cache=cache)
 
@@ -531,7 +507,7 @@ class System:
         """``move_data_up``: child -> parent, asserting the direction.
         The transfer is charged at once (write-through)."""
         self._assert_adjacent(self.node_of(dst), self.node_of(src),
-                              expect_down=True)
+                              "move_up")
         return self.move(dst, src, nbytes, dst_offset=dst_offset,
                          src_offset=src_offset, label=label)
 
@@ -562,7 +538,7 @@ class System:
         n = self._node(node)
         self.registry.check_live(src)
         src_node = self.node_of(src)
-        self._assert_adjacent(src_node, n, expect_down=True)
+        self._assert_adjacent(src_node, n, "fetch_down")
         window = (rows, row_bytes, src_stride)
         if nbytes is not None and window == (None, None, None):
             window = (1, nbytes, nbytes)
@@ -610,12 +586,11 @@ class System:
         self.cache.release_lease(handle)
         self.charge_runtime(1)
 
-    def _assert_adjacent(self, parent: TreeNode, child: TreeNode, *,
-                         expect_down: bool) -> None:
+    def _assert_adjacent(self, parent: TreeNode, child: TreeNode,
+                         call: str) -> None:
         if child.parent is not parent:
-            direction = "move_down" if expect_down else "move_up"
             raise TransferError(
-                f"{direction}: nodes {parent.node_id} and {child.node_id} "
+                f"{call}: nodes {parent.node_id} and {child.node_id} "
                 f"are not a parent/child pair")
 
     def _edge_path(self, src: TreeNode,
@@ -713,10 +688,10 @@ class System:
         cache drops its leases and unpinned blocks, dropping the unread
         fills into them (:meth:`~repro.exec.ledger.Dispatch.end_run`).
         Programs call this (via :meth:`NorthupProgram.run`'s finally);
-        the serve layer calls it per job with ``serve_scope`` set.  Then
-        every backend writes out what it held back, so each file is
-        current.  Read-ahead advice (:meth:`will_need`) not yet used is
-        cancelled, also when the run failed."""
+        the serve layer calls it per job, its ``tenancy`` scope set.
+        Then every backend writes out what it held back, so each file
+        is current.  Read-ahead advice (:meth:`will_need`) not yet used
+        is cancelled, also when the run failed."""
         try:
             self.dispatch.end_run()
             for node in self.tree.nodes():
@@ -821,9 +796,9 @@ class System:
     # -- reporting -----------------------------------------------------------
 
     def _collect_metrics(self, reg: MetricsRegistry) -> None:
-        """Pull-collector bridging the runtime's scattered counters into
-        the metrics registry (cache stats, fd pools, array pools, level
-        queues, wall stats, trace aggregates)."""
+        """Pull-collector of the system's own counters: bookkeeping ops,
+        wall stats and the trace's aggregates.  Every other layer
+        registers its own."""
         reg.gauge("runtime_ops", self.runtime_ops,
                   help_text="framework bookkeeping operations charged")
         reg.gauge("wall_physical_seconds", self.wall.physical_seconds,
@@ -839,53 +814,6 @@ class System:
         for phase, nbytes in trace.bytes_by_phase().items():
             reg.gauge("virtual_bytes_moved", nbytes,
                       labels={"phase": phase.value})
-        for nid, stats in self.cache.stats_by_node().items():
-            for name in ("hits", "misses", "hit_bytes", "miss_bytes",
-                         "evictions", "admissions", "prefetch_issued",
-                         "prefetch_used", "prefetch_wasted"):
-                reg.gauge(f"cache_{name}", getattr(stats, name),
-                          labels={"node": str(nid)})
-        for node in self.tree.nodes():
-            labels = {"node": str(node.node_id)}
-            backend = node.device.backend
-            fds = getattr(backend, "_fds", None)
-            if fds is not None and hasattr(fds, "opens"):
-                for name in ("opens", "hits", "evictions"):
-                    reg.gauge(f"fd_pool_{name}", getattr(fds, name),
-                              labels=labels)
-            ahead = getattr(backend, "readahead", None)
-            if ahead is not None:
-                for outcome, count in ahead.counts.items():
-                    reg.gauge("readahead_windows", count,
-                              labels=dict(labels, outcome=outcome),
-                              help_text="advised file windows by fate")
-                reg.gauge("readahead_bytes", ahead.bytes, labels=labels,
-                          help_text="bytes served from read-ahead buffers")
-                reg.gauge("readahead_wait_seconds", ahead.wait_seconds,
-                          labels=labels,
-                          help_text="coordinator blocked on an in-flight "
-                                    "window")
-                for outcome, count in backend.bands.items():
-                    reg.gauge("write_bands", count,
-                              labels=dict(labels, outcome=outcome),
-                              help_text="row bands written, whole or merged")
-            pool = getattr(backend, "pool", None)
-            if pool is not None and hasattr(pool, "reuses"):
-                for name in ("reuses", "fresh", "retired", "dropped",
-                             "held_bytes"):
-                    reg.gauge(f"array_pool_{name}", getattr(pool, name),
-                              labels=labels)
-            plan = node.plan
-            if plan is not None:
-                qlabels = {"node": str(node.node_id),
-                           "level": str(plan.graph.level)}
-                reg.gauge("level_queue_tasks", len(plan.records),
-                          labels=qlabels)
-                reg.gauge("level_queue_prefetch_planned",
-                          plan.prefetch_planned, labels=qlabels)
-                for state, count in plan.state_counts().items():
-                    reg.gauge("level_queue_state", count,
-                              labels=dict(qlabels, state=state))
 
     def makespan(self) -> float:
         """End-to-end virtual time of everything charged so far."""
@@ -908,15 +836,22 @@ class System:
         """Release every device backend (tree ownership); pending
         executor work settles first (unread fills are dropped) and a
         system-owned executor pool is shut down -- the pool and the
-        backends also when that drain raises (a failed kernel ticket)."""
-        try:
+        backends also when that drain raises (a failed kernel ticket).
+        The metrics keep a last reading; then nothing the system owns
+        refers back to it, so reference counting frees it."""
+        with ExitStack() as steps:  # run last to first, each one always
+            steps.callback(self._let_go)
+            steps.callback(self.metrics.close)
+            steps.callback(self.tree.close)
+            if self._own_executor:
+                steps.callback(self.executor.close)
             self.dispatch.close()
-        finally:
-            try:
-                if self._own_executor:
-                    self.executor.close()
-            finally:
-                self.tree.close()
+
+    def _let_go(self) -> None:
+        """Drop what points back at this system (a plan: its contexts)."""
+        self.dispatch.system = self.cache.system = None
+        for node in self.tree.nodes():
+            node.plan = None
 
     def __enter__(self) -> "System":
         return self

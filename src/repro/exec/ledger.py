@@ -230,6 +230,23 @@ def _note_fill(src, src_offset: int, src_stride: int, dst, dst_offset: int,
     return True
 
 
+@dataclass
+class WallStats:
+    """Wall-clock accounting of *physical* byte movement, which
+    :meth:`Dispatch.transfer` notes on ``system.wall``: the host's real
+    work (array copies in memory, genuine file I/O on the file backend)
+    beside the experiment's virtual clock."""
+
+    physical_seconds: float = 0.0
+    ops: int = 0
+    bytes_moved: int = 0
+
+    def note(self, seconds: float, nbytes: int) -> None:
+        self.physical_seconds += seconds
+        self.ops += 1
+        self.bytes_moved += nbytes
+
+
 class Dispatch:
     """The exec layer's front door, one per system: every decision about
     when a physical byte lands, over the op book :attr:`ledger`, and the

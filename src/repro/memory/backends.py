@@ -183,6 +183,9 @@ class DataBackend(ABC):
         """Write out any bytes held back from the backing storage, so
         it is current.  Default: nothing is held back."""
 
+    def collect_metrics(self, reg, labels: dict) -> None:
+        """Gauge this backend's counters at node ``labels`` (none)."""
+
     def path_of(self, alloc_id: int, lo: int, hi: int) -> str | None:
         """The file another process can read ``alloc_id``'s bytes
         ``[lo, hi)`` from, current on disk, or ``None``: the bytes live
@@ -302,6 +305,11 @@ class MemBackend(DataBackend):
     def close(self) -> None:
         self._bufs.clear()
         self.pool.clear()
+
+    def collect_metrics(self, reg, labels: dict) -> None:
+        for name in ("reuses", "fresh", "retired", "dropped", "held_bytes"):
+            reg.gauge(f"array_pool_{name}", getattr(self.pool, name),
+                      labels=labels)
 
 
 class _FdPool:
@@ -954,6 +962,24 @@ class FileBackend(DataBackend):
     def size_of(self, alloc_id: int) -> int:
         self._path(alloc_id)
         return self._sizes[alloc_id]
+
+    def collect_metrics(self, reg, labels: dict) -> None:
+        for name in ("opens", "hits", "evictions"):
+            reg.gauge(f"fd_pool_{name}", getattr(self._fds, name),
+                      labels=labels)
+        ahead = self.readahead
+        for outcome, count in ahead.counts.items():
+            reg.gauge("readahead_windows", count,
+                      labels=dict(labels, outcome=outcome),
+                      help_text="advised file windows by fate")
+        reg.gauge("readahead_bytes", ahead.bytes, labels=labels,
+                  help_text="bytes served from read-ahead buffers")
+        reg.gauge("readahead_wait_seconds", ahead.wait_seconds, labels=labels,
+                  help_text="coordinator blocked on an in-flight window")
+        for outcome, count in self.bands.items():
+            reg.gauge("write_bands", count,
+                      labels=dict(labels, outcome=outcome),
+                      help_text="row bands written, whole or merged")
 
     @property
     def open_fds(self) -> int:

@@ -3,7 +3,7 @@
 The runtime already keeps plenty of numbers -- cache hit/miss tallies in
 :class:`repro.cache.stats.CacheStats`, fd-pool opens/hits/evictions in
 the file backend, :class:`~repro.core.buffers.ArrayPool` recycle counts,
-steal counts in the work queues -- but each lives in its own ad-hoc
+the level plans' task states -- but each lives in its own ad-hoc
 attribute with its own spelling.  :class:`MetricsRegistry` unifies them
 behind one namespace without rewriting the increment sites: hot paths
 keep bumping their plain integer attributes, and *collectors*
@@ -164,7 +164,7 @@ class MetricsRegistry:
         """Register a pull-collector invoked at snapshot time.
 
         Collectors bridge existing ad-hoc counters (cache stats, fd
-        pool, array pool, queues) into the registry without putting a
+        pool, array pool, level queues) into the registry without putting a
         registry call on any hot path -- they read the live objects and
         ``gauge``/``counter`` the current values.
         """
@@ -173,6 +173,12 @@ class MetricsRegistry:
     def collect(self) -> None:
         for fn in self._collectors:
             fn(self)
+
+    def close(self) -> None:
+        """Take a last reading, then drop every collector (and the
+        objects they hold): their owner is closing."""
+        self.collect()
+        self._collectors.clear()
 
     # -- export ----------------------------------------------------------
 

@@ -54,10 +54,11 @@ class RunReport:
     def from_trace(cls, trace: Trace, *, name: str = "run",
                    observer=None, metrics=None,
                    phys=None) -> "RunReport":
+        """Report on ``trace``, with the span tree of ``observer``, a
+        metrics snapshot and a physical-plane summary when given."""
         spans_summary = None
         path = critical_path(trace)
-        if observer is not None and getattr(observer, "enabled", False) \
-                and len(observer):
+        if observer is not None and observer.enabled and len(observer):
             from repro.obs.spans import analyze
             tree = analyze(observer, trace)
             top = []
@@ -78,30 +79,21 @@ class RunReport:
                 "top_path_spans": top,
                 "tree": tree.table(),
             }
-        metrics_snapshot = None
-        if metrics is not None:
-            metrics_snapshot = metrics.snapshot() \
-                if hasattr(metrics, "snapshot") else metrics
-        phys_summary = None
-        if phys is not None:
-            phys_summary = phys.summary() \
-                if hasattr(phys, "summary") else phys
         return cls(name=name, breakdown=profile_trace(trace),
                    resources=trace.by_resource(), path=path,
                    intervals=len(trace), spans=spans_summary,
-                   metrics=metrics_snapshot, phys=phys_summary)
+                   metrics=metrics, phys=phys)
 
     @classmethod
     def from_system(cls, system, *, name: str = "run") -> "RunReport":
         """Report on a system's recorded timeline.  A telemetry-on
         executor contributes its physical-plane summary."""
-        tel = getattr(getattr(system, "executor", None), "telemetry", None)
-        if tel is not None and not tel.records:
-            tel = None
+        tel = system.executor.telemetry
         return cls.from_trace(system.timeline.trace, name=name,
-                              observer=getattr(system, "obs", None),
-                              metrics=getattr(system, "metrics", None),
-                              phys=tel)
+                              observer=system.obs,
+                              metrics=system.metrics.snapshot(),
+                              phys=tel.summary() if tel is not None
+                              and tel.records else None)
 
     # -- export -----------------------------------------------------------
 

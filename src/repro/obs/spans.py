@@ -32,19 +32,6 @@ from dataclasses import dataclass, field
 from repro.errors import NorthupError
 from repro.sim.trace import Trace
 
-#: Span kinds used by the built-in instrumentation.  Free-form strings
-#: are allowed; these are the vocabulary the recursion driver emits.
-RUN = "run"
-DIVIDE = "divide"
-SETUP = "setup"
-MOVE_DOWN = "move_down"
-COMPUTE = "compute"
-MOVE_UP = "move_up"
-COMBINE = "combine"
-CACHE_FILL = "cache_fill"
-PREFETCH = "prefetch"
-CHUNK = "chunk"
-
 
 class Span:
     """One node of the causal span tree.

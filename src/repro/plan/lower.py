@@ -331,6 +331,16 @@ class LevelPlan:
             counts[state] += 1
         return counts
 
+    def collect_metrics(self, reg, labels: dict) -> None:
+        """This level's ``level_queue_*`` gauges, at node ``labels``."""
+        labels = dict(labels, level=str(self.graph.level))
+        reg.gauge("level_queue_tasks", len(self.records), labels=labels)
+        reg.gauge("level_queue_prefetch_planned", self.prefetch_planned,
+                  labels=labels)
+        for state, count in self.state_counts().items():
+            reg.gauge("level_queue_state", count,
+                      labels=dict(labels, state=state))
+
     def execute(self, node: TaskNode):
         """Dispatch one node: dependency check, thunk, bookkeeping."""
         graph = self.graph
@@ -361,8 +371,11 @@ class LevelPlan:
         self.windows.release_rings()
 
     def close(self) -> None:
-        """Close the level's divide span (always, error or not)."""
+        """Close the level's divide span (always, error or not); drop
+        the node bodies, which close over the level (a reference cycle)."""
         self.ctx.system.obs.close(self.divide_span)
+        for node in self.graph.nodes:
+            node.thunk = None
 
 
 def lower_level(program, ctx, *, window=1) -> LevelPlan:

@@ -3,11 +3,11 @@
 Two isolation guarantees live here:
 
 * **Allocation caps** -- a tenant's live application buffers may not
-  exceed its ``alloc_bytes``.  :class:`QuotaLedger` is duck-typed into
-  :class:`~repro.core.system.System` via the ``tenant_quotas``
-  attribute; ``System.alloc``/``release`` call :meth:`check` /
-  :meth:`on_alloc` / :meth:`on_release` without the core ever importing
-  this module.
+  exceed its ``alloc_bytes``.  :class:`QuotaLedger` reaches
+  :class:`~repro.core.system.System` through the duck-typed
+  :class:`Tenancy` the service installs as ``system.tenancy``;
+  ``System.alloc``/``release`` call :meth:`check` / :meth:`on_alloc` /
+  :meth:`on_release` without the core ever importing this module.
 * **Cache reservations** -- a tenant's cached bytes on a node may not
   be evicted below its ``cache_reservation`` by *another* tenant's
   admissions.  The cache manager's victim guard reads
@@ -96,3 +96,13 @@ class QuotaLedger:
         if quota is None or quota.weight <= 0:
             return 1.0
         return quota.weight
+
+
+@dataclass
+class Tenancy:
+    """``system.tenancy``, installed once by the job service: the quota
+    ledger (or ``None``) and the running grant's tenant and job id."""
+
+    quotas: QuotaLedger | None = None
+    tenant: str = ""
+    scope: str | None = None

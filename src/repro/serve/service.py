@@ -23,13 +23,13 @@ is ``last interval end - arrival``.
 
 Isolation
 ---------
-Per-grant ambient context wires tenancy through the runtime without the
-core importing this package: ``system.current_tenant`` tags allocations
-(quota ledger) and cache admissions (victim guards),
-``system.serve_scope`` scopes end-of-run cache teardown to the job's
-own leases, and :meth:`Observer.switch_context` swaps in the job's
-span stack so interleaved jobs each keep a coherent span tree over the
-shared trace.
+One :class:`~repro.serve.quota.Tenancy` (``system.tenancy``) wires
+tenancy through the runtime without the core importing this package.
+Each grant sets its ``tenant``, which tags allocations (quota ledger)
+and cache admissions (victim guards), and its ``scope``, which limits
+end-of-run cache teardown to the job's own leases; and
+:meth:`Observer.switch_context` swaps in the job's span stack, so
+interleaved jobs keep coherent span trees over the shared trace.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.serve.arrivals import Arrival
 from repro.serve.gate import CooperativeScheduler
 from repro.serve.job import Job, JobSpec, JobState
 from repro.serve.policy import make_policy
-from repro.serve.quota import QuotaLedger, TenantQuota
+from repro.serve.quota import QuotaLedger, Tenancy, TenantQuota
 from repro.sim.trace import Trace
 
 
@@ -95,10 +95,10 @@ class JobService:
     def __init__(self, system, config: ServeConfig | None = None) -> None:
         self.system = system
         self.config = config or ServeConfig()
-        self.quotas = (QuotaLedger(self.config.quotas)
-                       if self.config.quotas else None)
-        system.tenant_quotas = self.quotas
-        self.policy = make_policy(self.config.policy, quotas=self.quotas,
+        quotas = (QuotaLedger(self.config.quotas)
+                  if self.config.quotas else None)
+        self.tenancy = system.tenancy = Tenancy(quotas)
+        self.policy = make_policy(self.config.policy, quotas=quotas,
                                   seed=self.config.seed)
         self.admission = AdmissionController(
             max_pending=self.config.max_pending,
@@ -213,8 +213,8 @@ class JobService:
         sys_ = self.system
         self._saved_stack = sys_.obs.switch_context(job.span_stack)
         sys_.timeline.floor = job.admit_vt
-        sys_.current_tenant = job.tenant
-        sys_.serve_scope = job.job_id
+        self.tenancy.tenant = job.tenant
+        self.tenancy.scope = job.job_id
         self._row_lo = len(sys_.timeline.trace)
 
     def _exit(self, job: Job) -> float:
@@ -224,8 +224,8 @@ class JobService:
         sys_.obs.switch_context(self._saved_stack)
         self._saved_stack = None
         sys_.timeline.floor = 0.0
-        sys_.current_tenant = ""
-        sys_.serve_scope = None
+        self.tenancy.tenant = ""
+        self.tenancy.scope = None
         job.grants += 1
         self.grants += 1
         self.dispatch_log.append(job.job_id)

@@ -175,6 +175,14 @@ class TopologyTree:
             walk(self._root, "")
         return "\n".join(lines)
 
+    def collect_metrics(self, reg) -> None:
+        """Pull-collector: each node's backend and last level plan."""
+        for n in self._nodes.values():
+            labels = {"node": str(n.node_id)}
+            n.device.backend.collect_metrics(reg, labels)
+            if n.plan is not None:
+                n.plan.collect_metrics(reg, labels)
+
     def close(self) -> None:
         """Release every device backend (removes FileBackend files).
         Every device is closed even when one of them raises; the first

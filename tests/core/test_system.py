@@ -104,6 +104,15 @@ def test_move_direction_asserted(apu):
         apu.move_up(b, a, 64)
 
 
+def test_move_up_errors_name_move_up(apu):
+    leaf = apu.tree.leaves()[0]
+    a, b = apu.alloc(64, leaf), apu.alloc(64, leaf)
+    with pytest.raises(TransferError, match=r"^move_up: nodes 1 and 1 "):
+        apu.move_up(a, b, 64)
+    with pytest.raises(TransferError, match=r"^move_down: nodes 1 and 1 "):
+        apu.move_down(a, b, 64)
+
+
 def test_io_read_charged_at_ssd_bandwidth(apu):
     root, leaf = apu.tree.root, apu.tree.leaves()[0]
     src = apu.alloc(14 * MB, root)

@@ -89,6 +89,16 @@ def test_json_export_parses():
     assert json.loads(reg.to_json())["a"][0]["value"] == 1
 
 
+def test_close_takes_a_last_reading_and_drops_collectors():
+    reg = MetricsRegistry()
+    box = {"n": 1}
+    reg.register_collector(lambda r: r.gauge("n", box["n"]))
+    box["n"] = 2
+    reg.close()
+    box["n"] = 3
+    assert reg.snapshot()["n"][0]["value"] == 2
+
+
 def test_clear_keeps_collectors():
     reg = MetricsRegistry()
     reg.register_collector(lambda r: r.gauge("g", 1))

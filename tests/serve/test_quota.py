@@ -7,7 +7,7 @@ from repro.cache.manager import CacheConfig
 from repro.core.system import System
 from repro.errors import QuotaError
 from repro.memory.units import KB, MB
-from repro.serve.quota import QuotaLedger, TenantQuota
+from repro.serve.quota import QuotaLedger, Tenancy, TenantQuota
 from repro.topology.builders import apu_two_level
 
 
@@ -55,9 +55,8 @@ def test_unknown_and_uncapped_tenants_pass():
 def test_alloc_enforces_tenant_cap():
     sys_ = make_system()
     try:
-        sys_.tenant_quotas = QuotaLedger(
-            {"a": TenantQuota(alloc_bytes=64 * KB)})
-        sys_.current_tenant = "a"
+        sys_.tenancy = Tenancy(QuotaLedger(
+            {"a": TenantQuota(alloc_bytes=64 * KB)}), tenant="a")
         h = sys_.alloc(48 * KB, sys_.tree.root, label="within")
         with pytest.raises(QuotaError):
             sys_.alloc(32 * KB, sys_.tree.root, label="over")
@@ -72,9 +71,8 @@ def test_alloc_enforces_tenant_cap():
 def test_other_tenants_unaffected_by_a_cap():
     sys_ = make_system()
     try:
-        sys_.tenant_quotas = QuotaLedger(
-            {"a": TenantQuota(alloc_bytes=4 * KB)})
-        sys_.current_tenant = "b"
+        sys_.tenancy = Tenancy(QuotaLedger(
+            {"a": TenantQuota(alloc_bytes=4 * KB)}), tenant="b")
         h = sys_.alloc(64 * KB, sys_.tree.root, label="b-large")
         sys_.release(h)
     finally:
@@ -86,7 +84,7 @@ def test_other_tenants_unaffected_by_a_cap():
 
 def _fill_and_fetch(sys_, child, nbytes, seed, count, tenant):
     import numpy as np
-    sys_.current_tenant = tenant
+    sys_.tenancy.tenant = tenant
     rng = np.random.default_rng(seed)
     src = sys_.alloc(nbytes * count, sys_.tree.root, label=f"src-{tenant}")
     sys_.preload(src, rng.integers(0, 255, nbytes * count, dtype=np.uint8))
@@ -102,9 +100,9 @@ def test_reservation_floors_other_tenants_eviction():
         child = sys_.tree.root.children[0]
         cache = sys_.cache.node_cache(child)
         reservation = 3 * (4 * KB)
-        sys_.tenant_quotas = QuotaLedger(
+        sys_.tenancy = Tenancy(QuotaLedger(
             {"a": TenantQuota(cache_reservation=reservation),
-             "b": TenantQuota()})
+             "b": TenantQuota()}))
         # Tenant a fills the cache with 4 KB blocks...
         _fill_and_fetch(sys_, child, 4 * KB, seed=1,
                         count=cache.max_bytes // (4 * KB), tenant="a")
@@ -126,8 +124,8 @@ def test_no_reservation_means_full_eviction_allowed():
     try:
         child = sys_.tree.root.children[0]
         cache = sys_.cache.node_cache(child)
-        sys_.tenant_quotas = QuotaLedger({"a": TenantQuota(),
-                                          "b": TenantQuota()})
+        sys_.tenancy = Tenancy(QuotaLedger({"a": TenantQuota(),
+                                            "b": TenantQuota()}))
         _fill_and_fetch(sys_, child, 4 * KB, seed=1,
                         count=cache.max_bytes // (4 * KB), tenant="a")
         _fill_and_fetch(sys_, child, 4 * KB, seed=2,

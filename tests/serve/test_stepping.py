@@ -21,8 +21,8 @@ def stream_of(*specs):
 
 def assert_ambient_context_restored(sys_):
     assert sys_.timeline.floor == 0.0
-    assert sys_.current_tenant == ""
-    assert sys_.serve_scope is None
+    assert sys_.tenancy.tenant == ""
+    assert sys_.tenancy.scope is None
     assert sys_.obs._stack == [0]
 
 
@@ -31,7 +31,8 @@ def assert_unwound(sys_, job):
     its cache leases went with its ``end_run``."""
     assert job.steps.gi_frame is None
     assert job.span_stack == [0]
-    assert job.job_id not in sys_.cache._lease_scope.values()
+    assert job.job_id not in [scope for *_, scope
+                              in sys_.cache._leases.values()]
 
 
 #: What :func:`faulty_kernel` raises (kernels must be module-level
@@ -79,7 +80,8 @@ def test_raising_job_fails_alone_and_unwinds(monkeypatch, where):
     real_end = CacheManager.end_run
     monkeypatch.setattr(
         CacheManager, "end_run",
-        lambda self: (ended.append(self.system.serve_scope), real_end(self)))
+        lambda self: (ended.append(self.system.tenancy.scope),
+                      real_end(self)))
 
     sys_ = fresh_system()
     service = JobService(sys_, ServeConfig())
