@@ -89,11 +89,10 @@ class RunReport:
         """Report on a system's recorded timeline.  A telemetry-on
         executor contributes its physical-plane summary."""
         tel = system.executor.telemetry
+        phys = tel.summary() if tel is not None and tel.records else None
         return cls.from_trace(system.timeline.trace, name=name,
                               observer=system.obs,
-                              metrics=system.metrics.snapshot(),
-                              phys=tel.summary() if tel is not None
-                              and tel.records else None)
+                              metrics=system.metrics.snapshot(), phys=phys)
 
     # -- export -----------------------------------------------------------
 
