@@ -205,8 +205,7 @@ def entry_points(repo: str, out: str) -> list[list[str]]:
     cmds += [cli + ["report", "--capture", obs],
              cli + ["report", os.path.join(obs, "trace_gemm.json"),
                     "--name", "gemm"],
-             [py, "-m", "repro.obs.phys", "--capture", phys,
-              "--workers", "4"],
+             cli + ["report", "--capture", phys, "--workers", "4"],
              [py, os.path.join("examples", "serve_status.py"), serve],
              cli + ["regress", "--slo", os.path.join("examples",
                                                      "slo_ci.json"),

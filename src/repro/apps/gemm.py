@@ -52,6 +52,7 @@ from repro.workloads.matrices import (load_bands, random_dense,
 #: Fraction of a child node's capacity the decomposition may plan for;
 #: the rest covers alignment padding and transient allocations.
 CAPACITY_SAFETY = 0.9
+TILE_ALIGN = 8  # tile edges from 8 up round down to a multiple of it
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,7 @@ def _max_s(cost_fn, budget: int, hi: int) -> int:
 
 
 def choose_gemm_tiles(m: int, k: int, n: int, *, elem_size: int,
-                      budget_bytes: int, depth: int = 2,
-                      align: int = 8) -> GemmTiles:
+                      budget_bytes: int, depth: int = 2) -> GemmTiles:
     """Pick the largest square output tile the child budget allows.
 
     With reuse the plan holds a full ``tm x k`` row strip of A plus
@@ -106,12 +106,12 @@ def choose_gemm_tiles(m: int, k: int, n: int, *, elem_size: int,
     smax = min(m, n)
 
     def aligned(s: int) -> int:
-        if s >= align:
-            s -= s % align
+        if s >= TILE_ALIGN:
+            s -= s % TILE_ALIGN
         return s
 
     s = _max_s(lambda s: _reuse_cost(s, k, depth), budget, smax)
-    if s >= align or s == smax:
+    if s >= TILE_ALIGN or s == smax:
         s = aligned(s) or s
         return GemmTiles(tm=s, tn=s, tk=k)
 

@@ -40,11 +40,11 @@ from repro.workloads import thermal
 from repro.workloads.matrices import row_bands
 
 CAPACITY_SAFETY = 0.9
+TILE_ALIGN = 16  # tile edges above this round down to a multiple of it
 
 
 def choose_hotspot_tile(rows: int, cols: int, *, halo: int, depth: int,
-                        budget_bytes: int, elem_size: int = 4,
-                        align: int = 16) -> int:
+                        budget_bytes: int, elem_size: int = 4) -> int:
     """Largest square tile edge whose working set fits the child budget.
 
     Per buffer set: padded temp + padded power ((s+2h)^2 each) and the
@@ -69,8 +69,8 @@ def choose_hotspot_tile(rows: int, cols: int, *, halo: int, depth: int,
         raise CapacityError(
             f"no HotSpot tile fits a budget of {budget_bytes} bytes "
             f"(halo={halo}, depth={depth})")
-    if best > align:
-        best -= best % align
+    if best > TILE_ALIGN:
+        best -= best % TILE_ALIGN
     return best
 
 

@@ -26,22 +26,25 @@ MACRO_REUSE = 256
 #: Fraction of peak FLOPS the tuned kernel sustains (">80% of peak").
 GEMM_EFFICIENCY = 0.80
 
+#: Bytes per element: the kernel runs in single precision.
+DTYPE_SIZE = 4
 
-def gemm_cost(m: int, k: int, n: int, *, dtype_size: int = 4,
-              reuse: int = MACRO_REUSE,
+
+def gemm_cost(m: int, k: int, n: int, *,
               efficiency: float = GEMM_EFFICIENCY) -> KernelCost:
     """Roofline cost of one ``(m x k) @ (k x n)`` launch.
 
-    With an effective ``reuse x reuse`` macro tile (LDS + registers +
-    cache), each output tile streams a ``reuse x k`` strip of A and a
-    ``k x reuse`` strip of B, giving ``2*m*n*k/reuse`` words of
-    device-memory reads; C is written once.
+    With an effective ``MACRO_REUSE x MACRO_REUSE`` macro tile (LDS +
+    registers + cache), each output tile streams a ``MACRO_REUSE x k``
+    strip of A and a ``k x MACRO_REUSE`` strip of B, giving
+    ``2*m*n*k/MACRO_REUSE`` words of device-memory reads; C is written
+    once.
     """
     if min(m, k, n) < 1:
         raise KernelError(f"gemm dims must be >= 1, got {(m, k, n)}")
     flops = 2.0 * m * k * n
-    bytes_read = 2.0 * m * n * k / reuse * dtype_size
-    bytes_written = float(m * n * dtype_size)
+    bytes_read = 2.0 * m * n * k / MACRO_REUSE * DTYPE_SIZE
+    bytes_written = float(m * n * DTYPE_SIZE)
     return KernelCost(flops=flops, bytes_read=bytes_read,
                       bytes_written=bytes_written, efficiency=efficiency,
                       bw_efficiency=0.9)

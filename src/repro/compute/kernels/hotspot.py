@@ -220,8 +220,11 @@ def hotspot_run(temp: np.ndarray, power: np.ndarray, params: HotspotParams,
     return _sweep(temp, power, params, steps, out=out)
 
 
-def hotspot_cost(rows: int, cols: int, *, dtype_size: int = 4,
-                 steps: int = 1) -> KernelCost:
+#: Bytes per grid cell: the kernel runs in single precision.
+DTYPE_SIZE = 4
+
+
+def hotspot_cost(rows: int, cols: int, *, steps: int = 1) -> KernelCost:
     """Roofline cost of ``steps`` stencil launches on a block.
 
     Per cell: ~14 flops; traffic is one read of temp and power and one
@@ -238,8 +241,8 @@ def hotspot_cost(rows: int, cols: int, *, dtype_size: int = 4,
     # i.e. ~12% of the 20 GB/s DRAM interface once launch gaps, border
     # handling, and uncoalesced edges are paid.
     return KernelCost(flops=14.0 * cells * steps,
-                      bytes_read=2.0 * cells * dtype_size * steps,
-                      bytes_written=1.0 * cells * dtype_size * steps,
+                      bytes_read=2.0 * cells * DTYPE_SIZE * steps,
+                      bytes_written=1.0 * cells * DTYPE_SIZE * steps,
                       efficiency=0.55,
                       bw_efficiency=0.12)
 

@@ -194,7 +194,11 @@ def binning_cost(nrows: int) -> KernelCost:
                       bw_efficiency=0.5)
 
 
-def spmv_cost(nnz: int, nrows: int, *, dtype_size: int = 4,
+#: Bytes per matrix, ``x`` and ``y`` value: single precision.
+DTYPE_SIZE = 4
+
+
+def spmv_cost(nnz: int, nrows: int, *,
               blocks: list[RowBlock] | None = None) -> KernelCost:
     """Roofline cost of one CSR-Adaptive launch.
 
@@ -210,8 +214,8 @@ def spmv_cost(nnz: int, nrows: int, *, dtype_size: int = 4,
         vec_nnz = sum(b.nnz for b in blocks if b.kind is BinKind.VECTOR)
         total = sum(b.nnz for b in blocks)
         vector_frac = vec_nnz / total if total else 0.0
-    bytes_read = nnz * (dtype_size + 4) + (nrows + 1) * 8 + nnz * dtype_size
-    bytes_written = nrows * dtype_size
+    bytes_read = nnz * (DTYPE_SIZE + 4) + (nrows + 1) * 8 + nnz * DTYPE_SIZE
+    bytes_written = nrows * DTYPE_SIZE
     # bw_efficiency is calibrated to the sustained SpMV bandwidth of the
     # paper's APU GPU (~2 GB/s effective on scattered CSR gathers, ~10%
     # of the DRAM interface); CSR-Vector-heavy inputs gather worse.

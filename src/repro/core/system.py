@@ -634,8 +634,8 @@ class System:
     def launch(self, proc: Processor, cost: KernelCost, *,
                reads: tuple[BufferHandle, ...] = (),
                writes: tuple[BufferHandle, ...] = (),
-               kernel: KernelSpec | None = None, label: str = "",
-               extra_duration: float = 0.0) -> Completion:
+               kernel: KernelSpec | None = None,
+               label: str = "") -> Completion:
         """Launch a kernel on a processor (Section III-E).
 
         A launch is cost-only, or its real computation is ``kernel``, a
@@ -667,9 +667,9 @@ class System:
         if kernel is not None:
             _check_bindings(kernel, reads, writes)
             self.dispatch.launch(kernel)
-        duration = proc.exec_time(cost) + extra_duration
-        done = self.timeline.charge(proc.resource, duration, proc.phase,
-                                    ready=ready, label=label or proc.name)
+        done = self.timeline.charge(proc.resource, proc.exec_time(cost),
+                                    proc.phase, ready=ready,
+                                    label=label or proc.name)
         for h in reads:
             h.note_read(done.end)
         for h in writes:

@@ -29,8 +29,6 @@ counters below.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import weakref
 from time import perf_counter_ns
@@ -392,77 +390,3 @@ class PhysTraceMerger:
                        "bp": "e", "id": fid,
                        "ts": ts(float(info["ack_recv_ns"])),
                        "pid": PID_PHYS, "tid": 1}
-
-
-# -- capture mode (the CI observability-phys job) ----------------------------
-
-def capture(outdir: str, *, workers: int = 4, app: str = "gemm") -> dict:
-    """Run one telemetry-on distributed app and write the merged
-    artifacts: RunReport with per-worker stats, merged Perfetto trace
-    (virtual tracks + physical lanes + flows), and the phys summary."""
-    import hashlib
-
-    import numpy as np
-
-    from repro.core.system import System
-    from repro.bench.cells import DIST_APP_CASES
-    from repro.dist.executor import DistExecutor
-    from repro.dist.runner import DistributedScheduler
-    from repro.obs.report import RunReport
-    from repro.tools.trace_export import write_chrome_trace
-
-    os.makedirs(outdir, exist_ok=True)
-    make_app, make_tree = DIST_APP_CASES[app]
-    ex = DistExecutor(workers=workers, telemetry=True)
-    sys_ = System(make_tree(), executor=ex)
-    try:
-        application = make_app(sys_)
-        application.run(sys_, scheduler=DistributedScheduler())
-        digest = hashlib.sha256(np.ascontiguousarray(
-            application.result()).tobytes()).hexdigest()
-        report = RunReport.from_system(sys_, name=f"{app}-dist{workers}")
-        report.save(os.path.join(outdir, f"report_phys_{app}.json"))
-        merger = ex.telemetry.merger()
-        events = write_chrome_trace(
-            sys_.timeline.trace,
-            os.path.join(outdir, f"trace_phys_{app}.json"),
-            spans=sys_.obs, phys=merger)
-        summary = ex.telemetry.summary()
-        with open(os.path.join(outdir, f"phys_summary_{app}.json"),
-                  "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-        lanes = sum(1 for w in summary["workers"] if w.startswith("w"))
-        spans_hit = sum(1 for r in merger.records()
-                        if r.kind == "kernel" and r.span > 0)
-        return {"app": app, "digest": digest, "events": events,
-                "worker_lanes": lanes, "kernel_spans": spans_hit,
-                "tasks": summary["tasks"]}
-    finally:
-        sys_.close()
-        ex.close()
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.obs.phys",
-        description="Capture a telemetry-on distributed run: merged "
-                    "Perfetto trace, per-worker stats, phys summary.")
-    parser.add_argument("--capture", metavar="DIR", required=True,
-                        help="artifact directory")
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--app", default="gemm",
-                        choices=("gemm", "hotspot", "sort", "spmv"))
-    args = parser.parse_args(argv)
-    row = capture(args.capture, workers=args.workers, app=args.app)
-    print(f"captured {row['app']}: {row['events']} events, "
-          f"{row['worker_lanes']} worker lanes, {row['tasks']} tasks, "
-          f"{row['kernel_spans']} span-attributed kernel slices")
-    if row["worker_lanes"] < 1 or row["kernel_spans"] < 1:
-        print("ERROR: merged trace is missing worker lanes or span "
-              "attribution")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

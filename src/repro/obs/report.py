@@ -13,9 +13,11 @@ CLI
 ``python -m repro report run.json`` reloads a Chrome-trace export
 (written by :func:`repro.tools.trace_export.write_chrome_trace`) and
 prints its report; ``--json`` emits the JSON artifact instead.
-``python -m repro.obs.report --capture DIR`` runs small instrumented
-GEMM and HotSpot passes and writes report + Perfetto artifacts into
-``DIR`` -- the CI observability job.
+``python -m repro report --capture DIR`` runs small instrumented GEMM
+and HotSpot passes and writes report + Perfetto + metrics artifacts
+into ``DIR``; ``--workers N`` runs them on N telemetry-on distributed
+workers, merges the physical worker lanes into each trace, and exits 1
+when a trace has no worker lane or no span-attributed kernel slice.
 """
 
 from __future__ import annotations
@@ -220,51 +222,69 @@ class RunReport:
         return "\n".join(parts)
 
 
-# -- capture mode (the CI observability job) ---------------------------------
+# -- capture mode (the CI observability jobs) --------------------------------
 
-def _capture_one(outdir: str, name: str, make_app) -> dict:
+def _capture_one(outdir: str, name: str, make_app, workers: int) -> dict:
     from repro.core.system import System
+    from repro.dist import DistributedScheduler
+    from repro.exec.base import make_executor
     from repro.memory.units import KB, MB
     from repro.tools.trace_export import write_chrome_trace
     from repro.topology.builders import apu_two_level
 
-    system = System(apu_two_level(storage_capacity=8 * MB,
-                                  staging_bytes=128 * KB))
-    try:
-        app = make_app(system)
-        app.run(system)
+    executor = make_executor("dist", workers, telemetry=True) if workers \
+        else make_executor("inline")
+    with executor, System(apu_two_level(storage_capacity=8 * MB,
+                                        staging_bytes=128 * KB),
+                          executor=executor) as system:
+        make_app(system).run(system, scheduler=DistributedScheduler()
+                             if workers else None)
         report = RunReport.from_system(system, name=name)
         report.save(f"{outdir}/report_{name}.json")
+        merger = executor.telemetry.merger() if workers else None
         events = write_chrome_trace(system.timeline.trace,
                                     f"{outdir}/trace_{name}.json",
-                                    spans=system.obs)
+                                    spans=system.obs, phys=merger)
         with open(f"{outdir}/metrics_{name}.prom", "w") as fh:
             fh.write(system.metrics.to_prometheus())
-        return {"name": name, "events": events,
-                "makespan_s": report.breakdown.makespan,
-                "spans": report.spans["count"] if report.spans else 0}
-    finally:
-        system.close()
+        row = {"name": name, "events": events,
+               "makespan_s": report.breakdown.makespan,
+               "spans": report.spans["count"] if report.spans else 0}
+        if merger is not None:
+            row["worker_lanes"] = sum(
+                1 for w in (report.phys or {}).get("workers", ())
+                if w.startswith("w"))
+            row["kernel_spans"] = sum(
+                1 for r in merger.records()
+                if r.kind == "kernel" and r.span > 0)
+        return row
 
 
-def capture(outdir: str) -> list[dict]:
+def capture(outdir: str, *, workers: int = 0) -> list[dict]:
     """Run small instrumented GEMM + HotSpot passes; write RunReport
-    JSON, Perfetto trace and Prometheus metrics artifacts to ``outdir``."""
+    JSON, Perfetto trace and Prometheus metrics artifacts to ``outdir``.
+
+    ``workers > 0`` runs each pass on that many telemetry-on
+    distributed workers under the distributed scheduler: the report
+    carries the physical summary (``phys``) and the trace the physical
+    worker lanes, and each row counts its worker lanes and
+    span-attributed kernel slices."""
     import os
 
     from repro.apps import GemmApp
     from repro.apps.hotspot import HotspotApp
 
     os.makedirs(outdir, exist_ok=True)
-    results = [
+    return [
         _capture_one(outdir, "gemm",
-                     lambda s: GemmApp(s, m=96, k=96, n=96, seed=2)),
+                     lambda s: GemmApp(s, m=96, k=96, n=96, seed=2),
+                     workers),
         _capture_one(outdir, "hotspot",
                      lambda s: HotspotApp(s, n=128, iterations=2,
                                           steps_per_pass=1, force_tile=64,
-                                          seed=1)),
+                                          seed=1),
+                     workers),
     ]
-    return results
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -281,13 +301,31 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--capture", metavar="DIR",
                         help="run instrumented GEMM+HotSpot demos and "
                              "write report/trace/metrics artifacts to DIR")
+    parser.add_argument("--workers", type=int, default=0, metavar="N",
+                        help="with --capture: run the demos on N "
+                             "telemetry-on distributed workers and merge "
+                             "their physical lanes into each trace")
     args = parser.parse_args(argv)
+    if args.workers < 0:
+        parser.error("--workers must be >= 0")
 
     if args.capture:
-        for row in capture(args.capture):
-            print(f"captured {row['name']}: {row['events']} events, "
-                  f"{row['spans']} spans, "
-                  f"makespan {row['makespan_s'] * 1e3:.3f} ms")
+        missing = []
+        for row in capture(args.capture, workers=args.workers):
+            line = (f"captured {row['name']}: {row['events']} events, "
+                    f"{row['spans']} spans, "
+                    f"makespan {row['makespan_s'] * 1e3:.3f} ms")
+            if args.workers:
+                line += (f", {row['worker_lanes']} worker lanes, "
+                         f"{row['kernel_spans']} span-attributed kernel "
+                         f"slices")
+                if row["worker_lanes"] < 1 or row["kernel_spans"] < 1:
+                    missing.append(row["name"])
+            print(line)
+        if missing:
+            print(f"ERROR: merged trace of {', '.join(missing)} is missing "
+                  f"worker lanes or span attribution", file=sys.stderr)
+            return 1
         return 0
     if not args.trace:
         parser.print_help()

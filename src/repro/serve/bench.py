@@ -49,8 +49,10 @@ def tenant_quotas() -> dict[str, TenantQuota]:
     """The bench's three tenants.
 
     Equal weights: fairness differences in the results come from the
-    policies, not the weights.  ``beta`` (the mice) carries a cache
-    reservation so the elephant cannot evict it to zero.
+    policies, not the weights.  ``beta`` (the mice) carries a 64 KiB
+    cache reservation, but the committed stream never has one tenant
+    evict another's cached block, so the reservation is never
+    consulted and changes no result.
     """
     return {
         "acme": TenantQuota(weight=1.0),
@@ -133,15 +135,11 @@ class SoloOracle:
     def result_bytes(self, spec: JobSpec) -> bytes:
         key = self._key(spec)
         if key not in self._cache:
-            system = _fresh_system()
-            try:
+            with _fresh_system() as system:
                 app = spec.build(system)
                 app.run(system)
                 self._cache[key] = np.ascontiguousarray(
                     app.result()).tobytes()
-                app.release_root_buffers()
-            finally:
-                system.close()
         return self._cache[key]
 
 
@@ -157,16 +155,15 @@ def run_policy(policy: str, *, sizes: dict = SIZES, seed: int = 0,
     so it must be byte-identical across backends.  ``meta.wall`` is the
     host-dependent rate the loop chewed the stream at.
     """
-    system = _fresh_system(executor)
-    service = JobService(system, ServeConfig(
-        policy=policy, seed=seed, max_pending=sizes["max_pending"],
-        max_live_per_tenant=sizes["max_live_per_tenant"],
-        quotas=tenant_quotas()))
-    stream = build_stream(sizes, seed=seed)
-    t0 = time.perf_counter()
-    jobs = service.run(stream)
-    wall_s = time.perf_counter() - t0
-    try:
+    with _fresh_system(executor) as system:
+        service = JobService(system, ServeConfig(
+            policy=policy, seed=seed, max_pending=sizes["max_pending"],
+            max_live_per_tenant=sizes["max_live_per_tenant"],
+            quotas=tenant_quotas()))
+        stream = build_stream(sizes, seed=seed)
+        t0 = time.perf_counter()
+        jobs = service.run(stream)
+        wall_s = time.perf_counter() - t0
         done = [j for j in jobs if j.state is JobState.DONE]
         failed = [j for j in jobs if j.state is JobState.FAILED]
         if failed:
@@ -180,11 +177,6 @@ def run_policy(policy: str, *, sizes: dict = SIZES, seed: int = 0,
                         f"{job.job_id} under {policy!r} diverged from its "
                         f"solo in-order run")
                 verified += 1
-    finally:
-        for job in jobs:
-            if job.app is not None:
-                job.app.release_root_buffers()
-        system.close()
 
     lat = sorted(j.latency for j in done)
     waits = sorted(j.queue_wait for j in done)

@@ -111,16 +111,15 @@ def _print_plan(name: str) -> int:
     _description, factory = TOPOLOGIES[name]
     print(f"{name}: lowered task graphs of the example programs")
     for app_name, make in examples:
-        system = System(factory())
-        try:
-            app = make(system)
-            sched = InOrderScheduler(keep_plans=True)
-            app.run(system, scheduler=sched)
-        except NorthupError as exc:
-            print(f"  {app_name}: demo run failed: {exc}", file=sys.stderr)
-            system.close()
-            continue
-        try:
+        with System(factory()) as system:
+            try:
+                app = make(system)
+                sched = InOrderScheduler(keep_plans=True)
+                app.run(system, scheduler=sched)
+            except NorthupError as exc:
+                print(f"  {app_name}: demo run failed: {exc}",
+                      file=sys.stderr)
+                continue
             print(f"\n{app_name}: {len(sched.plans)} lowered level(s)")
             for plan in sched.plans:
                 s = plan.graph.stats()
@@ -133,8 +132,6 @@ def _print_plan(name: str) -> int:
                 print(f"    {s['edges']} edges [{ekinds}], "
                       f"critical depth {s['critical_depth']}, "
                       f"window {plan.graph.meta.get('window', 1)}")
-        finally:
-            system.close()
     return 0
 
 

@@ -8,6 +8,8 @@ from repro.apps import GemmApp
 from repro.core.profiler import profile_trace
 from repro.core.system import System
 from repro.memory.units import KB, MB
+from repro.obs import report as report_module
+from repro.obs.phys import PID_PHYS
 from repro.obs.report import RunReport, main
 from repro.tools.trace_export import write_chrome_trace
 from repro.topology.builders import apu_two_level
@@ -118,3 +120,41 @@ def test_capture_writes_artifacts(tmp_path, capsys):
         assert "virtual_makespan_seconds" in prom
     out = capsys.readouterr().out
     assert "captured gemm" in out and "captured hotspot" in out
+
+
+def test_capture_on_workers_merges_physical_lanes(tmp_path, capsys):
+    """``--workers N``: each trace carries worker lanes and
+    span-attributed kernel slices, each report its ``phys`` summary."""
+    assert main(["--capture", str(tmp_path), "--workers", "2"]) == 0
+    for name in ("gemm", "hotspot"):
+        report = json.loads((tmp_path / f"report_{name}.json").read_text())
+        assert report["phys"]["tasks"] > 0
+        events = json.loads(
+            (tmp_path / f"trace_{name}.json").read_text())["traceEvents"]
+        phys = [e for e in events if e.get("pid") == PID_PHYS]
+        assert any(e["name"] == "thread_name"
+                   and e["args"]["name"].startswith("phys:w") for e in phys)
+        assert any(e["name"] == "kernel" and e["args"].get("span")
+                   for e in phys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{kind}_{name}.{ext}" for name in ("gemm", "hotspot")
+        for kind, ext in (("report", "json"), ("trace", "json"),
+                          ("metrics", "prom")))
+    out = capsys.readouterr().out
+    assert "worker lanes" in out and "span-attributed" in out
+
+
+def test_capture_on_workers_fails_without_a_worker_lane(tmp_path,
+                                                        monkeypatch, capsys):
+    def no_lanes(outdir, name, make_app, workers):
+        return {"name": name, "events": 1, "spans": 1, "makespan_s": 1.0,
+                "worker_lanes": 0, "kernel_spans": 1}
+    monkeypatch.setattr(report_module, "_capture_one", no_lanes)
+    assert main(["--capture", str(tmp_path), "--workers", "2"]) == 1
+    assert "missing worker lanes" in capsys.readouterr().err
+
+
+def test_capture_rejects_negative_workers(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--capture", str(tmp_path), "--workers", "-1"])
+    assert exc.value.code == 2
