@@ -77,8 +77,9 @@ def at_bench_scale(tree: TopologyTree, *, flop_bound_app: bool = False,
       restoring the full-scale compute:I/O ratio.
     """
     byte_scale = linear_scale ** 2
-    # Field by field: ``dataclasses.replace`` costs twice as much, and
-    # the serve bench builds a bench machine in its timed setup.
+    # Field by field: ``dataclasses.replace`` costs twice as much in the
+    # serve bench's timed setup.  Capacity and duplex stay unchanged, as
+    # ``Device`` derived its allocator and read/write resources from them.
     for node in tree.nodes():
         s = node.device.spec
         node.device.spec = DeviceSpec(s.name, s.kind, s.capacity, s.read_bw,
