@@ -74,6 +74,8 @@ class NodeCache:
         self.policy_ctx = policy_ctx
         self.stats = CacheStats()
         self._blocks: dict[tuple, CacheBlock] = {}
+        #: Buffer ids of the blocks' own handles.
+        self._handles: set[int] = set()
         self._clock = 0
         self._seq = 0
         #: Callable returning the tenant to tag admissions with (the
@@ -99,6 +101,10 @@ class NodeCache:
 
     def blocks(self) -> list[CacheBlock]:
         return list(self._blocks.values())
+
+    def holds(self, handle: BufferHandle) -> bool:
+        """Is ``handle`` the backing buffer of one of the blocks?"""
+        return handle.buffer_id in self._handles
 
     @property
     def cached_bytes(self) -> int:
@@ -176,6 +182,7 @@ class NodeCache:
                            prefetched=prefetched,
                            tenant=self.tenant_source())
         self._blocks[spec.key] = block
+        self._handles.add(handle.buffer_id)
         self.stats.admissions += 1
         return block
 
@@ -236,3 +243,4 @@ class NodeCache:
         self.registry.unregister(block.handle)
         self.release_hook(self.node, block.handle)
         del self._blocks[block.key]
+        self._handles.discard(block.handle.buffer_id)

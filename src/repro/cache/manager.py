@@ -172,13 +172,10 @@ class CacheManager:
     def owns(self, handle: BufferHandle) -> bool:
         """Is ``handle`` the backing buffer of a cache block?  Such
         handles must not be released through ``System.release``."""
-        # NodeCache has __len__, so an empty cache is falsy: every test
+        # NodeCache has __len__, so an empty cache is falsy: the test
         # here must be `is None`, not truthiness.
         cache = self._caches.get(handle.node_id)
-        if cache is None:
-            return False
-        return any(b.handle.buffer_id == handle.buffer_id
-                   for b in cache.blocks())
+        return cache is not None and cache.holds(handle)
 
     def reclaimable(self, node: TreeNode) -> int:
         cache = self._caches.get(node.node_id)
@@ -413,7 +410,7 @@ class CacheManager:
         """A buffer is being released: drop cached copies sourced from
         it."""
         for cache in self._caches.values():
-            if cache is not None:
+            if cache:   # None or empty: nothing to drop
                 cache.invalidate_source(handle.buffer_id)
 
     def end_run(self) -> None:

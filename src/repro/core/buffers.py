@@ -114,7 +114,7 @@ class ArrayPool:
             self._held_bytes = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class BufferTimes:
     """Virtual-time state shared by every view of one allocation.
 
@@ -141,7 +141,7 @@ class BufferTimes:
         self.last_read_end = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class BufferHandle:
     """One live allocation (or mapped window) on one tree node.
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -112,7 +113,7 @@ def _transfer_phase(src: StorageKind, dst: StorageKind) -> Phase:
     return Phase.MEM_COPY
 
 
-@dataclass
+@dataclass(slots=True)
 class MoveResult:
     """Timing of one (possibly multi-hop) data movement."""
 
@@ -217,10 +218,12 @@ class System:
             # timing only -- virtual results stay bit-identical.
             self.executor.enable_telemetry()
         self.cache = CacheManager(self, cache or CacheConfig())
-        #: Memoized per-edge charging recipes; the topology is immutable
-        #: after validation, so these never need invalidating.
-        self._edge_plans: dict[tuple[int, int],
-                               tuple[tuple[str, ...], Phase, float, float]] = {}
+        #: The lane every setup and bookkeeping charge books.
+        self._host = self.timeline.resource("host")
+        #: Memoized transfer recipes per (src, dst) node-id pair: the
+        #: topology is immutable after validation and :meth:`Timeline.reset`
+        #: keeps each resource, so these never need invalidating.
+        self._routes: dict[tuple[int, int], list[tuple]] = {}
         self._proc_node: dict[str, TreeNode] = {}
         for node in tree.nodes():
             for proc in node.processors:
@@ -246,7 +249,7 @@ class System:
     def charge_runtime(self, ops: int = 1, *, label: str = "") -> None:
         """Account framework bookkeeping (tree lookups, task control)."""
         self.runtime_ops += ops
-        self.timeline.charge("host", ops * RUNTIME_OP_COST, Phase.RUNTIME,
+        self.timeline.charge(self._host, ops * RUNTIME_OP_COST, Phase.RUNTIME,
                              label=label)
 
     # -- Table I: unified data management ------------------------------------
@@ -284,7 +287,7 @@ class System:
                                         alloc_id=alloc_id, label=label)
         if quotas is not None:
             quotas.on_alloc(self.tenancy.tenant, handle)
-        done = self.timeline.charge("host", SETUP_COST[n.device.kind],
+        done = self.timeline.charge(self._host, SETUP_COST[n.device.kind],
                                     Phase.SETUP, label=label or f"alloc@{n.node_id}")
         handle.note_write(done.end)  # zero-initialised content is valid
         self.charge_runtime(1)
@@ -372,8 +375,7 @@ class System:
             hit, miss = self.cache.consult(src_node, dst_node, dst, spec,
                                            dst_offset, dst_stride, label)
             if hit is not None:
-                return MoveResult(start=hit.start, end=hit.end,
-                                  nbytes=nbytes, hops=0)
+                return MoveResult(hit.start, hit.end, nbytes, 0)
 
         start, end, hops = self._copy(
             src_node, src, src_offset, src_stride, dst_node, dst, dst_offset,
@@ -382,7 +384,7 @@ class System:
         self.charge_runtime(2)
         if miss is not None:
             self.cache.admit(miss, spec, dst, dst_offset, dst_stride, end)
-        return MoveResult(start=start, end=end, nbytes=nbytes, hops=hops)
+        return MoveResult(start, end, nbytes, hops)
 
     def _copy(self, src_node: TreeNode, src: BufferHandle, src_offset: int,
               src_stride: int, dst_node: TreeNode, dst: BufferHandle,
@@ -408,34 +410,25 @@ class System:
         """Charge one transfer's virtual path -- a local copy on one
         device, or each tree edge between the nodes in turn -- and
         return ``(start, end, hops)``."""
-        if src_node is dst_node:
-            done = self._charge_local(src_node, nbytes, nbytes, ready, label)
-            return done.start, done.end, 1
-        start, end, hops = None, ready, 0
-        for edge_src, edge_dst in self._edge_path(src_node, dst_node):
-            resources, phase, latency, bw = self._edge_plan(edge_src, edge_dst)
+        start, end = None, ready
+        route = self._route(src_node, dst_node)
+        for resources, phase, latency, bw in route:
             done = self.timeline.charge_path(resources, latency + nbytes / bw,
                                              phase, ready=end, label=label,
                                              nbytes=nbytes)
             if start is None:
                 start = done.start
             end = done.end
-            hops += 1
-        assert start is not None
-        return start, end, hops
+        return start, end, len(route)
 
     def _charge_local(self, node: TreeNode, work: float, nbytes: int,
                       ready: float, label: str) -> Completion:
         """Charge a pass over ``work`` bytes on one device's read and
         write side: a local copy, or a layout rewrite in place."""
-        dev = node.device
-        duration = dev.spec.latency + work / min(dev.spec.read_bw,
-                                                 dev.spec.write_bw)
-        return self.timeline.charge_path(
-            [dev.read_resource] if dev.read_resource == dev.write_resource
-            else [dev.read_resource, dev.write_resource],
-            duration, Phase.MEM_COPY, ready=ready, label=label,
-            nbytes=nbytes)
+        ((resources, phase, latency, bw),) = self._route(node, node)
+        return self.timeline.charge_path(resources, latency + work / bw, phase,
+                                         ready=ready, label=label,
+                                         nbytes=nbytes)
 
     def map_region(self, handle: BufferHandle, offset: int, nbytes: int, *,
                    label: str = "") -> BufferHandle:
@@ -593,41 +586,51 @@ class System:
                 f"{call}: nodes {parent.node_id} and {child.node_id} "
                 f"are not a parent/child pair")
 
-    def _edge_path(self, src: TreeNode,
-                   dst: TreeNode) -> list[tuple[TreeNode, TreeNode]]:
-        """Consecutive (from, to) node pairs along the tree path: up to
-        the lowest common ancestor, then down."""
-        up, down = src.path_to_root(), dst.path_to_root()
-        while up and down and up[-1] is down[-1]:
-            up.pop()
-            down.pop()
-        return ([(n, n.parent) for n in up]
-                + [(n.parent, n) for n in reversed(down)])
-
-    def _edge_plan(self, src: TreeNode,
-                   dst: TreeNode) -> tuple[tuple[str, ...], Phase, float, float]:
-        """The charging recipe of one parent<->child hop, memoized:
-        ``(resource names, phase, latency sum, bottleneck bandwidth)``."""
+    def _route(self, src: TreeNode, dst: TreeNode) -> list[tuple]:
+        """A transfer's charging recipe, memoized: per hop ``(resources,
+        phase, latency sum, bottleneck bandwidth)``.  Between two nodes
+        the hops are the tree edges up to the lowest common ancestor,
+        then down; on one node it is a pass over the device's read and
+        write side."""
         key = (src.node_id, dst.node_id)
-        plan = self._edge_plans.get(key)
-        if plan is None:
-            child = dst if dst.parent is src else src
-            direction = "down" if child is dst else "up"
-            link = child.uplink
-            assert link is not None, "validated trees always carry edge links"
-            bw = min(src.device.spec.read_bw, link.bandwidth,
-                     dst.device.spec.write_bw)
-            latency = (src.device.spec.latency + link.latency
-                       + dst.device.spec.latency)
-            phase = _transfer_phase(src.device.kind, dst.device.kind)
-            resources = [src.device.read_resource,
-                         link.resource_name(direction),
-                         dst.device.write_resource]
-            # A device's read and write side may be one physical channel;
-            # do not list the same resource twice for one operation.
-            plan = (tuple(dict.fromkeys(resources)), phase, latency, bw)
-            self._edge_plans[key] = plan
-        return plan
+        route = self._routes.get(key)
+        if route is None:
+            if src is dst:
+                spec = src.device.spec
+                route = [(self._lanes(src.device.read_resource,
+                                      src.device.write_resource),
+                          Phase.MEM_COPY, spec.latency,
+                          min(spec.read_bw, spec.write_bw))]
+            else:
+                up, down = src.path_to_root(), dst.path_to_root()
+                while up and down and up[-1] is down[-1]:
+                    up.pop()
+                    down.pop()
+                route = [self._hop(n, n.parent) for n in up] \
+                    + [self._hop(n.parent, n) for n in reversed(down)]
+            self._routes[key] = route
+        return route
+
+    def _lanes(self, *names: str) -> tuple:
+        """The timeline resources named, each once: a device's read and
+        write side may be one physical channel."""
+        return tuple(self.timeline.resource(name)
+                     for name in dict.fromkeys(names))
+
+    def _hop(self, src: TreeNode, dst: TreeNode) -> tuple:
+        """One parent<->child hop of :meth:`_route`."""
+        child = dst if dst.parent is src else src
+        link = child.uplink
+        assert link is not None, "validated trees always carry edge links"
+        bw = min(src.device.spec.read_bw, link.bandwidth,
+                 dst.device.spec.write_bw)
+        latency = (src.device.spec.latency + link.latency
+                   + dst.device.spec.latency)
+        return (self._lanes(src.device.read_resource,
+                            link.resource_name("down" if child is dst
+                                               else "up"),
+                            dst.device.write_resource),
+                _transfer_phase(src.device.kind, dst.device.kind), latency, bw)
 
     # -- compute -----------------------------------------------------------
 
@@ -654,7 +657,7 @@ class System:
         node = self.processor_node(proc)
         for h in (*reads, *writes):
             self.registry.check_live(h)
-            if self.node_of(h) is not node:
+            if h.node_id != node.node_id:
                 raise TransferError(
                     f"kernel on {proc.name!r} (node {node.node_id}) cannot "
                     f"touch buffer #{h.buffer_id} on node {h.node_id}; move "
@@ -736,7 +739,7 @@ class System:
         itemsize = np.dtype(dtype).itemsize
         if count is None:
             if shape is not None:
-                count = int(np.prod(shape)) * itemsize
+                count = prod(shape) * itemsize
             else:
                 count = handle.nbytes - offset
         if offset < 0 or offset + count > handle.nbytes:
@@ -765,18 +768,22 @@ class System:
         """
         self.registry.check_live(handle)
         self.dispatch.host_access(handle, for_write=writable)
+        return self._view(handle, dtype, shape, offset, count, writable)
+
+    def _view(self, handle: BufferHandle, dtype, shape, offset: int,
+              count: int | None, writable: bool) -> np.ndarray | None:
+        """:meth:`view_array` for a caller that made its lifecycle
+        checks (a launch, for its kernel's bindings)."""
         count = self._host_window(handle, dtype, shape, offset, count)
-        node = self.node_of(handle)
-        raw = node.device.try_view(handle.alloc_id,
-                                   handle.base_offset + offset, count)
+        raw = self.tree.node(handle.node_id).device.try_view(
+            handle.alloc_id, handle.base_offset + offset, count)
         if raw is None:
             return None
+        arr = raw.view(dtype)
         if writable:
             handle.bump_version()  # cached copies of old contents are stale
         else:
-            raw = raw.view()
-            raw.flags.writeable = False
-        arr = raw.view(dtype)
+            arr.flags.writeable = False
         return arr.reshape(shape) if shape is not None else arr
 
     def host_array(self, handle: BufferHandle, dtype, shape=None,

@@ -32,6 +32,7 @@ from __future__ import annotations
 import abc
 import importlib
 from dataclasses import dataclass, field
+from math import prod
 from typing import Any, Callable
 
 import numpy as np
@@ -110,7 +111,7 @@ class Binding:
     @property
     def nbytes(self) -> int:
         if self.shape is not None:
-            return int(np.prod(self.shape)) * np.dtype(self.dtype).itemsize
+            return prod(self.shape) * np.dtype(self.dtype).itemsize
         if self.count is not None:
             return self.count
         return self.handle.nbytes - self.offset

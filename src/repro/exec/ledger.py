@@ -256,6 +256,8 @@ class Dispatch:
     def __init__(self, system: "System") -> None:
         self.system = system
         self.ledger = PendingLedger()
+        #: Inline kernels by ``fn_ref``, resolved at their first launch.
+        self._kernels: dict[str, Callable] = {}
         system.metrics.register_collector(self._collect_metrics)
 
     # -- physical byte movement --------------------------------------------
@@ -280,17 +282,23 @@ class Dispatch:
         pool executor (:func:`_note_fill`); a packed one from a window
         another process can read in its file is always deferred, as a
         fill op that drops the earlier fills it covers."""
+        led = self.ledger
+        asynchronous = self.system.executor.asynchronous
+        if not (asynchronous or led.active):   # inline, nothing pending
+            self._transfer_now(src_node, src, src_offset, src_stride,
+                               dst_node, dst, dst_offset, dst_stride, rows,
+                               row_bytes)
+            return
         args = (src_node, src, src_offset, src_stride, dst_node, dst,
                 dst_offset, dst_stride, rows, row_bytes)
         span = None
-        if fill and self.system.executor.asynchronous and _note_fill(
+        if fill and asynchronous and _note_fill(
                 src, src_offset, src_stride, dst, dst_offset, dst_stride,
                 rows, row_bytes):
             at, lo = src.base_offset + src_offset, dst.base_offset + dst_offset
             end = at + (rows - 1) * src_stride + row_bytes
             if src_node.device.backend.path_of(src.alloc_id, at, end):
                 span = (lo, lo + rows * row_bytes)
-        led = self.ledger
         if led.active or span:
             sslab = (src_node.node_id, src.alloc_id)
             dslab = (dst_node.node_id, dst.alloc_id)
@@ -476,19 +484,24 @@ class Dispatch:
 
     def _run_inline(self, spec, ex) -> None:
         """In-place execution over buffer views (a fetch/preload round
-        trip on view-less backends)."""
+        trip on view-less backends); the launch has checked that every
+        binding is live on the kernel's node."""
         system = self.system
         t0 = time.perf_counter()
         args = {}
         copies_back = []
         for b in spec.bindings:
-            arr, is_view = system.host_array(b.handle, b.dtype, b.shape,
-                                             b.offset, b.count,
-                                             writable=b.writable)
+            arr = system._view(b.handle, b.dtype, b.shape, b.offset, b.count,
+                               b.writable)
+            if arr is None:
+                arr = system.fetch(b.handle, b.dtype, b.shape, b.offset,
+                                   b.count)
+                if b.writable:
+                    copies_back.append((b, arr))
             args[b.name] = arr
-            if b.writable and not is_view:
-                copies_back.append((b, arr))
-        fn = resolve_kernel(spec.fn_ref)
+        fn = self._kernels.get(spec.fn_ref)
+        if fn is None:
+            fn = self._kernels[spec.fn_ref] = resolve_kernel(spec.fn_ref)
         ex.stats.submitted += 1
         ex.stats.dispatch_seconds += time.perf_counter() - t0
         k0 = time.perf_counter_ns()

@@ -119,28 +119,29 @@ class _Slot:
         """Insert ``[start, start + duration)``; the caller must have
         obtained ``start`` from :meth:`earliest_gap`."""
         end = start + duration
-        starts = self.starts
-        b = len(starts) - 1
-        row = starts[b]
-        if row and start <= row[-1]:
-            return self._insert(start, end)
-        # Appended: only the suffix maxima its fit passes rise.
-        ends = self.ends[b]
-        if row and ends[-1] > start + _EPS:
-            raise SimulationError("slot overlap: gap search bypassed")
+        b = len(self.starts) - 1
+        row = self.starts[b]
         peak = self.free_at
-        fit = _fit(peak, start) if row else -inf
+        if not row:                     # the lane's first booking
+            fit = -inf
+        elif start <= row[-1]:
+            return self._insert(start, end)
+        elif self.ends[b][-1] > start + _EPS:
+            raise SimulationError("slot overlap: gap search bypassed")
+        else:
+            fit = _fit(peak, start)
+        # Appended: only the suffix maxima its fit passes rise.
         if end > peak:
             peak = self.free_at = end
         row.append(start)
-        ends.append(end)
+        self.ends[b].append(end)
         self.peaks[b].append(peak)
         self.fits[b].append(fit)
         suf = self.sufs[b]
+        k = len(suf)
         suf.append(fit)
         self.booked += 1
-        k = len(suf) - 1
-        while k > 0 and suf[k - 1] < fit:
+        while k and suf[k - 1] < fit:
             k -= 1
             suf[k] = fit
         if len(row) > _BLOCK:
@@ -241,26 +242,6 @@ class Resource:
         """Earliest time an operation ready at ``ready`` could begin."""
         return self._slot.earliest_gap(ready, duration)
 
-    def reserve(self, ready: float, duration: float) -> float:
-        """Book the earliest feasible interval; returns its start."""
-        if duration < 0:
-            raise SimulationError(f"negative duration {duration} on {self.name!r}")
-        slot = self._slot
-        start = slot.earliest_gap(ready, duration)
-        slot.occupy(start, duration)
-        return start
-
-    def occupy_at(self, start: float, duration: float) -> None:
-        """Book a specific interval (used by multi-resource operations
-        after a common start has been negotiated)."""
-        if duration < 0:
-            raise SimulationError(f"negative duration {duration} on {self.name!r}")
-        slot = self._slot
-        if slot.earliest_gap(start, duration) > start + _EPS:
-            raise SimulationError(
-                f"resource {self.name!r} is not free at t={start}")
-        slot.occupy(start, duration)
-
     @property
     def booked(self) -> int:
         """Bookings on the lane (charge_path's pass bound)."""
@@ -270,7 +251,7 @@ class Resource:
         self._slot = self._slot_cls()
 
 
-@dataclass
+@dataclass(slots=True)
 class Completion:
     """Result of charging an operation: its virtual start/end times."""
 
@@ -308,6 +289,9 @@ class Timeline:
     #: a no-op; the serve layer raises it to a job's admission time so
     #: backfill cannot place a job's operations before the job existed.
     floor: float = 0.0
+    #: charge_path's resolved paths: the resource sequence as given ->
+    #: ``(resources, joined name, all distinct)``.
+    _paths: dict = field(default_factory=dict, repr=False)
 
     def resource(self, name: str) -> Resource:
         """Fetch (creating on first use) the resource called ``name``."""
@@ -328,12 +312,16 @@ class Timeline:
         thread dependency times through a pipeline.
         """
         res = resource if isinstance(resource, Resource) else self.resource(resource)
+        if duration < 0:
+            raise SimulationError(f"negative duration {duration} on {res.name!r}")
         if self.floor > ready:
             ready = self.floor
-        start = res.reserve(ready, duration)
+        slot = res._slot
+        start = slot.earliest_gap(ready, duration)
+        slot.occupy(start, duration)
         end = start + duration
         self.trace.record_raw(start, end, phase, res.name, label, nbytes)
-        return Completion(start=start, end=end)
+        return Completion(start, end)
 
     def charge_batch(self, resource: str | Resource, ops: Iterable[BatchOp],
                      phase: Phase, *, label: str = "",
@@ -354,8 +342,10 @@ class Timeline:
                 for op in ops]
 
     def _negotiate(self, resolved: list[Resource], duration: float,
-                   ready: float) -> float:
-        """Find the earliest start every resource can host.
+                   ready: float) -> tuple[float, bool]:
+        """Find the earliest start every resource can host; also whether
+        each one was free at ``ready`` itself (then every member has
+        just said so, and booking needs no second look).
 
         The fixpoint is structurally convergent: each non-final pass
         pushes ``start`` strictly forward onto some member's booked
@@ -365,16 +355,18 @@ class Timeline:
         the time the negotiation was stuck at.
         """
         start = ready
-        max_passes = 2 + sum(r.booked for r in resolved)
         passes = 0
         while True:
             proposed = start
             for res in resolved:
-                proposed = max(proposed, res.earliest_start(proposed, duration))
+                at = res._slot.earliest_gap(proposed, duration)
+                if at > proposed:
+                    proposed = at
             if proposed <= start + _EPS:
-                return start
+                return start, passes == 0 and proposed == start
             start = proposed
             passes += 1
+            max_passes = 2 + sum(r.booked for r in resolved)
             if passes > max_passes:  # pragma: no cover - broken invariant
                 raise SimulationError(
                     "charge_path failed to converge on "
@@ -392,22 +384,33 @@ class Timeline:
         The start time is negotiated so every resource is free for the
         full duration.
         """
-        resolved = [r if isinstance(r, Resource) else self.resource(r)
-                    for r in resources]
-        if not resolved:
-            raise SimulationError("charge_path needs at least one resource")
-        joined = "+".join(r.name for r in resolved)
+        key = tuple(resources)
+        path = self._paths.get(key)
+        if path is None:
+            resolved = [r if isinstance(r, Resource) else self.resource(r)
+                        for r in key]
+            if not resolved:
+                raise SimulationError("charge_path needs at least one resource")
+            path = self._paths[key] = (
+                resolved, "+".join(r.name for r in resolved),
+                len(set(resolved)) == len(resolved))
+        resolved, joined, distinct = path
         if duration < 0:
             raise SimulationError(
                 f"negative duration {duration} on path [{joined}]")
         if self.floor > ready:
             ready = self.floor
-        start = self._negotiate(resolved, duration, ready)
+        start, free = self._negotiate(resolved, duration, ready)
+        free = free and distinct
         for res in resolved:
-            res.occupy_at(start, duration)
+            slot = res._slot
+            if not free and slot.earliest_gap(start, duration) > start + _EPS:
+                raise SimulationError(
+                    f"resource {res.name!r} is not free at t={start}")
+            slot.occupy(start, duration)
         end = start + duration
         self.trace.record_raw(start, end, phase, joined, label, nbytes)
-        return Completion(start=start, end=end)
+        return Completion(start, end)
 
     def charge_path_batch(self, resources: Sequence[str | Resource],
                           ops: Iterable[BatchOp], phase: Phase, *,

@@ -175,8 +175,7 @@ class Trace:
         self._labels.append(label)
         self._nbytes.append(nbytes)
         self._span_ids.append(self.active_span if span_id is None else span_id)
-        if self._materialized is not None:
-            self._materialized = None
+        self._materialized = None
         duration = end - start
         if end > self._max_end:
             self._max_end = end
