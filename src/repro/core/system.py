@@ -91,9 +91,10 @@ def _check_bindings(spec: KernelSpec, reads: tuple[BufferHandle, ...],
     """Raise unless every binding of ``spec`` names a buffer the launch
     declares, so that the node check and the hazard bookkeeping cover
     everything the kernel touches."""
+    out = set(map(id, writes))     # identity, as the handles are live
+    inout = out.union(map(id, reads))
     for b in spec.bindings:
-        declared = writes if b.writable else (*reads, *writes)
-        if not any(b.handle is h for h in declared):
+        if id(b.handle) not in (out if b.writable else inout):
             raise TransferError(
                 f"kernel {spec.fn_ref!r} binds {b.name!r} to buffer "
                 f"#{b.handle.buffer_id}, which the launch does not declare "
