@@ -74,8 +74,7 @@ class NodeCache:
         self.policy_ctx = policy_ctx
         self.stats = CacheStats()
         self._blocks: dict[tuple, CacheBlock] = {}
-        #: Buffer ids of the blocks' own handles.
-        self._handles: set[int] = set()
+        self.handle_ids: set[int] = set()   # of the blocks' own handles
         self._clock = 0
         self._seq = 0
         #: Callable returning the tenant to tag admissions with (the
@@ -101,10 +100,6 @@ class NodeCache:
 
     def blocks(self) -> list[CacheBlock]:
         return list(self._blocks.values())
-
-    def holds(self, handle: BufferHandle) -> bool:
-        """Is ``handle`` the backing buffer of one of the blocks?"""
-        return handle.buffer_id in self._handles
 
     @property
     def cached_bytes(self) -> int:
@@ -182,7 +177,7 @@ class NodeCache:
                            prefetched=prefetched,
                            tenant=self.tenant_source())
         self._blocks[spec.key] = block
-        self._handles.add(handle.buffer_id)
+        self.handle_ids.add(handle.buffer_id)
         self.stats.admissions += 1
         return block
 
@@ -243,4 +238,4 @@ class NodeCache:
         self.registry.unregister(block.handle)
         self.release_hook(self.node, block.handle)
         del self._blocks[block.key]
-        self._handles.discard(block.handle.buffer_id)
+        self.handle_ids.discard(block.handle.buffer_id)

@@ -175,7 +175,7 @@ class CacheManager:
         # NodeCache has __len__, so an empty cache is falsy: the test
         # here must be `is None`, not truthiness.
         cache = self._caches.get(handle.node_id)
-        return cache is not None and cache.holds(handle)
+        return cache is not None and handle.buffer_id in cache.handle_ids
 
     def reclaimable(self, node: TreeNode) -> int:
         cache = self._caches.get(node.node_id)

@@ -61,6 +61,11 @@ SETUP_COST = {
 }
 
 
+# Enum members are read through a descriptor on every access; the
+# per-call charges read these instead.
+_RUNTIME, _SETUP = Phase.RUNTIME, Phase.SETUP
+
+
 def _check_window(src: BufferHandle, src_offset: int, src_stride: int,
                   dst: BufferHandle, dst_offset: int, dst_stride: int,
                   rows: int, row_bytes: int) -> None:
@@ -225,10 +230,9 @@ class System:
         #: topology is immutable after validation and :meth:`Timeline.reset`
         #: keeps each resource, so these never need invalidating.
         self._routes: dict[tuple[int, int], list[tuple]] = {}
-        self._proc_node: dict[str, TreeNode] = {}
-        for node in tree.nodes():
-            for proc in node.processors:
-                self._proc_node[proc.name] = node
+        self._nodes = {node.node_id: node for node in tree.nodes()}
+        self._proc_node = {proc.name: node for node in tree.nodes()
+                           for proc in node.processors}
 
     # -- helpers -----------------------------------------------------------
 
@@ -237,7 +241,8 @@ class System:
 
     def node_of(self, handle: BufferHandle) -> TreeNode:
         """The tree node whose device holds ``handle``."""
-        return self.tree.node(handle.node_id)
+        node = self._nodes.get(handle.node_id)
+        return self.tree.node(handle.node_id) if node is None else node
 
     def processor_node(self, proc: Processor) -> TreeNode:
         """The tree node ``proc`` is attached to."""
@@ -250,7 +255,7 @@ class System:
     def charge_runtime(self, ops: int = 1, *, label: str = "") -> None:
         """Account framework bookkeeping (tree lookups, task control)."""
         self.runtime_ops += ops
-        self.timeline.charge(self._host, ops * RUNTIME_OP_COST, Phase.RUNTIME,
+        self.timeline.charge(self._host, ops * RUNTIME_OP_COST, _RUNTIME,
                              label=label)
 
     # -- Table I: unified data management ------------------------------------
@@ -289,7 +294,7 @@ class System:
         if quotas is not None:
             quotas.on_alloc(self.tenancy.tenant, handle)
         done = self.timeline.charge(self._host, SETUP_COST[n.device.kind],
-                                    Phase.SETUP, label=label or f"alloc@{n.node_id}")
+                                    _SETUP, label=label or f"alloc@{n.node_id}")
         handle.note_write(done.end)  # zero-initialised content is valid
         self.charge_runtime(1)
         return handle
@@ -313,10 +318,9 @@ class System:
         self.cache.on_release(handle)
         if self.tenancy is not None and self.tenancy.quotas is not None:
             self.tenancy.quotas.on_release(handle)
-        node = self.node_of(handle)
         self.registry.unregister(handle)
-        if not handle.is_mapped:
-            self.dispatch.release_storage(node, handle)
+        if handle.mapped_from is None:
+            self.dispatch.release_storage(self.node_of(handle), handle)
         self.charge_runtime(1)
 
     def move(self, dst: BufferHandle, src: BufferHandle, nbytes: int, *,
@@ -392,25 +396,12 @@ class System:
               dst_offset: int, dst_stride: int, rows: int, row_bytes: int,
               ready: float, label: str) -> tuple[float, float, int]:
         """The one timed copy (Listing 4's ``move_data``) behind every
-        move and cache fill: charge the path from ``ready``, stamp both
-        handles, then hand the bytes to the exec layer's front door
-        (:meth:`~repro.exec.ledger.Dispatch.transfer`).  Returns
-        ``(start, end, hops)``."""
-        start, end, hops = self._charge_move(src_node, dst_node,
-                                             rows * row_bytes, ready, label)
-        src.note_read(end)
-        dst.note_write(end)
-        self.dispatch.transfer(src_node, src, src_offset, src_stride,
-                               dst_node, dst, dst_offset, dst_stride, rows,
-                               row_bytes, fill=True)
-        return start, end, hops
-
-    def _charge_move(self, src_node: TreeNode, dst_node: TreeNode,
-                     nbytes: int, ready: float,
-                     label: str) -> tuple[float, float, int]:
-        """Charge one transfer's virtual path -- a local copy on one
-        device, or each tree edge between the nodes in turn -- and
-        return ``(start, end, hops)``."""
+        move and cache fill: charge the path from ``ready`` -- a local
+        copy on one device, or each tree edge between the nodes in turn
+        -- stamp both handles, then hand the bytes to the exec layer's
+        front door (:meth:`~repro.exec.ledger.Dispatch.transfer`).
+        Returns ``(start, end, hops)``."""
+        nbytes = rows * row_bytes
         start, end = None, ready
         route = self._route(src_node, dst_node)
         for resources, phase, latency, bw in route:
@@ -420,16 +411,12 @@ class System:
             if start is None:
                 start = done.start
             end = done.end
+        src.note_read(end)
+        dst.note_write(end)
+        self.dispatch.transfer(src_node, src, src_offset, src_stride,
+                               dst_node, dst, dst_offset, dst_stride, rows,
+                               row_bytes, fill=True)
         return start, end, len(route)
-
-    def _charge_local(self, node: TreeNode, work: float, nbytes: int,
-                      ready: float, label: str) -> Completion:
-        """Charge a pass over ``work`` bytes on one device's read and
-        write side: a local copy, or a layout rewrite in place."""
-        ((resources, phase, latency, bw),) = self._route(node, node)
-        return self.timeline.charge_path(resources, latency + work / bw, phase,
-                                         ready=ready, label=label,
-                                         nbytes=nbytes)
 
     def map_region(self, handle: BufferHandle, offset: int, nbytes: int, *,
                    label: str = "") -> BufferHandle:
@@ -470,9 +457,13 @@ class System:
         payload = self.fetch(dst, np.uint8, offset=dst_offset, count=nbytes)
         self.preload(dst, transform.apply(payload), dst_offset)
         if transform.cost_factor > 0:
-            done = self._charge_local(
-                self.node_of(dst), transform.cost_factor * nbytes, nbytes,
-                result.end, f"layout:{type(transform).__name__}")
+            # One pass over the rewritten bytes on the destination device.
+            node = self.node_of(dst)
+            ((resources, phase, latency, bw),) = self._route(node, node)
+            done = self.timeline.charge_path(
+                resources, latency + transform.cost_factor * nbytes / bw,
+                phase, ready=result.end,
+                label=f"layout:{type(transform).__name__}", nbytes=nbytes)
             dst.note_write(done.end)
             return MoveResult(start=result.start, end=done.end,
                               nbytes=nbytes, hops=result.hops)
@@ -597,11 +588,10 @@ class System:
         route = self._routes.get(key)
         if route is None:
             if src is dst:
-                spec = src.device.spec
-                route = [(self._lanes(src.device.read_resource,
-                                      src.device.write_resource),
-                          Phase.MEM_COPY, spec.latency,
-                          min(spec.read_bw, spec.write_bw))]
+                dev = src.device
+                route = [(self._lanes(dev.read_resource, dev.write_resource),
+                          Phase.MEM_COPY, dev.spec.latency,
+                          min(dev.spec.read_bw, dev.spec.write_bw))]
             else:
                 up, down = src.path_to_root(), dst.path_to_root()
                 while up and down and up[-1] is down[-1]:

@@ -256,8 +256,6 @@ class Dispatch:
     def __init__(self, system: "System") -> None:
         self.system = system
         self.ledger = PendingLedger()
-        #: Inline kernels by ``fn_ref``, resolved at their first launch.
-        self._kernels: dict[str, Callable] = {}
         system.metrics.register_collector(self._collect_metrics)
 
     # -- physical byte movement --------------------------------------------
@@ -282,23 +280,17 @@ class Dispatch:
         pool executor (:func:`_note_fill`); a packed one from a window
         another process can read in its file is always deferred, as a
         fill op that drops the earlier fills it covers."""
-        led = self.ledger
-        asynchronous = self.system.executor.asynchronous
-        if not (asynchronous or led.active):   # inline, nothing pending
-            self._transfer_now(src_node, src, src_offset, src_stride,
-                               dst_node, dst, dst_offset, dst_stride, rows,
-                               row_bytes)
-            return
         args = (src_node, src, src_offset, src_stride, dst_node, dst,
                 dst_offset, dst_stride, rows, row_bytes)
         span = None
-        if fill and asynchronous and _note_fill(
+        if fill and self.system.executor.asynchronous and _note_fill(
                 src, src_offset, src_stride, dst, dst_offset, dst_stride,
                 rows, row_bytes):
             at, lo = src.base_offset + src_offset, dst.base_offset + dst_offset
             end = at + (rows - 1) * src_stride + row_bytes
             if src_node.device.backend.path_of(src.alloc_id, at, end):
                 span = (lo, lo + rows * row_bytes)
+        led = self.ledger
         if led.active or span:
             sslab = (src_node.node_id, src.alloc_id)
             dslab = (dst_node.node_id, dst.alloc_id)
@@ -483,9 +475,8 @@ class Dispatch:
         return arr
 
     def _run_inline(self, spec, ex) -> None:
-        """In-place execution over buffer views (a fetch/preload round
-        trip on view-less backends); the launch has checked that every
-        binding is live on the kernel's node."""
+        """In-place execution over views of the launch's checked bindings
+        (a fetch/preload round trip on view-less backends)."""
         system = self.system
         t0 = time.perf_counter()
         args = {}
@@ -499,9 +490,7 @@ class Dispatch:
                 if b.writable:
                     copies_back.append((b, arr))
             args[b.name] = arr
-        fn = self._kernels.get(spec.fn_ref)
-        if fn is None:
-            fn = self._kernels[spec.fn_ref] = resolve_kernel(spec.fn_ref)
+        fn = resolve_kernel(spec.fn_ref)
         ex.stats.submitted += 1
         ex.stats.dispatch_seconds += time.perf_counter() - t0
         k0 = time.perf_counter_ns()

@@ -51,9 +51,7 @@ class StorageKind(enum.Enum):
     GPU_DEVICE = "gpu_dev"   # discrete-accelerator device memory (cl_mem)
     GPU_LOCAL = "gpu_local"  # per-CU scratchpad (OpenCL local / CUDA shared)
 
-    # Singletons compared by identity, as :class:`repro.sim.trace.Phase`:
-    # the C-level identity hash keys the per-allocation setup-cost lookup.
-    __hash__ = object.__hash__
+    __hash__ = object.__hash__  # identity, as Phase's: keys SETUP_COST
 
 
 @dataclass(frozen=True)

@@ -119,29 +119,28 @@ class _Slot:
         """Insert ``[start, start + duration)``; the caller must have
         obtained ``start`` from :meth:`earliest_gap`."""
         end = start + duration
-        b = len(self.starts) - 1
-        row = self.starts[b]
-        peak = self.free_at
-        if not row:                     # the lane's first booking
-            fit = -inf
-        elif start <= row[-1]:
+        starts = self.starts
+        b = len(starts) - 1
+        row = starts[b]
+        if row and start <= row[-1]:
             return self._insert(start, end)
-        elif self.ends[b][-1] > start + _EPS:
-            raise SimulationError("slot overlap: gap search bypassed")
-        else:
-            fit = _fit(peak, start)
         # Appended: only the suffix maxima its fit passes rise.
+        ends = self.ends[b]
+        if row and ends[-1] > start + _EPS:
+            raise SimulationError("slot overlap: gap search bypassed")
+        peak = self.free_at
+        fit = _fit(peak, start) if row else -inf
         if end > peak:
             peak = self.free_at = end
         row.append(start)
-        self.ends[b].append(end)
+        ends.append(end)
         self.peaks[b].append(peak)
         self.fits[b].append(fit)
         suf = self.sufs[b]
-        k = len(suf)
         suf.append(fit)
         self.booked += 1
-        while k and suf[k - 1] < fit:
+        k = len(suf) - 1
+        while k > 0 and suf[k - 1] < fit:
             k -= 1
             suf[k] = fit
         if len(row) > _BLOCK:
@@ -242,11 +241,6 @@ class Resource:
         """Earliest time an operation ready at ``ready`` could begin."""
         return self._slot.earliest_gap(ready, duration)
 
-    @property
-    def booked(self) -> int:
-        """Bookings on the lane (charge_path's pass bound)."""
-        return self._slot.booked
-
     def reset(self) -> None:
         self._slot = self._slot_cls()
 
@@ -289,8 +283,7 @@ class Timeline:
     #: a no-op; the serve layer raises it to a job's admission time so
     #: backfill cannot place a job's operations before the job existed.
     floor: float = 0.0
-    #: charge_path's resolved paths: the resource sequence as given ->
-    #: ``(resources, joined name, all distinct)``.
+    #: charge_path's memo: resources as given -> (resolved, name, distinct)
     _paths: dict = field(default_factory=dict, repr=False)
 
     def resource(self, name: str) -> Resource:
@@ -366,7 +359,9 @@ class Timeline:
                 return start, passes == 0 and proposed == start
             start = proposed
             passes += 1
-            max_passes = 2 + sum(r.booked for r in resolved)
+            if passes <= 2:             # within any lane's bound
+                continue
+            max_passes = 2 + sum(r._slot.booked for r in resolved)
             if passes > max_passes:  # pragma: no cover - broken invariant
                 raise SimulationError(
                     "charge_path failed to converge on "
