@@ -14,13 +14,16 @@ alloc/free cycles is exactly what makes those two numbers diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from operator import itemgetter
+from typing import NamedTuple
 
 from repro.errors import AllocationError, CapacityError
 
+_offset = itemgetter(0)
 
-@dataclass(frozen=True)
-class Allocation:
+
+class Allocation(NamedTuple):
     """One live allocation: its virtual offset and size."""
 
     offset: int
@@ -140,14 +143,7 @@ class FreeListAllocator:
         self._insert_free(alloc.offset, alloc.size)
 
     def _insert_free(self, offset: int, size: int) -> None:
-        # Binary search for the insertion point in the sorted free list.
-        lo, hi = 0, len(self._free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._free[mid][0] < offset:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(self._free, offset, key=_offset)
         self._free.insert(lo, (offset, size))
         # Coalesce with successor, then predecessor.
         if lo + 1 < len(self._free):

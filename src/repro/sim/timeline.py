@@ -337,8 +337,8 @@ class Timeline:
     def _negotiate(self, resolved: list[Resource], duration: float,
                    ready: float) -> tuple[float, bool]:
         """Find the earliest start every resource can host; also whether
-        each one was free at ``ready`` itself (then every member has
-        just said so, and booking needs no second look).
+        the last pass asked each member at that start itself and each
+        answered it (then booking needs no second look).
 
         The fixpoint is structurally convergent: each non-final pass
         pushes ``start`` strictly forward onto some member's booked
@@ -356,7 +356,7 @@ class Timeline:
                 if at > proposed:
                     proposed = at
             if proposed <= start + _EPS:
-                return start, passes == 0 and proposed == start
+                return start, proposed == start
             start = proposed
             passes += 1
             if passes <= 2:             # within any lane's bound
