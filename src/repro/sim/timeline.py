@@ -359,7 +359,7 @@ class Timeline:
                 return start, proposed == start
             start = proposed
             passes += 1
-            if passes <= 2:             # within any lane's bound
+            if passes <= 2:     # the bound is at least 2; sum it no sooner
                 continue
             max_passes = 2 + sum(r._slot.booked for r in resolved)
             if passes > max_passes:  # pragma: no cover - broken invariant
