@@ -82,23 +82,23 @@ class ArrayPool:
         ``zero=False``, for scratch space that is fully overwritten)."""
         with self._lock:
             bucket = self._free.get(nbytes)
-            arr = bucket.pop() if bucket else None
-            if arr is not None:
-                self._held_bytes -= nbytes
-                self.reuses += 1
-            else:
+            if not bucket:
                 self.fresh += 1
-        if arr is not None:
-            if zero:
-                arr.fill(0)
-            return arr
-        return (np.zeros if zero else np.empty)(nbytes, dtype=np.uint8)
+                return (np.zeros if zero else np.empty)(nbytes, dtype=np.uint8)
+            arr = bucket.pop()
+            self._held_bytes -= nbytes
+            self.reuses += 1
+        if zero:
+            arr.fill(0)
+        return arr
 
     def give(self, arr: np.ndarray) -> None:
         """Retire ``arr`` into the pool (dropped when over budget)."""
         nbytes = arr.size
         with self._lock:
-            bucket = self._free.setdefault(nbytes, [])
+            bucket = self._free.get(nbytes)
+            if bucket is None:
+                bucket = self._free[nbytes] = []
             if (nbytes == 0 or len(bucket) >= self.max_per_size
                     or self._held_bytes + nbytes > self.max_bytes):
                 self.dropped += 1
@@ -228,8 +228,8 @@ class BufferRegistry:
 
     def register(self, node_id: int, nbytes: int, alloc_id: int,
                  label: str = "") -> BufferHandle:
-        handle = BufferHandle(buffer_id=self._next_id, node_id=node_id,
-                              nbytes=nbytes, alloc_id=alloc_id, label=label)
+        handle = BufferHandle(self._next_id, node_id, nbytes, alloc_id, 0,
+                              label)
         self._next_id += 1
         self._live[handle.buffer_id] = handle
         self.total_allocated += 1
@@ -274,7 +274,7 @@ class BufferRegistry:
 
     def unregister(self, handle: BufferHandle) -> None:
         self.check_live(handle)
-        if handle.is_mapped:
+        if handle.mapped_from is not None:
             handle.mapped_from.windows -= 1
         elif handle.windows:
             raise AllocationError(

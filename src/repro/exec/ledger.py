@@ -323,15 +323,16 @@ class Dispatch:
         path would), but the backing bytes survive until that work
         retires."""
         led = self.ledger
-        slab = (node.node_id, handle.alloc_id)
-        if led.active:
+        if led.active:      # else nothing can be pending on the slab
+            slab = (node.node_id, handle.alloc_id)
             led.drop_fills((slab,))
-        if led.has_pending(slab):
-            alloc_id = handle.alloc_id
-            node.device.release_capacity(alloc_id)
-            led.defer_free(slab, lambda: node.device.destroy_storage(alloc_id))
-        else:
-            node.device.release(handle.alloc_id)
+            if led.has_pending(slab):
+                alloc_id = handle.alloc_id
+                node.device.release_capacity(alloc_id)
+                led.defer_free(slab,
+                               lambda: node.device.destroy_storage(alloc_id))
+                return
+        node.device.release(handle.alloc_id)
 
     def host_access(self, handle, *, for_write: bool = False) -> None:
         """Order an untimed host access behind pending executor work on

@@ -112,17 +112,19 @@ class FreeListAllocator:
         if size <= 0:
             raise AllocationError(f"allocation size must be positive, got {size}")
         padded = self._padded(size)
-        for i, (off, block) in enumerate(self._free):
+        free = self._free
+        for i, (off, block) in enumerate(free):
             if block >= padded:
                 if block == padded:
-                    del self._free[i]
+                    del free[i]
                 else:
-                    self._free[i] = (off + padded, block - padded)
+                    free[i] = (off + padded, block - padded)
                 alloc_id = self._next_id
                 self._next_id += 1
-                self._live[alloc_id] = Allocation(offset=off, size=padded)
+                self._live[alloc_id] = Allocation(off, padded)
                 self._used += padded
-                self._peak = max(self._peak, self._used)
+                if self._used > self._peak:
+                    self._peak = self._used
                 return alloc_id
         if padded <= self.free_bytes:
             raise CapacityError(
@@ -143,21 +145,15 @@ class FreeListAllocator:
         self._insert_free(alloc.offset, alloc.size)
 
     def _insert_free(self, offset: int, size: int) -> None:
-        lo = bisect_left(self._free, offset, key=_offset)
-        self._free.insert(lo, (offset, size))
+        free = self._free
+        lo = bisect_left(free, offset, key=_offset)
         # Coalesce with successor, then predecessor.
-        if lo + 1 < len(self._free):
-            off, sz = self._free[lo]
-            noff, nsz = self._free[lo + 1]
-            if off + sz == noff:
-                self._free[lo] = (off, sz + nsz)
-                del self._free[lo + 1]
-        if lo > 0:
-            poff, psz = self._free[lo - 1]
-            off, sz = self._free[lo]
-            if poff + psz == off:
-                self._free[lo - 1] = (poff, psz + sz)
-                del self._free[lo]
+        if lo < len(free) and free[lo][0] == offset + size:
+            size += free.pop(lo)[1]
+        if lo and (prev := free[lo - 1])[0] + prev[1] == offset:
+            free[lo - 1] = (prev[0], prev[1] + size)
+        else:
+            free.insert(lo, (offset, size))
 
     def would_fit_compacted(self, size: int) -> bool:
         """True when ``size`` would fit after :meth:`compact`: the free
