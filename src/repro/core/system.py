@@ -230,7 +230,6 @@ class System:
         #: topology is immutable after validation and :meth:`Timeline.reset`
         #: keeps each resource, so these never need invalidating.
         self._routes: dict[tuple[int, int], list[tuple]] = {}
-        self._nodes = {node.node_id: node for node in tree.nodes()}
         self._proc_node = {proc.name: node for node in tree.nodes()
                            for proc in node.processors}
 
@@ -241,8 +240,7 @@ class System:
 
     def node_of(self, handle: BufferHandle) -> TreeNode:
         """The tree node whose device holds ``handle``."""
-        node = self._nodes.get(handle.node_id)
-        return self.tree.node(handle.node_id) if node is None else node
+        return self.tree.node(handle.node_id)
 
     def processor_node(self, proc: Processor) -> TreeNode:
         """The tree node ``proc`` is attached to."""
@@ -766,7 +764,7 @@ class System:
         """:meth:`view_array` for a caller that made its lifecycle
         checks (a launch, for its kernel's bindings)."""
         count = self._host_window(handle, dtype, shape, offset, count)
-        raw = self.tree.node(handle.node_id).device.try_view(
+        raw = self.node_of(handle).device.try_view(
             handle.alloc_id, handle.base_offset + offset, count)
         if raw is None:
             return None
